@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-fix sarif docs test race race-pipeline crash-test fuzz-smoke serve-smoke chaos-smoke verify bench bench-smoke bench-compare
+.PHONY: all build vet lint lint-fix sarif docs test test-cpu race race-pipeline crash-test fuzz-smoke serve-smoke chaos-smoke verify bench bench-smoke bench-compare
 
 all: verify
 
@@ -37,14 +37,25 @@ docs:
 test:
 	$(GO) test ./...
 
+# The scheduler as a tested axis: the goroutine-parallel packages and
+# everything that drives them (pipeline, store, daemon, benchmark,
+# root façade) at GOMAXPROCS 1, 2 and 4. A property that holds only at
+# the host's default GOMAXPROCS is not a property. -count defeats the
+# test cache, so a green from an earlier lucky run can never stand in
+# for this one.
+test-cpu:
+	$(GO) test -count=5 -cpu 1,2,4 ./internal/chunk ./internal/checkpoint ./internal/server ./cmd/numarckd ./bench .
+
 race:
 	$(GO) test -race ./...
 
 # Focused race run over the goroutine-heavy pipeline and store packages
 # with a higher -count: the bounded-worker pool and the crash-injection
-# store are where interleavings actually vary between runs.
+# store are where interleavings actually vary between runs — at more
+# than one GOMAXPROCS, since the ring's worker/emitter handshake only
+# runs truly concurrently from 2 up.
 race-pipeline:
-	$(GO) test -race -count=3 ./internal/chunk ./internal/checkpoint
+	$(GO) test -race -count=3 -cpu 1,2,4 ./internal/chunk ./internal/checkpoint
 
 # The seeded crash-consistency matrix: fault-injection unit tests plus
 # the kill-at-every-mutating-op store matrices — checkpoint write,
@@ -61,7 +72,6 @@ crash-test:
 # checkpoint parsers on corrupt input, and the degraded-mode decode.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRoundTrip$$ -fuzztime=$(FUZZTIME) ./internal/bitpack
-	$(GO) test -run=NONE -fuzz=FuzzRoundTrip64$$ -fuzztime=$(FUZZTIME) ./internal/bitpack
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalDelta$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalDeltaV2$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalFull$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
@@ -75,8 +85,8 @@ fuzz-smoke:
 # requests get 429 — plus the daemon's SIGTERM drain leaving a clean
 # store.
 serve-smoke:
-	$(GO) test -race -count=1 -run 'TestServeSmoke|TestServeAdmission|TestServeLocked|TestServeDrain' ./internal/server
-	$(GO) test -race -count=1 -run 'TestDaemonGracefulDrain' ./cmd/numarckd
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestServeSmoke|TestServeAdmission|TestServeLocked|TestServeDrain' ./internal/server
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestDaemonGracefulDrain' ./cmd/numarckd
 
 # The chaos matrix under the race detector: a fault-free baseline
 # exchange (commits, a resumable upload, restart, reconstruction)
@@ -87,9 +97,9 @@ serve-smoke:
 # and nothing left for the janitor. Seeded and sleep-free: the whole
 # matrix stays inside a few seconds.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'TestChaos' ./internal/server
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestChaos' ./internal/server
 
-verify: build vet lint docs test race crash-test fuzz-smoke serve-smoke chaos-smoke
+verify: build vet lint docs test test-cpu race crash-test fuzz-smoke serve-smoke chaos-smoke
 
 # Codec benchmarks: in-memory vs streaming encode/decode per strategy
 # (machine-readable BENCH_codec.json) plus the Go micro-benchmarks of

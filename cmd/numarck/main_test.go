@@ -221,22 +221,34 @@ func TestDecompressRecoverSalvagesCorruptV2(t *testing.T) {
 	}
 }
 
+// writeDeltaV2 commits prev → cur to st as a chunked v2 delta, the way
+// a streaming producer does: marshalled bytes through WriteRawDelta.
+func writeDeltaV2(t *testing.T, st *checkpoint.Store, variable string, iteration int, prev, cur []float64) {
+	t.Helper()
+	enc, err := core.Encode(prev, cur, st.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := checkpoint.MarshalDeltaV2(variable, iteration, enc, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteRawDelta(variable, iteration, raw); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestVerifyCommand(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	st, err := checkpoint.Create(dir, core.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: core.Clustering})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SetDeltaFormat(2, 256); err != nil {
-		t.Fatal(err)
-	}
 	_, _, prev, cur := writeSeries(t, t.TempDir())
 	if err := st.WriteFull("dens", 0, prev); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.WriteDelta("dens", 1, prev, cur); err != nil {
-		t.Fatal(err)
-	}
+	writeDeltaV2(t, st, "dens", 1, prev, cur)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -266,16 +278,11 @@ func TestRestartRecoverCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SetDeltaFormat(2, 256); err != nil {
-		t.Fatal(err)
-	}
 	_, _, prev, cur := writeSeries(t, t.TempDir())
 	if err := st.WriteFull("dens", 0, prev); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.WriteDelta("dens", 1, prev, cur); err != nil {
-		t.Fatal(err)
-	}
+	writeDeltaV2(t, st, "dens", 1, prev, cur)
 	corruptOneByte(t, filepath.Join(dir, "dens.delta.000001.nmk"))
 
 	outPath := filepath.Join(t.TempDir(), "rec.f64")

@@ -171,8 +171,9 @@ func TestDaemonGracefulDrain(t *testing.T) {
 }
 
 // TestDaemonReadyzFlip checks the probe contract around drain:
-// /readyz answers 200 while serving and 503 once the signal lands,
-// while /healthz stays 200 throughout.
+// /readyz answers 200 while serving and flips to 503 once the signal
+// lands (or the listener is already gone), while /healthz answers 200
+// for as long as the daemon answers at all.
 func TestDaemonReadyzFlip(t *testing.T) {
 	addr, sigterm, wait := startDaemon(t, t.TempDir())
 	get := func(path string) int {
@@ -187,12 +188,30 @@ func TestDaemonReadyzFlip(t *testing.T) {
 	if code := get("/readyz"); code != 200 {
 		t.Fatalf("/readyz while serving = %d", code)
 	}
+	if code := get("/healthz"); code != 200 {
+		t.Fatalf("/healthz while serving = %d", code)
+	}
 	sigterm()
-	// Shutdown closes the listener once idle; catch the 503 window or
-	// accept that the daemon is already gone.
-	code := get("/readyz")
-	if code != 503 && code != -1 {
-		t.Fatalf("/readyz after signal = %d, want 503 or connection refused", code)
+	// The signal is delivered asynchronously: the daemon may answer a
+	// few more 200s before it starts draining. Poll until the flip —
+	// 503, or connection refused once Shutdown has closed the idle
+	// listener — and require liveness to stay green up to it.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if code := get("/healthz"); code != 200 && code != -1 {
+			t.Fatalf("/healthz after signal = %d, want 200 or connection refused", code)
+		}
+		code := get("/readyz")
+		if code == 503 || code == -1 {
+			break
+		}
+		if code != 200 {
+			t.Fatalf("/readyz after signal = %d, want 200, 503 or connection refused", code)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("/readyz never flipped after the signal")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if err := wait(); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,8 @@
 //
 // The packing is little-endian at the bit level: index i occupies bits
 // [i*width, (i+1)*width) of the stream, and bit b of the stream lives in
-// byte b/8 at position b%8. This layout allows streaming append and
-// random access without any padding between values.
+// byte b/8 at position b%8. This layout allows random access without
+// any padding between values.
 package bitpack
 
 import (
@@ -147,84 +147,7 @@ func Get(data []byte, i, width int) (uint32, error) {
 	return uint32(getBits(data, uint64(i)*uint64(width), width)), nil
 }
 
-// ---------------------------------------------------------------------
-// 64-bit variants. The bin-index stream is 32-bit (B <= MaxIndexBits),
-// but lossless residue streams and the bindex analyzer's worst case
-// need full-width fields; these share the bit-level layout above.
-
-// MaxWidth64 is the widest supported 64-bit field, in bits.
-const MaxWidth64 = 64
-
-// ErrWidth64 reports an out-of-range 64-bit field width.
-var ErrWidth64 = errors.New("bitpack: width must be in [1,64]")
-
-// PackedLen64 returns the number of bytes needed for n fields of the
-// given width, 1 <= width <= 64. It panics if width is invalid.
-func PackedLen64(n, width int) int {
-	if width < 1 || width > MaxWidth64 {
-		panic(ErrWidth64)
-	}
-	if n < 0 {
-		panic(fmt.Sprintf("bitpack: negative count %d", n))
-	}
-	bits := uint64(n) * uint64(width)
-	return int((bits + 7) / 8)
-}
-
-// Pack64 encodes vals, each of which must fit in width bits, into a
-// fresh byte slice of exactly PackedLen64(len(vals), width) bytes.
-func Pack64(vals []uint64, width int) ([]byte, error) {
-	if width < 1 || width > MaxWidth64 {
-		return nil, ErrWidth64
-	}
-	limit := limitFor(width)
-	out := make([]byte, PackedLen64(len(vals), width))
-	for i, v := range vals {
-		if v > limit {
-			return nil, fmt.Errorf("%w: value %d at position %d exceeds %d bits", ErrRange, v, i, width)
-		}
-		putBits(out, uint64(i)*uint64(width), v, width)
-	}
-	return out, nil
-}
-
-// Unpack64 decodes n fields of the given width from data.
-func Unpack64(data []byte, n, width int) ([]uint64, error) {
-	if width < 1 || width > MaxWidth64 {
-		return nil, ErrWidth64
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("bitpack: negative count %d", n)
-	}
-	need := PackedLen64(n, width)
-	if len(data) < need {
-		return nil, fmt.Errorf("%w: have %d bytes, need %d", ErrShort, len(data), need)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = getBits(data, uint64(i)*uint64(width), width)
-	}
-	return out, nil
-}
-
-// Get64 returns field i of a 64-bit packed stream without decoding the
-// rest.
-func Get64(data []byte, i, width int) (uint64, error) {
-	if width < 1 || width > MaxWidth64 {
-		return 0, ErrWidth64
-	}
-	if i < 0 {
-		return 0, fmt.Errorf("bitpack: negative index %d", i)
-	}
-	if len(data) < PackedLen64(i+1, width) {
-		return 0, ErrShort
-	}
-	return getBits(data, uint64(i)*uint64(width), width), nil
-}
-
-// limitFor returns the maximum value representable in width bits. For
-// width 64 the shift wraps to 0 and the subtraction yields MaxUint64,
-// which is exactly the intended limit.
+// limitFor returns the maximum value representable in width bits.
 func limitFor(width int) uint64 {
 	return (uint64(1) << uint(width)) - 1
 }

@@ -2,7 +2,6 @@ package bitpack
 
 import (
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -31,53 +30,9 @@ func TestPackB1(t *testing.T) {
 	}
 }
 
-// TestPack64B64 exercises the widest field: full 64-bit values where
-// the width limit itself (1<<64 - 1) must not overflow.
-func TestPack64B64(t *testing.T) {
-	vals := []uint64{0, 1, math.MaxUint64, math.MaxUint64 - 1, 1 << 63}
-	packed, err := Pack64(vals, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 8 * len(vals); len(packed) != want {
-		t.Fatalf("packed len = %d, want %d", len(packed), want)
-	}
-	got, err := Unpack64(packed, len(vals), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Fatalf("field %d = %d, want %d", i, got[i], vals[i])
-		}
-	}
-	for i := range vals {
-		v, err := Get64(packed, i, 64)
-		if err != nil || v != vals[i] {
-			t.Fatalf("Get64(%d) = %d, %v; want %d", i, v, err, vals[i])
-		}
-	}
-}
-
-// TestPack64WidthBounds pins the width validation of the 64-bit API.
-func TestPack64WidthBounds(t *testing.T) {
-	for _, w := range []int{0, -1, 65} {
-		if _, err := Pack64([]uint64{1}, w); !errors.Is(err, ErrWidth64) {
-			t.Errorf("Pack64 width %d err = %v, want ErrWidth64", w, err)
-		}
-		if _, err := Unpack64(nil, 0, w); !errors.Is(err, ErrWidth64) {
-			t.Errorf("Unpack64 width %d err = %v, want ErrWidth64", w, err)
-		}
-		if _, err := Get64(nil, 0, w); !errors.Is(err, ErrWidth64) {
-			t.Errorf("Get64 width %d err = %v, want ErrWidth64", w, err)
-		}
-	}
-}
-
 // TestIndexOverflowRoundTrip covers the truncation hazard the bindex
 // analyzer guards: a value one past the width limit must be rejected,
-// and the limit itself must round-trip intact — for every width of
-// both APIs.
+// and the limit itself must round-trip intact — for every width.
 func TestIndexOverflowRoundTrip(t *testing.T) {
 	for width := 1; width <= MaxWidth; width++ {
 		limit := uint32(limitFor(width))
@@ -94,35 +49,5 @@ func TestIndexOverflowRoundTrip(t *testing.T) {
 				t.Fatalf("width %d: limit+1 err = %v, want ErrRange", width, err)
 			}
 		}
-	}
-	for width := 1; width <= MaxWidth64; width++ {
-		limit := limitFor(width)
-		packed, err := Pack64([]uint64{limit, 0, limit}, width)
-		if err != nil {
-			t.Fatalf("width %d: pack64 limit: %v", width, err)
-		}
-		got, err := Unpack64(packed, 3, width)
-		if err != nil || got[0] != limit || got[1] != 0 || got[2] != limit {
-			t.Fatalf("width %d: round-trip %v, %v; want [%d 0 %d]", width, got, err, limit, limit)
-		}
-		if width < MaxWidth64 {
-			if _, err := Pack64([]uint64{limit + 1}, width); !errors.Is(err, ErrRange) {
-				t.Fatalf("width %d: limit+1 err = %v, want ErrRange", width, err)
-			}
-		}
-	}
-}
-
-// TestUnpack64Short pins ErrShort on truncated 64-bit streams.
-func TestUnpack64Short(t *testing.T) {
-	packed, err := Pack64([]uint64{1, 2, 3}, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Unpack64(packed[:len(packed)-1], 3, 40); !errors.Is(err, ErrShort) {
-		t.Fatalf("truncated Unpack64 err = %v, want ErrShort", err)
-	}
-	if _, err := Get64(packed, 3, 40); !errors.Is(err, ErrShort) {
-		t.Fatalf("out-of-stream Get64 err = %v, want ErrShort", err)
 	}
 }

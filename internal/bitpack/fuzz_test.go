@@ -1,7 +1,6 @@
 package bitpack
 
 import (
-	"bytes"
 	"encoding/binary"
 	"testing"
 )
@@ -39,33 +38,6 @@ func FuzzRoundTrip(f *testing.F) {
 			one, err := Get(packed, i, width)
 			if err != nil || one != vals[i] {
 				t.Fatalf("width %d Get(%d): %d, %v; want %d", width, i, one, err, vals[i])
-			}
-		}
-	})
-}
-
-// FuzzRoundTrip64 is the 64-bit twin, covering widths up to 64.
-func FuzzRoundTrip64(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(64))
-	f.Add(bytes.Repeat([]byte{0xff}, 16), uint8(33))
-	f.Fuzz(func(t *testing.T, raw []byte, w uint8) {
-		width := int(w%MaxWidth64) + 1
-		limit := limitFor(width)
-		vals := make([]uint64, len(raw)/8)
-		for i := range vals {
-			vals[i] = binary.LittleEndian.Uint64(raw[8*i:]) & limit
-		}
-		packed, err := Pack64(vals, width)
-		if err != nil {
-			t.Fatalf("pack64 width %d: %v", width, err)
-		}
-		got, err := Unpack64(packed, len(vals), width)
-		if err != nil {
-			t.Fatalf("unpack64: %v", err)
-		}
-		for i := range vals {
-			if got[i] != vals[i] {
-				t.Fatalf("width %d field %d: %d != %d", width, i, got[i], vals[i])
 			}
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"numarck/internal/core"
 	"numarck/internal/faultfs"
 )
 
@@ -47,6 +48,28 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
+// writeDeltaAs encodes prev → cur with the store's options and commits
+// it as a delta in the given file format: 1 through WriteDelta (the
+// library's own path, MarshalDelta), 2 as MarshalDeltaV2 bytes through
+// WriteRawDelta, the way every streaming producer commits. Both end in
+// the same commitFile, so the crash matrices see the same mutating ops
+// on either axis.
+func writeDeltaAs(st *Store, format, chunkPoints int, variable string, iteration int, prev, cur []float64) error {
+	if format == 1 {
+		_, err := st.WriteDelta(variable, iteration, prev, cur)
+		return err
+	}
+	enc, err := core.Encode(prev, cur, st.Options())
+	if err != nil {
+		return err
+	}
+	raw, err := MarshalDeltaV2(variable, iteration, enc, chunkPoints)
+	if err != nil {
+		return err
+	}
+	return st.WriteRawDelta(variable, iteration, raw)
+}
+
 // seedStore builds the crash-matrix pre-state: full@0, delta@1, delta@2
 // for one variable, plus the iteration data for later writes.
 func seedStore(t *testing.T, dir string, format int) [][]float64 {
@@ -56,15 +79,12 @@ func seedStore(t *testing.T, dir string, format int) [][]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SetDeltaFormat(format, 512); err != nil {
-		t.Fatal(err)
-	}
 	if err := st.WriteFull("dens", 0, series[0]); err != nil {
 		t.Fatal(err)
 	}
 	prev := series[0]
 	for i := 1; i <= 2; i++ {
-		if _, err := st.WriteDelta("dens", i, prev, series[i]); err != nil {
+		if err := writeDeltaAs(st, format, 512, "dens", i, prev, series[i]); err != nil {
 			t.Fatal(err)
 		}
 		// Replay so the next delta encodes against the decoded values,
@@ -129,10 +149,7 @@ func TestCrashMatrixWrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := stProbe.SetDeltaFormat(format, 512); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := stProbe.WriteDelta("dens", 3, want2, series[3]); err != nil {
+		if err := writeDeltaAs(stProbe, format, 512, "dens", 3, want2, series[3]); err != nil {
 			t.Fatal(err)
 		}
 		want3, err := stProbe.Restart("dens", 3)
@@ -154,11 +171,8 @@ func TestCrashMatrixWrite(t *testing.T) {
 			if err != nil {
 				t.Fatalf("format %d k=%d: open pre-crash: %v", format, k, err)
 			}
-			if err := st.SetDeltaFormat(format, 512); err != nil {
-				t.Fatal(err)
-			}
 			inj.SetCrashAt(k)
-			if _, err := st.WriteDelta("dens", 3, want2, series[3]); !errors.Is(err, faultfs.ErrCrashed) {
+			if err := writeDeltaAs(st, format, 512, "dens", 3, want2, series[3]); !errors.Is(err, faultfs.ErrCrashed) {
 				t.Fatalf("format %d k=%d: write survived the crash point: %v", format, k, err)
 			}
 

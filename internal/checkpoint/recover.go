@@ -144,36 +144,16 @@ func (d *DeltaV2Reader) DecodeRecover(prev []float64, workers int, ropt RecoverO
 		return nil, fmt.Errorf("%w: prev has %d points, encoded has %d", core.ErrLength, len(prev), d.meta.N)
 	}
 	out := make([]float64, d.meta.N)
-	m := d.meta.ChunkCount
-	if workers <= 0 || workers > m {
-		workers = m
-	}
-	statuses := make([]ChunkStatus, m)
-	if m > 0 {
-		jobs := make(chan int)
-		done := make(chan struct{}, workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer func() { done <- struct{}{} }()
-				for i := range jobs {
-					start, np := d.ChunkSpan(i)
-					err := d.DecodeChunkInto(i, prev[start:start+np], out[start:start+np])
-					if err != nil {
-						// Quarantine the chunk: pass the previous
-						// iteration's values through for its range.
-						copy(out[start:start+np], prev[start:start+np])
-					}
-					statuses[i] = ChunkStatus{Chunk: i, Start: start, Points: np, Err: err}
-				}
-			}()
+	errs, _ := d.decodeChunks(prev, out, workers)
+	statuses := make([]ChunkStatus, len(errs))
+	for i, err := range errs {
+		start, np := d.ChunkSpan(i)
+		if err != nil {
+			// Quarantine the chunk: pass the previous iteration's
+			// values through for its range.
+			copy(out[start:start+np], prev[start:start+np])
 		}
-		for i := 0; i < m; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		for w := 0; w < workers; w++ {
-			<-done
-		}
+		statuses[i] = ChunkStatus{Chunk: i, Start: start, Points: np, Err: err}
 	}
 	var lost []Range
 	for _, s := range statuses {

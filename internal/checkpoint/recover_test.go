@@ -6,7 +6,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"numarck/internal/core"
 	"numarck/internal/obs"
@@ -225,6 +228,94 @@ func TestMergeRanges(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("merged = %v, want %v", got, want)
+		}
+	}
+}
+
+// liveGoroutines is runtime.NumGoroutine taken with the world stopped.
+// NumGoroutine (and GoroutineProfile(nil)) sum several scheduler
+// counters without synchronization and can be off by a whole free-list
+// batch (32) while any goroutine is being torn down — too loose to
+// assert a bound of a few. A profile call with a non-empty slice takes
+// the same count at a safepoint.
+func liveGoroutines() int {
+	var one [1]runtime.StackRecord
+	n, _ := runtime.GoroutineProfile(one[:])
+	return n
+}
+
+// goroutineGauge is a ReaderAt that records the highest goroutine count
+// seen at any section read — every chunk decode passes through it, on
+// the decoding goroutine, so it samples the fan-out at full width.
+type goroutineGauge struct {
+	r    *bytes.Reader
+	peak atomic.Int64
+}
+
+func (g *goroutineGauge) ReadAt(p []byte, off int64) (int, error) {
+	n := int64(liveGoroutines())
+	for {
+		m := g.peak.Load()
+		if n <= m || g.peak.CompareAndSwap(m, n) {
+			break
+		}
+	}
+	return g.r.ReadAt(p, off)
+}
+
+// TestDecodeBoundsGoroutines pins the fan-out width: a file of many
+// one-point chunks (ChunkPoints = 1 is a legal header, and ?raw=1
+// uploads are client-supplied) decoded with the default worker count —
+// what chain replay passes — must run on at most GOMAXPROCS goroutines,
+// in salvage and fail-closed mode alike, not on one per chunk.
+func TestDecodeBoundsGoroutines(t *testing.T) {
+	const n = 1000
+	raw, prev, want := v2Delta(t, n, 1)
+	bad := append([]byte(nil), raw...)
+	d0, err := OpenDeltaV2(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d0.Meta().ChunkCount != n {
+		t.Fatalf("file has %d chunks, want %d", d0.Meta().ChunkCount, n)
+	}
+	bad[d0.dir[n/2].off] ^= 0x01 // one damaged chunk for the salvage run
+
+	base := liveGoroutines()
+	limit := int64(base + runtime.GOMAXPROCS(0))
+	for _, salvage := range []bool{true, false} {
+		src := raw
+		if salvage {
+			src = bad
+		}
+		// The previous run's workers have passed wg.Done but may still
+		// be exiting; let them go before sampling this run.
+		for deadline := time.Now().Add(5 * time.Second); liveGoroutines() > base; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines still alive, %d before the first decode", liveGoroutines(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		g := &goroutineGauge{r: bytes.NewReader(src)}
+		d, err := OpenDeltaV2(g, int64(len(src)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.DecodeRecover(prev, 0, RecoverOptions{Salvage: salvage})
+		if salvage {
+			var pde *PartialDataError
+			if !errors.As(err, &pde) || pde.LostPoints() != 1 {
+				t.Fatalf("salvage decode = %v, want one lost point", err)
+			}
+			got[n/2] = want[n/2]
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqual(got, want) {
+			t.Fatalf("salvage=%v: decode differs", salvage)
+		}
+		if peak := g.peak.Load(); peak > limit {
+			t.Errorf("salvage=%v: %d goroutines at peak decoding %d chunks, want <= %d (baseline + GOMAXPROCS)", salvage, peak, n, limit)
 		}
 	}
 }

@@ -70,12 +70,6 @@ type Store struct {
 	// closed is set by Close; a closed handle refuses further writes
 	// (its lock is gone, so writing would race a successor writer).
 	closed bool
-	// deltaFormat is the file format version new delta checkpoints are
-	// written with: 1 (default, single-section) or 2 (chunked, parallel
-	// decodable). Reads sniff the magic, so stores may mix both.
-	deltaFormat int
-	// chunkPoints is the chunk granularity for v2 deltas.
-	chunkPoints int
 	// recovery is the report of the Open-time recovery scan (nil for a
 	// store handle from Create, which starts empty).
 	recovery *RecoveryReport
@@ -280,20 +274,6 @@ func (st *Store) Recovery() *RecoveryReport { return st.recovery }
 // operations (salvage decodes, future scans). Nil detaches.
 func (st *Store) SetRecorder(rec *obs.Recorder) { st.rec = rec }
 
-// SetDeltaFormat selects the file format for delta checkpoints written
-// from now on: 1 is the original single-section layout, 2 the chunked
-// layout that supports parallel decode and per-chunk corruption
-// localization. chunkPoints sets the v2 chunk granularity (<= 0 means
-// DefaultChunkPoints). Reading is always format-agnostic.
-func (st *Store) SetDeltaFormat(version, chunkPoints int) error {
-	if version != 1 && version != 2 {
-		return fmt.Errorf("checkpoint: unknown delta format version %d", version)
-	}
-	st.deltaFormat = version
-	st.chunkPoints = chunkPoints
-	return nil
-}
-
 // Dir returns the store directory.
 func (st *Store) Dir() string { return st.dir }
 
@@ -406,21 +386,17 @@ func (st *Store) WriteDelta(variable string, iteration int, prev, cur []float64)
 	return enc, nil
 }
 
-// WriteEncodedDelta writes an already-encoded delta checkpoint. Used by
-// callers that inspect the encoding before committing to a delta (the
-// adaptive scheduler encodes tentatively and may write a full
-// checkpoint instead).
+// WriteEncodedDelta writes an already-encoded delta checkpoint in the
+// single-section v1 layout (chunked v2 files, which reads accept just
+// the same, are committed through WriteRawDelta). Used by callers that
+// inspect the encoding before committing to a delta (the adaptive
+// scheduler encodes tentatively and may write a full checkpoint
+// instead).
 func (st *Store) WriteEncodedDelta(variable string, iteration int, enc *core.Encoded) error {
 	if err := validateIdentity(variable, iteration); err != nil {
 		return err
 	}
-	var raw []byte
-	var err error
-	if st.deltaFormat == 2 {
-		raw, err = MarshalDeltaV2(variable, iteration, enc, st.chunkPoints)
-	} else {
-		raw, err = MarshalDelta(variable, iteration, enc)
-	}
+	raw, err := MarshalDelta(variable, iteration, enc)
 	if err != nil {
 		return err
 	}

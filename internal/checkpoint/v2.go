@@ -8,7 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sync/atomic"
+	"runtime"
+	"sync"
 
 	"numarck/internal/bitpack"
 	"numarck/internal/core"
@@ -624,47 +625,50 @@ func (c *ChunkDecoder) DecodeChunkInto(i int, prev, dst []float64) error {
 	return nil
 }
 
-// Decode reconstructs all points from prev, fanning chunks out over
-// `workers` goroutines (<= 0 means one per chunk up to GOMAXPROCS-style
-// default handled by the caller). Chunks write disjoint ranges of the
-// output, so no synchronization beyond the WaitGroup is needed.
-func (d *DeltaV2Reader) Decode(prev []float64, workers int) ([]float64, error) {
-	if len(prev) != d.meta.N {
-		return nil, fmt.Errorf("%w: prev has %d points, encoded has %d", core.ErrLength, len(prev), d.meta.N)
-	}
-	out := make([]float64, d.meta.N)
+// decodeChunks decodes every chunk of the file from prev into out on
+// up to `workers` goroutines (<= 0 means GOMAXPROCS; never more than
+// there are chunks) and returns each chunk's error, by chunk index,
+// with the worker count it ran on. Worker w takes chunks w, w+workers,
+// … through one ChunkDecoder of its own, so goroutines and scratch are
+// bounded by the worker count however many chunks the file claims, and
+// the steady state allocates nothing. Chunks decode fully independently
+// off the directory and write disjoint ranges of out, so completion
+// order does not matter and the WaitGroup is the only synchronization.
+// A failed chunk leaves its range of out untouched.
+func (d *DeltaV2Reader) decodeChunks(prev, out []float64, workers int) ([]error, int) {
 	m := d.meta.ChunkCount
-	if workers <= 0 || workers > m {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > m {
 		workers = m
 	}
-	if m == 0 {
-		return out, nil
-	}
-	// Chunks decode fully independently off the directory: workers claim
-	// indices from an atomic counter (no job channel to contend on) and
-	// write disjoint output ranges through per-worker decoder scratch,
-	// so the steady state allocates nothing and completion order does
-	// not matter.
 	errs := make([]error, m)
-	var next atomic.Int64
-	done := make(chan struct{}, workers)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func() {
-			defer func() { done <- struct{}{} }()
+			defer wg.Done()
 			dec := d.NewChunkDecoder()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= m {
-					return
-				}
+			for i := w; i < m; i += workers {
 				start, np := d.ChunkSpan(i)
 				errs[i] = dec.DecodeChunkInto(i, prev[start:start+np], out[start:start+np])
 			}
 		}()
 	}
-	for w := 0; w < workers; w++ {
-		<-done
+	wg.Wait()
+	return errs, workers
+}
+
+// Decode reconstructs all points from prev, fanning chunks out over up
+// to `workers` goroutines (<= 0 means GOMAXPROCS). The first bad chunk,
+// in chunk order, fails the whole decode.
+func (d *DeltaV2Reader) Decode(prev []float64, workers int) ([]float64, error) {
+	if len(prev) != d.meta.N {
+		return nil, fmt.Errorf("%w: prev has %d points, encoded has %d", core.ErrLength, len(prev), d.meta.N)
 	}
+	out := make([]float64, d.meta.N)
+	errs, workers := d.decodeChunks(prev, out, workers)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -802,121 +806,4 @@ func UnmarshalDeltaV2(raw []byte) (variable string, iteration int, enc *core.Enc
 		return "", 0, nil, err
 	}
 	return d.meta.Variable, d.meta.Iteration, enc, nil
-}
-
-// DeltaV1Assembler builds a v1 delta file incrementally from chunk
-// results, carrying the packed index stream across chunk boundaries
-// with a bitpack.Packer so the final bytes are identical to
-// MarshalDelta of the equivalent in-memory encoding. Only the
-// compressed payload is buffered (indices at B bits per point, the
-// bitmap, and the exact values), never the raw data, so a streaming
-// encode can emit the backward-compatible format while staying far
-// under the input size in memory.
-type DeltaV1Assembler struct {
-	variable   string
-	iteration  int
-	n          int
-	opt        core.Options
-	binRatios  []float64
-	packer     *bitpack.Packer
-	packed     bytes.Buffer
-	bitmap     *bitpack.Bitmap
-	exact      []float64
-	pointsSeen int
-	rec        *obs.Recorder
-}
-
-// NewDeltaV1Assembler prepares an assembler for n points encoded under
-// opt with the given learned bin table.
-func NewDeltaV1Assembler(variable string, iteration, n int, opt core.Options, binRatios []float64) (*DeltaV1Assembler, error) {
-	vopt, err := opt.Validate()
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("checkpoint: negative point count %d", n)
-	}
-	if len(binRatios) > vopt.NumBins() {
-		return nil, fmt.Errorf("checkpoint: %d bin ratios exceed 2^%d-1", len(binRatios), vopt.IndexBits)
-	}
-	p, err := bitpack.NewPacker(vopt.IndexBits)
-	if err != nil {
-		return nil, err
-	}
-	return &DeltaV1Assembler{
-		variable:  variable,
-		iteration: iteration,
-		n:         n,
-		opt:       vopt,
-		binRatios: binRatios,
-		packer:    p,
-		bitmap:    bitpack.NewBitmap(n),
-		rec:       vopt.Obs,
-	}, nil
-}
-
-// AppendChunk adds the next chunk's assignment results. Chunks of any
-// size may be appended; the index stream continues bit-exactly across
-// the boundary.
-func (a *DeltaV1Assembler) AppendChunk(indices []uint32, incompressible []bool, exact []float64) error {
-	if len(incompressible) != len(indices) {
-		return fmt.Errorf("checkpoint: %d incompressible flags for %d points", len(incompressible), len(indices))
-	}
-	if a.pointsSeen+len(indices) > a.n {
-		return fmt.Errorf("checkpoint: %d points appended to a %d-point assembler", a.pointsSeen+len(indices), a.n)
-	}
-	t := a.rec.Start()
-	if err := a.packer.AppendAll(indices); err != nil {
-		t.Stop(obs.StageBitpack)
-		return err
-	}
-	a.packed.Write(a.packer.Drain())
-	t.Stop(obs.StageBitpack)
-	a.rec.Add(obs.CounterChunksEncoded, 1)
-	nExact := 0
-	for j, inc := range incompressible {
-		if inc {
-			a.bitmap.Set(a.pointsSeen+j, true)
-			nExact++
-		}
-	}
-	if nExact != len(exact) {
-		return fmt.Errorf("checkpoint: chunk flags %d incompressible points, %d exact values supplied", nExact, len(exact))
-	}
-	a.exact = append(a.exact, exact...)
-	a.pointsSeen += len(indices)
-	return nil
-}
-
-// Bytes finalizes and returns the complete v1 file.
-func (a *DeltaV1Assembler) Bytes() ([]byte, error) {
-	if a.pointsSeen != a.n {
-		return nil, fmt.Errorf("checkpoint: %d of %d points appended", a.pointsSeen, a.n)
-	}
-	t := a.rec.Start()
-	a.packed.Write(a.packer.Close())
-	payload := make([]byte, 0, 8*len(a.binRatios)+a.packed.Len()+len(a.bitmap.Bytes())+8*len(a.exact))
-	payload = appendFloats(payload, a.binRatios)
-	payload = append(payload, a.packed.Bytes()...)
-	payload = append(payload, a.bitmap.Bytes()...)
-	payload = appendFloats(payload, a.exact)
-
-	var buf bytes.Buffer
-	err := writeFile(&buf, magicDelta, fileHeader{
-		Variable:   a.variable,
-		Iteration:  a.iteration,
-		N:          a.n,
-		IndexBits:  a.opt.IndexBits,
-		ErrorBound: a.opt.ErrorBound,
-		Strategy:   a.opt.Strategy.String(),
-		BinCount:   len(a.binRatios),
-		ExactCount: len(a.exact),
-	}, payload)
-	if err != nil {
-		t.Stop(obs.StageWrite)
-		return nil, err
-	}
-	t.Stop(obs.StageWrite)
-	a.rec.Add(obs.CounterBytesWritten, int64(buf.Len()))
-	return buf.Bytes(), nil
 }

@@ -225,60 +225,18 @@ func TestDeltaV2TruncationAndLies(t *testing.T) {
 	}
 }
 
-func TestDeltaV1AssemblerMatchesMarshalDelta(t *testing.T) {
-	enc, _ := encodeTestData(t, 2711)
-	want, err := MarshalDelta("dens", 9, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunkPoints := range []int{enc.N, 1000, 97, 1} {
-		a, err := NewDeltaV1Assembler("dens", 9, enc.N, enc.Opt, enc.BinRatios)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exactOff := 0
-		for start := 0; start < enc.N; start += chunkPoints {
-			end := start + chunkPoints
-			if end > enc.N {
-				end = enc.N
-			}
-			inc := make([]bool, end-start)
-			nExact := 0
-			for j := range inc {
-				if enc.Incompressible.Get(start + j) {
-					inc[j] = true
-					nExact++
-				}
-			}
-			err := a.AppendChunk(enc.Indices[start:end], inc, enc.Exact[exactOff:exactOff+nExact])
-			if err != nil {
-				t.Fatal(err)
-			}
-			exactOff += nExact
-		}
-		got, err := a.Bytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("chunkPoints=%d: assembled v1 file differs from MarshalDelta", chunkPoints)
-		}
-	}
-}
-
 func TestStoreReadsAndVerifiesV2(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Create(dir, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SetDeltaFormat(2, 300); err != nil {
+	series := genSeries(1000, 4, 5)
+	if err := st.WriteFull("dens", 0, series[0]); err != nil {
 		t.Fatal(err)
 	}
-	series := genSeries(1000, 4, 5)
-	w := NewWriter(st, 0)
-	for i, data := range series {
-		if _, err := w.Append(i, map[string][]float64{"dens": data}); err != nil {
+	for i := 1; i < len(series); i++ {
+		if err := writeDeltaAs(st, 2, 300, "dens", i, series[i-1], series[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

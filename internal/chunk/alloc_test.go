@@ -15,16 +15,17 @@ func allocPair(nChunks, chunkPoints int) (prev, cur []float64) {
 }
 
 // encodeAllocs measures the average allocations of one full streaming
-// encode of nChunks chunks. MaxTableInput bounds the reservoir (and
-// disables the pass-1 ratio cache, whose per-chunk entries are a
-// deliberate uncapped-mode allocation), so everything chunk-count-
-// proportional should come from the pooled slot buffers — i.e. nothing.
-func encodeAllocs(t *testing.T, nChunks int) float64 {
+// encode of nChunks chunks on the given number of workers.
+// MaxTableInput bounds the reservoir (and disables the pass-1 ratio
+// cache, whose per-chunk entries are a deliberate uncapped-mode
+// allocation), so everything chunk-count-proportional should come from
+// the pooled slot buffers — i.e. nothing.
+func encodeAllocs(t *testing.T, nChunks, workers int) float64 {
 	t.Helper()
 	const cp = 1024
 	prev, cur := allocPair(nChunks, cp)
 	opt := core.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: core.EqualWidth}
-	cfg := Config{ChunkPoints: cp, Workers: 1, MaxTableInput: 64}
+	cfg := Config{ChunkPoints: cp, Workers: workers, MaxTableInput: 64}
 	return testing.AllocsPerRun(5, func() {
 		if _, err := EncodeDeltaV2(io.Discard, "v", 1, SliceSource(prev), SliceSource(cur), opt, cfg); err != nil {
 			t.Fatal(err)
@@ -34,27 +35,31 @@ func encodeAllocs(t *testing.T, nChunks int) float64 {
 
 // TestEncodeSteadyStateAllocs pins the allocation-free steady state of
 // the streaming encoder: a run has a fixed setup cost (slot buffers,
-// sink, reservoir, fit), but second-and-later chunks must reuse the
-// slot's buffers, so adding 64 more chunks must add no allocations.
+// v2 writer, reservoir, fit), but second-and-later chunks must reuse the
+// slot's buffers, so adding 64 more chunks must add no allocations —
+// on the inline single-worker path and on the ring, where both runs
+// have more chunks than workers so every slot is reused.
 func TestEncodeSteadyStateAllocs(t *testing.T) {
-	small := encodeAllocs(t, 8)
-	large := encodeAllocs(t, 72)
-	perChunk := (large - small) / 64
-	if perChunk >= 1 {
-		t.Errorf("streaming encode allocates %.2f times per chunk in steady state (8 chunks: %.0f allocs, 72 chunks: %.0f); pooled buffers are not being reused", perChunk, small, large)
+	for _, workers := range []int{1, 3} {
+		small := encodeAllocs(t, 8, workers)
+		large := encodeAllocs(t, 72, workers)
+		perChunk := (large - small) / 64
+		if perChunk >= 1 {
+			t.Errorf("%d workers: streaming encode allocates %.2f times per chunk in steady state (8 chunks: %.0f allocs, 72 chunks: %.0f); pooled buffers are not being reused", workers, perChunk, small, large)
+		}
 	}
 }
 
 // decodeAllocs measures the average allocations of one full streaming
-// decode of the given encoded file.
-func decodeAllocs(t *testing.T, raw []byte, prev []float64) float64 {
+// decode of the given encoded file on the given number of workers.
+func decodeAllocs(t *testing.T, raw []byte, prev []float64, workers int) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(5, func() {
 		d, err := checkpoint.OpenDeltaV2(bytes.NewReader(raw), int64(len(raw)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = DecodeDeltaV2(d, SliceSource(prev), Config{Workers: 1}, func([]float64) error { return nil })
+		err = DecodeDeltaV2(d, SliceSource(prev), Config{Workers: workers}, func([]float64) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +69,7 @@ func decodeAllocs(t *testing.T, raw []byte, prev []float64) float64 {
 // TestDecodeSteadyStateAllocs pins the decoder's steady state the same
 // way: per-slot decoder scratch (section, indices, bitmap, exact, prev
 // window, output) is sized on the first chunk and reused, so 64 extra
-// chunks must add no allocations.
+// chunks must add no allocations, inline or on the ring.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	const cp = 1024
 	opt := core.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: core.EqualWidth}
@@ -80,10 +85,12 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	}
 	rawS, prevS := encode(8)
 	rawL, prevL := encode(72)
-	small := decodeAllocs(t, rawS, prevS)
-	large := decodeAllocs(t, rawL, prevL)
-	perChunk := (large - small) / 64
-	if perChunk >= 1 {
-		t.Errorf("streaming decode allocates %.2f times per chunk in steady state (8 chunks: %.0f allocs, 72 chunks: %.0f); decoder scratch is not being reused", perChunk, small, large)
+	for _, workers := range []int{1, 3} {
+		small := decodeAllocs(t, rawS, prevS, workers)
+		large := decodeAllocs(t, rawL, prevL, workers)
+		perChunk := (large - small) / 64
+		if perChunk >= 1 {
+			t.Errorf("%d workers: streaming decode allocates %.2f times per chunk in steady state (8 chunks: %.0f allocs, 72 chunks: %.0f); decoder scratch is not being reused", workers, perChunk, small, large)
+		}
 	}
 }

@@ -2,8 +2,13 @@
 // pipeline: it runs the same stages as core.Encode — ratio computation,
 // table learning, per-chunk bin assignment — over fixed-size windows
 // read from re-readable sources, under a configurable memory budget,
-// and feeds the per-chunk results to a streaming sink (the v1 assembler
-// or the chunked v2 writer in internal/checkpoint).
+// and streams the per-chunk results into the chunked v2 delta format
+// (checkpoint.DeltaV2Writer), one section per chunk in chunk order.
+//
+// Chunks are processed by a fixed set of workers under a static
+// ownership rule — worker w owns ring slot w and the chunks w, w+W,
+// w+2W, … (see orderedChunks) — so which buffer a chunk uses and the
+// order results are delivered in never depend on goroutine scheduling.
 //
 // Because both paths share the stage functions (core.ComputeRatios,
 // Ratios.TableInput, core.Fit, core.AssignChunk) and gather their
@@ -19,7 +24,6 @@ import (
 	"runtime"
 
 	"numarck/internal/checkpoint"
-	"numarck/internal/core"
 	"numarck/internal/obs"
 )
 
@@ -71,12 +75,6 @@ func (s SliceSource) Window(off, n int) ([]float64, bool) {
 		return nil, false
 	}
 	return s[off : off+n : off+n], true
-}
-
-// Sink receives per-chunk encode results in chunk order. Both
-// checkpoint.DeltaV1Assembler and checkpoint.DeltaV2Writer satisfy it.
-type Sink interface {
-	AppendChunk(indices []uint32, incompressible []bool, exact []float64) error
 }
 
 // BytesPerPoint is the budget model's estimate of encoder buffer bytes
@@ -206,24 +204,6 @@ func ResolveConfig(cfg Config) (Resolved, error) {
 func (cfg Config) peakBufferBytes() int64 {
 	return int64(cfg.Workers)*int64(cfg.ChunkPoints)*BytesPerPoint + 8*int64(cfg.MaxTableInput)
 }
-
-// Plan is what the encoder knows after the table-learning pass; Encode
-// hands it to the sink factory so the sink can write its header.
-type Plan struct {
-	// N is the total point count.
-	N int
-	// ChunkPoints and ChunkCount describe the resolved chunking; every
-	// chunk has ChunkPoints points except a shorter final one.
-	ChunkPoints int
-	ChunkCount  int
-	// Opt is the validated encode options.
-	Opt core.Options
-	// BinRatios is the learned table (nil when no point needed one).
-	BinRatios []float64
-}
-
-// NewSink builds the output sink once the plan is known.
-type NewSink func(p Plan) (Sink, error)
 
 // Result summarizes a streaming encode.
 type Result struct {

@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"numarck/internal/checkpoint"
 	"numarck/internal/core"
@@ -45,8 +50,8 @@ func genPair(n int, seed int64) (prev, cur []float64) {
 // TestStreamingMatchesInMemory is the byte-identity property test: for
 // every binning strategy, index widths whose packed values straddle
 // byte and chunk boundaries, and chunk sizes that do not divide n, the
-// streaming encoder's v1 bytes equal MarshalDelta of the in-memory
-// encode, and its v2 bytes equal MarshalDeltaV2 of the same encode.
+// streaming encoder's bytes equal MarshalDeltaV2 of the in-memory
+// encode at the same chunk granularity.
 func TestStreamingMatchesInMemory(t *testing.T) {
 	const n = 5000
 	prev, cur := genPair(n, 42)
@@ -57,38 +62,27 @@ func TestStreamingMatchesInMemory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantV1, err := checkpoint.MarshalDelta("v", 7, enc)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, chunkPoints := range []int{97, 1000, n} {
 				name := fmt.Sprintf("%s/B%d/cp%d", strategy, bits, chunkPoints)
 				cfg := Config{ChunkPoints: chunkPoints, Workers: 3}
-
-				gotV1, res, err := EncodeDeltaV1("v", 7, SliceSource(prev), SliceSource(cur), opt, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !bytes.Equal(gotV1, wantV1) {
-					t.Errorf("%s: streaming v1 bytes differ from in-memory MarshalDelta", name)
-				}
-				if res.ExactCount != len(enc.Exact) {
-					t.Errorf("%s: exact count %d, want %d", name, res.ExactCount, len(enc.Exact))
-				}
-				if res.TableThinned {
-					t.Errorf("%s: unbounded run reported thinning", name)
-				}
 
 				wantV2, err := checkpoint.MarshalDeltaV2("v", 7, enc, chunkPoints)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
-				if _, err := EncodeDeltaV2(&buf, "v", 7, SliceSource(prev), SliceSource(cur), opt, cfg); err != nil {
+				res, err := EncodeDeltaV2(&buf, "v", 7, SliceSource(prev), SliceSource(cur), opt, cfg)
+				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if !bytes.Equal(buf.Bytes(), wantV2) {
 					t.Errorf("%s: streaming v2 bytes differ from in-memory MarshalDeltaV2", name)
+				}
+				if res.ExactCount != len(enc.Exact) {
+					t.Errorf("%s: exact count %d, want %d", name, res.ExactCount, len(enc.Exact))
+				}
+				if res.TableThinned {
+					t.Errorf("%s: unbounded run reported thinning", name)
 				}
 			}
 		}
@@ -123,7 +117,8 @@ func TestStreamingUnderBudget(t *testing.T) {
 
 	opt := core.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: core.EqualWidth}
 	cfg := Config{Workers: 4, BudgetBytes: 512 << 10} // far below the 1.9 MiB of input
-	got, res, err := EncodeDeltaV1("v", 1, pSrc, cSrc, opt, cfg)
+	var got bytes.Buffer
+	res, err := EncodeDeltaV2(&got, "v", 1, pSrc, cSrc, opt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +133,11 @@ func TestStreamingUnderBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := checkpoint.MarshalDelta("v", 1, enc)
+	want, err := checkpoint.MarshalDeltaV2("v", 1, enc, res.ChunkPoints)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatal("budgeted streaming encode differs from in-memory encode")
 	}
 }
@@ -232,7 +227,8 @@ func TestReservoirBound(t *testing.T) {
 	prev, cur := genPair(n, 3)
 	opt := core.Options{ErrorBound: 0.001, IndexBits: 6, Strategy: core.EqualWidth}
 	cfg := Config{ChunkPoints: 333, Workers: 2, MaxTableInput: 64}
-	raw, res, err := EncodeDeltaV1("v", 1, SliceSource(prev), SliceSource(cur), opt, cfg)
+	var raw bytes.Buffer
+	res, err := EncodeDeltaV2(&raw, "v", 1, SliceSource(prev), SliceSource(cur), opt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,22 +243,36 @@ func TestReservoirBound(t *testing.T) {
 	}
 
 	// Same cap, different chunking: the systematic sample depends only
-	// on the point order, so the output bytes must match.
-	raw2, _, err := EncodeDeltaV1("v", 1, SliceSource(prev), SliceSource(cur), opt, Config{ChunkPoints: 1024, Workers: 3, MaxTableInput: 64})
+	// on the point order, so the two encodings must be the same once
+	// the chunk framing is taken off (compared as v1 bytes, which have
+	// none).
+	var raw2 bytes.Buffer
+	if _, err := EncodeDeltaV2(&raw2, "v", 1, SliceSource(prev), SliceSource(cur), opt, Config{ChunkPoints: 1024, Workers: 3, MaxTableInput: 64}); err != nil {
+		t.Fatal(err)
+	}
+	_, _, enc, err := checkpoint.UnmarshalDeltaV2(raw.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw, raw2) {
+	_, _, enc2, err := checkpoint.UnmarshalDeltaV2(raw2.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := checkpoint.MarshalDelta("v", 1, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat2, err := checkpoint.MarshalDelta("v", 1, enc2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(flat, flat2) {
 		t.Fatal("capped encode depends on chunking")
 	}
 
 	// The error bound survives thinning: every reconstructed point is
 	// within |prev|*E of the true value (incompressible storage covers
 	// what the coarse table cannot).
-	_, _, enc, err := checkpoint.UnmarshalDelta(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
 	out, err := enc.Decode(prev)
 	if err != nil {
 		t.Fatal(err)
@@ -305,55 +315,168 @@ func TestConfigResolve(t *testing.T) {
 	}
 }
 
-func TestOrderedChunks(t *testing.T) {
-	// Emission order is chunk order regardless of completion order.
-	var got []int
-	err := orderedChunks(50, 4, "test", nil,
-		func(i, _ int) (int, error) { return i * i, nil },
-		func(i, v int) error {
-			if v != i*i {
-				t.Errorf("chunk %d delivered %d", i, v)
-			}
-			got = append(got, i)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
+// ringProbe checks the orderedChunks contract from inside the process
+// and emit callbacks of one run with W workers: a chunk is in flight
+// from the start of its process call to the end of its emit call. The
+// bookkeeping is lock-free so that the probe does not itself serialize
+// the workers it is watching.
+type ringProbe struct {
+	t        *testing.T
+	w        int
+	delay    []time.Duration // per chunk; negative = yield, 0 = instant
+	holder   []atomic.Int64  // holder[slot] = in-flight chunk using it, or -1
+	inFlight atomic.Int64
+	maxSeen  atomic.Int64 // highest chunk index handed to process
+	emitted  int          // chunks emitted so far; the next must be this index
+}
+
+func newRingProbe(t *testing.T, count, w int, seed int64, skewed bool) *ringProbe {
+	p := &ringProbe{t: t, w: w, delay: make([]time.Duration, count), holder: make([]atomic.Int64, w)}
+	for s := range p.holder {
+		p.holder[s].Store(-1)
 	}
-	if len(got) != 50 {
-		t.Fatalf("emitted %d chunks", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("emission out of order at %d: %v", i, got)
+	p.maxSeen.Store(-1)
+	// Skew: most chunks are instant, some yield, a few are slow enough
+	// for every other worker to lap the ring if nothing held it back.
+	rng := rand.New(rand.NewSource(seed))
+	for i := range p.delay {
+		if !skewed {
+			break
+		}
+		switch rng.Intn(16) {
+		case 0:
+			p.delay[i] = time.Duration(20+rng.Intn(100)) * time.Microsecond
+		case 1, 2:
+			p.delay[i] = -1
 		}
 	}
+	return p
+}
 
-	// A process error cancels the run and names the chunk.
-	boom := errors.New("boom")
-	err = orderedChunks(100, 4, "test", nil,
-		func(i, _ int) (int, error) {
-			if i == 13 {
-				return 0, boom
-			}
-			return i, nil
-		},
-		func(int, int) error { return nil })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
+func (p *ringProbe) process(i, slot int) (int, error) {
+	if slot != i%p.w {
+		p.t.Errorf("W=%d: chunk %d processed in slot %d, want %d", p.w, i, slot, i%p.w)
 	}
+	if h := p.holder[slot].Swap(int64(i)); h != -1 {
+		p.t.Errorf("W=%d: chunk %d given slot %d while chunk %d is still in flight there", p.w, i, slot, h)
+	}
+	if n := p.inFlight.Add(1); n > int64(p.w) {
+		p.t.Errorf("W=%d: %d chunks in flight", p.w, n)
+	}
+	for {
+		m := p.maxSeen.Load()
+		if int64(i) <= m || p.maxSeen.CompareAndSwap(m, int64(i)) {
+			break
+		}
+	}
+	switch d := p.delay[i]; {
+	case d > 0:
+		time.Sleep(d)
+	case d < 0:
+		runtime.Gosched()
+	}
+	return i * i, nil
+}
 
-	// An emit error cancels the run.
-	err = orderedChunks(100, 4, "test", nil,
-		func(i, _ int) (int, error) { return i, nil },
-		func(i, _ int) error {
-			if i == 7 {
-				return boom
+// emit runs on the single emitter goroutine.
+func (p *ringProbe) emit(i, v int) error {
+	if i != p.emitted {
+		p.t.Errorf("W=%d: emit saw chunk %d, want %d", p.w, i, p.emitted)
+	}
+	if v != i*i {
+		p.t.Errorf("W=%d: chunk %d delivered %d", p.w, i, v)
+	}
+	if h := p.holder[i%p.w].Swap(-1); h != int64(i) {
+		p.t.Errorf("W=%d: chunk %d emitted but slot %d holds chunk %d", p.w, i, i%p.w, h)
+	}
+	p.inFlight.Add(-1)
+	p.emitted++
+	return nil
+}
+
+// waitGoroutines waits (bounded) for the goroutine count to fall back
+// to base: a worker that has passed wg.Done may still be exiting.
+func waitGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, %d before the run", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestOrderedChunks pins the ring's contract under skewed chunk
+// durations, many laps of the ring, and every worker count the
+// pipeline is run with: chunks are emitted 0, 1, 2, … exactly once,
+// chunk i is processed in slot i%W, a slot never holds two in-flight
+// chunks, at most W chunks are in flight, and an error at chunk k stops
+// emission at k with every worker gone when the call returns.
+func TestOrderedChunks(t *testing.T) {
+	boom := errors.New("boom")
+	for _, w := range []int{2, 3, 4, 8} {
+		count := 64*w + 5
+		base := runtime.NumGoroutine()
+
+		// Clean runs: uniform instant chunks keep the workers racing
+		// each other around the ring as tightly as they can; skewed
+		// rounds let fast chunks run ahead of slow predecessors.
+		for round := 0; round < 24; round++ {
+			p := newRingProbe(t, count, w, int64(1000*w+round), round%3 == 2)
+			if err := orderedChunks(count, w, "test", nil, p.process, p.emit); err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		})
-	if !errors.Is(err, boom) {
-		t.Fatalf("emit err = %v, want boom", err)
+			if p.emitted != count {
+				t.Fatalf("W=%d: emitted %d of %d chunks", w, p.emitted, count)
+			}
+		}
+		waitGoroutines(t, base, "clean run")
+
+		// A process error cancels the run, names the chunk, and nothing
+		// at or after it is emitted. The ring bound also limits how far
+		// past k the workers can have run.
+		k := 13*w + 1
+		p := newRingProbe(t, count, w, int64(100+w), true)
+		err := orderedChunks(count, w, "test", nil,
+			func(i, slot int) (int, error) {
+				v, _ := p.process(i, slot)
+				if i == k {
+					return 0, boom
+				}
+				return v, nil
+			}, p.emit)
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), fmt.Sprintf("chunk %d:", k)) {
+			t.Fatalf("W=%d: err = %v, want boom at chunk %d", w, err, k)
+		}
+		if p.emitted != k {
+			t.Fatalf("W=%d: process error at chunk %d, but %d chunks emitted", w, k, p.emitted)
+		}
+		if int(p.maxSeen.Load()) >= k+w {
+			t.Fatalf("W=%d: chunk %d processed after chunk %d failed", w, p.maxSeen.Load(), k)
+		}
+		waitGoroutines(t, base, "process error")
+
+		// An emit error cancels the run: chunk k is the last one emit
+		// sees.
+		p = newRingProbe(t, count, w, int64(200+w), true)
+		err = orderedChunks(count, w, "test", nil, p.process,
+			func(i, v int) error {
+				if err := p.emit(i, v); err != nil {
+					return err
+				}
+				if i == k {
+					return boom
+				}
+				return nil
+			})
+		if !errors.Is(err, boom) {
+			t.Fatalf("W=%d: emit err = %v, want boom", w, err)
+		}
+		if p.emitted != k+1 {
+			t.Fatalf("W=%d: emit error at chunk %d, but %d chunks emitted", w, k, p.emitted)
+		}
+		waitGoroutines(t, base, "emit error")
 	}
 }
 
@@ -387,28 +510,28 @@ func TestReservoirDeterminism(t *testing.T) {
 
 func TestEncodeErrors(t *testing.T) {
 	opt := core.Options{ErrorBound: 0.001, IndexBits: 8}
-	sink := func(Plan) (Sink, error) { return nil, errors.New("unused") }
 	// Length mismatch.
-	_, err := Encode(SliceSource(make([]float64, 3)), SliceSource(make([]float64, 4)), opt, Config{}, sink)
+	_, err := EncodeDeltaV2(io.Discard, "v", 0, SliceSource(make([]float64, 3)), SliceSource(make([]float64, 4)), opt, Config{})
 	if !errors.Is(err, core.ErrLength) {
 		t.Errorf("err = %v, want ErrLength", err)
 	}
 	// Non-finite data surfaces from a worker.
 	prev := []float64{1, 2, 3}
 	cur := []float64{1, math.NaN(), 3}
-	_, err = Encode(SliceSource(prev), SliceSource(cur), opt, Config{ChunkPoints: 1}, sink)
+	_, err = EncodeDeltaV2(io.Discard, "v", 0, SliceSource(prev), SliceSource(cur), opt, Config{ChunkPoints: 1})
 	if !errors.Is(err, core.ErrNonFinite) {
 		t.Errorf("err = %v, want ErrNonFinite", err)
 	}
-	// Empty input produces a valid empty v1 file.
-	raw, res, err := EncodeDeltaV1("v", 0, SliceSource(nil), SliceSource(nil), opt, Config{})
+	// Empty input produces a valid empty v2 file.
+	var raw bytes.Buffer
+	res, err := EncodeDeltaV2(&raw, "v", 0, SliceSource(nil), SliceSource(nil), opt, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ChunkCount != 0 || res.ExactCount != 0 {
 		t.Fatalf("empty encode: %+v", res)
 	}
-	if _, _, enc, err := checkpoint.UnmarshalDelta(raw); err != nil || enc.N != 0 {
-		t.Fatalf("empty v1 file does not parse: %v", err)
+	if _, _, enc, err := checkpoint.UnmarshalDeltaV2(raw.Bytes()); err != nil || enc.N != 0 {
+		t.Fatalf("empty v2 file does not parse: %v", err)
 	}
 }

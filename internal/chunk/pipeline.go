@@ -6,7 +6,6 @@ import (
 	"io"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 
 	"numarck/internal/checkpoint"
 	"numarck/internal/core"
@@ -15,20 +14,23 @@ import (
 
 // orderedChunks runs process(i, slot) for i in [0, count) across up to
 // `workers` goroutines and delivers the results to emit in chunk order.
-// Slots form a ring of size `workers`: chunk i owns slot i%workers, and
-// a worker may not start chunk i until chunk i-workers has been
-// emitted. That bounds the in-flight chunks at `workers` — buffer
-// memory stays proportional to the worker count no matter how far a
-// fast chunk runs ahead of a slow predecessor — and it means the slot
-// index is safe to key a reusable buffer set: the slot's previous
-// occupant has been fully consumed by emit before process sees the
-// slot again. The first process or emit error cancels the run.
 //
-// Workers claim chunk indices from an atomic counter (no job channel to
-// feed or contend on) and park each finished chunk in its slot's ready
-// channel; the emitter walks the ring in chunk order, so out-of-order
-// completion never blocks anyone except a worker whose slot is still
-// occupied.
+// Ownership is static: worker w is the only goroutine that ever
+// processes into slot w, and it walks chunks w, w+workers, w+2·workers,
+// … in that order. Chunk i therefore always lands in slot i%workers,
+// and the value parked there is chunk i by construction — no worker
+// can overtake another on a slot, whatever the scheduler does. Before
+// each chunk the worker waits for its slot's token, which the emitter
+// hands back once the slot's previous chunk has been emitted. That
+// bounds the in-flight chunks at `workers` — buffer memory stays
+// proportional to the worker count no matter how far a fast chunk runs
+// ahead of a slow predecessor — and makes the slot index safe to key a
+// reusable buffer set: the slot's previous occupant has been fully
+// consumed by emit before process sees the slot again. The first
+// process or emit error cancels the run.
+//
+// A run of at most one chunk or one worker is served inline on the
+// caller's goroutine, so small inputs pay for no goroutine or channel.
 //
 // label names the pipeline pass in profiles: each worker goroutine runs
 // under the pprof label numarck_pipeline=<label>, so CPU profiles of a
@@ -60,18 +62,18 @@ func orderedChunks[T any](count, workers int, label string, rec *obs.Recorder, p
 		v   T
 		err error
 	}
-	// free[s] holds the slot-s token: present iff no unemitted chunk
-	// owns the slot. ready[s] parks slot s's finished chunk until its
-	// turn; capacity 1 suffices because the sender holds the token.
+	// free[w] holds worker w's slot token: present iff the slot's last
+	// chunk has been emitted. ready[w] parks the slot's finished chunk
+	// until its turn; capacity 1 suffices because the sender holds the
+	// token. Each pair is shared by exactly worker w and the emitter.
 	free := make([]chan struct{}, workers)
 	ready := make([]chan result, workers)
-	for s := 0; s < workers; s++ {
-		free[s] = make(chan struct{}, 1)
-		free[s] <- struct{}{}
-		ready[s] = make(chan result, 1)
+	for w := range free {
+		free[w] = make(chan struct{}, 1)
+		free[w] <- struct{}{}
+		ready[w] = make(chan result, 1)
 	}
 	done := make(chan struct{})
-	var next atomic.Int64
 	var wg sync.WaitGroup
 	labels := pprof.Labels("numarck_pipeline", label)
 	for w := 0; w < workers; w++ {
@@ -79,32 +81,26 @@ func orderedChunks[T any](count, workers int, label string, rec *obs.Recorder, p
 		go func() {
 			defer wg.Done()
 			pprof.Do(context.Background(), labels, func(context.Context) {
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= count {
-						return
-					}
-					slot := i % workers
+				for i := w; i < count; i += workers {
 					t := rec.Start()
 					select {
-					case <-free[slot]:
+					case <-free[w]:
 						t.Stop(obs.StageQueueWait)
 					case <-done:
 						return
 					}
-					v, err := process(i, slot)
+					v, err := process(i, w)
 					// Never blocks: holding the token means the slot's
 					// ready channel is empty.
-					ready[slot] <- result{v: v, err: err}
+					ready[w] <- result{v: v, err: err}
 				}
 			})
 		}()
 	}
 
-	// Emitter: walk the ring in chunk order. Chunk indices are claimed
-	// in increasing order and chunk i's slot is free once chunk
-	// i-workers is emitted, so the next chunk is always either parked
-	// or being processed — emission always progresses.
+	// Emitter: walk the ring in chunk order. Slot i%workers receives
+	// chunks i%workers, i%workers+workers, … in order from its one
+	// worker, so the next value on it is chunk i.
 	var firstErr error
 	for i := 0; i < count; i++ {
 		r := <-ready[i%workers]
@@ -177,10 +173,10 @@ func readWindow(src Source, lo, np int, buf []float64) (win, scratch []float64, 
 }
 
 // encodeSlot is one ring slot's reusable buffer set. orderedChunks
-// guarantees a slot's previous chunk has been emitted — and both sinks
-// copy what they keep — before the slot is reused, so every field can
-// be overwritten freely. In steady state (all chunks the same size) no
-// field reallocates after the first lap of the ring.
+// guarantees a slot's previous chunk has been emitted — and the v2
+// writer copies what it keeps — before the slot is reused, so every
+// field can be overwritten freely. In steady state (all chunks the same
+// size) no field reallocates after the first lap of the ring.
 type encodeSlot struct {
 	pbuf, cbuf     []float64 // read scratch; unused when the source is windowed
 	ratios         core.Ratios
@@ -190,7 +186,8 @@ type encodeSlot struct {
 	exact          []float64
 }
 
-// chunkOut is one chunk's encode result, in the shape Sink consumes.
+// chunkOut is one chunk's encode result, in the shape
+// checkpoint.DeltaV2Writer.AppendChunk consumes.
 // Its slices alias the chunk's encodeSlot and are valid until the slot
 // is refreed (i.e. through the emit call).
 type chunkOut struct {
@@ -199,14 +196,14 @@ type chunkOut struct {
 	exact          []float64
 }
 
-// Encode runs the streaming two-pass encode of the transition
-// prev → cur: pass 1 reads every chunk once to gather the table-input
-// ratios, the bin table is fitted, newSink builds the output sink from
-// the resulting Plan, and pass 2 re-reads every chunk, assigns bins,
-// and appends the per-chunk results to the sink in chunk order. Both
-// sources must be re-readable and of equal length. The sink's own
-// finalization (Finish, Bytes) is the caller's job — the factory
-// closure keeps a reference.
+// EncodeDeltaV2 runs the streaming two-pass encode of the transition
+// prev → cur into the chunked v2 delta format on w: pass 1 reads every
+// chunk once to gather the table-input ratios, the bin table is fitted
+// and written with the header, and pass 2 re-reads every chunk, assigns
+// bins, and writes one section per chunk in chunk order before the
+// directory and footer finalize the file. Both sources must be
+// re-readable and of equal length. Memory use is bounded by the Config
+// budget; nothing proportional to the data size is held.
 //
 // When the run is entirely uncapped (BudgetBytes == 0 and
 // MaxTableInput == 0) pass 1 retains each chunk's ratios for pass 2,
@@ -214,7 +211,7 @@ type chunkOut struct {
 // ratio recomputation. The cache holds 9 bytes per point — acceptable
 // only because the caller asked for no memory bound; any cap disables
 // it and the two passes stay fully streaming.
-func Encode(prev, cur Source, opt core.Options, cfg Config, newSink NewSink) (*Result, error) {
+func EncodeDeltaV2(w io.Writer, variable string, iteration int, prev, cur Source, opt core.Options, cfg Config) (*Result, error) {
 	vopt, err := opt.Validate()
 	if err != nil {
 		return nil, err
@@ -228,7 +225,7 @@ func Encode(prev, cur Source, opt core.Options, cfg Config, newSink NewSink) (*R
 		return nil, err
 	}
 	// One recorder serves both layers: setting either Config.Obs or
-	// Options.Obs instruments the pipeline and the sinks alike.
+	// Options.Obs instruments the pipeline and the v2 writer alike.
 	rec := cfg.Obs
 	if rec == nil {
 		rec = vopt.Obs
@@ -309,13 +306,7 @@ func Encode(prev, cur Source, opt core.Options, cfg Config, newSink NewSink) (*R
 	rec.Add(obs.CounterTableInput, res.total)
 	rec.SetMax(obs.GaugeBinCount, int64(len(binRatios)))
 
-	sink, err := newSink(Plan{
-		N:           n,
-		ChunkPoints: cfg.ChunkPoints,
-		ChunkCount:  chunkCount,
-		Opt:         vopt,
-		BinRatios:   binRatios,
-	})
+	dw, err := checkpoint.NewDeltaV2Writer(w, variable, iteration, n, vopt, binRatios, cfg.ChunkPoints)
 	if err != nil {
 		return nil, err
 	}
@@ -380,9 +371,12 @@ func Encode(prev, cur Source, opt core.Options, cfg Config, newSink NewSink) (*R
 		},
 		func(_ int, out chunkOut) error {
 			exactCount += len(out.exact)
-			return sink.AppendChunk(out.indices, out.incompressible, out.exact)
+			return dw.AppendChunk(out.indices, out.incompressible, out.exact)
 		})
 	if err != nil {
+		return nil, err
+	}
+	if err := dw.Finish(); err != nil {
 		return nil, err
 	}
 	rec.Add(obs.CounterEncodes, 1)
@@ -401,47 +395,6 @@ func Encode(prev, cur Source, opt core.Options, cfg Config, newSink NewSink) (*R
 		TableThinned:    res.thinned,
 		PeakBufferBytes: cfg.peakBufferBytes(),
 	}, nil
-}
-
-// EncodeDeltaV1 streams an encode into the backward-compatible v1 delta
-// format and returns its bytes. Only the compressed payload is
-// buffered; with the default Config the bytes are identical to
-// checkpoint.MarshalDelta of core.Encode on the same data.
-func EncodeDeltaV1(variable string, iteration int, prev, cur Source, opt core.Options, cfg Config) ([]byte, *Result, error) {
-	var asm *checkpoint.DeltaV1Assembler
-	res, err := Encode(prev, cur, opt, cfg, func(p Plan) (Sink, error) {
-		a, err := checkpoint.NewDeltaV1Assembler(variable, iteration, p.N, p.Opt, p.BinRatios)
-		asm = a
-		return a, err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	raw, err := asm.Bytes()
-	if err != nil {
-		return nil, nil, err
-	}
-	return raw, res, nil
-}
-
-// EncodeDeltaV2 streams an encode into the chunked v2 delta format on
-// w, one section per chunk, and finalizes the file. Memory use is
-// bounded by the Config budget; nothing proportional to the data size
-// is held.
-func EncodeDeltaV2(w io.Writer, variable string, iteration int, prev, cur Source, opt core.Options, cfg Config) (*Result, error) {
-	var dw *checkpoint.DeltaV2Writer
-	res, err := Encode(prev, cur, opt, cfg, func(p Plan) (Sink, error) {
-		d, err := checkpoint.NewDeltaV2Writer(w, variable, iteration, p.N, p.Opt, p.BinRatios, p.ChunkPoints)
-		dw = d
-		return d, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := dw.Finish(); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // decodeSlot is one ring slot's reusable decode state: a chunk decoder

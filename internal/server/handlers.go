@@ -131,25 +131,35 @@ func conflictErr(series string, iter int, ce checkpoint.CommittedEntry, payloadC
 		ErrCommitConflict, series, iter, ce.Name, ce.PayloadCRC, payloadCRC)
 }
 
-// resolveReplay decides a commit for an iteration the chain may
-// already hold, under the writer lock so concurrent retries
-// serialize: resolved true means the journaled entry matches the
-// payload (a replay), an ErrCommitConflict means it does not, and
-// resolved false with nil error means the entry vanished (fall
-// through to a normal commit).
-func (s *Server) resolveReplay(t *Tenant, series string, iter int, payloadCRC uint32) (resolved bool, ce checkpoint.CommittedEntry, err error) {
+// commit is the one writer critical section every commit path ends
+// in. If the chain already holds (series, iter) the request is a retry:
+// the same payload resolves to a replay of the journaled entry, a
+// different one to ErrCommitConflict. Otherwise raw — an NMRKF1 file
+// for kind "full", NMRKD1/NMRKD2 for "delta" — is committed with
+// payloadCRC journaled beside it. Kind "" commits nothing: it is the
+// pre-encode probe, which only wants the replay decision (a nil replay
+// then means the entry is not there — go on to a normal commit). The
+// check and the write share one lock hold, so two racing retries of a
+// request serialize — one commits, the other replays, and the journal
+// gains exactly one "add".
+func commit(t *Tenant, series string, iter int, kind string, raw []byte, payloadCRC uint32) (replay *checkpoint.CommittedEntry, err error) {
 	err = t.WithStore(func(st *checkpoint.Store) error {
-		e, ok := st.Committed(series, iter)
-		if !ok {
+		if ce, ok := st.Committed(series, iter); ok {
+			if !replayMatch(ce, payloadCRC) {
+				return conflictErr(series, iter, ce, payloadCRC)
+			}
+			replay = &ce
 			return nil
 		}
-		if !replayMatch(e, payloadCRC) {
-			return conflictErr(series, iter, e, payloadCRC)
+		switch kind {
+		case "delta":
+			return st.WriteRawDeltaPayload(series, iter, raw, payloadCRC)
+		case "full":
+			return st.WriteRawFullPayload(series, iter, raw, payloadCRC)
 		}
-		resolved, ce = true, e
 		return nil
 	})
-	return resolved, ce, err
+	return replay, err
 }
 
 // chainHasIter reports, through the lock-free read view, whether the
@@ -172,15 +182,15 @@ func chainHasIter(t *Tenant, series string, iter int) bool {
 	return false
 }
 
-// writeReplay answers a retried commit whose payload is already
+// replayed answers a retried commit whose payload is already
 // journaled: 200 (not 201 — nothing was created) with the committed
 // entry's identity and Replayed set.
-func (s *Server) writeReplay(w http.ResponseWriter, t *Tenant, series string, iter int, ce checkpoint.CommittedEntry) {
+func replayed(t *Tenant, series string, iter int, ce *checkpoint.CommittedEntry) (CommitResponse, int, error) {
 	t.rec.Add(obs.CounterCommitReplays, 1)
-	writeJSON(w, http.StatusOK, CommitResponse{
+	return CommitResponse{
 		Tenant: t.Name(), Variable: series, Iteration: iter,
 		Kind: ce.Kind, FileBytes: ce.Len, Replayed: true,
-	})
+	}, http.StatusOK, nil
 }
 
 // handlePostCheckpoint commits one iteration. The default body is the
@@ -228,30 +238,38 @@ func (s *Server) handlePostCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if q.Get("raw") == "1" {
-		s.commitRaw(w, r, t, series, iter, spoolPath, size, payloadCRC)
+	resp, status, err := s.commitSpooled(r, t, series, iter, q, opt, cfg, spoolPath, size, payloadCRC)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	s.commitValues(w, r, t, series, iter, q.Get("kind"), opt, cfg, spoolPath, size, payloadCRC)
+	writeJSON(w, status, resp)
+}
+
+// commitSpooled commits a fully received body — a one-shot POST's
+// spool file or a finished upload session's data file — by the route
+// its query selects, and returns what to answer: the commit response
+// with 201 for a new commit or 200 for a replay, or the error for
+// writeError to render.
+func (s *Server) commitSpooled(r *http.Request, t *Tenant, series string, iter int, q url.Values, opt core.Options, cfg chunk.Config, path string, size int64, payloadCRC uint32) (CommitResponse, int, error) {
+	if q.Get("raw") == "1" {
+		return s.commitRaw(r, t, series, iter, path, size, payloadCRC)
+	}
+	return s.commitValues(r, t, series, iter, q.Get("kind"), opt, cfg, path, size, payloadCRC)
 }
 
 // commitRaw commits an already-encoded checkpoint file byte-for-byte.
 // The admission weight is the file size: the bytes are held once for
-// validation and commit. The idempotency check runs inside the writer
-// critical section, so two racing retries of the same request
-// serialize — one commits, the other replays, the journal gains
-// exactly one "add".
-func (s *Server) commitRaw(w http.ResponseWriter, r *http.Request, t *Tenant, series string, iter int, spoolPath string, size int64, payloadCRC uint32) {
+// validation and commit.
+func (s *Server) commitRaw(r *http.Request, t *Tenant, series string, iter int, spoolPath string, size int64, payloadCRC uint32) (CommitResponse, int, error) {
 	release, err := s.admit(r, size)
 	if err != nil {
-		writeError(w, err)
-		return
+		return CommitResponse{}, 0, err
 	}
 	defer release()
 	raw, err := os.ReadFile(spoolPath)
 	if err != nil {
-		writeError(w, err)
-		return
+		return CommitResponse{}, 0, err
 	}
 	var kind string
 	switch {
@@ -260,36 +278,19 @@ func (s *Server) commitRaw(w http.ResponseWriter, r *http.Request, t *Tenant, se
 	case bytes.HasPrefix(raw, []byte("NMRKF1")):
 		kind = "full"
 	default:
-		writeError(w, fmt.Errorf("%w: body is not an NMRKF1/NMRKD1/NMRKD2 checkpoint file", errBadRequest))
-		return
+		return CommitResponse{}, 0, fmt.Errorf("%w: body is not an NMRKF1/NMRKD1/NMRKD2 checkpoint file", errBadRequest)
 	}
-	var replay checkpoint.CommittedEntry
-	replayed := false
-	err = t.WithStore(func(st *checkpoint.Store) error {
-		if ce, ok := st.Committed(series, iter); ok {
-			if !replayMatch(ce, payloadCRC) {
-				return conflictErr(series, iter, ce, payloadCRC)
-			}
-			replayed, replay = true, ce
-			return nil
-		}
-		if kind == "delta" {
-			return st.WriteRawDeltaPayload(series, iter, raw, payloadCRC)
-		}
-		return st.WriteRawFullPayload(series, iter, raw, payloadCRC)
-	})
+	replay, err := commit(t, series, iter, kind, raw, payloadCRC)
 	if err != nil {
-		writeError(w, err)
-		return
+		return CommitResponse{}, 0, err
 	}
-	if replayed {
-		s.writeReplay(w, t, series, iter, replay)
-		return
+	if replay != nil {
+		return replayed(t, series, iter, replay)
 	}
 	t.rec.Add(obs.CounterBytesWritten, int64(len(raw)))
-	writeJSON(w, http.StatusCreated, CommitResponse{
+	return CommitResponse{
 		Tenant: t.Name(), Variable: series, Iteration: iter, Kind: kind, FileBytes: int64(len(raw)),
-	})
+	}, http.StatusCreated, nil
 }
 
 // commitValues encodes and commits a raw float64 body. Admission
@@ -302,10 +303,9 @@ func (s *Server) commitRaw(w http.ResponseWriter, r *http.Request, t *Tenant, se
 // read view (so a retried delta commit skips the whole pipeline), and
 // again inside the writer critical section as the race backstop — two
 // concurrent retries serialize there, and exactly one journals.
-func (s *Server) commitValues(w http.ResponseWriter, r *http.Request, t *Tenant, series string, iter int, kind string, opt core.Options, cfg chunk.Config, spoolPath string, size int64, payloadCRC uint32) {
+func (s *Server) commitValues(r *http.Request, t *Tenant, series string, iter int, kind string, opt core.Options, cfg chunk.Config, spoolPath string, size int64, payloadCRC uint32) (CommitResponse, int, error) {
 	if size%8 != 0 {
-		writeError(w, fmt.Errorf("%w: body is %d bytes, not a whole float64 array", errBadRequest, size))
-		return
+		return CommitResponse{}, 0, fmt.Errorf("%w: body is %d bytes, not a whole float64 array", errBadRequest, size)
 	}
 	n := int(size / 8)
 	switch kind {
@@ -320,136 +320,101 @@ func (s *Server) commitValues(w http.ResponseWriter, r *http.Request, t *Tenant,
 		}
 	case "full", "delta":
 	default:
-		writeError(w, fmt.Errorf("%w: kind=%q (want auto, full, or delta)", errBadRequest, kind))
-		return
+		return CommitResponse{}, 0, fmt.Errorf("%w: kind=%q (want auto, full, or delta)", errBadRequest, kind)
 	}
 
 	// Pre-encode replay probe: if the chain already holds this
 	// iteration, resolve it under the lock before paying for admission
 	// and encode. A miss here (entry appears between probe and commit)
-	// is caught by the in-lock backstop below.
+	// is caught by the in-lock backstop of the real commit below.
 	if chainHasIter(t, series, iter) {
-		resolved, ce, err := s.resolveReplay(t, series, iter, payloadCRC)
+		replay, err := commit(t, series, iter, "", nil, payloadCRC)
 		if err != nil {
-			writeError(w, err)
-			return
+			return CommitResponse{}, 0, err
 		}
-		if resolved {
-			s.writeReplay(w, t, series, iter, ce)
-			return
+		if replay != nil {
+			return replayed(t, series, iter, replay)
 		}
 	}
 
+	resp := CommitResponse{Tenant: t.Name(), Variable: series, Iteration: iter, Kind: kind, Points: n}
+	var raw []byte
 	if kind == "full" {
 		release, err := s.admit(r, 2*size+64)
 		if err != nil {
-			writeError(w, err)
-			return
+			return CommitResponse{}, 0, err
 		}
 		defer release()
 		vals, err := rawio.ReadFile(spoolPath)
 		if err != nil {
-			writeError(w, err)
-			return
+			return CommitResponse{}, 0, err
 		}
-		raw, err := checkpoint.MarshalFull(series, iter, vals)
+		if raw, err = checkpoint.MarshalFull(series, iter, vals); err != nil {
+			return CommitResponse{}, 0, err
+		}
+	} else {
+		resolved, err := chunk.ResolveConfig(cfg)
 		if err != nil {
-			writeError(w, err)
-			return
+			return CommitResponse{}, 0, err
 		}
-		var replay checkpoint.CommittedEntry
-		replayed := false
-		err = t.WithStore(func(st *checkpoint.Store) error {
-			if ce, ok := st.Committed(series, iter); ok {
-				if !replayMatch(ce, payloadCRC) {
-					return conflictErr(series, iter, ce, payloadCRC)
-				}
-				replayed, replay = true, ce
-				return nil
-			}
-			return st.WriteRawFullPayload(series, iter, raw, payloadCRC)
-		})
+		release, err := s.admit(r, resolved.PeakBufferBytes+2*size)
 		if err != nil {
-			writeError(w, err)
-			return
+			return CommitResponse{}, 0, err
 		}
-		if replayed {
-			s.writeReplay(w, t, series, iter, replay)
-			return
+		defer release()
+		res, buf, err := encodeDelta(t, series, iter, n, opt, resolved.Config, spoolPath)
+		if err != nil {
+			return CommitResponse{}, 0, err
 		}
+		raw = buf
+		resp.Chunks, resp.ChunkPoints, resp.Workers, resp.ExactValues = res.ChunkCount, res.ChunkPoints, res.Workers, res.ExactCount
+	}
+	replay, err := commit(t, series, iter, kind, raw, payloadCRC)
+	if err != nil {
+		return CommitResponse{}, 0, err
+	}
+	if replay != nil {
+		return replayed(t, series, iter, replay)
+	}
+	if kind == "full" {
+		// A delta's bytes were counted as the encode wrote them: the v2
+		// writer reports into the same tenant recorder.
 		t.rec.Add(obs.CounterBytesWritten, int64(len(raw)))
-		writeJSON(w, http.StatusCreated, CommitResponse{
-			Tenant: t.Name(), Variable: series, Iteration: iter, Kind: "full", Points: n, FileBytes: int64(len(raw)),
-		})
-		return
 	}
+	resp.FileBytes = int64(len(raw))
+	return resp, http.StatusCreated, nil
+}
 
-	resolved, err := chunk.ResolveConfig(cfg)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	release, err := s.admit(r, resolved.PeakBufferBytes+2*size)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer release()
+// encodeDelta runs the streaming delta encode of the spooled n-point
+// body against the chain's reconstruction of iter-1 (through the
+// lock-free read view) and returns the v2 file bytes. The tenant's
+// recorder instruments the whole run.
+func encodeDelta(t *Tenant, series string, iter, n int, opt core.Options, cfg chunk.Config, spoolPath string) (*chunk.Result, []byte, error) {
 	view, err := t.View()
 	if err != nil {
-		writeError(w, err)
-		return
+		return nil, nil, err
 	}
 	prevVals, err := view.Restart(series, iter-1)
 	if err != nil {
-		writeError(w, err)
-		return
+		return nil, nil, err
 	}
 	if len(prevVals) != n {
-		writeError(w, fmt.Errorf("%w: iteration %d has %d points, body has %d", checkpoint.ErrChain, iter-1, len(prevVals), n))
-		return
+		return nil, nil, fmt.Errorf("%w: iteration %d has %d points, body has %d", checkpoint.ErrChain, iter-1, len(prevVals), n)
 	}
 	cur, err := rawio.OpenFile(spoolPath)
 	if err != nil {
-		writeError(w, err)
-		return
+		return nil, nil, err
 	}
 	//lint:ignore errcheck read-only spool source; a close error cannot lose data
 	defer cur.Close()
 	opt.Obs = t.rec
-	cfg = resolved.Config
 	cfg.Obs = t.rec
 	var buf bytes.Buffer
 	res, err := chunk.EncodeDeltaV2(&buf, series, iter, chunk.SliceSource(prevVals), cur, opt, cfg)
 	if err != nil {
-		writeError(w, err)
-		return
+		return nil, nil, err
 	}
-	var replay checkpoint.CommittedEntry
-	replayed := false
-	err = t.WithStore(func(st *checkpoint.Store) error {
-		if ce, ok := st.Committed(series, iter); ok {
-			if !replayMatch(ce, payloadCRC) {
-				return conflictErr(series, iter, ce, payloadCRC)
-			}
-			replayed, replay = true, ce
-			return nil
-		}
-		return st.WriteRawDeltaPayload(series, iter, buf.Bytes(), payloadCRC)
-	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if replayed {
-		s.writeReplay(w, t, series, iter, replay)
-		return
-	}
-	writeJSON(w, http.StatusCreated, CommitResponse{
-		Tenant: t.Name(), Variable: series, Iteration: iter, Kind: "delta", Points: n,
-		FileBytes: int64(buf.Len()), Chunks: res.ChunkCount, ChunkPoints: res.ChunkPoints,
-		Workers: res.Workers, ExactValues: res.ExactCount,
-	})
+	return res, buf.Bytes(), nil
 }
 
 // handleGetCheckpoint serves one iteration back. The default response

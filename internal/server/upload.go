@@ -12,7 +12,6 @@ package server
 // reaps, never store-recovery work.
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -459,22 +458,13 @@ func (s *Server) handleFinalizeUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	br := newBufferedResponse()
-	if q.Get("raw") == "1" {
-		s.commitRaw(br, r, t, u.meta.Series, u.meta.Iteration, u.dataPath(), u.meta.Size, u.meta.CRC)
-	} else {
-		s.commitValues(br, r, t, u.meta.Series, u.meta.Iteration, q.Get("kind"), opt, cfg, u.dataPath(), u.meta.Size, u.meta.CRC)
-	}
-	if br.status != http.StatusOK && br.status != http.StatusCreated {
-		// Commit failed: pass the pipeline's error through verbatim
-		// (status, Retry-After, JSON body) and leave the session open —
-		// a 429/503 finalize is retryable as-is.
-		br.copyTo(w)
-		return
-	}
-	var cr CommitResponse
-	if err := json.Unmarshal(br.body.Bytes(), &cr); err != nil {
-		writeError(w, fmt.Errorf("server: finalize: decode commit response: %w", err))
+	cr, status, err := s.commitSpooled(r, t, u.meta.Series, u.meta.Iteration, q, opt, cfg, u.dataPath(), u.meta.Size, u.meta.CRC)
+	if err != nil {
+		// Commit failed: the pipeline's error goes out exactly as a
+		// one-shot POST would render it (status, Retry-After, JSON body)
+		// and the session stays open — a 429/503 finalize is retryable
+		// as-is.
+		writeError(w, err)
 		return
 	}
 	u.meta.State = uploadStateDone
@@ -487,39 +477,5 @@ func (s *Server) handleFinalizeUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	// The payload is committed; the session keeps only meta for replay.
 	_ = os.Remove(u.dataPath())
-	writeJSON(w, br.status, u.responseLocked())
-}
-
-// bufferedResponse captures a handler's response so finalize can
-// inspect the commit result before answering the client.
-type bufferedResponse struct {
-	h      http.Header
-	status int
-	body   bytes.Buffer
-}
-
-// newBufferedResponse builds an empty capture.
-func newBufferedResponse() *bufferedResponse {
-	return &bufferedResponse{h: make(http.Header), status: http.StatusOK}
-}
-
-// Header implements http.ResponseWriter.
-func (b *bufferedResponse) Header() http.Header { return b.h }
-
-// WriteHeader implements http.ResponseWriter.
-func (b *bufferedResponse) WriteHeader(code int) { b.status = code }
-
-// Write implements http.ResponseWriter.
-func (b *bufferedResponse) Write(p []byte) (int, error) { return b.body.Write(p) }
-
-// copyTo replays the captured response onto a real writer.
-func (b *bufferedResponse) copyTo(w http.ResponseWriter) {
-	for k, vs := range b.h {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(b.status)
-	// Response write failures mean the client is gone; nothing to do.
-	_, _ = w.Write(b.body.Bytes())
+	writeJSON(w, status, u.responseLocked())
 }
