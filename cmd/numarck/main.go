@@ -20,11 +20,13 @@
 // resolved pipeline plan (chunk size, workers, peak buffer bytes) for
 // the given -chunk/-workers/-budget without doing any work.
 //
-// -recover turns on degraded-mode decode for chunked (v2) deltas:
-// chunks whose CRC fails are quarantined, every healthy chunk decodes,
+// -recover turns on degraded-mode decode: chunks of a chunked (v2)
+// delta whose CRC fails are quarantined, every healthy chunk decodes,
 // and the exact lost point ranges (which keep the previous iteration's
-// values in the output) are reported on stderr. Without it, any
-// corruption fails the command — fail-closed is the default. verify
+// values in the output) are reported on stderr. A v1 delta is one chunk
+// under one CRC, so there -recover changes nothing: healthy it decodes,
+// corrupt it fails. Without -recover, any corruption fails the command
+// — fail-closed is the default. verify
 // prints a chain health report: the Open-time recovery scan's findings,
 // deep per-file and journal checks, quarantined files, and the latest
 // restorable iteration per variable.
@@ -154,7 +156,8 @@ daemon client mode (against a running numarckd):
 
 -recover salvages chunk-local corruption in chunked (v2) deltas:
 healthy chunks decode, lost point ranges keep the previous iteration's
-values and are reported; without it any corruption fails the command.
+values and are reported; without it (and for v1 deltas, which are one
+chunk under one CRC) any corruption fails the command.
 verify prints a chain health report for a checkpoint store.
 
 compress/decompress also take -metrics and -metrics-json path
@@ -313,8 +316,8 @@ func cmdDecompress(args []string) error {
 	prevPath := fs.String("prev", "", "previous iteration values (.f64)")
 	inPath := fs.String("in", "", "checkpoint file")
 	outPath := fs.String("out", "", "output values (.f64)")
-	workers := fs.Int("workers", 0, "chunked (v2) input: concurrent chunks (0 = GOMAXPROCS)")
-	salvage := fs.Bool("recover", false, "chunked (v2) input: salvage healthy chunks past corruption")
+	workers := fs.Int("workers", 0, "concurrent chunks (0 = GOMAXPROCS)")
+	salvage := fs.Bool("recover", false, "salvage healthy chunks past corruption (chunked v2 input)")
 	addr := fs.String("addr", "", "numarckd base URL: fetch a reconstruction from a running daemon")
 	tenant := fs.String("tenant", "default", "daemon mode: tenant to read from")
 	series := fs.String("var", "", "daemon mode: series to reconstruct")
@@ -336,49 +339,25 @@ func cmdDecompress(args []string) error {
 	if err != nil {
 		return err
 	}
+	d, err := checkpoint.OpenDelta(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		return err
+	}
 	obsRec := metrics.recorder()
-	if checkpoint.IsDeltaV2(raw) {
-		if *salvage {
-			if err := salvageDecompress(raw, *prevPath, *outPath, *workers, obsRec); err != nil {
-				return err
-			}
-			return metrics.emit(obsRec)
-		}
-		if err := streamDecompress(raw, *prevPath, *outPath, *workers, obsRec); err != nil {
-			return err
-		}
-		return metrics.emit(obsRec)
-	}
+	decompress := streamDecompress
 	if *salvage {
-		return fmt.Errorf("-recover needs a chunked (v2) input: %s has a single whole-payload CRC, nothing chunk-local to salvage", *inPath)
+		decompress = salvageDecompress
 	}
-	prev, err := rawio.ReadFile(*prevPath)
-	if err != nil {
+	if err := decompress(d, *prevPath, *outPath, *workers, obsRec); err != nil {
 		return err
 	}
-	variable, iter, enc, err := checkpoint.UnmarshalDelta(raw)
-	if err != nil {
-		return err
-	}
-	enc.Opt.Obs = obsRec
-	rec, err := enc.Decode(prev)
-	if err != nil {
-		return err
-	}
-	if err := rawio.WriteFile(*outPath, rec); err != nil {
-		return err
-	}
-	fmt.Printf("decoded %s@%d: %d points\n", variable, iter, len(rec))
 	return metrics.emit(obsRec)
 }
 
-// streamDecompress reconstructs a chunked v2 delta with the streaming
-// parallel decoder, never holding more than the in-flight chunks.
-func streamDecompress(raw []byte, prevPath, outPath string, workers int, rec *obs.Recorder) error {
-	d, err := checkpoint.OpenDeltaV2(bytes.NewReader(raw), int64(len(raw)))
-	if err != nil {
-		return err
-	}
+// streamDecompress reconstructs a delta of either format with the
+// streaming parallel decoder, never holding more than the in-flight
+// chunks (a v1 file is one chunk).
+func streamDecompress(d *checkpoint.DeltaReader, prevPath, outPath string, workers int, rec *obs.Recorder) error {
 	prev, err := rawio.OpenFile(prevPath)
 	if err != nil {
 		return err
@@ -407,11 +386,9 @@ func streamDecompress(raw []byte, prevPath, outPath string, workers int, rec *ob
 // salvageDecompress is streamDecompress in degraded mode: corrupt
 // chunks are quarantined, healthy ones decoded, and the lost point
 // ranges (which keep prev's values in the output) reported on stderr.
-func salvageDecompress(raw []byte, prevPath, outPath string, workers int, rec *obs.Recorder) error {
-	d, err := checkpoint.OpenDeltaV2(bytes.NewReader(raw), int64(len(raw)))
-	if err != nil {
-		return err
-	}
+// A v1 file has nothing chunk-local to salvage: healthy it decodes,
+// corrupt it already failed, at the open, on its one CRC.
+func salvageDecompress(d *checkpoint.DeltaReader, prevPath, outPath string, workers int, rec *obs.Recorder) error {
 	prev, err := rawio.ReadFile(prevPath)
 	if err != nil {
 		return err
@@ -448,36 +425,20 @@ func cmdInspect(args []string) error {
 	if err != nil {
 		return err
 	}
-	if checkpoint.IsDeltaV2(raw) {
-		d, err := checkpoint.OpenDeltaV2(bytes.NewReader(raw), int64(len(raw)))
-		if err != nil {
-			return err
-		}
+	d, deltaErr := checkpoint.OpenDelta(bytes.NewReader(raw), int64(len(raw)))
+	if deltaErr == nil {
 		meta := d.Meta()
 		enc, err := d.Encoded()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("chunked delta checkpoint (v2) %s@%d\n", meta.Variable, meta.Iteration)
+		fmt.Printf("delta checkpoint (v%d) %s@%d\n", meta.Version, meta.Variable, meta.Iteration)
 		fmt.Printf("  points:          %d\n", meta.N)
 		fmt.Printf("  chunks:          %d x %d points\n", meta.ChunkCount, meta.ChunkPoints)
 		fmt.Printf("  error bound:     %.4f%%\n", meta.Opt.ErrorBound*100)
 		fmt.Printf("  index bits:      %d\n", meta.Opt.IndexBits)
 		fmt.Printf("  strategy:        %s\n", meta.Opt.Strategy)
 		fmt.Printf("  bins used:       %d / %d\n", len(meta.BinRatios), meta.Opt.NumBins())
-		fmt.Printf("  incompressible:  %d (%.2f%%)\n", enc.Incompressible.Count(), enc.Gamma()*100)
-		if cr, err := enc.CompressionRatio(); err == nil {
-			fmt.Printf("  Eq.3 ratio:      %.2f%%\n", cr)
-		}
-		return nil
-	}
-	if variable, iter, enc, err := checkpoint.UnmarshalDelta(raw); err == nil {
-		fmt.Printf("delta checkpoint %s@%d\n", variable, iter)
-		fmt.Printf("  points:          %d\n", enc.N)
-		fmt.Printf("  error bound:     %.4f%%\n", enc.Opt.ErrorBound*100)
-		fmt.Printf("  index bits:      %d\n", enc.Opt.IndexBits)
-		fmt.Printf("  strategy:        %s\n", enc.Opt.Strategy)
-		fmt.Printf("  bins used:       %d / %d\n", len(enc.BinRatios), enc.Opt.NumBins())
 		fmt.Printf("  incompressible:  %d (%.2f%%)\n", enc.Incompressible.Count(), enc.Gamma()*100)
 		if cr, err := enc.CompressionRatio(); err == nil {
 			fmt.Printf("  Eq.3 ratio:      %.2f%%\n", cr)
@@ -499,7 +460,7 @@ func cmdInspect(args []string) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("%s is not a NUMARCK checkpoint file", *inPath)
+	return fmt.Errorf("%s is not a NUMARCK checkpoint file (as a delta: %v)", *inPath, deltaErr)
 }
 
 func cmdRestart(args []string) error {

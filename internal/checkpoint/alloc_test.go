@@ -88,3 +88,45 @@ func TestChunkDecoderSteadyStateAllocs(t *testing.T) {
 		t.Errorf("ChunkDecoder.DecodeChunkInto allocates %.0f times per steady-state chunk, want 0", got)
 	}
 }
+
+// TestReplayDeltaAllocs pins the restart path's per-file cost: replaying
+// one single-chunk delta in place with a warm decoder allocates a small
+// constant — the reader, its parsed header and bin table, a one-entry
+// directory — and nothing that grows with the point count: no index
+// slice, no bitmap, no output array. Both formats, two sizes, one
+// number.
+func TestReplayDeltaAllocs(t *testing.T) {
+	const limit = 16
+	var counts []float64
+	for _, n := range []int{1 << 10, 1 << 14} {
+		series := genSeries(n, 2, 17)
+		enc, err := core.Encode(series[0], series[1], opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1, err := MarshalDelta("v", 1, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2, err := MarshalDeltaV2("v", 1, enc, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, raw := range [][]byte{v1, v2} {
+			dec := &ChunkDecoder{}
+			state := append([]float64(nil), series[0]...)
+			replay := func() {
+				if _, err := replayDelta(raw, "v", 1, state, dec, RecoverOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			replay() // warm the decoder's scratch
+			counts = append(counts, testing.AllocsPerRun(20, replay))
+		}
+	}
+	for i, got := range counts {
+		if got > limit || got != counts[i%2] {
+			t.Fatalf("replayDelta allocations per file (v1, v2 at 1Ki then 16Ki points) = %v, want <= %d and independent of N", counts, limit)
+		}
+	}
+}

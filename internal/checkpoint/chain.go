@@ -1,15 +1,13 @@
 package checkpoint
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"sort"
 
-	"numarck/internal/core"
 	"numarck/internal/faultfs"
-	"numarck/internal/obs"
 )
 
 // This file is the layer both writer stores and read views are built
@@ -70,14 +68,11 @@ func validateIdentity(variable string, iteration int) error {
 // chainEntries returns the chain's entries for one variable, sorted by
 // iteration.
 func chainEntries(chain map[string]journalEntry, variable string) []Entry {
-	var out []Entry
-	for name := range chain {
-		e, ok := parseName(name)
-		if ok && e.Variable == variable {
-			out = append(out, e)
-		}
+	ces := chainFileEntries(chain, variable)
+	out := make([]Entry, len(ces))
+	for i, ce := range ces {
+		out[i] = ce.Entry
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Iteration < out[b].Iteration })
 	return out
 }
 
@@ -189,20 +184,33 @@ func latestRestorableEntries(entries []Entry) int {
 }
 
 // readCheckpointFile loads one checkpoint file's bytes, mapping absence
-// to ErrNotFound with the checkpoint identity in the message.
+// — and only absence: an EIO on a committed file is not a "no such
+// checkpoint" — to ErrNotFound with the checkpoint identity in the
+// message.
 func readCheckpointFile(fsys faultfs.FS, dir, variable, kind string, iteration int) ([]byte, error) {
 	if err := validateIdentity(variable, iteration); err != nil {
 		return nil, err
 	}
 	path := filepath.Join(dir, fileName(variable, kind, iteration))
-	if _, err := fsys.Stat(path); err != nil {
+	raw, err := faultfs.ReadFile(fsys, path)
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("%w: %s checkpoint %s@%d", ErrNotFound, kind, variable, iteration)
 	}
-	raw, err := faultfs.ReadFile(fsys, path)
 	if err != nil {
 		return nil, pathErr("read", path, err)
 	}
 	return raw, nil
+}
+
+// checkIdentity is the one comparison of the identity a file's header
+// claims against the one it was asked for under. sentinel says whose
+// fault a mismatch is: ErrCorrupt for a file read back from the store,
+// ErrBadVariable for bytes a caller is trying to commit.
+func checkIdentity(sentinel error, v string, it int, variable string, iteration int) error {
+	if v != variable || it != iteration {
+		return fmt.Errorf("%w: file claims %s@%d, expected %s@%d", sentinel, v, it, variable, iteration)
+	}
+	return nil
 }
 
 // readFullFile loads and parses a full checkpoint.
@@ -215,41 +223,15 @@ func readFullFile(fsys faultfs.FS, dir, variable string, iteration int) ([]float
 	if err != nil {
 		return nil, pathErr("parse", filepath.Join(dir, fileName(variable, "full", iteration)), err)
 	}
-	if v != variable || it != iteration {
-		return nil, fmt.Errorf("%w: file claims %s@%d, expected %s@%d", ErrCorrupt, v, it, variable, iteration)
-	}
-	return data, nil
-}
-
-// readDeltaFile loads and parses a delta checkpoint's encoding,
-// sniffing the v1/v2 magic.
-func readDeltaFile(fsys faultfs.FS, dir, variable string, iteration int) (*core.Encoded, error) {
-	raw, err := readCheckpointFile(fsys, dir, variable, "delta", iteration)
-	if err != nil {
-		return nil, err
-	}
-	var v string
-	var it int
-	var enc *core.Encoded
-	if IsDeltaV2(raw) {
-		v, it, enc, err = UnmarshalDeltaV2(raw)
-	} else {
-		v, it, enc, err = UnmarshalDelta(raw)
-	}
-	if err != nil {
-		return nil, pathErr("parse", filepath.Join(dir, fileName(variable, "delta", iteration)), err)
-	}
-	if v != variable || it != iteration {
-		return nil, fmt.Errorf("%w: file claims %s@%d, expected %s@%d", ErrCorrupt, v, it, variable, iteration)
-	}
-	return enc, nil
+	return data, checkIdentity(ErrCorrupt, v, it, variable, iteration)
 }
 
 // restartEntries reconstructs a variable at the requested iteration
 // from its sorted chain entries: load the latest full checkpoint at or
-// before it, replay every delta in between (§II-D). Missing
-// intermediate deltas are an ErrChain.
-func restartEntries(fsys faultfs.FS, dir string, rec *obs.Recorder, entries []Entry, variable string, iteration int, ropt RecoverOptions) ([]float64, *PartialDataError, error) {
+// before it, replay every delta in between on top of it (§II-D).
+// Missing intermediate deltas are an ErrChain. ropt.Obs receives the
+// decode and quarantine counters.
+func restartEntries(fsys faultfs.FS, dir string, entries []Entry, variable string, iteration int, ropt RecoverOptions) ([]float64, *PartialDataError, error) {
 	if len(entries) == 0 {
 		return nil, nil, fmt.Errorf("%w: variable %s", ErrNotFound, variable)
 	}
@@ -263,13 +245,15 @@ func restartEntries(fsys faultfs.FS, dir string, rec *obs.Recorder, entries []En
 	if fullIter < 0 {
 		return nil, nil, fmt.Errorf("%w: no full checkpoint at or before iteration %d for %s", ErrNotFound, iteration, variable)
 	}
-	data, err := readFullFile(fsys, dir, variable, fullIter)
+	state, err := readFullFile(fsys, dir, variable, fullIter)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Replay deltas (fullIter, iteration]. Every present delta in that
-	// range must chain from the previous one without gaps.
+	// range must chain from the previous one without gaps. One decoder's
+	// scratch serves the whole chain.
 	var partial *PartialDataError
+	dec := &ChunkDecoder{}
 	expected := fullIter + 1
 	for _, e := range entries {
 		if e.Kind != "delta" || e.Iteration <= fullIter || e.Iteration > iteration {
@@ -278,59 +262,42 @@ func restartEntries(fsys faultfs.FS, dir string, rec *obs.Recorder, entries []En
 		if e.Iteration != expected {
 			return nil, nil, fmt.Errorf("%w: expected delta %d for %s, found %d", ErrChain, expected, variable, e.Iteration)
 		}
-		data, partial, err = replayDeltaFile(fsys, dir, rec, variable, e.Iteration, data, ropt, partial)
+		raw, err := readCheckpointFile(fsys, dir, variable, "delta", e.Iteration)
 		if err != nil {
 			return nil, nil, err
+		}
+		lost, err := replayDelta(raw, variable, e.Iteration, state, dec, ropt)
+		if err != nil {
+			return nil, nil, pathErr("replay", filepath.Join(dir, fileName(variable, "delta", e.Iteration)), err)
+		}
+		if lost != nil {
+			partial = mergePartial(partial, lost)
 		}
 		expected++
 	}
 	if expected != iteration+1 {
 		return nil, nil, fmt.Errorf("%w: chain for %s ends at %d, wanted %d", ErrChain, variable, expected-1, iteration)
 	}
-	return data, partial, nil
+	return state, partial, nil
 }
 
-// replayDeltaFile applies one delta on top of data. In salvage mode a
-// v2 delta with bad chunks contributes its healthy chunks and
-// accumulates the lost point ranges into partial; fail-closed mode (and
-// any non-chunk-local failure) surfaces the error.
-func replayDeltaFile(fsys faultfs.FS, dir string, rec *obs.Recorder, variable string, iteration int, data []float64, ropt RecoverOptions, partial *PartialDataError) ([]float64, *PartialDataError, error) {
-	if !ropt.Salvage {
-		enc, err := readDeltaFile(fsys, dir, variable, iteration)
-		if err != nil {
-			return nil, nil, err
-		}
-		out, err := enc.Decode(data)
-		return out, partial, err
-	}
-	raw, err := readCheckpointFile(fsys, dir, variable, "delta", iteration)
+// replayDelta applies one delta file, of either format, to state in
+// place — the whole of what restart does with a delta: open it (which
+// is where the format is decided and a v1 file's CRC is checked), check
+// it is the checkpoint it was asked for as, and decode each chunk over
+// its own range of state through dec's scratch. Reconstruction is
+// pointwise and a chunk is fully validated before its first point is
+// written, so in salvage mode a quarantined chunk's range simply keeps
+// the previous iteration's values and comes back in the returned
+// report; fail-closed mode, and any failure that is not chunk-local,
+// returns the error and leaves state unusable.
+func replayDelta(raw []byte, variable string, iteration int, state []float64, dec *ChunkDecoder, ropt RecoverOptions) (*PartialDataError, error) {
+	d, err := openDelta(nil, raw, int64(len(raw)))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if !IsDeltaV2(raw) {
-		// v1 files have one whole-payload CRC: nothing chunk-local to
-		// salvage, so fail-closed even in salvage mode.
-		v, it, enc, err := UnmarshalDelta(raw)
-		if err != nil {
-			return nil, nil, pathErr("parse", filepath.Join(dir, fileName(variable, "delta", iteration)), err)
-		}
-		if v != variable || it != iteration {
-			return nil, nil, fmt.Errorf("%w: file claims %s@%d, expected %s@%d", ErrCorrupt, v, it, variable, iteration)
-		}
-		out, err := enc.Decode(data)
-		return out, partial, err
+	if err := checkIdentity(ErrCorrupt, d.meta.Variable, d.meta.Iteration, variable, iteration); err != nil {
+		return nil, err
 	}
-	d, err := OpenDeltaV2(bytes.NewReader(raw), int64(len(raw)))
-	if err != nil {
-		return nil, nil, pathErr("parse", filepath.Join(dir, fileName(variable, "delta", iteration)), err)
-	}
-	out, err := d.DecodeRecover(data, 0, RecoverOptions{Salvage: true, Obs: rec})
-	if err != nil {
-		var pde *PartialDataError
-		if !errors.As(err, &pde) {
-			return nil, nil, err
-		}
-		partial = mergePartial(partial, pde, variable)
-	}
-	return out, partial, nil
+	return d.decodeInto(dec, state, state, 0, ropt)
 }

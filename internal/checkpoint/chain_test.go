@@ -2,12 +2,15 @@ package checkpoint
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"numarck/internal/core"
+	"numarck/internal/faultfs"
 )
 
 // TestValidateVariable pins the naming rules: checkpoint file names are
@@ -118,5 +121,56 @@ func TestRecoveryQuarantinesHostileName(t *testing.T) {
 	// The legitimate chain is untouched.
 	if _, err := st.Restart("dens", 2); err != nil {
 		t.Fatalf("restart after quarantine: %v", err)
+	}
+}
+
+// statFails is a filesystem on which checkpoint files cannot be
+// stat'ed — the EIO/EACCES case readCheckpointFile used to report as
+// "no such checkpoint".
+type statFails struct{ faultfs.FS }
+
+func (s statFails) Stat(name string) (fs.FileInfo, error) {
+	if strings.HasSuffix(name, ".nmk") {
+		return nil, syscall.EIO
+	}
+	return s.FS.Stat(name)
+}
+
+// TestReadCheckpointFileErrors pins the error mapping of a chain-file
+// read: only absence is ErrNotFound (with the identity in the message);
+// an I/O failure on a committed file keeps its cause; and no Stat
+// precedes the read, so a Stat failure cannot turn into a 404.
+func TestReadCheckpointFileErrors(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ck")
+	seedStore(t, dir, 1)
+
+	rv, err := OpenReadOnlyFS(dir, statFails{faultfs.OS()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rv.Restart("dens", 2); err != nil {
+		t.Fatalf("restart on a filesystem whose Stat fails: %v", err)
+	}
+
+	inj := faultfs.NewInjector(faultfs.OS(), 1)
+	inj.AddFault(faultfs.Fault{Op: faultfs.OpRead, Path: fileName("dens", "delta", 1), Nth: 1})
+	if rv, err = OpenReadOnlyFS(dir, inj, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rv.Restart("dens", 2); !errors.Is(err, faultfs.ErrInjected) || errors.Is(err, ErrNotFound) {
+		t.Fatalf("restart over an unreadable delta = %v, want the injected I/O error and not ErrNotFound", err)
+	}
+
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := os.Remove(filepath.Join(dir, fileName("dens", "delta", 2))); err != nil {
+		t.Fatal(err)
+	}
+	_, err = st.Restart("dens", 2)
+	if !errors.Is(err, ErrNotFound) || !strings.Contains(err.Error(), "delta checkpoint dens@2") {
+		t.Fatalf("restart over a missing delta = %v, want ErrNotFound naming delta dens@2", err)
 	}
 }

@@ -4,6 +4,10 @@
 // FPC, intermediate checkpoints store only the NUMARCK-encoded change
 // ratios, and restart replays the delta chain on top of the latest full
 // checkpoint at or before the requested iteration.
+//
+// Only two functions look at a file's magic: OpenDelta (delta.go)
+// decides which of the two delta formats a file is in and presents
+// either as chunks, and parseCheckpoint (below) tells full from delta.
 package checkpoint
 
 import (
@@ -16,17 +20,13 @@ import (
 	"io"
 	"math"
 
-	"numarck/internal/bitpack"
-	"numarck/internal/core"
 	"numarck/internal/lossless/fpc"
 )
 
-// File magics. Each file starts with 6 magic bytes, a 4-byte
-// little-endian header length, the JSON header, then the payload.
-var (
-	magicFull  = []byte("NMRKF1")
-	magicDelta = []byte("NMRKD1")
-)
+// Each file starts with 6 magic bytes, a 4-byte little-endian header
+// length, the JSON header, then the payload. The delta magics live with
+// the delta formats in delta.go.
+var magicFull = []byte("NMRKF1")
 
 // ErrCorrupt reports an unreadable checkpoint file.
 var ErrCorrupt = errors.New("checkpoint: corrupt file")
@@ -169,108 +169,36 @@ func UnmarshalFull(raw []byte) (variable string, iteration int, data []float64, 
 	return hdr.Variable, hdr.Iteration, data, nil
 }
 
-// MarshalDelta serializes a NUMARCK-encoded checkpoint. Layout of the
-// payload: bin table (BinCount float64 LE) | packed indices | bitmap |
-// exact values (ExactCount float64 LE).
-func MarshalDelta(variable string, iteration int, enc *core.Encoded) ([]byte, error) {
-	packed, err := enc.PackedIndices()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: pack indices: %w", err)
-	}
-	payload := make([]byte, 0,
-		8*len(enc.BinRatios)+len(packed)+len(enc.Incompressible.Bytes())+8*len(enc.Exact))
-	payload = appendFloats(payload, enc.BinRatios)
-	payload = append(payload, packed...)
-	payload = append(payload, enc.Incompressible.Bytes()...)
-	payload = appendFloats(payload, enc.Exact)
-
-	var buf bytes.Buffer
-	err = writeFile(&buf, magicDelta, fileHeader{
-		Variable:   variable,
-		Iteration:  iteration,
-		N:          enc.N,
-		IndexBits:  enc.Opt.IndexBits,
-		ErrorBound: enc.Opt.ErrorBound,
-		Strategy:   enc.Opt.Strategy.String(),
-		BinCount:   len(enc.BinRatios),
-		ExactCount: len(enc.Exact),
-	}, payload)
-	if err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalDelta parses a delta checkpoint file back into a decodable
-// core.Encoded. The TrueRatios field is not stored on disk, so the
-// returned value supports Decode but not error-rate accounting.
-func UnmarshalDelta(raw []byte) (variable string, iteration int, enc *core.Encoded, err error) {
-	hdr, payload, err := readFile(raw, magicDelta)
-	if err != nil {
-		return "", 0, nil, err
-	}
-	if hdr.N < 0 || hdr.BinCount < 0 || hdr.ExactCount < 0 || hdr.ExactCount > hdr.N {
-		return "", 0, nil, fmt.Errorf("%w: implausible counts n=%d bins=%d exact=%d", ErrCorrupt, hdr.N, hdr.BinCount, hdr.ExactCount)
-	}
-	if hdr.IndexBits < 1 || hdr.IndexBits > core.MaxIndexBits {
-		return "", 0, nil, fmt.Errorf("%w: index bits %d", ErrCorrupt, hdr.IndexBits)
-	}
-	strategy, err := core.ParseStrategy(hdr.Strategy)
-	if err != nil {
-		return "", 0, nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-
-	binBytes := 8 * hdr.BinCount
-	idxBytes := bitpack.PackedLen(hdr.N, hdr.IndexBits)
-	mapBytes := (hdr.N + 7) / 8
-	exactBytes := 8 * hdr.ExactCount
-	if want := binBytes + idxBytes + mapBytes + exactBytes; len(payload) != want {
-		if len(payload) < want {
-			return "", 0, nil, truncatedErr("payload %d bytes, want %d", len(payload), want)
+// parseCheckpoint identifies a checkpoint file of any kind and format
+// and returns the identity its header claims. Shallow, it answers "is
+// this a complete, internally consistent file": frame, header, and
+// every CRC-covered region short of a v2 chunk section (a full or v1
+// payload; a v2 bin table and directory — a torn v2 file always fails
+// here because its directory and footer live at the end). Deep, it
+// also decompresses a full checkpoint and parses every chunk of a
+// delta, which is what Verify asks.
+func parseCheckpoint(raw []byte, deep bool) (kind, variable string, iteration int, err error) {
+	if bytes.HasPrefix(raw, magicFull) {
+		if deep {
+			variable, iteration, _, err = UnmarshalFull(raw)
+			return "full", variable, iteration, err
 		}
-		return "", 0, nil, fmt.Errorf("%w: payload %d bytes, want %d", ErrCorrupt, len(payload), want)
+		hdr, _, err := readFile(raw, magicFull)
+		return "full", hdr.Variable, hdr.Iteration, err
 	}
-	bins := readFloats(payload[:binBytes], hdr.BinCount)
-	indices, err := bitpack.Unpack(payload[binBytes:binBytes+idxBytes], hdr.N, hdr.IndexBits)
+	d, err := openDelta(nil, raw, int64(len(raw)))
 	if err != nil {
-		return "", 0, nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return "delta", "", 0, err
 	}
-	bitmap, err := bitpack.BitmapFromBytes(payload[binBytes+idxBytes:binBytes+idxBytes+mapBytes], hdr.N)
-	if err != nil {
-		return "", 0, nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	exact := readFloats(payload[binBytes+idxBytes+mapBytes:], hdr.ExactCount)
-
-	// Cross-validate: every index must reference an existing bin, and
-	// the bitmap population must match the exact-value count.
-	if bitmap.Count() != hdr.ExactCount {
-		return "", 0, nil, fmt.Errorf("%w: bitmap flags %d points, %d exact values stored", ErrCorrupt, bitmap.Count(), hdr.ExactCount)
-	}
-	for j, idx := range indices {
-		if int(idx) > hdr.BinCount {
-			return "", 0, nil, fmt.Errorf("%w: index %d at point %d exceeds bin count %d", ErrCorrupt, idx, j, hdr.BinCount)
+	if deep {
+		dec := d.NewChunkDecoder()
+		for i := range d.dir {
+			if _, err := dec.ReadChunk(i); err != nil {
+				return "delta", "", 0, err
+			}
 		}
 	}
-
-	opt := core.Options{
-		ErrorBound: hdr.ErrorBound,
-		IndexBits:  hdr.IndexBits,
-		Strategy:   strategy,
-	}
-	if v, err := opt.Validate(); err == nil {
-		opt = v
-	} else {
-		return "", 0, nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	enc = &core.Encoded{
-		Opt:            opt,
-		N:              hdr.N,
-		BinRatios:      bins,
-		Indices:        indices,
-		Incompressible: bitmap,
-		Exact:          exact,
-	}
-	return hdr.Variable, hdr.Iteration, enc, nil
+	return "delta", d.meta.Variable, d.meta.Iteration, nil
 }
 
 func appendFloats(dst []byte, vals []float64) []byte {
@@ -282,12 +210,9 @@ func appendFloats(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-func readFloats(src []byte, n int) []float64 {
-	return readFloatsInto(src, n, nil)
-}
-
-// readFloatsInto is readFloats writing into buf's backing array when it
-// has capacity, for pooled chunk decoding.
+// readFloatsInto decodes n little-endian float64 values from src into
+// buf's backing array when it has capacity (pooled chunk decoding),
+// else into a fresh slice.
 func readFloatsInto(src []byte, n int, buf []float64) []float64 {
 	var out []float64
 	if cap(buf) >= n {

@@ -65,13 +65,15 @@ func seedDeltaV2(tb testing.TB) []byte {
 	return raw
 }
 
-// FuzzUnmarshalDeltaV2 throws arbitrary bytes at the chunked-format
-// parser: truncated chunk headers, lying directory offsets, and CRC
-// mismatches must all surface as errors, never as panics or silent
-// misreads.
+// FuzzUnmarshalDeltaV2 throws arbitrary bytes at the delta reader from
+// a chunked-format corpus: truncated chunk headers, lying directory
+// offsets, and CRC mismatches must all surface as errors, never as
+// panics or silent misreads. It shares the one parser with
+// FuzzUnmarshalDelta; the two targets keep their own corpora (both hold
+// the crafted-header seeds of TestCraftedHeaderCounts).
 func FuzzUnmarshalDeltaV2(f *testing.F) {
 	f.Add(seedDeltaV2(f))
-	f.Add(seedDelta(f)) // v1 bytes must be cleanly rejected
+	f.Add(seedDelta(f)) // a v1 file is a one-chunk file to the same reader
 	f.Add([]byte{})
 	f.Add([]byte("NMRKD2"))
 	f.Fuzz(func(t *testing.T, raw []byte) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
-	"sort"
 
 	"numarck/internal/faultfs"
 )
@@ -47,120 +46,69 @@ func newIssue(variable, kind string, iteration int, err error) VerifyIssue {
 	return is
 }
 
-// Verify walks every checkpoint file in the store, parses it, and
-// checks its CRC and header identity, then cross-checks the MANIFEST
-// journal against the directory: a journaled file that is missing, or
-// whose bytes no longer match the journaled length and CRC, is an
-// issue. It returns all issues found (nil means the store is clean).
-// Chain gaps are reported per variable: a delta with no reachable full
-// checkpoint makes its iteration unrestorable.
+// Verify deep-checks every committed checkpoint file against the
+// writer's in-memory chain: each file is read once and must have its
+// journaled length and CRC, parse as the checkpoint it claims to be
+// (deltas chunk by chunk, so chunk-local corruption is localized), and
+// carry the identity the chain records; a journaled file that is
+// missing is an issue. Every delta must chain gap-free from a full
+// checkpoint — a delta with no reachable full checkpoint makes its
+// iteration unrestorable — and a non-fresh chain index is an issue. It
+// returns all issues found (nil means the store is clean).
 func (st *Store) Verify() ([]VerifyIssue, error) {
-	vars, err := st.Variables()
-	if err != nil {
-		return nil, err
-	}
-	var issues []VerifyIssue
-	for _, v := range vars {
-		entries, err := st.List(v)
-		if err != nil {
-			return nil, err
-		}
-		issues = append(issues, verifyEntries(v, entries, func(e Entry) error {
-			if e.Kind == "full" {
-				_, err := st.ReadFull(v, e.Iteration)
-				return err
-			}
-			_, err := st.ReadDelta(v, e.Iteration)
-			return err
-		})...)
-	}
-	jissues, err := st.verifyJournal()
-	if err != nil {
-		return nil, err
-	}
-	issues = append(issues, jissues...)
-	if h := st.IndexHealth(); !h.Fresh {
-		issues = append(issues, VerifyIssue{Variable: indexName, Kind: "index", Chunk: -1, Err: h.issueErr()})
-	}
-	return issues, nil
+	return verifyChain(st.fs, st.dir, st.chain), nil
 }
 
-// verifyEntries walks one variable's sorted entries, applies check to
-// each, and reports chain-structure issues (a delta with no preceding
-// full checkpoint, iteration gaps). It is the shared body of the
-// writer's Verify and the read view's lock-free Verify, so the two
-// cannot drift on what a healthy chain means.
-func verifyEntries(variable string, entries []Entry, check func(e Entry) error) []VerifyIssue {
-	var issues []VerifyIssue
-	lastFull := -1
-	expected := -1
-	for _, e := range entries {
-		switch e.Kind {
-		case "full":
-			if err := check(e); err != nil {
-				issues = append(issues, newIssue(variable, e.Kind, e.Iteration, err))
-				continue
-			}
-			lastFull = e.Iteration
-			expected = e.Iteration + 1
-		case "delta":
-			if err := check(e); err != nil {
-				issues = append(issues, newIssue(variable, e.Kind, e.Iteration, err))
-				continue
-			}
-			switch {
-			case lastFull < 0:
-				issues = append(issues, newIssue(variable, e.Kind, e.Iteration,
-					fmt.Errorf("%w: no full checkpoint precedes it", ErrChain)))
-			case e.Iteration != expected:
-				issues = append(issues, newIssue(variable, e.Kind, e.Iteration,
-					fmt.Errorf("%w: expected iteration %d next", ErrChain, expected)))
-				expected = e.Iteration + 1 // keep scanning from here
-			default:
-				expected = e.Iteration + 1
-			}
-		}
-	}
-	return issues
-}
-
-// Verify is the read view's lock-free deep check: every chain file in
-// the current snapshot must read back with exactly its journaled
-// length and CRC and parse as the checkpoint it claims to be (v2
-// deltas are parsed chunk by chunk, so chunk-local corruption is
-// localized), and every delta must chain gap-free from a full
-// checkpoint. Unlike (*Store).Verify it takes no writer lock, repairs
+// Verify is the read view's lock-free deep check: (*Store).Verify over
+// the current snapshot's chain. It takes no writer lock, repairs
 // nothing, and never mutates the store — it can run against a store a
-// live writer holds, and on read-only media. A non-fresh chain index
-// is reported as an issue just as the writer's Verify does.
+// live writer holds, and on read-only media.
 func (rv *ReadView) Verify() ([]VerifyIssue, error) {
 	s, err := rv.snapshot()
 	if err != nil {
 		return nil, err
 	}
+	return verifyChain(rv.fs, rv.dir, s.chain), nil
+}
+
+// verifyChain is the body of both Verify methods, so the writer and the
+// read view cannot drift on what a healthy chain means: per variable,
+// every file through verifyChainFile, then the chain structure (a delta
+// with no preceding full checkpoint, iteration gaps).
+func verifyChain(fsys faultfs.FS, dir string, chain map[string]journalEntry) []VerifyIssue {
 	var issues []VerifyIssue
-	for _, v := range chainVariables(s.chain) {
-		ces := chainFileEntries(s.chain, v)
-		entries := make([]Entry, len(ces))
-		byIter := make(map[string]ChainEntry, len(ces))
-		for i, ce := range ces {
-			entries[i] = ce.Entry
-			byIter[ce.Name] = ce
+	for _, v := range chainVariables(chain) {
+		lastFull := -1
+		expected := -1
+		for _, ce := range chainFileEntries(chain, v) {
+			if err := verifyChainFile(fsys, dir, ce); err != nil {
+				issues = append(issues, newIssue(v, ce.Kind, ce.Iteration, err))
+				continue
+			}
+			switch {
+			case ce.Kind == "full":
+				lastFull = ce.Iteration
+			case lastFull < 0:
+				issues = append(issues, newIssue(v, ce.Kind, ce.Iteration,
+					fmt.Errorf("%w: no full checkpoint precedes it", ErrChain)))
+			case ce.Iteration != expected:
+				// Report the gap and keep scanning from here.
+				issues = append(issues, newIssue(v, ce.Kind, ce.Iteration,
+					fmt.Errorf("%w: expected iteration %d next", ErrChain, expected)))
+			}
+			expected = ce.Iteration + 1
 		}
-		issues = append(issues, verifyEntries(v, entries, func(e Entry) error {
-			ce := byIter[fileName(e.Variable, e.Kind, e.Iteration)]
-			return verifyChainFile(rv.fs, rv.dir, ce)
-		})...)
 	}
-	if h := rv.IndexHealth(); !h.Fresh {
+	if h := indexHealth(fsys, dir); !h.Fresh {
 		issues = append(issues, VerifyIssue{Variable: indexName, Kind: "index", Chunk: -1, Err: h.issueErr()})
 	}
-	return issues, nil
+	return issues
 }
 
 // verifyChainFile deep-checks one committed chain file against its
-// journaled record: byte length, whole-file CRC, a full parse, and the
-// header identity.
+// journaled record in one read: byte length, a full parse (before the
+// whole-file CRC, so that damage inside one chunk is reported as that
+// chunk), whole-file CRC, and the header identity.
 func verifyChainFile(fsys faultfs.FS, dir string, ce ChainEntry) error {
 	path := filepath.Join(dir, ce.Name)
 	raw, err := faultfs.ReadFile(fsys, path)
@@ -170,26 +118,17 @@ func verifyChainFile(fsys faultfs.FS, dir string, ce ChainEntry) error {
 	if int64(len(raw)) != ce.Len {
 		return fmt.Errorf("%w: file is %d bytes, journal recorded %d", ErrTruncated, len(raw), ce.Len)
 	}
-	if crc := crc32.ChecksumIEEE(raw); crc != ce.CRC {
-		return fmt.Errorf("%w: file CRC %08x, journal recorded %08x", ErrCorrupt, crc, ce.CRC)
-	}
-	var v string
-	var it int
-	switch {
-	case ce.Kind == "full":
-		v, it, _, err = UnmarshalFull(raw)
-	case IsDeltaV2(raw):
-		v, it, _, err = UnmarshalDeltaV2(raw)
-	default:
-		v, it, _, err = UnmarshalDelta(raw)
-	}
+	kind, v, it, err := parseCheckpoint(raw, true)
 	if err != nil {
 		return err
 	}
-	if v != ce.Variable || it != ce.Iteration {
-		return fmt.Errorf("%w: file claims %s@%d, chain records %s@%d", ErrCorrupt, v, it, ce.Variable, ce.Iteration)
+	if crc := crc32.ChecksumIEEE(raw); crc != ce.CRC {
+		return fmt.Errorf("%w: file CRC %08x, journal recorded %08x", ErrCorrupt, crc, ce.CRC)
 	}
-	return nil
+	if kind != ce.Kind {
+		return fmt.Errorf("%w: file is a %s checkpoint, chain records a %s", ErrCorrupt, kind, ce.Kind)
+	}
+	return checkIdentity(ErrCorrupt, v, it, ce.Variable, ce.Iteration)
 }
 
 // IndexHealth describes the on-disk CHAININDEX's state relative to the
@@ -271,50 +210,6 @@ func indexHealth(fsys faultfs.FS, dir string) IndexHealth {
 	}
 	h.Fresh = ix.matches(tok)
 	return h
-}
-
-// verifyJournal is Verify's deep journal cross-check: every live "add"
-// record must name a file that exists and whose bytes hash to the
-// journaled length and CRC. The Open-time recovery scan deliberately
-// checks only lengths (to stay O(files)); this is where the CRCs are
-// re-read.
-func (st *Store) verifyJournal() ([]VerifyIssue, error) {
-	journal, exists, _, err := replayJournal(st.fs, st.dir)
-	if err != nil {
-		return nil, err
-	}
-	if !exists {
-		return nil, nil
-	}
-	names := make([]string, 0, len(journal))
-	for name := range journal {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var issues []VerifyIssue
-	for _, name := range names {
-		e, ok := parseName(name)
-		if !ok {
-			continue
-		}
-		je := journal[name]
-		raw, err := faultfs.ReadFile(st.fs, filepath.Join(st.dir, name))
-		if err != nil {
-			issues = append(issues, newIssue(e.Variable, e.Kind, e.Iteration,
-				fmt.Errorf("journaled file unreadable: %w", err)))
-			continue
-		}
-		if int64(len(raw)) != je.Len {
-			issues = append(issues, newIssue(e.Variable, e.Kind, e.Iteration,
-				fmt.Errorf("%w: journal records %d bytes, file has %d", ErrCorrupt, je.Len, len(raw))))
-			continue
-		}
-		if crc := crc32.ChecksumIEEE(raw); crc != je.CRC {
-			issues = append(issues, newIssue(e.Variable, e.Kind, e.Iteration,
-				fmt.Errorf("%w: journal CRC %08x, file CRC %08x", ErrCorrupt, je.CRC, crc)))
-		}
-	}
-	return issues, nil
 }
 
 // VariableStats summarizes one variable's storage in the store.

@@ -226,14 +226,14 @@ func (rv *ReadView) LatestRestorable(variable string) (int, error) {
 // writer removed it after we snapshotted, e.g. a concurrent GC), the
 // view refreshes once and retries before reporting the error.
 func (rv *ReadView) Restart(variable string, iteration int) ([]float64, error) {
-	data, _, err := rv.restart(variable, iteration, RecoverOptions{})
+	data, _, err := rv.restart(variable, iteration, RecoverOptions{Obs: rv.rec})
 	return data, err
 }
 
 // RestartSalvage is Restart in degraded mode, with the same semantics
 // as Store.RestartSalvage.
 func (rv *ReadView) RestartSalvage(variable string, iteration int) ([]float64, *PartialDataError, error) {
-	return rv.restart(variable, iteration, RecoverOptions{Salvage: true})
+	return rv.restart(variable, iteration, RecoverOptions{Salvage: true, Obs: rv.rec})
 }
 
 func (rv *ReadView) restart(variable string, iteration int, ropt RecoverOptions) ([]float64, *PartialDataError, error) {
@@ -241,7 +241,7 @@ func (rv *ReadView) restart(variable string, iteration int, ropt RecoverOptions)
 	if err != nil {
 		return nil, nil, err
 	}
-	data, partial, rerr := restartEntries(rv.fs, rv.dir, rv.rec, chainEntries(s.chain, variable), variable, iteration, ropt)
+	data, partial, rerr := restartEntries(rv.fs, rv.dir, chainEntries(s.chain, variable), variable, iteration, ropt)
 	if rerr == nil {
 		return data, partial, nil
 	}
@@ -255,5 +255,5 @@ func (rv *ReadView) restart(variable string, iteration int, ropt RecoverOptions)
 	if err != nil {
 		return nil, nil, err
 	}
-	return restartEntries(rv.fs, rv.dir, rv.rec, chainEntries(s2.chain, variable), variable, iteration, ropt)
+	return restartEntries(rv.fs, rv.dir, chainEntries(s2.chain, variable), variable, iteration, ropt)
 }

@@ -1,17 +1,16 @@
 package checkpoint
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
-	"numarck/internal/core"
 	"numarck/internal/obs"
 )
 
-// RecoverOptions selects how chunk-local corruption in a v2 delta is
+// RecoverOptions selects how chunk-local corruption in a delta is
 // handled during decode. The zero value is fail-closed: the first bad
-// chunk fails the whole decode, today's default behavior.
+// chunk fails the whole decode. (A v1 file has no chunk-local
+// corruption: its one CRC fails the open, in either mode.)
 type RecoverOptions struct {
 	// Salvage decodes every healthy chunk, fills the points of bad
 	// chunks with the previous iteration's values (never with bytes
@@ -116,72 +115,12 @@ func mergeRanges(ranges []Range) []Range {
 // restart-chain report: lost ranges union (a point lost at any
 // iteration of the chain is stale in the final state), chunk statuses
 // track the most recent damaged checkpoint.
-func mergePartial(acc, next *PartialDataError, variable string) *PartialDataError {
+func mergePartial(acc, next *PartialDataError) *PartialDataError {
 	if acc == nil {
-		next.Variable = variable
 		return next
 	}
-	acc.Variable = variable
 	acc.Iteration = next.Iteration
 	acc.Chunks = next.Chunks
 	acc.Lost = mergeRanges(append(acc.Lost, next.Lost...))
 	return acc
-}
-
-// DecodeRecover reconstructs all points from prev like Decode, but
-// under ropt's degraded-mode contract: with Salvage set, a chunk whose
-// section fails its CRC or structure check is quarantined — its point
-// range keeps prev's values, nothing from the bad section is used —
-// while every healthy chunk decodes normally, and the damage comes
-// back as a *PartialDataError alongside the salvaged data. Without
-// Salvage it behaves exactly like Decode. Non-chunk-local failures
-// (wrong prev length) still fail closed either way.
-func (d *DeltaV2Reader) DecodeRecover(prev []float64, workers int, ropt RecoverOptions) ([]float64, error) {
-	if !ropt.Salvage {
-		return d.Decode(prev, workers)
-	}
-	if len(prev) != d.meta.N {
-		return nil, fmt.Errorf("%w: prev has %d points, encoded has %d", core.ErrLength, len(prev), d.meta.N)
-	}
-	out := make([]float64, d.meta.N)
-	errs, _ := d.decodeChunks(prev, out, workers)
-	statuses := make([]ChunkStatus, len(errs))
-	for i, err := range errs {
-		start, np := d.ChunkSpan(i)
-		if err != nil {
-			// Quarantine the chunk: pass the previous iteration's
-			// values through for its range.
-			copy(out[start:start+np], prev[start:start+np])
-		}
-		statuses[i] = ChunkStatus{Chunk: i, Start: start, Points: np, Err: err}
-	}
-	var lost []Range
-	for _, s := range statuses {
-		if s.Err == nil {
-			continue
-		}
-		// Only chunk-local damage is salvageable; anything else (an
-		// fs-level read failure, a caller bug) fails the whole decode.
-		var ce *ChunkError
-		if !errors.As(s.Err, &ce) {
-			return nil, s.Err
-		}
-		lost = append(lost, Range{Lo: s.Start, Hi: s.Start + s.Points})
-	}
-	rec := ropt.Obs
-	if rec == nil {
-		rec = d.rec
-	}
-	if len(lost) == 0 {
-		rec.Add(obs.CounterDecodes, 1)
-		rec.Add(obs.CounterPointsDecoded, int64(d.meta.N))
-		return out, nil
-	}
-	rec.Add(obs.CounterChunksQuarantined, int64(len(lost)))
-	return out, &PartialDataError{
-		Variable:  d.meta.Variable,
-		Iteration: d.meta.Iteration,
-		Chunks:    statuses,
-		Lost:      mergeRanges(lost),
-	}
 }

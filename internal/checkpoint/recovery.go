@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -179,7 +178,7 @@ func (st *Store) recoverScan() (*RecoveryReport, error) {
 			if err != nil {
 				return nil, pathErr("read", filepath.Join(st.dir, name), err)
 			}
-			if perr := structuralCheck(raw); perr != nil {
+			if _, _, _, perr := parseCheckpoint(raw, false); perr != nil {
 				if errors.Is(perr, ErrTruncated) {
 					torn++
 				}
@@ -251,25 +250,6 @@ func (st *Store) reconcileIndex() error {
 	}
 	st.rec.Add(obs.CounterIndexRebuilds, 1)
 	return st.republishIndex()
-}
-
-// structuralCheck parses raw just deeply enough to know the file is a
-// complete, internally consistent checkpoint: frame, header, and the
-// CRC-covered regions (whole payload for v1, bin table and directory
-// for v2 — a torn v2 file always fails here because its directory and
-// footer live at the end).
-func structuralCheck(raw []byte) error {
-	switch {
-	case bytes.HasPrefix(raw, magicFull):
-		_, _, err := readFile(raw, magicFull)
-		return err
-	case IsDeltaV2(raw):
-		_, err := OpenDeltaV2(bytes.NewReader(raw), int64(len(raw)))
-		return err
-	default:
-		_, _, _, err := UnmarshalDelta(raw)
-		return err
-	}
 }
 
 // quarantine moves a bad checkpoint file into the quarantine/

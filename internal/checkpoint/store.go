@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -422,17 +421,7 @@ func (st *Store) WriteRawFull(variable string, iteration int, raw []byte) error 
 // file). It is journaled with the commit so a retried request can be
 // recognized as an idempotent replay. 0 means unknown.
 func (st *Store) WriteRawFullPayload(variable string, iteration int, raw []byte, payloadCRC uint32) error {
-	if err := validateIdentity(variable, iteration); err != nil {
-		return err
-	}
-	v, it, _, err := UnmarshalFull(raw)
-	if err != nil {
-		return fmt.Errorf("checkpoint: raw full checkpoint rejected: %w", err)
-	}
-	if v != variable || it != iteration {
-		return fmt.Errorf("%w: raw full checkpoint claims %s@%d, committing as %s@%d", ErrBadVariable, v, it, variable, iteration)
-	}
-	return st.commitFile(fileName(variable, "full", iteration), raw, payloadCRC)
+	return st.commitRaw("full", variable, iteration, raw, payloadCRC)
 }
 
 // WriteRawDelta commits raw — an already-marshalled NMRKD1 or NMRKD2
@@ -450,29 +439,28 @@ func (st *Store) WriteRawDelta(variable string, iteration int, raw []byte) error
 // (the checksum of the client's pre-encode payload, journaled for
 // idempotent-replay detection; 0 = unknown).
 func (st *Store) WriteRawDeltaPayload(variable string, iteration int, raw []byte, payloadCRC uint32) error {
+	return st.commitRaw("delta", variable, iteration, raw, payloadCRC)
+}
+
+// commitRaw is the body of the raw commits: raw must parse — deep for a
+// full checkpoint (its payload decompresses), shallow for a delta, whose
+// sections are checked by every read instead — as a checkpoint of the
+// given kind whose header names variable@iteration.
+func (st *Store) commitRaw(kind, variable string, iteration int, raw []byte, payloadCRC uint32) error {
 	if err := validateIdentity(variable, iteration); err != nil {
 		return err
 	}
-	var v string
-	var it int
-	if IsDeltaV2(raw) {
-		d, err := OpenDeltaV2(bytes.NewReader(raw), int64(len(raw)))
-		if err != nil {
-			return fmt.Errorf("checkpoint: raw v2 delta rejected: %w", err)
-		}
-		meta := d.Meta()
-		v, it = meta.Variable, meta.Iteration
-	} else {
-		var err error
-		v, it, _, err = UnmarshalDelta(raw)
-		if err != nil {
-			return fmt.Errorf("checkpoint: raw delta rejected: %w", err)
-		}
+	k, v, it, err := parseCheckpoint(raw, kind == "full")
+	if err == nil && k != kind {
+		err = fmt.Errorf("%w: it is a %s checkpoint", ErrCorrupt, k)
 	}
-	if v != variable || it != iteration {
-		return fmt.Errorf("%w: raw delta claims %s@%d, committing as %s@%d", ErrBadVariable, v, it, variable, iteration)
+	if err != nil {
+		return fmt.Errorf("checkpoint: raw %s checkpoint rejected: %w", kind, err)
 	}
-	return st.commitFile(fileName(variable, "delta", iteration), raw, payloadCRC)
+	if err := checkIdentity(ErrBadVariable, v, it, variable, iteration); err != nil {
+		return err
+	}
+	return st.commitFile(fileName(variable, kind, iteration), raw, payloadCRC)
 }
 
 // Entry describes one stored checkpoint file.
@@ -523,16 +511,24 @@ func (st *Store) ReadFull(variable string, iteration int) ([]float64, error) {
 	return readFullFile(st.fs, st.dir, variable, iteration)
 }
 
-// ReadDelta loads a delta checkpoint's encoding.
+// ReadDelta loads a delta checkpoint's encoding, from either format.
 func (st *Store) ReadDelta(variable string, iteration int) (*core.Encoded, error) {
-	return readDeltaFile(st.fs, st.dir, variable, iteration)
+	raw, err := readCheckpointFile(st.fs, st.dir, variable, "delta", iteration)
+	if err != nil {
+		return nil, err
+	}
+	v, it, enc, err := UnmarshalDelta(raw)
+	if err != nil {
+		return nil, pathErr("parse", st.path(variable, "delta", iteration), err)
+	}
+	return enc, checkIdentity(ErrCorrupt, v, it, variable, iteration)
 }
 
 // Restart reconstructs a variable at the requested iteration: it loads
 // the latest full checkpoint at or before it and replays every delta in
 // between (§II-D). Missing intermediate deltas are an ErrChain.
 func (st *Store) Restart(variable string, iteration int) ([]float64, error) {
-	data, _, err := restartEntries(st.fs, st.dir, st.rec, chainEntries(st.chain, variable), variable, iteration, RecoverOptions{})
+	data, _, err := restartEntries(st.fs, st.dir, chainEntries(st.chain, variable), variable, iteration, RecoverOptions{Obs: st.rec})
 	return data, err
 }
 
@@ -544,5 +540,5 @@ func (st *Store) Restart(variable string, iteration int) ([]float64, error) {
 // Failures that are not chunk-local (a corrupt full checkpoint, a
 // corrupt v1 delta, a chain gap) still fail closed.
 func (st *Store) RestartSalvage(variable string, iteration int) ([]float64, *PartialDataError, error) {
-	return restartEntries(st.fs, st.dir, st.rec, chainEntries(st.chain, variable), variable, iteration, RecoverOptions{Salvage: true})
+	return restartEntries(st.fs, st.dir, chainEntries(st.chain, variable), variable, iteration, RecoverOptions{Salvage: true, Obs: st.rec})
 }

@@ -407,14 +407,14 @@ type decodeSlot struct {
 	dst  []float64
 }
 
-// DecodeDeltaV2 streams the reconstruction of an opened v2 delta:
-// chunks are decoded concurrently off the chunk directory (each worker
-// reads, unpacks, and reconstructs its chunk fully independently), and
-// emit receives the reconstructed values in chunk order. The emit
-// callback must copy anything it wants to keep — the slice is a
-// per-slot buffer reused for a later chunk. cfg.Workers bounds the
-// concurrency; ChunkPoints is fixed by the file.
-func DecodeDeltaV2(d *checkpoint.DeltaV2Reader, prev Source, cfg Config, emit func(vals []float64) error) error {
+// DecodeDeltaV2 streams the reconstruction of an opened delta of either
+// format (a v1 file is one chunk): chunks are decoded concurrently off
+// the chunk directory (each worker reads, unpacks, and reconstructs its
+// chunk fully independently), and emit receives the reconstructed
+// values in chunk order. The emit callback must copy anything it wants
+// to keep — the slice is a per-slot buffer reused for a later chunk.
+// cfg.Workers bounds the concurrency; ChunkPoints is fixed by the file.
+func DecodeDeltaV2(d *checkpoint.DeltaReader, prev Source, cfg Config, emit func(vals []float64) error) error {
 	meta := d.Meta()
 	if prev.Len() != meta.N {
 		return fmt.Errorf("%w: prev has %d points, checkpoint has %d", core.ErrLength, prev.Len(), meta.N)

@@ -246,7 +246,7 @@ func RunCodecBench(cfg CodecBenchConfig) (*CodecBenchResult, error) {
 			return nil, err
 		}
 
-		d, err := checkpoint.OpenDeltaV2(bytes.NewReader(v2.Bytes()), int64(v2.Len()))
+		d, err := checkpoint.OpenDelta(bytes.NewReader(v2.Bytes()), int64(v2.Len()))
 		if err != nil {
 			return nil, err
 		}

@@ -122,11 +122,14 @@ func (t *Tenant) Recorder() *obs.Recorder { return t.rec }
 // holding the single-writer lock only for the duration of fn: the
 // store is opened (created on first write), fn commits through it, and
 // it is closed — releasing the on-disk LOCK — before WithStore
-// returns. The per-tenant write mutex serializes this daemon's writers
-// so they queue here instead of colliding on the lock file; a writer
-// outside this process (an operator CLI) still surfaces as
+// returns, or unwinds: the close is deferred, because a LOCK left
+// behind by a panicking fn (net/http recovers handler panics) names
+// this daemon's own live PID and would lock the tenant out until the
+// daemon restarts. The per-tenant write mutex serializes this daemon's
+// writers so they queue here instead of colliding on the lock file; a
+// writer outside this process (an operator CLI) still surfaces as
 // ErrLocked/LockHeldError, which the HTTP layer maps to 423.
-func (t *Tenant) WithStore(fn func(st *checkpoint.Store) error) error {
+func (t *Tenant) WithStore(fn func(st *checkpoint.Store) error) (err error) {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
 	st, err := checkpoint.Open(t.dir)
@@ -136,12 +139,13 @@ func (t *Tenant) WithStore(fn func(st *checkpoint.Store) error) error {
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if cerr := st.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	st.SetRecorder(t.rec)
-	ferr := fn(st)
-	if cerr := st.Close(); ferr == nil {
-		ferr = cerr
-	}
-	return ferr
+	return fn(st)
 }
 
 // View returns the tenant's cached lock-free read view, opening it on

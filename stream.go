@@ -90,9 +90,10 @@ func (e StreamEncoder) EncodeFiles(dstPath, variable string, iteration int, prev
 	return res, nil
 }
 
-// StreamDecoder reconstructs checkpoints from chunked v2 delta files
-// without materializing the whole array: chunks are decoded
-// concurrently and delivered in point order.
+// StreamDecoder reconstructs checkpoints from delta files without
+// materializing the whole array: chunks are decoded concurrently and
+// delivered in point order. It reads both delta formats; a v1 file is
+// one chunk, read whole.
 type StreamDecoder struct {
 	// Config bounds the decode parallelism (Workers); chunk size is
 	// fixed by the file.
@@ -103,11 +104,11 @@ type StreamDecoder struct {
 	Recorder *Recorder
 }
 
-// Decode reads a v2 delta from r (size bytes long), reconstructs it on
+// Decode reads a delta from r (size bytes long), reconstructs it on
 // top of prev, and passes each chunk's values to emit in point order.
 // emit must copy anything it keeps.
 func (d StreamDecoder) Decode(r io.ReaderAt, size int64, prev Source, emit func(vals []float64) error) error {
-	dr, err := checkpoint.OpenDeltaV2(r, size)
+	dr, err := checkpoint.OpenDelta(r, size)
 	if err != nil {
 		return err
 	}
@@ -128,7 +129,7 @@ func (d StreamDecoder) Decode(r io.ReaderAt, size int64, prev Source, emit func(
 // Failures that are not chunk-local (an unreadable header, a length
 // mismatch with prev) fail the whole decode as in Decode.
 func (d StreamDecoder) DecodeRecover(r io.ReaderAt, size int64, prev Source, emit func(vals []float64) error) (*PartialDataError, error) {
-	dr, err := checkpoint.OpenDeltaV2(r, size)
+	dr, err := checkpoint.OpenDelta(r, size)
 	if err != nil {
 		return nil, err
 	}
@@ -142,8 +143,9 @@ func (d StreamDecoder) DecodeRecover(r io.ReaderAt, size int64, prev Source, emi
 	var (
 		statuses []ChunkStatus
 		lost     []Range
-		pbuf     = make([]float64, meta.ChunkPoints)
-		dbuf     = make([]float64, meta.ChunkPoints)
+		dec      = dr.NewChunkDecoder()
+		pbuf     = make([]float64, min(meta.ChunkPoints, meta.N))
+		dbuf     = make([]float64, min(meta.ChunkPoints, meta.N))
 	)
 	for i := 0; i < meta.ChunkCount; i++ {
 		start, np := dr.ChunkSpan(i)
@@ -151,7 +153,7 @@ func (d StreamDecoder) DecodeRecover(r io.ReaderAt, size int64, prev Source, emi
 		if err := prev.ReadFloats(pw, start); err != nil {
 			return nil, err
 		}
-		cerr := dr.DecodeChunkInto(i, pw, dw)
+		cerr := dec.DecodeChunkInto(i, pw, dw)
 		if cerr != nil {
 			var ce *checkpoint.ChunkError
 			if !errors.As(cerr, &ce) {
