@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-fix sarif docs test test-cpu race race-pipeline crash-test fuzz-smoke serve-smoke chaos-smoke verify bench bench-smoke bench-compare
+.PHONY: all build vet lint lint-fix sarif docs test test-cpu race race-pipeline crash-test fuzz-smoke serve-smoke chaos-smoke verify bench bench-kernel bench-smoke bench-compare
 
 all: verify
 
@@ -69,9 +69,11 @@ crash-test:
 
 # One short burst per fuzz target; -run=NONE skips the unit tests so
 # the smoke stays fast. Targets: bit-level pack/unpack round-trips, the
+# word-at-a-time kernels against the per-field reference loops, the
 # checkpoint parsers on corrupt input, and the degraded-mode decode.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRoundTrip$$ -fuzztime=$(FUZZTIME) ./internal/bitpack
+	$(GO) test -run=NONE -fuzz=FuzzUnpackMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/bitpack
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalDelta$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalDeltaV2$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalFull$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
@@ -107,12 +109,22 @@ verify: build vet lint docs test test-cpu race crash-test fuzz-smoke serve-smoke
 bench:
 	$(GO) run ./cmd/experiments -exp codec-bench -json BENCH_codec.json
 	$(GO) test -run=NONE -bench='Encode|Decode' -benchmem .
+	$(MAKE) bench-kernel
+
+# The read side's kernels with ns/pt next to each: pack, unpack and the
+# range check per index width, the reconstruct kernel per table size,
+# and a depth-32 restart with its phases — at GOMAXPROCS 1 and 2, so the
+# apply phase's fan-out shows as a win at 2 and no loss at 1.
+KERNEL_BENCH = Pack|Unpack|FirstAbove|Reconstruct|RestartDepth32|RestartPhases
+bench-kernel:
+	$(GO) test -run=NONE -bench='$(KERNEL_BENCH)' -cpu 1,2 ./internal/bitpack ./internal/core ./internal/checkpoint
 
 # One iteration of everything bench runs, for CI: catches bit-rot in
 # the benchmark code without timing anything.
 bench-smoke:
 	$(GO) run ./cmd/experiments -exp codec-bench -points 20000 -iters 1
 	$(GO) test -run=NONE -bench='Encode|Decode' -benchtime=1x .
+	$(GO) test -run=NONE -bench='$(KERNEL_BENCH)' -benchtime=1x ./internal/bitpack ./internal/core ./internal/checkpoint
 
 # Diff two codec bench result files: per-strategy headline deltas plus
 # the streaming per-stage breakdown. Informational — never fails on a

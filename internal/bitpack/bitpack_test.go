@@ -3,6 +3,7 @@ package bitpack
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -262,30 +263,15 @@ func TestBitmapZeroLen(t *testing.T) {
 	}
 }
 
-func BenchmarkPack8(b *testing.B)   { benchPack(b, 8) }
-func BenchmarkPack9(b *testing.B)   { benchPack(b, 9) }
-func BenchmarkUnpack8(b *testing.B) { benchUnpack(b, 8) }
-func BenchmarkUnpack9(b *testing.B) { benchUnpack(b, 9) }
+// benchWidths are the index widths the kernels are timed at: the
+// paper's B = 8 (byte-aligned), a width with no alignment at all, and
+// the widest table the experiments use.
+var benchWidths = []int{3, 8, 9, 12}
 
-func benchPack(b *testing.B, width int) {
+// benchStream returns 64 Ki random fields of the given width, packed.
+func benchStream(b *testing.B, width int) ([]uint32, []byte) {
 	vals := make([]uint32, 1<<16)
-	limit := uint32(uint64(1)<<uint(width) - 1)
-	rng := rand.New(rand.NewSource(1))
-	for i := range vals {
-		vals[i] = rng.Uint32() & limit
-	}
-	b.SetBytes(int64(len(vals) * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Pack(vals, width); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchUnpack(b *testing.B, width int) {
-	vals := make([]uint32, 1<<16)
-	limit := uint32(uint64(1)<<uint(width) - 1)
+	limit := uint32(limitFor(width))
 	rng := rand.New(rand.NewSource(1))
 	for i := range vals {
 		vals[i] = rng.Uint32() & limit
@@ -294,11 +280,71 @@ func benchUnpack(b *testing.B, width int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(vals) * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Unpack(packed, len(vals), width); err != nil {
-			b.Fatal(err)
-		}
+	return vals, packed
+}
+
+// reportPerPoint adds ns/pt to a benchmark whose op handles n fields.
+func reportPerPoint(b *testing.B, n int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/pt")
+}
+
+// BenchmarkPack times the pack kernel alone, into a reused buffer;
+// bytes/s counts the packed stream.
+func BenchmarkPack(b *testing.B) {
+	for _, width := range benchWidths {
+		b.Run(fmt.Sprintf("B=%d", width), func(b *testing.B) {
+			vals, buf := benchStream(b, width)
+			b.SetBytes(int64(len(buf)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := PackInto(vals, width, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerPoint(b, len(vals))
+		})
+	}
+}
+
+// BenchmarkUnpack times the unpack kernel alone, into a reused buffer.
+func BenchmarkUnpack(b *testing.B) {
+	for _, width := range benchWidths {
+		b.Run(fmt.Sprintf("B=%d", width), func(b *testing.B) {
+			vals, packed := benchStream(b, width)
+			b.SetBytes(int64(len(packed)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := UnpackInto(packed, len(vals), width, vals); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerPoint(b, len(vals))
+		})
+	}
+}
+
+// BenchmarkFirstAbove times the decoder's range check of a whole stream
+// that passes it.
+func BenchmarkFirstAbove(b *testing.B) {
+	for _, width := range benchWidths {
+		b.Run(fmt.Sprintf("B=%d", width), func(b *testing.B) {
+			vals, packed := benchStream(b, width)
+			for i := range vals {
+				vals[i] /= 2 // limit is half the range: no early exit
+			}
+			packed, err := PackInto(vals, width, packed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			limit := uint32(limitFor(width)) / 2
+			b.SetBytes(int64(len(packed)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if pos, err := FirstAbove(packed, len(vals), width, limit); err != nil || pos >= 0 {
+					b.Fatal(pos, err)
+				}
+			}
+			reportPerPoint(b, len(vals))
+		})
 	}
 }

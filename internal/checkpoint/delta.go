@@ -360,8 +360,10 @@ type DeltaReader struct {
 	r    io.ReaderAt
 	mem  []byte
 	meta DeltaMeta
-	dir  []dirEntry
-	rec  *obs.Recorder
+	// table is core.RatioTable(meta.BinRatios), built once per file.
+	table []float64
+	dir   []dirEntry
+	rec   *obs.Recorder
 }
 
 // SetRecorder attaches an instrumentation recorder: subsequent chunk
@@ -474,6 +476,7 @@ func openDelta(r io.ReaderAt, mem []byte, size int64) (*DeltaReader, error) {
 			return nil, fmt.Errorf("%w: non-finite bin ratio at %d", ErrCorrupt, i)
 		}
 	}
+	d.table = core.RatioTable(d.meta.BinRatios)
 	sectionsOff := tableOff + tableLen
 
 	if d.meta.Version == 1 {
@@ -603,40 +606,98 @@ type ChunkPayload struct {
 	Exact          []float64
 }
 
+// applyBlockPoints is how many points of a chunk are unpacked and
+// reconstructed at a time: 4 KiB of indices that never leave the L1
+// cache between the unpack that writes them and the kernel that reads
+// them, instead of a chunk-sized index array walked three times. A
+// multiple of 8, so a block's flags start on a byte.
+const applyBlockPoints = 1024
+
 // ChunkDecoder reads and decodes chunks of a DeltaReader through
-// reusable scratch buffers (section bytes, unpacked indices, the
-// incompressible bitmap, exact values), so a steady-state decode loop
-// allocates nothing per chunk. Each worker of a parallel decode owns
-// one, and chain replay carries one from file to file; a decoder is not
-// safe for concurrent use. Payloads returned by ReadChunk alias the
-// scratch and are valid only until the next call.
+// reusable scratch buffers (section bytes, one block of unpacked indices
+// and exact values), so a steady-state decode loop allocates nothing per
+// chunk. Each worker of a parallel decode owns one, and chain replay
+// carries one from file to file; a decoder is not safe for concurrent
+// use. Payloads returned by ReadChunk alias the scratch and are valid
+// only until the next call.
 type ChunkDecoder struct {
 	d       *DeltaReader
-	section []byte
+	section []byte    // a section read through an io.ReaderAt
+	idx     []uint32  // one block's unpacked indices
+	exact   []float64 // one block's exact values
+	head    [1]byte   // the flags of a block that starts inside a byte
+	// ReadChunk's materialized view of a whole chunk.
 	bitmap  bitpack.Bitmap
-	payload ChunkPayload // its Indices and Exact are the scratch
+	payload ChunkPayload
 }
 
-// NewChunkDecoder returns a decoder with empty scratch; buffers grow to
-// one chunk's size on first use and are reused after that.
+// NewChunkDecoder returns a decoder with empty scratch; buffers grow on
+// first use and are reused after that.
 func (d *DeltaReader) NewChunkDecoder() *ChunkDecoder {
 	return &ChunkDecoder{d: d}
 }
 
-// ReadChunk reads, CRC-checks, and parses chunk i's section: the index
-// range, bitmap population, and section layout checks of both formats
-// live here, and all of them pass before a caller sees one value. CRC
-// or structure failures come back as a *ChunkError naming the chunk and
-// its byte offset, so corruption is localized instead of condemning the
-// whole file. The payload aliases the decoder's scratch: it is
-// invalidated by the next ReadChunk or DecodeChunkInto call.
-func (c *ChunkDecoder) ReadChunk(i int) (*ChunkPayload, error) {
+// sectionParts cuts chunk i's section, whose length the directory check
+// at open tied to the chunk's point and exact counts, into its packed
+// indices, flag bytes and exact values.
+func (d *DeltaReader) sectionParts(i int, section []byte) (packed, flags, exact []byte) {
+	_, np := d.ChunkSpan(i)
+	idxBytes := bitpack.PackedLen(np, d.meta.Opt.IndexBits)
+	mapBytes := (np + 7) / 8
+	return section[:idxBytes], section[idxBytes : idxBytes+mapBytes], section[idxBytes+mapBytes:]
+}
+
+// checkSection is the validation pass over chunk i's bytes, both
+// formats: the section CRC (a v1 section has none of its own — the
+// payload CRC checked when the file was opened covers these same
+// in-memory bytes), every index within the bin table, the flag count
+// equal to the stored exact count, no flag set beyond the last point.
+// It reads the packed bytes once and unpacks nothing, and everything
+// that can be wrong with a section is found here: after it, applying the
+// section cannot fail, so a bad chunk is reported — as a *ChunkError
+// naming the chunk and its byte offset — before a single point of the
+// state it would have updated is written.
+func (d *DeltaReader) checkSection(i int, section []byte) error {
+	ent := d.dir[i]
+	_, np := d.ChunkSpan(i)
+	if d.meta.Version == 2 {
+		t := d.rec.Start()
+		crc := crc32.ChecksumIEEE(section)
+		t.Stop(obs.StageCRC)
+		if crc != ent.crc {
+			return chunkErr(i, ent.off, "section CRC %08x, directory says %08x", crc, ent.crc)
+		}
+	}
+	t := d.rec.Start()
+	defer t.Stop(obs.StageBitpack)
+	packed, flags, _ := d.sectionParts(i, section)
+	if got := bitpack.CountFirst(flags, np); got != ent.exactCount {
+		return chunkErr(i, ent.off, "bitmap flags %d points, %d exact values stored", got, ent.exactCount)
+	}
+	if np%8 != 0 && flags[len(flags)-1]>>uint(np%8) != 0 {
+		return chunkErr(i, ent.off, "bitmap flags a point beyond the chunk's %d", np)
+	}
+	bins := len(d.meta.BinRatios)
+	//lint:ignore bindex fromHeader bounded the bin count below 2^IndexBits <= 2^32
+	j, err := bitpack.FirstAbove(packed, np, d.meta.Opt.IndexBits, uint32(bins))
+	if err != nil {
+		return chunkErr(i, ent.off, "%v", err)
+	}
+	if j >= 0 {
+		idx, _ := bitpack.Get(packed, j, d.meta.Opt.IndexBits) // FirstAbove just read field j
+		return chunkErr(i, ent.off, "index %d at point %d exceeds bin count %d", idx, j, bins)
+	}
+	return nil
+}
+
+// checkedSection reads chunk i's section — a slice of a file held in
+// memory, else through the decoder's scratch — and validates it.
+func (c *ChunkDecoder) checkedSection(i int) ([]byte, error) {
 	d := c.d
 	if i < 0 || i >= len(d.dir) {
 		return nil, fmt.Errorf("checkpoint: chunk %d out of range [0,%d)", i, len(d.dir))
 	}
 	ent := d.dir[i]
-	_, np := d.ChunkSpan(i)
 	t := d.rec.Start()
 	section, rerr := d.read(ent.off, ent.length, c.section)
 	t.Stop(obs.StageRead)
@@ -648,57 +709,111 @@ func (c *ChunkDecoder) ReadChunk(i int) (*ChunkPayload, error) {
 	}
 	d.rec.Add(obs.CounterBytesRead, ent.length)
 	d.rec.Add(obs.CounterSectionBytes, ent.length)
-	// A v1 section has no CRC of its own: the payload CRC checked when
-	// the file was opened covers these same in-memory bytes.
-	if d.meta.Version == 2 {
-		t = d.rec.Start()
-		crc := crc32.ChecksumIEEE(section)
-		t.Stop(obs.StageCRC)
-		if crc != ent.crc {
-			return nil, chunkErr(i, ent.off, "section CRC %08x, directory says %08x", crc, ent.crc)
-		}
-	}
-	idxBytes := bitpack.PackedLen(np, d.meta.Opt.IndexBits)
-	mapBytes := (np + 7) / 8
-	t = d.rec.Start()
-	indices, err := bitpack.UnpackInto(section[:idxBytes], np, d.meta.Opt.IndexBits, c.payload.Indices)
-	t.Stop(obs.StageBitpack)
+	return section, d.checkSection(i, section)
+}
+
+// ReadChunk reads and validates chunk i's section (checkSection) and
+// unpacks all of it, for callers that want a chunk's contents rather
+// than its reconstruction: the Encoded view, inspection. The payload
+// aliases the decoder's scratch: it is invalidated by the next ReadChunk
+// or DecodeChunkInto call.
+func (c *ChunkDecoder) ReadChunk(i int) (*ChunkPayload, error) {
+	section, err := c.checkedSection(i)
 	if err != nil {
-		return nil, chunkErr(i, ent.off, "%v", err)
+		return nil, err
 	}
-	if err := c.bitmap.LoadBytes(section[idxBytes:idxBytes+mapBytes], np); err != nil {
-		return nil, chunkErr(i, ent.off, "%v", err)
+	d := c.d
+	_, np := d.ChunkSpan(i)
+	packed, flags, exact := d.sectionParts(i, section)
+	t := d.rec.Start()
+	c.payload.Indices, err = bitpack.UnpackInto(packed, np, d.meta.Opt.IndexBits, c.payload.Indices)
+	t.Stop(obs.StageBitpack)
+	if err == nil {
+		err = c.bitmap.LoadBytes(flags, np)
 	}
-	c.payload.Indices = indices
+	if err != nil {
+		return nil, chunkErr(i, d.dir[i].off, "%v", err)
+	}
 	c.payload.Incompressible = &c.bitmap
-	c.payload.Exact = readFloatsInto(section[idxBytes+mapBytes:], ent.exactCount, c.payload.Exact)
-	if c.bitmap.Count() != ent.exactCount {
-		return nil, chunkErr(i, ent.off, "bitmap flags %d points, %d exact values stored", c.bitmap.Count(), ent.exactCount)
-	}
-	for j, idx := range indices {
-		if int(idx) > len(d.meta.BinRatios) {
-			return nil, chunkErr(i, ent.off, "index %d at point %d exceeds bin count %d", idx, j, len(d.meta.BinRatios))
-		}
-	}
+	c.payload.Exact = readFloatsInto(exact, d.dir[i].exactCount, c.payload.Exact)
 	return &c.payload, nil
 }
 
 // DecodeChunkInto reconstructs chunk i into dst given the previous
 // iteration's values for the same point range; dst may be prev itself.
-// len(prev) and len(dst) must both equal the chunk's point count. A
-// chunk that fails ReadChunk's checks leaves dst untouched.
+// len(prev) and len(dst) must both equal the chunk's point count. The
+// chunk is fully validated before its first point is written: one that
+// fails comes back as a *ChunkError and leaves dst untouched.
 func (c *ChunkDecoder) DecodeChunkInto(i int, prev, dst []float64) error {
-	p, err := c.ReadChunk(i)
+	section, err := c.checkedSection(i)
 	if err != nil {
 		return err
 	}
+	_, np := c.d.ChunkSpan(i)
 	t := c.d.rec.Start()
-	err = core.Reconstruct(dst, prev, c.d.meta.BinRatios, p.Indices, p.Incompressible, p.Exact)
+	err = c.apply(c.d, i, section, 0, np, &exactCursor{}, prev, dst)
 	t.Stop(obs.StageDecode)
 	if err != nil {
-		return fmt.Errorf("checkpoint: chunk %d: %w", i, err)
+		return err
 	}
 	c.d.rec.Add(obs.CounterChunksDecoded, 1)
+	return nil
+}
+
+// exactCursor is a position in one chunk's flags together with the
+// number of flags set before it, which is where that point's exact
+// value, if it has one, sits among the chunk's. A caller that applies a
+// chunk piece by piece in increasing order keeps one, so each piece
+// counts only the flags between the last piece and itself.
+type exactCursor struct{ chunk, pos, used int }
+
+// seek moves the cursor to point lo of chunk i.
+func (cur *exactCursor) seek(i int, flags []byte, lo int) {
+	from, used := 0, 0
+	if cur.chunk == i && cur.pos <= lo && cur.pos&7 == 0 {
+		from, used = cur.pos, cur.used
+	}
+	*cur = exactCursor{chunk: i, pos: lo, used: used + bitpack.CountFirst(flags[from>>3:], lo-from)}
+}
+
+// apply is the apply pass: it reconstructs points [lo, hi) of d's chunk
+// i, whose section has passed checkSection, from prev into dst — the
+// previous and new values of exactly those points, possibly the same
+// slice — and leaves cur at hi. Each block of applyBlockPoints is
+// unpacked into the decoder's scratch and handed, with its flag bytes
+// and exact values, to core.Reconstruct. The range may start anywhere
+// (chain replay cuts a chunk where its own point blocks end, and a chunk
+// size need not be a multiple of 8): a start inside a flag byte is first
+// brought to the next byte boundary by one short block.
+func (c *ChunkDecoder) apply(d *DeltaReader, i int, section []byte, lo, hi int, cur *exactCursor, prev, dst []float64) error {
+	if len(prev) != hi-lo || len(dst) != hi-lo {
+		return fmt.Errorf("%w: chunk %d: %d points to reconstruct from %d previous values into %d", core.ErrLength, i, hi-lo, len(prev), len(dst))
+	}
+	if c.idx == nil {
+		// Sized for any block up front: scratch that grew to each new
+		// largest block would make allocations depend on the data.
+		c.idx, c.exact = make([]uint32, 0, applyBlockPoints), make([]float64, 0, applyBlockPoints)
+	}
+	packed, flags, exact := d.sectionParts(i, section)
+	for cur.seek(i, flags, lo); cur.pos < hi; {
+		at := cur.pos
+		end, bf := min(hi, at+applyBlockPoints), flags[at>>3:]
+		if at&7 != 0 {
+			end = min(hi, at|7+1)
+			c.head[0] = flags[at>>3] >> uint(at&7)
+			bf = c.head[:]
+		}
+		var err error
+		if c.idx, err = bitpack.UnpackRange(packed, at, end-at, d.meta.Opt.IndexBits, c.idx); err != nil {
+			return fmt.Errorf("checkpoint: chunk %d: %w", i, err)
+		}
+		flagged := bitpack.CountFirst(bf, end-at)
+		c.exact = readFloatsInto(exact[8*cur.used:], flagged, c.exact)
+		if err := core.Reconstruct(dst[at-lo:end-lo], prev[at-lo:end-lo], d.table, c.idx, bf, c.exact); err != nil {
+			return fmt.Errorf("checkpoint: chunk %d: %w", i, err)
+		}
+		cur.pos, cur.used = end, cur.used+flagged
+	}
 	return nil
 }
 
@@ -744,22 +859,39 @@ func (d *DeltaReader) decodeInto(dec *ChunkDecoder, prev, dst []float64, workers
 		wg.Wait()
 	}
 
+	partial, err := d.settle(errs, ropt, workers)
+	if err != nil {
+		return nil, err
+	}
+	if partial != nil {
+		// A quarantined chunk's range carries the previous iteration's
+		// values, nothing from the bad section.
+		for _, r := range partial.Lost {
+			copy(dst[r.Lo:r.Hi], prev[r.Lo:r.Hi])
+		}
+	}
+	return partial, nil
+}
+
+// settle turns the per-chunk outcomes of decoding or validating the
+// file (errs, by chunk index; nil when every chunk passed) into the
+// decode's answer under ropt. Only chunk-local damage is salvageable,
+// and only when asked: anything else (an fs-level read failure, a caller
+// bug) fails the whole decode, as does the first bad chunk when
+// fail-closed. Otherwise the decode counts — into ropt.Obs, else the
+// reader's recorder — and the bad chunks, if any, come back as the
+// report of what was quarantined.
+func (d *DeltaReader) settle(errs []error, ropt RecoverOptions, workers int) (*PartialDataError, error) {
 	var lost []Range
 	for i, err := range errs {
 		if err == nil {
 			continue
 		}
-		// Only chunk-local damage is salvageable, and only when asked;
-		// anything else (an fs-level read failure, a caller bug) fails
-		// the whole decode, as does the first bad chunk when fail-closed.
 		var ce *ChunkError
 		if !ropt.Salvage || !errors.As(err, &ce) {
 			return nil, err
 		}
-		// Quarantine the chunk: its range carries the previous
-		// iteration's values, nothing from the bad section.
 		start, np := d.ChunkSpan(i)
-		copy(dst[start:start+np], prev[start:start+np])
 		lost = append(lost, Range{Lo: start, Hi: start + np})
 	}
 	rec := ropt.Obs
@@ -773,7 +905,7 @@ func (d *DeltaReader) decodeInto(dec *ChunkDecoder, prev, dst []float64, workers
 		return nil, nil
 	}
 	rec.Add(obs.CounterChunksQuarantined, int64(len(lost)))
-	statuses := make([]ChunkStatus, m)
+	statuses := make([]ChunkStatus, len(errs))
 	for i, err := range errs {
 		start, np := d.ChunkSpan(i)
 		statuses[i] = ChunkStatus{Chunk: i, Start: start, Points: np, Err: err}

@@ -159,14 +159,23 @@ func UnmarshalFull(raw []byte) (variable string, iteration int, data []float64, 
 	if err != nil {
 		return "", 0, nil, err
 	}
-	data, err = fpc.Decompress(payload)
-	if err != nil {
-		return "", 0, nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	if len(data) != hdr.N {
-		return "", 0, nil, fmt.Errorf("%w: %d values, header says %d", ErrCorrupt, len(data), hdr.N)
+	if data, err = decompressFull(hdr, payload); err != nil {
+		return "", 0, nil, err
 	}
 	return hdr.Variable, hdr.Iteration, data, nil
+}
+
+// decompressFull is the second half of UnmarshalFull, for a caller
+// (restart) that reads the header first and decompresses elsewhere.
+func decompressFull(hdr fileHeader, payload []byte) ([]float64, error) {
+	data, err := fpc.Decompress(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	if len(data) != hdr.N {
+		return nil, fmt.Errorf("%w: %d values, header says %d", ErrCorrupt, len(data), hdr.N)
+	}
+	return data, nil
 }
 
 // parseCheckpoint identifies a checkpoint file of any kind and format
@@ -193,7 +202,7 @@ func parseCheckpoint(raw []byte, deep bool) (kind, variable string, iteration in
 	if deep {
 		dec := d.NewChunkDecoder()
 		for i := range d.dir {
-			if _, err := dec.ReadChunk(i); err != nil {
+			if _, err := dec.checkedSection(i); err != nil {
 				return "delta", "", 0, err
 			}
 		}

@@ -288,16 +288,6 @@ func indexFromChain(chain map[string]journalEntry, seq uint64, tok journalToken)
 	return ix, nil
 }
 
-// chainFromIndex is the inverse of indexFromChain: the live chain map
-// a parsed index describes.
-func chainFromIndex(ix *ChainIndex) map[string]journalEntry {
-	chain := make(map[string]journalEntry, len(ix.Entries))
-	for _, e := range ix.Entries {
-		chain[fileName(e.Variable, e.Kind, e.Iteration)] = journalEntry{Len: e.Len, CRC: e.CRC}
-	}
-	return chain
-}
-
 // loadIndex reads and parses the store's CHAININDEX. A missing file is
 // (nil, nil); a present-but-corrupt one is an error the callers count
 // as a rebuild trigger.

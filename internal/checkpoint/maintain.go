@@ -56,7 +56,7 @@ func newIssue(variable, kind string, iteration int, err error) VerifyIssue {
 // iteration unrestorable — and a non-fresh chain index is an issue. It
 // returns all issues found (nil means the store is clean).
 func (st *Store) Verify() ([]VerifyIssue, error) {
-	return verifyChain(st.fs, st.dir, st.chain), nil
+	return verifyChain(st.fs, st.dir, st.chainView()), nil
 }
 
 // Verify is the read view's lock-free deep check: (*Store).Verify over
@@ -75,12 +75,12 @@ func (rv *ReadView) Verify() ([]VerifyIssue, error) {
 // read view cannot drift on what a healthy chain means: per variable,
 // every file through verifyChainFile, then the chain structure (a delta
 // with no preceding full checkpoint, iteration gaps).
-func verifyChain(fsys faultfs.FS, dir string, chain map[string]journalEntry) []VerifyIssue {
+func verifyChain(fsys faultfs.FS, dir string, chain *chainView) []VerifyIssue {
 	var issues []VerifyIssue
-	for _, v := range chainVariables(chain) {
+	for _, v := range chain.vars {
 		lastFull := -1
 		expected := -1
-		for _, ce := range chainFileEntries(chain, v) {
+		for _, ce := range chain.files[v] {
 			if err := verifyChainFile(fsys, dir, ce); err != nil {
 				issues = append(issues, newIssue(v, ce.Kind, ce.Iteration, err))
 				continue
@@ -230,7 +230,7 @@ func (s VariableStats) TotalBytes() int64 { return s.FullBytes + s.DeltaBytes }
 // name. Sizes come from the in-memory chain's journaled lengths — no
 // per-file Stat calls.
 func (st *Store) Stats() ([]VariableStats, error) {
-	return chainStats(st.chain), nil
+	return st.chainView().stats(), nil
 }
 
 // LatestRestorable returns the highest iteration of a variable that can
@@ -238,11 +238,7 @@ func (st *Store) Stats() ([]VariableStats, error) {
 // latest full checkpoint, computed from the in-memory chain.
 // ErrNotFound means no full checkpoint exists.
 func (st *Store) LatestRestorable(variable string) (int, error) {
-	restorable := latestRestorableEntries(chainEntries(st.chain, variable))
-	if restorable < 0 {
-		return 0, fmt.Errorf("%w: variable %s has no full checkpoint", ErrNotFound, variable)
-	}
-	return restorable, nil
+	return st.chainView().latestRestorable(variable)
 }
 
 // ErrNothingToGC reports a GC request that would delete everything.
@@ -257,8 +253,9 @@ func (st *Store) GC(keepFrom int) (removed int, err error) {
 	if st.closed {
 		return 0, ErrClosed
 	}
-	for _, v := range chainVariables(st.chain) {
-		entries := chainEntries(st.chain, v)
+	view := st.chainView()
+	for _, v := range view.vars {
+		entries := view.files[v]
 		baseFull := -1
 		for _, e := range entries {
 			if e.Kind == "full" && e.Iteration <= keepFrom {
@@ -277,7 +274,7 @@ func (st *Store) GC(keepFrom int) (removed int, err error) {
 				if err := appendJournal(st.fs, st.dir, journalRecord{Op: "drop", Name: name}); err != nil {
 					return removed, err
 				}
-				delete(st.chain, name)
+				st.dropChain(name)
 				removed++
 			}
 		}

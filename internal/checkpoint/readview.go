@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"slices"
 	"sync/atomic"
 
 	"numarck/internal/core"
@@ -47,8 +48,8 @@ type readSnapshot struct {
 	seq uint64
 	// tok anchors the snapshot to the journal state it reflects.
 	tok journalToken
-	// chain is the live file set.
-	chain map[string]journalEntry
+	// chain is the live file set, per variable.
+	chain *chainView
 }
 
 // maxRereadRaces bounds how many consecutive index republications a
@@ -111,7 +112,7 @@ func (rv *ReadView) snapshot() (*readSnapshot, error) {
 	for race := 0; race < maxRereadRaces; race++ {
 		ix, ierr := loadIndex(rv.fs, rv.dir)
 		if ierr == nil && ix != nil && ix.matches(tok) {
-			s := &readSnapshot{seq: ix.Seq, tok: tok, chain: chainFromIndex(ix)}
+			s := &readSnapshot{seq: ix.Seq, tok: tok, chain: viewOfIndex(ix)}
 			rv.snap.Store(s)
 			// The counter measures seqlock rereads — a cached snapshot
 			// invalidated under the reader, or a republication chased
@@ -149,7 +150,7 @@ func (rv *ReadView) replayFallback(tok journalToken) (*readSnapshot, error) {
 	if !exists {
 		return nil, fmt.Errorf("%w: store at %s has no journal; open it with a writer once to adopt the legacy layout", ErrNotFound, rv.dir)
 	}
-	s := &readSnapshot{seq: 0, tok: tok, chain: entries}
+	s := &readSnapshot{seq: 0, tok: tok, chain: viewOfChain(entries)}
 	rv.snap.Store(s)
 	rv.rec.Add(obs.CounterIndexRebuilds, 1)
 	return s, nil
@@ -171,7 +172,7 @@ func (rv *ReadView) List(variable string) ([]Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return chainEntries(s.chain, variable), nil
+	return s.chain.list(variable), nil
 }
 
 // Chain returns one variable's committed files with their journaled
@@ -183,7 +184,7 @@ func (rv *ReadView) Chain(variable string) ([]ChainEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return chainFileEntries(s.chain, variable), nil
+	return slices.Clone(s.chain.files[variable]), nil
 }
 
 // Variables returns the distinct variable names present in the store.
@@ -192,7 +193,7 @@ func (rv *ReadView) Variables() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return chainVariables(s.chain), nil
+	return slices.Clone(s.chain.vars), nil
 }
 
 // Stats returns per-variable storage statistics, sorted by variable
@@ -203,7 +204,7 @@ func (rv *ReadView) Stats() ([]VariableStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	return chainStats(s.chain), nil
+	return s.chain.stats(), nil
 }
 
 // LatestRestorable returns the highest iteration of a variable that can
@@ -214,11 +215,7 @@ func (rv *ReadView) LatestRestorable(variable string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	restorable := latestRestorableEntries(chainEntries(s.chain, variable))
-	if restorable < 0 {
-		return 0, fmt.Errorf("%w: variable %s has no full checkpoint", ErrNotFound, variable)
-	}
-	return restorable, nil
+	return s.chain.latestRestorable(variable)
 }
 
 // Restart reconstructs a variable at the requested iteration from the
@@ -241,7 +238,7 @@ func (rv *ReadView) restart(variable string, iteration int, ropt RecoverOptions)
 	if err != nil {
 		return nil, nil, err
 	}
-	data, partial, rerr := restartEntries(rv.fs, rv.dir, chainEntries(s.chain, variable), variable, iteration, ropt)
+	data, partial, rerr := restartEntries(rv.fs, rv.dir, s.chain.files[variable], variable, iteration, ropt)
 	if rerr == nil {
 		return data, partial, nil
 	}
@@ -255,5 +252,5 @@ func (rv *ReadView) restart(variable string, iteration int, ropt RecoverOptions)
 	if err != nil {
 		return nil, nil, err
 	}
-	return restartEntries(rv.fs, rv.dir, chainEntries(s2.chain, variable), variable, iteration, ropt)
+	return restartEntries(rv.fs, rv.dir, s2.chain.files[variable], variable, iteration, ropt)
 }

@@ -172,7 +172,7 @@ func TestReadViewWarmIndexConstantCost(t *testing.T) {
 		if err != nil || latest != deltas {
 			t.Fatalf("LatestRestorable = %d, %v (want %d)", latest, err, deltas)
 		}
-		es := rv.snap.Load().chain
+		es := rv.snap.Load().chain.files["dens"]
 		return cfs.readDirs.Load(), cfs.counter(journalName).Load(), cfs.counter(indexName).Load(), len(es)
 	}
 

@@ -220,7 +220,7 @@ func (st *Store) recoverScan() (*RecoveryReport, error) {
 			return nil, pathErr("sync", st.dir, err)
 		}
 	}
-	st.chain = journal
+	st.chain, st.view = journal, nil
 	if err := st.reconcileIndex(); err != nil {
 		return nil, err
 	}

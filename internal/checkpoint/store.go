@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -63,6 +64,10 @@ type Store struct {
 	// name → committed length and CRC. Every commit updates it and
 	// republishes the chain index from it.
 	chain map[string]journalEntry
+	// view is chain in per-variable sorted form, derived on the first
+	// read after the chain changed (nil until then): whatever writes
+	// chain — setChain, dropChain, the recovery scan — resets it.
+	view *chainView
 	// indexSeq is the publication sequence of the last CHAININDEX this
 	// handle published or adopted.
 	indexSeq uint64
@@ -320,8 +325,29 @@ func (st *Store) commitFile(name string, raw []byte, payloadCRC uint32) error {
 	}); err != nil {
 		return err
 	}
-	st.chain[name] = je
+	st.setChain(name, je)
 	return st.republishIndex()
+}
+
+// setChain records a committed file in the in-memory chain.
+func (st *Store) setChain(name string, je journalEntry) {
+	st.chain[name] = je
+	st.view = nil
+}
+
+// dropChain removes a file from the in-memory chain.
+func (st *Store) dropChain(name string) {
+	delete(st.chain, name)
+	st.view = nil
+}
+
+// chainView returns the in-memory chain's per-variable view, derived at
+// most once per chain state.
+func (st *Store) chainView() *chainView {
+	if st.view == nil {
+		st.view = viewOfChain(st.chain)
+	}
+	return st.view
 }
 
 // CommittedEntry describes one journaled commit, looked up by Committed
@@ -473,13 +499,13 @@ type Entry struct {
 // List returns all entries for a variable, sorted by iteration. It is
 // served from the in-memory chain — no filesystem access.
 func (st *Store) List(variable string) ([]Entry, error) {
-	return chainEntries(st.chain, variable), nil
+	return st.chainView().list(variable), nil
 }
 
 // Variables returns the distinct variable names present in the store,
 // served from the in-memory chain.
 func (st *Store) Variables() ([]string, error) {
-	return chainVariables(st.chain), nil
+	return slices.Clone(st.chainView().vars), nil
 }
 
 // parseName decodes a checkpoint file name back into its entry.
@@ -513,7 +539,7 @@ func (st *Store) ReadFull(variable string, iteration int) ([]float64, error) {
 
 // ReadDelta loads a delta checkpoint's encoding, from either format.
 func (st *Store) ReadDelta(variable string, iteration int) (*core.Encoded, error) {
-	raw, err := readCheckpointFile(st.fs, st.dir, variable, "delta", iteration)
+	raw, err := readCheckpointFile(st.fs, st.dir, variable, "delta", iteration, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -528,7 +554,7 @@ func (st *Store) ReadDelta(variable string, iteration int) (*core.Encoded, error
 // the latest full checkpoint at or before it and replays every delta in
 // between (§II-D). Missing intermediate deltas are an ErrChain.
 func (st *Store) Restart(variable string, iteration int) ([]float64, error) {
-	data, _, err := restartEntries(st.fs, st.dir, chainEntries(st.chain, variable), variable, iteration, RecoverOptions{Obs: st.rec})
+	data, _, err := restartEntries(st.fs, st.dir, st.chainView().files[variable], variable, iteration, RecoverOptions{Obs: st.rec})
 	return data, err
 }
 
@@ -540,5 +566,5 @@ func (st *Store) Restart(variable string, iteration int) ([]float64, error) {
 // Failures that are not chunk-local (a corrupt full checkpoint, a
 // corrupt v1 delta, a chain gap) still fail closed.
 func (st *Store) RestartSalvage(variable string, iteration int) ([]float64, *PartialDataError, error) {
-	return restartEntries(st.fs, st.dir, chainEntries(st.chain, variable), variable, iteration, RecoverOptions{Salvage: true, Obs: st.rec})
+	return restartEntries(st.fs, st.dir, st.chainView().files[variable], variable, iteration, RecoverOptions{Salvage: true, Obs: st.rec})
 }

@@ -254,49 +254,12 @@ func (e *Encoded) Decode(prev []float64) ([]float64, error) {
 	t := rec.Start()
 	defer t.Stop(obs.StageDecode)
 	out := make([]float64, e.N)
-	if err := Reconstruct(out, prev, e.BinRatios, e.Indices, e.Incompressible, e.Exact); err != nil {
+	if err := Reconstruct(out, prev, RatioTable(e.BinRatios), e.Indices, e.Incompressible.Bytes(), e.Exact); err != nil {
 		return nil, err
 	}
 	rec.Add(obs.CounterDecodes, 1)
 	rec.Add(obs.CounterPointsDecoded, int64(e.N))
 	return out, nil
-}
-
-// Reconstruct is the decode kernel, the one place a stored change ratio
-// is applied: dst[j] becomes the next exact value where the bitmap
-// flags point j, prev[j] for index 0 (unchanged within tolerance), and
-// prev[j]*(1+bins[index-1]) otherwise. It is pointwise, so dst may be
-// prev itself — chain replay updates the state in place. indices and
-// incompressible cover the same len(dst) points; exact holds the
-// flagged points' values in point order.
-func Reconstruct(dst, prev, bins []float64, indices []uint32, incompressible *bitpack.Bitmap, exact []float64) error {
-	if len(prev) != len(dst) || len(indices) != len(dst) {
-		return fmt.Errorf("%w: %d points to reconstruct from %d previous values and %d indices", ErrLength, len(dst), len(prev), len(indices))
-	}
-	exactIdx := 0
-	for j, idx := range indices {
-		if incompressible.Get(j) {
-			if exactIdx >= len(exact) {
-				return fmt.Errorf("core: corrupt encoding: bitmap flags more exact values than stored (%d)", len(exact))
-			}
-			dst[j] = exact[exactIdx]
-			exactIdx++
-			continue
-		}
-		if idx == 0 {
-			dst[j] = prev[j] // unchanged within tolerance
-			continue
-		}
-		g := int(idx) - 1
-		if g >= len(bins) {
-			return fmt.Errorf("core: corrupt encoding: index %d exceeds bin table size %d at point %d", idx, len(bins), j)
-		}
-		dst[j] = prev[j] * (1 + bins[g])
-	}
-	if exactIdx != len(exact) {
-		return fmt.Errorf("core: corrupt encoding: %d exact values stored, %d consumed", len(exact), exactIdx)
-	}
-	return nil
 }
 
 // ApproxRatio returns the change ratio the decoder will apply at point

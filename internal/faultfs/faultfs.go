@@ -105,13 +105,49 @@ func (osFS) SyncDir(name string) error {
 	return err
 }
 
-// ReadFile reads a whole file through fsys.
+// ReadFile reads a whole file through fsys, into a buffer sized from
+// the open file's Stat.
 func ReadFile(fsys FS, name string) ([]byte, error) {
+	return readFile(fsys, name, -1)
+}
+
+// ReadFileSized is ReadFile for a caller that already knows how long
+// the file should be (a journal recorded it): the buffer is sized from
+// size and the file is not stat'ed. The file is still read to its end,
+// so a result whose length is not size means the file is not the one
+// that was recorded — the caller's to report, never a silent short read.
+func ReadFileSized(fsys FS, name string, size int64) ([]byte, error) {
+	return readFile(fsys, name, max(size, 0))
+}
+
+// readFile reads name to EOF. The buffer starts one byte longer than
+// the expected size (the open file's, when size is negative), so the
+// common case is one read that fills it short of that byte and one that
+// reports EOF — no doubling from a small buffer, no copy; it still
+// grows if the file turns out longer.
+func readFile(fsys FS, name string, size int64) ([]byte, error) {
 	f, err := fsys.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	data, err := io.ReadAll(f)
+	if size < 0 {
+		size = 0
+		if info, err := f.Stat(); err == nil {
+			size = info.Size() // a failed Stat only costs the sizing
+		}
+	}
+	data := make([]byte, 0, max(size+1, 512))
+	for err == nil {
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+		var n int
+		n, err = f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+	}
+	if err == io.EOF {
+		err = nil
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
