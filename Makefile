@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-fix sarif docs test test-cpu race race-pipeline crash-test fuzz-smoke serve-smoke chaos-smoke verify bench bench-kernel bench-smoke bench-compare
+.PHONY: all build vet lint lint-fix sarif docs test test-cpu race race-pipeline crash-test fuzz-smoke serve-smoke chaos-smoke verify bench bench-kernel bench-smoke
 
 all: verify
 
@@ -103,11 +103,12 @@ chaos-smoke:
 
 verify: build vet lint docs test test-cpu race crash-test fuzz-smoke serve-smoke chaos-smoke
 
-# Codec benchmarks: in-memory vs streaming encode/decode per strategy
-# (machine-readable BENCH_codec.json) plus the Go micro-benchmarks of
-# the encode/decode/stream paths.
+# The repo's benchmark is `go run ./bench` (BENCHMARK.json): four seeded
+# workloads, end-to-end metrics on stdout; add `-trace 1` for the
+# per-layer ladder, `-selfcheck N` for the A/A spread (bench/README.md).
+# This target is what is left for `go test -bench`: the Go
+# micro-benchmarks of the encode/decode/stream paths and the kernels.
 bench:
-	$(GO) run ./cmd/experiments -exp codec-bench -json BENCH_codec.json
 	$(GO) test -run=NONE -bench='Encode|Decode' -benchmem .
 	$(MAKE) bench-kernel
 
@@ -120,17 +121,8 @@ bench-kernel:
 	$(GO) test -run=NONE -bench='$(KERNEL_BENCH)' -cpu 1,2 ./internal/bitpack ./internal/core ./internal/checkpoint
 
 # One iteration of everything bench runs, for CI: catches bit-rot in
-# the benchmark code without timing anything.
+# the benchmark code without timing anything. (`go test ./bench` runs
+# every workload of the repo's benchmark once, in the unit tests.)
 bench-smoke:
-	$(GO) run ./cmd/experiments -exp codec-bench -points 20000 -iters 1
 	$(GO) test -run=NONE -bench='Encode|Decode' -benchtime=1x .
 	$(GO) test -run=NONE -bench='$(KERNEL_BENCH)' -benchtime=1x ./internal/bitpack ./internal/core ./internal/checkpoint
-
-# Diff two codec bench result files: per-strategy headline deltas plus
-# the streaming per-stage breakdown. Informational — never fails on a
-# regression, just renders it. Usage:
-#   make bench-compare OLD=BENCH_codec.json NEW=/tmp/BENCH_new.json
-OLD ?= BENCH_codec.json
-NEW ?= BENCH_codec.new.json
-bench-compare:
-	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)

@@ -11,6 +11,7 @@ package numarck_test
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"numarck"
@@ -273,7 +274,8 @@ func BenchmarkStreamEncodeClustering64K(b *testing.B) {
 }
 
 // benchStreamDecode measures the parallel chunked decode of a v2 file
-// at a given worker count.
+// at a given worker count. A row with more workers than GOMAXPROCS
+// measures scheduling, not scaling, and says so with env_limited=1.
 func benchStreamDecode(b *testing.B, workers int) {
 	const n = 1 << 16
 	prev, cur := benchData(n)
@@ -301,6 +303,9 @@ func benchStreamDecode(b *testing.B, workers int) {
 	}
 	if sink != n {
 		b.Fatalf("decoded %d points", sink)
+	}
+	if workers > runtime.GOMAXPROCS(0) {
+		b.ReportMetric(1, "env_limited")
 	}
 }
 

@@ -133,7 +133,7 @@ func run(variable string, iters int, dir, raw, nc string, e float64, b int, stra
 		}
 		if enc := encs[variable]; enc != nil {
 			cr, _ := enc.CompressionRatio()
-			fmt.Printf("iteration %3d: delta, incompressible %.2f%%, Eq.3 ratio %.2f%%\n", i, enc.Gamma()*100, cr)
+			fmt.Printf("iteration %3d: delta on the restart of %d, incompressible %.2f%%, Eq.3 ratio %.2f%%\n", i, i-1, enc.Gamma()*100, cr)
 		} else {
 			fmt.Printf("iteration %3d: full (lossless)\n", i)
 		}

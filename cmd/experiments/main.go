@@ -19,14 +19,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "fig1|fig3|fig4|fig5|fig6|fig7|table1|table2|fig8|ablations|scaling|codec-bench|all")
+	exp := flag.String("exp", "all", "fig1|fig3|fig4|fig5|fig6|fig7|table1|table2|fig8|ablations|scaling|all")
 	iters := flag.Int("iters", 0, "iterations per experiment (0 = per-experiment paper default)")
 	seed := flag.Int64("seed", experiments.DefaultSeed, "workload seed")
-	points := flag.Int("points", 0, "codec-bench: dataset points (0 = default)")
-	jsonPath := flag.String("json", "", "codec-bench: also write machine-readable results to this file")
 	flag.Parse()
 
-	if err := run(*exp, *iters, *seed, *points, *jsonPath); err != nil {
+	if err := run(*exp, *iters, *seed); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
@@ -41,7 +39,7 @@ func pick(iters, def int) int {
 	return def
 }
 
-func run(exp string, iters int, seed int64, points int, jsonPath string) error {
+func run(exp string, iters int, seed int64) error {
 	out := os.Stdout
 	all := exp == "all"
 	any := false
@@ -216,37 +214,6 @@ func run(exp string, iters int, seed int64, points int, jsonPath string) error {
 			return err
 		}
 		fmt.Fprintln(out)
-	}
-	// codec-bench is a machine-dependent timing run, so it is not part
-	// of "all" (which regenerates the paper's machine-independent
-	// figures); `make bench` invokes it explicitly.
-	if exp == "codec-bench" {
-		any = true
-		res, err := experiments.RunCodecBench(experiments.CodecBenchConfig{
-			Points: points,
-			Iters:  iters,
-			Seed:   seed,
-		})
-		if err != nil {
-			return err
-		}
-		if err := res.WriteText(out); err != nil {
-			return err
-		}
-		if jsonPath != "" {
-			f, err := os.Create(jsonPath)
-			if err != nil {
-				return err
-			}
-			werr := res.WriteJSON(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return werr
-			}
-			fmt.Fprintf(out, "wrote %s\n", jsonPath)
-		}
 	}
 	if !any {
 		return fmt.Errorf("unknown experiment %q", exp)

@@ -4,25 +4,19 @@ import "testing"
 
 func TestRunSingleExperiment(t *testing.T) {
 	// fig1 is the cheapest experiment; it exercises the dispatch path.
-	if err := run("fig1", 0, 1, 0, ""); err != nil {
+	if err := run("fig1", 0, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunWithIterationOverride(t *testing.T) {
-	if err := run("fig6", 4, 1, 0, ""); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunCodecBenchSmoke(t *testing.T) {
-	if err := run("codec-bench", 1, 1, 5000, ""); err != nil {
+	if err := run("fig6", 4, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("fig99", 0, 1, 0, ""); err == nil {
+	if err := run("fig99", 0, 1); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }

@@ -94,8 +94,8 @@ func run(dir, raw string, checkpoints, steps, blocks int, e float64, b int, stra
 				esum += enc.MeanErrorRate()
 			}
 			n := float64(len(encs))
-			fmt.Printf("checkpoint %2d: delta, avg incompressible %.2f%%, avg mean err %.5f%%\n",
-				c, gsum/n*100, esum/n*100)
+			fmt.Printf("checkpoint %2d: delta on the restart of %d, avg incompressible %.2f%%, avg mean err %.5f%%\n",
+				c, c-1, gsum/n*100, esum/n*100)
 			continue
 		}
 		for name, vals := range snap.Vars {

@@ -166,7 +166,7 @@ data files are raw little-endian float64 arrays`)
 
 func cmdCompress(args []string) error {
 	fs := flag.NewFlagSet("compress", flag.ExitOnError)
-	prevPath := fs.String("prev", "", "previous iteration values (.f64)")
+	prevPath := fs.String("prev", "", "previous iteration values (.f64); pass the previous *reconstruction* when building a chain")
 	curPath := fs.String("cur", "", "current iteration values (.f64)")
 	ncPath := fs.String("nc", "", "netCDF classic input file (use with -var/-from/-to)")
 	from := fs.Int("from", -1, "netCDF: index of the previous timestep")

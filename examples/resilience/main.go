@@ -49,7 +49,7 @@ func main() {
 		return sim
 	}
 	cfg := runner.Config{
-		Adaptive: &adaptive.Config{ErrorBudget: 0.01},
+		Adaptive: &adaptive.Config{},
 		Monitor:  &anomaly.Config{},
 	}
 

@@ -5,33 +5,29 @@
 // change".
 //
 // A fixed full-checkpoint period wastes space when the simulation is
-// quiet and lets restart error accumulate when it is turbulent. The
-// scheduler instead encodes each iteration tentatively as a delta and
-// inspects the encoding the compressor already produces:
+// quiet and pays for deltas that save nothing when it is turbulent. The
+// checkpoint Writer instead encodes each iteration tentatively as a
+// delta and asks the Scheduler, which inspects what the compressor
+// already produced:
 //
-//   - the worst-case accumulated restart error of the delta chain
-//     (the sum of per-delta maximum ratio errors, a first-order upper
-//     bound on the compounded relative error) must stay within the
-//     user's error budget;
 //   - a delta whose incompressible ratio γ is too high stores most
 //     points raw anyway, so a full checkpoint is cheaper and resets
 //     the chain for free;
 //   - a hard cap bounds chain length so restart cost stays bounded.
+//
+// Restart error is not an input: the Writer encodes closed-loop, so a
+// restart is within E·|x̂_{i-1}| of the truth at any chain depth and
+// there is no accumulated error for a schedule to ration.
+//
+// The Scheduler keeps no chain state of its own. The Writer owns each
+// variable's chain depth, advances it only once an iteration is wholly
+// committed, and re-derives it from the store on resume.
 package adaptive
 
-import (
-	"errors"
-	"fmt"
-
-	"numarck/internal/checkpoint"
-	"numarck/internal/core"
-)
+import "numarck/internal/core"
 
 // Config tunes the scheduler.
 type Config struct {
-	// ErrorBudget bounds the estimated accumulated restart error of a
-	// delta chain, as a fraction. Default 0.01 (1 %).
-	ErrorBudget float64
 	// GammaThreshold forces a full checkpoint when a tentative delta's
 	// incompressible ratio meets or exceeds it. Default 0.5.
 	GammaThreshold float64
@@ -40,9 +36,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ErrorBudget <= 0 {
-		c.ErrorBudget = 0.01
-	}
 	if c.GammaThreshold <= 0 {
 		c.GammaThreshold = 0.5
 	}
@@ -52,14 +45,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Reason explains a full-checkpoint decision.
+// Reason explains a decision.
 type Reason string
 
 const (
-	// ReasonFirst is the mandatory initial full checkpoint.
-	ReasonFirst Reason = "first checkpoint"
-	// ReasonBudget means the error budget would be exceeded.
-	ReasonBudget Reason = "error budget exhausted"
 	// ReasonGamma means the delta barely compresses.
 	ReasonGamma Reason = "incompressible ratio too high"
 	// ReasonChain means the chain-length cap was reached.
@@ -72,18 +61,12 @@ const (
 type Decision struct {
 	Full   bool
 	Reason Reason
-	// EstimatedChainError is the accumulated error estimate of the
-	// chain including this delta (before any reset).
-	EstimatedChainError float64
 }
 
-// Scheduler tracks one variable's delta chain. Not safe for concurrent
-// use.
+// Scheduler is the full-or-delta rule for one Config. It is stateless
+// and safe for concurrent use.
 type Scheduler struct {
-	cfg      Config
-	started  bool
-	chainLen int
-	accumErr float64
+	cfg Config
 }
 
 // NewScheduler creates a scheduler.
@@ -91,154 +74,22 @@ func NewScheduler(cfg Config) *Scheduler {
 	return &Scheduler{cfg: cfg.withDefaults()}
 }
 
-// Decide inspects a tentative delta encoding and returns whether a full
-// checkpoint should be written instead. The scheduler's chain state is
-// updated according to the decision.
-func (s *Scheduler) Decide(gamma, maxErr float64) Decision {
-	if !s.started {
-		s.started = true
-		s.reset()
-		return Decision{Full: true, Reason: ReasonFirst}
-	}
-	est := s.accumErr + maxErr
-	d := Decision{EstimatedChainError: est}
+// Decide returns whether a tentative delta with incompressible ratio
+// gamma, which would be delta number depth+1 of its chain, should be
+// replaced by a full checkpoint. A variable's first checkpoint is not a
+// decision: with nothing to encode a delta against, the Writer writes
+// it in full without asking.
+func (s *Scheduler) Decide(depth int, gamma float64) Decision {
 	switch {
-	case est > s.cfg.ErrorBudget:
-		d.Full, d.Reason = true, ReasonBudget
 	case gamma >= s.cfg.GammaThreshold:
-		d.Full, d.Reason = true, ReasonGamma
-	case s.chainLen+1 > s.cfg.MaxChain:
-		d.Full, d.Reason = true, ReasonChain
-	default:
-		d.Reason = ReasonDelta
+		return Decision{Full: true, Reason: ReasonGamma}
+	case depth >= s.cfg.MaxChain:
+		return Decision{Full: true, Reason: ReasonChain}
 	}
-	if d.Full {
-		s.reset()
-	} else {
-		s.chainLen++
-		s.accumErr = est
-	}
-	return d
+	return Decision{Reason: ReasonDelta}
 }
 
-func (s *Scheduler) reset() {
-	s.chainLen = 0
-	s.accumErr = 0
-}
-
-// ChainLength returns the current number of deltas since the last full.
-func (s *Scheduler) ChainLength() int { return s.chainLen }
-
-// AccumulatedError returns the current chain's error estimate.
-func (s *Scheduler) AccumulatedError() float64 { return s.accumErr }
-
-// Stats summarizes a writer's activity.
-type Stats struct {
-	Fulls, Deltas int
-	// FullReasons counts full checkpoints by reason.
-	FullReasons map[Reason]int
-}
-
-// Writer appends iterations to a checkpoint store with adaptive
-// full/delta decisions per variable.
-type Writer struct {
-	st    *checkpoint.Store
-	cfg   Config
-	sched map[string]*Scheduler
-	last  map[string][]float64
-	iter  int
-	began bool
-	stats Stats
-}
-
-// ErrSequence reports out-of-order appends.
-var ErrSequence = errors.New("adaptive: non-consecutive iteration")
-
-// NewWriter wraps a store.
-func NewWriter(st *checkpoint.Store, cfg Config) *Writer {
-	return &Writer{
-		st:    st,
-		cfg:   cfg.withDefaults(),
-		sched: map[string]*Scheduler{},
-		last:  map[string][]float64{},
-		stats: Stats{FullReasons: map[Reason]int{}},
-	}
-}
-
-// NewWriterAt creates a Writer primed to continue an existing store at
-// iteration lastIter with known per-variable state. Each variable's
-// scheduler starts a fresh chain, so the first post-recovery checkpoint
-// of every variable is full — the conservative choice after a restart,
-// since the reconstructed state already carries accumulated error.
-func NewWriterAt(st *checkpoint.Store, cfg Config, lastIter int, lastState map[string][]float64) *Writer {
-	w := NewWriter(st, cfg)
-	w.iter = lastIter
-	w.began = true
-	for v, data := range lastState {
-		w.last[v] = append([]float64(nil), data...)
-		// A primed variable still needs its mandatory first full; the
-		// zero-value scheduler provides exactly that.
-		w.sched[v] = NewScheduler(w.cfg)
-	}
-	return w
-}
-
-// Append writes iteration data for every variable, deciding full vs
-// delta per variable. Iterations must be consecutive.
-func (w *Writer) Append(iteration int, vars map[string][]float64) (map[string]Decision, error) {
-	if w.began && iteration != w.iter+1 {
-		return nil, fmt.Errorf("%w: %d after %d", ErrSequence, iteration, w.iter)
-	}
-	decisions := make(map[string]Decision, len(vars))
-	for v, data := range vars {
-		sch := w.sched[v]
-		if sch == nil {
-			sch = NewScheduler(w.cfg)
-			w.sched[v] = sch
-		}
-		prev, havePrev := w.last[v]
-
-		var dec Decision
-		var enc *core.Encoded
-		if !havePrev {
-			dec = sch.Decide(0, 0) // first sight: mandatory full
-			if !dec.Full {
-				return nil, fmt.Errorf("adaptive: internal error: first decision for %q was not full", v)
-			}
-		} else {
-			var err error
-			enc, err = core.Encode(prev, data, w.st.Options())
-			if err != nil {
-				return nil, fmt.Errorf("adaptive: %s@%d: %w", v, iteration, err)
-			}
-			dec = sch.Decide(enc.Gamma(), enc.MaxErrorRate())
-		}
-
-		if dec.Full {
-			if err := w.st.WriteFull(v, iteration, data); err != nil {
-				return nil, err
-			}
-			w.stats.Fulls++
-			w.stats.FullReasons[dec.Reason]++
-		} else {
-			if err := w.st.WriteEncodedDelta(v, iteration, enc); err != nil {
-				return nil, err
-			}
-			w.stats.Deltas++
-		}
-		w.last[v] = append([]float64(nil), data...)
-		decisions[v] = dec
-	}
-	w.iter = iteration
-	w.began = true
-	return decisions, nil
-}
-
-// Stats returns a copy of the writer's counters.
-func (w *Writer) Stats() Stats {
-	out := Stats{Fulls: w.stats.Fulls, Deltas: w.stats.Deltas, FullReasons: map[Reason]int{}}
-	for k, v := range w.stats.FullReasons {
-		out.FullReasons[k] = v
-	}
-	return out
+// Full is Decide in the shape of the checkpoint Writer's schedule seam.
+func (s *Scheduler) Full(depth int, enc *core.Encoded) bool {
+	return s.Decide(depth, enc.Gamma()).Full
 }

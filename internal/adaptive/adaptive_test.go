@@ -1,7 +1,6 @@
 package adaptive
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -22,6 +21,28 @@ func newStore(t *testing.T) *checkpoint.Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// newWriter is the one checkpoint Writer under the scheduler.
+func newWriter(st *checkpoint.Store, cfg Config) *checkpoint.Writer {
+	return checkpoint.Scheduled(checkpoint.NewWriter(st, 0), NewScheduler(cfg).Full)
+}
+
+// kinds counts a variable's committed fulls and deltas.
+func kinds(t *testing.T, st *checkpoint.Store, variable string) (fulls, deltas int) {
+	t.Helper()
+	entries, err := st.List(variable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Kind == "full" {
+			fulls++
+		} else {
+			deltas++
+		}
+	}
+	return fulls, deltas
 }
 
 // quietSeries changes by ~0.02 % per step: deltas should dominate.
@@ -59,166 +80,114 @@ func turbulentSeries(n, iters int, seed int64) [][]float64 {
 }
 
 func TestSchedulerFirstIsFull(t *testing.T) {
-	s := NewScheduler(Config{})
-	d := s.Decide(0, 0)
-	if !d.Full || d.Reason != ReasonFirst {
-		t.Errorf("first decision: %+v", d)
+	// A variable's first checkpoint is full and not a decision: there is
+	// no tentative delta to show the schedule.
+	st := newStore(t)
+	asked := 0
+	w := checkpoint.Scheduled(checkpoint.NewWriter(st, 0), func(depth int, enc *core.Encoded) bool {
+		asked++
+		return NewScheduler(Config{}).Full(depth, enc)
+	})
+	series := quietSeries(200, 2, 8)
+	encs, err := w.Append(0, map[string][]float64{"v": series[0]})
+	if err != nil {
+		t.Fatal(err)
 	}
-	d = s.Decide(0.01, 0.0001)
-	if d.Full {
-		t.Errorf("second decision full: %+v", d)
+	if len(encs) != 0 || asked != 0 {
+		t.Errorf("first append: %d deltas, schedule asked %d times; want a full, unasked", len(encs), asked)
 	}
-}
-
-func TestSchedulerErrorBudget(t *testing.T) {
-	s := NewScheduler(Config{ErrorBudget: 0.005})
-	s.Decide(0, 0) // first full
-	// Each delta contributes max error 0.001: after 5 the budget (0.005)
-	// is exceeded on the 6th.
-	fullAt := -1
-	for i := 1; i <= 10; i++ {
-		d := s.Decide(0.01, 0.001)
-		if d.Full {
-			fullAt = i
-			if d.Reason != ReasonBudget {
-				t.Errorf("reason = %v", d.Reason)
-			}
-			break
-		}
+	if encs, err = w.Append(1, map[string][]float64{"v": series[1]}); err != nil {
+		t.Fatal(err)
 	}
-	if fullAt != 6 {
-		t.Errorf("budget full at delta %d, want 6 (5x0.001 <= 0.005 < 6x0.001)", fullAt)
-	}
-	// After the reset the chain error starts over.
-	if s.AccumulatedError() != 0 || s.ChainLength() != 0 {
-		t.Errorf("state not reset: %v, %d", s.AccumulatedError(), s.ChainLength())
+	if encs["v"] == nil || asked != 1 {
+		t.Errorf("second append: delta %v, schedule asked %d times; want a delta, asked once", encs["v"] != nil, asked)
 	}
 }
 
 func TestSchedulerGammaThreshold(t *testing.T) {
 	s := NewScheduler(Config{GammaThreshold: 0.4})
-	s.Decide(0, 0)
-	d := s.Decide(0.45, 0.0001)
-	if !d.Full || d.Reason != ReasonGamma {
+	if d := s.Decide(0, 0.45); !d.Full || d.Reason != ReasonGamma {
 		t.Errorf("gamma decision: %+v", d)
+	}
+	if d := s.Decide(0, 0.39); d.Full || d.Reason != ReasonDelta {
+		t.Errorf("below threshold: %+v", d)
 	}
 }
 
 func TestSchedulerMaxChain(t *testing.T) {
-	s := NewScheduler(Config{MaxChain: 3, ErrorBudget: 100, GammaThreshold: 1.1})
-	s.Decide(0, 0)
-	var full int
-	for i := 1; i <= 10; i++ {
-		if d := s.Decide(0, 0); d.Full {
-			full = i
-			if d.Reason != ReasonChain {
-				t.Errorf("reason = %v", d.Reason)
-			}
-			break
+	s := NewScheduler(Config{MaxChain: 3, GammaThreshold: 1.1})
+	for depth := 0; depth < 3; depth++ {
+		if d := s.Decide(depth, 0); d.Full {
+			t.Errorf("depth %d: %+v, want a delta", depth, d)
 		}
 	}
-	if full != 4 {
-		t.Errorf("chain cap hit at %d, want 4 (3 deltas then full)", full)
+	if d := s.Decide(3, 0); !d.Full || d.Reason != ReasonChain {
+		t.Errorf("depth 3: %+v, want the chain cap", d)
+	}
+
+	// Through the Writer, which owns the depth: 3 deltas, then a full.
+	st := newStore(t)
+	w := newWriter(st, Config{MaxChain: 3})
+	for i, data := range quietSeries(500, 9, 9) {
+		encs, err := w.Append(i, map[string][]float64{"v": data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full := encs["v"] == nil; full != (i%4 == 0) {
+			t.Errorf("iteration %d: full = %v, want fulls at 0, 4, 8", i, full)
+		}
 	}
 }
 
 func TestWriterQuietSeriesMostlyDeltas(t *testing.T) {
 	st := newStore(t)
-	w := NewWriter(st, Config{ErrorBudget: 0.01})
+	w := newWriter(st, Config{})
 	series := quietSeries(2000, 20, 1)
 	for i, data := range series {
 		if _, err := w.Append(i, map[string][]float64{"v": data}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	stats := w.Stats()
-	if stats.Fulls > 3 {
-		t.Errorf("quiet series wrote %d fulls", stats.Fulls)
+	if fulls, deltas := kinds(t, st, "v"); fulls != 1 || deltas != 19 {
+		t.Errorf("quiet series wrote %d fulls and %d deltas, want 1 and 19", fulls, deltas)
 	}
-	if stats.Deltas < 17 {
-		t.Errorf("quiet series wrote only %d deltas", stats.Deltas)
-	}
-	// Everything restarts within the budget.
+	// Everything restarts within one step's bound, 19 deltas deep or not.
+	prev := series[0]
 	for i := range series {
 		rec, err := st.Restart("v", i)
 		if err != nil {
 			t.Fatalf("restart %d: %v", i, err)
 		}
 		for j := range rec {
-			rel := math.Abs(rec[j]-series[i][j]) / math.Abs(series[i][j])
-			if rel > 0.011 {
-				t.Fatalf("iteration %d point %d error %v exceeds budget", i, j, rel)
+			if err := math.Abs(rec[j] - series[i][j]); err > 0.001*math.Abs(prev[j])*(1+1e-9) {
+				t.Fatalf("iteration %d point %d error %v exceeds E·|x̂_{i-1}|", i, j, err)
 			}
 		}
+		prev = rec
 	}
 }
 
 func TestWriterTurbulentSeriesWritesFulls(t *testing.T) {
 	st := newStore(t)
-	w := NewWriter(st, Config{GammaThreshold: 0.5})
+	w := newWriter(st, Config{GammaThreshold: 0.5})
 	series := turbulentSeries(2000, 8, 2)
 	for i, data := range series {
 		if _, err := w.Append(i, map[string][]float64{"v": data}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	stats := w.Stats()
-	if stats.Fulls < 6 {
-		t.Errorf("turbulent series wrote only %d fulls (deltas %d)", stats.Fulls, stats.Deltas)
-	}
-	if stats.FullReasons[ReasonGamma] == 0 {
-		t.Errorf("no gamma-forced fulls: %+v", stats.FullReasons)
-	}
-}
-
-func TestWriterBudgetBoundsActualRestartError(t *testing.T) {
-	// The core guarantee of the scheduler: for every iteration, the
-	// true restart error is below the configured budget (first-order;
-	// allow the quadratic slack).
-	st := newStore(t)
-	budget := 0.004
-	w := NewWriter(st, Config{ErrorBudget: budget})
-	rng := rand.New(rand.NewSource(3))
-	series := make([][]float64, 24)
-	series[0] = make([]float64, 1500)
-	for j := range series[0] {
-		series[0][j] = 50 + rng.Float64()*10
-	}
-	for i := 1; i < len(series); i++ {
-		series[i] = make([]float64, 1500)
-		for j := range series[i] {
-			series[i][j] = series[i-1][j] * (1 + rng.NormFloat64()*0.002)
-		}
-	}
-	for i, data := range series {
-		if _, err := w.Append(i, map[string][]float64{"v": data}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Stats().Fulls < 2 {
-		t.Fatalf("expected budget-forced fulls, got %+v", w.Stats())
-	}
-	for i := range series {
-		rec, err := st.Restart("v", i)
-		if err != nil {
-			t.Fatalf("restart %d: %v", i, err)
-		}
-		for j := range rec {
-			rel := math.Abs(rec[j]-series[i][j]) / math.Abs(series[i][j])
-			if rel > budget*1.2 {
-				t.Fatalf("iteration %d point %d error %v exceeds budget %v", i, j, rel, budget)
-			}
-		}
+	if fulls, deltas := kinds(t, st, "v"); fulls < 6 {
+		t.Errorf("turbulent series wrote only %d fulls (deltas %d)", fulls, deltas)
 	}
 }
 
 func TestWriterMultiVariableIndependentDecisions(t *testing.T) {
 	st := newStore(t)
-	w := NewWriter(st, Config{GammaThreshold: 0.5})
+	w := newWriter(st, Config{GammaThreshold: 0.5})
 	quiet := quietSeries(1000, 6, 4)
 	rough := turbulentSeries(1000, 6, 5)
 	for i := 0; i < 6; i++ {
-		decs, err := w.Append(i, map[string][]float64{
+		encs, err := w.Append(i, map[string][]float64{
 			"quiet": quiet[i],
 			"rough": rough[i],
 		})
@@ -226,10 +195,10 @@ func TestWriterMultiVariableIndependentDecisions(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i > 0 {
-			if decs["quiet"].Full {
-				t.Errorf("iteration %d: quiet variable got a full (%v)", i, decs["quiet"].Reason)
+			if encs["quiet"] == nil {
+				t.Errorf("iteration %d: quiet variable got a full", i)
 			}
-			if !decs["rough"].Full {
+			if encs["rough"] != nil {
 				t.Errorf("iteration %d: rough variable got a delta", i)
 			}
 		}
@@ -238,38 +207,38 @@ func TestWriterMultiVariableIndependentDecisions(t *testing.T) {
 
 func TestWriterSequenceValidation(t *testing.T) {
 	st := newStore(t)
-	w := NewWriter(st, Config{})
+	w := newWriter(st, Config{})
 	series := quietSeries(100, 3, 6)
 	if _, err := w.Append(0, map[string][]float64{"v": series[0]}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(2, map[string][]float64{"v": series[2]}); !errors.Is(err, ErrSequence) {
-		t.Errorf("gap accepted: %v", err)
+	if _, err := w.Append(2, map[string][]float64{"v": series[2]}); err == nil {
+		t.Error("gap accepted")
 	}
 }
 
 func TestWriterNewVariableMidRunGetsFull(t *testing.T) {
 	st := newStore(t)
-	w := NewWriter(st, Config{})
+	w := newWriter(st, Config{})
 	series := quietSeries(100, 4, 7)
 	if _, err := w.Append(0, map[string][]float64{"a": series[0]}); err != nil {
 		t.Fatal(err)
 	}
-	decs, err := w.Append(1, map[string][]float64{"a": series[1], "b": series[1]})
+	encs, err := w.Append(1, map[string][]float64{"a": series[1], "b": series[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !decs["b"].Full || decs["b"].Reason != ReasonFirst {
-		t.Errorf("new variable decision: %+v", decs["b"])
+	if encs["b"] != nil {
+		t.Error("new variable got a delta")
 	}
-	if decs["a"].Full {
-		t.Errorf("existing variable got full: %+v", decs["a"])
+	if encs["a"] == nil {
+		t.Error("existing variable got a full")
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.ErrorBudget != 0.01 || c.GammaThreshold != 0.5 || c.MaxChain != 64 {
+	if c.GammaThreshold != 0.5 || c.MaxChain != 64 {
 		t.Errorf("defaults: %+v", c)
 	}
 }

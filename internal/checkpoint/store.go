@@ -398,7 +398,12 @@ func (st *Store) WriteFull(variable string, iteration int, data []float64) error
 }
 
 // WriteDelta encodes the transition prev → cur with the store's options
-// and writes the delta checkpoint. It returns the encoding so callers
+// and writes the delta checkpoint. prev is the prediction reference:
+// Restart replays the delta onto its own reconstruction of iteration-1,
+// so the result is within E·|prev| of cur only if prev is that
+// reconstruction. The Writer passes it; a caller that passes the true
+// previous state instead (the paper's in-situ layout) lets the error
+// compound along the chain. WriteDelta returns the encoding so callers
 // can record its metrics (γ, error rates, compression ratio).
 func (st *Store) WriteDelta(variable string, iteration int, prev, cur []float64) (*core.Encoded, error) {
 	enc, err := core.Encode(prev, cur, st.opt)
@@ -414,8 +419,8 @@ func (st *Store) WriteDelta(variable string, iteration int, prev, cur []float64)
 // WriteEncodedDelta writes an already-encoded delta checkpoint in the
 // single-section v1 layout (chunked v2 files, which reads accept just
 // the same, are committed through WriteRawDelta). Used by callers that
-// inspect the encoding before committing to a delta (the adaptive
-// scheduler encodes tentatively and may write a full checkpoint
+// inspect the encoding before committing to a delta (the Writer encodes
+// tentatively and, under a schedule, may write a full checkpoint
 // instead).
 func (st *Store) WriteEncodedDelta(variable string, iteration int, enc *core.Encoded) error {
 	if err := validateIdentity(variable, iteration); err != nil {

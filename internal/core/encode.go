@@ -245,7 +245,8 @@ func (e *Encoded) markIncompressible(j int, v float64) {
 
 // Decode reconstructs the checkpoint from prev, which may itself be a
 // reconstruction (restart replays a chain of deltas on top of the last
-// full checkpoint, accumulating error, §II-D).
+// full checkpoint, §II-D). The result is within E·|prev| of the encoded
+// state per point when prev is the slice the encode predicted from.
 func (e *Encoded) Decode(prev []float64) ([]float64, error) {
 	if len(prev) != e.N {
 		return nil, fmt.Errorf("%w: prev has %d points, encoded has %d", ErrLength, len(prev), e.N)

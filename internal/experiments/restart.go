@@ -139,9 +139,12 @@ func runFig8Strategy(cfg Fig8Config, golden []*flash.Snapshot, strat core.Strate
 			err = cerr
 		}
 	}()
-	// Write the checkpoint chain: full at index 0, deltas after,
-	// exactly the paper's layout for studying accumulated error.
-	w := checkpoint.NewWriter(st, 0)
+	// Write the checkpoint chain: full at index 0, deltas after, each
+	// delta encoded against the TRUE previous checkpoint — the paper's
+	// in-situ layout, kept on purpose so that Fig. 8's "farther restart,
+	// higher error" is reproduced. This is the only open-loop writer in
+	// the repo; checkpoint.Writer predicts from its own reconstruction
+	// and its restart error does not grow with distance.
 	maxDist := 0
 	for _, d := range cfg.Distances {
 		if d > maxDist {
@@ -149,8 +152,15 @@ func runFig8Strategy(cfg Fig8Config, golden []*flash.Snapshot, strat core.Strate
 		}
 	}
 	for i := 0; i <= maxDist; i++ {
-		if _, err := w.Append(i, golden[i].Vars); err != nil {
-			return nil, fmt.Errorf("append checkpoint %d: %w", i, err)
+		for v, data := range golden[i].Vars {
+			if i == 0 {
+				err = st.WriteFull(v, i, data)
+			} else {
+				_, err = st.WriteDelta(v, i, golden[i-1].Vars[v], data)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("write checkpoint %d of %s: %w", i, v, err)
+			}
 		}
 	}
 

@@ -2,10 +2,11 @@
 // paper's introduction asks for ("How do we engineer scalable software
 // for storing, replaying, and restarting simulations?", §I Q6). It
 // drives any iterative Simulator, writes NUMARCK checkpoints after
-// every iteration — with either a fixed full-checkpoint period or the
-// adaptive scheduler — optionally screens each checkpoint for silent
-// data corruption before it is persisted, and recovers a crashed
-// simulation from the latest restorable iteration in the store.
+// every iteration — on a fixed full-checkpoint period, with the
+// adaptive scheduler adding fulls where deltas stop paying — optionally
+// screens each checkpoint for silent data corruption before it is
+// persisted, and recovers a crashed simulation from the latest
+// restorable iteration in the store.
 package runner
 
 import (
@@ -33,12 +34,11 @@ type Simulator interface {
 
 // Config configures a Runner.
 type Config struct {
-	// FullEvery is the fixed full-checkpoint period. Ignored when
-	// Adaptive is non-nil. <= 0 means only the first checkpoint is
-	// full.
+	// FullEvery is the fixed full-checkpoint period. <= 0 means only
+	// the first checkpoint is full.
 	FullEvery int
-	// Adaptive switches to the dynamic scheduler with this
-	// configuration.
+	// Adaptive lets the dynamic scheduler with this configuration turn
+	// further checkpoints into fulls, per variable.
 	Adaptive *adaptive.Config
 	// Monitor enables SDC screening of every checkpoint with this
 	// anomaly-detector configuration (one detector per variable).
@@ -73,14 +73,13 @@ type Report struct {
 
 // Runner drives a Simulator against a checkpoint store.
 type Runner struct {
-	sim   Simulator
-	st    *checkpoint.Store
-	cfg   Config
-	next  int // next iteration index to write
-	fixed *checkpoint.Writer
-	adapt *adaptive.Writer
-	mons  map[string]*anomaly.Detector
-	last  map[string][]float64
+	sim  Simulator
+	st   *checkpoint.Store
+	cfg  Config
+	next int // next iteration index to write
+	w    *checkpoint.Writer
+	mons map[string]*anomaly.Detector
+	last map[string][]float64
 }
 
 // New creates a runner writing into st starting at iteration 0.
@@ -92,12 +91,16 @@ func New(sim Simulator, st *checkpoint.Store, cfg Config) *Runner {
 		mons: map[string]*anomaly.Detector{},
 		last: map[string][]float64{},
 	}
-	if cfg.Adaptive != nil {
-		r.adapt = adaptive.NewWriter(st, *cfg.Adaptive)
-	} else {
-		r.fixed = checkpoint.NewWriter(st, cfg.FullEvery)
-	}
+	r.w = r.scheduled(checkpoint.NewWriter(st, cfg.FullEvery))
 	return r
+}
+
+// scheduled applies the configured scheduler, if any, to w.
+func (r *Runner) scheduled(w *checkpoint.Writer) *checkpoint.Writer {
+	if r.cfg.Adaptive == nil {
+		return w
+	}
+	return checkpoint.Scheduled(w, adaptive.NewScheduler(*r.cfg.Adaptive).Full)
 }
 
 // NextIteration returns the iteration index the next checkpoint will
@@ -167,23 +170,9 @@ func (r *Runner) screen(state map[string][]float64, rep *Report) error {
 	return nil
 }
 
-// write persists the state through the configured writer.
+// write persists the state through the writer.
 func (r *Runner) write(state map[string][]float64, rep *Report) error {
-	if r.adapt != nil {
-		decs, err := r.adapt.Append(r.next, state)
-		if err != nil {
-			return err
-		}
-		for _, d := range decs {
-			if d.Full {
-				rep.Fulls++
-			} else {
-				rep.Deltas++
-			}
-		}
-		return nil
-	}
-	encs, err := r.fixed.Append(r.next, state)
+	encs, err := r.w.Append(r.next, state)
 	if err != nil {
 		return err
 	}
@@ -230,12 +219,8 @@ func (r *Runner) Recover() (int, error) {
 		r.last[v] = append([]float64(nil), data...)
 	}
 	r.next = target + 1
-	// Continuing an existing store requires consecutive iterations;
-	// rebuild the writer chains from the recovered state.
-	if r.adapt != nil {
-		r.adapt = adaptive.NewWriterAt(r.st, *r.cfg.Adaptive, target, state)
-	} else {
-		r.fixed = checkpoint.NewWriterAt(r.st, r.cfg.FullEvery, target, state)
-	}
+	// The recovered state is what Restart returned, which is exactly the
+	// Writer's prediction reference: the chain continues with deltas.
+	r.w = r.scheduled(checkpoint.NewWriterAt(r.st, r.cfg.FullEvery, target, state))
 	return target, nil
 }

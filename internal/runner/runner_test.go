@@ -127,7 +127,7 @@ func TestRunFixedMode(t *testing.T) {
 
 func TestRunAdaptiveMode(t *testing.T) {
 	st := newStore(t)
-	cfg := adaptive.Config{ErrorBudget: 0.01}
+	cfg := adaptive.Config{}
 	r := New(newToySim(500), st, Config{Adaptive: &cfg})
 	rep, err := r.Run(8)
 	if err != nil {
@@ -236,7 +236,7 @@ func TestRecoverAdaptiveMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := adaptive.Config{ErrorBudget: 0.01}
+	cfg := adaptive.Config{}
 	r1 := New(newToySim(300), st, Config{Adaptive: &cfg})
 	if _, err := r1.Run(5); err != nil {
 		t.Fatal(err)
@@ -254,9 +254,83 @@ func TestRecoverAdaptiveMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Post-recovery, the first checkpoint of each variable is full.
-	if rep.Fulls < 2 {
-		t.Errorf("post-recovery fulls = %d", rep.Fulls)
+	// The recovered state is the prediction reference, so the chain
+	// simply continues: no full checkpoint is forced.
+	if rep.Fulls != 0 || rep.Deltas != 6 {
+		t.Errorf("post-recovery: %d fulls, %d deltas, want 0 and 6", rep.Fulls, rep.Deltas)
+	}
+}
+
+// TestRecoverContinuesChainWithinBound is the resume contract: Recover
+// hands the Writer what Restart returned, so a crash → Recover →
+// continue chain needs no forced full and every later iteration
+// restarts within the one bound, E·|x̂_{i-1}| per point — and the
+// scheduler's chain cap counts the deltas written before the crash.
+func TestRecoverContinuesChainWithinBound(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"fixed":    {},
+		"adaptive": {Adaptive: &adaptive.Config{MaxChain: 8}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ck")
+			st, err := checkpoint.Create(dir, opts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := New(newToySim(400), st, cfg).Run(6); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st, err = checkpoint.Open(dir); err != nil {
+				t.Fatal(err)
+			}
+			r := New(newToySim(400), st, cfg)
+			if _, err := r.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Run(6); err != nil {
+				t.Fatal(err)
+			}
+
+			// Iteration i holds the toy state after advance i+1.
+			truth := newToySim(400)
+			for _, v := range []string{"alpha", "beta"} {
+				entries, err := st.List(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var prev []float64
+				for i, e := range entries {
+					// Delta 9 would be the ninth of its chain: the cap of 8
+					// counts the five deltas written before the crash.
+					wantFull := i == 0 || cfg.Adaptive != nil && i == 9
+					if e.Iteration != i || (e.Kind == "full") != wantFull {
+						t.Fatalf("%s: entry %d is %s@%d, want full = %v", v, i, e.Kind, e.Iteration, wantFull)
+					}
+					truth.step = i + 1
+					want := truth.State()[v]
+					got, err := st.Restart(v, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j := range got {
+						bound := 0.0
+						if !wantFull {
+							bound = 0.001 * math.Abs(prev[j]) * (1 + 1e-9)
+						}
+						if d := math.Abs(got[j] - want[j]); d > bound {
+							t.Fatalf("%s@%d point %d: error %g exceeds E·|x̂_{i-1}| = %g", v, i, j, d, bound)
+						}
+					}
+					prev = got
+				}
+				if len(entries) != 12 {
+					t.Errorf("%s: %d entries, want 12", v, len(entries))
+				}
+			}
+		})
 	}
 }
 

@@ -80,7 +80,9 @@ type Store = checkpoint.Store
 type ReadView = checkpoint.ReadView
 
 // Writer appends simulation iterations to a Store, alternating full and
-// delta checkpoints.
+// delta checkpoints. Deltas are encoded against the Writer's own
+// reconstruction of the previous iteration, so every Restart is within
+// E·|x̂_{i-1}| of the truth per point at any chain depth.
 type Writer = checkpoint.Writer
 
 // CreateStore initializes a checkpoint store in dir and claims its

@@ -22,15 +22,21 @@ type Series struct {
 var ErrSeries = errors.New("numarck: invalid series")
 
 // CompressSeries encodes consecutive iterations. Each delta is computed
-// against the true previous iteration, as in in-situ checkpointing.
+// closed-loop, against the reconstruction of the previous iteration
+// rather than its true values, so Reconstruct(i) is within E·|x̂_{i-1}|
+// of iteration i per point however long the series is.
 func CompressSeries(iterations [][]float64, opt Options) (*Series, error) {
 	if len(iterations) == 0 {
 		return nil, fmt.Errorf("%w: no iterations", ErrSeries)
 	}
 	s := &Series{First: append([]float64(nil), iterations[0]...)}
+	ref := s.First
 	for i := 1; i < len(iterations); i++ {
-		enc, err := core.Encode(iterations[i-1], iterations[i], opt)
+		enc, err := core.Encode(ref, iterations[i], opt)
 		if err != nil {
+			return nil, fmt.Errorf("numarck: iteration %d: %w", i, err)
+		}
+		if ref, err = enc.Decode(ref); err != nil {
 			return nil, fmt.Errorf("numarck: iteration %d: %w", i, err)
 		}
 		s.Deltas = append(s.Deltas, enc)
@@ -42,8 +48,9 @@ func CompressSeries(iterations [][]float64, opt Options) (*Series, error) {
 func (s *Series) Len() int { return 1 + len(s.Deltas) }
 
 // Reconstruct returns iteration i by replaying deltas on top of the
-// first iteration — the restart semantics of §II-D, so error
-// accumulates with i within the per-step bound.
+// first iteration — the restart semantics of §II-D. The deltas were
+// encoded against this very replay, so the error does not accumulate
+// with i: it is one step's, E·|x̂_{i-1}| per point.
 func (s *Series) Reconstruct(i int) ([]float64, error) {
 	if i < 0 || i >= s.Len() {
 		return nil, fmt.Errorf("%w: iteration %d of %d", ErrSeries, i, s.Len())

@@ -30,24 +30,24 @@ func seriesOpts() numarck.Options {
 }
 
 func TestCompressSeriesRoundTrip(t *testing.T) {
-	iters := makeIterations(3000, 8, 1)
+	iters := makeIterations(3000, 24, 1)
 	s, err := numarck.CompressSeries(iters, seriesOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 8 {
+	if s.Len() != 24 {
 		t.Fatalf("Len = %d", s.Len())
 	}
 	all, err := s.ReconstructAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range iters {
-		bound := math.Pow(1.001, float64(i)) - 1 + 1e-12
+	// The series is encoded closed-loop: one step's bound at any depth.
+	for i := 1; i < len(iters); i++ {
 		for j := range iters[i] {
-			rel := math.Abs(all[i][j]-iters[i][j]) / math.Abs(iters[i][j])
-			if rel > bound*1.5 {
-				t.Fatalf("iteration %d point %d: error %v exceeds envelope %v", i, j, rel, bound*1.5)
+			err, bound := math.Abs(all[i][j]-iters[i][j]), 0.001*math.Abs(all[i-1][j])*(1+1e-9)
+			if err > bound {
+				t.Fatalf("iteration %d point %d: error %v exceeds E·|x̂_{i-1}| = %v", i, j, err, bound)
 			}
 		}
 	}
