@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-fix sarif docs test test-cpu race race-pipeline crash-test fuzz-smoke serve-smoke chaos-smoke verify bench bench-kernel bench-smoke
+.PHONY: all build vet lint docs test test-cpu race race-pipeline crash-test fuzz-smoke serve-smoke chaos-smoke verify bench bench-kernel bench-smoke
 
 all: verify
 
@@ -18,16 +18,6 @@ vet:
 
 lint:
 	$(GO) run ./cmd/numarcklint ./...
-
-# Apply the analyzers' suggested fixes (error-verb rewrites, stale
-# suppression deletions), then report whatever remains.
-lint-fix:
-	$(GO) run ./cmd/numarcklint -fix ./...
-
-# Lint with a SARIF 2.1.0 log on the side, for CI code-scanning
-# annotations. Exit status still reflects unsuppressed findings.
-sarif:
-	$(GO) run ./cmd/numarcklint -sarif numarcklint.sarif ./...
 
 # Documentation lint alone: fails when a package lacks a package
 # comment or an exported identifier lacks a doc comment.

@@ -10,15 +10,13 @@
 //	numarck decompress -prev prev.f64 -in ckpt.nmk -out rec.f64 [-workers n] [-recover]
 //	numarck inspect    -in ckpt.nmk
 //	numarck restart    -dir store -var dens -iter 12 -out rec.f64 [-recover]
-//	numarck verify     -dir store
 //
-// With -addr, compress, decompress, and verify run as clients of a
-// numarckd daemon instead of touching local files: compress pushes the
-// current values and lets the daemon delta-encode against its chain,
-// decompress fetches a server-side reconstruction, and verify asks for
-// the daemon's lock-free deep chain report. compress -plan prints the
-// resolved pipeline plan (chunk size, workers, peak buffer bytes) for
-// the given -chunk/-workers/-budget without doing any work.
+// With -addr, compress and decompress run as clients of a numarckd
+// daemon instead of touching local files: compress pushes the current
+// values and lets the daemon delta-encode against its chain, and
+// decompress fetches a server-side reconstruction. compress -plan
+// prints the resolved pipeline plan (chunk size, workers, peak buffer
+// bytes) for the given -chunk/-workers/-budget without doing any work.
 //
 // -recover turns on degraded-mode decode: chunks of a chunked (v2)
 // delta whose CRC fails are quarantined, every healthy chunk decodes,
@@ -26,10 +24,8 @@
 // values in the output) are reported on stderr. A v1 delta is one chunk
 // under one CRC, so there -recover changes nothing: healthy it decodes,
 // corrupt it fails. Without -recover, any corruption fails the command
-// — fail-closed is the default. verify
-// prints a chain health report: the Open-time recovery scan's findings,
-// deep per-file and journal checks, quarantined files, and the latest
-// restorable iteration per variable.
+// — fail-closed is the default. `storectl verify` prints a store's
+// health report.
 //
 // With -stream, compress runs the out-of-core pipeline: the inputs are
 // read in chunks under the -budget memory cap and the chunked v2
@@ -123,8 +119,6 @@ func main() {
 		err = cmdInspect(os.Args[2:])
 	case "restart":
 		err = cmdRestart(os.Args[2:])
-	case "verify":
-		err = cmdVerify(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 		return
@@ -146,19 +140,17 @@ func usage() {
   numarck decompress -prev prev.f64 -in ckpt.nmk -out rec.f64 [-workers n] [-recover]
   numarck inspect    -in ckpt.nmk
   numarck restart    -dir store -var name -iter n -out rec.f64 [-recover]
-  numarck verify     -dir store
 
 daemon client mode (against a running numarckd):
   numarck compress   -addr http://host:8377 -tenant t -var dens -iter n -cur cur.f64
   numarck decompress -addr http://host:8377 -tenant t -var dens -iter n -out rec.f64 [-recover]
-  numarck verify     -addr http://host:8377 -tenant t
   numarck compress   -stream -plan [-chunk points] [-workers n] [-budget bytes]
 
 -recover salvages chunk-local corruption in chunked (v2) deltas:
 healthy chunks decode, lost point ranges keep the previous iteration's
 values and are reported; without it (and for v1 deltas, which are one
 chunk under one CRC) any corruption fails the command.
-verify prints a chain health report for a checkpoint store.
+storectl verify prints a checkpoint store's health report.
 
 compress/decompress also take -metrics and -metrics-json path
 data files are raw little-endian float64 arrays`)
@@ -502,66 +494,4 @@ func cmdRestart(args []string) error {
 	}
 	fmt.Printf("reconstructed %s@%d: %d points\n", *variable, *iter, len(data))
 	return nil
-}
-
-// cmdVerify prints a chain health report for a checkpoint store: the
-// Open-time recovery scan's findings, every issue the deep Verify pass
-// found (parse, CRC, chain-gap, and journal cross-check), the contents
-// of quarantine/, and the latest restorable iteration per variable.
-func cmdVerify(args []string) (err error) {
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	dir := fs.String("dir", "", "checkpoint store directory")
-	addr := fs.String("addr", "", "numarckd base URL: verify a daemon-held store over HTTP")
-	tenant := fs.String("tenant", "default", "daemon mode: tenant to verify")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *addr != "" {
-		return remoteVerify(*addr, *tenant)
-	}
-	if *dir == "" {
-		return fmt.Errorf("verify requires -dir")
-	}
-	st, err := checkpoint.Open(*dir)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := st.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	fmt.Printf("recovery scan: %s\n", st.Recovery())
-	fmt.Printf("%s\n", st.IndexHealth())
-	issues, err := st.Verify()
-	if err != nil {
-		return err
-	}
-	for _, is := range issues {
-		fmt.Printf("issue: %s\n", is)
-	}
-	quarantined, err := st.Quarantined()
-	if err != nil {
-		return err
-	}
-	for _, name := range quarantined {
-		fmt.Printf("quarantined: %s\n", name)
-	}
-	vars, err := st.Variables()
-	if err != nil {
-		return err
-	}
-	for _, v := range vars {
-		latest, err := st.LatestRestorable(v)
-		if err != nil {
-			fmt.Printf("%s: not restorable (%v)\n", v, err)
-			continue
-		}
-		fmt.Printf("%s: restorable through iteration %d\n", v, latest)
-	}
-	if len(issues) == 0 && len(quarantined) == 0 && st.Recovery().Clean() {
-		fmt.Println("store is healthy")
-		return nil
-	}
-	return fmt.Errorf("store has %d issue(s), %d quarantined file(s)", len(issues), len(quarantined))
 }

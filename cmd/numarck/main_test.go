@@ -238,40 +238,6 @@ func writeDeltaV2(t *testing.T, st *checkpoint.Store, variable string, iteration
 	}
 }
 
-func TestVerifyCommand(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
-	st, err := checkpoint.Create(dir, core.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: core.Clustering})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, prev, cur := writeSeries(t, t.TempDir())
-	if err := st.WriteFull("dens", 0, prev); err != nil {
-		t.Fatal(err)
-	}
-	writeDeltaV2(t, st, "dens", 1, prev, cur)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdVerify([]string{"-dir", dir}); err != nil {
-		t.Fatalf("verify of healthy store: %v", err)
-	}
-	// Truncate the delta: verify must quarantine it and report unhealth.
-	path := filepath.Join(dir, "dens.delta.000001.nmk")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdVerify([]string{"-dir", dir}); err == nil {
-		t.Fatal("verify of damaged store reported healthy")
-	}
-	if err := cmdVerify([]string{}); err == nil {
-		t.Fatal("verify without -dir should fail")
-	}
-}
-
 func TestRestartRecoverCommand(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	st, err := checkpoint.Create(dir, core.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: core.Clustering})

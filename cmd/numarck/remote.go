@@ -67,35 +67,6 @@ func remoteDecompress(addr, tenant, variable string, iter int, outPath string, s
 	return nil
 }
 
-// remoteVerify asks the daemon for a deep chain report across the
-// tenant's series — served from the lock-free read view, so it works
-// while the daemon is writing.
-func remoteVerify(addr, tenant string) error {
-	c := remoteClient(addr, tenant)
-	tc, err := c.TenantChain(true)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("tenant %s: %d series\n", tc.Tenant, len(tc.Variables))
-	fmt.Printf("index: present=%v fresh=%v seq=%d entries=%d\n",
-		tc.Index.Present, tc.Index.Fresh, tc.Index.Seq, tc.Index.Entries)
-	for _, v := range tc.Variables {
-		if latest, ok := tc.Latest[v]; ok {
-			fmt.Printf("%s: restorable through iteration %d\n", v, latest)
-		} else {
-			fmt.Printf("%s: not restorable\n", v)
-		}
-	}
-	for _, is := range tc.Issues {
-		fmt.Printf("issue: %s\n", is)
-	}
-	if len(tc.Issues) > 0 {
-		return fmt.Errorf("store has %d issue(s)", len(tc.Issues))
-	}
-	fmt.Println("store is healthy")
-	return nil
-}
-
 // remoteQuery collects the per-request encode and pipeline overrides
 // the daemon accepts as query parameters. Zero values are omitted so
 // the daemon's own defaults apply.

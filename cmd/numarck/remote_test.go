@@ -32,9 +32,8 @@ func startRemoteDaemon(t *testing.T) string {
 }
 
 // TestRemoteRoundTrip drives the CLI's daemon client mode end to end:
-// compress two iterations against a daemon, decompress them back, and
-// verify the daemon-held store — all through the command functions the
-// flag layer dispatches to.
+// compress two iterations against a daemon and decompress them back —
+// all through the command functions the flag layer dispatches to.
 func TestRemoteRoundTrip(t *testing.T) {
 	addr := startRemoteDaemon(t)
 	dir := t.TempDir()
@@ -74,9 +73,6 @@ func TestRemoteRoundTrip(t *testing.T) {
 		if math.Abs(got[i]-want[i]) > tol {
 			t.Fatalf("point %d: %v vs %v outside error bound", i, got[i], want[i])
 		}
-	}
-	if err := cmdVerify([]string{"-addr", addr, "-tenant", "sim"}); err != nil {
-		t.Fatalf("remote verify: %v", err)
 	}
 	// A structured daemon error surfaces as a typed APIError.
 	err = cmdDecompress([]string{"-addr", addr, "-tenant", "sim", "-var", "ghost", "-iter", "0", "-out", outPath})

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	numarcklint [-json] [-list] [-only a,b,...] [-sarif file] [-fix] [packages...]
+//	numarcklint [-json] [-list] [-only a,b,...] [-dir path] [packages...]
 //
 // Package patterns follow the go tool's shape relative to the module
 // root: "./..." (default) analyzes everything, "./internal/core" one
@@ -13,10 +13,9 @@
 // are not analyzed.
 //
 // -only restricts the run to a comma-separated list of analyzer names
-// (see -list). -sarif additionally writes the findings as a SARIF 2.1.0
-// log to the given file, for CI code-scanning annotations. -fix applies
-// the suggested fixes the analyzers attach (error-verb rewrites,
-// suppression cleanups) and re-reports what remains.
+// (see -list); -json prints the findings as a JSON array; -dir points at
+// a directory inside another module. Findings are reported, never
+// rewritten: each one names the line to fix.
 //
 // Findings can be silenced in source with
 //
@@ -52,8 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list analyzers and exit")
 	dir := fs.String("dir", ".", "directory inside the module to analyze")
 	only := fs.String("only", "", "run only the named analyzers (comma-separated, see -list)")
-	sarif := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to `file`")
-	fix := fs.Bool("fix", false, "apply suggested fixes, then report what remains")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -107,41 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	res := analysis.Run(mod, pkgs, all)
-	if *fix && res.Fixable() > 0 {
-		files, applied, skipped, err := analysis.ApplyFixes(res.Diagnostics)
-		if err != nil {
-			fmt.Fprintf(stderr, "numarcklint: applying fixes: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "numarcklint: applied %d fix(es) in %d file(s), %d skipped\n",
-			applied, files, skipped)
-		// Re-analyze: the fixes moved positions and may have resolved
-		// (or, for suppression deletions, surfaced) findings.
-		mod, err = analysis.Load(*dir)
-		if err != nil {
-			fmt.Fprintf(stderr, "numarcklint: reload after fixes: %v\n", err)
-			return 2
-		}
-		pkgs = selectPackages(mod, patterns)
-		res = analysis.Run(mod, pkgs, all)
-	}
-
-	if *sarif != "" {
-		f, err := os.Create(*sarif)
-		if err != nil {
-			fmt.Fprintf(stderr, "numarcklint: %v\n", err)
-			return 2
-		}
-		werr := res.WriteSARIF(f, mod.RootDir, all)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "numarcklint: writing SARIF: %v\n", werr)
-			return 2
-		}
-	}
-
 	if *jsonOut {
 		if err := res.WriteJSON(stdout); err != nil {
 			fmt.Fprintf(stderr, "numarcklint: %v\n", err)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -175,98 +174,6 @@ func drop(f *os.File) { f.Close() }
 	}
 	if !strings.Contains(stderr.String(), `unknown analyzer "nosuch"`) {
 		t.Errorf("stderr = %q", stderr.String())
-	}
-}
-
-// TestRunSARIF: -sarif writes a SARIF 2.1.0 log alongside the normal
-// output, with the finding as a result and the analyzer as a rule.
-func TestRunSARIF(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		"pkg/pkg.go": `// Package pkg has one floatcmp finding.
-package pkg
-
-func equal(a, b float64) bool { return a == b }
-`,
-	})
-	sarifPath := filepath.Join(t.TempDir(), "lint.sarif")
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-dir", dir, "-sarif", sarifPath, "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit = %d, want 1\nstderr: %s", code, &stderr)
-	}
-	raw, err := os.ReadFile(sarifPath)
-	if err != nil {
-		t.Fatalf("SARIF file not written: %v", err)
-	}
-	var doc struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("SARIF output is not valid JSON: %v", err)
-	}
-	if doc.Version != "2.1.0" || len(doc.Runs) != 1 {
-		t.Fatalf("version %q, %d runs; want 2.1.0 and 1 run", doc.Version, len(doc.Runs))
-	}
-	run0 := doc.Runs[0]
-	if run0.Tool.Driver.Name != "numarcklint" {
-		t.Errorf("driver name = %q", run0.Tool.Driver.Name)
-	}
-	if len(run0.Results) != 1 || run0.Results[0].RuleID != "floatcmp" {
-		t.Fatalf("results = %+v, want one floatcmp result", run0.Results)
-	}
-	if uri := run0.Results[0].Locations[0].PhysicalLocation.ArtifactLocation.URI; uri != "pkg/pkg.go" {
-		t.Errorf("result URI = %q, want module-relative pkg/pkg.go", uri)
-	}
-}
-
-// TestRunFix: -fix applies suggested fixes (here: deleting an unused
-// suppression) and re-analyzes, so a module whose only finding is
-// fixable ends at exit 0 with the source rewritten.
-func TestRunFix(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		"pkg/pkg.go": `// Package pkg carries a stale suppression.
-package pkg
-
-func add(a, b int) int {
-	//lint:ignore floatcmp nothing here compares floats anymore
-	return a + b
-}
-`,
-	})
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-dir", dir, "-fix", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, &stdout, &stderr)
-	}
-	if !strings.Contains(stderr.String(), "applied 1 fix(es)") {
-		t.Errorf("stderr = %q, want fix summary", stderr.String())
-	}
-	src, err := os.ReadFile(filepath.Join(dir, "pkg", "pkg.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(src), "lint:ignore") {
-		t.Errorf("stale suppression survived -fix:\n%s", src)
 	}
 }
 

@@ -2,10 +2,17 @@
 //
 // Usage:
 //
-//	storectl verify -dir store          # parse every file, check CRCs and chains
+//	storectl verify -dir store          # health report; exit 1 unless the store is clean
 //	storectl stats  -dir store          # per-variable storage breakdown
 //	storectl latest -dir store          # latest restorable iteration per variable
 //	storectl gc     -dir store -keep 40 # drop checkpoints before the full <= 40
+//
+// verify opens the store as a writer, so its recovery scan runs, and
+// reports what the scan repaired, every issue the deep Verify pass
+// finds (parse, CRC, chain gap, journal cross-check), the files held in
+// quarantine/, and the latest restorable iteration per variable. It
+// exits non-zero unless every part is clean: a store the scan has just
+// repaired is reported, not called clean.
 //
 // verify, stats, and latest also take -addr http://host:8377 (with
 // -tenant name) to report on a store held by a running numarckd daemon
@@ -111,19 +118,48 @@ func cmdVerify(args []string) (err error) {
 			err = cerr
 		}
 	}()
+	fmt.Printf("recovery scan: %s\n", st.Recovery())
 	fmt.Println(st.IndexHealth())
 	issues, err := st.Verify()
 	if err != nil {
 		return err
 	}
-	if len(issues) == 0 {
+	for _, is := range issues {
+		fmt.Printf("issue: %s\n", is)
+	}
+	quarantined, err := st.Quarantined()
+	if err != nil {
+		return err
+	}
+	for _, name := range quarantined {
+		fmt.Printf("quarantined: %s\n", name)
+	}
+	vars, err := st.Variables()
+	if err != nil {
+		return err
+	}
+	unrestorable := 0
+	for _, v := range vars {
+		latest, err := st.LatestRestorable(v)
+		if err != nil {
+			fmt.Printf("%s: not restorable (%v)\n", v, err)
+			unrestorable++
+			continue
+		}
+		fmt.Printf("%s: restorable through iteration %d\n", v, latest)
+	}
+	return verdict(!st.Recovery().Clean(), len(issues), len(quarantined), unrestorable)
+}
+
+// verdict ends a verify report: "store is clean", or an error saying
+// what is not.
+func verdict(repaired bool, issues, quarantined, unrestorable int) error {
+	if !repaired && issues == 0 && quarantined == 0 && unrestorable == 0 {
 		fmt.Println("store is clean")
 		return nil
 	}
-	for _, is := range issues {
-		fmt.Println(is)
-	}
-	return fmt.Errorf("%d issue(s) found", len(issues))
+	return fmt.Errorf("store is not clean: repaired at open %v, %d issue(s), %d quarantined file(s), %d variable(s) not restorable",
+		repaired, issues, quarantined, unrestorable)
 }
 
 func cmdStats(args []string) error {

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"numarck/internal/checkpoint"
@@ -55,6 +58,57 @@ func TestVerifyStatsLatestGC(t *testing.T) {
 	// Still verifies clean after GC.
 	if err := cmdVerify([]string{"-dir", dir}); err != nil {
 		t.Errorf("verify after gc: %v", err)
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	printed := make(chan string)
+	go func() {
+		out, _ := io.ReadAll(r)
+		printed <- string(out)
+	}()
+	ferr := f()
+	os.Stdout = stdout
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return <-printed, ferr
+}
+
+// TestVerifyReportsRepairedStore: verify opens the store as a writer, so
+// the recovery scan quarantines a delta torn by one byte before the deep
+// pass runs, and the chain simply ends one iteration earlier. verify
+// must report the repair by file name and fail, not call the store
+// clean.
+func TestVerifyReportsRepairedStore(t *testing.T) {
+	dir := buildStore(t)
+	const name = "v.delta.000005.nmk"
+	path := filepath.Join(dir, name)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := captureStdout(t, func() error { return cmdVerify([]string{"-dir", dir}) })
+	if err == nil {
+		t.Fatalf("verify of a repaired store succeeded:\n%s", out)
+	}
+	if !strings.Contains(out, "quarantined: "+name) {
+		t.Errorf("report does not name the torn file:\n%s", out)
+	}
+	if !strings.Contains(out, "v: restorable through iteration 4") {
+		t.Errorf("report does not show where the chain now ends:\n%s", out)
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 )
 
 // remoteVerify asks the daemon for a deep chain report (?verify=1) and
-// renders it like the local verify command.
+// renders it like the local verify command. The daemon's read view runs
+// no recovery scan and reports no quarantine, so those parts are absent.
 func remoteVerify(addr, tenant string) error {
 	c := &server.Client{Base: addr, Tenant: tenant}
 	tc, err := c.TenantChain(true)
@@ -22,14 +23,20 @@ func remoteVerify(addr, tenant string) error {
 	}
 	fmt.Printf("index: present=%v fresh=%v seq=%d entries=%d\n",
 		tc.Index.Present, tc.Index.Fresh, tc.Index.Seq, tc.Index.Entries)
-	if len(tc.Issues) == 0 {
-		fmt.Println("store is clean")
-		return nil
-	}
 	for _, is := range tc.Issues {
-		fmt.Println(is)
+		fmt.Printf("issue: %s\n", is)
 	}
-	return fmt.Errorf("%d issue(s) found", len(tc.Issues))
+	unrestorable := 0
+	for _, v := range tc.Variables {
+		latest, ok := tc.Latest[v]
+		if !ok {
+			fmt.Printf("%s: not restorable\n", v)
+			unrestorable++
+			continue
+		}
+		fmt.Printf("%s: restorable through iteration %d\n", v, latest)
+	}
+	return verdict(false, len(tc.Issues), 0, unrestorable)
 }
 
 // remoteStats renders the daemon's per-series storage breakdown with

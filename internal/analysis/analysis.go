@@ -13,17 +13,16 @@
 // transitively reaches a mutating os call". The diagnostic phase then
 // runs every analyzer over the selected packages in parallel, honours
 // `//lint:ignore <analyzer> <reason>` suppressions (and reports unused
-// ones), and renders position-accurate diagnostics as text, JSON or
-// SARIF 2.1. Diagnostics may carry mechanical SuggestedFixes, applied
-// in place by ApplyFixes (the driver's -fix mode). cmd/numarcklint is
-// the command-line driver; the repo-specific analyzers live in the
-// analyzers subpackage.
+// ones), and renders position-accurate diagnostics as text or JSON.
+// cmd/numarcklint is the command-line driver; the repo-specific
+// analyzers live in the analyzers subpackage.
 //
 // NUMARCK's correctness contract — exact error-bound enforcement over
 // floating-point change ratios (§II-C, Eq. 3) and race-free
 // goroutine-parallel k-means and distributed encode paths — is fragile
 // in ways generic tooling misses; the analyzers here encode those
-// repo-specific invariants.
+// repo-specific invariants and leave to go vet, which make verify runs
+// alongside, every rule it already checks.
 package analysis
 
 import (
@@ -86,40 +85,6 @@ type Diagnostic struct {
 	File string `json:"file"`
 	Line int    `json:"line"`
 	Col  int    `json:"col"`
-
-	// Fixes are mechanical rewrites that resolve the finding, applied
-	// by ApplyFixes under the driver's -fix flag. Empty for findings
-	// that need human judgement.
-	Fixes []SuggestedFix `json:"fixes,omitempty"`
-}
-
-// SuggestedFix is one mechanical text edit: replace the byte range
-// [Start, End) of File with NewText. Offsets are byte offsets within
-// the file's current contents, as produced by token.Position.Offset.
-type SuggestedFix struct {
-	// Message says what the fix does, e.g. "replace %v with %w".
-	Message string `json:"fix_message"`
-	// File is the path of the file to edit.
-	File string `json:"fix_file"`
-	// Start and End delimit the replaced byte range.
-	Start int `json:"fix_start"`
-	End   int `json:"fix_end"`
-	// NewText replaces the range.
-	NewText string `json:"fix_new_text"`
-}
-
-// FixAt builds a SuggestedFix replacing the source range [pos, end)
-// with newText, resolving offsets through the pass's file set.
-func (p *Pass) FixAt(pos, end token.Pos, message, newText string) SuggestedFix {
-	start := p.Fset.Position(pos)
-	stop := p.Fset.Position(end)
-	return SuggestedFix{
-		Message: message,
-		File:    start.Filename,
-		Start:   start.Offset,
-		End:     stop.Offset,
-		NewText: newText,
-	}
 }
 
 // Diagf constructs a Diagnostic at pos, resolving it through the pass.

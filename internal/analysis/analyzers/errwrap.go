@@ -17,7 +17,7 @@ import (
 //
 //  1. fmt.Errorf rendering an error operand with a non-%w verb (%v, %s,
 //     %q, ...): the chain is severed, errors.Is(err, ErrCorrupt) stops
-//     working. This carries a mechanical fix — rewrite the verb to %w.
+//     working.
 //  2. an exported function returning an error that came straight from
 //     an os or faultfs call with no wrapping at all: the caller sees
 //     "no such file" with no hint of which operation or path failed.
@@ -62,7 +62,7 @@ func (Errwrap) Run(p *analysis.Pass) []analysis.Diagnostic {
 }
 
 // checkErrorfVerbs flags error operands of fmt.Errorf formatted with a
-// verb other than %w and suggests the rewrite.
+// verb other than %w.
 func checkErrorfVerbs(p *analysis.Pass, call *ast.CallExpr) []analysis.Diagnostic {
 	fn := calleeFunc(p.Info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" {
@@ -75,44 +75,30 @@ func checkErrorfVerbs(p *analysis.Pass, call *ast.CallExpr) []analysis.Diagnosti
 	if !ok || lit.Kind != token.STRING {
 		return nil
 	}
-	verbs := formatVerbs(lit.Value)
 	var diags []analysis.Diagnostic
-	for i, v := range verbs {
+	for i, letter := range formatVerbs(lit.Value) {
 		argIdx := 1 + i
-		if argIdx >= len(call.Args) || v.letter == 'w' {
+		if argIdx >= len(call.Args) || letter == 'w' {
 			continue
 		}
 		argType := p.Info.TypeOf(call.Args[argIdx])
 		if argType == nil || !isErrorType(argType) {
 			continue
 		}
-		start := lit.ValuePos + token.Pos(v.start)
-		end := lit.ValuePos + token.Pos(v.end)
-		d := p.Diagf("errwrap", call.Args[argIdx].Pos(),
-			"fmt.Errorf renders an error with %%%c, severing the errors.Is chain; use %%w", v.letter)
-		d.Fixes = []analysis.SuggestedFix{p.FixAt(start, end, "replace the verb with %w", "%w")}
-		diags = append(diags, d)
+		diags = append(diags, p.Diagf("errwrap", call.Args[argIdx].Pos(),
+			"fmt.Errorf renders an error with %%%c, severing the errors.Is chain; use %%w", letter))
 	}
 	return diags
 }
 
-// verb is one % directive found in a format string literal: the byte
-// range [start, end) within the literal's source text (quotes included
-// in the coordinate system) and the final verb letter.
-type verb struct {
-	start, end int
-	letter     byte
-}
-
-// formatVerbs scans a string literal's source text for format verbs.
-// Scanning the quoted source rather than the unquoted value keeps byte
-// offsets aligned with token positions; '%' never needs escaping in Go
-// string literals, so the verbs read the same either way. %% is
-// skipped. Indexed verbs (%[1]d) and * widths consume no extra slots
-// here — close enough for the error-operand check, which re-validates
-// the matched argument's type before reporting.
-func formatVerbs(src string) []verb {
-	var out []verb
+// formatVerbs returns the verb letters of a string literal's source
+// text, in order. '%' never needs escaping in Go string literals, so
+// the quoted source reads the same as the value. %% is skipped. Indexed
+// verbs (%[1]d) and * widths consume no extra slots here — close enough
+// for the error-operand check, which re-validates the matched argument's
+// type before reporting.
+func formatVerbs(src string) []byte {
+	var out []byte
 	for i := 0; i < len(src); i++ {
 		if src[i] != '%' {
 			continue
@@ -126,7 +112,7 @@ func formatVerbs(src string) []verb {
 			j++
 		}
 		if j < len(src) && isVerbLetter(src[j]) {
-			out = append(out, verb{start: i, end: j + 1, letter: src[j]})
+			out = append(out, src[j])
 			i = j
 		}
 	}

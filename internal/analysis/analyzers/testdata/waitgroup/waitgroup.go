@@ -51,31 +51,3 @@ func waitAfterAddLoop() {
 	}
 	wg.Wait()
 }
-
-func byValueParam(wg sync.WaitGroup) { // want `parameter copies sync.WaitGroup by value`
-	wg.Wait()
-}
-
-func byPointerParam(wg *sync.WaitGroup) {
-	wg.Wait()
-}
-
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-func copyStruct(g guarded) int { // want `parameter copies sync.Mutex by value`
-	return g.n
-}
-
-func copyAssign() {
-	var mu sync.Mutex
-	mu2 := mu // want `assignment copies sync.Mutex by value`
-	mu2.Lock()
-}
-
-func passByValue(f func(sync.RWMutex)) {
-	var mu sync.RWMutex
-	f(mu) // want `call argument copies sync.RWMutex by value`
-}

@@ -147,46 +147,6 @@ func isSyncNamed(t types.Type, name string) bool {
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == name
 }
 
-// lockTypes are the sync types that must never be copied by value.
-var lockTypes = []string{"WaitGroup", "Mutex", "RWMutex"}
-
-// containsLockByValue reports the name of the first sync lock type
-// embedded by value in t (directly, or through structs and arrays).
-// Pointers and interfaces stop the search: sharing through them is the
-// correct pattern.
-func containsLockByValue(t types.Type) string {
-	return lockIn(t, map[types.Type]bool{})
-}
-
-func lockIn(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	for _, name := range lockTypes {
-		if isSyncNamed(t, name) {
-			if _, isPtr := t.(*types.Pointer); !isPtr {
-				return "sync." + name
-			}
-			return ""
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if found := lockIn(u.Field(i).Type(), seen); found != "" {
-				return found
-			}
-		}
-	case *types.Array:
-		return lockIn(u.Elem(), seen)
-	}
-	if named, ok := t.(*types.Named); ok {
-		return lockIn(named.Underlying(), seen)
-	}
-	return ""
-}
-
 // calleeFunc resolves a call expression to the function or method it
 // invokes, or nil for indirect calls, conversions and builtins.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {

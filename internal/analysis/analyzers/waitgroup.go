@@ -7,18 +7,17 @@ import (
 	"numarck/internal/analysis"
 )
 
-// Waitgroup flags the three sync.WaitGroup/Mutex misuse patterns that
-// would corrupt NUMARCK's goroutine-parallel k-means assignment and
+// Waitgroup flags the two sync.WaitGroup ordering mistakes that would
+// corrupt NUMARCK's goroutine-parallel k-means assignment and
 // distributed encode paths:
 //
 //  1. wg.Add called inside the spawned goroutine it accounts for — the
 //     classic race where Wait can return before the goroutine is
 //     counted;
 //  2. wg.Wait appearing before any wg.Add in the same statement block —
-//     the Wait is a no-op barrier;
-//  3. sync.WaitGroup, sync.Mutex or sync.RWMutex copied by value
-//     (parameters, results, assignments, call arguments) — the copy
-//     guards nothing.
+//     the Wait is a no-op barrier.
+//
+// A WaitGroup or lock copied by value is go vet's copylocks check.
 type Waitgroup struct{}
 
 // Name implements analysis.Analyzer.
@@ -26,7 +25,7 @@ func (Waitgroup) Name() string { return "waitgroup" }
 
 // Doc implements analysis.Analyzer.
 func (Waitgroup) Doc() string {
-	return "flags wg.Add inside the spawned goroutine, Wait before Add, and sync primitives copied by value"
+	return "flags wg.Add inside the spawned goroutine and Wait before Add"
 }
 
 // Run implements analysis.Analyzer.
@@ -35,7 +34,6 @@ func (Waitgroup) Run(p *analysis.Pass) []analysis.Diagnostic {
 	for _, f := range p.Files {
 		diags = append(diags, addInsideGoroutine(p, f)...)
 		diags = append(diags, waitBeforeAdd(p, f)...)
-		diags = append(diags, copiedByValue(p, f)...)
 	}
 	return diags
 }
@@ -146,90 +144,4 @@ func waitBeforeAdd(p *analysis.Pass, f *ast.File) []analysis.Diagnostic {
 		return true
 	})
 	return diags
-}
-
-// copiedByValue reports by-value copies of sync.WaitGroup/Mutex/RWMutex
-// (or structs containing them): function parameters and results,
-// assignments from addressable expressions, and call arguments.
-func copiedByValue(p *analysis.Pass, f *ast.File) []analysis.Diagnostic {
-	var diags []analysis.Diagnostic
-
-	report := func(pos ast.Node, what, lock string) {
-		diags = append(diags, p.Diagf("waitgroup", pos.Pos(),
-			"%s copies %s by value; use a pointer", what, lock))
-	}
-
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.FuncDecl:
-			checkFieldList(p, v.Type.Params, "parameter", report)
-			checkFieldList(p, v.Type.Results, "result", report)
-		case *ast.FuncLit:
-			checkFieldList(p, v.Type.Params, "parameter", report)
-			checkFieldList(p, v.Type.Results, "result", report)
-		case *ast.AssignStmt:
-			for i, rhs := range v.Rhs {
-				// `_ = x` is the discard idiom, not a live copy.
-				if len(v.Lhs) == len(v.Rhs) {
-					if id, ok := v.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-						continue
-					}
-				}
-				if !addressable(rhs) {
-					continue
-				}
-				t := p.Info.TypeOf(rhs)
-				if t == nil {
-					continue
-				}
-				if lock := containsLockByValue(t); lock != "" {
-					report(rhs, "assignment", lock)
-				}
-			}
-		case *ast.CallExpr:
-			if tv, ok := p.Info.Types[v.Fun]; ok && tv.IsType() {
-				return true // conversion, not a call
-			}
-			for _, arg := range v.Args {
-				if !addressable(arg) {
-					continue
-				}
-				t := p.Info.TypeOf(arg)
-				if t == nil {
-					continue
-				}
-				if lock := containsLockByValue(t); lock != "" {
-					report(arg, "call argument", lock)
-				}
-			}
-		}
-		return true
-	})
-	return diags
-}
-
-func checkFieldList(p *analysis.Pass, fl *ast.FieldList, what string, report func(ast.Node, string, string)) {
-	if fl == nil {
-		return
-	}
-	for _, field := range fl.List {
-		t := p.Info.TypeOf(field.Type)
-		if t == nil {
-			continue
-		}
-		if lock := containsLockByValue(t); lock != "" {
-			report(field, what, lock)
-		}
-	}
-}
-
-// addressable approximates "expression denotes existing storage":
-// copying from it duplicates live state, unlike a fresh composite
-// literal or a constructor's return value.
-func addressable(e ast.Expr) bool {
-	switch ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		return true
-	}
-	return false
 }

@@ -1,9 +1,6 @@
 package analysis
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -148,8 +145,8 @@ func TestFactsCrossPackage(t *testing.T) {
 }
 
 // TestUnusedSuppression: a directive that silences nothing becomes a
-// "lint" finding with a deletion fix — but only when every analyzer it
-// names actually ran, so -only subsets cannot produce false positives.
+// "lint" finding — but only when every analyzer it names actually ran,
+// so -only subsets cannot produce false positives.
 func TestUnusedSuppression(t *testing.T) {
 	src := `package p
 
@@ -171,133 +168,10 @@ func add(a, b int) int {
 	if d.Analyzer != "lint" || !strings.Contains(d.Message, "unused //lint:ignore suppression for demo") {
 		t.Errorf("diagnostic = %+v", d)
 	}
-	if len(d.Fixes) != 1 || d.Fixes[0].NewText != "" {
-		t.Fatalf("fixes = %+v, want one deletion", d.Fixes)
-	}
 
 	// The named analyzer did not run: the suppression might be load-bearing.
 	res = Run(mod, mod.Packages, []Analyzer{factProducer{}})
 	if len(res.Diagnostics) != 0 {
 		t.Errorf("subset run reported %+v; unused check must require the named analyzer", res.Diagnostics)
-	}
-
-	// Applying the deletion removes the whole directive line.
-	res = Run(mod, mod.Packages, []Analyzer{demoAnalyzer{}})
-	files, applied, skipped, err := ApplyFixes(res.Diagnostics)
-	if err != nil || files != 1 || applied != 1 || skipped != 0 {
-		t.Fatalf("ApplyFixes = (%d, %d, %d, %v), want (1, 1, 0, nil)", files, applied, skipped, err)
-	}
-	fixed, err := os.ReadFile(filepath.Join(dir, "p", "p.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(fixed), "lint:ignore") {
-		t.Errorf("directive survived its deletion fix:\n%s", fixed)
-	}
-	if strings.Contains(string(fixed), "\n\n\treturn") {
-		t.Errorf("deletion left a blank line behind:\n%s", fixed)
-	}
-}
-
-// TestApplyFixesEdits pins the edit mechanics: replacements apply from
-// the end backwards, overlapping edits are skipped, and a fix that
-// breaks the file beyond parsing leaves it untouched.
-func TestApplyFixesEdits(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "f.go")
-	src := "package p\n\nvar a = \"old\"\nvar b = \"old\"\n"
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	first := strings.Index(src, "old")
-	second := strings.LastIndex(src, "old")
-	stmt := strings.Index(src, "var a")
-	stmtEnd := stmt + len("var a = \"old\"")
-	diags := []Diagnostic{{
-		Fixes: []SuggestedFix{
-			{File: path, Start: first, End: first + 3, NewText: "new"},
-			{File: path, Start: second, End: second + 3, NewText: "newer"},
-			// Overlaps the first edit; on overlap the later-start edit
-			// wins, so this whole-statement rewrite is the one skipped.
-			{File: path, Start: stmt, End: stmtEnd, NewText: "var a = \"dup\""},
-		},
-	}}
-	files, applied, skipped, err := ApplyFixes(diags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files != 1 || applied != 2 || skipped != 1 {
-		t.Errorf("ApplyFixes = (%d, %d, %d), want (1, 2, 1)", files, applied, skipped)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "package p\n\nvar a = \"new\"\nvar b = \"newer\"\n"
-	if string(got) != want {
-		t.Errorf("fixed file = %q, want %q", got, want)
-	}
-
-	// A fix that destroys the syntax must not be written.
-	breaking := []Diagnostic{{
-		Fixes: []SuggestedFix{{File: path, Start: 0, End: 7, NewText: "pack!!!"}},
-	}}
-	files, applied, skipped, err = ApplyFixes(breaking)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files != 0 || applied != 0 || skipped != 1 {
-		t.Errorf("breaking fix = (%d, %d, %d), want (0, 0, 1)", files, applied, skipped)
-	}
-	after, _ := os.ReadFile(path)
-	if string(after) != want {
-		t.Errorf("breaking fix modified the file:\n%s", after)
-	}
-}
-
-// TestWriteSARIFGolden locks the SARIF serialization byte for byte.
-// Refresh with UPDATE_GOLDEN=1 go test ./internal/analysis -run SARIF.
-func TestWriteSARIFGolden(t *testing.T) {
-	res := &Result{
-		Diagnostics: []Diagnostic{
-			{
-				Analyzer: "demo",
-				Message:  "float comparison",
-				File:     "/mod/internal/core/quantize.go",
-				Line:     42,
-				Col:      17,
-			},
-			{
-				Analyzer: "lint",
-				Message:  "unused //lint:ignore suppression for demo: it silences nothing",
-				File:     "/mod/cmd/tool/main.go",
-				Line:     7,
-				Col:      2,
-			},
-			{
-				Analyzer: "unregistered",
-				Message:  "finding from an analyzer outside the declared set",
-				File:     "/mod/x.go",
-				Line:     1,
-				Col:      1,
-			},
-		},
-	}
-	var buf bytes.Buffer
-	if err := res.WriteSARIF(&buf, "/mod", []Analyzer{demoAnalyzer{}}); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "golden.sarif")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden file missing (refresh with UPDATE_GOLDEN=1): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("SARIF output drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
 	}
 }

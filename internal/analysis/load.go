@@ -29,8 +29,6 @@ type Package struct {
 
 // Module is the result of loading a module tree.
 type Module struct {
-	// RootDir is the directory holding go.mod.
-	RootDir string
 	// Path is the module path declared in go.mod.
 	Path string
 	// Fset is the shared file set of every parsed file.
@@ -159,7 +157,7 @@ func Load(dir string) (*Module, error) {
 		return nil, err
 	}
 
-	mod := &Module{RootDir: root, Path: modPath, Fset: fset}
+	mod := &Module{Path: modPath, Fset: fset}
 	checked := map[string]*types.Package{}
 	imp := &moduleImporter{
 		checked:  checked,

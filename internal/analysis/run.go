@@ -21,17 +21,6 @@ type Result struct {
 	Packages int
 }
 
-// Fixable counts diagnostics that carry at least one suggested fix.
-func (r *Result) Fixable() int {
-	n := 0
-	for _, d := range r.Diagnostics {
-		if len(d.Fixes) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Run executes analyzers over packages in two phases. The fact phase
 // walks every package of the module (not just the selected ones) in
 // dependency order and gives each FactComputer analyzer a chance to
@@ -155,8 +144,7 @@ func Run(mod *Module, pkgs []*Package, analyzers []Analyzer) *Result {
 
 // unusedSuppressions reports suppressions that silenced nothing even
 // though every analyzer they name did run — dead directives that would
-// otherwise hide future findings at their line forever. Each carries a
-// deletion fix.
+// otherwise hide future findings at their line forever.
 func unusedSuppressions(sups []*suppression, ranNames map[string]bool) []Diagnostic {
 	var diags []Diagnostic
 	for _, s := range sups {
@@ -185,12 +173,6 @@ func unusedSuppressions(sups []*suppression, ranNames map[string]bool) []Diagnos
 			File:     s.pos.Filename,
 			Line:     s.pos.Line,
 			Col:      s.pos.Column,
-			Fixes: []SuggestedFix{{
-				Message: "delete the unused suppression",
-				File:    s.pos.Filename,
-				Start:   s.pos.Offset,
-				End:     s.endOffset,
-			}},
 		})
 	}
 	return diags

@@ -14,18 +14,16 @@ const suppressionDirective = "//lint:ignore"
 // named analyzers on its own line (end-of-line form) and on the line
 // immediately below it (standalone form).
 type suppression struct {
-	names     map[string]bool
-	pos       token.Position // of the directive comment
-	endOffset int            // byte offset just past the comment text
-	used      bool           // set when the suppression silenced a finding
+	names map[string]bool
+	pos   token.Position // of the directive comment
+	used  bool           // set when the suppression silenced a finding
 }
 
 // collectSuppressions scans a package's comments for lint:ignore
 // directives. Malformed directives — a missing analyzer list, a missing
 // or whitespace-only reason, or non-canonical spacing — are themselves
 // reported as diagnostics under the reserved analyzer name "lint", so
-// suppressions can never silently rot into bare switch-offs. Spacing
-// findings carry a normalization fix.
+// suppressions can never silently rot into bare switch-offs.
 func collectSuppressions(p *Package, fset *token.FileSet) ([]*suppression, []Diagnostic) {
 	var sups []*suppression
 	var diags []Diagnostic
@@ -67,25 +65,12 @@ func collectSuppressions(p *Package, fset *token.FileSet) ([]*suppression, []Dia
 						"malformed //lint:ignore: empty analyzer list"))
 					continue
 				}
-				endPos := fset.Position(c.End())
 				if canon := canonicalDirective(names, fields[1:]); c.Text != canon {
-					d := lintDiag("non-canonical //lint:ignore spacing; run -fix to normalize")
-					d.Fixes = []SuggestedFix{{
-						Message: "normalize the suppression directive",
-						File:    pos.Filename,
-						Start:   pos.Offset,
-						End:     endPos.Offset,
-						NewText: canon,
-					}}
-					diags = append(diags, d)
 					// The directive still works while non-canonical:
-					// fall through and record it.
+					// report it and fall through to record it.
+					diags = append(diags, lintDiag("non-canonical //lint:ignore spacing; want %q", canon))
 				}
-				sups = append(sups, &suppression{
-					names:     names,
-					pos:       pos,
-					endOffset: endPos.Offset,
-				})
+				sups = append(sups, &suppression{names: names, pos: pos})
 			}
 		}
 	}

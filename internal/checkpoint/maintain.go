@@ -241,6 +241,30 @@ func (st *Store) LatestRestorable(variable string) (int, error) {
 	return st.chainView().latestRestorable(variable)
 }
 
+// LatestConsistent returns the iteration a crashed run resumes at: the
+// minimum of LatestRestorable over every variable in the store. An
+// Append interrupted between two variables' commits leaves its
+// iteration restorable for some variables only; this rule steps back
+// past it. ErrNotFound means the store is empty; a variable with no full
+// checkpoint fails the call with an error naming it.
+func (st *Store) LatestConsistent() (int, error) {
+	view := st.chainView()
+	if len(view.vars) == 0 {
+		return 0, fmt.Errorf("%w: store is empty", ErrNotFound)
+	}
+	target := -1
+	for _, v := range view.vars {
+		latest, err := view.latestRestorable(v)
+		if err != nil {
+			return 0, err
+		}
+		if target < 0 || latest < target {
+			target = latest
+		}
+	}
+	return target, nil
+}
+
 // ErrNothingToGC reports a GC request that would delete everything.
 var ErrNothingToGC = errors.New("checkpoint: no full checkpoint to retain")
 

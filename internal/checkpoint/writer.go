@@ -63,7 +63,7 @@ func NewWriterAt(st *Store, fullEvery, lastIter int, lastState map[string][]floa
 // period: a variable w has no reference for is written in full, every
 // other one as s decides from its tentative delta. It is a function of
 // this package rather than a method so that the public Writer gains no
-// knob; the runner is its caller.
+// knob; the examples are its callers.
 func Scheduled(w *Writer, s Schedule) *Writer {
 	w.schedule = s
 	return w

@@ -3,10 +3,12 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,6 +101,160 @@ func TestWriterAppendRetry(t *testing.T) {
 				t.Errorf("verify after the retry: %v %v", issues, err)
 			}
 		})
+	}
+}
+
+// TestResumeAfterHalfCommittedIteration pins crash recovery at the
+// store: an Append that dies between its two variables' commits leaves
+// iteration k restorable for one variable only, LatestConsistent steps
+// back to k-1, and a Writer resumed there from Restart continues the
+// chain as if nothing had happened — every file byte-identical to a
+// fault-free run's, the store verifying clean, every restart within
+// E·|x̂_{i-1}|. Under a chain cap the resumed Writer counts the deltas
+// written before the crash, so the cap's full lands on the same
+// iteration as in the fault-free run.
+func TestResumeAfterHalfCommittedIteration(t *testing.T) {
+	const k, last = 6, 9
+	series := map[string][][]float64{"a": genSeries(500, last+1, 51), "b": genSeries(500, last+1, 52)}
+	capAt8 := func(depth int, _ *core.Encoded) bool { return depth >= 8 }
+	for _, tc := range []struct {
+		name      string
+		fullEvery int
+		schedule  Schedule
+		fulls     []int
+	}{
+		{"fixed", 4, nil, []int{0, 4, 8}},
+		{"scheduled", 0, capAt8, []int{0, 9}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newWriter := func(w *Writer) *Writer {
+				if tc.schedule != nil {
+					return Scheduled(w, tc.schedule)
+				}
+				return w
+			}
+			appendIter := func(w *Writer, i int) error {
+				vars := map[string][]float64{}
+				for v, s := range series {
+					vars[v] = s[i]
+				}
+				_, err := w.Append(i, vars)
+				return err
+			}
+			appendRange := func(w *Writer, from, to int) {
+				for i := from; i <= to; i++ {
+					if err := appendIter(w, i); err != nil {
+						t.Fatalf("append %d: %v", i, err)
+					}
+				}
+			}
+
+			clean, err := Create(filepath.Join(t.TempDir(), "clean"), opts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer clean.Close()
+			appendRange(newWriter(NewWriter(clean, tc.fullEvery)), 0, last)
+
+			dir := filepath.Join(t.TempDir(), "crashed")
+			in := faultfs.NewInjector(faultfs.OS(), 1)
+			in.AddFault(faultfs.Fault{Op: faultfs.OpRename, Path: fmt.Sprintf(".delta.%06d.", k), Nth: 2})
+			st, err := CreateFS(dir, opts(), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := newWriter(NewWriter(st, tc.fullEvery))
+			appendRange(w, 0, k-1)
+			if err := appendIter(w, k); !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("append %d: %v, want the injected fault", k, err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			if st, err = Open(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			resume, err := st.LatestConsistent()
+			if err != nil || resume != k-1 {
+				t.Fatalf("LatestConsistent = %d, %v; want %d", resume, err, k-1)
+			}
+			state := map[string][]float64{}
+			for v := range series {
+				if state[v], err = st.Restart(v, resume); err != nil {
+					t.Fatal(err)
+				}
+			}
+			appendRange(newWriter(NewWriterAt(st, tc.fullEvery, resume, state)), k, last)
+
+			want, got := checkpointFiles(t, clean.Dir()), checkpointFiles(t, dir)
+			if len(want) != 2*(last+1) || len(got) != len(want) {
+				t.Fatalf("%d files after the resume, %d fault-free, want %d", len(got), len(want), 2*(last+1))
+			}
+			for name, raw := range want {
+				if !bytes.Equal(got[name], raw) {
+					t.Errorf("%s differs from the fault-free run's", name)
+				}
+			}
+			if issues, err := st.Verify(); err != nil || len(issues) != 0 {
+				t.Errorf("verify after the resume: %v %v", issues, err)
+			}
+			for v, truth := range series {
+				entries, err := st.List(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var prev []float64
+				for i, e := range entries {
+					full := slices.Contains(tc.fulls, i)
+					if e.Iteration != i || (e.Kind == "full") != full {
+						t.Fatalf("%s: entry %d is %s@%d, want full = %v", v, i, e.Kind, e.Iteration, full)
+					}
+					rec, err := st.Restart(v, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j := range rec {
+						bound := 0.0
+						if !full {
+							bound = opts().ErrorBound * math.Abs(prev[j]) * (1 + 1e-9)
+						}
+						if d := math.Abs(rec[j] - truth[i][j]); d > bound {
+							t.Fatalf("%s@%d point %d: error %g exceeds E·|x̂_{i-1}| = %g", v, i, j, d, bound)
+						}
+					}
+					prev = rec
+				}
+			}
+		})
+	}
+}
+
+// TestLatestConsistentErrors: an empty store has no iteration to resume
+// at, and a variable without a full checkpoint cannot be restored at
+// all, so it fails the call by name instead of setting the minimum.
+func TestLatestConsistentErrors(t *testing.T) {
+	st, err := Create(filepath.Join(t.TempDir(), "ck"), opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.LatestConsistent(); !errors.Is(err, ErrNotFound) {
+		t.Errorf("empty store: %v, want ErrNotFound", err)
+	}
+	series := genSeries(100, 2, 53)
+	if err := st.WriteFull("a", 0, series[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st.LatestConsistent(); err != nil || got != 0 {
+		t.Errorf("one full: %d, %v; want 0", got, err)
+	}
+	if _, err := st.WriteDelta("orphan", 1, series[0], series[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.LatestConsistent(); err == nil || !strings.Contains(err.Error(), "orphan") {
+		t.Errorf("variable without a full: %v, want an error naming it", err)
 	}
 }
 

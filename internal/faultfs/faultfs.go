@@ -4,8 +4,8 @@
 // with two implementations: OS, the real filesystem, and Injector, a
 // wrapper that fails operations on a deterministic seeded schedule so
 // tests can drive every crash point of the write path — the Nth write,
-// a torn write that truncates mid-buffer, a bit-flip on read, an error
-// on sync or rename, or a full crash after which nothing succeeds.
+// a torn write that truncates mid-buffer, an error on read, sync or
+// rename, or a full crash after which nothing succeeds.
 package faultfs
 
 import (

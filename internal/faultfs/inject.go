@@ -66,10 +66,6 @@ const (
 	// ModeTorn applies to writes: the first TornBytes bytes reach the
 	// file, then the write fails — the signature of a mid-write crash.
 	ModeTorn
-	// ModeBitFlip applies to reads: the read succeeds but one
-	// deterministic bit of the returned data is flipped — silent media
-	// corruption.
-	ModeBitFlip
 )
 
 // Fault is one scheduled failure: the Nth operation of class Op whose
@@ -103,8 +99,7 @@ type Injector struct {
 	trace   []string
 }
 
-// NewInjector wraps fsys. seed makes torn-write offsets and bit-flip
-// positions reproducible.
+// NewInjector wraps fsys. seed makes torn-write offsets reproducible.
 func NewInjector(fsys FS, seed int64) *Injector {
 	return &Injector{fs: fsys, rng: rand.New(rand.NewSource(seed)), crashAt: -1}
 }
@@ -153,9 +148,6 @@ func (in *Injector) Trace() []string {
 type injDecision struct {
 	err       error // fail with this error (nil: proceed)
 	tornBytes int   // for writes failing with err: bytes to let through first (-1: none)
-	bitFlip   bool  // for reads: flip a deterministic bit in the result
-	flipByte  int64 // rng draw for the flip position (interpreted modulo length)
-	flipBit   uint8
 }
 
 // check records one operation and decides its fate.
@@ -190,18 +182,10 @@ func (in *Injector) check(op Op, path string, size int) injDecision {
 		if err == nil {
 			err = ErrInjected
 		}
-		switch f.Mode {
-		case ModeTorn:
-			tb := f.TornBytes
-			if tb > size {
-				tb = size
-			}
-			return injDecision{err: err, tornBytes: tb}
-		case ModeBitFlip:
-			return injDecision{bitFlip: true, flipByte: in.rng.Int63(), flipBit: uint8(in.rng.Intn(8) & 7)}
-		default:
-			return injDecision{err: err, tornBytes: -1}
+		if f.Mode == ModeTorn {
+			return injDecision{err: err, tornBytes: min(f.TornBytes, size)}
 		}
+		return injDecision{err: err, tornBytes: -1}
 	}
 	return injDecision{tornBytes: -1}
 }
@@ -321,28 +305,18 @@ type injFile struct {
 
 // Read implements io.Reader with OpRead fault matching.
 func (jf *injFile) Read(p []byte) (int, error) {
-	d := jf.in.check(OpRead, jf.name, len(p))
-	if d.err != nil {
+	if d := jf.in.check(OpRead, jf.name, len(p)); d.err != nil {
 		return 0, d.err
 	}
-	n, err := jf.f.Read(p)
-	if d.bitFlip && n > 0 {
-		p[d.flipByte%int64(n)] ^= 1 << (d.flipBit % 8)
-	}
-	return n, err
+	return jf.f.Read(p)
 }
 
 // ReadAt implements io.ReaderAt with OpRead fault matching.
 func (jf *injFile) ReadAt(p []byte, off int64) (int, error) {
-	d := jf.in.check(OpRead, jf.name, len(p))
-	if d.err != nil {
+	if d := jf.in.check(OpRead, jf.name, len(p)); d.err != nil {
 		return 0, d.err
 	}
-	n, err := jf.f.ReadAt(p, off)
-	if d.bitFlip && n > 0 {
-		p[d.flipByte%int64(n)] ^= 1 << (d.flipBit % 8)
-	}
-	return n, err
+	return jf.f.ReadAt(p, off)
 }
 
 // Write implements io.Writer with OpWrite fault matching; a failing

@@ -1,10 +1,9 @@
 // Package netfault is deterministic fault injection for the wire: the
-// faultfs philosophy (internal/faultfs) applied to HTTP exchanges and
-// TCP connections instead of filesystem operations. Tests wrap a
-// client's http.RoundTripper in a Transport (or a server's listener in
-// WrapListener) and schedule faults — cut the connection after N bytes
-// of request or response body, inject latency, synthesize bare 5xx
-// responses, refuse connections for a window of requests — then assert
+// faultfs philosophy (internal/faultfs) applied to HTTP exchanges
+// instead of filesystem operations. Tests wrap a client's
+// http.RoundTripper in a Transport and schedule faults — cut the
+// connection after N bytes of request or response body, synthesize bare
+// 5xx responses, refuse connections for a window of requests — then assert
 // that the retrying client and the store's idempotent commit path
 // converge to the same bytes a fault-free run produces.
 //
@@ -24,7 +23,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // ErrInjected is the root of every error this package injects;
@@ -65,12 +63,10 @@ const (
 	// optional Retry-After, without touching the network — an
 	// intermediary's 5xx, not the daemon's structured error.
 	ModeStatus
-	// ModeLatency delays the round trip by Delay, then proceeds.
-	ModeLatency
 )
 
 // modeNames must match the Mode constant order above.
-var modeNames = []string{"refuse", "cut-request", "cut-response", "status", "latency"}
+var modeNames = []string{"refuse", "cut-request", "cut-response", "status"}
 
 // String returns the mode's trace name.
 func (m Mode) String() string {
@@ -95,7 +91,7 @@ type Fault struct {
 	// on: 0 means 1, negative means every request from Nth onward — a
 	// persistent outage window.
 	Count int
-	// Mode selects the failure (refuse, cut, status, latency).
+	// Mode selects the failure (refuse, cut, status).
 	Mode Mode
 	// AfterBytes is how many body bytes a cut lets through first.
 	// Negative draws a small seeded offset, so schedules need not know
@@ -106,8 +102,6 @@ type Fault struct {
 	// RetryAfterSec, when positive, adds a Retry-After header to a
 	// ModeStatus response.
 	RetryAfterSec int
-	// Delay is the injected latency for ModeLatency.
-	Delay time.Duration
 
 	seen int // matching requests observed so far
 }
@@ -224,9 +218,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	case ModeStatus:
 		closeBody(req)
 		return synthesize(req, d.fault), nil
-	case ModeLatency:
-		time.Sleep(d.fault.Delay)
-		return t.inner().RoundTrip(req)
 	case ModeCutRequest:
 		if req.Body == nil {
 			// No body to cut: the connection dies before the response.
