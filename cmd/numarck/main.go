@@ -4,8 +4,7 @@
 //
 // Usage:
 //
-//	numarck compress   -prev prev.f64 -cur cur.f64 -out ckpt.nmk [-e 0.001] [-b 8] [-strategy clustering] [-var name] [-iter n]
-//	numarck compress   -prev prev.f64 -cur cur.f64 -out ckpt.nmk -stream [-chunk points] [-budget bytes]
+//	numarck compress   -prev prev.f64 -cur cur.f64 -out ckpt.nmk [-e 0.001] [-b 8] [-strategy clustering] [-var name] [-iter n] [-chunk points] [-workers n] [-budget bytes]
 //	numarck compress   -nc data.nc -var rlus -from 4 -to 5 -out ckpt.nmk
 //	numarck decompress -prev prev.f64 -in ckpt.nmk -out rec.f64 [-workers n] [-recover]
 //	numarck inspect    -in ckpt.nmk
@@ -21,16 +20,16 @@
 // -recover turns on degraded-mode decode: chunks of a chunked (v2)
 // delta whose CRC fails are quarantined, every healthy chunk decodes,
 // and the exact lost point ranges (which keep the previous iteration's
-// values in the output) are reported on stderr. A v1 delta is one chunk
-// under one CRC, so there -recover changes nothing: healthy it decodes,
-// corrupt it fails. Without -recover, any corruption fails the command
-// — fail-closed is the default. `storectl verify` prints a store's
-// health report.
+// values in the output) are reported on stderr. A read-only v1 delta is
+// one chunk under one CRC, so there -recover changes nothing: healthy it
+// decodes, corrupt it fails. Without -recover, any corruption fails the
+// command — fail-closed is the default. `storectl verify` prints a
+// store's health report.
 //
-// With -stream, compress runs the out-of-core pipeline: the inputs are
-// read in chunks under the -budget memory cap and the chunked v2
-// format is written, which decompress can later decode in parallel and
-// storectl verify can check per chunk.
+// compress writes the chunked v2 format, the one every writer emits.
+// From -prev/-cur files it runs the out-of-core pipeline: the inputs are
+// read in -chunk windows by -workers under the -budget memory cap. A
+// netCDF slab pair is encoded in memory.
 //
 // compress and decompress accept -metrics (per-stage timing and
 // counter table on stderr) and -metrics-json path (the same snapshot
@@ -136,7 +135,8 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   numarck compress   -prev prev.f64 -cur cur.f64 -out ckpt.nmk [-e 0.001] [-b 8] [-strategy clustering] [-var name] [-iter n]
-  numarck compress   -prev prev.f64 -cur cur.f64 -out ckpt.nmk -stream [-chunk points] [-budget bytes]
+                     [-chunk points] [-workers n] [-budget bytes]
+  numarck compress   -nc data.nc -var rlus -from 4 -to 5 -out ckpt.nmk
   numarck decompress -prev prev.f64 -in ckpt.nmk -out rec.f64 [-workers n] [-recover]
   numarck inspect    -in ckpt.nmk
   numarck restart    -dir store -var name -iter n -out rec.f64 [-recover]
@@ -144,12 +144,12 @@ func usage() {
 daemon client mode (against a running numarckd):
   numarck compress   -addr http://host:8377 -tenant t -var dens -iter n -cur cur.f64
   numarck decompress -addr http://host:8377 -tenant t -var dens -iter n -out rec.f64 [-recover]
-  numarck compress   -stream -plan [-chunk points] [-workers n] [-budget bytes]
+  numarck compress   -plan [-chunk points] [-workers n] [-budget bytes]
 
 -recover salvages chunk-local corruption in chunked (v2) deltas:
 healthy chunks decode, lost point ranges keep the previous iteration's
-values and are reported; without it (and for v1 deltas, which are one
-chunk under one CRC) any corruption fails the command.
+values and are reported; without it (and for read-only v1 deltas, which
+are one chunk under one CRC) any corruption fails the command.
 storectl verify prints a checkpoint store's health report.
 
 compress/decompress also take -metrics and -metrics-json path
@@ -169,10 +169,9 @@ func cmdCompress(args []string) error {
 	strategyName := fs.String("strategy", "clustering", "equal-width | log-scale | clustering")
 	variable := fs.String("var", "data", "variable name recorded in the header")
 	iter := fs.Int("iter", 1, "iteration number recorded in the header")
-	stream := fs.Bool("stream", false, "out-of-core encode to the chunked v2 format")
-	chunkPoints := fs.Int("chunk", 0, "streaming: points per chunk (0 = default)")
-	budget := fs.Int64("budget", 0, "streaming: memory budget in bytes (0 = no cap)")
-	workers := fs.Int("workers", 0, "streaming: concurrent chunks (0 = GOMAXPROCS)")
+	chunkPoints := fs.Int("chunk", 0, "file inputs: points per chunk (0 = default)")
+	budget := fs.Int64("budget", 0, "file inputs: memory budget in bytes (0 = no cap)")
+	workers := fs.Int("workers", 0, "file inputs: concurrent chunks (0 = GOMAXPROCS)")
 	plan := fs.Bool("plan", false, "print the resolved pipeline plan (chunk, workers, peak bytes) and exit")
 	addr := fs.String("addr", "", "numarckd base URL: commit to a running daemon instead of a local file")
 	tenant := fs.String("tenant", "default", "daemon mode: tenant to commit into")
@@ -205,48 +204,38 @@ func cmdCompress(args []string) error {
 	}
 	rec := metrics.recorder()
 	opt := core.Options{ErrorBound: *e, IndexBits: *b, Strategy: strategy, Obs: rec}
-	if *stream {
-		if *prevPath == "" || *curPath == "" {
-			return fmt.Errorf("compress -stream requires -prev and -cur files")
-		}
+	switch {
+	case *ncPath != "":
+	case *prevPath != "" && *curPath != "":
 		cfg := chunk.Config{ChunkPoints: *chunkPoints, Workers: *workers, BudgetBytes: *budget}
 		if err := streamCompress(*outPath, *variable, *iter, *prevPath, *curPath, opt, cfg); err != nil {
 			return err
 		}
 		return metrics.emit(rec)
-	}
-	var prev, cur []float64
-	switch {
-	case *ncPath != "":
-		if *from < 0 || *to < 0 {
-			return fmt.Errorf("compress -nc requires -from and -to timestep indices")
-		}
-		nf, err := ncdf.ReadFile(*ncPath)
-		if err != nil {
-			return err
-		}
-		v, err := nf.VarByName(*variable)
-		if err != nil {
-			return err
-		}
-		if prev, err = nf.Slab(v, *from); err != nil {
-			return err
-		}
-		if cur, err = nf.Slab(v, *to); err != nil {
-			return err
-		}
-		if *iter == 1 {
-			*iter = *to
-		}
-	case *prevPath != "" && *curPath != "":
-		if prev, err = rawio.ReadFile(*prevPath); err != nil {
-			return err
-		}
-		if cur, err = rawio.ReadFile(*curPath); err != nil {
-			return err
-		}
 	default:
 		return fmt.Errorf("compress requires either -prev and -cur, or -nc with -from/-to")
+	}
+	if *from < 0 || *to < 0 {
+		return fmt.Errorf("compress -nc requires -from and -to timestep indices")
+	}
+	nf, err := ncdf.ReadFile(*ncPath)
+	if err != nil {
+		return err
+	}
+	v, err := nf.VarByName(*variable)
+	if err != nil {
+		return err
+	}
+	prev, err := nf.Slab(v, *from)
+	if err != nil {
+		return err
+	}
+	cur, err := nf.Slab(v, *to)
+	if err != nil {
+		return err
+	}
+	if *iter == 1 {
+		*iter = *to
 	}
 	enc, err := core.Encode(prev, cur, opt)
 	if err != nil {
@@ -268,7 +257,7 @@ func cmdCompress(args []string) error {
 	return metrics.emit(rec)
 }
 
-// streamCompress runs the out-of-core encode: file sources, chunked
+// streamCompress runs the out-of-core encode of two files: chunked
 // pipeline, v2 output.
 func streamCompress(outPath, variable string, iter int, prevPath, curPath string, opt core.Options, cfg chunk.Config) error {
 	prev, err := rawio.OpenFile(prevPath)
@@ -298,7 +287,7 @@ func streamCompress(outPath, variable string, iter int, prevPath, curPath string
 	if err != nil {
 		return err
 	}
-	fmt.Printf("streamed %d points in %d chunks of %d (%d workers, peak buffers %d bytes): incompressible %d, file %d bytes\n",
+	fmt.Printf("compressed %d points in %d chunks of %d (%d workers, peak buffers %d bytes): incompressible %d, file %d bytes\n",
 		res.N, res.ChunkCount, res.ChunkPoints, res.Workers, res.PeakBufferBytes, res.ExactCount, info.Size())
 	return nil
 }

@@ -197,10 +197,10 @@ func TestDecompressRecoverSalvagesCorruptV2(t *testing.T) {
 	recPath := filepath.Join(dir, "rec.f64")
 	err := cmdCompress([]string{
 		"-prev", prevPath, "-cur", curPath, "-out", ckPath,
-		"-stream", "-chunk", "256",
+		"-chunk", "256",
 	})
 	if err != nil {
-		t.Fatalf("compress -stream: %v", err)
+		t.Fatalf("compress: %v", err)
 	}
 	corruptOneByte(t, ckPath)
 

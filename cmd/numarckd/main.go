@@ -22,8 +22,9 @@
 //
 // A self-healing janitor sweeps every -janitor-interval: spool scratch
 // files and resumable upload sessions idle past their TTLs are reaped,
-// and stale writer locks left by crashed processes are recovered, with
-// the tallies published under /metrics as janitor counters.
+// with the tallies published under /metrics as janitor counters. A
+// stale writer lock left by a crashed process is taken over by the next
+// write to its tenant, counted as that tenant's lock_takeovers.
 //
 // On SIGTERM or SIGINT the daemon drains: /readyz flips to 503, new
 // API requests get 503, and in-flight commits run to completion —

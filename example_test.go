@@ -158,15 +158,13 @@ func ExampleParseStrategy() {
 	// log-scale
 }
 
-// ExampleStreamEncoder_tuning shows the four tuning knobs of the
+// ExampleStreamEncoder_tuning shows the three tuning knobs of the
 // streaming pipeline and how to read the resolved run shape back from
 // the result: ChunkPoints sets the window size, Workers the number of
-// chunks in flight, BudgetBytes a hard cap on buffer memory (workers
-// are shrunk first, then chunk size), and MaxTableInput bounds the
-// table-learning stage's reservoir for a hard memory ceiling at the
-// cost of byte-identity with the in-memory encoder. The same knobs are
-// the numarck CLI's -chunk, -workers, and -budget flags; PERF.md walks
-// through choosing them.
+// chunks in flight, and BudgetBytes a hard cap on chunk buffer memory
+// (workers are shrunk first, then chunk size). None of them changes a
+// byte of the output. The same knobs are the numarck CLI's -chunk,
+// -workers, and -budget flags; PERF.md walks through choosing them.
 func ExampleStreamEncoder_tuning() {
 	prev := make([]float64, 20000)
 	cur := make([]float64, 20000)
@@ -179,10 +177,9 @@ func ExampleStreamEncoder_tuning() {
 	enc := numarck.StreamEncoder{
 		Opt: numarck.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: numarck.EqualWidth},
 		Config: numarck.StreamConfig{
-			ChunkPoints:   4096,
-			Workers:       4,
-			BudgetBytes:   budget,
-			MaxTableInput: 4096,
+			ChunkPoints: 4096,
+			Workers:     4,
+			BudgetBytes: budget,
 		},
 	}
 	var ckpt bytes.Buffer
@@ -195,9 +192,9 @@ func ExampleStreamEncoder_tuning() {
 	// trades parallelism for memory before touching the chunk size.
 	fmt.Printf("resolved shape: %d worker(s), %d-point chunks, %d chunks\n", res.Workers, res.ChunkPoints, res.ChunkCount)
 	fmt.Printf("buffer footprint: %d bytes (budget %d)\n", res.PeakBufferBytes, budget)
-	fmt.Printf("table input: kept %d of %d ratios (thinned: %v)\n", res.TableInputUsed, res.TableInputTotal, res.TableThinned)
+	fmt.Printf("table input: %d ratios\n", res.TableInputTotal)
 	// Output:
 	// resolved shape: 1 worker(s), 4096-point chunks, 5 chunks
-	// buffer footprint: 188416 bytes (budget 262144)
-	// table input: kept 2500 of 20000 ratios (thinned: true)
+	// buffer footprint: 155648 bytes (budget 262144)
+	// table input: 20000 ratios
 }

@@ -104,7 +104,7 @@ func TestReplayDeltaAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1, err := MarshalDelta("v", 1, enc)
+		v1, err := marshalV1("v", 1, enc)
 		if err != nil {
 			t.Fatal(err)
 		}

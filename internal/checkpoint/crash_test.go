@@ -49,21 +49,22 @@ func copyDir(t *testing.T, src, dst string) {
 }
 
 // writeDeltaAs encodes prev → cur with the store's options and commits
-// it as a delta in the given file format: 1 through WriteDelta (the
-// library's own path, MarshalDelta), 2 as MarshalDeltaV2 bytes through
-// WriteRawDelta, the way every streaming producer commits. Both end in
-// the same commitFile, so the crash matrices see the same mutating ops
-// on either axis.
+// it as a delta in the given file format through WriteRawDelta: 1 as
+// marshalV1 bytes, the read-only layout older stores hold, 2 as
+// MarshalDeltaV2 bytes at the given chunking, the layout every writer
+// emits. Both end in the same commitFile, so the crash matrices see the
+// same mutating ops on either axis.
 func writeDeltaAs(st *Store, format, chunkPoints int, variable string, iteration int, prev, cur []float64) error {
-	if format == 1 {
-		_, err := st.WriteDelta(variable, iteration, prev, cur)
-		return err
-	}
 	enc, err := core.Encode(prev, cur, st.Options())
 	if err != nil {
 		return err
 	}
-	raw, err := MarshalDeltaV2(variable, iteration, enc, chunkPoints)
+	var raw []byte
+	if format == 1 {
+		raw, err = marshalV1(variable, iteration, enc)
+	} else {
+		raw, err = MarshalDeltaV2(variable, iteration, enc, chunkPoints)
+	}
 	if err != nil {
 		return err
 	}
@@ -167,7 +168,7 @@ func TestCrashMatrixWrite(t *testing.T) {
 			inj := faultfs.NewInjector(faultfs.OS(), int64(1000+k))
 			// The crashing store records a dead owner so the post-crash
 			// reopen sees a stale lock and takes it over, like a reboot.
-			st, err := OpenFSOwner(dir, inj, nil, deadOwner)
+			st, err := openFSOwner(dir, inj, nil, deadOwner)
 			if err != nil {
 				t.Fatalf("format %d k=%d: open pre-crash: %v", format, k, err)
 			}
@@ -233,7 +234,7 @@ func TestCrashMatrixCreate(t *testing.T) {
 		dir := t.TempDir()
 		inj := faultfs.NewInjector(faultfs.OS(), int64(k))
 		inj.SetCrashAt(k)
-		if _, err := CreateFSOwner(dir, opts(), inj, deadOwner); !errors.Is(err, faultfs.ErrCrashed) {
+		if _, err := createFSOwner(dir, opts(), inj, deadOwner); !errors.Is(err, faultfs.ErrCrashed) {
 			t.Fatalf("k=%d: create survived crash: %v", k, err)
 		}
 		st, err := Open(dir)
@@ -276,7 +277,7 @@ func TestCrashMatrixOpen(t *testing.T) {
 	if err := os.WriteFile(ixPath, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stWant, err := OpenFSOwner(base, faultfs.OS(), nil, deadOwner)
+	stWant, err := openFSOwner(base, faultfs.OS(), nil, deadOwner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestCrashMatrixOpen(t *testing.T) {
 	probeDir := t.TempDir()
 	copyDir(t, preDir, probeDir)
 	plant(probeDir)
-	stProbe, err := OpenFSOwner(probeDir, probe, nil, deadOwner)
+	stProbe, err := openFSOwner(probeDir, probe, nil, deadOwner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestCrashMatrixOpen(t *testing.T) {
 		plant(dir)
 		inj := faultfs.NewInjector(faultfs.OS(), int64(2000+k))
 		inj.SetCrashAt(k)
-		if _, err := OpenFSOwner(dir, inj, nil, deadOwner); !errors.Is(err, faultfs.ErrCrashed) {
+		if _, err := openFSOwner(dir, inj, nil, deadOwner); !errors.Is(err, faultfs.ErrCrashed) {
 			t.Fatalf("k=%d: open survived the crash point: %v", k, err)
 		}
 		// "Reboot": a plain reopen must take over whatever lock state the

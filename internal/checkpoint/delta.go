@@ -18,10 +18,12 @@ import (
 )
 
 // This file is the only one that knows how a delta checkpoint is laid
-// out on disk: both writers, and the one reader (OpenDelta) everything
+// out on disk: the writer, and the one reader (OpenDelta) everything
 // else goes through.
 //
-// Format v1 (written by MarshalDelta) is one section under one CRC:
+// Format v1 is read-only: no writer emits it, and stores that hold it
+// stay readable forever (testdata/corpus pins them). It is one section
+// under one CRC:
 //
 //	magic "NMRKD1" | len uint32 | JSON header (CRC covers the rest)
 //	| bin table | packed indices | bitmap | exact values
@@ -72,35 +74,11 @@ type dirEntry struct {
 	exactCount int    // incompressible points in the chunk
 }
 
-// MarshalDelta serializes a NUMARCK-encoded checkpoint in the v1
-// layout.
+// MarshalDelta serializes a NUMARCK-encoded checkpoint: MarshalDeltaV2
+// at DefaultChunkPoints, the bytes a streaming encode of the same
+// transition writes.
 func MarshalDelta(variable string, iteration int, enc *core.Encoded) ([]byte, error) {
-	packed, err := enc.PackedIndices()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: pack indices: %w", err)
-	}
-	payload := make([]byte, 0,
-		8*len(enc.BinRatios)+len(packed)+len(enc.Incompressible.Bytes())+8*len(enc.Exact))
-	payload = appendFloats(payload, enc.BinRatios)
-	payload = append(payload, packed...)
-	payload = append(payload, enc.Incompressible.Bytes()...)
-	payload = appendFloats(payload, enc.Exact)
-
-	var buf bytes.Buffer
-	err = writeFile(&buf, magicDelta, fileHeader{
-		Variable:   variable,
-		Iteration:  iteration,
-		N:          enc.N,
-		IndexBits:  enc.Opt.IndexBits,
-		ErrorBound: enc.Opt.ErrorBound,
-		Strategy:   enc.Opt.Strategy.String(),
-		BinCount:   len(enc.BinRatios),
-		ExactCount: len(enc.Exact),
-	}, payload)
-	if err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return MarshalDeltaV2(variable, iteration, enc, 0)
 }
 
 // ChunkError reports a problem confined to one chunk of a v2 file:
@@ -1002,21 +980,31 @@ func MarshalDeltaV2(variable string, iteration int, enc *core.Encoded, chunkPoin
 	if chunkPoints <= 0 {
 		chunkPoints = DefaultChunkPoints
 	}
+	// Room for the whole file but its JSON header, so that appending the
+	// sections never regrows the buffer.
+	chunks := chunkCountFor(enc.N, chunkPoints)
 	var buf bytes.Buffer
+	buf.Grow(frameSize + 512 + 8*len(enc.BinRatios) + sectionSize(enc.N, len(enc.Exact), enc.Opt.IndexBits) +
+		(2+dirEntrySize)*chunks + footerSize)
 	w, err := NewDeltaV2Writer(&buf, variable, iteration, enc.N, enc.Opt, enc.BinRatios, chunkPoints)
 	if err != nil {
 		return nil, err
 	}
 	exactOff := 0
+	flags := enc.Incompressible.Bytes()
+	if len(flags) < (enc.N+7)/8 {
+		return nil, fmt.Errorf("checkpoint: %d-point encoding has %d flag bytes", enc.N, len(flags))
+	}
+	inc := make([]bool, min(chunkPoints, enc.N))
 	for start := 0; start < enc.N; start += chunkPoints {
 		np := chunkPointsAt(enc.N, chunkPoints, start/chunkPoints)
-		inc := make([]bool, np)
+		inc = inc[:np]
 		nExact := 0
-		for j := 0; j < np; j++ {
-			if enc.Incompressible.Get(start + j) {
-				inc[j] = true
-				nExact++
-			}
+		for j := range inc {
+			p := start + j
+			bit := flags[p>>3] >> uint(p&7) & 1
+			inc[j] = bit != 0
+			nExact += int(bit)
 		}
 		if exactOff+nExact > len(enc.Exact) {
 			return nil, fmt.Errorf("checkpoint: encoding flags more exact values than stored (%d)", len(enc.Exact))

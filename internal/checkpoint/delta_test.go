@@ -364,7 +364,7 @@ func TestDeltaFormatEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v1, err := MarshalDelta("dens", 4, enc)
+			v1, err := marshalV1("dens", 4, enc)
 			if err != nil {
 				t.Fatal(err)
 			}

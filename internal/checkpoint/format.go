@@ -6,8 +6,9 @@
 // checkpoint at or before the requested iteration.
 //
 // Only two functions look at a file's magic: OpenDelta (delta.go)
-// decides which of the two delta formats a file is in and presents
-// either as chunks, and parseCheckpoint (below) tells full from delta.
+// decides which of the two delta formats a file is in — NMRKD2, the one
+// every writer emits, or the read-only NMRKD1 — and presents either as
+// chunks, and parseCheckpoint (below) tells full from delta.
 package checkpoint
 
 import (
@@ -73,8 +74,8 @@ type fileHeader struct {
 	Strategy   string  `json:"strategy,omitempty"`
 	BinCount   int     `json:"bin_count,omitempty"`
 	ExactCount int     `json:"exact_count,omitempty"`
-	// Delta-v2-only fields (see v2.go). omitempty keeps v1 output
-	// byte-identical to files written before the chunked format landed.
+	// Delta-v2-only fields (see delta.go); the read-only v1 layout has
+	// neither.
 	ChunkPoints int `json:"chunk_points,omitempty"`
 	ChunkCount  int `json:"chunk_count,omitempty"`
 }

@@ -20,7 +20,7 @@ func seedDelta(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	raw, err := MarshalDelta("v", 1, enc)
+	raw, err := marshalV1("v", 1, enc)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func goldenChain(t *testing.T, dir string) {
 		}
 		var raw []byte
 		if i%2 == 1 {
-			raw, err = MarshalDelta("dens", i, enc)
+			raw, err = marshalV1("dens", i, enc)
 		} else {
 			raw, err = MarshalDeltaV2("dens", i, enc, 512)
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"numarck/internal/core"
-	"numarck/internal/faultfs"
 )
 
 // idemOptions is the encode config the idempotency tests share.
@@ -89,62 +88,5 @@ func TestPayloadCRCDefaultsToFileCRC(t *testing.T) {
 	}
 	if ce.PayloadCRC != ce.CRC || ce.PayloadCRC != crc32.ChecksumIEEE(raw) {
 		t.Fatalf("PayloadCRC = %08x, CRC = %08x, want both = file CRC", ce.PayloadCRC, ce.CRC)
-	}
-}
-
-// TestInspectLock walks the lock-status matrix: no lock, a lock held
-// by a live owner, and a stale lock from a provably dead owner.
-func TestInspectLock(t *testing.T) {
-	dir := t.TempDir() + "/store"
-
-	ls, err := InspectLock(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.Held || ls.Stale() {
-		t.Fatalf("missing store: status %+v, want unheld", ls)
-	}
-
-	st, err := Create(dir, idemOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, err = InspectLock(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ls.Held || !ls.Parsed || !ls.Alive || ls.Stale() {
-		t.Fatalf("held by this process: status %+v", ls)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ls, err = InspectLock(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.Held {
-		t.Fatalf("after close: status %+v, want released", ls)
-	}
-
-	// A lock whose recorded owner cannot exist (beyond the kernel's pid
-	// space) probes dead: stale, recoverable.
-	const deadPID = 1999999999
-	st2, err := CreateFSOwner(dir+"2", idemOptions(), faultfs.OS(), LockOwner{PID: deadPID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Abandon st2 without Close: the LOCK survives, like a crashed
-	// writer's would.
-	_ = st2
-	ls, err = InspectLock(dir + "2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ls.Held || !ls.Parsed || ls.Alive || !ls.Stale() {
-		t.Fatalf("dead owner: status %+v, want stale", ls)
-	}
-	if ls.PID != deadPID {
-		t.Fatalf("PID = %d, want %d", ls.PID, deadPID)
 	}
 }

@@ -147,76 +147,6 @@ func processAlive(pid int) bool {
 	}
 }
 
-// LockStatus describes a store directory's on-disk writer lock as seen
-// by InspectLock: whether a LOCK file exists, whether its bytes parse,
-// who holds it, and whether that holder is provably alive. A held lock
-// whose holder is dead (or whose bytes never parse) is stale — the
-// self-healing janitor's signal to recover the store by opening it,
-// which runs the verified takeover and the recovery scan.
-type LockStatus struct {
-	// Held reports that a LOCK file exists.
-	Held bool
-	// Parsed reports that the lock bytes decoded as a valid record;
-	// the fields below are only meaningful when true.
-	Parsed bool
-	// PID, Nonce, Acquired identify the recorded holder (Acquired in
-	// Unix nanoseconds, 0 when unrecorded).
-	PID      int
-	Nonce    uint64
-	Acquired int64
-	// Alive reports the liveness probe's verdict on PID.
-	Alive bool
-}
-
-// Stale reports whether the lock is held but safe to recover: its
-// bytes never parsed (a record this layout cannot have published), or
-// its recorded holder is provably dead.
-func (ls LockStatus) Stale() bool {
-	return ls.Held && (!ls.Parsed || !ls.Alive)
-}
-
-// Age reports how long the lock has been held as of now (0 when not
-// held or unrecorded).
-func (ls LockStatus) Age() time.Duration {
-	if !ls.Held || ls.Acquired <= 0 {
-		return 0
-	}
-	return time.Duration(time.Now().UnixNano() - ls.Acquired)
-}
-
-// InspectLock reports the state of dir's writer lock on the real
-// filesystem, without acquiring or mutating it. The holder's liveness
-// is probed with the default process-table probe.
-func InspectLock(dir string) (LockStatus, error) {
-	return InspectLockFS(faultfs.OS(), dir, nil)
-}
-
-// InspectLockFS is InspectLock on an explicit filesystem with an
-// optional liveness probe (nil = the default signal-0 probe). A
-// missing LOCK file is not an error: it reports Held false.
-func InspectLockFS(fsys faultfs.FS, dir string, alive func(pid int) bool) (LockStatus, error) {
-	if alive == nil {
-		alive = processAlive
-	}
-	path := filepath.Join(dir, lockName)
-	raw, err := faultfs.ReadFile(fsys, path)
-	if err != nil {
-		if _, serr := fsys.Stat(path); serr != nil {
-			return LockStatus{}, nil
-		}
-		return LockStatus{}, pathErr("inspect lock", path, err)
-	}
-	li, perr := parseLock(raw)
-	if perr != nil {
-		return LockStatus{Held: true}, nil
-	}
-	return LockStatus{
-		Held: true, Parsed: true,
-		PID: li.PID, Nonce: li.Nonce, Acquired: li.Acquired,
-		Alive: alive(li.PID),
-	}, nil
-}
-
 // storeLock is a held writer lock.
 type storeLock struct {
 	fs    faultfs.FS

@@ -34,7 +34,7 @@ func closedLoopChain(tb testing.TB, dir string, opt core.Options, cur []float64,
 		}
 		var raw []byte
 		if cp := chunking(i); cp == 0 {
-			raw, err = MarshalDelta("v", i, enc)
+			raw, err = marshalV1("v", i, enc)
 		} else {
 			raw, err = MarshalDeltaV2("v", i, enc, cp)
 		}

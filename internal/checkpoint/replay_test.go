@@ -205,7 +205,7 @@ func TestDecodeKernelMatchesReference(t *testing.T) {
 					var raw []byte
 					var err error
 					if cp == 0 {
-						raw, err = MarshalDelta("v", 1, enc)
+						raw, err = marshalV1("v", 1, enc)
 					} else {
 						raw, err = MarshalDeltaV2("v", 1, enc, cp)
 					}
@@ -463,7 +463,7 @@ func TestCraftedSectionsFailBeforeWrite(t *testing.T) {
 	if _, err := openDelta(nil, short, int64(len(short))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("v2 file with a truncated exact tail opened: %v", err)
 	}
-	v1, err := MarshalDelta("v", 1, enc)
+	v1, err := marshalV1("v", 1, enc)
 	if err != nil {
 		t.Fatal(err)
 	}

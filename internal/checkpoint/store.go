@@ -121,13 +121,13 @@ func Create(dir string, opt core.Options) (*Store, error) {
 // CreateFS is Create on an explicit filesystem, the entry point
 // fault-injection tests use to crash the store mid-write.
 func CreateFS(dir string, opt core.Options, fsys faultfs.FS) (*Store, error) {
-	return CreateFSOwner(dir, opt, fsys, LockOwner{})
+	return createFSOwner(dir, opt, fsys, LockOwner{})
 }
 
-// CreateFSOwner is CreateFS with an explicit lock owner identity, used
-// by tests that need the resulting LOCK file to read as held or stale
+// createFSOwner is CreateFS with an explicit lock owner identity, for
+// tests that need the resulting LOCK file to read as held or stale
 // regardless of the test process's real PID.
-func CreateFSOwner(dir string, opt core.Options, fsys faultfs.FS, owner LockOwner) (*Store, error) {
+func createFSOwner(dir string, opt core.Options, fsys faultfs.FS, owner LockOwner) (*Store, error) {
 	opt, err := opt.Validate()
 	if err != nil {
 		return nil, err
@@ -198,13 +198,13 @@ func Open(dir string) (*Store, error) {
 // (recovery_scans, torn_files_detected, index_rebuilds) into rec. Nil
 // rec keeps instrumentation a no-op.
 func OpenFS(dir string, fsys faultfs.FS, rec *obs.Recorder) (*Store, error) {
-	return OpenFSOwner(dir, fsys, rec, LockOwner{})
+	return openFSOwner(dir, fsys, rec, LockOwner{})
 }
 
-// OpenFSOwner is OpenFS with an explicit lock owner identity, used by
-// tests that need the resulting LOCK file to read as held or stale
-// regardless of the test process's real PID.
-func OpenFSOwner(dir string, fsys faultfs.FS, rec *obs.Recorder, owner LockOwner) (*Store, error) {
+// openFSOwner is OpenFS with an explicit lock owner identity, for tests
+// that need the resulting LOCK file to read as held or stale regardless
+// of the test process's real PID.
+func openFSOwner(dir string, fsys faultfs.FS, rec *obs.Recorder, owner LockOwner) (*Store, error) {
 	opt, err := readManifest(fsys, dir)
 	if err != nil {
 		return nil, err
@@ -416,12 +416,11 @@ func (st *Store) WriteDelta(variable string, iteration int, prev, cur []float64)
 	return enc, nil
 }
 
-// WriteEncodedDelta writes an already-encoded delta checkpoint in the
-// single-section v1 layout (chunked v2 files, which reads accept just
-// the same, are committed through WriteRawDelta). Used by callers that
-// inspect the encoding before committing to a delta (the Writer encodes
-// tentatively and, under a schedule, may write a full checkpoint
-// instead).
+// WriteEncodedDelta writes an already-encoded delta checkpoint as
+// MarshalDelta bytes: the file a daemon's streaming encode of the same
+// transition commits. Used by callers that inspect the encoding before
+// committing to a delta (the Writer encodes tentatively and, under a
+// schedule, may write a full checkpoint instead).
 func (st *Store) WriteEncodedDelta(variable string, iteration int, enc *core.Encoded) error {
 	if err := validateIdentity(variable, iteration); err != nil {
 		return err
@@ -455,10 +454,10 @@ func (st *Store) WriteRawFullPayload(variable string, iteration int, raw []byte,
 	return st.commitRaw("full", variable, iteration, raw, payloadCRC)
 }
 
-// WriteRawDelta commits raw — an already-marshalled NMRKD1 or NMRKD2
-// delta checkpoint file, e.g. the output of a streaming encode —
-// after validating that it parses (v2: header, bin table, and chunk
-// directory; v1: the whole payload including its CRC) and that its
+// WriteRawDelta commits raw — an already-marshalled delta checkpoint
+// file, e.g. the output of a streaming encode — after validating that
+// it parses (v2: header, bin table, and chunk directory; a read-only v1
+// file: the whole payload including its CRC) and that its
 // header identity matches the given variable and iteration. The
 // journaled payload CRC is the file's own CRC: a raw commit's payload
 // is the file itself.

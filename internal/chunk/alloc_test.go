@@ -16,16 +16,17 @@ func allocPair(nChunks, chunkPoints int) (prev, cur []float64) {
 
 // encodeAllocs measures the average allocations of one full streaming
 // encode of nChunks chunks on the given number of workers.
-// MaxTableInput bounds the reservoir (and disables the pass-1 ratio
-// cache, whose per-chunk entries are a deliberate uncapped-mode
-// allocation), so everything chunk-count-proportional should come from
-// the pooled slot buffers — i.e. nothing.
+// A budget far above what the run needs disables the pass-1 ratio
+// cache, whose per-chunk entries are a deliberate unbudgeted-mode
+// allocation, so everything chunk-count-proportional should come from
+// the pooled slot buffers — i.e. nothing but the amortized growth of
+// the table input.
 func encodeAllocs(t *testing.T, nChunks, workers int) float64 {
 	t.Helper()
 	const cp = 1024
 	prev, cur := allocPair(nChunks, cp)
 	opt := core.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: core.EqualWidth}
-	cfg := Config{ChunkPoints: cp, Workers: workers, MaxTableInput: 64}
+	cfg := Config{ChunkPoints: cp, Workers: workers, BudgetBytes: 1 << 30}
 	return testing.AllocsPerRun(5, func() {
 		if _, err := EncodeDeltaV2(io.Discard, "v", 1, SliceSource(prev), SliceSource(cur), opt, cfg); err != nil {
 			t.Fatal(err)
@@ -35,7 +36,7 @@ func encodeAllocs(t *testing.T, nChunks, workers int) float64 {
 
 // TestEncodeSteadyStateAllocs pins the allocation-free steady state of
 // the streaming encoder: a run has a fixed setup cost (slot buffers,
-// v2 writer, reservoir, fit), but second-and-later chunks must reuse the
+// v2 writer, fit), but second-and-later chunks must reuse the
 // slot's buffers, so adding 64 more chunks must add no allocations —
 // on the inline single-worker path and on the ring, where both runs
 // have more chunks than workers so every slot is reused.

@@ -13,10 +13,7 @@
 // Because both paths share the stage functions (core.ComputeRatios,
 // Ratios.TableInput, core.Fit, core.AssignChunk) and gather their
 // outputs in point order, a streaming encode is byte-identical to the
-// in-memory encode of the same data — unless the caller opts into a
-// bounded table-input reservoir (Config.MaxTableInput), which trades
-// that identity for hard-bounded memory while the error bound still
-// holds through the incompressible mechanism.
+// in-memory encode of the same data, whatever the Config.
 package chunk
 
 import (
@@ -94,7 +91,7 @@ var ErrBudget = fmt.Errorf("chunk: memory budget too small")
 
 // Config tunes the streaming pipeline. The zero value means: default
 // chunk size (checkpoint.DefaultChunkPoints), GOMAXPROCS workers, no
-// memory budget, unbounded table input.
+// memory budget.
 type Config struct {
 	// ChunkPoints is the number of points per chunk. Default
 	// checkpoint.DefaultChunkPoints.
@@ -105,23 +102,14 @@ type Config struct {
 	// GOMAXPROCS.
 	Workers int
 
-	// BudgetBytes caps the encoder's buffer memory. When set, Workers
-	// and then ChunkPoints are shrunk until
-	// Workers*ChunkPoints*BytesPerPoint (+ 8*MaxTableInput if capped)
-	// fits; if even one minimal chunk does not fit, Encode fails with
-	// ErrBudget. 0 means no cap.
+	// BudgetBytes caps the encoder's chunk buffer memory. When set,
+	// Workers and then ChunkPoints are shrunk until
+	// Workers*ChunkPoints*BytesPerPoint fits; if even one minimal chunk
+	// does not fit, Encode fails with ErrBudget. 0 means no cap. The
+	// table-learning input — the ratios outside the zero bin, 8 bytes
+	// each — is gathered whole, as the in-memory encode does, and is not
+	// part of the budget.
 	BudgetBytes int64
-
-	// MaxTableInput caps how many ratios the table-learning stage sees.
-	// 0 (the default) keeps every table-input ratio, which preserves
-	// byte-identity with the in-memory path but lets that buffer grow
-	// with the data. A positive cap (>= 2) bounds it with a
-	// deterministic systematic sample: when full, every other kept
-	// sample is dropped and the keep-stride doubles. The error bound
-	// still holds — points the thinned table cannot represent are
-	// stored exactly — but the learned table, and therefore the bytes,
-	// may differ from the in-memory encode.
-	MaxTableInput int
 
 	// Obs, when non-nil, receives the pipeline's per-chunk stage
 	// timings (read, ratio, assign, decode), worker queue-wait times,
@@ -133,11 +121,8 @@ type Config struct {
 
 // resolve validates cfg, fills defaults, and applies the budget.
 func (cfg Config) resolve() (Config, error) {
-	if cfg.ChunkPoints < 0 || cfg.Workers < 0 || cfg.BudgetBytes < 0 || cfg.MaxTableInput < 0 {
+	if cfg.ChunkPoints < 0 || cfg.Workers < 0 || cfg.BudgetBytes < 0 {
 		return cfg, fmt.Errorf("chunk: negative config value %+v", cfg)
-	}
-	if cfg.MaxTableInput == 1 {
-		return cfg, fmt.Errorf("chunk: MaxTableInput must be 0 (unbounded) or >= 2")
 	}
 	if cfg.ChunkPoints == 0 {
 		cfg.ChunkPoints = checkpoint.DefaultChunkPoints
@@ -146,7 +131,7 @@ func (cfg Config) resolve() (Config, error) {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.BudgetBytes > 0 {
-		avail := cfg.BudgetBytes - 8*int64(cfg.MaxTableInput)
+		avail := cfg.BudgetBytes
 		for cfg.Workers > 1 && int64(cfg.Workers)*int64(cfg.ChunkPoints)*BytesPerPoint > avail {
 			cfg.Workers--
 		}
@@ -157,8 +142,8 @@ func (cfg Config) resolve() (Config, error) {
 			}
 		}
 		if int64(cfg.Workers)*int64(cfg.ChunkPoints)*BytesPerPoint > avail {
-			return cfg, fmt.Errorf("%w: %d bytes cannot hold one %d-point chunk (+%d-entry table cap)",
-				ErrBudget, cfg.BudgetBytes, cfg.ChunkPoints, cfg.MaxTableInput)
+			return cfg, fmt.Errorf("%w: %d bytes cannot hold one %d-point chunk",
+				ErrBudget, cfg.BudgetBytes, cfg.ChunkPoints)
 		}
 	}
 	return cfg, nil
@@ -177,9 +162,8 @@ type Resolved struct {
 	// BudgetBytes when one was set.
 	Config Config
 	// PeakBufferBytes is the budget model's buffer footprint for the
-	// resolved shape: Workers*ChunkPoints*BytesPerPoint plus the capped
-	// table reservoir. It is <= Config.BudgetBytes when a budget was
-	// set.
+	// resolved shape: Workers*ChunkPoints*BytesPerPoint. It is
+	// <= Config.BudgetBytes when a budget was set.
 	PeakBufferBytes int64
 }
 
@@ -198,11 +182,9 @@ func ResolveConfig(cfg Config) (Resolved, error) {
 }
 
 // peakBufferBytes is the budget model's buffer footprint for the
-// resolved config: all in-flight chunk buffer sets plus the capped
-// table reservoir. With MaxTableInput == 0 the reservoir is excluded —
-// it grows with the data and is not bounded by the budget.
+// resolved config: all in-flight chunk buffer sets.
 func (cfg Config) peakBufferBytes() int64 {
-	return int64(cfg.Workers)*int64(cfg.ChunkPoints)*BytesPerPoint + 8*int64(cfg.MaxTableInput)
+	return int64(cfg.Workers) * int64(cfg.ChunkPoints) * BytesPerPoint
 }
 
 // Result summarizes a streaming encode.
@@ -217,67 +199,9 @@ type Result struct {
 	BinRatios []float64
 	// ExactCount is the number of incompressible points stored raw.
 	ExactCount int
-	// TableInputTotal counts the ratios offered to the table stage;
-	// TableInputUsed is how many survived the reservoir (equal unless
-	// TableThinned).
+	// TableInputTotal counts the ratios the table stage learned from.
 	TableInputTotal int64
-	TableInputUsed  int
-	TableThinned    bool
 	// PeakBufferBytes is the budget model's buffer footprint (see
 	// Config.BudgetBytes); it is <= BudgetBytes when one was set.
 	PeakBufferBytes int64
-}
-
-// reservoir accumulates table-input ratios in point order. With cap 0
-// it keeps everything; with a positive cap it keeps a deterministic
-// systematic sample: every stride-th offered value, halving the kept
-// set and doubling the stride whenever the cap is hit. The result
-// depends only on the offered sequence, not on how it was chunked.
-type reservoir struct {
-	cap     int
-	stride  int
-	skip    int
-	vals    []float64
-	total   int64
-	thinned bool
-}
-
-func newReservoir(cap int) *reservoir {
-	r := &reservoir{cap: cap, stride: 1}
-	if cap > 0 {
-		r.vals = make([]float64, 0, cap)
-	}
-	return r
-}
-
-func (r *reservoir) add(vs []float64) {
-	r.total += int64(len(vs))
-	if r.cap <= 0 {
-		r.vals = append(r.vals, vs...)
-		return
-	}
-	for _, v := range vs {
-		if r.skip == 0 {
-			if len(r.vals) == r.cap {
-				r.halve()
-			}
-			r.vals = append(r.vals, v)
-		}
-		r.skip++
-		if r.skip == r.stride {
-			r.skip = 0
-		}
-	}
-}
-
-// halve drops every other kept sample in place and doubles the stride.
-func (r *reservoir) halve() {
-	kept := r.vals[:0]
-	for i := 0; i < len(r.vals); i += 2 {
-		kept = append(kept, r.vals[i])
-	}
-	r.vals = kept
-	r.stride *= 2
-	r.skip = 0
-	r.thinned = true
 }

@@ -81,9 +81,6 @@ func TestStreamingMatchesInMemory(t *testing.T) {
 				if res.ExactCount != len(enc.Exact) {
 					t.Errorf("%s: exact count %d, want %d", name, res.ExactCount, len(enc.Exact))
 				}
-				if res.TableThinned {
-					t.Errorf("%s: unbounded run reported thinning", name)
-				}
 			}
 		}
 	}
@@ -219,72 +216,6 @@ func TestStreamingDecode(t *testing.T) {
 	}
 }
 
-// TestReservoirBound checks that a capped table input stays bounded and
-// chunking-independent, and that the encode still honors the error
-// bound even though the thinned table differs from the full one.
-func TestReservoirBound(t *testing.T) {
-	const n = 8000
-	prev, cur := genPair(n, 3)
-	opt := core.Options{ErrorBound: 0.001, IndexBits: 6, Strategy: core.EqualWidth}
-	cfg := Config{ChunkPoints: 333, Workers: 2, MaxTableInput: 64}
-	var raw bytes.Buffer
-	res, err := EncodeDeltaV2(&raw, "v", 1, SliceSource(prev), SliceSource(cur), opt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.TableThinned {
-		t.Fatal("expected thinning with cap 64")
-	}
-	if res.TableInputUsed > 64 {
-		t.Fatalf("reservoir kept %d > cap 64", res.TableInputUsed)
-	}
-	if res.TableInputTotal <= 64 {
-		t.Fatalf("implausible table input total %d", res.TableInputTotal)
-	}
-
-	// Same cap, different chunking: the systematic sample depends only
-	// on the point order, so the two encodings must be the same once
-	// the chunk framing is taken off (compared as v1 bytes, which have
-	// none).
-	var raw2 bytes.Buffer
-	if _, err := EncodeDeltaV2(&raw2, "v", 1, SliceSource(prev), SliceSource(cur), opt, Config{ChunkPoints: 1024, Workers: 3, MaxTableInput: 64}); err != nil {
-		t.Fatal(err)
-	}
-	_, _, enc, err := checkpoint.UnmarshalDeltaV2(raw.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, enc2, err := checkpoint.UnmarshalDeltaV2(raw2.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := checkpoint.MarshalDelta("v", 1, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat2, err := checkpoint.MarshalDelta("v", 1, enc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(flat, flat2) {
-		t.Fatal("capped encode depends on chunking")
-	}
-
-	// The error bound survives thinning: every reconstructed point is
-	// within |prev|*E of the true value (incompressible storage covers
-	// what the coarse table cannot).
-	out, err := enc.Decode(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range out {
-		limit := math.Abs(prev[j])*opt.ErrorBound + 1e-12
-		if diff := math.Abs(out[j] - cur[j]); diff > limit {
-			t.Fatalf("point %d: |out-cur| = %g exceeds |prev|*E = %g", j, diff, limit)
-		}
-	}
-}
-
 func TestConfigResolve(t *testing.T) {
 	// Budget shrinks workers first, then chunk size.
 	cfg, err := Config{ChunkPoints: 1 << 16, Workers: 8, BudgetBytes: 1 << 20}.resolve()
@@ -304,10 +235,6 @@ func TestConfigResolve(t *testing.T) {
 	// A budget below one minimal chunk fails loudly.
 	if _, err := (Config{BudgetBytes: 1024}).resolve(); !errors.Is(err, ErrBudget) {
 		t.Errorf("tiny budget: err = %v, want ErrBudget", err)
-	}
-	// MaxTableInput == 1 is rejected.
-	if _, err := (Config{MaxTableInput: 1}).resolve(); err == nil {
-		t.Error("MaxTableInput=1 accepted")
 	}
 	// Negative values are rejected.
 	if _, err := (Config{Workers: -1}).resolve(); err == nil {
@@ -477,34 +404,6 @@ func TestOrderedChunks(t *testing.T) {
 			t.Fatalf("W=%d: emit error at chunk %d, but %d chunks emitted", w, k, p.emitted)
 		}
 		waitGoroutines(t, base, "emit error")
-	}
-}
-
-func TestReservoirDeterminism(t *testing.T) {
-	vals := make([]float64, 1000)
-	for i := range vals {
-		vals[i] = float64(i)
-	}
-	whole := newReservoir(32)
-	whole.add(vals)
-	chunked := newReservoir(32)
-	for lo := 0; lo < len(vals); lo += 77 {
-		hi := lo + 77
-		if hi > len(vals) {
-			hi = len(vals)
-		}
-		chunked.add(vals[lo:hi])
-	}
-	if len(whole.vals) != len(chunked.vals) {
-		t.Fatalf("kept %d vs %d", len(whole.vals), len(chunked.vals))
-	}
-	for i := range whole.vals {
-		if math.Float64bits(whole.vals[i]) != math.Float64bits(chunked.vals[i]) {
-			t.Fatalf("sample %d differs: %v vs %v", i, whole.vals[i], chunked.vals[i])
-		}
-	}
-	if len(whole.vals) > 32 {
-		t.Fatalf("cap exceeded: %d", len(whole.vals))
 	}
 }
 

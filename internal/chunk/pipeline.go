@@ -205,12 +205,12 @@ type chunkOut struct {
 // re-readable and of equal length. Memory use is bounded by the Config
 // budget; nothing proportional to the data size is held.
 //
-// When the run is entirely uncapped (BudgetBytes == 0 and
-// MaxTableInput == 0) pass 1 retains each chunk's ratios for pass 2,
-// which then re-reads only cur (for the exact values) and skips the
-// ratio recomputation. The cache holds 9 bytes per point — acceptable
-// only because the caller asked for no memory bound; any cap disables
-// it and the two passes stay fully streaming.
+// When the run has no budget (BudgetBytes == 0) pass 1 retains each
+// chunk's ratios for pass 2, which then re-reads only cur (for the
+// exact values) and skips the ratio recomputation. The cache holds 9
+// bytes per point — acceptable only because the caller asked for no
+// memory bound; a budget disables it and the two passes stay fully
+// streaming.
 func EncodeDeltaV2(w io.Writer, variable string, iteration int, prev, cur Source, opt core.Options, cfg Config) (*Result, error) {
 	vopt, err := opt.Validate()
 	if err != nil {
@@ -241,7 +241,7 @@ func EncodeDeltaV2(w io.Writer, variable string, iteration int, prev, cur Source
 	}
 
 	var cache []core.Ratios
-	if cfg.BudgetBytes == 0 && cfg.MaxTableInput == 0 {
+	if cfg.BudgetBytes == 0 {
 		cache = make([]core.Ratios, chunkCount)
 	}
 	slots := make([]encodeSlot, cfg.Workers)
@@ -249,7 +249,7 @@ func EncodeDeltaV2(w io.Writer, variable string, iteration int, prev, cur Source
 	// Pass 1: ratios only, gathering the table input in point order.
 	// Each chunk's table-input slice is a contiguous piece of the exact
 	// sequence the in-memory encoder hands to core.Fit.
-	res := newReservoir(cfg.MaxTableInput)
+	var tableInput []float64
 	err = orderedChunks(chunkCount, cfg.Workers, "encode-pass1", rec,
 		func(i, slot int) ([]float64, error) {
 			lo, np := chunkSpan(n, cfg.ChunkPoints, i)
@@ -280,7 +280,7 @@ func EncodeDeltaV2(w io.Writer, variable string, iteration int, prev, cur Source
 			return s.ti, nil
 		},
 		func(_ int, ti []float64) error {
-			res.add(ti)
+			tableInput = append(tableInput, ti...)
 			return nil
 		})
 	if err != nil {
@@ -290,8 +290,8 @@ func EncodeDeltaV2(w io.Writer, variable string, iteration int, prev, cur Source
 	t := rec.Start()
 	var bins core.Binner
 	var binRatios []float64
-	if len(res.vals) > 0 {
-		bins, err = core.Fit(res.vals, vopt)
+	if len(tableInput) > 0 {
+		bins, err = core.Fit(tableInput, vopt)
 		if err != nil {
 			t.Stop(obs.StageTable)
 			return nil, err
@@ -303,7 +303,7 @@ func EncodeDeltaV2(w io.Writer, variable string, iteration int, prev, cur Source
 		}
 	}
 	t.Stop(obs.StageTable)
-	rec.Add(obs.CounterTableInput, res.total)
+	rec.Add(obs.CounterTableInput, int64(len(tableInput)))
 	rec.SetMax(obs.GaugeBinCount, int64(len(binRatios)))
 
 	dw, err := checkpoint.NewDeltaV2Writer(w, variable, iteration, n, vopt, binRatios, cfg.ChunkPoints)
@@ -390,9 +390,7 @@ func EncodeDeltaV2(w io.Writer, variable string, iteration int, prev, cur Source
 		Workers:         cfg.Workers,
 		BinRatios:       binRatios,
 		ExactCount:      exactCount,
-		TableInputTotal: res.total,
-		TableInputUsed:  len(res.vals),
-		TableThinned:    res.thinned,
+		TableInputTotal: int64(len(tableInput)),
 		PeakBufferBytes: cfg.peakBufferBytes(),
 	}, nil
 }

@@ -61,7 +61,4 @@ func TestResolveConfigRejectsNegative(t *testing.T) {
 	if _, err := ResolveConfig(Config{Workers: -1}); err == nil {
 		t.Fatal("negative Workers accepted")
 	}
-	if _, err := ResolveConfig(Config{MaxTableInput: 1}); err == nil {
-		t.Fatal("MaxTableInput=1 accepted")
-	}
 }

@@ -139,9 +139,6 @@ const (
 	// CounterSessionsReaped counts expired upload sessions removed by
 	// the janitor.
 	CounterSessionsReaped
-	// CounterLocksRecovered counts stale writer locks (dead holder)
-	// the janitor detected and recovered.
-	CounterLocksRecovered
 
 	numCounters
 )
@@ -156,7 +153,7 @@ var counterNames = [numCounters]string{
 	"recovery_scans", "torn_files_detected", "chunks_quarantined",
 	"index_rebuilds", "index_rereads", "lock_takeovers",
 	"commit_replays", "retries",
-	"spools_reaped", "sessions_reaped", "locks_recovered",
+	"spools_reaped", "sessions_reaped",
 }
 
 // String returns the counter's snapshot name.

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -233,51 +234,100 @@ func TestChainBoundContract(t *testing.T) {
 // TestLibraryDaemonRestartIdentical is the differential form: a library
 // store and a daemon tenant with the same options, fed the same
 // iterations on the same full-checkpoint schedule, restart bit-identical
-// at every iteration although their files differ — one NMRKD1 section
-// from the Writer, several NMRKD2 chunks from the daemon's streaming
-// encode.
+// at every iteration. At the daemon's default chunking the two stores
+// hold the same bytes — every .nmk file of the library store equals the
+// tenant's. With 512-point chunks the daemon's files differ from the
+// library's one-chunk deltas, and the reconstructions still may not.
 func TestLibraryDaemonRestartIdentical(t *testing.T) {
 	const n, iters, fullEvery = 4096, 20, 7
-	opt := testOptions(t)
-	lib, err := checkpoint.Create(filepath.Join(t.TempDir(), "lib"), opt)
+	for _, tc := range []struct {
+		name      string
+		chunk     chunk.Config
+		sameFiles bool
+	}{
+		{"multi-chunk", chunk.Config{ChunkPoints: 512, Workers: 2}, false},
+		{"default-chunking", chunk.Config{}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := testOptions(t)
+			libDir := filepath.Join(t.TempDir(), "lib")
+			lib, err := checkpoint.Create(libDir, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lib.Close()
+			srv, err := New(Config{Root: t.TempDir(), Opt: opt, Chunk: tc.chunk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			c := &Client{Base: ts.URL, Tenant: "sim"}
+			w := checkpoint.NewWriter(lib, fullEvery)
+			for i, x := range hostileChain(26, n, iters) {
+				encs, err := w.Append(i, map[string][]float64{"v": x})
+				if err != nil {
+					t.Fatal(err)
+				}
+				kind := "full"
+				if encs["v"] != nil {
+					kind = "delta"
+				}
+				cr, err := c.Push("v", i, bytes.NewReader(floatBytes(x)), url.Values{"kind": {kind}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kind == "delta" && !tc.sameFiles && cr.Chunks < 2 {
+					t.Fatalf("iteration %d: the daemon wrote %d chunk(s), want a multi-chunk file", i, cr.Chunks)
+				}
+				want, err := lib.Restart("v", i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var body bytes.Buffer
+				if _, _, err := c.Fetch("v", i, &body, false); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(body.Bytes(), floatBytes(want)) {
+					t.Fatalf("iteration %d: daemon and library restarts differ", i)
+				}
+			}
+			if tc.sameFiles {
+				sameStoreFiles(t, libDir, filepath.Join(srv.Registry().Root(), "sim"))
+			}
+		})
+	}
+}
+
+// sameStoreFiles fails unless the two store directories hold the same
+// checkpoint files, byte for byte.
+func sameStoreFiles(t *testing.T, a, b string) {
+	t.Helper()
+	as, err := filepath.Glob(filepath.Join(a, "*.nmk"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lib.Close()
-	srv, err := New(Config{Root: t.TempDir(), Opt: opt, Chunk: chunk.Config{ChunkPoints: 512, Workers: 2}})
+	bs, err := filepath.Glob(filepath.Join(b, "*.nmk"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	c := &Client{Base: ts.URL, Tenant: "sim"}
-	w := checkpoint.NewWriter(lib, fullEvery)
-	for i, x := range hostileChain(26, n, iters) {
-		encs, err := w.Append(i, map[string][]float64{"v": x})
+	if len(as) == 0 || len(as) != len(bs) {
+		t.Fatalf("%d checkpoint files against %d", len(as), len(bs))
+	}
+	for i := range as {
+		if filepath.Base(as[i]) != filepath.Base(bs[i]) {
+			t.Fatalf("file %d: %s against %s", i, filepath.Base(as[i]), filepath.Base(bs[i]))
+		}
+		ra, err := os.ReadFile(as[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		kind := "full"
-		if encs["v"] != nil {
-			kind = "delta"
-		}
-		cr, err := c.Push("v", i, bytes.NewReader(floatBytes(x)), url.Values{"kind": {kind}})
+		rb, err := os.ReadFile(bs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kind == "delta" && cr.Chunks < 2 {
-			t.Fatalf("iteration %d: the daemon wrote %d chunk(s), want a multi-chunk file", i, cr.Chunks)
-		}
-		want, err := lib.Restart("v", i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var body bytes.Buffer
-		if _, _, err := c.Fetch("v", i, &body, false); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(body.Bytes(), floatBytes(want)) {
-			t.Fatalf("iteration %d: daemon and library restarts differ", i)
+		if !bytes.Equal(ra, rb) {
+			t.Errorf("%s: library and daemon files differ (%d and %d bytes)", filepath.Base(as[i]), len(ra), len(rb))
 		}
 	}
 }

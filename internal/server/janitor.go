@@ -1,15 +1,15 @@
 package server
 
 // The self-healing janitor: a periodic sweep that undoes what crashes
-// leave behind. A daemon killed mid-request strands three kinds of
-// state — spool scratch files, resumable upload sessions, and (when a
-// whole process died holding a store) stale writer locks. None of them
-// block correctness on their own, but they accumulate: spools eat
-// disk, expired sessions eat disk and table entries, and a stale LOCK
-// makes every write to that tenant fail 423 until someone recovers it.
-// The janitor reaps all three on a clock and publishes what it did as
-// counters (spools_reaped, sessions_reaped, locks_recovered) under
-// /metrics, so "the daemon healed itself" is observable, not folklore.
+// leave behind. A daemon killed mid-request strands spool scratch files
+// and resumable upload sessions. Neither blocks correctness, but both
+// accumulate: spools eat disk, expired sessions eat disk and table
+// entries. The janitor reaps both on a clock and publishes what it did
+// as counters (spools_reaped, sessions_reaped) under /metrics, so "the
+// daemon healed itself" is observable, not folklore. (A stale writer
+// LOCK left by a dead process needs no sweep: the next write to the
+// tenant takes it over when it opens the store, counted as the
+// tenant's lock_takeovers.)
 
 import (
 	"context"
@@ -19,8 +19,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"numarck/internal/checkpoint"
-	"numarck/internal/faultfs"
 	"numarck/internal/obs"
 )
 
@@ -38,9 +36,6 @@ type JanitorConfig struct {
 	SessionTTL time.Duration
 	// Now overrides the clock (tests); nil uses time.Now.
 	Now func() time.Time
-	// Alive overrides the lock-owner liveness probe (tests); nil uses
-	// the real signal-0 check.
-	Alive func(pid int) bool
 }
 
 // JanitorReport is one sweep's tally.
@@ -49,16 +44,11 @@ type JanitorReport struct {
 	SpoolsReaped int
 	// SessionsReaped counts upload sessions removed.
 	SessionsReaped int
-	// LocksRecovered counts stale writer locks broken and their stores
-	// recovered.
-	LocksRecovered int
 }
 
 // Sweep runs one janitor pass: reap orphaned spool files older than
-// SpoolTTL, upload sessions idle longer than SessionTTL, and stale
-// writer locks whose recorded owner is provably dead. Items it cannot
-// judge (unreadable, actively locked by a live process) are left
-// alone; per-item failures are collected, not fatal, so one bad entry
+// SpoolTTL and upload sessions idle longer than SessionTTL. Items it
+// cannot judge (unreadable, owned by a live request) are left alone; per-item failures are collected, not fatal, so one bad entry
 // never shields the rest from cleaning.
 func (s *Server) Sweep(cfg JanitorConfig) (JanitorReport, error) {
 	now := time.Now
@@ -70,11 +60,9 @@ func (s *Server) Sweep(cfg JanitorConfig) (JanitorReport, error) {
 
 	rep.SpoolsReaped, errs = s.sweepSpools(now(), cfg.SpoolTTL, errs)
 	rep.SessionsReaped, errs = s.sweepSessions(now(), cfg.SessionTTL, errs)
-	rep.LocksRecovered, errs = s.sweepLocks(cfg.Alive, errs)
 
 	s.jrec.Add(obs.CounterSpoolsReaped, int64(rep.SpoolsReaped))
 	s.jrec.Add(obs.CounterSessionsReaped, int64(rep.SessionsReaped))
-	s.jrec.Add(obs.CounterLocksRecovered, int64(rep.LocksRecovered))
 	return rep, errors.Join(errs...)
 }
 
@@ -163,32 +151,6 @@ func (s *Server) sweepSessions(now time.Time, ttl time.Duration, errs []error) (
 		reaped++
 	}
 	return reaped, errs
-}
-
-// sweepLocks finds tenant stores whose writer LOCK names a provably
-// dead owner and recovers them by running an empty write through the
-// normal path: Open performs the verified stale-lock takeover and the
-// recovery scan, Close releases the fresh lock. Locks held by live
-// processes — including this one's in-flight writes — are not stale
-// and are left alone.
-func (s *Server) sweepLocks(alive func(pid int) bool, errs []error) (int, []error) {
-	recovered := 0
-	for _, t := range s.reg.Tenants() {
-		ls, err := checkpoint.InspectLockFS(faultfs.OS(), t.Dir(), alive)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("janitor: inspect lock %s: %w", t.Name(), err))
-			continue
-		}
-		if !ls.Stale() {
-			continue
-		}
-		if err := t.WithStore(func(*checkpoint.Store) error { return nil }); err != nil {
-			errs = append(errs, fmt.Errorf("janitor: recover %s: %w", t.Name(), err))
-			continue
-		}
-		recovered++
-	}
-	return recovered, errs
 }
 
 // RunJanitor sweeps immediately and then every cfg.Interval until ctx

@@ -1,9 +1,8 @@
 package server
 
-// Janitor tests: the self-healing sweep reaps orphaned spool files,
-// expired upload sessions, and stale writer locks; publishes all three
-// counters through /metrics; respects TTLs for live state; and leaves
-// the tenant writable again after a lock recovery.
+// Janitor tests: the self-healing sweep reaps orphaned spool files and
+// expired upload sessions, publishes both counters through /metrics,
+// and respects TTLs for live state.
 
 import (
 	"bytes"
@@ -13,17 +12,11 @@ import (
 	"testing"
 	"time"
 
-	"numarck/internal/checkpoint"
-	"numarck/internal/faultfs"
 	"numarck/internal/obs"
 )
 
-// deadPID is above the kernel's pid ceiling, so a liveness probe
-// always reports it dead — a provably stale lock owner.
-const deadPID = 1999999999
-
-// plantOrphans leaves one orphaned spool file, one idle upload
-// session, and one dead-owner writer lock on tenant name.
+// plantOrphans leaves one orphaned spool file and one idle upload
+// session on tenant name.
 func plantOrphans(t *testing.T, s *Server, ts string, name string) {
 	t.Helper()
 	// A spool file whose request died before commit.
@@ -34,30 +27,10 @@ func plantOrphans(t *testing.T, s *Server, ts string, name string) {
 	h := &uploadHarness{t: t, base: ts, http: http.DefaultClient, payload: floatBytes(seriesValues(0, 16))}
 	resp := h.do("POST", ts+"/v1/"+name+"/v/uploads?iter=5&size=128", nil, nil)
 	h.decode(resp, 201)
-	// A store whose writer crashed while holding the lock: commit once
-	// so the store exists, then reacquire the lock as a dead process.
-	c := &Client{Base: ts, Tenant: name}
-	if _, err := c.Push("v", 0, bytes.NewReader(floatBytes(seriesValues(0, 64))), nil); err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(s.Registry().Root(), name)
-	// The opened store is deliberately abandoned: its LOCK file, owned
-	// by deadPID, is the orphan under test.
-	if _, err := checkpoint.OpenFSOwner(dir, faultfs.OS(), nil, checkpoint.LockOwner{PID: deadPID}); err != nil {
-		t.Fatal(err)
-	}
-	ls, err := checkpoint.InspectLock(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ls.Stale() {
-		t.Fatalf("planted lock is not stale: %+v", ls)
-	}
 }
 
-// TestJanitorSweep plants all three kinds of orphan, sweeps with zero
-// TTLs, and checks the report, the /metrics counters, and that the
-// recovered tenant accepts writes again.
+// TestJanitorSweep plants both kinds of orphan, sweeps with zero TTLs,
+// and checks the report and the /metrics counters.
 func TestJanitorSweep(t *testing.T) {
 	s, ts := newTestServer(t, 0, 0)
 	plantOrphans(t, s, ts.URL, "jt")
@@ -66,25 +39,12 @@ func TestJanitorSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
-	if rep.SpoolsReaped != 1 || rep.SessionsReaped != 1 || rep.LocksRecovered != 1 {
+	if rep.SpoolsReaped != 1 || rep.SessionsReaped != 1 {
 		t.Fatalf("report = %+v, want one of each", rep)
 	}
 
-	// The lock is gone and the tenant writes again through the daemon.
-	dir := filepath.Join(s.Registry().Root(), "jt")
-	ls, err := checkpoint.InspectLock(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.Held {
-		t.Fatalf("lock still held after sweep: %+v", ls)
-	}
-	c := &Client{Base: ts.URL, Tenant: "jt"}
-	if _, err := c.Push("v", 1, bytes.NewReader(floatBytes(seriesValues(1, 64))), nil); err != nil {
-		t.Fatalf("push after lock recovery: %v", err)
-	}
-
 	// The counters surface in the metrics endpoint's janitor section.
+	c := &Client{Base: ts.URL, Tenant: "jt"}
 	mr, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +52,6 @@ func TestJanitorSweep(t *testing.T) {
 	for counter, want := range map[string]int64{
 		obs.CounterSpoolsReaped.String():   1,
 		obs.CounterSessionsReaped.String(): 1,
-		obs.CounterLocksRecovered.String(): 1,
 	} {
 		if got := mr.Janitor.Counters[counter]; got != want {
 			t.Errorf("metrics janitor counter %s = %d, want %d", counter, got, want)
@@ -119,7 +78,7 @@ func TestJanitorRespectsTTLs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
-	if rep.SpoolsReaped != 0 || rep.SessionsReaped != 0 || rep.LocksRecovered != 0 {
+	if rep.SpoolsReaped != 0 || rep.SessionsReaped != 0 {
 		t.Fatalf("report = %+v, want nothing reaped", rep)
 	}
 	if _, err := os.Stat(filepath.Join(s.spoolDir, "ckpt-live")); err != nil {

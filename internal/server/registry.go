@@ -10,6 +10,7 @@ import (
 
 	"numarck/internal/checkpoint"
 	"numarck/internal/core"
+	"numarck/internal/faultfs"
 	"numarck/internal/obs"
 )
 
@@ -132,7 +133,9 @@ func (t *Tenant) Recorder() *obs.Recorder { return t.rec }
 func (t *Tenant) WithStore(fn func(st *checkpoint.Store) error) (err error) {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	st, err := checkpoint.Open(t.dir)
+	// The tenant's recorder sees the open: a stale LOCK taken over here
+	// counts as the tenant's lock_takeovers.
+	st, err := checkpoint.OpenFS(t.dir, faultfs.OS(), t.rec)
 	if errors.Is(err, checkpoint.ErrNotFound) {
 		st, err = checkpoint.Create(t.dir, t.opt)
 	}

@@ -84,8 +84,8 @@ type Server struct {
 	// state lives under spoolDir/uploads.
 	uploads *uploadTable
 	// jrec collects the self-healing janitor's counters
-	// (spools_reaped, sessions_reaped, locks_recovered), published in
-	// /metrics separately from tenant pipelines.
+	// (spools_reaped, sessions_reaped), published in /metrics
+	// separately from tenant pipelines.
 	jrec *obs.Recorder
 
 	// spoolBusy marks spool scratch files owned by in-flight requests,

@@ -140,8 +140,8 @@ type MetricsResponse struct {
 	// Process merges every tenant snapshot into the process-wide view.
 	Process obs.Snapshot `json:"process"`
 	// Janitor is the self-healing sweeper's counters (spools_reaped,
-	// sessions_reaped, locks_recovered), kept apart from the tenant
-	// pipelines they clean up after.
+	// sessions_reaped), kept apart from the tenant pipelines they clean
+	// up after.
 	Janitor obs.Snapshot `json:"janitor"`
 }
 

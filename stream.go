@@ -20,9 +20,8 @@ type Source = chunk.Source
 // SliceSource adapts an in-memory slice to Source.
 type SliceSource = chunk.SliceSource
 
-// StreamConfig tunes the streaming pipeline: chunk size, worker count,
-// an optional memory budget, and an optional table-input cap. The zero
-// value uses defaults.
+// StreamConfig tunes the streaming pipeline: chunk size, worker count
+// and an optional memory budget. The zero value uses defaults.
 type StreamConfig = chunk.Config
 
 // StreamResult summarizes a streaming encode.
