@@ -204,16 +204,15 @@ func cmdCompress(args []string) error {
 	}
 	rec := metrics.recorder()
 	opt := core.Options{ErrorBound: *e, IndexBits: *b, Strategy: strategy, Obs: rec}
-	switch {
-	case *ncPath != "":
-	case *prevPath != "" && *curPath != "":
+	if *ncPath == "" {
+		if *prevPath == "" || *curPath == "" {
+			return fmt.Errorf("compress requires either -prev and -cur, or -nc with -from/-to")
+		}
 		cfg := chunk.Config{ChunkPoints: *chunkPoints, Workers: *workers, BudgetBytes: *budget}
 		if err := streamCompress(*outPath, *variable, *iter, *prevPath, *curPath, opt, cfg); err != nil {
 			return err
 		}
 		return metrics.emit(rec)
-	default:
-		return fmt.Errorf("compress requires either -prev and -cur, or -nc with -from/-to")
 	}
 	if *from < 0 || *to < 0 {
 		return fmt.Errorf("compress -nc requires -from and -to timestep indices")

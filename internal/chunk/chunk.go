@@ -131,17 +131,16 @@ func (cfg Config) resolve() (Config, error) {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.BudgetBytes > 0 {
-		avail := cfg.BudgetBytes
-		for cfg.Workers > 1 && int64(cfg.Workers)*int64(cfg.ChunkPoints)*BytesPerPoint > avail {
+		for cfg.Workers > 1 && int64(cfg.Workers)*int64(cfg.ChunkPoints)*BytesPerPoint > cfg.BudgetBytes {
 			cfg.Workers--
 		}
-		for cfg.ChunkPoints > minChunkPoints && int64(cfg.Workers)*int64(cfg.ChunkPoints)*BytesPerPoint > avail {
+		for cfg.ChunkPoints > minChunkPoints && int64(cfg.Workers)*int64(cfg.ChunkPoints)*BytesPerPoint > cfg.BudgetBytes {
 			cfg.ChunkPoints /= 2
 			if cfg.ChunkPoints < minChunkPoints {
 				cfg.ChunkPoints = minChunkPoints
 			}
 		}
-		if int64(cfg.Workers)*int64(cfg.ChunkPoints)*BytesPerPoint > avail {
+		if int64(cfg.Workers)*int64(cfg.ChunkPoints)*BytesPerPoint > cfg.BudgetBytes {
 			return cfg, fmt.Errorf("%w: %d bytes cannot hold one %d-point chunk",
 				ErrBudget, cfg.BudgetBytes, cfg.ChunkPoints)
 		}

@@ -48,8 +48,9 @@ type JanitorReport struct {
 
 // Sweep runs one janitor pass: reap orphaned spool files older than
 // SpoolTTL and upload sessions idle longer than SessionTTL. Items it
-// cannot judge (unreadable, owned by a live request) are left alone; per-item failures are collected, not fatal, so one bad entry
-// never shields the rest from cleaning.
+// cannot judge (unreadable, owned by a live request) are left alone;
+// per-item failures are collected, not fatal, so one bad entry never
+// shields the rest from cleaning.
 func (s *Server) Sweep(cfg JanitorConfig) (JanitorReport, error) {
 	now := time.Now
 	if cfg.Now != nil {
