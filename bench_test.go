@@ -10,11 +10,13 @@ package numarck_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"numarck"
+	"numarck/internal/checkpoint"
 	"numarck/internal/experiments"
 )
 
@@ -271,6 +273,45 @@ func BenchmarkStreamEncodeEqualWidth64K(b *testing.B) {
 }
 func BenchmarkStreamEncodeClustering64K(b *testing.B) {
 	benchStreamEncode(b, numarck.Clustering, 1<<16)
+}
+
+// BenchmarkEncodeDeltaFile pairs the two drivers that write a delta
+// file, at the sizes the daemon and the CMIP5 grid send (12 960 points)
+// and at one default chunk (65 536): core.Encode + checkpoint.MarshalDelta
+// (what Writer.Append runs) against chunk.EncodeDeltaV2 with the
+// default Config (what the daemon and `numarck compress` run). Both
+// write the same bytes; stream/inmem of one size and strategy is the
+// ratio ROADMAP item 5(b) and PERF.md discuss.
+func BenchmarkEncodeDeltaFile(b *testing.B) {
+	for _, n := range []int{12960, 1 << 16} {
+		prev, cur := benchData(n)
+		for _, s := range []numarck.Strategy{numarck.EqualWidth, numarck.LogScale, numarck.Clustering} {
+			opt := numarck.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: s}
+			b.Run(fmt.Sprintf("n=%d/%s/inmem", n, s), func(b *testing.B) {
+				b.SetBytes(int64(8 * n))
+				for i := 0; i < b.N; i++ {
+					enc, err := numarck.Encode(prev, cur, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := checkpoint.MarshalDelta("bench", 1, enc); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("n=%d/%s/stream", n, s), func(b *testing.B) {
+				enc := numarck.StreamEncoder{Opt: opt}
+				var buf bytes.Buffer
+				b.SetBytes(int64(8 * n))
+				for i := 0; i < b.N; i++ {
+					buf.Reset()
+					if _, err := enc.Encode(&buf, "bench", 1, numarck.SliceSource(prev), numarck.SliceSource(cur)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // benchStreamDecode measures the parallel chunked decode of a v2 file

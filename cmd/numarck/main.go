@@ -12,8 +12,10 @@
 //
 // With -addr, compress and decompress run as clients of a numarckd
 // daemon instead of touching local files: compress pushes the current
-// values and lets the daemon delta-encode against its chain, and
-// decompress fetches a server-side reconstruction. compress -plan
+// values and lets the daemon delta-encode against its chain with the
+// tenant store's options (so -e, -b, -strategy, -chunk, -workers and
+// -budget are refused alongside -addr), and decompress fetches a
+// server-side reconstruction. compress -plan
 // prints the resolved pipeline plan (chunk size, workers, peak buffer
 // bytes) for the given -chunk/-workers/-budget without doing any work.
 //
@@ -42,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"numarck/internal/checkpoint"
 	"numarck/internal/chunk"
@@ -146,6 +149,9 @@ daemon client mode (against a running numarckd):
   numarck decompress -addr http://host:8377 -tenant t -var dens -iter n -out rec.f64 [-recover]
   numarck compress   -plan [-chunk points] [-workers n] [-budget bytes]
 
+compress -addr encodes with the tenant store's options and the daemon's
+pipeline; it refuses -e, -b, -strategy, -chunk, -workers and -budget.
+
 -recover salvages chunk-local corruption in chunked (v2) deltas:
 healthy chunks decode, lost point ranges keep the previous iteration's
 values and are reported; without it (and for read-only v1 deltas, which
@@ -192,8 +198,17 @@ func cmdCompress(args []string) error {
 		if *curPath == "" {
 			return fmt.Errorf("compress -addr requires -cur (the daemon reconstructs -prev from its chain)")
 		}
-		q := remoteQuery(*e, *b, *strategyName, *chunkPoints, *workers, *budget)
-		return remoteCompress(*addr, *tenant, *variable, *iter, *curPath, q)
+		var local []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "e", "b", "strategy", "chunk", "workers", "budget":
+				local = append(local, "-"+f.Name)
+			}
+		})
+		if len(local) > 0 {
+			return fmt.Errorf("compress -addr: %s cannot be set: the tenant store's options and the daemon's pipeline decide the encode", strings.Join(local, ", "))
+		}
+		return remoteCompress(*addr, *tenant, *variable, *iter, *curPath)
 	}
 	if *outPath == "" {
 		return fmt.Errorf("compress requires -out")

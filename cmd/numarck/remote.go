@@ -7,9 +7,7 @@ package main
 
 import (
 	"fmt"
-	"net/url"
 	"os"
-	"strconv"
 
 	"numarck/internal/server"
 )
@@ -21,10 +19,11 @@ func remoteClient(addr, tenant string) *server.Client {
 
 // remoteCompress pushes the current iteration's values to the daemon,
 // which reconstructs the previous iteration from its chain and encodes
-// the delta server-side (or commits a full when the chain is empty).
-func remoteCompress(addr, tenant, variable string, iter int, curPath string, q url.Values) error {
+// the delta server-side with the tenant store's options (or commits a
+// full when the chain is empty).
+func remoteCompress(addr, tenant, variable string, iter int, curPath string) error {
 	c := remoteClient(addr, tenant)
-	cr, err := c.PushFile(variable, iter, curPath, q)
+	cr, err := c.PushFile(variable, iter, curPath, nil)
 	if err != nil {
 		return err
 	}
@@ -65,30 +64,4 @@ func remoteDecompress(addr, tenant, variable string, iter int, outPath string, s
 	}
 	fmt.Printf("reconstructed %s/%s@%d: %d points\n", tenant, variable, iter, points)
 	return nil
-}
-
-// remoteQuery collects the per-request encode and pipeline overrides
-// the daemon accepts as query parameters. Zero values are omitted so
-// the daemon's own defaults apply.
-func remoteQuery(e float64, b int, strategy string, chunkPoints int, workers int, budget int64) url.Values {
-	q := url.Values{}
-	if e > 0 {
-		q.Set("e", strconv.FormatFloat(e, 'g', -1, 64))
-	}
-	if b > 0 {
-		q.Set("b", strconv.Itoa(b))
-	}
-	if strategy != "" {
-		q.Set("strategy", strategy)
-	}
-	if chunkPoints > 0 {
-		q.Set("chunk", strconv.Itoa(chunkPoints))
-	}
-	if workers > 0 {
-		q.Set("workers", strconv.Itoa(workers))
-	}
-	if budget > 0 {
-		q.Set("budget", strconv.FormatInt(budget, 10))
-	}
-	return q
 }

@@ -11,14 +11,16 @@
 //	         [-janitor-interval 1m] [-spool-ttl 1h] [-session-ttl 24h]
 //
 // Each tenant's store lives at root/<tenant>; stores are created
-// lazily on a tenant's first commit with the daemon's default encode
-// options (-e/-b/-strategy), and per-request query parameters override
-// the encode and pipeline defaults. -budget caps each single encode
-// pipeline's buffer memory (the chunk resolver shrinks workers and
-// chunk size to fit); -capacity caps the sum across concurrent
+// lazily on a tenant's first commit, and -e/-b/-strategy are the
+// options a new store is created with. From then on the store's
+// manifest decides how its series are encoded, so restarting the
+// daemon with other options leaves existing tenants as they were.
+// -chunk/-workers/-budget shape every delta encode: -budget caps each
+// single pipeline's buffer memory (the chunk resolver shrinks workers
+// and chunk size to fit); -capacity caps the sum across concurrent
 // requests — when it is exhausted, requests queue up to -admit-wait
 // and are then refused with 429 + Retry-After rather than OOMing the
-// daemon.
+// daemon. A request cannot override any of these.
 //
 // A self-healing janitor sweeps every -janitor-interval: spool scratch
 // files and resumable upload sessions idle past their TTLs are reaped,
@@ -72,9 +74,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	budget := fs.Int64("budget", 0, "per-pipeline memory budget in bytes (0 = no cap)")
 	chunkPoints := fs.Int("chunk", 0, "points per chunk for delta encodes (0 = default)")
 	workers := fs.Int("workers", 0, "concurrent chunks per pipeline (0 = GOMAXPROCS)")
-	e := fs.Float64("e", 0.001, "default error bound E as a fraction")
-	b := fs.Int("b", 8, "default index bits B")
-	strategyName := fs.String("strategy", "clustering", "default strategy: equal-width | log-scale | clustering")
+	e := fs.Float64("e", 0.001, "error bound E (a fraction) new tenant stores are created with")
+	b := fs.Int("b", 8, "index bits B new tenant stores are created with")
+	strategyName := fs.String("strategy", "clustering", "strategy new tenant stores are created with: equal-width | log-scale | clustering")
 	admitWait := fs.Duration("admit-wait", 2*time.Second, "how long a request may wait for governor admission before 429")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long drain waits for in-flight requests")
 	janitorInterval := fs.Duration("janitor-interval", time.Minute, "how often the self-healing janitor sweeps (0 disables it)")

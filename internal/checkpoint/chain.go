@@ -27,11 +27,13 @@ import (
 // the fixed field width of a chain-index record.
 const MaxVariableLen = 64
 
-// ErrBadVariable matches, via errors.Is, a rejected variable name or
-// iteration number. Names are validated at every write: a name with a
-// path separator or a leading dot could otherwise escape the store
-// directory or collide with store metadata files.
-var ErrBadVariable = errors.New("checkpoint: invalid variable name")
+// ErrBadVariable matches, via errors.Is, rejected caller input: a
+// variable name, an iteration number, or raw checkpoint bytes that do
+// not parse or do not name the variable@iteration they are committed
+// under. Names are validated at every write: a name with a path
+// separator or a leading dot could otherwise escape the store directory
+// or collide with store metadata files.
+var ErrBadVariable = errors.New("checkpoint: rejected input")
 
 // ValidateVariable checks a variable name against the store's naming
 // rules: 1 to MaxVariableLen bytes, first byte a letter, digit, or

@@ -150,10 +150,8 @@ func writeCorpus(t *testing.T, dir string) {
 				if err := f.Close(); err != nil {
 					t.Fatal(err)
 				}
-			case kind == "full":
-				err = st.WriteRawFullPayload(v, i, raw, corpusPayloadCRC(cur))
-			case v == "pres":
-				err = st.WriteRawDeltaPayload(v, i, raw, corpusPayloadCRC(cur))
+			case kind == "full", v == "pres":
+				_, err = st.WriteRaw(v, i, raw, corpusPayloadCRC(cur))
 			default:
 				err = st.WriteRawDelta(v, i, raw)
 			}

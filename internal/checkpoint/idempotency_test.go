@@ -28,7 +28,7 @@ func TestPayloadCRCSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	const payloadCRC = uint32(0xDEADBEEF)
-	if err := st.WriteRawFullPayload("v", 0, raw, payloadCRC); err != nil {
+	if _, err := st.WriteRaw("v", 0, raw, payloadCRC); err != nil {
 		t.Fatal(err)
 	}
 	check := func(stage string, st *Store) {
@@ -62,9 +62,9 @@ func TestPayloadCRCSurvivesReopen(t *testing.T) {
 	check("reopened", st2)
 }
 
-// TestPayloadCRCDefaultsToFileCRC checks that plain WriteRawFull and
-// WriteRawDelta journal the file's own CRC as the payload CRC — a raw
-// commit's payload is the file itself.
+// TestPayloadCRCDefaultsToFileCRC checks that WriteRawDelta journals
+// the file's own CRC as the payload CRC — a raw commit's payload is the
+// file itself.
 func TestPayloadCRCDefaultsToFileCRC(t *testing.T) {
 	dir := t.TempDir() + "/store"
 	st, err := Create(dir, idemOptions())
@@ -75,16 +75,20 @@ func TestPayloadCRCDefaultsToFileCRC(t *testing.T) {
 		// Assertions are in-memory only; a close error cannot lose data.
 		_ = st.Close()
 	}()
-	raw, err := MarshalFull("v", 0, []float64{5, 6, 7})
+	enc, err := core.Encode([]float64{5, 6, 7}, []float64{5, 6.5, 7}, idemOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteRawFull("v", 0, raw); err != nil {
+	raw, err := MarshalDelta("v", 1, enc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ce, ok := st.Committed("v", 0)
+	if err := st.WriteRawDelta("v", 1, raw); err != nil {
+		t.Fatal(err)
+	}
+	ce, ok := st.Committed("v", 1)
 	if !ok {
-		t.Fatal("Committed(v,0) not found")
+		t.Fatal("Committed(v,1) not found")
 	}
 	if ce.PayloadCRC != ce.CRC || ce.PayloadCRC != crc32.ChecksumIEEE(raw) {
 		t.Fatalf("PayloadCRC = %08x, CRC = %08x, want both = file CRC", ce.PayloadCRC, ce.CRC)

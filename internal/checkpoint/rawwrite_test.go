@@ -39,8 +39,8 @@ func TestWriteRawRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteRawFull("dens", 0, fullRaw); err != nil {
-		t.Fatal(err)
+	if kind, err := st.WriteRaw("dens", 0, fullRaw, 0); err != nil || kind != "full" {
+		t.Fatal(kind, err)
 	}
 	if err := st.WriteRawDelta("dens", 1, deltaRaw); err != nil {
 		t.Fatal(err)
@@ -116,23 +116,31 @@ func TestWriteRawRejectsMismatch(t *testing.T) {
 		}
 	}()
 
-	if err := st.WriteRawFull("pres", 0, fullRaw); !errors.Is(err, ErrBadVariable) {
+	if _, err := st.WriteRaw("pres", 0, fullRaw, 0); !errors.Is(err, ErrBadVariable) {
 		t.Errorf("wrong variable = %v, want ErrBadVariable", err)
 	}
-	if err := st.WriteRawFull("dens", 3, fullRaw); !errors.Is(err, ErrBadVariable) {
+	if _, err := st.WriteRaw("dens", 3, fullRaw, 0); !errors.Is(err, ErrBadVariable) {
 		t.Errorf("wrong iteration = %v, want ErrBadVariable", err)
 	}
 	if err := st.WriteRawDelta("pres", 1, deltaRaw); !errors.Is(err, ErrBadVariable) {
 		t.Errorf("delta wrong variable = %v, want ErrBadVariable", err)
 	}
-	if err := st.WriteRawFull("../oops", 0, fullRaw); !errors.Is(err, ErrBadVariable) {
+	if _, err := st.WriteRaw("../oops", 0, fullRaw, 0); !errors.Is(err, ErrBadVariable) {
 		t.Errorf("path-escape variable = %v, want ErrBadVariable", err)
 	}
-	if err := st.WriteRawFull("dens", 0, fullRaw[:20]); !errors.Is(err, ErrCorrupt) {
+	if _, err := st.WriteRaw("dens", 0, fullRaw[:20], 0); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncated raw = %v, want ErrCorrupt", err)
 	}
 	if err := st.WriteRawDelta("dens", 1, []byte("garbage")); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("garbage delta = %v, want ErrCorrupt", err)
+	}
+	// A parse failure is the caller's input too: ErrBadVariable, with the
+	// ErrCorrupt cause kept.
+	if _, err := st.WriteRaw("dens", 1, deltaRaw[:len(deltaRaw)-3], 0); !errors.Is(err, ErrBadVariable) || !errors.Is(err, ErrCorrupt) {
+		t.Errorf("truncated delta = %v, want ErrBadVariable and ErrCorrupt", err)
+	}
+	if err := st.WriteRawDelta("dens", 0, fullRaw); !errors.Is(err, ErrBadVariable) {
+		t.Errorf("full through WriteRawDelta = %v, want ErrBadVariable", err)
 	}
 	// Nothing above may have committed.
 	if entries, err := st.List("dens"); err != nil || len(entries) != 0 {

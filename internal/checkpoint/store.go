@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -432,65 +433,43 @@ func (st *Store) WriteEncodedDelta(variable string, iteration int, enc *core.Enc
 	return st.commitFile(fileName(variable, "delta", iteration), raw, 0)
 }
 
-// WriteRawFull commits raw — an already-marshalled NMRKF1 full
-// checkpoint file, e.g. one produced by MarshalFull or received over
-// the wire — after validating that it parses and that its header
-// identity matches the given variable and iteration. It is the commit
-// hook the checkpoint service daemon uses: the encode happened
-// elsewhere, but the commit gets the same crash-safe
-// write/journal/index-republish path as WriteFull. The journaled
-// payload CRC is the file's own CRC: a raw commit's payload is the
-// file itself.
-func (st *Store) WriteRawFull(variable string, iteration int, raw []byte) error {
-	return st.WriteRawFullPayload(variable, iteration, raw, crc32.ChecksumIEEE(raw))
-}
-
-// WriteRawFullPayload is WriteRawFull with an explicit payload CRC —
-// the checksum of whatever the caller's client originally sent (for
-// the daemon's value commits, the raw float64 body, not the encoded
-// file). It is journaled with the commit so a retried request can be
-// recognized as an idempotent replay. 0 means unknown.
-func (st *Store) WriteRawFullPayload(variable string, iteration int, raw []byte, payloadCRC uint32) error {
-	return st.commitRaw("full", variable, iteration, raw, payloadCRC)
-}
-
-// WriteRawDelta commits raw — an already-marshalled delta checkpoint
-// file, e.g. the output of a streaming encode — after validating that
-// it parses (v2: header, bin table, and chunk directory; a read-only v1
-// file: the whole payload including its CRC) and that its
-// header identity matches the given variable and iteration. The
-// journaled payload CRC is the file's own CRC: a raw commit's payload
-// is the file itself.
-func (st *Store) WriteRawDelta(variable string, iteration int, raw []byte) error {
-	return st.WriteRawDeltaPayload(variable, iteration, raw, crc32.ChecksumIEEE(raw))
-}
-
-// WriteRawDeltaPayload is WriteRawDelta with an explicit payload CRC
-// (the checksum of the client's pre-encode payload, journaled for
-// idempotent-replay detection; 0 = unknown).
-func (st *Store) WriteRawDeltaPayload(variable string, iteration int, raw []byte, payloadCRC uint32) error {
-	return st.commitRaw("delta", variable, iteration, raw, payloadCRC)
-}
-
-// commitRaw is the body of the raw commits: raw must parse — deep for a
-// full checkpoint (its payload decompresses), shallow for a delta, whose
-// sections are checked by every read instead — as a checkpoint of the
-// given kind whose header names variable@iteration.
-func (st *Store) commitRaw(kind, variable string, iteration int, raw []byte, payloadCRC uint32) error {
+// WriteRaw commits raw — an already-marshalled checkpoint file of
+// either kind, e.g. the output of a streaming encode or bytes received
+// over the wire — and returns its kind ("full" or "delta"), which it
+// reads from the bytes. The commit gets the same crash-safe
+// write/journal/index-republish path as WriteFull. raw must parse — a
+// full deeply (its payload decompresses), a delta shallowly (header,
+// bin table and chunk directory; its sections are checked by every
+// read instead) — and its header must name variable@iteration. Both
+// rejections wrap ErrBadVariable, since the bytes are the caller's
+// input; a parse failure also keeps its ErrCorrupt cause. payloadCRC is
+// journaled with the commit so a retried request can be recognized as
+// an idempotent replay: the checksum of whatever the caller's client
+// originally sent (for the daemon's value commits the raw float64
+// body, not the encoded file). 0 means unknown.
+func (st *Store) WriteRaw(variable string, iteration int, raw []byte, payloadCRC uint32) (kind string, err error) {
 	if err := validateIdentity(variable, iteration); err != nil {
-		return err
+		return "", err
 	}
-	k, v, it, err := parseCheckpoint(raw, kind == "full")
-	if err == nil && k != kind {
-		err = fmt.Errorf("%w: it is a %s checkpoint", ErrCorrupt, k)
-	}
+	kind, v, it, err := parseCheckpoint(raw, bytes.HasPrefix(raw, magicFull))
 	if err != nil {
-		return fmt.Errorf("checkpoint: raw %s checkpoint rejected: %w", kind, err)
+		return "", fmt.Errorf("%w: raw checkpoint rejected: %w", ErrBadVariable, err)
 	}
 	if err := checkIdentity(ErrBadVariable, v, it, variable, iteration); err != nil {
-		return err
+		return "", err
 	}
-	return st.commitFile(fileName(variable, kind, iteration), raw, payloadCRC)
+	return kind, st.commitFile(fileName(variable, kind, iteration), raw, payloadCRC)
+}
+
+// WriteRawDelta is WriteRaw for bytes that must be a delta checkpoint,
+// journaled with the file's own CRC as the payload CRC: a raw commit's
+// payload is the file itself.
+func (st *Store) WriteRawDelta(variable string, iteration int, raw []byte) error {
+	if bytes.HasPrefix(raw, magicFull) {
+		return fmt.Errorf("%w: raw checkpoint rejected: a full checkpoint, not a delta", ErrBadVariable)
+	}
+	_, err := st.WriteRaw(variable, iteration, raw, crc32.ChecksumIEEE(raw))
+	return err
 }
 
 // Entry describes one stored checkpoint file.

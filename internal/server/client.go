@@ -240,54 +240,21 @@ func (c *Client) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// prepareBody turns a request body into a per-attempt factory. With
-// retries enabled the body must be replayable: seekable bodies rewind
-// in place, anything else is buffered once up front. Without retries a
-// streaming body passes through untouched.
-func prepareBody(r io.Reader, replayable bool) (func() (io.Reader, error), error) {
-	if r == nil {
-		return func() (io.Reader, error) { return nil, nil }, nil
-	}
-	if !replayable {
-		return func() (io.Reader, error) { return r, nil }, nil
-	}
-	if rs, ok := r.(io.ReadSeeker); ok {
-		start, err := rs.Seek(0, io.SeekCurrent)
-		if err == nil {
-			return func() (io.Reader, error) {
-				if _, serr := rs.Seek(start, io.SeekStart); serr != nil {
-					return nil, fmt.Errorf("server: rewind request body: %w", serr)
-				}
-				return rs, nil
-			}, nil
-		}
-	}
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("server: buffer request body: %w", err)
-	}
-	br := bytes.NewReader(raw)
-	return func() (io.Reader, error) {
-		if _, serr := br.Seek(0, io.SeekStart); serr != nil {
-			return nil, fmt.Errorf("server: rewind request body: %w", serr)
-		}
-		return br, nil
-	}, nil
-}
-
 // doRetry runs one logical call under the retry policy: build a fresh
-// request per attempt (rewinding the body), classify each failure, back
-// off between attempts, and hand successful responses to handle —
-// which owns draining and closing the body. With retries enabled, an
-// exhausted budget comes back as *RetryExhaustedError.
-func (c *Client) doRetry(method, u string, hdr http.Header, body io.Reader, handle func(*http.Response) error) error {
-	attempts := c.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	rewind, err := prepareBody(body, attempts > 1)
-	if err != nil {
-		return err
+// request per attempt, classify each failure, back off between
+// attempts, and hand successful responses to handle — which owns
+// draining and closing the body. body, when not nil, is rewound to
+// where it stood at the call before every attempt, so every attempt
+// sends the same bytes. With retries enabled, an exhausted budget comes
+// back as *RetryExhaustedError.
+func (c *Client) doRetry(method, u string, hdr http.Header, body io.ReadSeeker, handle func(*http.Response) error) error {
+	attempts := max(c.Retry.MaxAttempts, 1)
+	var start int64
+	if body != nil {
+		var err error
+		if start, err = body.Seek(0, io.SeekCurrent); err != nil {
+			return fmt.Errorf("server: request body offset: %w", err)
+		}
 	}
 	var last error
 	for i := 0; i < attempts; i++ {
@@ -297,7 +264,7 @@ func (c *Client) doRetry(method, u string, hdr http.Header, body io.Reader, hand
 			}
 			c.sleep(c.backoff(i, last))
 		}
-		last = c.attempt(method, u, hdr, rewind, handle)
+		last = c.attempt(method, u, hdr, body, start, handle)
 		if last == nil {
 			return nil
 		}
@@ -311,11 +278,12 @@ func (c *Client) doRetry(method, u string, hdr http.Header, body io.Reader, hand
 	return last
 }
 
-// attempt is one try of a logical call.
-func (c *Client) attempt(method, u string, hdr http.Header, rewind func() (io.Reader, error), handle func(*http.Response) error) error {
-	body, err := rewind()
-	if err != nil {
-		return &terminalError{err}
+// attempt is one try of a logical call, sending body from offset start.
+func (c *Client) attempt(method, u string, hdr http.Header, body io.ReadSeeker, start int64, handle func(*http.Response) error) error {
+	if body != nil {
+		if _, err := body.Seek(start, io.SeekStart); err != nil {
+			return &terminalError{fmt.Errorf("server: rewind request body: %w", err)}
+		}
 	}
 	req, err := http.NewRequest(method, u, body)
 	if err != nil {
@@ -340,7 +308,7 @@ func (c *Client) attempt(method, u string, hdr http.Header, rewind func() (io.Re
 }
 
 // doJSON runs a call whose success body is JSON decoded into out.
-func (c *Client) doJSON(method, u string, hdr http.Header, body io.Reader, out any) error {
+func (c *Client) doJSON(method, u string, hdr http.Header, body io.ReadSeeker, out any) error {
 	return c.doRetry(method, u, hdr, body, func(resp *http.Response) error {
 		return decodeJSON(resp, out)
 	})
@@ -356,7 +324,7 @@ func decodeJSON(resp *http.Response, v any) error {
 	return nil
 }
 
-// payloadBody makes body replayable and computes its CRC-32 (IEEE),
+// payloadBody makes body seekable and computes its CRC-32 (IEEE),
 // the checksum Push sends in PayloadCRCHeader so the daemon can reject
 // transit corruption and recognize retried commits. Seekable bodies
 // (files, byte readers) rewind in place; anything else is spooled to a
@@ -364,7 +332,7 @@ func decodeJSON(resp *http.Response, v any) error {
 // disk, not client RAM. cleanup releases the spool (a no-op for
 // seekable bodies) and must run only after the request is done with
 // the returned reader.
-func payloadBody(body io.Reader) (r io.Reader, crc uint32, cleanup func(), err error) {
+func payloadBody(body io.Reader) (r io.ReadSeeker, crc uint32, cleanup func(), err error) {
 	cleanup = func() {}
 	h := crc32.NewIEEE()
 	if rs, ok := body.(io.ReadSeeker); ok {
@@ -399,20 +367,21 @@ func payloadBody(body io.Reader) (r io.Reader, crc uint32, cleanup func(), err e
 }
 
 // Push streams body (raw little-endian float64 values) as iteration
-// iter of series, with extra query parameters (kind, e, b, strategy,
-// chunk, workers, budget) from q. A nil q commits with the daemon's
-// defaults. The payload CRC rides in PayloadCRCHeader, so a retried
-// Push whose first attempt actually landed comes back Replayed instead
-// of double-applied. Computing that CRC needs the whole body up front:
-// seekable bodies are read twice in place; a non-seekable stream is
-// spooled to a temp file for the call's duration, never buffered in
-// memory.
+// iter of series. q carries the commit parameters the daemon reads —
+// kind (auto, full or delta) and raw=1 — and nothing else: the tenant
+// store's options decide the encode, and the daemon refuses any other
+// parameter with a 400. A nil q commits with kind auto. The payload
+// CRC rides in PayloadCRCHeader, so a retried Push whose first attempt
+// actually landed comes back Replayed instead of double-applied.
+// Computing that CRC needs the whole body up front: seekable bodies are
+// read twice in place; a non-seekable stream is spooled to a temp file
+// for the call's duration, never buffered in memory.
 func (c *Client) Push(series string, iter int, body io.Reader, q url.Values) (*CommitResponse, error) {
 	if q == nil {
 		q = url.Values{}
 	}
 	q.Set("iter", strconv.Itoa(iter))
-	body, crc, cleanup, err := payloadBody(body)
+	rs, crc, cleanup, err := payloadBody(body)
 	if err != nil {
 		cleanup()
 		return nil, err
@@ -422,7 +391,7 @@ func (c *Client) Push(series string, iter int, body io.Reader, q url.Values) (*C
 	hdr.Set("Content-Type", "application/octet-stream")
 	hdr.Set(PayloadCRCHeader, strconv.FormatUint(uint64(crc), 10))
 	var cr CommitResponse
-	if err := c.doJSON(http.MethodPost, c.url(q, series, "checkpoints"), hdr, body, &cr); err != nil {
+	if err := c.doJSON(http.MethodPost, c.url(q, series, "checkpoints"), hdr, rs, &cr); err != nil {
 		return nil, err
 	}
 	return &cr, nil
@@ -452,8 +421,8 @@ func (c *Client) PushRaw(series string, iter int, raw []byte) (*CommitResponse, 
 // its offset and CRC, and any connection loss costs at most one
 // re-sent range — every PUT is idempotent, so a lost response is
 // retried without double-appending, and finalize replays its cached
-// answer. q carries the same commit parameters as Push (raw, kind, e,
-// b, ...), captured at session creation.
+// answer. q carries the same commit parameters as Push (raw, kind),
+// captured at session creation.
 func (c *Client) PushResumable(series string, iter int, body io.ReaderAt, size int64, rangeLen int64, q url.Values) (*CommitResponse, error) {
 	if rangeLen <= 0 {
 		rangeLen = 1 << 20
@@ -522,22 +491,6 @@ func (c *Client) PushResumable(series string, iter int, body io.ReaderAt, size i
 		return nil, fmt.Errorf("server: finalize returned no commit result")
 	}
 	return fr.Commit, nil
-}
-
-// PushResumableFile commits the raw float64 file at path through a
-// resumable upload session.
-func (c *Client) PushResumableFile(series string, iter int, path string, rangeLen int64, q url.Values) (*CommitResponse, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	//lint:ignore errcheck read-only upload source; a close error cannot lose data
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	return c.PushResumable(series, iter, f, fi.Size(), rangeLen, q)
 }
 
 // UploadStatus reads a resumable session's progress — Received is

@@ -10,12 +10,11 @@ import (
 	"time"
 
 	"numarck/internal/checkpoint"
-	"numarck/internal/chunk"
 )
 
-// errBadRequest marks malformed request input (unparsable query
-// parameters, a body that is not what the endpoint takes); it maps to
-// 400 alongside the storage layer's ErrBadVariable.
+// errBadRequest marks malformed request input (unparsable or unknown
+// query parameters, a body that is not what the endpoint takes); it
+// maps to 400 alongside the storage layer's ErrBadVariable.
 var errBadRequest = errors.New("server: bad request")
 
 // ErrCommitConflict reports a commit for an iteration that is already
@@ -91,12 +90,11 @@ func OperatorMessage(err error) string {
 // classify maps a typed error from the storage and pipeline layers to
 // its HTTP rendering. The table:
 //
-//	checkpoint.ErrBadVariable        400 bad_request      caller named an invalid tenant/series/iteration
+//	checkpoint.ErrBadVariable        400 bad_request      invalid tenant/series/iteration, or ?raw=1 bytes the store rejects
 //	checkpoint.ErrNotFound           404 not_found        no such store, variable, or iteration
 //	checkpoint.ErrChain              409 chain_conflict   commit would break (or read crosses) a chain gap
 //	ErrCommitConflict                409 commit_conflict  iteration already committed with a different payload
 //	ErrUploadGap                     409 upload_gap       upload range starts beyond the received prefix
-//	chunk.ErrBudget                  413 budget_exceeded  request's pipeline cannot fit its memory budget
 //	ErrTooLarge                      413 too_large        heavier than the governor's total capacity
 //	ErrOverCapacity                  429 over_capacity    governor full; retry after the hint
 //	checkpoint.ErrLocked             423 store_locked     writer lock held outside this daemon (holder PID/age attached)
@@ -122,8 +120,6 @@ func classify(err error) *APIError {
 		return &APIError{Status: http.StatusConflict, Class: "commit_conflict", Detail: err.Error()}
 	case errors.Is(err, ErrUploadGap):
 		return &APIError{Status: http.StatusConflict, Class: "upload_gap", Detail: err.Error()}
-	case errors.Is(err, chunk.ErrBudget):
-		return &APIError{Status: http.StatusRequestEntityTooLarge, Class: "budget_exceeded", Detail: err.Error()}
 	case errors.Is(err, ErrTooLarge):
 		return &APIError{Status: http.StatusRequestEntityTooLarge, Class: "too_large", Detail: err.Error()}
 	case errors.Is(err, ErrOverCapacity):

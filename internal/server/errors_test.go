@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"numarck/internal/checkpoint"
-	"numarck/internal/chunk"
 )
 
 // TestClassifyTable pins the typed-error → HTTP mapping: every
@@ -27,7 +26,6 @@ func TestClassifyTable(t *testing.T) {
 		{"bad variable", checkpoint.ErrBadVariable, http.StatusBadRequest, "bad_request"},
 		{"not found", checkpoint.ErrNotFound, http.StatusNotFound, "not_found"},
 		{"chain conflict", checkpoint.ErrChain, http.StatusConflict, "chain_conflict"},
-		{"pipeline budget", chunk.ErrBudget, http.StatusRequestEntityTooLarge, "budget_exceeded"},
 		{"too large", ErrTooLarge, http.StatusRequestEntityTooLarge, "too_large"},
 		{"over capacity", ErrOverCapacity, http.StatusTooManyRequests, "over_capacity"},
 		{"locked", checkpoint.ErrLocked, http.StatusLocked, "store_locked"},

@@ -8,11 +8,12 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 
 	"numarck/internal/checkpoint"
 	"numarck/internal/chunk"
-	"numarck/internal/core"
 	"numarck/internal/obs"
 	"numarck/internal/rawio"
 )
@@ -31,56 +32,16 @@ func (s *Server) tenantSeries(r *http.Request) (*Tenant, string, error) {
 	return t, series, nil
 }
 
-// requestParams layers per-request query overrides (e, b, strategy,
-// chunk, workers, budget) over the server's default encode options and
-// pipeline config.
-func (s *Server) requestParams(q url.Values) (core.Options, chunk.Config, error) {
-	opt, cfg := s.cfg.Opt, s.cfg.Chunk
-	if v := q.Get("e"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return opt, cfg, fmt.Errorf("%w: e=%q", errBadRequest, v)
-		}
-		opt.ErrorBound = f
-	}
-	if v := q.Get("b"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return opt, cfg, fmt.Errorf("%w: b=%q", errBadRequest, v)
-		}
-		opt.IndexBits = n
-	}
-	if v := q.Get("strategy"); v != "" {
-		st, err := core.ParseStrategy(v)
-		if err != nil {
-			return opt, cfg, fmt.Errorf("%w: %v", errBadRequest, err)
-		}
-		opt.Strategy = st
-	}
-	for _, p := range []struct {
-		name string
-		dst  *int
-	}{{"chunk", &cfg.ChunkPoints}, {"workers", &cfg.Workers}} {
-		if v := q.Get(p.name); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return opt, cfg, fmt.Errorf("%w: %s=%q", errBadRequest, p.name, v)
-			}
-			*p.dst = n
+// onlyParams refuses a query that carries a parameter outside allowed,
+// naming it: a parameter an endpoint does not read would otherwise be
+// silently ignored, and a client that sends e= expects it to count.
+func onlyParams(q url.Values, allowed ...string) error {
+	for k := range q {
+		if !slices.Contains(allowed, k) {
+			return fmt.Errorf("%w: unknown query parameter %q (this endpoint reads %s)", errBadRequest, k, strings.Join(allowed, ", "))
 		}
 	}
-	if v := q.Get("budget"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			return opt, cfg, fmt.Errorf("%w: budget=%q", errBadRequest, v)
-		}
-		cfg.BudgetBytes = n
-	}
-	var err error
-	if opt, err = opt.Validate(); err != nil {
-		return opt, cfg, fmt.Errorf("%w: %v", errBadRequest, err)
-	}
-	return opt, cfg, nil
+	return nil
 }
 
 // admit runs governor admission with the server's wait budget.
@@ -134,15 +95,12 @@ func conflictErr(series string, iter int, ce checkpoint.CommittedEntry, payloadC
 // commit is the one writer critical section every commit path ends
 // in. If the chain already holds (series, iter) the request is a retry:
 // the same payload resolves to a replay of the journaled entry, a
-// different one to ErrCommitConflict. Otherwise raw — an NMRKF1 file
-// for kind "full", NMRKD1/NMRKD2 for "delta" — is committed with
-// payloadCRC journaled beside it. Kind "" commits nothing: it is the
-// pre-encode probe, which only wants the replay decision (a nil replay
-// then means the entry is not there — go on to a normal commit). The
-// check and the write share one lock hold, so two racing retries of a
-// request serialize — one commits, the other replays, and the journal
-// gains exactly one "add".
-func commit(t *Tenant, series string, iter int, kind string, raw []byte, payloadCRC uint32) (replay *checkpoint.CommittedEntry, err error) {
+// different one to ErrCommitConflict. Otherwise raw is committed
+// through Store.WriteRaw, which reads its kind from the bytes, with
+// payloadCRC journaled beside it. The check and the write share one
+// lock hold, so two racing retries of a request serialize — one
+// commits, the other replays, and the journal gains exactly one "add".
+func commit(t *Tenant, series string, iter int, raw []byte, payloadCRC uint32) (kind string, replay *checkpoint.CommittedEntry, err error) {
 	err = t.WithStore(func(st *checkpoint.Store) error {
 		if ce, ok := st.Committed(series, iter); ok {
 			if !replayMatch(ce, payloadCRC) {
@@ -151,35 +109,11 @@ func commit(t *Tenant, series string, iter int, kind string, raw []byte, payload
 			replay = &ce
 			return nil
 		}
-		switch kind {
-		case "delta":
-			return st.WriteRawDeltaPayload(series, iter, raw, payloadCRC)
-		case "full":
-			return st.WriteRawFullPayload(series, iter, raw, payloadCRC)
-		}
-		return nil
+		var werr error
+		kind, werr = st.WriteRaw(series, iter, raw, payloadCRC)
+		return werr
 	})
-	return replay, err
-}
-
-// chainHasIter reports, through the lock-free read view, whether the
-// series' chain already holds an entry for iter. Advisory only: the
-// view can lag the writer, so commit paths re-check under the lock.
-func chainHasIter(t *Tenant, series string, iter int) bool {
-	view, err := t.View()
-	if err != nil {
-		return false
-	}
-	entries, err := view.Chain(series)
-	if err != nil {
-		return false
-	}
-	for _, ce := range entries {
-		if ce.Iteration == iter {
-			return true
-		}
-	}
-	return false
+	return kind, replay, err
 }
 
 // replayed answers a retried commit whose payload is already
@@ -197,13 +131,13 @@ func replayed(t *Tenant, series string, iter int, ce *checkpoint.CommittedEntry)
 // iteration's raw little-endian float64 state: the daemon spools it
 // (the pipeline reads its source twice), reconstructs the previous
 // iteration from the chain for a delta encode, runs the out-of-core
-// pipeline, and commits the result. With ?raw=1 the body is an
-// already-encoded NMRKF1/NMRKD1/NMRKD2 file committed as-is after
-// validation — the wire format is exactly the file format.
+// pipeline with the tenant store's options, and commits the result.
+// With ?raw=1 the body is an already-encoded NMRKF1/NMRKD1/NMRKD2 file
+// committed as-is after validation — the wire format is exactly the
+// file format.
 //
 // Query: iter (required), kind=auto|full|delta (default auto: delta
-// when the chain reaches iter-1), raw=1, plus the per-request encode
-// overrides e, b, strategy, chunk, workers, budget.
+// when the chain reaches iter-1), raw=1. Any other parameter is a 400.
 func (s *Server) handlePostCheckpoint(w http.ResponseWriter, r *http.Request) {
 	t, series, err := s.tenantSeries(r)
 	if err != nil {
@@ -211,18 +145,13 @@ func (s *Server) handlePostCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
+	if err := onlyParams(q, "iter", "kind", "raw"); err != nil {
+		writeError(w, err)
+		return
+	}
 	iter, err := strconv.Atoi(q.Get("iter"))
 	if err != nil {
 		writeError(w, fmt.Errorf("%w: iter=%q", errBadRequest, q.Get("iter")))
-		return
-	}
-	if err := checkpoint.ValidateVariable(series); err != nil {
-		writeError(w, err)
-		return
-	}
-	opt, cfg, err := s.requestParams(q)
-	if err != nil {
-		writeError(w, err)
 		return
 	}
 	spoolPath, size, payloadCRC, err := s.spool(r.Body)
@@ -238,7 +167,7 @@ func (s *Server) handlePostCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp, status, err := s.commitSpooled(r, t, series, iter, q, opt, cfg, spoolPath, size, payloadCRC)
+	resp, status, err := s.commitSpooled(r, t, series, iter, q, spoolPath, size, payloadCRC)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -251,16 +180,18 @@ func (s *Server) handlePostCheckpoint(w http.ResponseWriter, r *http.Request) {
 // its query selects, and returns what to answer: the commit response
 // with 201 for a new commit or 200 for a replay, or the error for
 // writeError to render.
-func (s *Server) commitSpooled(r *http.Request, t *Tenant, series string, iter int, q url.Values, opt core.Options, cfg chunk.Config, path string, size int64, payloadCRC uint32) (CommitResponse, int, error) {
+func (s *Server) commitSpooled(r *http.Request, t *Tenant, series string, iter int, q url.Values, path string, size int64, payloadCRC uint32) (CommitResponse, int, error) {
 	if q.Get("raw") == "1" {
 		return s.commitRaw(r, t, series, iter, path, size, payloadCRC)
 	}
-	return s.commitValues(r, t, series, iter, q.Get("kind"), opt, cfg, path, size, payloadCRC)
+	return s.commitValues(r, t, series, iter, q.Get("kind"), path, size, payloadCRC)
 }
 
 // commitRaw commits an already-encoded checkpoint file byte-for-byte.
 // The admission weight is the file size: the bytes are held once for
-// validation and commit.
+// validation and commit. Bytes that are not a checkpoint file naming
+// series@iter are the client's fault: Store.WriteRaw rejects them with
+// ErrBadVariable, a 400.
 func (s *Server) commitRaw(r *http.Request, t *Tenant, series string, iter int, spoolPath string, size int64, payloadCRC uint32) (CommitResponse, int, error) {
 	release, err := s.admit(r, size)
 	if err != nil {
@@ -271,16 +202,7 @@ func (s *Server) commitRaw(r *http.Request, t *Tenant, series string, iter int, 
 	if err != nil {
 		return CommitResponse{}, 0, err
 	}
-	var kind string
-	switch {
-	case bytes.HasPrefix(raw, []byte("NMRKD2")), bytes.HasPrefix(raw, []byte("NMRKD1")):
-		kind = "delta"
-	case bytes.HasPrefix(raw, []byte("NMRKF1")):
-		kind = "full"
-	default:
-		return CommitResponse{}, 0, fmt.Errorf("%w: body is not an NMRKF1/NMRKD1/NMRKD2 checkpoint file", errBadRequest)
-	}
-	replay, err := commit(t, series, iter, kind, raw, payloadCRC)
+	kind, replay, err := commit(t, series, iter, raw, payloadCRC)
 	if err != nil {
 		return CommitResponse{}, 0, err
 	}
@@ -296,14 +218,13 @@ func (s *Server) commitRaw(r *http.Request, t *Tenant, series string, iter int, 
 // commitValues encodes and commits a raw float64 body. Admission
 // weights by what the request will actually hold live: a full commit
 // materializes the values plus the marshalled file (~2x body); a delta
-// adds the resolved pipeline footprint (chunk.ResolveConfig) on top of
+// adds the pipeline footprint (the server's resolved plan) on top of
 // the reconstructed previous iteration and the encoded output.
 //
-// Replay detection runs twice: a cheap pre-encode probe through the
-// read view (so a retried delta commit skips the whole pipeline), and
-// again inside the writer critical section as the race backstop — two
-// concurrent retries serialize there, and exactly one journals.
-func (s *Server) commitValues(r *http.Request, t *Tenant, series string, iter int, kind string, opt core.Options, cfg chunk.Config, spoolPath string, size int64, payloadCRC uint32) (CommitResponse, int, error) {
+// A retried request is recognized only inside the writer critical
+// section, after the encode: two concurrent retries serialize there,
+// and exactly one journals.
+func (s *Server) commitValues(r *http.Request, t *Tenant, series string, iter int, kind string, spoolPath string, size int64, payloadCRC uint32) (CommitResponse, int, error) {
 	if size%8 != 0 {
 		return CommitResponse{}, 0, fmt.Errorf("%w: body is %d bytes, not a whole float64 array", errBadRequest, size)
 	}
@@ -323,20 +244,6 @@ func (s *Server) commitValues(r *http.Request, t *Tenant, series string, iter in
 		return CommitResponse{}, 0, fmt.Errorf("%w: kind=%q (want auto, full, or delta)", errBadRequest, kind)
 	}
 
-	// Pre-encode replay probe: if the chain already holds this
-	// iteration, resolve it under the lock before paying for admission
-	// and encode. A miss here (entry appears between probe and commit)
-	// is caught by the in-lock backstop of the real commit below.
-	if chainHasIter(t, series, iter) {
-		replay, err := commit(t, series, iter, "", nil, payloadCRC)
-		if err != nil {
-			return CommitResponse{}, 0, err
-		}
-		if replay != nil {
-			return replayed(t, series, iter, replay)
-		}
-	}
-
 	resp := CommitResponse{Tenant: t.Name(), Variable: series, Iteration: iter, Kind: kind, Points: n}
 	var raw []byte
 	if kind == "full" {
@@ -353,23 +260,19 @@ func (s *Server) commitValues(r *http.Request, t *Tenant, series string, iter in
 			return CommitResponse{}, 0, err
 		}
 	} else {
-		resolved, err := chunk.ResolveConfig(cfg)
-		if err != nil {
-			return CommitResponse{}, 0, err
-		}
-		release, err := s.admit(r, resolved.PeakBufferBytes+2*size)
+		release, err := s.admit(r, s.plan.PeakBufferBytes+2*size)
 		if err != nil {
 			return CommitResponse{}, 0, err
 		}
 		defer release()
-		res, buf, err := encodeDelta(t, series, iter, n, opt, resolved.Config, spoolPath)
+		res, buf, err := encodeDelta(t, series, iter, n, s.plan.Config, spoolPath)
 		if err != nil {
 			return CommitResponse{}, 0, err
 		}
 		raw = buf
 		resp.Chunks, resp.ChunkPoints, resp.Workers, resp.ExactValues = res.ChunkCount, res.ChunkPoints, res.Workers, res.ExactCount
 	}
-	replay, err := commit(t, series, iter, kind, raw, payloadCRC)
+	_, replay, err := commit(t, series, iter, raw, payloadCRC)
 	if err != nil {
 		return CommitResponse{}, 0, err
 	}
@@ -387,9 +290,10 @@ func (s *Server) commitValues(r *http.Request, t *Tenant, series string, iter in
 
 // encodeDelta runs the streaming delta encode of the spooled n-point
 // body against the chain's reconstruction of iter-1 (through the
-// lock-free read view) and returns the v2 file bytes. The tenant's
-// recorder instruments the whole run.
-func encodeDelta(t *Tenant, series string, iter, n int, opt core.Options, cfg chunk.Config, spoolPath string) (*chunk.Result, []byte, error) {
+// lock-free read view), with the options the tenant's store was
+// created with, and returns the v2 file bytes. The tenant's recorder
+// instruments the whole run.
+func encodeDelta(t *Tenant, series string, iter, n int, cfg chunk.Config, spoolPath string) (*chunk.Result, []byte, error) {
 	view, err := t.View()
 	if err != nil {
 		return nil, nil, err
@@ -407,6 +311,7 @@ func encodeDelta(t *Tenant, series string, iter, n int, opt core.Options, cfg ch
 	}
 	//lint:ignore errcheck read-only spool source; a close error cannot lose data
 	defer cur.Close()
+	opt := view.Options()
 	opt.Obs = t.rec
 	cfg.Obs = t.rec
 	var buf bytes.Buffer

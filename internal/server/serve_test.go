@@ -9,6 +9,8 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -366,15 +368,6 @@ func TestServeAdmission(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Status != 413 || apiErr.Class != "too_large" {
 		t.Fatalf("oversized push = %v, want 413 too_large", err)
 	}
-
-	// A per-request budget the pipeline cannot fit inside is the other
-	// 413: the chunk resolver's ErrBudget surfaces as budget_exceeded.
-	q = url.Values{}
-	q.Set("budget", "1")
-	_, err = c.Push("dens", 1, bytes.NewReader(floatBytes(seriesValues(1, 64))), q)
-	if !errors.As(err, &apiErr) || apiErr.Status != 413 || apiErr.Class != "budget_exceeded" {
-		t.Fatalf("unfittable budget = %v, want 413 budget_exceeded", err)
-	}
 }
 
 // TestServeLocked checks the 423 path: when another process holds a
@@ -502,5 +495,134 @@ func TestServeValidation(t *testing.T) {
 	_, err = c.Push("dens", 5, bytes.NewReader(floatBytes(seriesValues(5, 64))), q)
 	if !errors.As(err, &apiErr) || apiErr.Status == 201 {
 		t.Fatalf("gapped delta = %v, want error", err)
+	}
+}
+
+// TestRawCommitRejectsMalformed pins that a ?raw=1 body the store
+// cannot take is the client's fault: a truncated NMRKD2 file and a body
+// that is no checkpoint at all each get 400 bad_request carrying the
+// parse error, after exactly one attempt of a retrying client.
+func TestRawCommitRejectsMalformed(t *testing.T) {
+	_, ts := newTestServer(t, 0, 0)
+	src := &Client{Base: ts.URL, Tenant: "src"}
+	for i := 0; i < 2; i++ {
+		if _, err := src.Push("v", i, bytes.NewReader(floatBytes(seriesValues(i, 2048))), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delta, kind, err := src.FetchRaw("v", 1)
+	if err != nil || kind != "delta" {
+		t.Fatalf("fetch raw delta: kind %q, %v", kind, err)
+	}
+
+	sleeps := 0
+	c := &Client{Base: ts.URL, Tenant: "dst", Retry: RetryPolicy{MaxAttempts: 4, Sleep: func(time.Duration) { sleeps++ }}}
+	for name, body := range map[string][]byte{
+		"truncated NMRKD2": delta[:len(delta)-7],
+		"garbage":          []byte("this is not a checkpoint file"),
+	} {
+		sleeps = 0
+		_, err := c.PushRaw("v", 1, body)
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != 400 || apiErr.Class != "bad_request" {
+			t.Fatalf("%s: raw push = %v, want 400 bad_request", name, err)
+		}
+		if !strings.Contains(apiErr.Detail, "raw checkpoint rejected") {
+			t.Errorf("%s: detail %q lost the parse error", name, apiErr.Detail)
+		}
+		if sleeps != 0 {
+			t.Errorf("%s: client retried %d times, want one attempt", name, sleeps)
+		}
+	}
+}
+
+// TestServeRefusesUnreadParams pins that an endpoint refuses any query
+// parameter it does not read, naming it: an encode option a request
+// carries would otherwise be silently ignored.
+func TestServeRefusesUnreadParams(t *testing.T) {
+	_, ts := newTestServer(t, 0, 0)
+	c := &Client{Base: ts.URL, Tenant: "sim0"}
+	body := floatBytes(seriesValues(0, 64))
+	// Values a daemon used to accept as per-request overrides.
+	for name, val := range map[string]string{
+		"e": "0.01", "b": "12", "strategy": "log-scale", "chunk": "512", "workers": "1", "budget": "1048576",
+	} {
+		_, err := c.Push("dens", 0, bytes.NewReader(body), url.Values{name: {val}})
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != 400 || !strings.Contains(apiErr.Detail, strconv.Quote(name)) {
+			t.Fatalf("push with %s= = %v, want 400 naming %q", name, err, name)
+		}
+		_, err = c.PushResumable("dens", 0, bytes.NewReader(body), int64(len(body)), 0, url.Values{name: {val}})
+		if !errors.As(err, &apiErr) || apiErr.Status != 400 || !strings.Contains(apiErr.Detail, strconv.Quote(name)) {
+			t.Fatalf("upload with %s= = %v, want 400 naming %q", name, err, name)
+		}
+	}
+	// The parameters the endpoints do read still work.
+	if _, err := c.Push("dens", 0, bytes.NewReader(body), url.Values{"kind": {"full"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.PushResumable("dens", 1, bytes.NewReader(body), int64(len(body)), 0, url.Values{"kind": {"full"}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTenantKeepsStoreOptions pins that a tenant's series is encoded
+// with the options its store was created with: a daemon restarted on
+// the same root with another error bound creates new tenants with it,
+// but the existing tenant's next delta is still at the old one.
+func TestTenantKeepsStoreOptions(t *testing.T) {
+	root := t.TempDir()
+	start := func(opt core.Options) *Client {
+		s, err := New(Config{Root: root, Opt: opt, Chunk: testChunkConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return &Client{Base: ts.URL, Tenant: "sim0"}
+	}
+	push := func(c *Client, iter int) {
+		t.Helper()
+		if _, err := c.Push("dens", iter, bytes.NewReader(floatBytes(seriesValues(iter, 2048))), nil); err != nil {
+			t.Fatalf("push %d: %v", iter, err)
+		}
+	}
+	deltaOpt := func(c *Client, iter int) core.Options {
+		t.Helper()
+		raw, kind, err := c.FetchRaw("dens", iter)
+		if err != nil || kind != "delta" {
+			t.Fatalf("fetch raw %d: kind %q, %v", iter, kind, err)
+		}
+		d, err := checkpoint.OpenDelta(bytes.NewReader(raw), int64(len(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Meta().Opt
+	}
+
+	first := testOptions(t)
+	c := start(first)
+	push(c, 0)
+	push(c, 1)
+
+	restarted := first
+	restarted.ErrorBound = 0.01
+	c = start(restarted)
+	push(c, 2)
+
+	view, err := checkpoint.OpenReadOnly(filepath.Join(root, "sim0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest := view.Options()
+	if manifest.ErrorBound != first.ErrorBound {
+		t.Fatalf("manifest E = %v, want the creating daemon's %v", manifest.ErrorBound, first.ErrorBound)
+	}
+	for _, iter := range []int{1, 2} {
+		got := deltaOpt(c, iter)
+		if got.ErrorBound != manifest.ErrorBound || got.IndexBits != manifest.IndexBits || got.Strategy != manifest.Strategy {
+			t.Errorf("delta %d encoded at E=%v B=%d %v, manifest says E=%v B=%d %v",
+				iter, got.ErrorBound, got.IndexBits, got.Strategy, manifest.ErrorBound, manifest.IndexBits, manifest.Strategy)
+		}
 	}
 }

@@ -54,13 +54,13 @@ const spoolDirName = ".spool"
 type Config struct {
 	// Root is the directory holding one store per tenant. Required.
 	Root string
-	// Opt is the default encode options; per-request query parameters
-	// (e, b, strategy) override it.
+	// Opt is the options a new tenant's store is created with. From
+	// then on the store's manifest decides how its series are encoded:
+	// a daemon restarted with other options does not change them.
 	Opt core.Options
-	// Chunk is the default pipeline configuration; per-request query
-	// parameters (chunk, workers, budget) override it. Its BudgetBytes
-	// bounds each single pipeline; CapacityBytes below bounds their
-	// sum.
+	// Chunk is the pipeline configuration of every delta encode. Its
+	// BudgetBytes bounds each single pipeline; CapacityBytes below
+	// bounds their sum.
 	Chunk chunk.Config
 	// CapacityBytes is the memory governor's total admission capacity
 	// across concurrent requests. 0 disables admission control.
@@ -73,7 +73,10 @@ type Config struct {
 // Server is the checkpoint service: build one with New, mount
 // Handler() on an http.Server, and call StartDrain on shutdown.
 type Server struct {
-	cfg      Config
+	cfg Config
+	// plan is cfg.Chunk resolved: the shape and admission footprint of
+	// every delta encode.
+	plan     chunk.Resolved
 	reg      *Registry
 	gov      *Governor
 	spoolDir string
@@ -104,8 +107,9 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: default options: %w", err)
 	}
 	cfg.Opt = opt
-	if _, err := chunk.ResolveConfig(cfg.Chunk); err != nil {
-		return nil, fmt.Errorf("server: default pipeline config: %w", err)
+	plan, err := chunk.ResolveConfig(cfg.Chunk)
+	if err != nil {
+		return nil, fmt.Errorf("server: pipeline config: %w", err)
 	}
 	if cfg.AdmitWait <= 0 {
 		cfg.AdmitWait = 2 * time.Second
@@ -124,6 +128,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		cfg:      cfg,
+		plan:     plan,
 		reg:      reg,
 		gov:      NewGovernor(cfg.CapacityBytes),
 		spoolDir: spool,
@@ -183,7 +188,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 //	GET  /v1/{tenant}/{series}/chain               one series' chain entries + stats (?verify=1 deep check)
 //	GET  /v1/{tenant}/chain                        whole tenant: variables, stats, health
 //	POST /v1/{tenant}/{series}/restart             where to resume: latest restorable iteration
-//	POST /v1/{tenant}/{series}/uploads             start a resumable upload session (?iter, ?size, plus commit params)
+//	POST /v1/{tenant}/{series}/uploads             start a resumable upload session (?iter, ?size, plus ?raw, ?kind)
 //	PUT  /v1/uploads/{id}                          append one range (X-Numarck-Upload-Offset, optional range CRC)
 //	GET  /v1/uploads/{id}/status                   session progress: the client's resume point
 //	POST /v1/uploads/{id}/finalize                 commit the completed session through the normal pipeline

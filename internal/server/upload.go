@@ -65,9 +65,9 @@ type uploadMeta struct {
 	Size     int64  `json:"size"`
 	Received int64  `json:"received"`
 	CRC      uint32 `json:"crc"`
-	// Query is the creation request's encoded query (iter, raw, kind,
-	// e, b, ...), replayed at finalize so the commit runs with the
-	// parameters the client chose up front.
+	// Query is the creation request's encoded commit parameters (raw,
+	// kind), replayed at finalize so the commit runs with the route the
+	// client chose up front.
 	Query string `json:"query"`
 	State string `json:"state"`
 	// Commit caches the finalize result so a retried finalize replays
@@ -239,10 +239,9 @@ func (ut *uploadTable) remove(id string) {
 }
 
 // handleCreateUpload starts a resumable upload session. Query: iter
-// and size are required; raw, kind, and the encode overrides (e, b,
-// strategy, chunk, workers, budget) are captured now and replayed at
-// finalize. Parameters are validated here so a doomed session fails
-// before any byte is uploaded.
+// and size are required; raw and kind are captured now and replayed at
+// finalize. Any other parameter is refused here, so a doomed session
+// fails before any byte is uploaded.
 func (s *Server) handleCreateUpload(w http.ResponseWriter, r *http.Request) {
 	t, series, err := s.tenantSeries(r)
 	if err != nil {
@@ -250,6 +249,10 @@ func (s *Server) handleCreateUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
+	if err := onlyParams(q, "iter", "kind", "raw", "size"); err != nil {
+		writeError(w, err)
+		return
+	}
 	iter, err := strconv.Atoi(q.Get("iter"))
 	if err != nil {
 		writeError(w, fmt.Errorf("%w: iter=%q", errBadRequest, q.Get("iter")))
@@ -260,10 +263,8 @@ func (s *Server) handleCreateUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: size=%q (want the total payload size in bytes)", errBadRequest, q.Get("size")))
 		return
 	}
-	if _, _, err := s.requestParams(q); err != nil {
-		writeError(w, err)
-		return
-	}
+	q.Del("iter")
+	q.Del("size")
 	u, err := s.uploads.create(uploadMeta{
 		Tenant: t.Name(), Series: series, Iteration: iter,
 		Size: size, State: uploadStateOpen, Query: q.Encode(),
@@ -452,13 +453,7 @@ func (s *Server) handleFinalizeUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: upload session query: %v", checkpoint.ErrCorrupt, err))
 		return
 	}
-	opt, cfg, err := s.requestParams(q)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-
-	cr, status, err := s.commitSpooled(r, t, u.meta.Series, u.meta.Iteration, q, opt, cfg, u.dataPath(), u.meta.Size, u.meta.CRC)
+	cr, status, err := s.commitSpooled(r, t, u.meta.Series, u.meta.Iteration, q, u.dataPath(), u.meta.Size, u.meta.CRC)
 	if err != nil {
 		// Commit failed: the pipeline's error goes out exactly as a
 		// one-shot POST would render it (status, Retry-After, JSON body)

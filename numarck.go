@@ -157,9 +157,10 @@ var ErrStoreLocked = checkpoint.ErrLocked
 // LockHeldError identifies the process holding a store's writer lock.
 type LockHeldError = checkpoint.LockHeldError
 
-// ErrBadVariable matches, via errors.Is, a rejected variable name (one
-// that could escape the store directory or exceed the name length
-// limit) or an out-of-range iteration number.
+// ErrBadVariable matches, via errors.Is, rejected caller input: a
+// variable name that could escape the store directory or exceed the
+// name length limit, an out-of-range iteration number, or raw
+// checkpoint bytes that do not parse or name another identity.
 var ErrBadVariable = checkpoint.ErrBadVariable
 
 // IndexHealth describes a store's chain-index state (present, fresh,
