@@ -107,15 +107,18 @@ bench:
 
 # The read side's kernels with ns/pt next to each: pack, unpack and the
 # range check per index width, the reconstruct kernel per table size,
-# and a depth-32 restart with its phases — at GOMAXPROCS 1 and 2, so the
-# apply phase's fan-out shows as a win at 2 and no loss at 1.
-KERNEL_BENCH = Pack|Unpack|FirstAbove|Reconstruct|RestartDepth32|RestartPhases
+# fpc compress and decompress at both restart shapes, a cold read-only
+# open of a 2 000-entry chain, and a depth-32 restart with its phases —
+# at GOMAXPROCS 1 and 2, so the apply phase's fan-out shows as a win at
+# 2 and no loss at 1. Allocations are reported next to each.
+KERNEL_BENCH = Pack|Unpack|FirstAbove|Reconstruct|Compress|Decompress|OpenReadOnly|RestartDepth32|RestartPhases
+KERNEL_PKGS = ./internal/bitpack ./internal/core ./internal/lossless/fpc ./internal/checkpoint
 bench-kernel:
-	$(GO) test -run=NONE -bench='$(KERNEL_BENCH)' -cpu 1,2 ./internal/bitpack ./internal/core ./internal/checkpoint
+	$(GO) test -run=NONE -bench='$(KERNEL_BENCH)' -benchmem -cpu 1,2 $(KERNEL_PKGS)
 
 # One iteration of everything bench runs, for CI: catches bit-rot in
 # the benchmark code without timing anything. (`go test ./bench` runs
 # every workload of the repo's benchmark once, in the unit tests.)
 bench-smoke:
 	$(GO) test -run=NONE -bench='Encode|Decode' -benchtime=1x .
-	$(GO) test -run=NONE -bench='$(KERNEL_BENCH)' -benchtime=1x ./internal/bitpack ./internal/core ./internal/checkpoint
+	$(GO) test -run=NONE -bench='$(KERNEL_BENCH)' -benchtime=1x $(KERNEL_PKGS)

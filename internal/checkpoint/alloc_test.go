@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"path/filepath"
 	"testing"
 
 	"numarck/internal/core"
@@ -128,5 +130,34 @@ func TestReplayDeltaAllocs(t *testing.T) {
 		if got > limit || got != counts[i%2] {
 			t.Fatalf("replayDelta allocations per file (v1, v2 at 1Ki then 16Ki points) = %v, want <= %d and independent of N", counts, limit)
 		}
+	}
+}
+
+// TestOpenReadOnlyAllocs pins what a cold read-only open allocates per
+// chain entry: measured at two chain lengths, the slope must stay under
+// 2.5. Parsing the index and deriving the view are linear, but their
+// per-entry allocations are shared: one variable's records share one
+// string, the entries' names are substrings of one string, the view's
+// slices are windows on one array.
+func TestOpenReadOnlyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool, and so encoding/json's allocations, random")
+	}
+	const perEntryLimit = 2.5
+	measure := func(n int) float64 {
+		dir := filepath.Join(t.TempDir(), fmt.Sprint(n))
+		indexedStore(t, dir, 4, n)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := OpenReadOnly(dir); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const short, long = 400, 1600
+	a, b := measure(short), measure(long)
+	slope := (b - a) / (long - short)
+	t.Logf("OpenReadOnly allocates %.0f times at %d entries, %.0f at %d: %.3f per entry", a, short, b, long, slope)
+	if slope > perEntryLimit {
+		t.Errorf("OpenReadOnly allocates %.2f times per chain entry, want <= %.1f", slope, perEntryLimit)
 	}
 }

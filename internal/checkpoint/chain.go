@@ -103,20 +103,99 @@ type chainView struct {
 // viewOf groups and sorts a chain's entries, given in any order. A
 // delta and a full checkpoint of one iteration sort delta first: the
 // full checkpoint then restarts the chain walk instead of breaking it.
+//
+// A cold read-only open derives the view of its whole chain before the
+// first read, so this is linear but for one sort of integer keys per
+// variable (viewKey), skipped when a variable's entries come in one or
+// two ascending runs. The entries are moved once, into one array the
+// variables' slices share.
 func viewOf(all []ChainEntry) *chainView {
-	v := &chainView{files: map[string][]ChainEntry{}}
-	for _, ce := range all {
-		v.files[ce.Variable] = append(v.files[ce.Variable], ce)
+	// Number the variables in order of first appearance. A chain index
+	// lists each variable's files mostly together, so the map is
+	// consulted only where the variable changes.
+	group := make([]int, len(all))
+	ids := map[string]int{}
+	var vars []string
+	var counts []int
+	g := -1
+	for i := range all {
+		if name := all[i].Variable; g < 0 || vars[g] != name {
+			var ok bool
+			if g, ok = ids[name]; !ok {
+				g = len(vars)
+				ids[name] = g
+				vars = append(vars, name)
+				counts = append(counts, 0)
+			}
+		}
+		group[i] = g
+		counts[g]++
 	}
-	for name, files := range v.files {
-		v.vars = append(v.vars, name)
-		slices.SortFunc(files, func(a, b ChainEntry) int {
-			return cmp.Or(cmp.Compare(a.Iteration, b.Iteration), cmp.Compare(a.Kind, b.Kind))
-		})
+	// Variable g's keys, then entries, go to [start[g], start[g+1]).
+	start := make([]int, len(vars)+1)
+	for g, c := range counts {
+		start[g+1] = start[g] + c
+	}
+	keys := make([]uint64, len(all))
+	fill := slices.Clone(start)
+	wide := false
+	for i := range all {
+		key, ok := viewKey(&all[i], i)
+		wide = wide || !ok
+		keys[fill[group[i]]] = key
+		fill[group[i]]++
+	}
+
+	v := &chainView{vars: vars, files: make(map[string][]ChainEntry, len(vars))}
+	backing := make([]ChainEntry, len(all))
+	for g, name := range vars {
+		// A name-ordered index lists a variable's deltas, then its fulls:
+		// two ascending runs, merged as they are gathered. Anything else
+		// is sorted first.
+		lo, hi := start[g], start[g+1]
+		k := keys[lo:hi]
+		mid := 1
+		for mid < len(k) && k[mid-1] < k[mid] {
+			mid++
+		}
+		if !slices.IsSorted(k[mid:]) {
+			slices.Sort(k)
+		}
+		a, b := k[:mid], k[mid:]
+		files := backing[lo:hi:hi]
+		for j := range files {
+			if len(b) == 0 || len(a) > 0 && a[0] < b[0] {
+				files[j], a = all[a[0]&viewKeyPos], a[1:]
+			} else {
+				files[j], b = all[b[0]&viewKeyPos], b[1:]
+			}
+		}
+		if wide {
+			slices.SortFunc(files, func(a, b ChainEntry) int {
+				return cmp.Or(cmp.Compare(a.Iteration, b.Iteration), cmp.Compare(a.Kind, b.Kind))
+			})
+		}
+		v.files[name] = files
 	}
 	sort.Strings(v.vars)
 	return v
 }
+
+// viewKey packs the order of the entry at position i of a view's input
+// into one integer: its iteration in the top 31 bits, then 0 for a
+// delta and 1 for a full, then i in the low 32 bits. ok is false for an
+// iteration outside [0, 2^31), which no store writes but a hostile
+// journal can name; viewOf then sorts by comparison instead.
+func viewKey(ce *ChainEntry, i int) (key uint64, ok bool) {
+	key = (uint64(ce.Iteration)&(1<<31-1))<<33 | uint64(i)&viewKeyPos
+	if ce.Kind == "full" {
+		key |= 1 << 32
+	}
+	return key, ce.Iteration >= 0 && ce.Iteration <= 1<<31-1
+}
+
+// viewKeyPos masks a view key's input position.
+const viewKeyPos = 1<<32 - 1
 
 // viewOfChain derives the view of a live chain map (file name → journal
 // entry), the writer's and the journal replay's form.
@@ -130,11 +209,25 @@ func viewOfChain(chain map[string]journalEntry) *chainView {
 	return viewOf(all)
 }
 
-// viewOfIndex derives the view a parsed CHAININDEX describes.
+// viewOfIndex derives the view a parsed CHAININDEX describes. The
+// entries' names are substrings of one string, not one allocation each.
 func viewOfIndex(ix *ChainIndex) *chainView {
-	all := make([]ChainEntry, len(ix.Entries))
+	size := 0
+	for _, e := range ix.Entries {
+		size += len(e.Variable) + len(e.Kind) + len("..2147483647.nmk")
+	}
+	buf := make([]byte, 0, size)
+	ends := make([]int, len(ix.Entries))
 	for i, e := range ix.Entries {
-		all[i] = ChainEntry{Entry: e.Entry, Name: fileName(e.Variable, e.Kind, e.Iteration), Len: e.Len, CRC: e.CRC}
+		buf = appendFileName(buf, e.Variable, e.Kind, e.Iteration)
+		ends[i] = len(buf)
+	}
+	names := string(buf)
+	all := make([]ChainEntry, len(ix.Entries))
+	start := 0
+	for i, e := range ix.Entries {
+		all[i] = ChainEntry{Entry: e.Entry, Name: names[start:ends[i]], Len: e.Len, CRC: e.CRC}
+		start = ends[i]
 	}
 	return viewOf(all)
 }

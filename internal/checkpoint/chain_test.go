@@ -1,10 +1,15 @@
 package checkpoint
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -172,5 +177,146 @@ func TestReadCheckpointFileErrors(t *testing.T) {
 	_, err = st.Restart("dens", 2)
 	if !errors.Is(err, ErrNotFound) || !strings.Contains(err.Error(), "delta checkpoint dens@2") {
 		t.Fatalf("restart over a missing delta = %v, want ErrNotFound naming delta dens@2", err)
+	}
+}
+
+// TestFileNameMatchesSprintf pins fileName to the bytes every store on
+// disk was named with, fmt.Sprintf("%s.%s.%06d.nmk", …), across the
+// six-digit boundary and up to the largest iteration a store accepts,
+// and checks that parseName reads each name back.
+func TestFileNameMatchesSprintf(t *testing.T) {
+	for _, v := range []string{"dens", "T.v2", "a-b", "a.b.c", "0", "x.delta", strings.Repeat("v", MaxVariableLen)} {
+		for _, kind := range []string{"full", "delta"} {
+			for _, it := range []int{0, 1, 9, 10, 99999, 100000, 999999, 1000000, 1<<31 - 1} {
+				got, want := fileName(v, kind, it), fmt.Sprintf("%s.%s.%06d.nmk", v, kind, it)
+				if got != want {
+					t.Errorf("fileName(%q, %q, %d) = %q, want %q", v, kind, it, got, want)
+				}
+				if e, ok := parseName(got); !ok || e != (Entry{Variable: v, Kind: kind, Iteration: it}) {
+					t.Errorf("parseName(%q) = %+v, %v", got, e, ok)
+				}
+			}
+		}
+	}
+	if got, want := fileName("v", "delta", -5), fmt.Sprintf("%s.%s.%06d.nmk", "v", "delta", -5); got != want {
+		t.Errorf("fileName of iteration -5 = %q, want %q", got, want)
+	}
+}
+
+// referenceView is the chain view by comparison sort, from the writer's
+// chain map: what viewOf must produce, however it gets there —
+// iteration ascending, a delta before the full checkpoint of the same
+// iteration.
+func referenceView(chain map[string]journalEntry) map[string][]ChainEntry {
+	want := map[string][]ChainEntry{}
+	for name, je := range chain {
+		e, ok := parseName(name)
+		if !ok {
+			continue
+		}
+		want[e.Variable] = append(want[e.Variable], ChainEntry{Entry: e, Name: name, Len: je.Len, CRC: je.CRC})
+	}
+	for _, files := range want {
+		slices.SortFunc(files, func(a, b ChainEntry) int {
+			return cmp.Or(cmp.Compare(a.Iteration, b.Iteration), cmp.Compare(a.Kind, b.Kind))
+		})
+	}
+	return want
+}
+
+// TestChainViewOrder checks the view a read-only open derives from the
+// chain index against the one the writer derives from its chain map and
+// against a comparison sort, for one set of files committed in several
+// orders. The set has what makes name order differ from chain order:
+// variables that are prefixes of each other at a dot, a delta and a
+// full of the same iteration, and iterations of seven or more digits,
+// which sort by name before six-digit ones.
+func TestChainViewOrder(t *testing.T) {
+	type file struct {
+		v, kind string
+		it      int
+	}
+	var files []file
+	for _, v := range []string{"a", "a.b", "a-b", "a.delta"} {
+		for _, it := range []int{1, 2, 9, 10, 11, 99999, 999999, 1000000, 1000001, 9999999, 1<<31 - 1} {
+			files = append(files, file{v, "delta", it})
+		}
+		for _, it := range []int{0, 10, 1000000} {
+			files = append(files, file{v, "full", it})
+		}
+	}
+	for it := 1; it <= 9; it++ { // one variable already in order by name
+		files = append(files, file{"b", "delta", it})
+	}
+	files = append(files, file{"b", "full", 0})
+	series := genSeries(8, 2, 5)
+	enc, err := core.Encode(series[0], series[1], opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(36))
+	for _, order := range []struct {
+		name    string
+		arrange func()
+	}{
+		{"ascending", func() { slices.SortStableFunc(files, func(a, b file) int { return cmp.Compare(a.it, b.it) }) }},
+		{"descending", func() { slices.SortStableFunc(files, func(a, b file) int { return cmp.Compare(b.it, a.it) }) }},
+		{"shuffled", func() { rng.Shuffle(len(files), func(i, j int) { files[i], files[j] = files[j], files[i] }) }},
+	} {
+		order.arrange()
+		name := order.name
+		dir := filepath.Join(t.TempDir(), name)
+		st, err := Create(dir, opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			if f.kind == "full" {
+				err = st.WriteFull(f.v, f.it, series[0])
+			} else {
+				err = st.WriteEncodedDelta(f.v, f.it, enc)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := referenceView(st.chain)
+		ix, err := loadIndex(st.fs, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rv, err := OpenReadOnly(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, view := range map[string]*chainView{"index": viewOfIndex(ix), "chain": viewOfChain(st.chain)} {
+			if !slices.Equal(view.vars, []string{"a", "a-b", "a.b", "a.delta", "b"}) {
+				t.Errorf("%s, view of the %s: variables %q", name, label, view.vars)
+			}
+			if !reflect.DeepEqual(view.files, want) {
+				t.Errorf("%s: the view of the %s differs from the comparison sort", name, label)
+			}
+		}
+		for v, files := range want {
+			if got, err := rv.Chain(v); err != nil || !reflect.DeepEqual(got, files) {
+				t.Errorf("%s: ReadView.Chain(%q) = %v, %v; want %v", name, v, got, err, files)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A journal can name iterations no store writes, which a packed sort
+	// key cannot hold; the order is the same all the same.
+	chain := map[string]journalEntry{}
+	for i, it := range []string{"-000001", "000000", "4294967296", "000003", "99999999999"} {
+		for _, kind := range []string{"delta", "full"} {
+			chain["v."+kind+"."+it+".nmk"] = journalEntry{Len: int64(i)}
+		}
+	}
+	if got, want := viewOfChain(chain).files, referenceView(chain); !reflect.DeepEqual(got, want) {
+		t.Errorf("view of out-of-range iterations = %v, want %v", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -229,9 +230,14 @@ func ParseChainIndex(raw []byte) (*ChainIndex, error) {
 		return nil, fmt.Errorf("%w: chain index journal length %d", ErrCorrupt, ix.JournalLen)
 	}
 	ix.Entries = make([]IndexEntry, 0, count)
+	variable := ""
 	for i := 0; i < count; i++ {
 		rec := raw[indexHeaderSize+indexRecordSize*i:]
-		variable := cString(rec[:indexVarBytes])
+		// Records are sorted by file name, so one variable's files mostly
+		// follow each other: they share one string.
+		if name := cString(rec[:indexVarBytes]); string(name) != variable {
+			variable = string(name)
+		}
 		iteration := int(binary.LittleEndian.Uint32(rec[68:]))
 		if err := validateIdentity(variable, iteration); err != nil {
 			return nil, fmt.Errorf("%w: chain index record %d: %w", ErrCorrupt, i, err)
@@ -258,14 +264,12 @@ func ParseChainIndex(raw []byte) (*ChainIndex, error) {
 	return ix, nil
 }
 
-// cString cuts a NUL-padded fixed-width field back to a string.
-func cString(b []byte) string {
-	for i, c := range b {
-		if c == 0 {
-			return string(b[:i])
-		}
+// cString cuts a NUL-padded fixed-width field back to its bytes.
+func cString(b []byte) []byte {
+	if i := bytes.IndexByte(b, 0); i >= 0 {
+		return b[:i]
 	}
-	return string(b)
+	return b
 }
 
 // indexFromChain builds the index image of a live chain map (file name

@@ -1,15 +1,70 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"numarck/internal/core"
 )
+
+// craftedFullTableBits is a 76-byte full checkpoint, CRC-valid, whose
+// FPC payload is the bare stream header FPC1 | table bits 24 | n = 0: it
+// declares predictor tables of 2^24 entries for no values at all.
+func craftedFullTableBits(tb testing.TB) []byte {
+	var buf bytes.Buffer
+	payload := append([]byte("FPC1"), 24, 0, 0, 0, 0, 0, 0, 0, 0)
+	if err := writeFile(&buf, magicFull, fileHeader{Variable: "v"}, payload); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestWriteRawRefusesOversizedFPCTables is the regression test for a
+// 76-byte request body that made the store allocate 256 MiB, outside
+// any accounting, and then accepted it: WriteRaw deep-parses a full
+// checkpoint, and the FPC decoder used to size its tables from the
+// stream's table-bits byte before looking at its count. The file is
+// also a checked-in FuzzUnmarshalFull seed, so every plain go test
+// replays it through UnmarshalFull.
+func TestWriteRawRefusesOversizedFPCTables(t *testing.T) {
+	raw := craftedFullTableBits(t)
+	if len(raw) != 76 {
+		t.Fatalf("crafted file is %d bytes, want 76", len(raw))
+	}
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzUnmarshalFull", "crafted-fpc-table-bits-24"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", raw); string(seed) != want {
+		t.Fatalf("the fuzz seed is not the crafted file:\n%s\nwant\n%s", seed, want)
+	}
+
+	st, err := Create(filepath.Join(t.TempDir(), "ck"), opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = st.WriteRaw("v", 0, raw, 0)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadVariable) || !errors.Is(err, ErrCorrupt) {
+		t.Errorf("WriteRaw of the crafted full = %v, want ErrBadVariable wrapping ErrCorrupt", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("WriteRaw of a 76-byte file allocated %d bytes, want < 8 MiB", got)
+	}
+	if vars, _ := st.Variables(); len(vars) != 0 {
+		t.Errorf("the refused file was committed: variables %v", vars)
+	}
+}
 
 // TestWriteRawRoundTrip commits pre-marshalled full and v2-delta bytes
 // through the raw hooks and checks the chain restores exactly what the

@@ -290,9 +290,31 @@ func (st *Store) path(variable, kind string, iteration int) string {
 	return filepath.Join(st.dir, fileName(variable, kind, iteration))
 }
 
-// fileName renders the store file name of one checkpoint.
+// fileName renders the store file name of one checkpoint,
+// <variable>.<kind>.<iteration>.nmk with the iteration zero-padded to
+// six digits: the bytes of fmt.Sprintf("%s.%s.%06d.nmk", …), in one
+// allocation.
 func fileName(variable, kind string, iteration int) string {
-	return fmt.Sprintf("%s.%s.%06d.nmk", variable, kind, iteration)
+	var buf [96]byte
+	return string(appendFileName(buf[:0], variable, kind, iteration))
+}
+
+// appendFileName appends fileName's bytes to dst.
+func appendFileName(dst []byte, variable, kind string, iteration int) []byte {
+	if iteration < 0 {
+		// Never a committed name (validateIdentity refuses it); kept
+		// byte-identical all the same.
+		return fmt.Appendf(dst, "%s.%s.%06d.nmk", variable, kind, iteration)
+	}
+	dst = append(dst, variable...)
+	dst = append(dst, '.')
+	dst = append(dst, kind...)
+	dst = append(dst, '.')
+	for p := 100000; p > 1 && p > iteration; p /= 10 {
+		dst = append(dst, '0')
+	}
+	dst = strconv.AppendInt(dst, int64(iteration), 10)
+	return append(dst, ".nmk"...)
 }
 
 // commitFile durably writes one checkpoint file: atomic

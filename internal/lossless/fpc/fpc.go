@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 )
 
 // DefaultTableBits sizes the predictor hash tables at 2^16 entries,
@@ -45,13 +47,39 @@ type predictor struct {
 	mask     uint64
 }
 
-func newPredictor(tableBits int) *predictor {
+// pools holds the predictors of each table size between streams. A
+// predictor's two tables are 1 MiB at the default size whatever the
+// stream's length, so a restart that allocated, page-faulted and zeroed
+// them afresh paid more for the tables than for a small checkpoint's
+// values; a pooled predictor costs one clear.
+var pools [maxTableBits + 1]sync.Pool
+
+// getPredictor returns a predictor of 2^tableBits-entry tables in its
+// initial state, all zero. Put it back in pools[tableBits] when done.
+func getPredictor(tableBits int) *predictor {
+	if p, ok := pools[tableBits].Get().(*predictor); ok {
+		clear(p.fcm)
+		clear(p.dfcm)
+		p.fcmHash, p.dfcmHash, p.lastVal = 0, 0, 0
+		return p
+	}
 	size := 1 << uint(tableBits)
+	tables := make([]uint64, 2*size)
 	return &predictor{
-		fcm:  make([]uint64, size),
-		dfcm: make([]uint64, size),
+		fcm:  tables[:size:size],
+		dfcm: tables[size:],
 		mask: uint64(size - 1),
 	}
+}
+
+// maxBitsFor is the largest table size a stream of n values may declare:
+// DefaultTableBits, or one bit more than n needs when that is larger,
+// and never more than maxTableBits. Tables larger than the stream cannot
+// improve its predictions, and the decoder refuses them before it
+// allocates anything, so a 13-byte stream cannot make it allocate
+// 256 MiB.
+func maxBitsFor(n int) int {
+	return min(maxTableBits, max(DefaultTableBits, bits.Len(uint(n))+1))
 }
 
 // predict returns the FCM and DFCM predictions for the next value.
@@ -71,15 +99,7 @@ func (p *predictor) update(val uint64) {
 // leadingZeroBytes counts how many of the most significant bytes of x
 // are zero (0..8).
 func leadingZeroBytes(x uint64) int {
-	n := 0
-	for n < 8 && x&0xFF00000000000000 == 0 {
-		x <<= 8
-		n++
-	}
-	if x == 0 {
-		return 8
-	}
-	return n
+	return bits.LeadingZeros64(x) / 8
 }
 
 // encodeLZB maps a leading-zero-byte count to its 3-bit code. Count 4
@@ -102,69 +122,58 @@ func decodeLZB(code int) int {
 	return code
 }
 
+// headerLen is the size of a stream's fixed header: magic | tableBits
+// u8 | count u64 (little-endian). The 4-bit value headers follow, two
+// to a byte, the first value in the high nibble, then the residues.
+const headerLen = 13
+
 // Compress encodes vals into a self-describing FPC stream.
 func Compress(vals []float64) []byte {
 	return CompressBits(vals, DefaultTableBits)
 }
 
 // CompressBits is Compress with an explicit predictor table size of
-// 2^tableBits entries (clamped to [4, 24]).
+// 2^tableBits entries, clamped to [4, maxBitsFor(len(vals))], the sizes
+// Decompress accepts.
 func CompressBits(vals []float64, tableBits int) []byte {
-	if tableBits < 4 {
-		tableBits = 4
-	}
-	if tableBits > maxTableBits {
-		tableBits = maxTableBits
-	}
-	p := newPredictor(tableBits)
-
-	// Layout: magic | tableBits u8 | count u64 | header bytes
-	// (ceil(n/2)) | residue bytes.
 	n := len(vals)
-	headers := make([]byte, (n+1)/2)
-	residues := make([]byte, 0, n*8)
+	tableBits = min(max(tableBits, 4), maxBitsFor(n))
+	p := getPredictor(tableBits)
+	defer pools[tableBits].Put(p)
 
-	var scratch [8]byte
-	for i, v := range vals {
-		bits := math.Float64bits(v)
-		fcmPred, dfcmPred := p.predict()
-		xorF := bits ^ fcmPred
-		xorD := bits ^ dfcmPred
-		sel := 0
-		resid := xorF
-		if leadingZeroBytes(xorD) > leadingZeroBytes(xorF) {
-			sel = 1
-			resid = xorD
-		}
-		code, stored := encodeLZB(leadingZeroBytes(resid))
-		nres := 8 - stored
-		binary.BigEndian.PutUint64(scratch[:], resid)
-		residues = append(residues, scratch[8-nres:]...)
-		//lint:ignore bindex sel <= 1 and code <= 7: a 4-bit header nibble
-		h := byte(sel<<3 | code)
-		if i%2 == 0 {
-			headers[i/2] = h << 4
-		} else {
-			headers[i/2] |= h
-		}
-		p.update(bits)
-	}
-
-	out := make([]byte, 0, 4+1+8+len(headers)+len(residues))
-	out = append(out, magic[:]...)
+	// The buffer has room for the worst case, 8 residue bytes per value,
+	// so each residue goes in with one 8-byte store whose tail the next
+	// one overwrites.
+	resOff := headerLen + (n+1)/2
+	out := make([]byte, resOff+8*n)
+	copy(out, magic[:])
 	//lint:ignore bindex tableBits is clamped to [4, maxTableBits] above
-	out = append(out, byte(tableBits))
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], uint64(n))
-	out = append(out, cnt[:]...)
-	out = append(out, headers...)
-	out = append(out, residues...)
-	return out
+	out[4] = byte(tableBits)
+	binary.LittleEndian.PutUint64(out[5:headerLen], uint64(n))
+	ri := resOff
+	for i, v := range vals {
+		word := math.Float64bits(v)
+		fcmPred, dfcmPred := p.predict()
+		sel, resid := 0, word^fcmPred
+		lz := leadingZeroBytes(resid)
+		if lzD := leadingZeroBytes(word ^ dfcmPred); lzD > lz {
+			sel, resid, lz = 1, word^dfcmPred, lzD
+		}
+		code, stored := encodeLZB(lz)
+		binary.BigEndian.PutUint64(out[ri:], resid<<(8*uint(stored)))
+		ri += 8 - stored
+		//lint:ignore bindex sel <= 1 and code <= 7: a 4-bit header nibble
+		out[headerLen+i/2] |= byte(sel<<3|code) << (4 * uint(1-i%2))
+		p.update(word)
+	}
+	return out[:ri]
 }
 
-// Decompress decodes an FPC stream produced by Compress.
+// Decompress decodes an FPC stream produced by Compress. Every count in
+// the header is checked against the stream's length, and the table size
+// against maxBitsFor, before anything is allocated.
 func Decompress(data []byte) ([]float64, error) {
-	if len(data) < 13 {
+	if len(data) < headerLen {
 		return nil, fmt.Errorf("%w: stream shorter than header", ErrCorrupt)
 	}
 	for i := range magic {
@@ -172,53 +181,50 @@ func Decompress(data []byte) ([]float64, error) {
 			return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 		}
 	}
-	tableBits := int(data[4])
-	if tableBits < 4 || tableBits > maxTableBits {
-		return nil, fmt.Errorf("%w: table bits %d", ErrCorrupt, tableBits)
-	}
-	n64 := binary.LittleEndian.Uint64(data[5:13])
+	n64 := binary.LittleEndian.Uint64(data[5:headerLen])
 	if n64 > uint64(1)<<40 {
 		return nil, fmt.Errorf("%w: implausible count %d", ErrCorrupt, n64)
 	}
 	n := int(n64)
-	headerLen := (n + 1) / 2
-	if len(data) < 13+headerLen {
+	if len(data)-headerLen < (n+1)/2 {
 		return nil, fmt.Errorf("%w: truncated headers", ErrCorrupt)
 	}
-	headers := data[13 : 13+headerLen]
-	residues := data[13+headerLen:]
+	tableBits := int(data[4])
+	if tableBits < 4 || tableBits > maxBitsFor(n) {
+		return nil, fmt.Errorf("%w: table bits %d for %d values", ErrCorrupt, tableBits, n)
+	}
+	headers := data[headerLen : headerLen+(n+1)/2]
+	residues := data[headerLen+len(headers):]
 
-	p := newPredictor(tableBits)
+	p := getPredictor(tableBits)
+	defer pools[tableBits].Put(p)
 	out := make([]float64, n)
 	ri := 0
-	var scratch [8]byte
-	for i := 0; i < n; i++ {
-		var h byte
-		if i%2 == 0 {
-			h = headers[i/2] >> 4
-		} else {
-			h = headers[i/2] & 0x0F
-		}
-		sel := int(h >> 3)
+	for i := range out {
+		h := headers[i/2] >> (4 * uint(1-i%2))
 		stored := decodeLZB(int(h & 0x07))
-		nres := 8 - stored
-		if ri+nres > len(residues) {
+		var resid uint64
+		switch nres := 8 - stored; {
+		case ri+8 <= len(residues):
+			// One load: the residue is the top nres bytes of the next 8.
+			resid = binary.BigEndian.Uint64(residues[ri:]) >> (8 * uint(stored))
+		case ri+nres <= len(residues):
+			// The stream's last few values: fewer than 8 bytes are left.
+			var scratch [8]byte
+			copy(scratch[stored:], residues[ri:ri+nres])
+			resid = binary.BigEndian.Uint64(scratch[:])
+		default:
 			return nil, fmt.Errorf("%w: truncated residues at value %d", ErrCorrupt, i)
 		}
-		scratch = [8]byte{}
-		copy(scratch[8-nres:], residues[ri:ri+nres])
-		ri += nres
-		resid := binary.BigEndian.Uint64(scratch[:])
+		ri += 8 - stored
 
 		fcmPred, dfcmPred := p.predict()
-		var bits uint64
-		if sel == 0 {
-			bits = resid ^ fcmPred
-		} else {
-			bits = resid ^ dfcmPred
+		word := resid ^ fcmPred
+		if h&0x08 != 0 {
+			word = resid ^ dfcmPred
 		}
-		out[i] = math.Float64frombits(bits)
-		p.update(bits)
+		out[i] = math.Float64frombits(word)
+		p.update(word)
 	}
 	if ri != len(residues) {
 		return nil, fmt.Errorf("%w: %d trailing residue bytes", ErrCorrupt, len(residues)-ri)

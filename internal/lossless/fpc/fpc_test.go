@@ -1,9 +1,12 @@
 package fpc
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -228,29 +231,143 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func BenchmarkCompressSmooth(b *testing.B) {
-	vals := make([]float64, 1<<16)
+// fieldInput is a seeded state of n points shaped like the benchmark's
+// small fields: a smooth wave, noise of varying magnitude, and runs of
+// repeated values, so that both predictors win and residues take every
+// length from 0 to 8 bytes. It opens with a ramp, which only the DFCM
+// predictor follows: a predictor reused with any state left over from
+// an earlier stream mispredicts its first values.
+func fieldInput(n int) []float64 {
+	rng := rand.New(rand.NewSource(35))
+	vals := make([]float64, n)
 	for i := range vals {
-		vals[i] = math.Sin(float64(i) * 0.001)
+		switch {
+		case i < 64:
+			vals[i] = 1 + 0.25*float64(i)
+		case i%97 < 9:
+			vals[i] = vals[i-1]
+		case i%5 == 0:
+			vals[i] = float64(i)
+		default:
+			vals[i] = 50 + 40*math.Sin(float64(i)*0.01) + rng.NormFloat64()*math.Exp(-float64(i%13))
+		}
 	}
-	b.SetBytes(int64(len(vals) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Compress(vals)
+	return vals
+}
+
+// goldenSHA256 is the SHA-256 of Compress(fieldInput(12960)), recorded
+// from the code before predictors were pooled. Every full checkpoint
+// ever written is a Compress stream, so this digest changes only with a
+// new full-checkpoint format.
+const goldenSHA256 = "5992362895ef9c61ddcead8c92aa4059bd9e3bc0bb5e88dbbd39ba2dedec5953"
+
+// TestCompressGolden pins Compress's bytes, and checks that decoding
+// the same stream twice in a row — the second time through a reused
+// predictor — returns the input bit for bit both times, and that a
+// compress after them, through a predictor reused again, writes the
+// same bytes.
+func TestCompressGolden(t *testing.T) {
+	vals := fieldInput(12960)
+	for pass := 0; pass < 2; pass++ {
+		comp := Compress(vals)
+		if got := fmt.Sprintf("%x", sha256.Sum256(comp)); got != goldenSHA256 {
+			t.Fatalf("pass %d: SHA-256 of Compress = %s, want %s", pass, got, goldenSHA256)
+		}
+		for decode := 0; decode < 2; decode++ {
+			got, err := Decompress(comp)
+			if err != nil {
+				t.Fatalf("pass %d, decode %d: %v", pass, decode, err)
+			}
+			if len(got) != len(vals) {
+				t.Fatalf("pass %d, decode %d: %d values, want %d", pass, decode, len(got), len(vals))
+			}
+			for i := range vals {
+				if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
+					t.Fatalf("pass %d, decode %d: value %d = %x, want %x", pass, decode, i, math.Float64bits(got[i]), math.Float64bits(vals[i]))
+				}
+			}
+		}
 	}
 }
 
-func BenchmarkDecompressSmooth(b *testing.B) {
-	vals := make([]float64, 1<<16)
-	for i := range vals {
-		vals[i] = math.Sin(float64(i) * 0.001)
+// TestTableBitsBoundedByCount pins the table-size rule from both sides:
+// a stream may not declare tables larger than maxBitsFor its count —
+// the 13-byte stream FPC1 | 24 | n=0 once made the decoder allocate
+// 256 MiB — and CompressBits clamps to the same rule, so the writer
+// never emits a stream the reader refuses.
+func TestTableBitsBoundedByCount(t *testing.T) {
+	crafted := append([]byte("FPC1"), 24, 0, 0, 0, 0, 0, 0, 0, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decompress(crafted)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Decompress(FPC1 | 24 | n=0) = %v, want ErrCorrupt", err)
 	}
-	comp := Compress(vals)
-	b.SetBytes(int64(len(vals) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(comp); err != nil {
-			b.Fatal(err)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("Decompress(FPC1 | 24 | n=0) allocated %d bytes, want < 1 MiB", got)
+	}
+
+	for _, n := range []int{0, 1, 3000, 1 << 16, 1<<17 + 1} {
+		vals := fieldInput(n)
+		for tb := 1; tb <= 30; tb++ {
+			comp := CompressBits(vals, tb)
+			if got, limit := int(comp[4]), maxBitsFor(n); got > limit || got < 4 {
+				t.Fatalf("n=%d: CompressBits(%d) wrote table bits %d, want in [4, %d]", n, tb, got, limit)
+			}
+			if _, err := Decompress(comp); err != nil {
+				t.Fatalf("n=%d: CompressBits(%d) wrote a stream Decompress refuses: %v", n, tb, err)
+			}
 		}
+	}
+}
+
+// TestPooledAllocs pins the steady state of both directions at one
+// allocation, the result: the predictor tables come from the pool.
+func TestPooledAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	vals := fieldInput(12960)
+	comp := Compress(vals)
+	if got := testing.AllocsPerRun(20, func() { Compress(vals) }); got != 1 {
+		t.Errorf("Compress allocates %.0f times, want 1 (its result)", got)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := Decompress(comp); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("Decompress allocates %.0f times, want 1 (its output)", got)
+	}
+}
+
+var benchSizes = []int{12960, 1 << 16}
+
+func BenchmarkCompress(b *testing.B) {
+	for _, n := range benchSizes {
+		vals := fieldInput(n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(n * 8))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Compress(vals)
+			}
+		})
+	}
+}
+
+func BenchmarkDecompress(b *testing.B) {
+	for _, n := range benchSizes {
+		comp := Compress(fieldInput(n))
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(n * 8))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decompress(comp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
