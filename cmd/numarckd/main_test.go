@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -167,6 +168,64 @@ func TestDaemonGracefulDrain(t *testing.T) {
 	}
 	if len(vals) != n {
 		t.Fatalf("restart returned %d points, want %d", len(vals), n)
+	}
+}
+
+// TestDaemonLeavesNoGoroutines: when drain times out with a request
+// still open, run returns the drain error without receiving the serve
+// loop's result — and every goroutine run started must still exit. A
+// serve loop that blocks forever on its result channel is the leak
+// this pins.
+func TestDaemonLeavesNoGoroutines(t *testing.T) {
+	root := t.TempDir()
+	addr, sigterm, wait := startDaemon(t, root, "-drain-timeout", "20ms")
+
+	// A raw POST whose body stays open keeps the connection active past
+	// the drain timeout. (Client.Push would spool the body first.)
+	pr, pw := io.Pipe()
+	posted := make(chan error, 1)
+	go func() {
+		resp, err := http.Post("http://"+addr+"/v1/sim0/dens/checkpoints?iter=0", "application/octet-stream", pr)
+		if err == nil {
+			err = resp.Body.Close()
+		}
+		posted <- err
+	}()
+	if _, err := pw.Write(floatBytes(testVals(0, 1024))); err != nil {
+		t.Fatal(err)
+	}
+	// The handler is in flight once it has created its spool file.
+	spooled := filepath.Join(root, ".spool", "body-*")
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if m, _ := filepath.Glob(spooled); len(m) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the held request never reached the handler")
+		}
+	}
+
+	sigterm()
+	if err := wait(); err == nil || !strings.HasPrefix(err.Error(), "drain:") {
+		t.Fatalf("run returned %v, want the drain timeout", err)
+	}
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-posted; err != nil {
+		t.Logf("held request outcome: %v", err)
+	}
+
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		// Matches run's own frames, its closures and "created by" lines.
+		if !strings.Contains(stacks, "cmd/numarckd.run") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines started by run outlived it:\n%s", stacks)
+		}
 	}
 }
 

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	numarcklint [-json] [-list] [-only a,b,...] [-dir path] [packages...]
+//	numarcklint [-list] [-only a,b,...] [-dir path] [packages...]
 //
 // Package patterns follow the go tool's shape relative to the module
 // root: "./..." (default) analyzes everything, "./internal/core" one
@@ -13,9 +13,10 @@
 // are not analyzed.
 //
 // -only restricts the run to a comma-separated list of analyzer names
-// (see -list); -json prints the findings as a JSON array; -dir points at
-// a directory inside another module. Findings are reported, never
-// rewritten: each one names the line to fix.
+// (see -list); -dir points at a directory inside another module.
+// Findings are printed one per line as file:line:col: message
+// (analyzer); they are reported, never rewritten: each one names the
+// line to fix.
 //
 // Findings can be silenced in source with
 //
@@ -47,7 +48,6 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("numarcklint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	dir := fs.String("dir", ".", "directory inside the module to analyze")
 	only := fs.String("only", "", "run only the named analyzers (comma-separated, see -list)")
@@ -104,16 +104,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	res := analysis.Run(mod, pkgs, all)
-	if *jsonOut {
-		if err := res.WriteJSON(stdout); err != nil {
-			fmt.Fprintf(stderr, "numarcklint: %v\n", err)
-			return 2
-		}
-	} else {
-		if err := res.WriteText(stdout); err != nil {
-			fmt.Fprintf(stderr, "numarcklint: %v\n", err)
-			return 2
-		}
+	if err := res.WriteText(stdout); err != nil {
+		fmt.Fprintf(stderr, "numarcklint: %v\n", err)
+		return 2
 	}
 	fmt.Fprintf(stderr, "numarcklint: %d finding(s), %d suppressed, %d package(s)\n",
 		len(res.Diagnostics), res.Suppressed, res.Packages)

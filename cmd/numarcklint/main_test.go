@@ -102,35 +102,26 @@ func drop(f *os.File) {
 	}
 }
 
-// TestRunJSONAndList covers the alternate output modes.
+// TestRunJSONAndList: -json is gone (findings are text only), so it is
+// a usage error; -list names exactly the seven analyzers.
 func TestRunJSONAndList(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		"pkg/pkg.go": `// Package pkg holds one floatcmp finding.
-package pkg
-
-func equal(a, b float64) bool { return a != b }
-`,
-	})
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-dir", dir, "-json", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit = %d, want 1\nstderr: %s", code, &stderr)
-	}
-	js := stdout.String()
-	if !strings.Contains(js, `"analyzer": "floatcmp"`) && !strings.Contains(js, `"analyzer":"floatcmp"`) {
-		t.Errorf("JSON output missing analyzer field:\n%s", js)
+	if code := run([]string{"-json", "./..."}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-json exit = %d, want 2 (unknown flag)", code)
 	}
 
 	stdout.Reset()
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
-	for _, name := range []string{
-		"floatcmp", "waitgroup", "ctxleak", "errcheck", "bindex", "doccomment",
-		"fsseam", "errwrap", "atomicfield", "goroleak", "obsstage",
-	} {
-		if !strings.Contains(stdout.String(), name) {
-			t.Errorf("-list output missing %s:\n%s", name, &stdout)
+	want := []string{"floatcmp", "waitgroup", "errcheck", "doccomment", "fsseam", "errwrap", "obsstage"}
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("-list printed %d analyzers, want %d:\n%s", len(lines), len(want), &stdout)
+	}
+	for i, name := range want {
+		if f := strings.Fields(lines[i]); len(f) == 0 || f[0] != name {
+			t.Errorf("-list line %d = %q, want analyzer %s", i, lines[i], name)
 		}
 	}
 }

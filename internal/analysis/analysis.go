@@ -4,25 +4,21 @@
 // keeps its zero-dependency constraint.
 //
 // The framework loads and type-checks every package in the module
-// (Load) and runs a set of Analyzers over them in two phases. The fact
-// phase visits every package in dependency order and lets analyzers
-// implementing FactComputer export facts about functions, types and
-// fields into a module-wide table (Facts), with a static call graph
-// (CallGraph) built from the type-checker's resolution maps — the
-// substrate for interprocedural reasoning such as "this function
-// transitively reaches a mutating os call". The diagnostic phase then
-// runs every analyzer over the selected packages in parallel, honours
-// `//lint:ignore <analyzer> <reason>` suppressions (and reports unused
-// ones), and renders position-accurate diagnostics as text or JSON.
-// cmd/numarcklint is the command-line driver; the repo-specific
-// analyzers live in the analyzers subpackage.
+// (Load) and runs a set of Analyzers over the selected packages in
+// parallel. Every analyzer sees one package at a time: none needs
+// another package's syntax, only the type information its imports
+// export. Run honours `//lint:ignore <analyzer> <reason>` suppressions
+// (and reports unused ones) and renders position-accurate diagnostics
+// as text. cmd/numarcklint is the command-line driver; the
+// repo-specific analyzers live in the analyzers subpackage.
 //
 // NUMARCK's correctness contract — exact error-bound enforcement over
-// floating-point change ratios (§II-C, Eq. 3) and race-free
-// goroutine-parallel k-means and distributed encode paths — is fragile
-// in ways generic tooling misses; the analyzers here encode those
-// repo-specific invariants and leave to go vet, which make verify runs
-// alongside, every rule it already checks.
+// floating-point change ratios (§II-C, Eq. 3) and checkpoints that
+// survive a crash — is fragile in ways generic tooling misses. The
+// analyzers here keep only the rules that neither the type system,
+// go vet (which make verify runs alongside) nor a test already
+// enforces; DESIGN.md §1 records, per analyzer, the mutant that only
+// it catches.
 package analysis
 
 import (
@@ -58,13 +54,6 @@ type Pass struct {
 	// Info holds the type-checker's expression, definition and use
 	// maps for the package.
 	Info *types.Info
-	// Facts is the module-wide fact table. During ComputeFacts it is
-	// writable and imported packages' facts are complete; during Run it
-	// is read-only and the whole module's facts are complete.
-	Facts *Facts
-	// Graph is the module-wide static call graph, immutable for the
-	// whole run.
-	Graph *CallGraph
 }
 
 // Position resolves a token.Pos against the pass's file set.
@@ -75,29 +64,29 @@ func (p *Pass) Position(pos token.Pos) token.Position {
 // Diagnostic is one finding at one source position.
 type Diagnostic struct {
 	// Analyzer is the reporting analyzer's name.
-	Analyzer string `json:"analyzer"`
-	// Pos is the finding's resolved source position.
-	Pos token.Position `json:"-"`
+	Analyzer string
 	// Message describes the finding.
-	Message string `json:"message"`
+	Message string
+	// File, Line and Col are the finding's resolved source position.
+	File string
+	Line int
+	Col  int
+}
 
-	// File, Line and Col mirror Pos for JSON output.
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+// diagAt constructs a Diagnostic at a resolved position.
+func diagAt(name string, pos token.Position, format string, args ...any) Diagnostic {
+	return Diagnostic{
+		Analyzer: name,
+		Message:  fmt.Sprintf(format, args...),
+		File:     pos.Filename,
+		Line:     pos.Line,
+		Col:      pos.Column,
+	}
 }
 
 // Diagf constructs a Diagnostic at pos, resolving it through the pass.
 func (p *Pass) Diagf(name string, pos token.Pos, format string, args ...any) Diagnostic {
-	position := p.Fset.Position(pos)
-	return Diagnostic{
-		Analyzer: name,
-		Pos:      position,
-		Message:  fmt.Sprintf(format, args...),
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-	}
+	return diagAt(name, p.Fset.Position(pos), format, args...)
 }
 
 // String renders the diagnostic in the conventional file:line:col form.

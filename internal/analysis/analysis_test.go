@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"encoding/json"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -202,7 +201,7 @@ var a = 1
 }
 
 // TestRunEndToEnd: Run applies analyzers, drops suppressed findings,
-// counts them, and renders both output modes deterministically.
+// counts them, and renders the rest as file:line:col text.
 func TestRunEndToEnd(t *testing.T) {
 	dir := writeTree(t, map[string]string{
 		"go.mod": goMod,
@@ -239,19 +238,40 @@ func fine(a, b float64) bool {
 	if err := res.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text.String(), "p.go:3:") {
-		t.Errorf("text output missing position: %q", text.String())
+	if got, want := text.String(), "p.go:3:38: float comparison (demo)\n"; !strings.HasSuffix(got, want) {
+		t.Errorf("text output = %q, want suffix %q", got, want)
 	}
-	var js bytes.Buffer
-	if err := res.WriteJSON(&js); err != nil {
+}
+
+// TestUnusedSuppression: a directive that silences nothing becomes a
+// "lint" finding — but only when every analyzer it names actually ran,
+// so -only subsets cannot produce false positives.
+func TestUnusedSuppression(t *testing.T) {
+	src := `package p
+
+func add(a, b int) int {
+	//lint:ignore demo the comparison moved elsewhere
+	return a + b
+}
+`
+	dir := writeTree(t, map[string]string{"go.mod": goMod, "p/p.go": src})
+	mod, err := Load(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var parsed []map[string]any
-	if err := json.Unmarshal(js.Bytes(), &parsed); err != nil {
-		t.Fatalf("JSON output does not parse: %v\n%s", err, &js)
+	res := Run(mod, mod.Packages, []Analyzer{demoAnalyzer{}})
+	if len(res.Diagnostics) != 1 {
+		t.Fatalf("Diagnostics = %+v, want one unused-suppression finding", res.Diagnostics)
 	}
-	if len(parsed) != 1 || parsed[0]["analyzer"] != "demo" {
-		t.Errorf("JSON = %s", &js)
+	d := res.Diagnostics[0]
+	if d.Analyzer != "lint" || !strings.Contains(d.Message, "unused //lint:ignore suppression for demo") {
+		t.Errorf("diagnostic = %+v", d)
+	}
+
+	// The named analyzer did not run: the suppression might be load-bearing.
+	res = Run(mod, mod.Packages, []Analyzer{silentAnalyzer{}})
+	if len(res.Diagnostics) != 0 {
+		t.Errorf("subset run reported %+v; unused check must require the named analyzer", res.Diagnostics)
 	}
 }
 
@@ -279,3 +299,11 @@ func (demoAnalyzer) Run(p *Pass) []Diagnostic {
 	}
 	return diags
 }
+
+// silentAnalyzer reports nothing: a run of it alone is a run that
+// leaves "demo" out.
+type silentAnalyzer struct{}
+
+func (silentAnalyzer) Name() string           { return "silent" }
+func (silentAnalyzer) Doc() string            { return "reports nothing (test-only)" }
+func (silentAnalyzer) Run(*Pass) []Diagnostic { return nil }

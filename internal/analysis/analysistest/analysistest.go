@@ -7,13 +7,9 @@
 //
 // A fixture directory may contain subdirectories; each is type-checked
 // first as a helper package importable from the fixture as
-// "fixture/<subdir>" — how fixtures model cross-package scenarios such
-// as a registry package whose constants the analyzer requires, or a
-// callee package a fact must propagate out of. If the analyzer
-// implements analysis.FactComputer, its fact phase runs over the helper
-// packages and then the fixture, mirroring the engine's
-// dependency-order walk, before diagnostics are collected from the
-// fixture package alone.
+// "fixture/<subdir>" — how a fixture models an imported package, such
+// as the registry whose constants obsstage requires. Diagnostics are
+// collected from the fixture package alone.
 package analysistest
 
 import (
@@ -53,22 +49,16 @@ var wantRE = regexp.MustCompile("\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`")
 // or a want no finding matched.
 func Run(t *testing.T, dir string, a analysis.Analyzer) {
 	t.Helper()
-	passes, err := loadFixture(dir)
+	pass, err := loadFixture(dir)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	main := passes[len(passes)-1]
-	wants, err := collectWants(main.Fset, main.Files)
+	wants, err := collectWants(pass.Fset, pass.Files)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
 
-	if fc, ok := a.(analysis.FactComputer); ok {
-		for _, p := range passes {
-			fc.ComputeFacts(p)
-		}
-	}
-	diags := a.Run(main)
+	diags := a.Run(pass)
 	sort.Slice(diags, func(i, j int) bool {
 		if diags[i].Line != diags[j].Line {
 			return diags[i].Line < diags[j].Line
@@ -116,48 +106,35 @@ func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
 	return fi.fallback.Import(path)
 }
 
-// loadFixture parses and type-checks the package in dir plus any helper
-// packages in its immediate subdirectories. The returned passes share
-// one file set, fact table and call graph; helper packages come first,
-// the fixture package last. The standard library resolves through the
+// loadFixture parses and type-checks the package in dir, after any
+// helper packages in its immediate subdirectories, and returns the
+// fixture package's pass. The standard library resolves through the
 // source importer, so fixtures may import sync, io, context, etc.
-func loadFixture(dir string) ([]*analysis.Pass, error) {
+func loadFixture(dir string) (*analysis.Pass, error) {
 	fset := token.NewFileSet()
 	imp := &fixtureImporter{
 		checked:  map[string]*types.Package{},
 		fallback: importer.ForCompiler(fset, "source", nil),
 	}
 
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	type loaded struct {
-		path  string
-		files []*ast.File
-		pkg   *types.Package
-		info  *types.Info
-	}
-	var pkgs []loaded
-
-	check := func(pkgDir, pkgPath string) error {
-		sub, err := os.ReadDir(pkgDir)
+	check := func(pkgDir, pkgPath string) (*analysis.Pass, error) {
+		entries, err := os.ReadDir(pkgDir)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		var files []*ast.File
-		for _, e := range sub {
+		for _, e := range entries {
 			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 				continue
 			}
 			f, err := parser.ParseFile(fset, filepath.Join(pkgDir, e.Name()), nil, parser.ParseComments)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			files = append(files, f)
 		}
 		if len(files) == 0 {
-			return fmt.Errorf("no .go files in %s", pkgDir)
+			return nil, fmt.Errorf("no .go files in %s", pkgDir)
 		}
 		info := &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
@@ -170,49 +147,24 @@ func loadFixture(dir string) ([]*analysis.Pass, error) {
 		conf := types.Config{Importer: imp}
 		tpkg, err := conf.Check(pkgPath, fset, files, info)
 		if err != nil {
-			return fmt.Errorf("type-check fixture %s: %w", pkgDir, err)
+			return nil, fmt.Errorf("type-check fixture %s: %w", pkgDir, err)
 		}
 		imp.checked[pkgPath] = tpkg
-		pkgs = append(pkgs, loaded{path: pkgPath, files: files, pkg: tpkg, info: info})
-		return nil
+		return &analysis.Pass{Fset: fset, Pkg: tpkg, PkgPath: pkgPath, Files: files, Info: info}, nil
 	}
 
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
 	for _, e := range entries {
 		if e.IsDir() {
-			if err := check(filepath.Join(dir, e.Name()), "fixture/"+e.Name()); err != nil {
+			if _, err := check(filepath.Join(dir, e.Name()), "fixture/"+e.Name()); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := check(dir, "fixture/"+filepath.Base(dir)); err != nil {
-		return nil, err
-	}
-
-	var graphPkgs []*analysis.Package
-	for _, l := range pkgs {
-		graphPkgs = append(graphPkgs, &analysis.Package{
-			Path:  l.path,
-			Files: l.files,
-			Types: l.pkg,
-			Info:  l.info,
-		})
-	}
-	facts := analysis.NewFacts()
-	graph := analysis.BuildCallGraph(fset, graphPkgs)
-
-	passes := make([]*analysis.Pass, 0, len(pkgs))
-	for _, l := range pkgs {
-		passes = append(passes, &analysis.Pass{
-			Fset:    fset,
-			Pkg:     l.pkg,
-			PkgPath: l.path,
-			Files:   l.files,
-			Info:    l.info,
-			Facts:   facts,
-			Graph:   graph,
-		})
-	}
-	return passes, nil
+	return check(dir, "fixture/"+filepath.Base(dir))
 }
 
 // collectWants parses // want comments out of the fixture files.

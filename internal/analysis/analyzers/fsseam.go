@@ -1,36 +1,28 @@
 package analyzers
 
 import (
-	"fmt"
-	"go/types"
-	"strings"
+	"go/ast"
 
 	"numarck/internal/analysis"
 )
 
 // Fsseam enforces the faultfs filesystem seam on the durability
-// packages: no code path in internal/checkpoint or internal/rawio may
-// reach a mutating os-package call — os.Create, os.Rename, os.Remove,
-// os.WriteFile, (*os.File).Write, ... — other than through the
-// faultfs.FS interface. PR 4's crash matrix proves durability by
-// killing the store at every mutating operation of the injectable seam;
-// a direct os call is invisible to the injector and therefore a hole in
-// the proof. The scope covers the whole store layer cake: checkpoint
-// commits, the LOCK writer-lock acquisition/takeover/release path, and
-// CHAININDEX publication all mutate the store directory and must stay
-// killable; the lock-free read view must stay on the seam too, because
-// its read-only claim is proven by substituting an FS whose mutating
-// operations fail.
+// packages: code in internal/checkpoint or internal/rawio may not call
+// a mutating os-package function — os.Create, os.Rename, os.Remove,
+// os.WriteFile, (*os.File).Write, ... — directly; it goes through the
+// faultfs.FS interface. The crash matrix proves durability by killing
+// the store at every mutating operation of the injectable seam; a
+// direct os call is invisible to the injector and therefore a hole in
+// the proof. The scope covers the whole store: checkpoint commits, the
+// LOCK acquisition/takeover/release path, and CHAININDEX publication
+// all mutate the store directory and must stay killable; the lock-free
+// read view must stay on the seam too, because its read-only claim is
+// proven by substituting an FS whose mutating operations fail.
 //
-// The analyzer is interprocedural: its fact phase marks every function
-// in the module that directly performs a mutating os call, then
-// propagates the mark over the engine's static call graph (helpers
-// calling helpers, closures attributed to their enclosing function)
-// until fixpoint. The diagnostic phase flags every call site in the
-// scoped packages whose static callee carries the mark, reporting the
-// witness chain down to the os call. Calls through the faultfs.FS
-// interface resolve to no static callee, so routing through the seam is
-// exactly what makes a path clean.
+// The check is a per-package scan of static callees. A helper in
+// another package that mutates through os is that package's concern:
+// faultfs's own tests pin that its FS implementation and helpers reach
+// the disk only through the seam.
 type Fsseam struct{}
 
 // Name implements analysis.Analyzer.
@@ -38,20 +30,7 @@ func (Fsseam) Name() string { return "fsseam" }
 
 // Doc implements analysis.Analyzer.
 func (Fsseam) Doc() string {
-	return "flags checkpoint/rawio paths that reach mutating os calls outside the faultfs.FS seam"
-}
-
-// fsseamFact is the fact name marking a function that transitively
-// reaches a mutating os call.
-const fsseamFact = "fsseam.reachesOSMutation"
-
-// osReach is the fact value: how the marked function reaches the os
-// mutation — directly (Target set, Via nil) or through its callee Via.
-type osReach struct {
-	// Target is the fully qualified mutating call, e.g. "os.Create".
-	Target string
-	// Via is the next hop toward Target, nil for a direct call.
-	Via *types.Func
+	return "flags mutating os calls in checkpoint/rawio made outside the faultfs.FS seam"
 }
 
 // osMutating is the set of mutating identifiers in package os:
@@ -67,50 +46,6 @@ var osMutating = map[string]bool{
 	"Write": true, "WriteString": true, "WriteAt": true, "Sync": true,
 }
 
-// osMutatingTarget reports whether fn is a mutating os-package call and
-// returns its qualified name.
-func osMutatingTarget(fn *types.Func) (string, bool) {
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "os" {
-		return "", false
-	}
-	if !osMutating[fn.Name()] {
-		return "", false
-	}
-	return "os." + fn.Name(), true
-}
-
-// ComputeFacts implements analysis.FactComputer: it marks the pass's
-// functions that reach a mutating os call, iterating to fixpoint so
-// intra-package call chains (and recursion) converge. Imported
-// packages' marks already exist — the engine visits dependencies first.
-func (Fsseam) ComputeFacts(p *analysis.Pass) {
-	if p.Pkg != nil && p.Pkg.Path() == "os" {
-		return
-	}
-	fns := funcsOf(p)
-	for changed := true; changed; {
-		changed = false
-		for _, fd := range fns {
-			if p.Facts.Has(fd.fn, fsseamFact) {
-				continue
-			}
-			for _, site := range p.Graph.CallsFrom(fd.fn) {
-				if target, ok := osMutatingTarget(site.Callee); ok {
-					p.Facts.Set(fd.fn, fsseamFact, osReach{Target: target})
-					changed = true
-					break
-				}
-				if reach, ok := p.Facts.Get(site.Callee, fsseamFact); ok {
-					r := reach.(osReach)
-					p.Facts.Set(fd.fn, fsseamFact, osReach{Target: r.Target, Via: site.Callee})
-					changed = true
-					break
-				}
-			}
-		}
-	}
-}
-
 // seamScope lists the packages the seam invariant covers.
 var seamScope = []string{
 	"numarck/internal/checkpoint",
@@ -118,60 +53,29 @@ var seamScope = []string{
 }
 
 // Run implements analysis.Analyzer: within the scoped packages it flags
-// every call site whose static callee is or reaches a mutating os call.
+// every call whose static callee is a mutating os function or method.
+// Calls through the faultfs.FS interface have an interface method as
+// their callee, never an os one, so routing through the seam is exactly
+// what makes a call clean.
 func (Fsseam) Run(p *analysis.Pass) []analysis.Diagnostic {
 	if !inScope(p.PkgPath, seamScope...) {
 		return nil
 	}
 	var diags []analysis.Diagnostic
-	for _, fd := range funcsOf(p) {
-		for _, site := range p.Graph.CallsFrom(fd.fn) {
-			if target, ok := osMutatingTarget(site.Callee); ok {
-				diags = append(diags, p.Diagf("fsseam", site.Pos,
-					"direct mutating call %s escapes the faultfs.FS seam; route it through an injected faultfs.FS", target))
-				continue
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-			if reach, ok := p.Facts.Get(site.Callee, fsseamFact); ok {
-				r := reach.(osReach)
-				diags = append(diags, p.Diagf("fsseam", site.Pos,
-					"call reaches %s outside the faultfs.FS seam (%s); route it through an injected faultfs.FS",
-					r.Target, renderChain(p, site.Callee, r)))
+			fn := calleeFunc(p.Info, call)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "os" || !osMutating[fn.Name()] {
+				return true
 			}
-		}
+			diags = append(diags, p.Diagf("fsseam", call.Pos(),
+				"mutating call os.%s escapes the faultfs.FS seam; route it through an injected faultfs.FS", fn.Name()))
+			return true
+		})
 	}
 	return diags
-}
-
-// renderChain renders the witness path from the called function down to
-// the os call, e.g. "rawio.WriteFile -> rawio.syncDir -> os.Open".
-func renderChain(p *analysis.Pass, first *types.Func, reach osReach) string {
-	var hops []string
-	fn, r := first, reach
-	for depth := 0; depth < 16; depth++ {
-		hops = append(hops, funcLabel(fn))
-		if r.Via == nil {
-			break
-		}
-		fn = r.Via
-		v, ok := p.Facts.Get(fn, fsseamFact)
-		if !ok {
-			break
-		}
-		r = v.(osReach)
-	}
-	hops = append(hops, reach.Target)
-	return strings.Join(hops, " -> ")
-}
-
-// funcLabel renders fn as pkg.Func or pkg.(Recv).Method.
-func funcLabel(fn *types.Func) string {
-	pkg := ""
-	if fn.Pkg() != nil {
-		pkg = fn.Pkg().Name() + "."
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		qual := func(p *types.Package) string { return p.Name() }
-		return fmt.Sprintf("%s(%s).%s", pkg, types.TypeString(sig.Recv().Type(), qual), fn.Name())
-	}
-	return pkg + fn.Name()
 }

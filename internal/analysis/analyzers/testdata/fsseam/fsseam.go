@@ -1,39 +1,40 @@
 // Package fsseam exercises the faultfs-seam analyzer: direct mutating
-// os calls, transitive reaches through local and cross-package helpers,
-// and the clean paths (interface calls, read-only os entry points).
+// os calls, in a function or a closure, are flagged; calls through the
+// seam interface, read-only os entry points and local helpers that
+// merely wrap the seam are clean.
 package fsseam
 
-import (
-	"os"
+import "os"
 
-	"fixture/sink"
-)
-
-// FS mimics the faultfs.FS seam: calls through it resolve to no static
-// callee, which is exactly what makes a path clean.
+// FS mimics the faultfs.FS seam: calls through it have an interface
+// method as their callee, which is exactly what makes them clean.
 type FS interface {
 	Create(name string) (*os.File, error)
 	Remove(name string) error
 }
 
 func direct() {
-	_ = os.Remove("x") // want `direct mutating call os.Remove escapes the faultfs.FS seam`
+	_ = os.Remove("x") // want `mutating call os.Remove escapes the faultfs.FS seam`
 }
 
-func helper() error {
-	return os.Rename("a", "b") // want `direct mutating call os.Rename escapes the faultfs.FS seam`
+func inClosure() error {
+	publish := func() error {
+		return os.WriteFile("idx", nil, 0o644) // want `mutating call os.WriteFile escapes the faultfs.FS seam`
+	}
+	return publish()
 }
 
-func transitive() {
-	_ = helper() // want `call reaches os.Rename outside the faultfs.FS seam \(fsseam.helper -> os.Rename\)`
-}
-
-func crossPackage() {
-	_ = sink.Drop("x") // want `call reaches os.Remove outside the faultfs.FS seam \(sink.Drop -> os.Remove\)`
+func fileMethod(f *os.File) error {
+	_, err := f.Write(nil) // want `mutating call os.Write escapes the faultfs.FS seam`
+	return err
 }
 
 func throughSeam(fsys FS) {
 	_ = fsys.Remove("x")
+}
+
+func viaHelper(fsys FS) {
+	throughSeam(fsys)
 }
 
 func readOnly() {

@@ -1,19 +1,14 @@
 // Package analyzers holds the repo-specific static-analysis passes run
 // by cmd/numarcklint. Each analyzer encodes one NUMARCK correctness
-// invariant: exact floating-point comparison discipline (floatcmp),
-// sound sync.WaitGroup use in the goroutine-parallel paths (waitgroup),
-// cancellable goroutine channel sends (ctxleak), no dropped errors on
-// the persistence paths (errcheck), truncation-free bin-index
-// conversions (bindex), a fully documented public surface (doccomment),
-// the faultfs filesystem seam on the durability paths (fsseam), op+path
-// error wrapping on the store packages (errwrap), no mixed
-// atomic/plain field access (atomicfield), accounted-for goroutines in
-// the pipeline package (goroleak), and registry-only obs stage names
-// with leak-free timers (obsstage).
-//
-// The last five lean on the engine's fact phase (analysis.FactComputer)
-// and call graph for cross-package, interprocedural reasoning; the
-// first six are package-local.
+// invariant that neither the type system, go vet nor a test enforces:
+// exact floating-point comparison discipline (floatcmp), sound
+// sync.WaitGroup ordering in the goroutine-parallel paths (waitgroup),
+// no dropped errors on the persistence paths (errcheck), a fully
+// documented public surface (doccomment), the faultfs filesystem seam
+// on the durability paths (fsseam), op+path error wrapping on the store
+// packages (errwrap), and registry-only obs stage names with leak-free
+// timers (obsstage). Every analyzer is package-local. DESIGN.md §1
+// records, per analyzer, a mutant of real code that only it catches.
 package analyzers
 
 import (
@@ -29,14 +24,10 @@ func All() []analysis.Analyzer {
 	return []analysis.Analyzer{
 		Floatcmp{},
 		Waitgroup{},
-		Ctxleak{},
 		Errcheck{},
-		Bindex{},
 		Doccomment{},
 		Fsseam{},
 		Errwrap{},
-		Atomicfield{},
-		Goroleak{},
 		Obsstage{},
 	}
 }
@@ -166,36 +157,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// basicIntWidth returns the bit width and signedness of a basic integer
-// type. int, uint and uintptr count as 64-bit: the production targets
-// are 64-bit and assuming the narrower possibility everywhere would
-// drown real findings in 32-bit-only noise.
-func basicIntWidth(t types.Type) (width int, signed bool, ok bool) {
-	b, isBasic := t.Underlying().(*types.Basic)
-	if !isBasic || b.Info()&types.IsInteger == 0 {
-		return 0, false, false
-	}
-	switch b.Kind() {
-	case types.Int8:
-		return 8, true, true
-	case types.Int16:
-		return 16, true, true
-	case types.Int32:
-		return 32, true, true
-	case types.Int64, types.Int:
-		return 64, true, true
-	case types.Uint8:
-		return 8, false, true
-	case types.Uint16:
-		return 16, false, true
-	case types.Uint32:
-		return 32, false, true
-	case types.Uint64, types.Uint, types.Uintptr:
-		return 64, false, true
-	}
-	return 0, false, false
 }
 
 // enclosingFuncName returns the name of the innermost named function

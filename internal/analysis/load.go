@@ -17,8 +17,6 @@ import (
 type Package struct {
 	// Path is the package's import path.
 	Path string
-	// Dir is the package's directory on disk.
-	Dir string
 	// Files are the parsed non-test sources.
 	Files []*ast.File
 	// Types is the type-checked package.
@@ -94,12 +92,7 @@ func Load(dir string) (*Module, error) {
 	}
 
 	fset := token.NewFileSet()
-	type rawPkg struct {
-		path  string
-		dir   string
-		files []*ast.File
-	}
-	raw := map[string]*rawPkg{}
+	raw := map[string][]*ast.File{} // import path -> parsed files
 
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -127,12 +120,7 @@ func Load(dir string) (*Module, error) {
 		if rel != "." {
 			importPath = modPath + "/" + filepath.ToSlash(rel)
 		}
-		rp := raw[importPath]
-		if rp == nil {
-			rp = &rawPkg{path: importPath, dir: pkgDir}
-			raw[importPath] = rp
-		}
-		rp.files = append(rp.files, f)
+		raw[importPath] = append(raw[importPath], f)
 		return nil
 	})
 	if err != nil {
@@ -141,9 +129,9 @@ func Load(dir string) (*Module, error) {
 
 	// Topological order over module-internal imports so every package
 	// type-checks after its dependencies.
-	order, err := topoSort(raw, func(rp *rawPkg) []string {
+	order, err := topoSort(raw, func(files []*ast.File) []string {
 		var deps []string
-		for _, f := range rp.files {
+		for _, f := range files {
 			for _, imp := range f.Imports {
 				p := strings.Trim(imp.Path.Value, `"`)
 				if p == modPath || strings.HasPrefix(p, modPath+"/") {
@@ -164,11 +152,11 @@ func Load(dir string) (*Module, error) {
 		fallback: importer.ForCompiler(fset, "source", nil),
 	}
 	for _, importPath := range order {
-		rp := raw[importPath]
+		files := raw[importPath]
 		// Deterministic file order: parse order follows WalkDir, which
 		// is already lexical, but sort defensively by filename.
-		sort.Slice(rp.files, func(i, j int) bool {
-			return fset.Position(rp.files[i].Pos()).Filename < fset.Position(rp.files[j].Pos()).Filename
+		sort.Slice(files, func(i, j int) bool {
+			return fset.Position(files[i].Pos()).Filename < fset.Position(files[j].Pos()).Filename
 		})
 		info := &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
@@ -179,15 +167,14 @@ func Load(dir string) (*Module, error) {
 			Scopes:     map[ast.Node]*types.Scope{},
 		}
 		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(importPath, fset, rp.files, info)
+		tpkg, err := conf.Check(importPath, fset, files, info)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: type-check %s: %w", importPath, err)
 		}
 		checked[importPath] = tpkg
 		mod.Packages = append(mod.Packages, &Package{
 			Path:  importPath,
-			Dir:   rp.dir,
-			Files: rp.files,
+			Files: files,
 			Types: tpkg,
 			Info:  info,
 		})
@@ -197,7 +184,7 @@ func Load(dir string) (*Module, error) {
 
 // topoSort orders raw packages so dependencies precede dependents.
 // Ties break lexically for deterministic output.
-func topoSort[T any](pkgs map[string]*T, deps func(*T) []string) ([]string, error) {
+func topoSort[T any](pkgs map[string]T, deps func(T) []string) ([]string, error) {
 	paths := make([]string, 0, len(pkgs))
 	for p := range pkgs {
 		paths = append(paths, p)

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -21,18 +20,11 @@ type Result struct {
 	Packages int
 }
 
-// Run executes analyzers over packages in two phases. The fact phase
-// walks every package of the module (not just the selected ones) in
-// dependency order and gives each FactComputer analyzer a chance to
-// export facts; by construction a package's imports are fact-complete
-// before the package itself is visited. The diagnostic phase then runs
-// every analyzer over the selected packages, in parallel across
-// (package, analyzer) pairs, applies suppressions, reports unused
-// suppressions, and returns the sorted findings. Analyzer Run methods
-// must be concurrency-safe; ComputeFacts methods need not be.
+// Run executes analyzers over the selected packages, in parallel
+// across (package, analyzer) pairs, applies suppressions, reports
+// unused suppressions, and returns the sorted findings. Analyzer Run
+// methods must be concurrency-safe.
 func Run(mod *Module, pkgs []*Package, analyzers []Analyzer) *Result {
-	facts := NewFacts()
-	graph := BuildCallGraph(mod.Fset, mod.Packages)
 	passFor := func(p *Package) *Pass {
 		return &Pass{
 			Fset:    mod.Fset,
@@ -40,25 +32,9 @@ func Run(mod *Module, pkgs []*Package, analyzers []Analyzer) *Result {
 			PkgPath: p.Path,
 			Files:   p.Files,
 			Info:    p.Info,
-			Facts:   facts,
-			Graph:   graph,
 		}
 	}
 
-	// Fact phase: sequential, dependency order, whole module — facts
-	// must be complete even for packages outside the selection, or a
-	// selected package's cross-package findings would depend on which
-	// patterns the user happened to pass.
-	for _, p := range mod.Packages {
-		pass := passFor(p)
-		for _, a := range analyzers {
-			if fc, ok := a.(FactComputer); ok {
-				fc.ComputeFacts(pass)
-			}
-		}
-	}
-
-	// Diagnostic phase: parallel over (package, analyzer) units.
 	type unit struct {
 		pkg *Package
 		an  Analyzer
@@ -166,14 +142,8 @@ func unusedSuppressions(sups []*suppression, ranNames map[string]bool) []Diagnos
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		diags = append(diags, Diagnostic{
-			Analyzer: "lint",
-			Pos:      s.pos,
-			Message:  fmt.Sprintf("unused //lint:ignore suppression for %s: it silences nothing", strings.Join(names, ",")),
-			File:     s.pos.Filename,
-			Line:     s.pos.Line,
-			Col:      s.pos.Column,
-		})
+		diags = append(diags, diagAt("lint", s.pos,
+			"unused //lint:ignore suppression for %s: it silences nothing", strings.Join(names, ",")))
 	}
 	return diags
 }
@@ -186,15 +156,4 @@ func (r *Result) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders findings as a JSON array.
-func (r *Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	diags := r.Diagnostics
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	return enc.Encode(diags)
 }

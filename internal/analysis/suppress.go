@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/token"
 	"sort"
 	"strings"
@@ -39,14 +38,7 @@ func collectSuppressions(p *Package, fset *token.FileSet) ([]*suppression, []Dia
 				}
 				pos := fset.Position(c.Pos())
 				lintDiag := func(format string, args ...any) Diagnostic {
-					return Diagnostic{
-						Analyzer: "lint",
-						Pos:      pos,
-						Message:  fmt.Sprintf(format, args...),
-						File:     pos.Filename,
-						Line:     pos.Line,
-						Col:      pos.Column,
-					}
+					return diagAt("lint", pos, format, args...)
 				}
 				fields := strings.Fields(rest)
 				if len(fields) < 2 {

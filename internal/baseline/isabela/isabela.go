@@ -105,7 +105,7 @@ func compressWindow(data []float64, coeffs int) (window, error) {
 	}
 	permU32 := make([]uint32, n)
 	for r, pi := range perm {
-		//lint:ignore bindex perm entries index one window, far below 2^32
+		// perm entries index one window, far below 2^32
 		permU32[r] = uint32(pi)
 	}
 	packed, err := bitpack.Pack(permU32, permBits(n))

@@ -73,7 +73,7 @@ func PackInto(vals []uint32, width int, buf []byte) ([]byte, error) {
 		acc |= uint64(v) << nb // nb < 32 and width <= 32: no bit is shifted out
 		nb += w
 		if nb >= 32 {
-			//lint:ignore bindex the low 32 accumulated bits are exactly the next four stream bytes
+			// the low 32 accumulated bits are exactly the next four stream bytes
 			binary.LittleEndian.PutUint32(out[p:], uint32(acc))
 			acc >>= 32
 			nb -= 32
@@ -90,7 +90,7 @@ func PackInto(vals []uint32, width int, buf []byte) ([]byte, error) {
 		}
 	}
 	for ; p < need; p++ {
-		//lint:ignore bindex the stream's last bytes, least significant first
+		// the stream's last bytes, least significant first
 		out[p] = byte(acc)
 		acc >>= 8
 	}
@@ -141,7 +141,7 @@ func UnpackRange(data []byte, first, n, width int, out []uint32) ([]uint32, erro
 		mask, bit, w := limitFor(width), uint64(first)*uint64(width), uint64(width)
 		fast := inWindow(len(data), first, n, width)
 		for i := range out[:fast] {
-			//lint:ignore bindex the mask keeps width <= MaxWidth = 32 low bits
+			// the mask keeps width <= MaxWidth = 32 low bits
 			out[i] = uint32(binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7) & mask)
 			bit += w
 		}
@@ -257,7 +257,7 @@ func field(data []byte, bit, mask uint64) uint32 {
 			win |= uint64(b) << (8 * uint(k))
 		}
 	}
-	//lint:ignore bindex the mask keeps width <= MaxWidth = 32 low bits
+	// the mask keeps width <= MaxWidth = 32 low bits
 	return uint32(win >> (bit & 7) & mask)
 }
 

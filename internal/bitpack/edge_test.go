@@ -30,9 +30,9 @@ func TestPackB1(t *testing.T) {
 	}
 }
 
-// TestIndexOverflowRoundTrip covers the truncation hazard the bindex
-// analyzer guards: a value one past the width limit must be rejected,
-// and the limit itself must round-trip intact — for every width.
+// TestIndexOverflowRoundTrip covers the bin-index truncation hazard: a
+// value one past the width limit must be rejected, and the limit itself
+// must round-trip intact — for every width.
 func TestIndexOverflowRoundTrip(t *testing.T) {
 	for width := 1; width <= MaxWidth; width++ {
 		limit := uint32(limitFor(width))

@@ -290,10 +290,10 @@ func (w *DeltaV2Writer) Finish() error {
 	for _, e := range w.dir {
 		var buf [dirEntrySize]byte
 		binary.LittleEndian.PutUint64(buf[0:], uint64(e.off))
-		//lint:ignore bindex AppendChunk refused any section over math.MaxUint32 bytes
+		// AppendChunk refused any section over math.MaxUint32 bytes
 		binary.LittleEndian.PutUint32(buf[8:], uint32(e.length))
 		binary.LittleEndian.PutUint32(buf[12:], e.crc)
-		//lint:ignore bindex a section holds 8 bytes per exact value and is <= math.MaxUint32
+		// a section holds 8 bytes per exact value and is <= math.MaxUint32
 		binary.LittleEndian.PutUint32(buf[16:], uint32(e.exactCount))
 		dir = append(dir, buf[:]...)
 	}
@@ -656,7 +656,7 @@ func (d *DeltaReader) checkSection(i int, section []byte) error {
 		return chunkErr(i, ent.off, "bitmap flags a point beyond the chunk's %d", np)
 	}
 	bins := len(d.meta.BinRatios)
-	//lint:ignore bindex fromHeader bounded the bin count below 2^IndexBits <= 2^32
+	// fromHeader bounded the bin count below 2^IndexBits <= 2^32
 	j, err := bitpack.FirstAbove(packed, np, d.meta.Opt.IndexBits, uint32(bins))
 	if err != nil {
 		return chunkErr(i, ent.off, "%v", err)

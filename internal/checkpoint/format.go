@@ -94,7 +94,7 @@ func writeFile(w io.Writer, magic []byte, hdr fileHeader, payload []byte) error 
 		return fmt.Errorf("checkpoint: header too large: %d bytes", len(hj))
 	}
 	var lenBuf [4]byte
-	//lint:ignore bindex len(hj) <= math.MaxUint32 checked above
+	// len(hj) <= math.MaxUint32 checked above
 	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(hj)))
 	if _, err := w.Write(lenBuf[:]); err != nil {
 		return err

@@ -142,7 +142,7 @@ func marshalChainIndex(ix *ChainIndex) ([]byte, error) {
 	if len(ix.Entries) > 1<<24 {
 		return nil, fmt.Errorf("checkpoint: chain index with %d entries is implausible", len(ix.Entries))
 	}
-	//lint:ignore bindex entry count bounded to 1<<24 above
+	// entry count bounded to 1<<24 above
 	binary.LittleEndian.PutUint32(hdr[28:], uint32(len(ix.Entries)))
 	buf = append(buf, hdr...)
 	for _, e := range ix.Entries {
@@ -156,7 +156,7 @@ func marshalChainIndex(ix *ChainIndex) ([]byte, error) {
 		copy(rec[:indexVarBytes], e.Variable)
 		rec[64] = kindByte(e.Kind)
 		rec[65] = e.Status
-		//lint:ignore bindex iteration bounded to [0, 1<<31) above
+		// iteration bounded to [0, 1<<31) above
 		binary.LittleEndian.PutUint32(rec[68:], uint32(e.Iteration))
 		binary.LittleEndian.PutUint64(rec[72:], uint64(e.Len))
 		binary.LittleEndian.PutUint32(rec[80:], e.CRC)

@@ -167,7 +167,7 @@ func marshalLock(li lockInfo) []byte {
 	buf := make([]byte, lockFileSize)
 	copy(buf, lockMagic)
 	binary.LittleEndian.PutUint16(buf[6:], lockVersion)
-	//lint:ignore bindex PIDs are small positive integers
+	// PIDs are small positive integers
 	binary.LittleEndian.PutUint32(buf[8:], uint32(li.PID))
 	binary.LittleEndian.PutUint64(buf[12:], li.Nonce)
 	binary.LittleEndian.PutUint64(buf[20:], uint64(li.Acquired))

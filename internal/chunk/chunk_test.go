@@ -334,6 +334,24 @@ func waitGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
+// withinDeadline runs one orderedChunks call under a watchdog: a worker
+// or emitter that never returns fails the test after a few seconds
+// with every goroutine's stack, instead of hanging until the go test
+// timeout.
+func withinDeadline(t *testing.T, what string, run func() error) error {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() { errc <- run() }()
+	select {
+	case err := <-errc:
+		return err
+	case <-time.After(5 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%s: orderedChunks still running after 5s:\n%s", what, buf[:runtime.Stack(buf, true)])
+		return nil
+	}
+}
+
 // TestOrderedChunks pins the ring's contract under skewed chunk
 // durations, many laps of the ring, and every worker count the
 // pipeline is run with: chunks are emitted 0, 1, 2, … exactly once,
@@ -351,7 +369,10 @@ func TestOrderedChunks(t *testing.T) {
 		// rounds let fast chunks run ahead of slow predecessors.
 		for round := 0; round < 24; round++ {
 			p := newRingProbe(t, count, w, int64(1000*w+round), round%3 == 2)
-			if err := orderedChunks(count, w, "test", nil, p.process, p.emit); err != nil {
+			err := withinDeadline(t, fmt.Sprintf("W=%d clean round %d", w, round), func() error {
+				return orderedChunks(count, w, "test", nil, p.process, p.emit)
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 			if p.emitted != count {
@@ -365,14 +386,16 @@ func TestOrderedChunks(t *testing.T) {
 		// past k the workers can have run.
 		k := 13*w + 1
 		p := newRingProbe(t, count, w, int64(100+w), true)
-		err := orderedChunks(count, w, "test", nil,
-			func(i, slot int) (int, error) {
-				v, _ := p.process(i, slot)
-				if i == k {
-					return 0, boom
-				}
-				return v, nil
-			}, p.emit)
+		err := withinDeadline(t, fmt.Sprintf("W=%d process error", w), func() error {
+			return orderedChunks(count, w, "test", nil,
+				func(i, slot int) (int, error) {
+					v, _ := p.process(i, slot)
+					if i == k {
+						return 0, boom
+					}
+					return v, nil
+				}, p.emit)
+		})
 		if !errors.Is(err, boom) || !strings.Contains(err.Error(), fmt.Sprintf("chunk %d:", k)) {
 			t.Fatalf("W=%d: err = %v, want boom at chunk %d", w, err, k)
 		}
@@ -387,16 +410,18 @@ func TestOrderedChunks(t *testing.T) {
 		// An emit error cancels the run: chunk k is the last one emit
 		// sees.
 		p = newRingProbe(t, count, w, int64(200+w), true)
-		err = orderedChunks(count, w, "test", nil, p.process,
-			func(i, v int) error {
-				if err := p.emit(i, v); err != nil {
-					return err
-				}
-				if i == k {
-					return boom
-				}
-				return nil
-			})
+		err = withinDeadline(t, fmt.Sprintf("W=%d emit error", w), func() error {
+			return orderedChunks(count, w, "test", nil, p.process,
+				func(i, v int) error {
+					if err := p.emit(i, v); err != nil {
+						return err
+					}
+					if i == k {
+						return boom
+					}
+					return nil
+				})
+		})
 		if !errors.Is(err, boom) {
 			t.Fatalf("W=%d: emit err = %v, want boom", w, err)
 		}

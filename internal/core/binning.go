@@ -276,7 +276,7 @@ func (s *logSide) buildLUT(minAbs, maxAbs float64) {
 		first := s.slowIndex(math.Float64frombits(start))
 		last := s.slowIndex(math.Float64frombits(end))
 		if first == last {
-			//lint:ignore bindex bin index < k <= 2^MaxIndexBits, enforced by Options.Validate
+			// bin index < k <= 2^MaxIndexBits, enforced by Options.Validate
 			s.lut[c] = int32(first)
 		} else {
 			s.lut[c] = -1

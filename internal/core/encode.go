@@ -180,7 +180,7 @@ func assignRange(ratios *Ratios, bins Binner, reps []float64, opt Options, lo, h
 			incompressible[j] = true
 			continue
 		}
-		//lint:ignore bindex g+1 <= NumBins <= 2^MaxIndexBits, enforced by Options.Validate
+		// g+1 <= NumBins <= 2^MaxIndexBits, enforced by Options.Validate
 		indices[j] = uint32(g + 1)
 		incompressible[j] = false
 	}

@@ -257,9 +257,9 @@ func NewIndex(cents []float64) *Index {
 		if last >= k {
 			last = k - 1
 		}
-		//lint:ignore bindex first <= k, and k is capped at 2^24 bins by core.Options
+		// first <= k, and k is capped at 2^24 bins by core.Options
 		ix.loCand[i] = int32(first)
-		//lint:ignore bindex last <= k, and k is capped at 2^24 bins by core.Options
+		// last <= k, and k is capped at 2^24 bins by core.Options
 		ix.hiCand[i] = int32(last)
 	}
 	return ix

@@ -147,7 +147,7 @@ func CompressBits(vals []float64, tableBits int) []byte {
 	resOff := headerLen + (n+1)/2
 	out := make([]byte, resOff+8*n)
 	copy(out, magic[:])
-	//lint:ignore bindex tableBits is clamped to [4, maxTableBits] above
+	// tableBits is clamped to [4, maxTableBits] above
 	out[4] = byte(tableBits)
 	binary.LittleEndian.PutUint64(out[5:headerLen], uint64(n))
 	ri := resOff
@@ -162,7 +162,7 @@ func CompressBits(vals []float64, tableBits int) []byte {
 		code, stored := encodeLZB(lz)
 		binary.BigEndian.PutUint64(out[ri:], resid<<(8*uint(stored)))
 		ri += 8 - stored
-		//lint:ignore bindex sel <= 1 and code <= 7: a 4-bit header nibble
+		// sel <= 1 and code <= 7: a 4-bit header nibble
 		out[headerLen+i/2] |= byte(sel<<3|code) << (4 * uint(1-i%2))
 		p.update(word)
 	}

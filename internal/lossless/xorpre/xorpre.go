@@ -75,7 +75,7 @@ func Compress(vals []float64) []byte {
 			if lit > 0x7F {
 				lit = 0x7F
 			}
-			//lint:ignore bindex lit is clamped to 0x7F above
+			// lit is clamped to 0x7F above
 			out = append(out, byte(lit))
 			out = append(out, xored[i:i+lit]...)
 			i += lit
@@ -86,7 +86,7 @@ func Compress(vals []float64) []byte {
 			if chunk > 1<<14-1 {
 				chunk = 1<<14 - 1
 			}
-			//lint:ignore bindex chunk is clamped to 1<<14-1, so chunk>>8 fits 6 bits
+			// chunk is clamped to 1<<14-1, so chunk>>8 fits 6 bits
 			out = append(out, byte(0x80|chunk>>8), byte(chunk&0xFF))
 			runLen -= chunk
 			i += chunk

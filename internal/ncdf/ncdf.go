@@ -193,7 +193,7 @@ func (w *writer) u32i(n int) {
 		}
 		return
 	}
-	//lint:ignore bindex range-checked immediately above
+	// range-checked immediately above
 	w.u32(uint32(n))
 }
 
@@ -298,7 +298,7 @@ func (f *File) Encode() ([]byte, error) {
 		if offset > math.MaxInt32 {
 			return nil, fmt.Errorf("%w: file exceeds CDF-1 2 GiB offset limit", ErrLayout)
 		}
-		//lint:ignore bindex offset <= math.MaxInt32 checked above
+		// offset <= math.MaxInt32 checked above
 		binary.BigEndian.PutUint32(out[metas[i].beginPos:], uint32(offset))
 		offset += metas[i].size
 	}

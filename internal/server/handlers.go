@@ -70,7 +70,7 @@ func declaredCRC(r *http.Request, got uint32) error {
 	if err != nil {
 		return fmt.Errorf("%w: %s=%q", errBadRequest, PayloadCRCHeader, v)
 	}
-	//lint:ignore bindex ParseUint's bitSize 32 already bounds want
+	// ParseUint's bitSize 32 already bounds want
 	if uint32(want) != got {
 		return fmt.Errorf("%w: payload CRC %08x does not match received bytes (%08x)", errBadRequest, want, got)
 	}

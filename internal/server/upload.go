@@ -333,7 +333,7 @@ func (s *Server) handlePutUploadRange(w http.ResponseWriter, r *http.Request) {
 			writeError(w, fmt.Errorf("%w: %s=%q", errBadRequest, RangeCRCHeader, v))
 			return
 		}
-		//lint:ignore bindex ParseUint's bitSize 32 already bounds want
+		// ParseUint's bitSize 32 already bounds want
 		if uint32(want) != h.Sum32() {
 			writeError(w, fmt.Errorf("%w: range CRC %08x does not match received bytes (%08x)", errBadRequest, want, h.Sum32()))
 			return
