@@ -26,24 +26,27 @@ test:
 	$(GO) test ./...
 
 # The scheduler as a tested axis: the goroutine-parallel packages and
-# everything that drives them (pipeline, store, daemon, benchmark,
-# root façade) at GOMAXPROCS 1, 2 and 4. A property that holds only at
-# the host's default GOMAXPROCS is not a property. -count defeats the
-# test cache, so a green from an earlier lucky run can never stand in
-# for this one.
+# everything that drives them (encode driver, pipeline, store, daemon,
+# benchmark, root façade) at GOMAXPROCS 1, 2 and 4. A property that
+# holds only at the host's default GOMAXPROCS is not a property.
+# -count defeats the test cache, so a green from an earlier lucky run
+# can never stand in for this one. It takes 3.1–3.6 min of wall time
+# on a 2-vCPU host (Go 1.24), internal/server the longest package at
+# about 3 min; its limit is 5 min, so that it stays in `make verify`.
 test-cpu:
-	$(GO) test -count=5 -cpu 1,2,4 ./internal/chunk ./internal/checkpoint ./internal/server ./cmd/numarckd ./bench .
+	$(GO) test -count=5 -cpu 1,2,4 ./internal/core ./internal/chunk ./internal/checkpoint ./internal/server ./cmd/numarckd ./bench .
 
 race:
 	$(GO) test -race ./...
 
-# Focused race run over the goroutine-heavy pipeline and store packages
-# with a higher -count: the bounded-worker pool and the crash-injection
-# store are where interleavings actually vary between runs — at more
-# than one GOMAXPROCS, since the ring's worker/emitter handshake only
-# runs truly concurrently from 2 up.
+# Focused race run over the goroutine-heavy driver, pipeline and store
+# packages with a higher -count: the encode driver's chunk ring and
+# range split (internal/core) and the crash-injection store are where
+# interleavings actually vary between runs — at more than one
+# GOMAXPROCS, since the ring's worker/emitter handshake only runs truly
+# concurrently from 2 up.
 race-pipeline:
-	$(GO) test -race -count=3 -cpu 1,2,4 ./internal/chunk ./internal/checkpoint
+	$(GO) test -race -count=3 -cpu 1,2,4 ./internal/core ./internal/chunk ./internal/checkpoint
 
 # The seeded crash-consistency matrix: fault-injection unit tests plus
 # the kill-at-every-mutating-op store matrices — checkpoint write,

@@ -1,19 +1,20 @@
 // Package chunk is the out-of-core form of the NUMARCK encode/decode
-// pipeline: it runs the same stages as core.Encode — ratio computation,
-// table learning, per-chunk bin assignment — over fixed-size windows
-// read from re-readable sources, under a configurable memory budget,
-// and streams the per-chunk results into the chunked v2 delta format
-// (checkpoint.DeltaV2Writer), one section per chunk in chunk order.
+// pipeline: it runs core's one encode driver (core.EncodeChunks) over
+// fixed-size windows read from re-readable sources, under a
+// configurable memory budget, and streams the per-chunk results into
+// the chunked v2 delta format (checkpoint.DeltaV2Writer), one section
+// per chunk in chunk order. Decode runs the chunks of a v2 file on the
+// same ring (core.OrderedChunks).
 //
 // Chunks are processed by a fixed set of workers under a static
 // ownership rule — worker w owns ring slot w and the chunks w, w+W,
-// w+2W, … (see orderedChunks) — so which buffer a chunk uses and the
-// order results are delivered in never depend on goroutine scheduling.
+// w+2W, … — so which buffer a chunk uses and the order results are
+// delivered in never depend on goroutine scheduling. A run with fewer
+// chunks than workers shares each chunk among the workers instead.
 //
-// Because both paths share the stage functions (core.ComputeRatios,
-// Ratios.TableInput, core.Fit, core.AssignChunk) and gather their
-// outputs in point order, a streaming encode is byte-identical to the
-// in-memory encode of the same data, whatever the Config.
+// core.Encode runs the same driver over its two slices as one chunk,
+// so a streaming encode is byte-identical to the in-memory encode of
+// the same data, whatever the Config.
 package chunk
 
 import (
@@ -21,58 +22,15 @@ import (
 	"runtime"
 
 	"numarck/internal/checkpoint"
+	"numarck/internal/core"
 	"numarck/internal/obs"
 )
 
-// Source is a re-readable float64 array. The encoder reads every window
-// twice — once to learn the bin table, once to assign bins — so a
-// Source must return the same values on both passes. rawio.Reader (a
-// file or any io.ReaderAt) and SliceSource satisfy it.
-type Source interface {
-	// Len returns the number of values.
-	Len() int
-	// ReadFloats fills dst with the values at [off, off+len(dst)).
-	ReadFloats(dst []float64, off int) error
-}
-
-// WindowSource is an optional upgrade of Source: a source that can
-// expose the window [off, off+n) as a slice view without copying. The
-// pipeline asks for a view before falling back to ReadFloats into its
-// own buffer, so an in-memory source pays no per-chunk copies. The
-// returned slice must stay valid and unchanged for the life of the
-// encode or decode run; ok reports whether a view is available for
-// this window (false falls back to ReadFloats).
-type WindowSource interface {
-	Source
-	// Window returns a read-only view of [off, off+n), or ok=false if
-	// the source cannot expose this window as a slice.
-	Window(off, n int) ([]float64, bool)
-}
+// Source is a re-readable float64 array; see core.Source.
+type Source = core.Source
 
 // SliceSource adapts an in-memory slice to Source.
-type SliceSource []float64
-
-// Len returns the number of values.
-func (s SliceSource) Len() int { return len(s) }
-
-// ReadFloats copies the window [off, off+len(dst)) into dst.
-func (s SliceSource) ReadFloats(dst []float64, off int) error {
-	if off < 0 || off+len(dst) > len(s) {
-		return fmt.Errorf("chunk: window [%d,%d) outside slice of %d values", off, off+len(dst), len(s))
-	}
-	copy(dst, s[off:])
-	return nil
-}
-
-// Window returns the window [off, off+n) as a zero-copy view of the
-// slice (full-slice-expression capped, so appends cannot clobber the
-// source).
-func (s SliceSource) Window(off, n int) ([]float64, bool) {
-	if off < 0 || n < 0 || off+n > len(s) {
-		return nil, false
-	}
-	return s[off : off+n : off+n], true
-}
+type SliceSource = core.SliceSource
 
 // BytesPerPoint is the budget model's estimate of encoder buffer bytes
 // per in-flight point: prev and cur windows (8+8), the ratio and its
@@ -97,9 +55,10 @@ type Config struct {
 	// checkpoint.DefaultChunkPoints.
 	ChunkPoints int
 
-	// Workers bounds how many chunks are processed concurrently, which
-	// also bounds how many chunks' buffers are live at once. Default
-	// GOMAXPROCS.
+	// Workers bounds the goroutines of a run: how many chunks are in
+	// flight, or, with fewer chunks than workers, how many share one
+	// chunk's ratio and assign stages. It also bounds how many chunks'
+	// buffers are live at once. Default GOMAXPROCS.
 	Workers int
 
 	// BudgetBytes caps the encoder's chunk buffer memory. When set,

@@ -11,8 +11,8 @@ import (
 
 // Binner is a learned partition of the large change ratios into at most
 // k groups, each approximated by a representative ratio. Lookup must be
-// safe for concurrent use once fitting has finished; the streaming
-// pipeline (internal/chunk) assigns chunks against one shared Binner.
+// safe for concurrent use once fitting has finished; the encode driver
+// assigns chunks, and ranges of a chunk, against one shared Binner.
 type Binner interface {
 	// Representatives returns one representative ratio per group. Its
 	// length is at most 2^B - 1; group g is stored as index g+1 (index
@@ -23,20 +23,9 @@ type Binner interface {
 	Lookup(d float64) int
 }
 
-// Fit learns a partition of the table input (see Ratios.TableInput)
-// using opt's strategy. It is the table-learning stage of the encode
-// pipeline, exported so out-of-core encoders learn bit-identical tables
-// to the in-memory path when given the same input sequence. data must
-// be non-empty; opt must be validated.
-func Fit(data []float64, opt Options) (Binner, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: Fit needs at least one ratio", ErrBadOptions)
-	}
-	return fitBinner(data, opt)
-}
-
-// fitBinner learns a partition of data (the ratios with |Δ| >= E) using
-// the configured strategy. data must be non-empty.
+// fitBinner learns a partition of data (the table input, see
+// Ratios.tableInput) using the configured strategy. data must be
+// non-empty; opt must be validated.
 func fitBinner(data []float64, opt Options) (Binner, error) {
 	k := opt.NumBins()
 	switch opt.Strategy {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -419,8 +420,8 @@ func TestRatioOverflowStoredExactly(t *testing.T) {
 func TestComputeRatios(t *testing.T) {
 	prev := []float64{10, 0, 4}
 	cur := []float64{11, 5, 2}
-	r, err := ComputeRatios(prev, cur, 2)
-	if err != nil {
+	var r Ratios
+	if err := computeRatios(prev, cur, 0, 2, &r); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(r.Delta[0]-0.1) > 1e-15 || r.Kind[0] != RatioOK {
@@ -432,34 +433,47 @@ func TestComputeRatios(t *testing.T) {
 	if math.Abs(r.Delta[2]+0.5) > 1e-15 {
 		t.Errorf("ratio 2 = %v", r.Delta[2])
 	}
-	large := r.Large(0.2)
-	if len(large) != 1 || large[0] != -0.5 {
-		t.Errorf("Large = %v", large)
+	// The table input: with the zero index, the ratios with |Δ| >= E;
+	// without it, every finite ratio.
+	large, err := TableInput(prev, cur, Options{ErrorBound: 0.2})
+	if err != nil || len(large) != 1 || large[0] != -0.5 {
+		t.Errorf("TableInput with the zero index = %v, %v", large, err)
 	}
-	all := r.All()
-	if len(all) != 2 {
-		t.Errorf("All = %v", all)
+	all, err := TableInput(prev, cur, Options{ErrorBound: 0.2, DisableZeroIndex: true})
+	if err != nil || len(all) != 2 || all[0] != r.Delta[0] || all[1] != -0.5 {
+		t.Errorf("TableInput without the zero index = %v, %v", all, err)
 	}
 }
 
+// TestComputeRatiosWorkerIndependence pins that an encode's output does
+// not depend on Workers: at n above two forEachRange ranges the driver
+// splits the one chunk's ratio and assign stages over ranges, and the
+// indices, exact values and table must not move.
 func TestComputeRatiosWorkerIndependence(t *testing.T) {
-	prev, cur := genData(10007, 10) // prime-ish length to exercise ragged chunks
-	var ref *Ratios
-	for _, w := range []int{1, 2, 5, 16, 100} {
-		r, err := ComputeRatios(prev, cur, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = r
-			continue
-		}
-		for j := range r.Delta {
-			if r.Delta[j] != ref.Delta[j] || r.Kind[j] != ref.Kind[j] {
-				t.Fatalf("workers=%d: point %d differs", w, j)
+	prev, cur := genData(3*statRangePoints+17, 10)
+	for _, s := range append(Strategies, EqualFrequency) {
+		var ref *Encoded
+		for _, w := range []int{1, 2, 5, 16} {
+			opt := defaultOpts(s)
+			opt.Workers = w
+			e, err := Encode(prev, cur, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = e
+				continue
+			}
+			if !slices.Equal(e.Indices, ref.Indices) || !bitsEqual(e.Exact, ref.Exact) || !bitsEqual(e.BinRatios, ref.BinRatios) {
+				t.Fatalf("%v: workers=%d encodes differently from workers=1", s, w)
 			}
 		}
 	}
+}
+
+// bitsEqual reports whether a and b hold the same float64 bit patterns.
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func TestDeterministicEncoding(t *testing.T) {

@@ -25,7 +25,10 @@
 //     or prev'[j] · (1 + representative), replayed checkpoint by
 //     checkpoint on top of the last full (lossless) checkpoint (§II-D).
 //
-// The package exposes Encode/Decode on raw float64 slices; the
-// higher-level chained checkpoint store lives in internal/checkpoint and
-// the public façade in the root numarck package.
+// The package exposes Encode/Decode on raw float64 slices, and
+// EncodeChunks, the one encode driver that Encode runs as a single
+// chunk and the streaming encoder (internal/chunk) runs over windows of
+// re-readable sources; the higher-level chained checkpoint store lives
+// in internal/checkpoint and the public façade in the root numarck
+// package.
 package core

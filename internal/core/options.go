@@ -85,8 +85,12 @@ type Options struct {
 	// Strategy selects the approximation strategy. Default EqualWidth.
 	Strategy Strategy
 
-	// Workers bounds the parallelism of ratio computation and k-means.
-	// Defaults to GOMAXPROCS.
+	// Workers bounds the goroutines of an encode. Encode and
+	// EncodeWithTable run their ratio and assign stages on up to
+	// Workers goroutines (0 means GOMAXPROCS); the streaming encoder
+	// (internal/chunk) runs those on its Config.Workers. Table learning
+	// uses Workers on both paths, and runs its range scans serially at
+	// 0. No encoded byte depends on it.
 	Workers int
 
 	// KMeansMaxIter bounds Lloyd iterations for the Clustering

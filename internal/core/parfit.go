@@ -23,20 +23,20 @@ import (
 // scheduling, small enough to load-balance across workers.
 const statRangePoints = 8192
 
-// forEachRange splits [0, n) into ceil(n/statRangePoints) fixed ranges
-// and runs fn(r, lo, hi) for each, using up to `workers` goroutines.
-// fn must write its result into a slot keyed by r; the caller merges
-// slots in range order, making the merged result independent of the
-// worker count. Returns the number of ranges.
-func forEachRange(n, workers int, fn func(r, lo, hi int)) int {
-	ranges := (n + statRangePoints - 1) / statRangePoints
+// forEachRange splits [0, n) into ceil(n/size) fixed ranges and runs
+// fn(r, lo, hi) for each, using up to `workers` goroutines. fn must
+// write its result into a slot keyed by r; the caller merges slots in
+// range order, making the merged result independent of the worker
+// count. Returns the number of ranges.
+func forEachRange(n, size, workers int, fn func(r, lo, hi int)) int {
+	ranges := (n + size - 1) / size
 	if workers > ranges {
 		workers = ranges
 	}
 	if workers <= 1 || ranges <= 1 {
 		for r := 0; r < ranges; r++ {
-			lo := r * statRangePoints
-			hi := lo + statRangePoints
+			lo := r * size
+			hi := lo + size
 			if hi > n {
 				hi = n
 			}
@@ -50,8 +50,8 @@ func forEachRange(n, workers int, fn func(r, lo, hi int)) int {
 		go func(w int) {
 			defer wg.Done()
 			for r := w; r < ranges; r += workers {
-				lo := r * statRangePoints
-				hi := lo + statRangePoints
+				lo := r * size
+				hi := lo + size
 				if hi > n {
 					hi = n
 				}
@@ -72,7 +72,7 @@ func parMinMax(xs []float64, workers int) (lo, hi float64) {
 	}
 	type mm struct{ lo, hi float64 }
 	slots := make([]mm, (len(xs)+statRangePoints-1)/statRangePoints)
-	forEachRange(len(xs), workers, func(r, a, b int) {
+	forEachRange(len(xs), statRangePoints, workers, func(r, a, b int) {
 		l, h := minMax(xs[a:b])
 		slots[r] = mm{l, h}
 	})
@@ -140,7 +140,7 @@ func parSignStats(xs []float64, workers int) (neg, pos signStats) {
 	}
 	type pair struct{ neg, pos signStats }
 	slots := make([]pair, (len(xs)+statRangePoints-1)/statRangePoints)
-	forEachRange(len(xs), workers, func(r, a, b int) {
+	forEachRange(len(xs), statRangePoints, workers, func(r, a, b int) {
 		n, p := scanSignStats(xs[a:b])
 		slots[r] = pair{n, p}
 	})
@@ -194,7 +194,7 @@ func fitClusteringSketch(data []float64, k int, opt Options) (*clusterBinner, er
 	ranges := (len(data) + statRangePoints - 1) / statRangePoints
 	sketches := make([]*kmeans.Sketch, ranges)
 	seedCounts := make([][]int, ranges)
-	forEachRange(len(data), opt.Workers, func(r, a, b int) {
+	forEachRange(len(data), statRangePoints, opt.Workers, func(r, a, b int) {
 		sk := kmeans.NewSketch(lo, hi, bins)
 		sk.Add(data[a:b])
 		counts := make([]int, coarse)

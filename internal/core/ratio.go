@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"numarck/internal/fputil"
 )
@@ -39,63 +37,24 @@ type Ratios struct {
 	Kind []RatioKind
 }
 
-// ComputeRatios computes ΔD = (cur - prev) / prev element-wise (paper
-// Eq. 1) using up to `workers` goroutines (<=0 means GOMAXPROCS). Inputs
-// must be finite; zero prev values yield RatioNoBase.
-func ComputeRatios(prev, cur []float64, workers int) (*Ratios, error) {
-	r := &Ratios{}
-	if err := ComputeRatiosInto(prev, cur, workers, r); err != nil {
-		return nil, err
+// computeRatios computes ΔD = (cur - prev) / prev element-wise (paper
+// Eq. 1) into r, reusing r's slices when they have capacity. base is
+// the window's first point in the run, so a non-finite input is named
+// by its global index. With workers > 1 the window is split over
+// fixed splitPoints ranges, and the error returned is the first in
+// point order whatever the worker count. Zero prev values yield
+// RatioNoBase.
+func computeRatios(prev, cur []float64, base, workers int, r *Ratios) error {
+	n := len(cur)
+	r.Delta = grow(r.Delta, n)
+	r.Kind = grow(r.Kind, n)
+	if workers <= 1 {
+		return ratioRange(prev, cur, base, 0, n, r)
 	}
-	return r, nil
-}
-
-// ComputeRatiosInto is ComputeRatios writing into r, reusing r's slices
-// when they have capacity. It is the allocation-free steady-state form:
-// the streaming pipeline computes ratios for every chunk, and a pooled
-// Ratios per pipeline slot makes second-and-later chunks allocate
-// nothing here.
-func ComputeRatiosInto(prev, cur []float64, workers int, r *Ratios) error {
-	if len(prev) != len(cur) {
-		return fmt.Errorf("%w: %d vs %d", ErrLength, len(prev), len(cur))
-	}
-	n := len(prev)
-	r.Delta = growFloats(r.Delta, n)
-	r.Kind = growKinds(r.Kind, n)
-	if n == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		// Serial fast path: no goroutine or error-slab allocation, so a
-		// pooled caller (the streaming pipeline computes one chunk's
-		// ratios per call) stays allocation-free.
-		return ratioRange(prev, cur, 0, n, r)
-	}
-	chunk := (n + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = ratioRange(prev, cur, lo, hi, r)
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	errs := make([]error, (n+splitPoints-1)/splitPoints)
+	forEachRange(n, splitPoints, workers, func(k, lo, hi int) {
+		errs[k] = ratioRange(prev, cur, base, lo, hi, r)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -107,11 +66,11 @@ func ComputeRatiosInto(prev, cur []float64, workers int, r *Ratios) error {
 // ratioRange computes the ratios of points [lo, hi). Both output fields
 // are written unconditionally: the buffers may be reused across chunks
 // and carry stale values.
-func ratioRange(prev, cur []float64, lo, hi int, r *Ratios) error {
+func ratioRange(prev, cur []float64, base, lo, hi int, r *Ratios) error {
 	for j := lo; j < hi; j++ {
 		p, c := prev[j], cur[j]
 		if math.IsNaN(p) || math.IsInf(p, 0) || math.IsNaN(c) || math.IsInf(c, 0) {
-			return fmt.Errorf("%w: point %d (prev=%v cur=%v)", ErrNonFinite, j, p, c)
+			return fmt.Errorf("%w: point %d (prev=%v cur=%v)", ErrNonFinite, base+j, p, c)
 		}
 		if fputil.IsZero(p) {
 			r.Delta[j] = 0
@@ -130,56 +89,26 @@ func ratioRange(prev, cur []float64, lo, hi int, r *Ratios) error {
 	return nil
 }
 
-// growFloats returns s resized to length n, reusing its backing array
-// when capacity allows.
-func growFloats(s []float64, n int) []float64 {
+// grow returns s resized to length n, reusing its backing array when
+// capacity allows.
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]float64, n)
+	return make([]T, n)
 }
 
-// growKinds is growFloats for RatioKind slices.
-func growKinds(s []RatioKind, n int) []RatioKind {
-	if cap(s) >= n {
-		return s[:n]
+// tableInput writes into buf[:0] the ratios the table-learning stage
+// sees under opt, in point order: every finite ratio when the zero
+// index is disabled (an ablation), otherwise those with |Δ| >= E. buf
+// is first given room for the whole window, so the appends never
+// regrow it.
+func (r *Ratios) tableInput(opt Options, buf []float64) []float64 {
+	if cap(buf) < len(r.Delta) {
+		buf = make([]float64, 0, len(r.Delta))
 	}
-	return make([]RatioKind, n)
-}
-
-// Large returns the ratios with |Δ| >= bound and RatioOK kind — the
-// points that must go through a binning strategy. The returned slice is
-// freshly allocated.
-func (r *Ratios) Large(bound float64) []float64 {
-	out := make([]float64, 0, len(r.Delta)/4)
-	for j, d := range r.Delta {
-		if r.Kind[j] == RatioOK && math.Abs(d) >= bound {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// TableInput returns the ratios the table-learning stage must see under
-// opt: every finite ratio when the zero index is disabled (ablation),
-// otherwise the ratios with |Δ| >= E. Both the in-memory and the
-// streaming encoder gather their fit input through this method so the
-// learned tables match. opt must be validated.
-func (r *Ratios) TableInput(opt Options) []float64 {
-	if opt.DisableZeroIndex {
-		return r.All()
-	}
-	return r.Large(opt.ErrorBound)
-}
-
-// TableInputInto is TableInput appending into buf[:0], reusing buf's
-// backing array when it has capacity — the pooled form the streaming
-// pipeline uses to keep its per-chunk table-input gather allocation
-// free. The selected values are identical to TableInput's.
-func (r *Ratios) TableInputInto(opt Options, buf []float64) []float64 {
 	out := buf[:0]
-	bound := opt.ErrorBound
-	all := opt.DisableZeroIndex
+	all, bound := opt.DisableZeroIndex, opt.ErrorBound
 	for j, d := range r.Delta {
 		if r.Kind[j] == RatioOK && (all || math.Abs(d) >= bound) {
 			out = append(out, d)
@@ -188,13 +117,17 @@ func (r *Ratios) TableInputInto(opt Options, buf []float64) []float64 {
 	return out
 }
 
-// All returns every finite ratio (RatioOK points), freshly allocated.
-func (r *Ratios) All() []float64 {
-	out := make([]float64, 0, len(r.Delta))
-	for j, d := range r.Delta {
-		if r.Kind[j] == RatioOK {
-			out = append(out, d)
-		}
+// TableInput returns the change ratios of prev → cur that table
+// learning sees under opt, in point order — the selection every encode
+// fits its table to. Distributed encoding (internal/dist) learns one
+// table from all ranks' inputs and encodes each rank against it.
+func TableInput(prev, cur []float64, opt Options) ([]float64, error) {
+	if len(prev) != len(cur) {
+		return nil, fmt.Errorf("%w: %d vs %d", ErrLength, len(prev), len(cur))
 	}
-	return out
+	var r Ratios
+	if err := computeRatios(prev, cur, 0, 1, &r); err != nil {
+		return nil, err
+	}
+	return r.tableInput(opt, nil), nil
 }

@@ -238,15 +238,9 @@ func encodeRank(f *Fabric, rank int, prev, cur []float64, mode TableMode, opt co
 
 	// Global mode: compute local ratios, learn the shared table, then
 	// encode the shard against it.
-	ratios, err := core.ComputeRatios(prev, cur, 1)
+	large, err := core.TableInput(prev, cur, opt)
 	if err != nil {
 		return nil, err
-	}
-	var large []float64
-	if opt.DisableZeroIndex {
-		large = ratios.All()
-	} else {
-		large = ratios.Large(opt.ErrorBound)
 	}
 	table, err := learnGlobalTable(f, rank, large, opt)
 	if err != nil {

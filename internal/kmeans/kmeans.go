@@ -2,8 +2,9 @@
 // clustering used by NUMARCK's clustering-based approximation strategy
 // (paper §II-C3). The paper uses the authors' MPI-parallel k-means
 // package; this is the shared-memory equivalent: the assignment step is
-// decomposed over points across workers, and the update step reduces the
-// per-worker partial sums.
+// decomposed over points across workers, and the update step sums each
+// cluster in point order, so the result does not depend on the worker
+// count.
 //
 // To overcome k-means' sensitivity to the initial centroids the paper
 // seeds them "with prior-knowledge from the equal-width histogram";
@@ -101,15 +102,7 @@ func Run(data []float64, cfg Config) (*Result, error) {
 		Sizes:     make([]int, cfg.K),
 	}
 
-	type partial struct {
-		sum   []float64
-		count []int
-	}
-	parts := make([]partial, cfg.Workers)
-	for w := range parts {
-		parts[w] = partial{sum: make([]float64, cfg.K), count: make([]int, cfg.K)}
-	}
-
+	sums := make([]float64, cfg.K)
 	chunk := (len(data) + cfg.Workers - 1) / cfg.Workers
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		res.Iterations = iter + 1
@@ -119,45 +112,34 @@ func Run(data []float64, cfg Config) (*Result, error) {
 		var wg sync.WaitGroup
 		for w := 0; w < cfg.Workers; w++ {
 			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(data) {
-				hi = len(data)
-			}
+			hi := min(lo+chunk, len(data))
 			if lo >= hi {
 				continue
 			}
 			wg.Add(1)
-			go func(w, lo, hi int) {
+			go func(lo, hi int) {
 				defer wg.Done()
-				p := &parts[w]
-				for c := range p.sum {
-					p.sum[c] = 0
-					p.count[c] = 0
-				}
 				for i := lo; i < hi; i++ {
-					c := ix.Nearest(data[i])
-					res.Assign[i] = c
-					p.sum[c] += data[i]
-					p.count[c]++
+					res.Assign[i] = ix.Nearest(data[i])
 				}
-			}(w, lo, hi)
+			}(lo, hi)
 		}
 		wg.Wait()
 
-		// Update step: reduce partials into new centroids.
+		// Update step: sum each cluster in point order, so the
+		// centroids are the same bits whatever the worker count.
+		clear(sums)
+		clear(res.Sizes)
+		for i, c := range res.Assign {
+			sums[c] += data[i]
+			res.Sizes[c]++
+		}
 		moved := 0.0
-		for c := 0; c < cfg.K; c++ {
-			var sum float64
-			var count int
-			for w := range parts {
-				sum += parts[w].sum[c]
-				count += parts[w].count[c]
-			}
-			res.Sizes[c] = count
+		for c, count := range res.Sizes {
 			if count == 0 {
 				continue // empty cluster keeps its centroid
 			}
-			next := sum / float64(count)
+			next := sums[c] / float64(count)
 			if d := math.Abs(next - res.Centroids[c]); d > moved {
 				moved = d
 			}

@@ -129,7 +129,7 @@ func TestRunConstantData(t *testing.T) {
 }
 
 func TestRunWorkerCountsAgree(t *testing.T) {
-	// The parallel decomposition must not change the result.
+	// The parallel decomposition must not change a bit of the result.
 	rng := rand.New(rand.NewSource(4))
 	data := make([]float64, 5000)
 	for i := range data {
@@ -150,7 +150,7 @@ func TestRunWorkerCountsAgree(t *testing.T) {
 			t.Errorf("workers=%d: iterations %d vs %d", w, res.Iterations, ref.Iterations)
 		}
 		for c := range res.Centroids {
-			if math.Abs(res.Centroids[c]-ref.Centroids[c]) > 1e-9 {
+			if math.Float64bits(res.Centroids[c]) != math.Float64bits(ref.Centroids[c]) {
 				t.Errorf("workers=%d: centroid %d = %v vs %v", w, c, res.Centroids[c], ref.Centroids[c])
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"numarck/internal/checkpoint"
+	"numarck/internal/core"
 )
 
 // errBadRequest marks malformed request input (unparsable or unknown
@@ -91,6 +92,7 @@ func OperatorMessage(err error) string {
 // its HTTP rendering. The table:
 //
 //	checkpoint.ErrBadVariable        400 bad_request      invalid tenant/series/iteration, or ?raw=1 bytes the store rejects
+//	core.ErrNonFinite                400 bad_request      a delta body holds NaN or Inf
 //	checkpoint.ErrNotFound           404 not_found        no such store, variable, or iteration
 //	checkpoint.ErrChain              409 chain_conflict   commit would break (or read crosses) a chain gap
 //	ErrCommitConflict                409 commit_conflict  iteration already committed with a different payload
@@ -110,7 +112,7 @@ func classify(err error) *APIError {
 	switch {
 	case errors.Is(err, errBadRequest):
 		return &APIError{Status: http.StatusBadRequest, Class: "bad_request", Detail: err.Error()}
-	case errors.Is(err, checkpoint.ErrBadVariable):
+	case errors.Is(err, checkpoint.ErrBadVariable), errors.Is(err, core.ErrNonFinite):
 		return &APIError{Status: http.StatusBadRequest, Class: "bad_request", Detail: err.Error()}
 	case errors.Is(err, checkpoint.ErrNotFound):
 		return &APIError{Status: http.StatusNotFound, Class: "not_found", Detail: err.Error()}

@@ -536,6 +536,32 @@ func TestRawCommitRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestNonFiniteDeltaRejected pins that a delta body holding NaN is the
+// client's fault: 400 bad_request naming the point, after exactly one
+// attempt of a retrying client. A full push of the same body is still
+// stored as it is.
+func TestNonFiniteDeltaRejected(t *testing.T) {
+	_, ts := newTestServer(t, 0, 0)
+	sleeps := 0
+	c := &Client{Base: ts.URL, Tenant: "sim0", Retry: RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) { sleeps++ }}}
+	if _, err := c.Push("v", 0, bytes.NewReader(floatBytes(seriesValues(0, 2048))), nil); err != nil {
+		t.Fatal(err)
+	}
+	bad := seriesValues(1, 2048)
+	bad[1500] = math.NaN()
+	_, err := c.Push("v", 1, bytes.NewReader(floatBytes(bad)), nil)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != 400 || apiErr.Class != "bad_request" || !strings.Contains(apiErr.Detail, "point 1500 ") {
+		t.Fatalf("NaN delta push = %v, want 400 bad_request naming point 1500", err)
+	}
+	if sleeps != 0 {
+		t.Errorf("client retried %d times, want one attempt", sleeps)
+	}
+	if _, err := c.Push("v", 1, bytes.NewReader(floatBytes(bad)), url.Values{"kind": {"full"}}); err != nil {
+		t.Fatalf("NaN full push: %v", err)
+	}
+}
+
 // TestServeRefusesUnreadParams pins that an endpoint refuses any query
 // parameter it does not read, naming it: an encode option a request
 // carries would otherwise be silently ignored.
