@@ -50,12 +50,14 @@ race-pipeline:
 
 # The seeded crash-consistency matrix: fault-injection unit tests plus
 # the kill-at-every-mutating-op store matrices — checkpoint write,
+# Writer.Append's commit group (three variables, deltas and fulls),
 # store create, and writer open (lock takeover + index republication) —
-# and the salvage-decode tests. Deterministic (seeded schedules, no
-# timing dependence) and fast enough to run on every change.
+# the Writer's retry and resume after a failed Append, and the
+# salvage-decode tests. Deterministic (seeded schedules, no timing
+# dependence) and fast enough to run on every change.
 crash-test:
 	$(GO) test -count=1 -run 'TestInjector|TestWriteFileAtomic|TestOS' ./internal/faultfs
-	$(GO) test -count=1 -run 'TestCrash|TestRecoveryScan|TestDecodeRecover|TestRestartSalvage' ./internal/checkpoint
+	$(GO) test -count=1 -run 'TestCrash|TestRecoveryScan|TestDecodeRecover|TestRestartSalvage|TestWriterAppendRetry|TestResumeAfterHalfCommittedIteration' ./internal/checkpoint
 	$(GO) test -count=1 -run 'TestWriteFileCrashMatrix' ./internal/rawio
 
 # One short burst per fuzz target; -run=NONE skips the unit tests so

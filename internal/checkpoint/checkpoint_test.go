@@ -435,6 +435,23 @@ func TestParseName(t *testing.T) {
 	}
 }
 
+// TestParseNameAllocs pins that parsing a file name allocates nothing:
+// the index build, the recovery scan and the read view parse one per
+// chain entry.
+func TestParseNameAllocs(t *testing.T) {
+	names := []string{"dens.full.000007.nmk", "a.b.delta.000123.nmk", "velx.delta.1234567.nmk"}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, name := range names {
+			if _, ok := parseName(name); !ok {
+				t.Fatalf("parseName(%q) failed", name)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("parseName allocates %.0f times per %d names, want 0", allocs, len(names))
+	}
+}
+
 func TestReadCorruptFileFromDisk(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ck")
 	st, err := Create(dir, opts())

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
@@ -52,7 +53,7 @@ func copyDir(t *testing.T, src, dst string) {
 // it as a delta in the given file format through WriteRawDelta: 1 as
 // marshalV1 bytes, the read-only layout older stores hold, 2 as
 // MarshalDeltaV2 bytes at the given chunking, the layout every writer
-// emits. Both end in the same commitFile, so the crash matrices see the
+// emits. Both end in the same commit, so the crash matrices see the
 // same mutating ops on either axis.
 func writeDeltaAs(st *Store, format, chunkPoints int, variable string, iteration int, prev, cur []float64) error {
 	enc, err := core.Encode(prev, cur, st.Options())
@@ -218,6 +219,191 @@ func TestCrashMatrixWrite(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCrashMatrixAppend is the crash matrix of a commit group: a
+// 3-variable Writer.Append is killed at every mutating op k of its one
+// group commit — inside any of the three file writes, between renames,
+// before the directory sync, mid journal append, during the index
+// republish. After a reboot the store must open and verify clean, the
+// earlier iterations restart bit-identically, each variable's
+// iteration-i file is on disk byte-identical to the fault-free run's or
+// not at all (and in the chain exactly when on disk), LatestConsistent
+// is i-1 or i (i only if all three survived), and a Writer resumed
+// there converges to the fault-free run's files. The iteration is a
+// group of deltas, then of fulls.
+func TestCrashMatrixAppend(t *testing.T) {
+	const i, last = 3, 4
+	names := []string{"dens", "pres", "temp"}
+	series := map[string][][]float64{}
+	for j, v := range names {
+		series[v] = genSeries(600, last+1, int64(61+j))
+	}
+	vars := func(it int) map[string][]float64 {
+		m := map[string][]float64{}
+		for v, s := range series {
+			m[v] = s[it]
+		}
+		return m
+	}
+	for _, fullEvery := range []int{0, i} {
+		appendRange := func(w *Writer, from, to int) {
+			t.Helper()
+			for it := from; it <= to; it++ {
+				if _, err := w.Append(it, vars(it)); err != nil {
+					t.Fatalf("fullEvery %d: append %d: %v", fullEvery, it, err)
+				}
+			}
+		}
+		resume := func(st *Store, at int) *Writer {
+			t.Helper()
+			state := map[string][]float64{}
+			for _, v := range names {
+				var err error
+				if state[v], err = st.Restart(v, at); err != nil {
+					t.Fatalf("fullEvery %d: restart %s@%d: %v", fullEvery, v, at, err)
+				}
+			}
+			return NewWriterAt(st, fullEvery, at, state)
+		}
+
+		// The fault-free run, and the pre-state: iterations before i.
+		cleanDir := t.TempDir()
+		clean, err := Create(cleanDir, opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendRange(NewWriter(clean, fullEvery), 0, last)
+		want := checkpointFiles(t, cleanDir)
+		wantState := map[string][][]float64{}
+		for _, v := range names {
+			for it := 0; it <= i; it++ {
+				x, err := clean.Restart(v, it)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantState[v] = append(wantState[v], x)
+			}
+		}
+		if err := clean.Close(); err != nil {
+			t.Fatal(err)
+		}
+		base := t.TempDir()
+		pre, err := Create(base, opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendRange(NewWriter(pre, fullEvery), 0, i-1)
+		if err := pre.Close(); err != nil {
+			t.Fatal(err)
+		}
+		kind := "delta"
+		if fullEvery == i {
+			kind = "full"
+		}
+
+		probeDir := t.TempDir()
+		copyDir(t, base, probeDir)
+		probe := faultfs.NewInjector(faultfs.OS(), 1)
+		stProbe, err := OpenFS(probeDir, probe, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := resume(stProbe, i-1)
+		opened := probe.MutatingOps()
+		appendRange(w, i, i)
+		m := probe.MutatingOps() - opened
+		if err := stProbe.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if m < 4*len(names)+4 {
+			t.Fatalf("fullEvery %d: a %d-variable Append performed only %d mutating ops", fullEvery, len(names), m)
+		}
+
+		whole := 0 // crash points after which all of iteration i survived
+		for k := 0; k < m; k++ {
+			dir := t.TempDir()
+			copyDir(t, base, dir)
+			inj := faultfs.NewInjector(faultfs.OS(), int64(3000+k))
+			st, err := openFSOwner(dir, inj, nil, deadOwner)
+			if err != nil {
+				t.Fatalf("fullEvery %d k=%d: open pre-crash: %v", fullEvery, k, err)
+			}
+			w := resume(st, i-1)
+			inj.SetCrashAt(inj.MutatingOps() + k)
+			if _, err := w.Append(i, vars(i)); !errors.Is(err, faultfs.ErrCrashed) {
+				t.Fatalf("fullEvery %d k=%d: append survived the crash point: %v", fullEvery, k, err)
+			}
+
+			// "Reboot": reopen on the clean filesystem.
+			st2, err := Open(dir)
+			if err != nil {
+				t.Fatalf("fullEvery %d k=%d: reopen after crash: %v", fullEvery, k, err)
+			}
+			if issues, err := st2.Verify(); err != nil || len(issues) > 0 {
+				t.Fatalf("fullEvery %d k=%d: store not clean after recovery: %v %v (report %s)",
+					fullEvery, k, issues, err, st2.Recovery())
+			}
+			// A file at a checkpoint name is never torn and a journal
+			// record never precedes its file: the scan had temps to
+			// remove and files to adopt, nothing to quarantine or drop.
+			if rep := st2.Recovery(); len(rep.Quarantined) > 0 || len(rep.Missing) > 0 {
+				t.Fatalf("fullEvery %d k=%d: the crash left torn files %v, records without files %v",
+					fullEvery, k, rep.Quarantined, rep.Missing)
+			}
+			onDisk := checkpointFiles(t, dir)
+			survived := 0
+			for _, v := range names {
+				for it := 0; it < i; it++ {
+					got, err := st2.Restart(v, it)
+					if err != nil || !bitsEqual(got, wantState[v][it]) {
+						t.Fatalf("fullEvery %d k=%d: %s@%d changed across the crash: %v", fullEvery, k, v, it, err)
+					}
+				}
+				name := fileName(v, kind, i)
+				raw, present := onDisk[name]
+				if present && !bytes.Equal(raw, want[name]) {
+					t.Fatalf("fullEvery %d k=%d: %s on disk but not the fault-free bytes", fullEvery, k, name)
+				}
+				if _, inChain := st2.Committed(v, i); inChain != present {
+					t.Fatalf("fullEvery %d k=%d: %s on disk %v, in the chain %v", fullEvery, k, name, present, inChain)
+				}
+				if present {
+					survived++
+					got, err := st2.Restart(v, i)
+					if err != nil || !bitsEqual(got, wantState[v][i]) {
+						t.Fatalf("fullEvery %d k=%d: %s@%d present but restarts wrong: %v", fullEvery, k, v, i, err)
+					}
+				}
+			}
+			lc, err := st2.LatestConsistent()
+			if err != nil || (lc == i) != (survived == len(names)) || (lc != i && lc != i-1) {
+				t.Fatalf("fullEvery %d k=%d: LatestConsistent = %d, %v with %d of %d files of iteration %d",
+					fullEvery, k, lc, err, survived, len(names), i)
+			}
+			if lc == i {
+				whole++
+			}
+
+			appendRange(resume(st2, lc), lc+1, last)
+			got := checkpointFiles(t, dir)
+			if len(got) != len(want) {
+				t.Fatalf("fullEvery %d k=%d: %d files after the resume, fault-free %d", fullEvery, k, len(got), len(want))
+			}
+			for name, raw := range want {
+				if !bytes.Equal(got[name], raw) {
+					t.Fatalf("fullEvery %d k=%d: %s differs from the fault-free run's after the resume", fullEvery, k, name)
+				}
+			}
+			if issues, err := st2.Verify(); err != nil || len(issues) > 0 {
+				t.Fatalf("fullEvery %d k=%d: verify after the resume: %v %v", fullEvery, k, issues, err)
+			}
+			if err := st2.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Logf("fullEvery %d: %d crash points, iteration %d whole after %d of them", fullEvery, m, i, whole)
 	}
 }
 
@@ -444,5 +630,51 @@ func TestRecoveryScanAdoptsLegacyStore(t *testing.T) {
 	}
 	if !st2.Recovery().Clean() {
 		t.Fatalf("journal rebuild did not stick: %s", st2.Recovery())
+	}
+}
+
+// TestRecoveryScanUnterminatedJournalTail plants the torn append whose
+// prefix ends exactly before a record's newline: the record parses,
+// but the next append would run into it and make a record in the
+// middle of the journal unparsable, so the store would open once and
+// never again. The scan must report the torn tail and compact the
+// journal, keeping the record, so every later open is clean.
+func TestRecoveryScanUnterminatedJournalTail(t *testing.T) {
+	dir := t.TempDir()
+	series := seedStore(t, dir, 2)
+	path := filepath.Join(dir, journalName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := st.Recovery(); !rep.TornJournalTail || len(rep.Adopted) != 0 {
+		t.Errorf("report %s: want the torn tail, its record kept", rep)
+	}
+	if err := st.WriteFull("dens", 3, series[3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after appending to the repaired journal: %v", err)
+	}
+	defer st2.Close()
+	if !st2.Recovery().Clean() {
+		t.Errorf("second open not clean: %s", st2.Recovery())
+	}
+	if issues, err := st2.Verify(); err != nil || len(issues) > 0 {
+		t.Errorf("verify: %v %v", issues, err)
+	}
+	if _, err := st2.Restart("dens", 3); err != nil {
+		t.Error(err)
 	}
 }

@@ -12,14 +12,15 @@ import (
 )
 
 // The MANIFEST journal records the committed checkpoint chain: one JSON
-// record per line, appended and fsynced after each checkpoint file is
-// durably renamed into place ("add") or removed ("drop"). Because the
+// record per line. The "add" lines of a commit group are appended in
+// one write and fsynced after the group's files are durably renamed
+// into place; a "drop" is appended when a file is removed. Because the
 // journal is strictly append-only and every record is a single line, a
-// crash mid-append can only tear the final line; replay tolerates a
-// torn tail and the recovery scan reconciles the journal against the
-// directory contents (a committed file missing its "add" record is
-// adopted, a journaled file that is missing or mismatched is
-// quarantined or dropped).
+// crash mid-append leaves a prefix of the group's lines whose last one
+// may be torn; replay tolerates a torn tail and the recovery scan
+// reconciles the journal against the directory contents (a committed
+// file missing its "add" record is adopted, a journaled file that is
+// missing or mismatched is quarantined or dropped).
 const journalName = "MANIFEST"
 
 // journalRecord is one line of the MANIFEST journal.
@@ -49,21 +50,25 @@ type journalEntry struct {
 	PayloadCRC uint32
 }
 
-// appendJournal durably appends one record: open in append mode, write
-// the line, fsync, close. Each step is a distinct crash point the fault
-// matrix exercises.
-func appendJournal(fsys faultfs.FS, dir string, rec journalRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("checkpoint: marshal journal record: %w", err)
+// appendJournal durably appends records: open in append mode, write
+// their lines in one write, fsync, close. Each step is a distinct crash
+// point the fault matrix exercises; a crash mid-write leaves a prefix
+// of the lines, the last one possibly torn.
+func appendJournal(fsys faultfs.FS, dir string, recs ...journalRecord) error {
+	var buf []byte
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("checkpoint: marshal journal record: %w", err)
+		}
+		buf = append(append(buf, line...), '\n')
 	}
-	line = append(line, '\n')
 	path := filepath.Join(dir, journalName)
 	f, err := fsys.Append(path)
 	if err != nil {
 		return pathErr("append", path, err)
 	}
-	_, werr := f.Write(line)
+	_, werr := f.Write(buf)
 	if werr == nil {
 		werr = f.Sync()
 	}
@@ -125,11 +130,14 @@ func rewriteJournal(fsys faultfs.FS, dir string, entries map[string]journalEntry
 }
 
 // replayJournal reads the MANIFEST and folds its records into the live
-// file set. A torn final line (the signature of a crash mid-append) is
-// tolerated and reported via tornTail; torn or invalid records anywhere
-// else are corruption. exists reports whether the journal file is
-// present at all — absent means a legacy store from before the journal
-// existed, whose files the recovery scan adopts.
+// file set. A final line without its newline (the signature of a crash
+// mid-append) is tolerated and reported via tornTail: dropped if it
+// does not parse, folded if only the newline was lost — either way the
+// next append would run into it, so the caller compacts the journal
+// first. Torn or invalid records anywhere else are corruption. exists
+// reports whether the journal file is present at all — absent means a
+// legacy store from before the journal existed, whose files the
+// recovery scan adopts.
 func replayJournal(fsys faultfs.FS, dir string) (entries map[string]journalEntry, exists, tornTail bool, err error) {
 	path := filepath.Join(dir, journalName)
 	if _, serr := fsys.Stat(path); serr != nil {
@@ -160,5 +168,5 @@ func replayJournal(fsys faultfs.FS, dir string) (entries map[string]journalEntry
 			delete(entries, rec.Name)
 		}
 	}
-	return entries, true, false, nil
+	return entries, true, len(raw) > 0 && raw[len(raw)-1] != '\n', nil
 }

@@ -31,8 +31,9 @@ type RecoveryReport struct {
 	// records were dropped.
 	Missing []string
 	// TornJournalTail reports that the journal's final record was torn
-	// by a crash mid-append (the record is ignored; the affected file,
-	// if committed, is re-adopted).
+	// by a crash mid-append (a record cut short is ignored and its file,
+	// if committed, re-adopted; one that lost only its newline is kept).
+	// Either way the journal was compacted.
 	TornJournalTail bool
 }
 

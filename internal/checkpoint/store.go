@@ -35,8 +35,10 @@ import (
 //     fsynced, renamed into place, and the directory is fsynced before
 //     the journal records the commit — so after a crash at any point,
 //     reopening the store sees either the complete new checkpoint or
-//     the clean pre-write state, never a torn file in the chain.
-//   - After each commit the writer republishes the CHAININDEX
+//     the clean pre-write state, never a torn file in the chain. A
+//     commit group (the files of one Writer.Append) shares one
+//     directory sync, one journal append and one index republish.
+//   - After each commit group the writer republishes the CHAININDEX
 //     atomically, so readers (OpenReadOnly) can serve listings and
 //     restarts without replaying the journal or scanning the
 //     directory — and without ever blocking this writer.
@@ -317,38 +319,59 @@ func appendFileName(dst []byte, variable, kind string, iteration int) []byte {
 	return append(dst, ".nmk"...)
 }
 
-// commitFile durably writes one checkpoint file: atomic
-// write-temp/fsync/rename/fsync-dir, a journal append recording the
-// commit, then an atomic republish of the chain index. A crash between
-// the rename and the journal append leaves a committed file the journal
-// missed; the next recovery scan adopts it. A crash before the index
-// republish leaves a stale index whose journal anchor no longer
-// matches; readers detect that and fall back to the journal. The chain
-// invariant (complete new checkpoint or clean pre-write state) holds at
-// every crash point.
-//
-// payloadCRC is the caller-declared CRC of the pre-encode payload,
+// commitItem is one file of a commit group: its store file name, its
+// bytes, and the caller-declared CRC of the pre-encode payload,
 // journaled alongside the file CRC so retried commits can be detected
 // as idempotent replays (0 = unknown).
-func (st *Store) commitFile(name string, raw []byte, payloadCRC uint32) error {
+type commitItem struct {
+	name       string
+	raw        []byte
+	payloadCRC uint32
+}
+
+// commit durably writes a group of checkpoint files: each file goes to
+// a .tmp sibling, is fsynced and renamed into place; one directory
+// fsync makes every rename durable; one journal append records every
+// file's "add" line in one write and one fsync; then the in-memory
+// chain takes them all and one atomic republish of the chain index
+// follows. A single-file write is a group of one; an empty group
+// commits nothing.
+//
+// A crash or error before the journal append leaves the renamed files
+// committed but unjournaled — all, some or none of the group — and the
+// next recovery scan adopts each one; nothing is journaled, so a retry
+// renames the same bytes over them. A crash mid-append leaves a prefix
+// of the group's lines, the rest adopted the same way. A crash before
+// the index republish leaves a stale index whose journal anchor no
+// longer matches; readers detect that and fall back to the journal.
+// The chain invariant (each checkpoint complete or absent) holds at
+// every crash point.
+func (st *Store) commit(group ...commitItem) error {
+	if len(group) == 0 {
+		return nil
+	}
 	if st.closed {
 		return ErrClosed
 	}
-	path := filepath.Join(st.dir, name)
-	if err := faultfs.WriteFileAtomic(st.fs, st.dir, path, raw); err != nil {
-		return pathErr("commit", path, err)
+	for _, it := range group {
+		path := filepath.Join(st.dir, it.name)
+		if err := faultfs.ReplaceFile(st.fs, path, it.raw); err != nil {
+			return pathErr("commit", path, err)
+		}
 	}
-	je := journalEntry{Len: int64(len(raw)), CRC: crc32.ChecksumIEEE(raw), PayloadCRC: payloadCRC}
-	if err := appendJournal(st.fs, st.dir, journalRecord{
-		Op:         "add",
-		Name:       name,
-		Len:        je.Len,
-		CRC:        je.CRC,
-		PayloadCRC: je.PayloadCRC,
-	}); err != nil {
+	if err := st.fs.SyncDir(st.dir); err != nil {
+		return pathErr("sync", st.dir, err)
+	}
+	recs := make([]journalRecord, len(group))
+	for i, it := range group {
+		recs[i] = journalRecord{Op: "add", Name: it.name, Len: int64(len(it.raw)), CRC: crc32.ChecksumIEEE(it.raw), PayloadCRC: it.payloadCRC}
+	}
+	if err := appendJournal(st.fs, st.dir, recs...); err != nil {
 		return err
 	}
-	st.setChain(name, je)
+	for _, rec := range recs {
+		st.setChain(rec.Name, journalEntry{Len: rec.Len, CRC: rec.CRC, PayloadCRC: rec.PayloadCRC})
+	}
 	return st.republishIndex()
 }
 
@@ -410,14 +433,21 @@ func (st *Store) republishIndex() error {
 
 // WriteFull stores data as a lossless full checkpoint.
 func (st *Store) WriteFull(variable string, iteration int, data []float64) error {
-	if err := validateIdentity(variable, iteration); err != nil {
-		return err
-	}
-	raw, err := MarshalFull(variable, iteration, data)
+	it, err := fullItem(variable, iteration, data)
 	if err != nil {
 		return err
 	}
-	return st.commitFile(fileName(variable, "full", iteration), raw, 0)
+	return st.commit(it)
+}
+
+// fullItem validates the identity variable@iteration and marshals
+// data as the full checkpoint of it.
+func fullItem(variable string, iteration int, data []float64) (commitItem, error) {
+	if err := validateIdentity(variable, iteration); err != nil {
+		return commitItem{}, err
+	}
+	raw, err := MarshalFull(variable, iteration, data)
+	return commitItem{name: fileName(variable, "full", iteration), raw: raw}, err
 }
 
 // WriteDelta encodes the transition prev → cur with the store's options
@@ -445,14 +475,21 @@ func (st *Store) WriteDelta(variable string, iteration int, prev, cur []float64)
 // committing to a delta (the Writer encodes tentatively and, under a
 // schedule, may write a full checkpoint instead).
 func (st *Store) WriteEncodedDelta(variable string, iteration int, enc *core.Encoded) error {
-	if err := validateIdentity(variable, iteration); err != nil {
-		return err
-	}
-	raw, err := MarshalDelta(variable, iteration, enc)
+	it, err := deltaItem(variable, iteration, enc)
 	if err != nil {
 		return err
 	}
-	return st.commitFile(fileName(variable, "delta", iteration), raw, 0)
+	return st.commit(it)
+}
+
+// deltaItem validates the identity variable@iteration and marshals
+// enc as the delta checkpoint of it.
+func deltaItem(variable string, iteration int, enc *core.Encoded) (commitItem, error) {
+	if err := validateIdentity(variable, iteration); err != nil {
+		return commitItem{}, err
+	}
+	raw, err := MarshalDelta(variable, iteration, enc)
+	return commitItem{name: fileName(variable, "delta", iteration), raw: raw}, err
 }
 
 // WriteRaw commits raw — an already-marshalled checkpoint file of
@@ -480,7 +517,7 @@ func (st *Store) WriteRaw(variable string, iteration int, raw []byte, payloadCRC
 	if err := checkIdentity(ErrBadVariable, v, it, variable, iteration); err != nil {
 		return "", err
 	}
-	return kind, st.commitFile(fileName(variable, kind, iteration), raw, payloadCRC)
+	return kind, st.commit(commitItem{name: fileName(variable, kind, iteration), raw: raw, payloadCRC: payloadCRC})
 }
 
 // WriteRawDelta is WriteRaw for bytes that must be a delta checkpoint,
@@ -513,28 +550,32 @@ func (st *Store) Variables() ([]string, error) {
 	return slices.Clone(st.chainView().vars), nil
 }
 
-// parseName decodes a checkpoint file name back into its entry.
+// parseName decodes a checkpoint file name back into its entry. The
+// variable may itself contain dots: the kind and iteration are the last
+// two dot-separated fields. The entry's strings slice name, so parsing
+// allocates nothing.
 func parseName(name string) (Entry, bool) {
-	if !strings.HasSuffix(name, ".nmk") {
+	base, ok := strings.CutSuffix(name, ".nmk")
+	if !ok {
 		return Entry{}, false
 	}
-	parts := strings.Split(strings.TrimSuffix(name, ".nmk"), ".")
-	if len(parts) < 3 {
+	iterDot := strings.LastIndexByte(base, '.')
+	if iterDot < 0 {
 		return Entry{}, false
 	}
-	kind := parts[len(parts)-2]
+	kindDot := strings.LastIndexByte(base[:iterDot], '.')
+	if kindDot < 0 {
+		return Entry{}, false
+	}
+	kind := base[kindDot+1 : iterDot]
 	if kind != "full" && kind != "delta" {
 		return Entry{}, false
 	}
-	iter, err := strconv.Atoi(parts[len(parts)-1])
+	iter, err := strconv.Atoi(base[iterDot+1:])
 	if err != nil {
 		return Entry{}, false
 	}
-	return Entry{
-		Variable:  strings.Join(parts[:len(parts)-2], "."),
-		Kind:      kind,
-		Iteration: iter,
-	}, true
+	return Entry{Variable: base[:kindDot], Kind: kind, Iteration: iter}, true
 }
 
 // ReadFull loads a full checkpoint.

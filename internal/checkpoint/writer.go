@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"slices"
 
 	"numarck/internal/core"
 )
@@ -88,16 +89,31 @@ func (st *Store) chainDepth(variable string, iteration int) int {
 
 // Append writes iteration data for every variable in vars and returns
 // the encodings of those written as deltas. Iterations must be appended
-// in consecutive increasing order. Append is all-or-nothing for the
-// Writer: on error no reference has moved, so the same Append may be
-// retried and rewrites the files it had already committed byte for byte.
+// in consecutive increasing order. The variables are encoded and
+// marshalled in sorted name order, then committed as one group: one
+// directory sync, one journal append and one index republish for the
+// whole iteration (Store.commit). All N files are held in memory until
+// the group is durable.
+//
+// Append is all-or-nothing for the Writer: on error no reference has
+// moved, so the same Append may be retried. A group that fails after k
+// of its N renames journals nothing; the k renamed files are committed
+// but unjournaled, a reopen's recovery scan adopts each of them, and a
+// retried Append renames the same bytes over them.
 func (w *Writer) Append(iteration int, vars map[string][]float64) (map[string]*core.Encoded, error) {
 	if w.started && iteration != w.lastIter+1 {
 		return nil, fmt.Errorf("checkpoint: non-consecutive iteration %d after %d", iteration, w.lastIter)
 	}
 	periodic := !w.started || (w.fullEvery > 0 && (iteration%w.fullEvery) == 0)
 	encs := map[string]*core.Encoded{}
-	for v, data := range vars {
+	names := make([]string, 0, len(vars))
+	for v := range vars {
+		names = append(names, v)
+	}
+	slices.Sort(names)
+	group := make([]commitItem, 0, len(names))
+	for _, v := range names {
+		data := vars[v]
 		prev, ok := w.last[v]
 		full := periodic || (!ok && w.schedule != nil)
 		if !full {
@@ -114,15 +130,20 @@ func (w *Writer) Append(iteration int, vars map[string][]float64) (map[string]*c
 				encs[v] = enc
 			}
 		}
+		var it commitItem
 		var err error
 		if full {
-			err = w.st.WriteFull(v, iteration, data)
+			it, err = fullItem(v, iteration, data)
 		} else {
-			err = w.st.WriteEncodedDelta(v, iteration, encs[v])
+			it, err = deltaItem(v, iteration, encs[v])
 		}
 		if err != nil {
 			return nil, err
 		}
+		group = append(group, it)
+	}
+	if err := w.st.commit(group...); err != nil {
+		return nil, err
 	}
 	// Every file is durable: move the chain heads to what a restart of
 	// this iteration returns.

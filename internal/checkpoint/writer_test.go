@@ -104,6 +104,84 @@ func TestWriterAppendRetry(t *testing.T) {
 	}
 }
 
+// TestAppendIsOneCommitGroup pins what an Append of N variables costs
+// the filesystem: one group commit, so N+2 file syncs (each data file,
+// the journal, the index), 2 directory syncs (after the data renames
+// and after the index's) and N+1 renames — whether the iteration is
+// written in full or as deltas.
+func TestAppendIsOneCommitGroup(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		in := faultfs.NewInjector(faultfs.OS(), 1)
+		st, err := CreateFS(filepath.Join(t.TempDir(), "ck"), opts(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		series := make([][][]float64, n)
+		for v := range series {
+			series[v] = genSeries(300, 2, int64(70+v))
+		}
+		w := NewWriter(st, 0)
+		for i, kind := range []string{"full", "delta"} {
+			vars := map[string][]float64{}
+			for v := range series {
+				vars[fmt.Sprintf("v%d", v)] = series[v][i]
+			}
+			before := len(in.Trace())
+			if _, err := w.Append(i, vars); err != nil {
+				t.Fatal(err)
+			}
+			counts := map[string]int{}
+			for _, line := range in.Trace()[before:] {
+				op, _, _ := strings.Cut(line, " ")
+				counts[op]++
+			}
+			if counts["sync"] != n+2 || counts["syncdir"] != 2 || counts["rename"] != n+1 {
+				t.Errorf("%d %s files: %d file syncs, %d dir syncs, %d renames; want %d, 2, %d",
+					n, kind, counts["sync"], counts["syncdir"], counts["rename"], n+2, n+1)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAppendOrderIsDeterministic pins that an Append commits its
+// variables in sorted name order, not map order: two fresh stores fed
+// the same Appends end with byte-identical journals.
+func TestAppendOrderIsDeterministic(t *testing.T) {
+	series := map[string][][]float64{}
+	for j, v := range []string{"velx", "dens", "temp", "pres", "eint", "vely"} {
+		series[v] = genSeries(200, 4, int64(80+j))
+	}
+	var journals [2][]byte
+	for r := range journals {
+		st, err := Create(filepath.Join(t.TempDir(), "ck"), opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewWriter(st, 3)
+		for i := 0; i < 4; i++ {
+			vars := map[string][]float64{}
+			for v, s := range series {
+				vars[v] = s[i]
+			}
+			if _, err := w.Append(i, vars); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if journals[r], err = os.ReadFile(filepath.Join(st.Dir(), journalName)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(journals[0], journals[1]) {
+		t.Errorf("the same Appends wrote different journals:\n%s\n%s", journals[0], journals[1])
+	}
+}
+
 // TestResumeAfterHalfCommittedIteration pins crash recovery at the
 // store: an Append that dies between its two variables' commits leaves
 // iteration k restorable for one variable only, LatestConsistent steps

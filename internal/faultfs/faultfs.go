@@ -163,6 +163,21 @@ func readFile(fsys FS, name string, size int64) ([]byte, error) {
 // the destination holds either its old contents or the complete new
 // ones, never a torn mix; at worst a stale .tmp file is left behind.
 func WriteFileAtomic(fsys FS, dir, name string, data []byte) error {
+	if err := ReplaceFile(fsys, name, data); err != nil {
+		return err
+	}
+	if err := fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("faultfs: sync dir %s: %w", dir, err)
+	}
+	return nil
+}
+
+// ReplaceFile is WriteFileAtomic without the directory sync: the temp
+// is written, fsynced and renamed over name, but the rename is durable
+// only once the caller fsyncs the parent directory — which lets a
+// caller replacing several files in one directory pay for one
+// directory sync instead of one per file.
+func ReplaceFile(fsys FS, name string, data []byte) error {
 	tmp := name + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {
@@ -183,9 +198,6 @@ func WriteFileAtomic(fsys FS, dir, name string, data []byte) error {
 	if err := fsys.Rename(tmp, name); err != nil {
 		_ = fsys.Remove(tmp)
 		return fmt.Errorf("faultfs: rename %s: %w", name, err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("faultfs: sync dir %s: %w", dir, err)
 	}
 	return nil
 }
