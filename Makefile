@@ -62,11 +62,13 @@ crash-test:
 
 # One short burst per fuzz target; -run=NONE skips the unit tests so
 # the smoke stays fast. Targets: bit-level pack/unpack round-trips, the
-# word-at-a-time kernels against the per-field reference loops, the
-# checkpoint parsers on corrupt input, and the degraded-mode decode.
+# word-at-a-time kernels and the flag bit-range copy against the
+# per-field and per-bit reference loops, the checkpoint parsers on
+# corrupt input, and the degraded-mode decode.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRoundTrip$$ -fuzztime=$(FUZZTIME) ./internal/bitpack
 	$(GO) test -run=NONE -fuzz=FuzzUnpackMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/bitpack
+	$(GO) test -run=NONE -fuzz=FuzzCopyBitsMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/bitpack
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalDelta$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalDeltaV2$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalFull$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint

@@ -321,43 +321,6 @@ func BitmapFromBytes(data []byte, n int) (*Bitmap, error) {
 	return b, nil
 }
 
-// Reset resizes the bitmap to n flags, all false, reusing its storage
-// when capacity allows. The pooled form of NewBitmap for steady-state
-// encode/decode loops.
-func (b *Bitmap) Reset(n int) {
-	if n < 0 {
-		panic(fmt.Sprintf("bitpack: negative bitmap size %d", n))
-	}
-	need := (n + 7) / 8
-	if cap(b.bits) >= need {
-		b.bits = b.bits[:need]
-		for i := range b.bits {
-			b.bits[i] = 0
-		}
-	} else {
-		b.bits = make([]byte, need)
-	}
-	b.n = n
-}
-
-// LoadBytes replaces the bitmap's contents with a packed representation
-// of n flags, reusing its storage when capacity allows — the pooled
-// form of BitmapFromBytes.
-func (b *Bitmap) LoadBytes(data []byte, n int) error {
-	need := (n + 7) / 8
-	if len(data) < need {
-		return fmt.Errorf("%w: bitmap needs %d bytes, have %d", ErrShort, need, len(data))
-	}
-	if cap(b.bits) >= need {
-		b.bits = b.bits[:need]
-	} else {
-		b.bits = make([]byte, need)
-	}
-	copy(b.bits, data[:need])
-	b.n = n
-	return nil
-}
-
 // Len returns the number of flags in the bitmap.
 func (b *Bitmap) Len() int { return b.n }
 
@@ -403,5 +366,25 @@ func CountFirst(flags []byte, n int) int {
 }
 
 // Bytes returns the packed representation. The slice aliases the bitmap's
-// storage; callers must not modify it.
+// storage, so writing a bit below Len sets that flag; the pad bits past
+// Len must stay zero.
 func (b *Bitmap) Bytes() []byte { return b.bits }
+
+// CopyBits copies the n bits of src that start at bit srcOff into dst,
+// starting at bit dstOff, in the LSB-first layout of a flag bitmap, and
+// leaves every other bit of dst as it was: a chunk's flags moved into or
+// out of a whole-file bitmap at any point offset. It writes one dst
+// byte per step and panics if either range overruns its slice.
+func CopyBits(dst []byte, dstOff int, src []byte, srcOff, n int) {
+	for n > 0 {
+		d, s := uint(dstOff&7), uint(srcOff&7)
+		k := uint(min(n, 8-dstOff&7)) // up to the end of dst's byte
+		v := uint(src[srcOff>>3]) >> s
+		if s+k > 8 {
+			v |= uint(src[srcOff>>3+1]) << (8 - s)
+		}
+		m := byte(1<<k-1) << d
+		dst[dstOff>>3] = dst[dstOff>>3]&^m | byte(v<<d)&m
+		dstOff, srcOff, n = dstOff+int(k), srcOff+int(k), n-int(k)
+	}
+}

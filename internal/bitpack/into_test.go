@@ -68,31 +68,3 @@ func TestUnpackIntoRoundTrip(t *testing.T) {
 		t.Error("UnpackInto accepted a truncated stream")
 	}
 }
-
-func TestBitmapResetAndLoadBytes(t *testing.T) {
-	b := NewBitmap(20)
-	b.Set(3, true)
-	b.Set(19, true)
-	saved := append([]byte(nil), b.Bytes()...)
-
-	b.Reset(10)
-	if b.Len() != 10 || b.Count() != 0 {
-		t.Errorf("after Reset: len=%d count=%d", b.Len(), b.Count())
-	}
-	b.Set(9, true)
-
-	if err := b.LoadBytes(saved, 20); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 20 || b.Count() != 2 || !b.Get(3) || !b.Get(19) {
-		t.Errorf("after LoadBytes: len=%d count=%d", b.Len(), b.Count())
-	}
-	if err := b.LoadBytes(saved[:1], 20); err == nil {
-		t.Error("LoadBytes accepted a short buffer")
-	}
-	// Growing Reset allocates but still yields an all-false map.
-	b.Reset(1000)
-	if b.Len() != 1000 || b.Count() != 0 {
-		t.Errorf("after growing Reset: len=%d count=%d", b.Len(), b.Count())
-	}
-}

@@ -240,3 +240,53 @@ func FuzzUnpackMatchesReference(f *testing.F) {
 		}
 	})
 }
+
+// refCopyBits is CopyBits one bit at a time.
+func refCopyBits(dst []byte, dstOff int, src []byte, srcOff, n int) {
+	for k := 0; k < n; k++ {
+		refPutBits(dst, uint64(dstOff+k), refGetBits(src, uint64(srcOff+k), 1), 1)
+	}
+}
+
+// checkCopyBits runs CopyBits and the reference on copies of dst and
+// compares every byte: the n bits must land, and every other bit of dst
+// must keep its value.
+func checkCopyBits(t *testing.T, dst []byte, dstOff int, src []byte, srcOff, n int) {
+	t.Helper()
+	got, want := bytes.Clone(dst), bytes.Clone(dst)
+	CopyBits(got, dstOff, src, srcOff, n)
+	refCopyBits(want, dstOff, src, srcOff, n)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("CopyBits(dst@%d, src@%d, %d bits) = %x, reference %x", dstOff, srcOff, n, got, want)
+	}
+}
+
+// TestCopyBitsMatchesReference sweeps every source and destination bit
+// offset within two bytes and every length from 0 to 80 bits.
+func TestCopyBitsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	src, dst := make([]byte, 16), make([]byte, 16)
+	rng.Read(src)
+	rng.Read(dst)
+	for srcOff := 0; srcOff < 16; srcOff++ {
+		for dstOff := 0; dstOff < 16; dstOff++ {
+			for n := 0; n <= 80; n++ {
+				checkCopyBits(t, dst, dstOff, src, srcOff, n)
+			}
+		}
+	}
+}
+
+// FuzzCopyBitsMatchesReference copies an arbitrary bit range of
+// arbitrary bytes to an arbitrary bit offset of arbitrary bytes, and
+// checks the result against the per-bit reference.
+func FuzzCopyBitsMatchesReference(f *testing.F) {
+	f.Add([]byte{0xff, 0x00, 0xa5, 0x5a, 0x0f, 0xf0, 0x33, 0xcc, 0x81}, []byte{0x00, 0xff, 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0}, uint16(3), uint16(5), uint16(67))
+	f.Add([]byte{0xff}, []byte{0x00}, uint16(0), uint16(0), uint16(8))
+	f.Add(bytes.Repeat([]byte{0xc3}, 80), bytes.Repeat([]byte{0x3c}, 90), uint16(700), uint16(5), uint16(600))
+	f.Fuzz(func(t *testing.T, src, dst []byte, so, do, nn uint16) {
+		srcOff, dstOff := int(so)%(8*len(src)+1), int(do)%(8*len(dst)+1)
+		n := int(nn) % (min(8*len(src)-srcOff, 8*len(dst)-dstOff) + 1)
+		checkCopyBits(t, dst, dstOff, src, srcOff, n)
+	})
+}

@@ -11,9 +11,8 @@ import (
 )
 
 // TestDeltaV2WriterAppendChunkAllocs pins AppendChunk's steady state at
-// exactly zero allocations: the pack buffer, bitmap, and section
-// scratch are sized by the first chunk and every later equal-size chunk
-// reuses them.
+// exactly zero allocations: the pack buffer and section scratch are
+// sized by the first chunk and every later equal-size chunk reuses them.
 func TestDeltaV2WriterAppendChunkAllocs(t *testing.T) {
 	const cp = 512
 	const runs = 20
@@ -26,18 +25,18 @@ func TestDeltaV2WriterAppendChunkAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	indices := make([]uint32, cp)
-	incompressible := make([]bool, cp)
+	flags := make([]byte, cp/8)
 	exact := make([]float64, 0, 4)
 	for j := range indices {
 		indices[j] = uint32(j % 3)
 	}
-	incompressible[7] = true
+	flags[0] = 1 << 7
 	exact = append(exact, 3.25)
-	if err := w.AppendChunk(indices, incompressible, exact); err != nil {
+	if err := w.AppendChunk(indices, flags, exact); err != nil {
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(runs, func() {
-		if err := w.AppendChunk(indices, incompressible, exact); err != nil {
+		if err := w.AppendChunk(indices, flags, exact); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -123,11 +123,13 @@ func sectionSize(np, exactCount, indexBits int) int {
 // chunk at a time. The header and bin table are written on creation,
 // each AppendChunk emits one section, and Finish writes the directory
 // and footer. Nothing is buffered beyond the directory (20 bytes per
-// chunk, preallocated to the chunk count) and three reusable scratch
+// chunk, preallocated to the chunk count) and two reusable scratch
 // buffers sized to one section, so encoding memory is independent of
 // the data size and second-and-later chunks allocate nothing here.
-// Not safe for concurrent use; the pipeline's ordered emitter is the
-// single caller.
+// Every section passes the reader's structural checks before it is
+// written (checkSectionShape): the writer refuses one a reader would
+// reject. Not safe for concurrent use; the pipeline's ordered emitter
+// is the single caller.
 type DeltaV2Writer struct {
 	w           io.Writer
 	off         int64
@@ -140,9 +142,8 @@ type DeltaV2Writer struct {
 	finished    bool
 	rec         *obs.Recorder
 
-	packBuf []byte         // reused by bitpack.PackInto
-	bitmap  bitpack.Bitmap // reused incompressible-flag bitmap
-	section []byte         // reused section assembly buffer
+	packBuf []byte // reused by bitpack.PackInto
+	section []byte // reused section assembly buffer
 }
 
 // NewDeltaV2Writer writes the v2 header and bin table and returns a
@@ -211,48 +212,41 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // AppendChunk writes the section for the next chunk: its per-point
-// index values, incompressible flags, and the exact values of the
-// flagged points in point order. len(indices) must be chunkPoints
-// (or the final short remainder).
-func (w *DeltaV2Writer) AppendChunk(indices []uint32, incompressible []bool, exact []float64) error {
+// index values, its incompressible flags packed as the format's bitmap
+// (LSB-first, pad bits zero; flags may be longer than the chunk's
+// ceil(np/8) bytes), and the exact values of the flagged points in
+// point order. len(indices) must be chunkPoints (or the final short
+// remainder). A chunk that fails the section checks is refused and
+// nothing of it is written.
+func (w *DeltaV2Writer) AppendChunk(indices []uint32, flags []byte, exact []float64) error {
 	if w.finished {
 		return fmt.Errorf("checkpoint: append after Finish")
 	}
 	np := len(indices)
-	want := w.chunkPoints
-	if rem := w.n - w.pointsSeen; rem < want {
-		want = rem
-	}
+	want := min(w.chunkPoints, w.n-w.pointsSeen)
 	if np != want {
 		return fmt.Errorf("checkpoint: chunk %d has %d points, want %d", len(w.dir), np, want)
 	}
-	if len(incompressible) != np {
-		return fmt.Errorf("checkpoint: chunk %d: %d incompressible flags for %d points", len(w.dir), len(incompressible), np)
+	if len(flags) < (np+7)/8 {
+		return fmt.Errorf("checkpoint: chunk %d: %d flag bytes for %d points", len(w.dir), len(flags), np)
 	}
+	flags = flags[:(np+7)/8]
 	t := w.rec.Start()
 	packed, err := bitpack.PackInto(indices, w.indexBits, w.packBuf)
+	if err == nil {
+		w.packBuf = packed
+		err = checkSectionShape(packed, flags, np, w.indexBits, w.binCount, len(exact))
+	}
 	t.Stop(obs.StageBitpack)
 	if err != nil {
-		return fmt.Errorf("checkpoint: pack chunk %d: %w", len(w.dir), err)
+		return fmt.Errorf("checkpoint: chunk %d: %w", len(w.dir), err)
 	}
-	w.packBuf = packed
-	w.bitmap.Reset(np)
-	nExact := 0
-	for j, inc := range incompressible {
-		if inc {
-			w.bitmap.Set(j, true)
-			nExact++
-		}
-	}
-	if nExact != len(exact) {
-		return fmt.Errorf("checkpoint: chunk %d flags %d incompressible points, %d exact values supplied", len(w.dir), nExact, len(exact))
-	}
-	if need := sectionSize(np, nExact, w.indexBits); cap(w.section) < need {
+	if need := sectionSize(np, len(exact), w.indexBits); cap(w.section) < need {
 		w.section = make([]byte, 0, need)
 	}
 	section := w.section[:0]
 	section = append(section, packed...)
-	section = append(section, w.bitmap.Bytes()...)
+	section = append(section, flags...)
 	section = appendFloats(section, exact)
 	w.section = section[:0]
 	if len(section) > math.MaxUint32 {
@@ -270,7 +264,7 @@ func (w *DeltaV2Writer) AppendChunk(indices []uint32, incompressible []bool, exa
 	w.rec.Add(obs.CounterBytesWritten, int64(len(section)))
 	w.rec.Add(obs.CounterSectionBytes, int64(len(section)))
 	w.rec.Add(obs.CounterChunksEncoded, 1)
-	w.dir = append(w.dir, dirEntry{off: w.off, length: int64(len(section)), crc: crc, exactCount: nExact})
+	w.dir = append(w.dir, dirEntry{off: w.off, length: int64(len(section)), crc: crc, exactCount: len(exact)})
 	w.off += int64(len(section))
 	w.pointsSeen += np
 	return nil
@@ -561,11 +555,7 @@ func (m *DeltaMeta) fromHeader(hdr fileHeader, size int64) error {
 
 // chunkPointsAt returns the point count of chunk i.
 func chunkPointsAt(n, chunkPoints, i int) int {
-	start := i * chunkPoints
-	if rem := n - start; rem < chunkPoints {
-		return rem
-	}
-	return chunkPoints
+	return min(chunkPoints, n-i*chunkPoints)
 }
 
 // Meta returns the checkpoint's header metadata.
@@ -575,13 +565,6 @@ func (d *DeltaReader) Meta() DeltaMeta { return d.meta }
 // by chunk i.
 func (d *DeltaReader) ChunkSpan(i int) (start, np int) {
 	return i * d.meta.ChunkPoints, chunkPointsAt(d.meta.N, d.meta.ChunkPoints, i)
-}
-
-// ChunkPayload is the parsed section of one chunk.
-type ChunkPayload struct {
-	Indices        []uint32
-	Incompressible *bitpack.Bitmap
-	Exact          []float64
 }
 
 // applyBlockPoints is how many points of a chunk are unpacked and
@@ -596,17 +579,13 @@ const applyBlockPoints = 1024
 // and exact values), so a steady-state decode loop allocates nothing per
 // chunk. Each worker of a parallel decode owns one, and chain replay
 // carries one from file to file; a decoder is not safe for concurrent
-// use. Payloads returned by ReadChunk alias the scratch and are valid
-// only until the next call.
+// use.
 type ChunkDecoder struct {
 	d       *DeltaReader
 	section []byte    // a section read through an io.ReaderAt
 	idx     []uint32  // one block's unpacked indices
 	exact   []float64 // one block's exact values
 	head    [1]byte   // the flags of a block that starts inside a byte
-	// ReadChunk's materialized view of a whole chunk.
-	bitmap  bitpack.Bitmap
-	payload ChunkPayload
 }
 
 // NewChunkDecoder returns a decoder with empty scratch; buffers grow on
@@ -628,13 +607,12 @@ func (d *DeltaReader) sectionParts(i int, section []byte) (packed, flags, exact 
 // checkSection is the validation pass over chunk i's bytes, both
 // formats: the section CRC (a v1 section has none of its own — the
 // payload CRC checked when the file was opened covers these same
-// in-memory bytes), every index within the bin table, the flag count
-// equal to the stored exact count, no flag set beyond the last point.
-// It reads the packed bytes once and unpacks nothing, and everything
-// that can be wrong with a section is found here: after it, applying the
-// section cannot fail, so a bad chunk is reported — as a *ChunkError
-// naming the chunk and its byte offset — before a single point of the
-// state it would have updated is written.
+// in-memory bytes), then checkSectionShape against the directory's
+// exact count. It reads the packed bytes once and unpacks nothing, and
+// everything that can be wrong with a section is found here: after it,
+// applying the section cannot fail, so a bad chunk is reported — as a
+// *ChunkError naming the chunk and its byte offset — before a single
+// point of the state it would have updated is written.
 func (d *DeltaReader) checkSection(i int, section []byte) error {
 	ent := d.dir[i]
 	_, np := d.ChunkSpan(i)
@@ -649,21 +627,33 @@ func (d *DeltaReader) checkSection(i int, section []byte) error {
 	t := d.rec.Start()
 	defer t.Stop(obs.StageBitpack)
 	packed, flags, _ := d.sectionParts(i, section)
-	if got := bitpack.CountFirst(flags, np); got != ent.exactCount {
-		return chunkErr(i, ent.off, "bitmap flags %d points, %d exact values stored", got, ent.exactCount)
-	}
-	if np%8 != 0 && flags[len(flags)-1]>>uint(np%8) != 0 {
-		return chunkErr(i, ent.off, "bitmap flags a point beyond the chunk's %d", np)
-	}
-	bins := len(d.meta.BinRatios)
-	// fromHeader bounded the bin count below 2^IndexBits <= 2^32
-	j, err := bitpack.FirstAbove(packed, np, d.meta.Opt.IndexBits, uint32(bins))
-	if err != nil {
+	if err := checkSectionShape(packed, flags, np, d.meta.Opt.IndexBits, len(d.meta.BinRatios), ent.exactCount); err != nil {
 		return chunkErr(i, ent.off, "%v", err)
 	}
+	return nil
+}
+
+// checkSectionShape is the structural half of the section checks, the
+// one function a reader runs before it uses a section and the writer
+// runs before it writes one: the flags among the first np number
+// exactly exactCount, no pad bit past np is set, and no index exceeds
+// the bin count. packed and flags are a section's parts for np points.
+func checkSectionShape(packed, flags []byte, np, indexBits, bins, exactCount int) error {
+	if got := bitpack.CountFirst(flags, np); got != exactCount {
+		return fmt.Errorf("bitmap flags %d points, %d exact values stored", got, exactCount)
+	}
+	if np%8 != 0 && flags[len(flags)-1]>>uint(np%8) != 0 {
+		return fmt.Errorf("bitmap flags a point beyond the chunk's %d", np)
+	}
+	// fromHeader and NewDeltaV2Writer bound the bin count below
+	// 2^IndexBits <= 2^32
+	j, err := bitpack.FirstAbove(packed, np, indexBits, uint32(bins))
+	if err != nil {
+		return err
+	}
 	if j >= 0 {
-		idx, _ := bitpack.Get(packed, j, d.meta.Opt.IndexBits) // FirstAbove just read field j
-		return chunkErr(i, ent.off, "index %d at point %d exceeds bin count %d", idx, j, bins)
+		idx, _ := bitpack.Get(packed, j, indexBits) // FirstAbove just read field j
+		return fmt.Errorf("index %d at point %d exceeds bin count %d", idx, j, bins)
 	}
 	return nil
 }
@@ -688,33 +678,6 @@ func (c *ChunkDecoder) checkedSection(i int) ([]byte, error) {
 	d.rec.Add(obs.CounterBytesRead, ent.length)
 	d.rec.Add(obs.CounterSectionBytes, ent.length)
 	return section, d.checkSection(i, section)
-}
-
-// ReadChunk reads and validates chunk i's section (checkSection) and
-// unpacks all of it, for callers that want a chunk's contents rather
-// than its reconstruction: the Encoded view, inspection. The payload
-// aliases the decoder's scratch: it is invalidated by the next ReadChunk
-// or DecodeChunkInto call.
-func (c *ChunkDecoder) ReadChunk(i int) (*ChunkPayload, error) {
-	section, err := c.checkedSection(i)
-	if err != nil {
-		return nil, err
-	}
-	d := c.d
-	_, np := d.ChunkSpan(i)
-	packed, flags, exact := d.sectionParts(i, section)
-	t := d.rec.Start()
-	c.payload.Indices, err = bitpack.UnpackInto(packed, np, d.meta.Opt.IndexBits, c.payload.Indices)
-	t.Stop(obs.StageBitpack)
-	if err == nil {
-		err = c.bitmap.LoadBytes(flags, np)
-	}
-	if err != nil {
-		return nil, chunkErr(i, d.dir[i].off, "%v", err)
-	}
-	c.payload.Incompressible = &c.bitmap
-	c.payload.Exact = readFloatsInto(exact, d.dir[i].exactCount, c.payload.Exact)
-	return &c.payload, nil
 }
 
 // DecodeChunkInto reconstructs chunk i into dst given the previous
@@ -919,35 +882,30 @@ func (d *DeltaReader) DecodeRecover(prev []float64, workers int, ropt RecoverOpt
 
 // Encoded assembles the whole file back into an in-memory core.Encoded
 // (the compatibility view behind UnmarshalDelta and inspect; restart
-// replays chunks in place and never builds one).
+// replays chunks in place and never builds one). Each section is
+// checked, then unpacked straight into its place in the view.
 func (d *DeltaReader) Encoded() (*core.Encoded, error) {
-	enc := &core.Encoded{Opt: d.meta.Opt, N: d.meta.N, BinRatios: d.meta.BinRatios}
-	dec := d.NewChunkDecoder()
-	if len(d.dir) == 1 {
-		// One section is the whole encoding (every v1 file): the
-		// throw-away decoder's buffers become it, uncopied.
-		p, err := dec.ReadChunk(0)
-		if err != nil {
-			return nil, err
-		}
-		enc.Indices, enc.Incompressible, enc.Exact = p.Indices, p.Incompressible, p.Exact
-		return enc, nil
+	n, exactCount := d.meta.N, 0
+	for _, e := range d.dir {
+		exactCount += e.exactCount
 	}
-	enc.Indices = make([]uint32, d.meta.N)
-	enc.Incompressible = bitpack.NewBitmap(d.meta.N)
-	for i := range d.dir {
-		start, np := d.ChunkSpan(i)
-		p, err := dec.ReadChunk(i)
+	enc := &core.Encoded{Opt: d.meta.Opt, N: n, BinRatios: d.meta.BinRatios,
+		Indices: make([]uint32, n), Incompressible: bitpack.NewBitmap(n), Exact: make([]float64, exactCount)}
+	dec, used := d.NewChunkDecoder(), 0
+	for i, e := range d.dir {
+		section, err := dec.checkedSection(i)
 		if err != nil {
 			return nil, err
 		}
-		copy(enc.Indices[start:start+np], p.Indices)
-		for j := 0; j < np; j++ {
-			if p.Incompressible.Get(j) {
-				enc.Incompressible.Set(start+j, true)
-			}
-		}
-		enc.Exact = append(enc.Exact, p.Exact...)
+		start, np := d.ChunkSpan(i)
+		packed, flags, exact := d.sectionParts(i, section)
+		t := d.rec.Start()
+		// checkSection read every one of the np fields, so this cannot fail
+		_, _ = bitpack.UnpackInto(packed, np, d.meta.Opt.IndexBits, enc.Indices[start:start+np])
+		t.Stop(obs.StageBitpack)
+		bitpack.CopyBits(enc.Incompressible.Bytes(), start, flags, 0, np)
+		readFloatsInto(exact, e.exactCount, enc.Exact[used:])
+		used += e.exactCount
 	}
 	return enc, nil
 }
@@ -980,6 +938,12 @@ func MarshalDeltaV2(variable string, iteration int, enc *core.Encoded, chunkPoin
 	if chunkPoints <= 0 {
 		chunkPoints = DefaultChunkPoints
 	}
+	if len(enc.Indices) != enc.N {
+		return nil, fmt.Errorf("checkpoint: %d-point encoding has %d indices", enc.N, len(enc.Indices))
+	}
+	if enc.Incompressible == nil || enc.Incompressible.Len() != enc.N {
+		return nil, fmt.Errorf("checkpoint: %d-point encoding has no %d-flag bitmap", enc.N, enc.N)
+	}
 	// Room for the whole file but its JSON header, so that appending the
 	// sections never regrows the buffer.
 	chunks := chunkCountFor(enc.N, chunkPoints)
@@ -992,24 +956,17 @@ func MarshalDeltaV2(variable string, iteration int, enc *core.Encoded, chunkPoin
 	}
 	exactOff := 0
 	flags := enc.Incompressible.Bytes()
-	if len(flags) < (enc.N+7)/8 {
-		return nil, fmt.Errorf("checkpoint: %d-point encoding has %d flag bytes", enc.N, len(flags))
-	}
-	inc := make([]bool, min(chunkPoints, enc.N))
+	scratch := make([]byte, (min(chunkPoints, enc.N)+7)/8)
 	for start := 0; start < enc.N; start += chunkPoints {
-		np := chunkPointsAt(enc.N, chunkPoints, start/chunkPoints)
-		inc = inc[:np]
-		nExact := 0
-		for j := range inc {
-			p := start + j
-			bit := flags[p>>3] >> uint(p&7) & 1
-			inc[j] = bit != 0
-			nExact += int(bit)
-		}
+		np := min(chunkPoints, enc.N-start)
+		f := scratch[:(np+7)/8]
+		clear(f) // a short last chunk's pad bits
+		bitpack.CopyBits(f, 0, flags, start, np)
+		nExact := bitpack.CountFirst(f, np)
 		if exactOff+nExact > len(enc.Exact) {
 			return nil, fmt.Errorf("checkpoint: encoding flags more exact values than stored (%d)", len(enc.Exact))
 		}
-		err := w.AppendChunk(enc.Indices[start:start+np], inc, enc.Exact[exactOff:exactOff+nExact])
+		err := w.AppendChunk(enc.Indices[start:start+np], f, enc.Exact[exactOff:exactOff+nExact])
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"numarck/internal/bitpack"
@@ -125,7 +127,7 @@ func TestDeltaV2EmptyAndSingleChunk(t *testing.T) {
 }
 
 func TestDeltaV2CorruptionLocalized(t *testing.T) {
-	enc, _ := encodeTestData(t, 3000)
+	enc, prev := encodeTestData(t, 3000)
 	raw, err := MarshalDeltaV2("v", 1, enc, 700)
 	if err != nil {
 		t.Fatal(err)
@@ -145,14 +147,18 @@ func TestDeltaV2CorruptionLocalized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open should succeed, only chunk 2 is corrupt: %v", err)
 	}
-	// Untouched chunks still read.
+	// Untouched chunks still decode.
 	dec := bd.NewChunkDecoder()
+	decode := func(i int) error {
+		start, np := bd.ChunkSpan(i)
+		return dec.DecodeChunkInto(i, prev[start:start+np], make([]float64, np))
+	}
 	for _, i := range []int{0, 1, 3, 4} {
-		if _, err := dec.ReadChunk(i); err != nil {
+		if err := decode(i); err != nil {
 			t.Fatalf("chunk %d should be clean: %v", i, err)
 		}
 	}
-	_, err = dec.ReadChunk(2)
+	err = decode(2)
 	var ce *ChunkError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want ChunkError, got %v", err)
@@ -162,6 +168,106 @@ func TestDeltaV2CorruptionLocalized(t *testing.T) {
 	}
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatal("ChunkError should wrap ErrCorrupt")
+	}
+}
+
+// TestWriteEncodedDeltaRefusesMalformed feeds the store's delta writer
+// caller-built encodings a reader could not use: each must come back as
+// an error, not a panic, and commit nothing.
+func TestWriteEncodedDeltaRefusesMalformed(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ck")
+	st, err := Create(dir, opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.WriteFull("v", 0, make([]float64, 8)); err != nil {
+		t.Fatal(err)
+	}
+	good := func() *core.Encoded {
+		return &core.Encoded{Opt: mustValidate(t, opts()), N: 8, BinRatios: []float64{0.5, -0.5},
+			Indices: make([]uint32, 8), Incompressible: bitpack.NewBitmap(8)}
+	}
+	snapshot := func() ([]Entry, []string) {
+		entries, err := st.List("v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, f := range files {
+			names = append(names, f.Name())
+		}
+		return entries, names
+	}
+	entries, names := snapshot()
+	for _, c := range []struct {
+		name   string
+		mutate func(*core.Encoded)
+	}{
+		{"short indices", func(e *core.Encoded) { e.Indices = e.Indices[:5] }},
+		{"nil bitmap", func(e *core.Encoded) { e.Incompressible = nil }},
+		{"index above the bin count", func(e *core.Encoded) { e.Indices[4] = 7 }},
+	} {
+		enc := good()
+		c.mutate(enc)
+		if err := st.WriteEncodedDelta("v", 1, enc); err == nil {
+			t.Errorf("%s: committed", c.name)
+		}
+		if e, n := snapshot(); !slices.Equal(e, entries) || !slices.Equal(n, names) {
+			t.Errorf("%s: chain %v, files %v; want %v, %v", c.name, e, n, entries, names)
+		}
+	}
+	if err := st.WriteEncodedDelta("v", 1, good()); err != nil {
+		t.Fatalf("well-formed encoding: %v", err)
+	}
+	if _, err := st.Restart("v", 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeltaV2WriterRefusesBadSection hands AppendChunk one input per
+// section check: each is refused before a byte of its section is
+// written, and the writer then takes the chunk when it is well formed.
+func TestDeltaV2WriterRefusesBadSection(t *testing.T) {
+	const np = 13 // two flag bytes, three pad bits
+	var buf bytes.Buffer
+	w, err := NewDeltaV2Writer(&buf, "v", 1, np, mustValidate(t, opts()), []float64{0.5, -0.5}, np)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := buf.Len()
+	indices := make([]uint32, np)
+	for _, c := range []struct {
+		name  string
+		idx   uint32 // index of point 4
+		flags []byte
+		want  string
+	}{
+		{"pad bit past np", 0, []byte{0, 1 << 5}, "beyond the chunk's 13"},
+		{"flag count other than len(exact)", 0, []byte{1, 0}, "flags 1 points, 0 exact values"},
+		{"index above the bin count", 3, []byte{0, 0}, "index 3 at point 4 exceeds bin count 2"},
+	} {
+		indices[4] = c.idx
+		if err := w.AppendChunk(indices, c.flags, nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error saying %q", c.name, err, c.want)
+		}
+		if buf.Len() != head {
+			t.Errorf("%s: %d section bytes written", c.name, buf.Len()-head)
+		}
+	}
+	indices[4] = 2
+	if err := w.AppendChunk(indices, []byte{1, 1 << 4}, []float64{3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := UnmarshalDelta(buf.Bytes()); err != nil {
+		t.Fatal(err)
 	}
 }
 

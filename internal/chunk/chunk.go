@@ -34,8 +34,10 @@ type SliceSource = core.SliceSource
 
 // BytesPerPoint is the budget model's estimate of encoder buffer bytes
 // per in-flight point: prev and cur windows (8+8), the ratio and its
-// kind (8+1), the index (4), the incompressible flag (1), and the
-// worst-case exact value (8).
+// kind (8+1), the index (4), the incompressible flag, and the
+// worst-case exact value (8). The flag takes one bit of a packed bitmap
+// but is counted as a byte: the constant fixes a budgeted plan's chunk
+// size, and so the bytes of every file a budgeted encode writes.
 const BytesPerPoint = 38
 
 // minChunkPoints is the floor the budget resolver will not shrink

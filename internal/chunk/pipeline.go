@@ -29,7 +29,7 @@ func (s *v2Sink) Table(reps []float64) (err error) {
 
 // Chunk appends the chunk's section; the writer copies what it keeps.
 func (s *v2Sink) Chunk(c *core.Chunk) error {
-	return s.dw.AppendChunk(c.Indices, c.Incompressible, c.Exact)
+	return s.dw.AppendChunk(c.Indices, c.Flags, c.Exact)
 }
 
 // EncodeDeltaV2 runs the streaming two-pass encode of the transition

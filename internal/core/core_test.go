@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -448,7 +449,9 @@ func TestComputeRatios(t *testing.T) {
 // TestComputeRatiosWorkerIndependence pins that an encode's output does
 // not depend on Workers: at n above two forEachRange ranges the driver
 // splits the one chunk's ratio and assign stages over ranges, and the
-// indices, exact values and table must not move.
+// indices, flag bytes, exact values and table must not move. Workers
+// that own adjacent splitPoints ranges write neighbouring flag bytes,
+// so the data must flag points next to a range boundary.
 func TestComputeRatiosWorkerIndependence(t *testing.T) {
 	prev, cur := genData(3*statRangePoints+17, 10)
 	for _, s := range append(Strategies, EqualFrequency) {
@@ -464,9 +467,20 @@ func TestComputeRatiosWorkerIndependence(t *testing.T) {
 				ref = e
 				continue
 			}
-			if !slices.Equal(e.Indices, ref.Indices) || !bitsEqual(e.Exact, ref.Exact) || !bitsEqual(e.BinRatios, ref.BinRatios) {
+			if !slices.Equal(e.Indices, ref.Indices) || !bytes.Equal(e.Incompressible.Bytes(), ref.Incompressible.Bytes()) ||
+				!bitsEqual(e.Exact, ref.Exact) || !bitsEqual(e.BinRatios, ref.BinRatios) {
 				t.Fatalf("%v: workers=%d encodes differently from workers=1", s, w)
 			}
+		}
+		nearBoundary := false
+		for j := splitPoints - 8; j < ref.N; j++ {
+			if off := j % splitPoints; (off < 8 || off >= splitPoints-8) && ref.Incompressible.Get(j) {
+				nearBoundary = true
+				break
+			}
+		}
+		if !nearBoundary {
+			t.Errorf("%v: no flagged point within 8 points of a %d-point range boundary", s, splitPoints)
 		}
 	}
 }

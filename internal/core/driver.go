@@ -12,9 +12,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime/pprof"
 	"sync"
 
+	"numarck/internal/bitpack"
 	"numarck/internal/obs"
 )
 
@@ -175,7 +177,9 @@ func OrderedChunks[T any](count, workers int, label string, rec *obs.Recorder, p
 // split over when a run has fewer chunks than workers. It is far below
 // the fit scans' statRangePoints so that a small chunk still divides
 // evenly: 8192-point ranges would leave one of two workers 63 % of a
-// 12 960-point state.
+// 12 960-point state. A multiple of 8, so every range but a chunk's
+// last ends on a flag byte and no two workers write the same byte of
+// Chunk.Flags.
 const splitPoints = 512
 
 // Plan is the shape of one encode run.
@@ -212,11 +216,10 @@ type Chunk struct {
 	Delta []float64
 	// Indices holds each point's index value.
 	Indices []uint32
-	// Incompressible flags the points stored exactly; Flags holds the
-	// same flags packed LSB-first, as the format's bitmap, so that an
-	// Encoded adopts them without a second pass over the points.
-	Incompressible []bool
-	Flags          []byte
+	// Flags marks the points stored exactly, one bit per point packed
+	// LSB-first with the pad bits zero: the format's bitmap, which the
+	// v2 writer and an Encoded take as it is.
+	Flags []byte
 	// Exact holds the exact values of the flagged points.
 	Exact []float64
 }
@@ -342,22 +345,19 @@ func encodeChunks(prev, cur Source, opt Options, plan Plan, table []float64, sin
 			}
 			s.Delta = s.r.Delta
 			s.Indices = grow(s.Indices, len(c))
-			s.Incompressible = grow(s.Incompressible, len(c))
 			s.Flags = grow(s.Flags, (len(c)+7)/8)
-			clear(s.Flags)
 			t := rec.Start()
 			if split > 1 {
 				forEachRange(len(c), splitPoints, split, func(_, lo, hi int) {
-					assignRange(s.r, bins, reps, opt, lo, hi, s.Indices, s.Incompressible)
+					assignRange(s.r, bins, reps, opt, lo, hi, s.Indices, s.Flags)
 				})
 			} else {
-				assignRange(s.r, bins, reps, opt, 0, len(c), s.Indices, s.Incompressible)
+				assignRange(s.r, bins, reps, opt, 0, len(c), s.Indices, s.Flags)
 			}
 			s.Exact = s.Exact[:0]
-			for j, inc := range s.Incompressible {
-				if inc {
-					s.Exact = append(s.Exact, c[j])
-					s.Flags[j>>3] |= 1 << (j & 7)
+			for b, f := range s.Flags {
+				for ; f != 0; f &= f - 1 {
+					s.Exact = append(s.Exact, c[b<<3|bits.TrailingZeros8(f)])
 				}
 			}
 			t.Stop(obs.StageAssign)
@@ -403,24 +403,25 @@ func fit(ti, table []float64, opt Options) (bins Binner, reps []float64, err err
 }
 
 // assignRange runs the per-point bin-assignment stage over points
-// [lo, hi): it writes each point's index value into indices and flags
-// the points the error bound forces to be stored exactly. Both output
-// fields are written unconditionally for every point — the slices may
-// be pooled buffers carrying a previous chunk's values. reps must be
-// bins.Representatives() (nil when no large ratios exist anywhere and
-// bins is nil); opt must be validated.
-func assignRange(ratios *Ratios, bins Binner, reps []float64, opt Options, lo, hi int, indices []uint32, incompressible []bool) {
+// [lo, hi): it writes each point's index value into indices and sets
+// the flag bits of the points the error bound forces to be stored
+// exactly. Every index of the range and every byte of flags the range
+// touches are written — the slices may be pooled buffers carrying a
+// previous chunk's values — so lo must be a multiple of 8 and hi one
+// too unless it is the chunk's end. reps must be bins.Representatives()
+// (nil when no large ratios exist anywhere and bins is nil); opt must
+// be validated.
+func assignRange(ratios *Ratios, bins Binner, reps []float64, opt Options, lo, hi int, indices []uint32, flags []byte) {
+	clear(flags[lo>>3 : (hi+7)>>3])
 	for j := lo; j < hi; j++ {
+		indices[j] = 0
 		if ratios.Kind[j] != RatioOK {
-			indices[j] = 0
-			incompressible[j] = true
+			flags[j>>3] |= 1 << (j & 7)
 			continue
 		}
 		d := ratios.Delta[j]
 		if !opt.DisableZeroIndex && math.Abs(d) < opt.ErrorBound {
-			indices[j] = 0 // within tolerance of "unchanged"
-			incompressible[j] = false
-			continue
+			continue // within tolerance of "unchanged"
 		}
 		g := bins.Lookup(d)
 		rep := reps[g]
@@ -428,13 +429,11 @@ func assignRange(ratios *Ratios, bins Binner, reps []float64, opt Options, lo, h
 			// The learned distribution cannot represent this point
 			// within the bound: store it exactly. This is the
 			// mechanism that makes the bound a guarantee (§II-C).
-			indices[j] = 0
-			incompressible[j] = true
+			flags[j>>3] |= 1 << (j & 7)
 			continue
 		}
 		// g+1 <= NumBins <= 2^MaxIndexBits, enforced by Options.Validate
 		indices[j] = uint32(g + 1)
-		incompressible[j] = false
 	}
 }
 
@@ -449,7 +448,8 @@ func (e *encodedSink) Table(reps []float64) error {
 }
 
 // Chunk stores the one chunk's results.
-func (e *encodedSink) Chunk(c *Chunk) error {
+func (e *encodedSink) Chunk(c *Chunk) (err error) {
 	e.TrueRatios, e.Indices, e.Exact = c.Delta, c.Indices, c.Exact
-	return e.Incompressible.LoadBytes(c.Flags, e.N)
+	e.Incompressible, err = bitpack.BitmapFromBytes(c.Flags, e.N)
+	return err
 }

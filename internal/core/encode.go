@@ -84,7 +84,8 @@ func EncodeWithTable(prev, cur []float64, table []float64, opt Options) (*Encode
 // the table unless one is given. opt must be validated.
 func encodeSlices(prev, cur []float64, opt Options, table []float64) (*Encoded, error) {
 	n := len(cur)
-	e := &Encoded{Opt: opt, N: n, Incompressible: bitpack.NewBitmap(n)}
+	// The one chunk's flags replace the empty bitmap; n = 0 has no chunk.
+	e := &Encoded{Opt: opt, N: n, Incompressible: bitpack.NewBitmap(0)}
 	plan := Plan{ChunkPoints: max(n, 1), Workers: opt.Workers, CacheRatios: true}
 	if plan.Workers == 0 {
 		plan.Workers = runtime.GOMAXPROCS(0)
