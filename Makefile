@@ -34,19 +34,20 @@ test:
 # on a 2-vCPU host (Go 1.24), internal/server the longest package at
 # about 3 min; its limit is 5 min, so that it stays in `make verify`.
 test-cpu:
-	$(GO) test -count=5 -cpu 1,2,4 ./internal/core ./internal/chunk ./internal/checkpoint ./internal/server ./cmd/numarckd ./bench .
+	$(GO) test -count=5 -cpu 1,2,4 ./internal/core ./internal/kmeans ./internal/chunk ./internal/checkpoint ./internal/server ./cmd/numarckd ./bench .
 
 race:
 	$(GO) test -race ./...
 
 # Focused race run over the goroutine-heavy driver, pipeline and store
-# packages with a higher -count: the encode driver's chunk ring and
-# range split (internal/core) and the crash-injection store are where
+# packages with a higher -count: the encode driver's chunk ring, range
+# split and table-fit ring (internal/core), the parallel Lloyd loop
+# (internal/kmeans) and the crash-injection store are where
 # interleavings actually vary between runs — at more than one
 # GOMAXPROCS, since the ring's worker/emitter handshake only runs truly
 # concurrently from 2 up.
 race-pipeline:
-	$(GO) test -race -count=3 -cpu 1,2,4 ./internal/core ./internal/chunk ./internal/checkpoint
+	$(GO) test -race -count=3 -cpu 1,2,4 ./internal/core ./internal/kmeans ./internal/chunk ./internal/checkpoint
 
 # The seeded crash-consistency matrix: fault-injection unit tests plus
 # the kill-at-every-mutating-op store matrices — checkpoint write,
@@ -63,12 +64,14 @@ crash-test:
 # One short burst per fuzz target; -run=NONE skips the unit tests so
 # the smoke stays fast. Targets: bit-level pack/unpack round-trips, the
 # word-at-a-time kernels and the flag bit-range copy against the
-# per-field and per-bit reference loops, the checkpoint parsers on
-# corrupt input, and the degraded-mode decode.
+# per-field and per-bit reference loops, the nearest-centroid index's
+# resolved grid against the candidate grid it caches, the checkpoint
+# parsers on corrupt input, and the degraded-mode decode.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRoundTrip$$ -fuzztime=$(FUZZTIME) ./internal/bitpack
 	$(GO) test -run=NONE -fuzz=FuzzUnpackMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/bitpack
 	$(GO) test -run=NONE -fuzz=FuzzCopyBitsMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/bitpack
+	$(GO) test -run=NONE -fuzz=FuzzIndexNearestMatchesGrid$$ -fuzztime=$(FUZZTIME) ./internal/kmeans
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalDelta$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalDeltaV2$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalFull$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
@@ -112,9 +115,12 @@ bench:
 # fpc compress and decompress at both restart shapes, a cold read-only
 # open of a 2 000-entry chain, and a depth-32 restart with its phases —
 # at GOMAXPROCS 1 and 2, so the apply phase's fan-out shows as a win at
-# 2 and no loss at 1. Allocations are reported next to each.
-KERNEL_BENCH = Pack|Unpack|FirstAbove|Reconstruct|Compress|Decompress|OpenReadOnly|RestartDepth32|RestartPhases
-KERNEL_PKGS = ./internal/bitpack ./internal/core ./internal/lossless/fpc ./internal/checkpoint
+# 2 and no loss at 1. Two encode kernels ride along: the
+# nearest-centroid lookup against a learned table, with and without its
+# resolved grid, and the clustering fit on a codec_large-sized table
+# input. Allocations are reported next to each.
+KERNEL_BENCH = Pack|Unpack|FirstAbove|Reconstruct|Compress|Decompress|OpenReadOnly|RestartDepth32|RestartPhases|IndexNearest|FitClustering
+KERNEL_PKGS = ./internal/bitpack ./internal/core ./internal/kmeans ./internal/lossless/fpc ./internal/checkpoint
 bench-kernel:
 	$(GO) test -run=NONE -bench='$(KERNEL_BENCH)' -benchmem -cpu 1,2 $(KERNEL_PKGS)
 

@@ -69,7 +69,9 @@ type Config struct {
 	// does not fit, Encode fails with ErrBudget. 0 means no cap. The
 	// table-learning input — the ratios outside the zero bin, 8 bytes
 	// each — is gathered whole, as the in-memory encode does, and is not
-	// part of the budget.
+	// part of the budget; nor is the fit's scratch, which is O(Workers):
+	// the clustering fit keeps one histogram sketch per worker and one
+	// it merges them into, whatever the input size.
 	BudgetBytes int64
 
 	// Obs, when non-nil, receives the pipeline's per-chunk stage

@@ -73,7 +73,7 @@ func fitEqualFrequency(data []float64, k int) *tableBinner {
 			dedup = append(dedup, r)
 		}
 	}
-	return newTableBinner(dedup)
+	return newTableBinner(dedup, len(data))
 }
 
 // equalWidthBinner partitions [lo, hi] into k equal bins; each ratio is
@@ -348,10 +348,9 @@ func (b *logScaleBinner) nearestRep(d float64) int {
 // clusterBinner approximates each ratio by its k-means centroid
 // (§II-C3). Centroids are seeded from the equal-width histogram as in
 // the paper (or uniformly, for the seeding ablation). Lookup runs
-// through the kmeans uniform-grid index over the sorted centroids — the
-// branch-light equivalent of a sorted-centroid midpoint table: each
-// grid cell already knows the 1-3 centroids whose midpoints cross it,
-// and single-candidate cells resolve without any comparison.
+// through the kmeans index over the sorted centroids, sized for the
+// table input it was learned from: most ratios land in a resolved cell
+// and cost one load; the rest scan the candidate grid.
 type clusterBinner struct {
 	cents []float64
 	ix    *kmeans.Index
@@ -384,7 +383,7 @@ func fitClustering(data []float64, k int, opt Options) (*clusterBinner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: clustering strategy: %w", err)
 	}
-	return &clusterBinner{cents: res.Centroids, ix: kmeans.NewIndex(res.Centroids)}, nil
+	return &clusterBinner{cents: res.Centroids, ix: kmeans.NewIndexFor(res.Centroids, len(data))}, nil
 }
 
 func (b *clusterBinner) Representatives() []float64 { return b.cents }
@@ -400,10 +399,12 @@ type tableBinner struct {
 	ix   *kmeans.Index
 }
 
-func newTableBinner(table []float64) *tableBinner {
+// newTableBinner sorts table into a binner that will serve about
+// `lookups` lookups.
+func newTableBinner(table []float64, lookups int) *tableBinner {
 	reps := append([]float64(nil), table...)
 	sort.Float64s(reps)
-	return &tableBinner{reps: reps, ix: kmeans.NewIndex(reps)}
+	return &tableBinner{reps: reps, ix: kmeans.NewIndexFor(reps, lookups)}
 }
 
 func (b *tableBinner) Representatives() []float64 { return b.reps }

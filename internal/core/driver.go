@@ -85,7 +85,8 @@ func ReadWindow(src Source, lo, np int, buf []float64) (win, scratch []float64, 
 //
 // label names the pipeline pass in profiles: each worker goroutine runs
 // under the pprof label numarck_pipeline=<label>, so CPU profiles of a
-// streaming run attribute samples to encode-pass1/encode-pass2/decode.
+// streaming run attribute samples to encode-pass1/encode-fit/
+// encode-pass2/decode.
 // rec (nil-safe) receives the time workers spend blocked waiting for
 // their slot as StageQueueWait — the backpressure signal of an emitter
 // slower than its producers.
@@ -252,6 +253,10 @@ func encodeChunks(prev, cur Source, opt Options, plan Plan, table []float64, sin
 		return 0, 0, fmt.Errorf("%w: %d vs %d", ErrLength, prev.Len(), cur.Len())
 	}
 	n, cp, rec := cur.Len(), plan.ChunkPoints, opt.Obs
+	if opt.Workers == 0 {
+		// Table learning runs on the run's workers.
+		opt.Workers = plan.Workers
+	}
 	count := (n + cp - 1) / cp
 	ring, split := plan.Workers, 1
 	if count < ring {
@@ -391,7 +396,7 @@ func fit(ti, table []float64, opt Options) (bins Binner, reps []float64, err err
 		return nil, nil, nil
 	}
 	if table != nil {
-		bins = newTableBinner(table)
+		bins = newTableBinner(table, len(ti))
 	} else if bins, err = fitBinner(ti, opt); err != nil {
 		return nil, nil, err
 	}

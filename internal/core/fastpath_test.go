@@ -116,7 +116,7 @@ func TestTableLookupMatchesBruteForce(t *testing.T) {
 		tables = append(tables, tb)
 	}
 	for ti, table := range tables {
-		b := newTableBinner(table)
+		b := newTableBinner(table, 1<<20)
 		reps := b.Representatives()
 		brute := func(d float64) int {
 			best, bestDist := 0, math.Abs(reps[0]-d)

@@ -89,8 +89,9 @@ type Options struct {
 	// EncodeWithTable run their ratio and assign stages on up to
 	// Workers goroutines (0 means GOMAXPROCS); the streaming encoder
 	// (internal/chunk) runs those on its Config.Workers. Table learning
-	// uses Workers on both paths, and runs its range scans serially at
-	// 0. No encoded byte depends on it.
+	// runs its range scans on Workers goroutines on both paths, and at
+	// 0 on the run's own: GOMAXPROCS for Encode, Config.Workers for the
+	// streaming encoder. No encoded byte depends on it.
 	Workers int
 
 	// KMeansMaxIter bounds Lloyd iterations for the Clustering

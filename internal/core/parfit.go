@@ -177,6 +177,14 @@ func sketchBins(k int) int {
 // gathered in the same pass and fed to kmeans.SeedFromCounts. The
 // result is deterministic for a given input sequence regardless of the
 // worker count.
+//
+// The ranges run on OrderedChunks, so each worker refills one slot
+// sketch per range and the emitter merges it into the global sketch in
+// range order; a slot is refilled only after its last range has been
+// merged. Merges and resets cost the cells a range touched, and the
+// scratch is one sketch per worker plus the global one, whatever the
+// input size. Seed counts are integers and merge in any order, so each
+// worker keeps one coarse histogram for all of its ranges.
 func fitClusteringSketch(data []float64, k int, opt Options) (*clusterBinner, error) {
 	lo, hi := parMinMax(data, opt.Workers)
 	if fputil.Eq(lo, hi) {
@@ -192,31 +200,42 @@ func fitClusteringSketch(data []float64, k int, opt Options) (*clusterBinner, er
 	coarse := kmeans.SeedHistogramBins(k)
 	seedW := (hi - lo) / float64(coarse)
 	ranges := (len(data) + statRangePoints - 1) / statRangePoints
-	sketches := make([]*kmeans.Sketch, ranges)
-	seedCounts := make([][]int, ranges)
-	forEachRange(len(data), statRangePoints, opt.Workers, func(r, a, b int) {
-		sk := kmeans.NewSketch(lo, hi, bins)
-		sk.Add(data[a:b])
-		counts := make([]int, coarse)
-		for _, x := range data[a:b] {
-			// Same cell formula as kmeans.SeedFromHistogram, so the
-			// merged counts reproduce its histogram bit-for-bit.
-			i := int((x - lo) / seedW)
-			if i >= coarse {
-				i = coarse - 1
+	workers := min(max(opt.Workers, 1), ranges)
+	type slot struct {
+		sk     *kmeans.Sketch
+		counts []int
+	}
+	slots := make([]slot, workers)
+	for w := range slots {
+		slots[w] = slot{kmeans.NewSketch(lo, hi, bins), make([]int, coarse)}
+	}
+	sk := kmeans.NewSketch(lo, hi, bins)
+	// The table stage's timer already spans the fit; a nil recorder keeps
+	// its slot waits out of the chunk ring's queue-wait figure.
+	err := OrderedChunks(ranges, workers, "encode-fit", nil,
+		func(r, w int) (*kmeans.Sketch, error) {
+			a, b := r*statRangePoints, min((r+1)*statRangePoints, len(data))
+			s := &slots[w]
+			s.sk.Reset()
+			s.sk.Add(data[a:b])
+			for _, x := range data[a:b] {
+				// Same cell formula as kmeans.SeedFromHistogram, so the
+				// merged counts reproduce its histogram bit-for-bit.
+				i := int((x - lo) / seedW)
+				if i >= coarse {
+					i = coarse - 1
+				}
+				s.counts[i]++
 			}
-			counts[i]++
-		}
-		sketches[r] = sk
-		seedCounts[r] = counts
-	})
-	sk := sketches[0]
-	counts := seedCounts[0]
-	for r := 1; r < ranges; r++ {
-		if err := sk.Merge(sketches[r]); err != nil {
-			return nil, err
-		}
-		for i, c := range seedCounts[r] {
+			return s.sk, nil
+		},
+		func(_ int, rs *kmeans.Sketch) error { return sk.Merge(rs) })
+	if err != nil {
+		return nil, err
+	}
+	counts := slots[0].counts
+	for _, s := range slots[1:] {
+		for i, c := range s.counts {
 			counts[i] += c
 		}
 	}
@@ -236,7 +255,7 @@ func fitClusteringSketch(data []float64, k int, opt Options) (*clusterBinner, er
 	if err != nil {
 		return nil, err
 	}
-	return &clusterBinner{cents: res.Centroids, ix: kmeans.NewIndex(res.Centroids)}, nil
+	return &clusterBinner{cents: res.Centroids, ix: kmeans.NewIndexFor(res.Centroids, len(data))}, nil
 }
 
 // uniformSeeds reproduces kmeans.SeedUniform from a precomputed data

@@ -185,38 +185,61 @@ func Nearest(cents []float64, x float64) int {
 // Index is a uniform-grid accelerator for nearest-centroid queries.
 // A data-dependent binary search costs hundreds of cycles in branch
 // misses when called millions of times per Lloyd iteration; the grid
-// maps a value to its cell in O(1) and scans the (typically 1-3)
-// candidate centroids overlapping that cell.
+// maps a value to its cell in O(1) and scans the candidate centroids of
+// that cell: from the last centroid below the cell to the first one
+// above it, so never fewer than two unless the cell is at an end of the
+// table. Where centroids are dense the scan is long.
+//
+// An index built by NewIndexFor also carries a resolved grid: a finer
+// uniform grid over the same range whose cell holds the one answer the
+// scan gives every value in that cell (plus one), or 0 where that was
+// not proved. A lookup in a resolved cell is one load and no distance
+// computation.
 type Index struct {
 	cents    []float64
 	lo, inv  float64
 	loCand   []int32
 	hiCand   []int32
 	lastCell int
+
+	// rinv scales x-lo to a resolved-grid cell; res holds the cells and
+	// rcells their count. Both are zero without a resolved grid.
+	rinv, rcells float64
+	res          []int32
 }
 
 // NewIndex builds an accelerator over sorted centroids (non-empty).
 func NewIndex(cents []float64) *Index {
+	ix := &Index{}
+	ix.reset(cents)
+	return ix
+}
+
+// reset rebuilds the candidate grid over cents in place, reusing its
+// arrays, and drops any resolved grid. The Lloyd loops rebuild one
+// index per iteration this way.
+func (ix *Index) reset(cents []float64) {
 	k := len(cents)
-	ix := &Index{cents: cents}
+	ix.cents = cents
+	ix.rinv, ix.rcells, ix.res = 0, 0, ix.res[:0]
 	lo, hi := cents[0], cents[k-1]
+	ix.lo = lo
 	if hi <= lo {
 		// All centroids equal: a single cell answers everything.
-		ix.lo = lo
 		ix.inv = 0
-		ix.loCand = []int32{0}
-		ix.hiCand = []int32{0}
-		return ix
+		ix.lastCell = 0
+		ix.loCand = append(ix.loCand[:0], 0)
+		ix.hiCand = append(ix.hiCand[:0], 0)
+		return
 	}
 	cells := 4 * k
 	if cells < 64 {
 		cells = 64
 	}
-	ix.lo = lo
 	ix.inv = float64(cells) / (hi - lo)
 	ix.lastCell = cells - 1
-	ix.loCand = make([]int32, cells)
-	ix.hiCand = make([]int32, cells)
+	ix.loCand = grow32(ix.loCand, cells)
+	ix.hiCand = grow32(ix.hiCand, cells)
 	w := (hi - lo) / float64(cells)
 	c := 0
 	for i := 0; i < cells; i++ {
@@ -244,12 +267,33 @@ func NewIndex(cents []float64) *Index {
 		// last <= k, and k is capped at 2^24 bins by core.Options
 		ix.hiCand[i] = int32(last)
 	}
-	return ix
+}
+
+// grow32 returns s resized to n, reallocating only when its capacity
+// is short.
+func grow32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 // Nearest returns the index of the centroid closest to x (ties to the
-// lower centroid), identical to the package-level Nearest.
+// lower centroid among the candidates of x's cell). Among duplicate
+// centroids the answer depends on the candidate grid, so it is not
+// always the package-level Nearest's index, though always one at the
+// same distance.
 func (ix *Index) Nearest(x float64) int {
+	if f := (x - ix.lo) * ix.rinv; f >= 0 && f < ix.rcells {
+		if r := ix.res[int(f)]; r > 0 {
+			return int(r) - 1
+		}
+	}
+	return ix.scan(x)
+}
+
+// cell returns x's candidate-grid cell.
+func (ix *Index) cell(x float64) int {
 	cell := 0
 	if !fputil.IsZero(ix.inv) {
 		// Compare before converting: for far-out-of-range x the scaled
@@ -262,11 +306,17 @@ func (ix *Index) Nearest(x float64) int {
 			cell = int(f)
 		}
 	}
+	return cell
+}
+
+// scan answers x from its candidate-grid cell: the lowest-index
+// centroid at the least distance among the cell's candidates. It
+// defines Nearest; the resolved grid only caches its answers.
+func (ix *Index) scan(x float64) int {
+	cell := ix.cell(x)
 	best := int(ix.loCand[cell])
 	hiC := int(ix.hiCand[cell])
 	if best == hiC {
-		// Single candidate: most cells of a well-spread table resolve
-		// here, skipping the distance computation entirely.
 		return best
 	}
 	bestDist := math.Abs(ix.cents[best] - x)
@@ -277,6 +327,163 @@ func (ix *Index) Nearest(x float64) int {
 		}
 	}
 	return best
+}
+
+// NewIndexFor builds an accelerator over sorted centroids (non-empty)
+// that will serve about `lookups` queries, with a resolved grid sized
+// so that building it costs a small share of those queries. Its
+// answers are Nearest's on the candidate grid alone, bit for bit.
+func NewIndexFor(cents []float64, lookups int) *Index {
+	ix := NewIndex(cents)
+	if cells := resolvedCells(len(cents), lookups); cells > 0 {
+		ix.resolve(cells)
+	}
+	return ix
+}
+
+// resolvedCells sizes the resolved grid for k centroids and the given
+// number of lookups: one cell per lookup, at most maxResolvedCells. It
+// is 0, no resolved grid, below minLookupsPerCentroid lookups per
+// centroid, too few to pay for the proofs.
+func resolvedCells(k, lookups int) int {
+	if k < 2 || lookups < minLookupsPerCentroid*k {
+		return 0
+	}
+	return min(lookups, maxResolvedCells)
+}
+
+const (
+	// minLookupsPerCentroid is how many lookups each centroid must
+	// serve for a resolved grid to pay: resolve makes a few proofs per
+	// centroid, each costing about as much as a few scans, and the
+	// cells between proofs cost about a nanosecond each. At 64 the grid
+	// is also always finer than the candidate grid's 4k cells.
+	minLookupsPerCentroid = 64
+	// maxResolvedCells bounds the resolved grid: 1<<16 int32 cells is
+	// 256 KiB, which stays in L2 beside the data being assigned.
+	maxResolvedCells = 1 << 16
+)
+
+// resolve builds a resolved grid of `cells` cells over the centroid
+// range in one sweep over the runs of equal centroids. A run owns the
+// cells between the midpoints to its neighbours; cover proves its
+// answer over them in three blocks — below the run's value, the cell
+// holding it, and above it — so a run costs a few proofs however many
+// cells it owns, and the sweep is O(cells + k). A cell no proof covers
+// stays 0 and falls back to scan.
+func (ix *Index) resolve(cells int) {
+	cents := ix.cents
+	k := len(cents)
+	lo, hi := cents[0], cents[k-1]
+	rinv := float64(cells) / (hi - lo)
+	if !(rinv > 0) || math.IsInf(rinv, 0) || fputil.IsZero(ix.inv) {
+		return
+	}
+	w := (hi - lo) / float64(cells)
+	res := grow32(ix.res, cells)
+	clear(res)
+
+	// at returns the cell of x, clamped to [0, cells-1]; it only picks
+	// where proofs start and stop.
+	at := func(x float64) int {
+		f := (x - lo) * rinv
+		if f >= float64(cells-1) {
+			return cells - 1
+		}
+		if f > 0 {
+			return int(f)
+		}
+		return 0
+	}
+	// bounds returns (a, b), cells [i0, i1] widened by 1/64 of a cell on
+	// each side, and whether the lookup's own arithmetic confirms that
+	// every x it maps into those cells lies strictly inside: it is
+	// monotone in x, so checking a and b suffices.
+	bounds := func(i0, i1 int) (a, b float64, ok bool) {
+		f0, f1 := float64(i0), float64(i1+1)
+		a, b = lo+(f0-1.0/64)*w, lo+(f1+1.0/64)*w
+		return a, b, (a-lo)*rinv < f0 && (b-lo)*rinv >= f1
+	}
+	// proves reports whether scan answers r for every x in [a, b], given
+	// that cents[p] is the last centroid below r's value and cents[q]
+	// the first above it (p = -1, q = k when there is none).
+	//   - r is a candidate of every candidate-grid cell [a, b] meets,
+	//     and no duplicate of r below it is, so no equal-distance
+	//     candidate has a lower index.
+	//   - A centroid below r's value must be farther than r from every
+	//     x, as scan breaks ties to the lower index. Either r's largest
+	//     distance over [a, b] (at a or b: a distance is monotone on each
+	//     side of its centroid) is below cents[p]'s distance from a, the
+	//     nearest any of them gets; or [a, b] lies at or above r's value,
+	//     where x-cents[p] exceeds x-cents[r] by more than the rounding
+	//     of either can close: more than an ulp of b-cents[p].
+	//   - A centroid above r's value must be no nearer. Either r's
+	//     largest distance is at most cents[q]'s from b; or [a, b] lies at
+	//     or below r's value, where cents[q]-x >= cents[r]-x and
+	//     rounding keeps the order.
+	proves := func(r, p, q int, a, b float64) bool {
+		ra, rb := ix.cell(a), ix.cell(b)
+		if r >= q || r > int(ix.hiCand[ra]) || int(ix.loCand[rb]) > r || (r != p+1 && int(ix.loCand[ra]) != r) {
+			return false
+		}
+		c := cents[r]
+		d := math.Abs(c - a)
+		if db := math.Abs(c - b); db > d {
+			d = db
+		}
+		below := p < 0 || cents[p] < a && d < math.Abs(cents[p]-a)
+		if !below && a >= c {
+			v := b - cents[p]
+			below = c-cents[p] > 2*(math.Nextafter(v, math.Inf(1))-v)
+		}
+		above := q == k || b <= c || cents[q] > b && d <= math.Abs(cents[q]-b)
+		return below && above
+	}
+	// cover stores run [p+1, q)'s answer in every cell of [i, last] a
+	// proof reaches: the whole span at once, and when that fails, blocks
+	// that halve after a failure, double after a success, and skip a
+	// cell that fails alone.
+	cover := func(i, last, p, q int) {
+		for s := last - i + 1; i <= last; {
+			e := min(i+s-1, last)
+			a, b, ok := bounds(i, e)
+			// The lowest index of the run that the candidates reach:
+			// scan's answer among equals.
+			r := max(p+1, int(ix.loCand[ix.cell(a)]))
+			switch {
+			case ok && proves(r, p, q, a, b):
+				for ; i <= e; i++ {
+					// r < k <= 2^24, the bin cap core.Options enforces
+					res[i] = int32(r + 1)
+				}
+				s *= 2
+			case s > 1:
+				s /= 2
+			default:
+				i++
+			}
+		}
+	}
+
+	for p, q := -1, 0; q < k; p = q - 1 {
+		// The run is cents[p+1 : q].
+		for q = p + 2; q < k && fputil.Eq(cents[q], cents[p+1]); q++ {
+		}
+		first, mid, last := -1, at(cents[p+1]), cells
+		if p >= 0 {
+			first = at(cents[p] + (cents[p+1]-cents[p])/2)
+		}
+		if q < k {
+			last = at(cents[q-1] + (cents[q]-cents[q-1])/2)
+		}
+		// The cells holding the midpoints hold values on both sides of
+		// them, so no proof can cover those two; the first run reaches
+		// down to cell 0 and the last up to cell cells-1.
+		cover(first+1, mid-1, p, q)
+		cover(mid, mid, p, q)
+		cover(mid+1, last-1, p, q)
+	}
+	ix.rinv, ix.rcells, ix.res = rinv, float64(cells), res
 }
 
 // SeedFromHistogram returns k initial centroids derived from an

@@ -362,14 +362,77 @@ func TestIndexMatchesNearest(t *testing.T) {
 	}
 }
 
-func BenchmarkIndexNearest(b *testing.B) {
-	cents := make([]float64, 255)
-	for i := range cents {
-		cents[i] = float64(i) * 0.01
+// smoothRatios returns n change ratios outside a 0.001 zero bin, drawn
+// like a smooth simulation step: 99.5 % from N(0, 0.4 %) and 0.5 % from
+// N(0, 30 %), clipped to ±0.9 — the table input of the codec_large
+// benchmark workload.
+func smoothRatios(n int) []float64 {
+	rng := rand.New(rand.NewSource(1))
+	out := make([]float64, 0, n)
+	for len(out) < n {
+		d := 0.004 * rng.NormFloat64()
+		if rng.Intn(1000) < 5 {
+			d = 0.30 * rng.NormFloat64()
+		}
+		d = math.Max(-0.9, math.Min(0.9, d))
+		if math.Abs(d) >= 0.001 {
+			out = append(out, d)
+		}
 	}
-	ix := NewIndex(cents)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Nearest(float64(i%300) * 0.009)
-	}
+	return out
 }
+
+// learnedTable fits 255 centroids to data the way the clustering
+// strategy's sketch path does: an 8160-cell sketch, histogram seeds, 12
+// weighted Lloyd iterations. The table is dense near 0 with wide tails.
+func learnedTable(data []float64) []float64 {
+	lo, hi := data[0], data[0]
+	for _, x := range data {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	const k = 255
+	sk := NewSketch(lo, hi, 32*k)
+	sk.Add(data)
+	counts := make([]int, SeedHistogramBins(k))
+	w := (hi - lo) / float64(len(counts))
+	for _, x := range data {
+		counts[min(int((x-lo)/w), len(counts)-1)]++
+	}
+	points, weights := sk.Points()
+	res, err := RunWeighted(points, weights, Config{K: k, MaxIter: 12, Seeds: SeedFromCounts(lo, hi, counts, k)})
+	if err != nil {
+		panic(err)
+	}
+	return res.Centroids
+}
+
+// BenchmarkIndexNearest looks up the codec_large table input in the
+// table learned from it: through the candidate grid alone ("grid"),
+// through the index the clustering binner builds for that many lookups
+// ("resolved"), and the cost of building the latter ("build").
+func BenchmarkIndexNearest(b *testing.B) {
+	data := smoothRatios(420000)
+	cents := learnedTable(data)
+	lookup := func(ix *Index) func(b *testing.B) {
+		return func(b *testing.B) {
+			s := 0
+			for i := 0; i < b.N; {
+				for _, x := range data[:min(len(data), b.N-i)] {
+					s += ix.Nearest(x)
+				}
+				i += len(data)
+			}
+			sink = s
+		}
+	}
+	b.Run("grid", lookup(NewIndex(cents)))
+	b.Run("resolved", lookup(NewIndexFor(cents, len(data))))
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewIndexFor(cents, len(data))
+		}
+	})
+}
+
+var sink int

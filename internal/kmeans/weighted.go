@@ -25,21 +25,31 @@ import (
 // for RunWeighted. Build one sketch per data partition concurrently,
 // merge them in a fixed order, and the result depends only on the data
 // and the partition boundaries — not on how many goroutines built it.
+//
+// A sketch lists the cells it has touched, so Merge and Reset cost
+// O(touched cells), not O(cells): a worker can refill one sketch per
+// partition and merge each into a global one at the price of the
+// partition's data. Skipping the untouched cells is exact, because an
+// untouched cell's Sum is +0 and no cell's Sum is ever −0 (it starts
+// at +0, and +0 + −0 is +0), so adding it changes nothing.
 type Sketch struct {
 	// Lo and Hi are the inclusive value range the grid covers; values
 	// outside are clamped into the boundary cells.
 	Lo, Hi float64
-	// Count[i] and Sum[i] are cell i's population and value sum.
+	// Count[i] and Sum[i] are cell i's population and value sum. Read
+	// them; only Add, Merge and Reset may change them.
 	Count []int64
 	Sum   []float64
 
-	inv float64 // len(Count) / (Hi - Lo), 0 when the range is empty
+	inv     float64 // len(Count) / (Hi - Lo), 0 when the range is empty
+	touched []int32 // the cells with Count > 0, in first-touch order
 }
 
 // NewSketch returns an empty sketch of `bins` cells over [lo, hi].
 // bins must be >= 1 and lo <= hi.
 func NewSketch(lo, hi float64, bins int) *Sketch {
-	s := &Sketch{Lo: lo, Hi: hi, Count: make([]int64, bins), Sum: make([]float64, bins)}
+	s := &Sketch{Lo: lo, Hi: hi, Count: make([]int64, bins), Sum: make([]float64, bins),
+		touched: make([]int32, 0, bins)}
 	if hi > lo {
 		s.inv = float64(bins) / (hi - lo)
 	}
@@ -62,6 +72,10 @@ func (s *Sketch) Add(xs []float64) {
 				i = int(f)
 			}
 		}
+		if s.Count[i] == 0 {
+			// i < bins, and sketches stay far below 2^31 cells
+			s.touched = append(s.touched, int32(i))
+		}
 		s.Count[i]++
 		s.Sum[i] += x
 	}
@@ -73,11 +87,22 @@ func (s *Sketch) Merge(o *Sketch) error {
 	if len(o.Count) != len(s.Count) || !fputil.Eq(o.Lo, s.Lo) || !fputil.Eq(o.Hi, s.Hi) {
 		return fmt.Errorf("kmeans: merging sketches over different grids")
 	}
-	for i := range s.Count {
+	for _, i := range o.touched {
+		if s.Count[i] == 0 {
+			s.touched = append(s.touched, i)
+		}
 		s.Count[i] += o.Count[i]
 		s.Sum[i] += o.Sum[i]
 	}
 	return nil
+}
+
+// Reset empties the sketch, keeping its grid and its arrays.
+func (s *Sketch) Reset() {
+	for _, i := range s.touched {
+		s.Count[i], s.Sum[i] = 0, 0
+	}
+	s.touched = s.touched[:0]
 }
 
 // Points returns the occupied cells as weighted micro-centroids: the
@@ -164,9 +189,10 @@ func RunWeighted(points, weights []float64, cfg Config) (*Result, error) {
 	sum := make([]float64, cfg.K)
 	wsum := make([]float64, cfg.K)
 	count := make([]int, cfg.K)
+	ix := &Index{}
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		res.Iterations = iter + 1
-		ix := NewIndex(res.Centroids)
+		ix.reset(res.Centroids)
 		for c := 0; c < cfg.K; c++ {
 			sum[c], wsum[c], count[c] = 0, 0, 0
 		}

@@ -163,6 +163,65 @@ func TestSketchMergeAssociative(t *testing.T) {
 	}
 }
 
+// A sketch refilled after Reset must hold exactly what a fresh one
+// holds, and merging refilled sketches, which walks only the cells each
+// touched, must give the bits of a merge over every cell — −0 values
+// included, whose cells sum to +0.
+func TestSketchResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	parts := make([][]float64, 5)
+	for p := range parts {
+		parts[p] = make([]float64, 50+rng.Intn(500))
+		for i := range parts[p] {
+			parts[p][i] = rng.NormFloat64()
+			if rng.Intn(9) == 0 {
+				parts[p][i] = math.Copysign(0, -1)
+			}
+		}
+	}
+	lo, hi := -5.0, 5.0
+	slot := NewSketch(lo, hi, 512)
+	merged := NewSketch(lo, hi, 512)
+	var fullCount []int64
+	var fullSum []float64
+	for p, xs := range parts {
+		slot.Reset()
+		slot.Add(xs)
+		fresh := NewSketch(lo, hi, 512)
+		fresh.Add(xs)
+		if !reflect.DeepEqual(slot.Count, fresh.Count) || !sameBits(slot.Sum, fresh.Sum) {
+			t.Fatalf("part %d: refilled sketch differs from a fresh one", p)
+		}
+		if err := merged.Merge(slot); err != nil {
+			t.Fatal(err)
+		}
+		if p == 0 {
+			fullCount, fullSum = append([]int64(nil), fresh.Count...), append([]float64(nil), fresh.Sum...)
+			continue
+		}
+		for i := range fullCount {
+			fullCount[i] += fresh.Count[i]
+			fullSum[i] += fresh.Sum[i]
+		}
+	}
+	if !reflect.DeepEqual(merged.Count, fullCount) || !sameBits(merged.Sum, fullSum) {
+		t.Error("merging touched cells differs from merging every cell")
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestSketchPoints(t *testing.T) {
 	s := NewSketch(0, 10, 10)
 	s.Add([]float64{0.2, 0.4, 5.5, 9.9, 11, -3}) // 11 and -3 clamp into edge cells
