@@ -45,9 +45,14 @@ race:
 # (internal/kmeans) and the crash-injection store are where
 # interleavings actually vary between runs — at more than one
 # GOMAXPROCS, since the ring's worker/emitter handshake only runs truly
-# concurrently from 2 up.
+# concurrently from 2 up. The daemon rides along with the tests of what
+# it shares between requests — series heads, the writer lease, the
+# governor's holds — and the chaos matrix: about 45 s more on a 2-vCPU
+# host (Go 1.24); the whole target takes about 7 min there.
+RACE_SERVER = TestHeadIsRestart|TestNoLockAtRest|TestStorectlDuringLease|TestLeaseChecksLock|TestHeadsYieldToRequests|TestGovernorHolds|TestChaosMatrix
 race-pipeline:
 	$(GO) test -race -count=3 -cpu 1,2,4 ./internal/core ./internal/kmeans ./internal/chunk ./internal/checkpoint
+	$(GO) test -race -count=3 -cpu 1,2,4 -run '$(RACE_SERVER)' ./internal/server
 
 # The seeded crash-consistency matrix: fault-injection unit tests plus
 # the kill-at-every-mutating-op store matrices — checkpoint write,

@@ -20,7 +20,10 @@
 // and chunk size to fit); -capacity caps the sum across concurrent
 // requests — when it is exhausted, requests queue up to -admit-wait
 // and are then refused with 429 + Retry-After rather than OOMing the
-// daemon. A request cannot override any of these.
+// daemon. The series heads the daemon keeps between pushes (8 bytes
+// per point per series) count against -capacity too, and give way to
+// any request that needs their room; without -capacity every series
+// keeps its head. A request cannot override any of these.
 //
 // A self-healing janitor sweeps every -janitor-interval: spool scratch
 // files and resumable upload sessions idle past their TTLs are reaped,
@@ -70,7 +73,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8377", "listen address")
 	root := fs.String("root", "", "tenant store root directory (required)")
-	capacity := fs.Int64("capacity", 0, "memory governor: total admitted bytes across concurrent requests (0 = ungoverned)")
+	capacity := fs.Int64("capacity", 0, "memory governor: total admitted bytes across concurrent requests and kept series heads (0 = ungoverned)")
 	budget := fs.Int64("budget", 0, "per-pipeline memory budget in bytes (0 = no cap)")
 	chunkPoints := fs.Int("chunk", 0, "points per chunk for delta encodes (0 = default)")
 	workers := fs.Int("workers", 0, "concurrent chunks per pipeline (0 = GOMAXPROCS)")

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -84,32 +87,98 @@ func testVals(iter, n int) []float64 {
 	return vals
 }
 
-// TestDaemonGracefulDrain drives the full lifecycle: serve a commit,
-// signal shutdown while another commit is in flight, and require that
-// after run returns the store reopens cleanly with a complete chain —
-// every accepted write fully committed, nothing torn.
+// openFDs counts the process's open file descriptors, or reports
+// false where /proc/self/fd does not exist.
+func openFDs(t *testing.T) (int, bool) {
+	t.Helper()
+	des, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return 0, false
+	}
+	return len(des), true
+}
+
+// TestDaemonGracefulDrain drives the full lifecycle: serve a
+// two-client burst on one tenant (the writes that keep its store open
+// for each other) and a commit, signal shutdown while another commit
+// is in flight, and require that after run returns no tenant LOCK
+// remains, the process's open file descriptors are back to their
+// pre-serve count, and the store reopens cleanly with a complete chain
+// — every accepted write fully committed, nothing torn.
 func TestDaemonGracefulDrain(t *testing.T) {
+	// The runtime's network poller opens its descriptors on first use
+	// and keeps them: take that first use before the baseline.
+	warm, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	baseline, haveFDs := openFDs(t)
+
 	root := t.TempDir()
 	addr, sigterm, wait := startDaemon(t, root)
-	c := &server.Client{Base: "http://" + addr, Tenant: "sim0"}
+	tr := &http.Transport{}
+	c := &server.Client{Base: "http://" + addr, Tenant: "sim0", HTTP: &http.Client{Transport: tr}}
 
 	const n = 65536
+	var wg sync.WaitGroup
+	burstErrs := make([]error, 2)
+	for k := range burstErrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			series := []string{"u", "v"}[k]
+			for iter := 0; iter < 6 && burstErrs[k] == nil; iter++ {
+				_, burstErrs[k] = c.Push(series, iter, bytes.NewReader(floatBytes(testVals(iter+k, n/8))), nil)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range burstErrs {
+		if err != nil {
+			t.Fatalf("burst: %v", err)
+		}
+	}
 	if _, err := c.Push("dens", 0, bytes.NewReader(floatBytes(testVals(0, n))), nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// Start a delta commit whose body trickles in, then signal while it
 	// is in flight: drain must let it finish (or refuse it whole), never
-	// half-commit.
+	// half-commit. It is a raw POST: Client.Push would spool the pipe to
+	// compute its payload CRC and send only after the signal.
 	pr, pw := io.Pipe()
 	pushErr := make(chan error, 1)
 	go func() {
-		_, err := c.Push("dens", 1, pr, nil)
+		resp, err := (&http.Client{Transport: tr}).Post("http://"+addr+"/v1/sim0/dens/checkpoints?iter=1", "application/octet-stream", pr)
+		if err == nil {
+			if resp.StatusCode != http.StatusCreated {
+				err = fmt.Errorf("status %d", resp.StatusCode)
+			}
+			//lint:ignore errcheck the status is the outcome; the body is only drained
+			io.Copy(io.Discard, resp.Body)
+			if cerr := resp.Body.Close(); err == nil {
+				err = cerr
+			}
+		}
 		pushErr <- err
 	}()
 	body := floatBytes(testVals(1, n))
 	if _, err := pw.Write(body[:len(body)/2]); err != nil {
 		t.Fatal(err)
+	}
+	// The handler is in flight once it has created its spool file; the
+	// burst's spools are gone, since every one of its requests returned.
+	spooled := filepath.Join(root, ".spool", "body-*")
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if m, _ := filepath.Glob(spooled); len(m) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the trickling push never reached the handler")
+		}
 	}
 	sigterm()
 	time.Sleep(50 * time.Millisecond) // let drain flip while the body is still open
@@ -125,6 +194,25 @@ func TestDaemonGracefulDrain(t *testing.T) {
 
 	if err := wait(); err != nil {
 		t.Fatalf("run returned %v", err)
+	}
+
+	// Drain left no writer lock behind, in any tenant.
+	if locks, err := filepath.Glob(filepath.Join(root, "*", "LOCK")); err != nil || len(locks) != 0 {
+		t.Fatalf("LOCK files after drain: %v (%v)", locks, err)
+	}
+	// Nor any descriptor: the stores, spools and connections the
+	// daemon opened are closed once the client lets go of its side.
+	tr.CloseIdleConnections()
+	if haveFDs {
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			fds, _ := openFDs(t)
+			if fds <= baseline {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d file descriptors open after drain, %d before serving", fds, baseline)
+			}
+		}
 	}
 
 	// New work is refused once the daemon is gone.

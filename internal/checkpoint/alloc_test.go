@@ -117,7 +117,7 @@ func TestReplayDeltaAllocs(t *testing.T) {
 			dec := &ChunkDecoder{}
 			state := append([]float64(nil), series[0]...)
 			replay := func() {
-				if _, err := replayDelta(raw, "v", 1, state, dec, RecoverOptions{}); err != nil {
+				if _, err := ReplayDelta(raw, "v", 1, state, dec, RecoverOptions{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -127,7 +127,7 @@ func TestReplayDeltaAllocs(t *testing.T) {
 	}
 	for i, got := range counts {
 		if got > limit || got != counts[i%2] {
-			t.Fatalf("replayDelta allocations per file (v1, v2 at 1Ki then 16Ki points) = %v, want <= %d and independent of N", counts, limit)
+			t.Fatalf("ReplayDelta allocations per file (v1, v2 at 1Ki then 16Ki points) = %v, want <= %d and independent of N", counts, limit)
 		}
 	}
 }

@@ -521,14 +521,17 @@ func replayWindow(state []float64, files []*replayFile, decs []*ChunkDecoder, ro
 	return partial, nil
 }
 
-// replayDelta applies one delta file, of either format, to state in
+// ReplayDelta applies one delta file, of either format, to state in
 // place on the caller's goroutine through dec's scratch: a restart
 // window of one. A chunk is fully validated before its first point is
 // written, so in salvage mode a quarantined chunk's range simply keeps
 // the previous iteration's values and comes back in the returned
 // report; fail-closed mode, and any failure that is not chunk-local,
-// returns the error with state untouched.
-func replayDelta(raw []byte, variable string, iteration int, state []float64, dec *ChunkDecoder, ropt RecoverOptions) (*PartialDataError, error) {
+// returns the error with state untouched. It is restart's own one-file
+// step, exported so that a writer holding iteration i−1's state (the
+// daemon's series head) can move it to i without a second
+// reconstruction path.
+func ReplayDelta(raw []byte, variable string, iteration int, state []float64, dec *ChunkDecoder, ropt RecoverOptions) (*PartialDataError, error) {
 	f := &replayFile{}
 	f.prepare(raw, variable, iteration, len(state))
 	return replayWindow(state, []*replayFile{f}, []*ChunkDecoder{dec}, ropt)

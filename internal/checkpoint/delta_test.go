@@ -444,7 +444,7 @@ func TestCraftedHeaderCounts(t *testing.T) {
 // TestDeltaFormatEquivalence is the contract of the one reader: the
 // same encoding written as NMRKD1 and as NMRKD2 (any chunking) opens to
 // the same metadata, assembles to the same Encoded, and decodes — out
-// of place, in place through replayDelta, fail-closed and salvage — to
+// of place, in place through ReplayDelta, fail-closed and salvage — to
 // the bits core's own Decode produces.
 func TestDeltaFormatEquivalence(t *testing.T) {
 	const n = 200
@@ -513,12 +513,12 @@ func TestDeltaFormatEquivalence(t *testing.T) {
 				}
 				for _, salvage := range []bool{false, true} {
 					state := append([]float64(nil), prev...)
-					lost, err := replayDelta(raw, "dens", 4, state, &ChunkDecoder{}, RecoverOptions{Salvage: salvage})
+					lost, err := ReplayDelta(raw, "dens", 4, state, &ChunkDecoder{}, RecoverOptions{Salvage: salvage})
 					if err != nil || lost != nil || !bitsEqual(state, want) {
 						t.Fatalf("%v B=%d chunk=%d salvage=%v: in-place replay differs (lost=%v err=%v)", strategy, bits, cp, salvage, lost, err)
 					}
 				}
-				if _, err := replayDelta(raw, "dens", 5, append([]float64(nil), prev...), &ChunkDecoder{}, RecoverOptions{}); !errors.Is(err, ErrCorrupt) {
+				if _, err := ReplayDelta(raw, "dens", 5, append([]float64(nil), prev...), &ChunkDecoder{}, RecoverOptions{}); !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("%v B=%d chunk=%d: replay under the wrong identity = %v", strategy, bits, cp, err)
 				}
 			}

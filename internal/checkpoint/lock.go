@@ -343,20 +343,27 @@ func writeLockFile(f faultfs.File, payload []byte) error {
 // raced) takeover the file may carry someone else's nonce, and removing
 // their claim would let two writers in.
 func (l *storeLock) release() error {
-	if l == nil {
-		return nil
-	}
-	raw, err := faultfs.ReadFile(l.fs, l.path)
-	if err != nil {
-		return nil // already gone: nothing to release
-	}
-	if li, err := parseLock(raw); err != nil || li.Nonce != l.nonce {
-		return nil // not ours anymore
+	if !l.held() {
+		return nil // already gone, or not ours anymore
 	}
 	if err := l.fs.Remove(l.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return pathErr("unlock", l.path, err)
 	}
 	return nil
+}
+
+// held reports whether LOCK still carries this acquisition's nonce: one
+// read of the 32-byte record.
+func (l *storeLock) held() bool {
+	if l == nil {
+		return false
+	}
+	raw, err := faultfs.ReadFile(l.fs, l.path)
+	if err != nil {
+		return false
+	}
+	li, err := parseLock(raw)
+	return err == nil && li.Nonce == l.nonce
 }
 
 // lockNonce draws a random acquisition nonce, so two acquisitions are

@@ -225,7 +225,7 @@ func TestDecodeKernelMatchesReference(t *testing.T) {
 						t.Fatalf("%s: Decode differs from the reference (%v)", name, err)
 					}
 					state := append([]float64(nil), prev...)
-					if lost, err := replayDelta(raw, "v", 1, state, &ChunkDecoder{}, RecoverOptions{}); err != nil || lost != nil || !bitsEqual(state, want) {
+					if lost, err := ReplayDelta(raw, "v", 1, state, &ChunkDecoder{}, RecoverOptions{}); err != nil || lost != nil || !bitsEqual(state, want) {
 						t.Fatalf("%s: in-place replay differs from the reference (%v)", name, err)
 					}
 					// Sub-ranges with every alignment of both ends, each
@@ -423,7 +423,7 @@ func TestCraftedSectionsFailBeforeWrite(t *testing.T) {
 		reseal(raw, d0, c.chunk)
 		for _, salvage := range []bool{false, true} {
 			state := append([]float64(nil), series[0]...)
-			lost, err := replayDelta(raw, "v", 1, state, &ChunkDecoder{}, RecoverOptions{Salvage: salvage})
+			lost, err := ReplayDelta(raw, "v", 1, state, &ChunkDecoder{}, RecoverOptions{Salvage: salvage})
 			if !salvage {
 				var ce *ChunkError
 				if !errors.As(err, &ce) || ce.Chunk != c.chunk || !errors.Is(err, ErrCorrupt) {
@@ -485,7 +485,7 @@ func TestCraftedSectionsFailBeforeWrite(t *testing.T) {
 		}
 		raw := []byte(buf.String())
 		state := append([]float64(nil), series[0]...)
-		if _, err := replayDelta(raw, "v", 1, state, &ChunkDecoder{}, RecoverOptions{}); !errors.Is(err, ErrCorrupt) {
+		if _, err := ReplayDelta(raw, "v", 1, state, &ChunkDecoder{}, RecoverOptions{}); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: replay = %v, want ErrCorrupt", c.name, err)
 		}
 		if !bitsEqual(state, series[0]) {

@@ -269,6 +269,14 @@ func (st *Store) Close() error {
 	return lock.release()
 }
 
+// HoldsLock reports whether the store's LOCK still carries this
+// handle's acquisition nonce, with one read of the lock record. A
+// writer that keeps a handle open between commits checks it before the
+// next one: a LOCK that is gone or another writer's means the handle's
+// in-memory chain can no longer be trusted. A closed handle holds
+// nothing.
+func (st *Store) HoldsLock() bool { return !st.closed && st.lock.held() }
+
 // Options returns the store's encoding options.
 func (st *Store) Options() core.Options { return st.opt }
 

@@ -61,6 +61,10 @@ const (
 	StageQueueWait
 	// StageDecode is chunk reconstruction from a parsed section.
 	StageDecode
+	// StageWriteWait is the time a daemon write spends waiting for its
+	// tenant's write section (the per-tenant mutex every commit of the
+	// tenant passes through), from arrival to entry.
+	StageWriteWait
 
 	numStages
 )
@@ -68,7 +72,7 @@ const (
 // stageNames must match the Stage constant order above.
 var stageNames = [numStages]string{
 	"ratio", "table", "assign", "bitpack", "crc",
-	"read", "write", "queue-wait", "decode",
+	"read", "write", "queue-wait", "decode", "write-wait",
 }
 
 // String returns the stage's snapshot name.
@@ -139,6 +143,19 @@ const (
 	// CounterSessionsReaped counts expired upload sessions removed by
 	// the janitor.
 	CounterSessionsReaped
+	// CounterHeadHits counts daemon delta pushes encoded against the
+	// series head: the state the tenant kept from the series' last
+	// commit, used because the chain segment it came from is still the
+	// one the read view lists.
+	CounterHeadHits
+	// CounterHeadMisses counts daemon delta pushes that replayed the
+	// previous iteration from the chain instead: no head was kept (first
+	// push, eviction, restart) or the chain moved under it.
+	CounterHeadMisses
+	// CounterLeaseReuses counts daemon commits that wrote through the
+	// store a previous write of the tenant left open (the writer lease)
+	// instead of opening and lock-claiming it again.
+	CounterLeaseReuses
 
 	numCounters
 )
@@ -154,6 +171,7 @@ var counterNames = [numCounters]string{
 	"index_rebuilds", "index_rereads", "lock_takeovers",
 	"commit_replays", "retries",
 	"spools_reaped", "sessions_reaped",
+	"head_hits", "head_misses", "lease_reuses",
 }
 
 // String returns the counter's snapshot name.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -26,12 +27,28 @@ var ErrOverCapacity = errors.New("server: memory governor over capacity")
 // of small requests cannot starve a large one — and a caller whose
 // context expires while queued is removed and told to retry. A nil
 // Governor, or one with capacity 0, admits everything immediately.
+//
+// Besides requests, the governor charges holds: memory the daemon
+// keeps only while no request needs the room (the tenants' series
+// heads). A hold is taken only if it fits without queueing, and a
+// request that would otherwise queue first evicts holds, least
+// recently used first.
 type Governor struct {
 	capacity int64
 
 	mu      sync.Mutex
 	used    int64
 	waiters []*govWaiter
+	// holds lists the charged holds, least recently used at the front.
+	holds list.List
+}
+
+// govHold is one evictable charge. elem is its place in holds, nil
+// once it was released or evicted.
+type govHold struct {
+	weight int64
+	evict  func()
+	elem   *list.Element
 }
 
 // govWaiter is one queued admission request. ready is closed by the
@@ -66,14 +83,26 @@ func (g *Governor) Acquire(ctx context.Context, weight int64) (release func(), e
 		return nil, fmt.Errorf("%w: request needs %d bytes, capacity is %d", ErrTooLarge, weight, g.capacity)
 	}
 	g.mu.Lock()
-	if len(g.waiters) == 0 && g.used+weight <= g.capacity {
+	// Holds give way before anyone queues: evict them, least recently
+	// used first, until the line ahead and this request fit.
+	var evicted []func()
+	for !g.fitsLocked(weight) && g.holds.Len() > 0 {
+		h := g.holds.Remove(g.holds.Front()).(*govHold)
+		h.elem = nil
+		g.used -= h.weight
+		evicted = append(evicted, h.evict)
+		g.grantLocked()
+	}
+	if g.fitsLocked(weight) {
 		g.used += weight
 		g.mu.Unlock()
+		runEvictions(evicted)
 		return g.releaseFunc(weight), nil
 	}
 	w := &govWaiter{weight: weight, ready: make(chan struct{})}
 	g.waiters = append(g.waiters, w)
 	g.mu.Unlock()
+	runEvictions(evicted)
 	select {
 	case <-w.ready:
 		return g.releaseFunc(weight), nil
@@ -91,6 +120,69 @@ func (g *Governor) Acquire(ctx context.Context, weight int64) (release func(), e
 		}
 		g.mu.Unlock()
 		return nil, fmt.Errorf("%w: waited %d bytes behind %d in use: %w", ErrOverCapacity, weight, g.capacity, ctx.Err())
+	}
+}
+
+// fitsLocked reports whether weight is admitted at once: nobody
+// queues and the room is free. Called with g.mu held.
+func (g *Governor) fitsLocked(weight int64) bool {
+	return len(g.waiters) == 0 && g.used+weight <= g.capacity
+}
+
+// runEvictions tells the owners of evicted holds, outside g.mu: an
+// owner's callback takes its own lock, which may be held by a caller
+// of hold or drop waiting on g.mu.
+func runEvictions(evicted []func()) {
+	for _, f := range evicted {
+		f()
+	}
+}
+
+// hold charges weight as an evictable hold if it fits without
+// queueing; ok is false, and nothing is charged, if it does not. evict
+// is called, outside the governor's lock, when a request takes the
+// room back. An ungoverned governor charges nothing and always says
+// yes, with a nil hold.
+func (g *Governor) hold(weight int64, evict func()) (h *govHold, ok bool) {
+	if g == nil || g.capacity <= 0 {
+		return nil, true
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.fitsLocked(weight) {
+		return nil, false
+	}
+	g.used += weight
+	h = &govHold{weight: weight, evict: evict}
+	h.elem = g.holds.PushBack(h)
+	return h, true
+}
+
+// touch marks a hold as just used. Nil-safe; a no-op once evicted.
+func (g *Governor) touch(h *govHold) {
+	if h == nil {
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if h.elem != nil {
+		g.holds.MoveToBack(h.elem)
+	}
+}
+
+// drop gives a hold's room back without calling its evict. Nil-safe; a
+// no-op once evicted.
+func (g *Governor) drop(h *govHold) {
+	if h == nil {
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if h.elem != nil {
+		g.holds.Remove(h.elem)
+		h.elem = nil
+		g.used -= h.weight
+		g.grantLocked()
 	}
 }
 
@@ -138,8 +230,12 @@ func (g *Governor) removeLocked(w *govWaiter) {
 type GovernorStats struct {
 	// CapacityBytes is the total admission capacity (0 = ungoverned).
 	CapacityBytes int64 `json:"capacity_bytes"`
-	// UsedBytes is the weight currently admitted.
+	// UsedBytes is the weight currently charged: admitted requests
+	// plus holds.
 	UsedBytes int64 `json:"used_bytes"`
+	// HeldBytes is the part of UsedBytes that is holds (series heads),
+	// which the next request that needs the room evicts.
+	HeldBytes int64 `json:"held_bytes"`
 	// Waiting is the number of requests queued for admission.
 	Waiting int `json:"waiting"`
 }
@@ -151,5 +247,9 @@ func (g *Governor) Stats() GovernorStats {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return GovernorStats{CapacityBytes: g.capacity, UsedBytes: g.used, Waiting: len(g.waiters)}
+	var held int64
+	for e := g.holds.Front(); e != nil; e = e.Next() {
+		held += e.Value.(*govHold).weight
+	}
+	return GovernorStats{CapacityBytes: g.capacity, UsedBytes: g.used, HeldBytes: held, Waiting: len(g.waiters)}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,4 +218,67 @@ func TestGovernorUngovernedAndNil(t *testing.T) {
 		t.Fatalf("capacity-0 governor: %v", err)
 	}
 	release()
+}
+
+// TestGovernorHolds pins the evictable charges series heads take: a
+// hold is charged only if it fits without queueing, a request that
+// would queue evicts holds least recently used first — and only as many
+// as it needs — and drop gives room back without an eviction callback.
+func TestGovernorHolds(t *testing.T) {
+	g := NewGovernor(100)
+	var evicted []string
+	holdNamed := func(name string, w int64) *govHold {
+		h, ok := g.hold(w, func() { evicted = append(evicted, name) })
+		if !ok {
+			t.Fatalf("hold %s of %d refused at %+v", name, w, g.Stats())
+		}
+		return h
+	}
+	a, b := holdNamed("a", 30), holdNamed("b", 30)
+	if _, ok := g.hold(50, func() {}); ok {
+		t.Fatal("a hold that does not fit was charged")
+	}
+	g.touch(a)
+	if st := g.Stats(); st.UsedBytes != 60 || st.HeldBytes != 60 {
+		t.Fatalf("stats %+v, want 60 used, 60 held", st)
+	}
+
+	release, err := g.Acquire(context.Background(), 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(evicted, []string{"b"}) {
+		t.Fatalf("evicted %v, want [b]: the least recently used hold, and only it", evicted)
+	}
+	g.drop(b) // already evicted: no-op
+	if st := g.Stats(); st.UsedBytes != 80 || st.HeldBytes != 30 {
+		t.Fatalf("stats %+v, want 80 used, 30 held", st)
+	}
+
+	// A request that still cannot fit after every eviction queues and
+	// times out; the holds it evicted stay evicted.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := g.Acquire(ctx, 90); !errors.Is(err, ErrOverCapacity) {
+		t.Fatalf("Acquire(90) = %v, want ErrOverCapacity", err)
+	}
+	if !slices.Equal(evicted, []string{"b", "a"}) {
+		t.Fatalf("evicted %v, want [b a]", evicted)
+	}
+	g.drop(a)
+	release()
+	if st := g.Stats(); st.UsedBytes != 0 || st.HeldBytes != 0 || st.Waiting != 0 {
+		t.Fatalf("stats %+v after everything was given back", st)
+	}
+
+	c := holdNamed("c", 40)
+	g.drop(c)
+	if st := g.Stats(); st.UsedBytes != 0 || len(evicted) != 2 {
+		t.Fatalf("drop: stats %+v, evicted %v; want the room back and no callback", st, evicted)
+	}
+
+	// Ungoverned: every hold is kept, uncharged.
+	if h, ok := NewGovernor(0).hold(1<<40, nil); !ok || h != nil {
+		t.Fatalf("ungoverned hold = %v, %v; want nil, true", h, ok)
+	}
 }

@@ -48,7 +48,7 @@ func onlyParams(q url.Values, allowed ...string) error {
 func (s *Server) admit(r *http.Request, weight int64) (func(), error) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.AdmitWait)
 	defer cancel()
-	return s.gov.Acquire(ctx, weight)
+	return s.reg.gov.Acquire(ctx, weight)
 }
 
 // PayloadCRCHeader is the request header carrying the CRC-32 (IEEE)
@@ -100,26 +100,29 @@ func conflictErr(series string, iter int, ce checkpoint.CommittedEntry, payloadC
 // payloadCRC journaled beside it. The check and the write share one
 // lock hold, so two racing retries of a request serialize — one
 // commits, the other replays, and the journal gains exactly one "add".
-func commit(t *Tenant, series string, iter int, raw []byte, payloadCRC uint32) (kind string, replay *checkpoint.CommittedEntry, err error) {
+// ce is the journaled entry either way.
+func commit(t *Tenant, series string, iter int, raw []byte, payloadCRC uint32) (ce checkpoint.CommittedEntry, replay bool, err error) {
 	err = t.WithStore(func(st *checkpoint.Store) error {
-		if ce, ok := st.Committed(series, iter); ok {
-			if !replayMatch(ce, payloadCRC) {
-				return conflictErr(series, iter, ce, payloadCRC)
+		if prev, ok := st.Committed(series, iter); ok {
+			if !replayMatch(prev, payloadCRC) {
+				return conflictErr(series, iter, prev, payloadCRC)
 			}
-			replay = &ce
+			ce, replay = prev, true
 			return nil
 		}
-		var werr error
-		kind, werr = st.WriteRaw(series, iter, raw, payloadCRC)
-		return werr
+		if _, err := st.WriteRaw(series, iter, raw, payloadCRC); err != nil {
+			return err
+		}
+		ce, _ = st.Committed(series, iter)
+		return nil
 	})
-	return kind, replay, err
+	return ce, replay, err
 }
 
 // replayed answers a retried commit whose payload is already
 // journaled: 200 (not 201 — nothing was created) with the committed
 // entry's identity and Replayed set.
-func replayed(t *Tenant, series string, iter int, ce *checkpoint.CommittedEntry) (CommitResponse, int, error) {
+func replayed(t *Tenant, series string, iter int, ce checkpoint.CommittedEntry) (CommitResponse, int, error) {
 	t.rec.Add(obs.CounterCommitReplays, 1)
 	return CommitResponse{
 		Tenant: t.Name(), Variable: series, Iteration: iter,
@@ -179,8 +182,10 @@ func (s *Server) handlePostCheckpoint(w http.ResponseWriter, r *http.Request) {
 // spool file or a finished upload session's data file — by the route
 // its query selects, and returns what to answer: the commit response
 // with 201 for a new commit or 200 for a replay, or the error for
-// writeError to render.
+// writeError to render. It is one of the tenant's writes in flight
+// from entry to return (Tenant.beginWrite).
 func (s *Server) commitSpooled(r *http.Request, t *Tenant, series string, iter int, q url.Values, path string, size int64, payloadCRC uint32) (CommitResponse, int, error) {
+	defer t.beginWrite()()
 	if q.Get("raw") == "1" {
 		return s.commitRaw(r, t, series, iter, path, size, payloadCRC)
 	}
@@ -202,16 +207,19 @@ func (s *Server) commitRaw(r *http.Request, t *Tenant, series string, iter int, 
 	if err != nil {
 		return CommitResponse{}, 0, err
 	}
-	kind, replay, err := commit(t, series, iter, raw, payloadCRC)
+	ce, replay, err := commit(t, series, iter, raw, payloadCRC)
 	if err != nil {
 		return CommitResponse{}, 0, err
 	}
-	if replay != nil {
-		return replayed(t, series, iter, replay)
+	if replay {
+		return replayed(t, series, iter, ce)
 	}
+	// The daemon did not decode these bytes, so it keeps no head for
+	// the series: the next push replays the chain.
+	t.setHead(series, nil)
 	t.rec.Add(obs.CounterBytesWritten, int64(len(raw)))
 	return CommitResponse{
-		Tenant: t.Name(), Variable: series, Iteration: iter, Kind: kind, FileBytes: int64(len(raw)),
+		Tenant: t.Name(), Variable: series, Iteration: iter, Kind: ce.Kind, FileBytes: int64(len(raw)),
 	}, http.StatusCreated, nil
 }
 
@@ -223,7 +231,9 @@ func (s *Server) commitRaw(r *http.Request, t *Tenant, series string, iter int, 
 //
 // A retried request is recognized only inside the writer critical
 // section, after the encode: two concurrent retries serialize there,
-// and exactly one journals.
+// and exactly one journals. The commit that journals publishes the
+// series head: the pushed values after a full, the head it was encoded
+// against with the new file replayed onto it after a delta.
 func (s *Server) commitValues(r *http.Request, t *Tenant, series string, iter int, kind string, spoolPath string, size int64, payloadCRC uint32) (CommitResponse, int, error) {
 	if size%8 != 0 {
 		return CommitResponse{}, 0, fmt.Errorf("%w: body is %d bytes, not a whole float64 array", errBadRequest, size)
@@ -246,14 +256,18 @@ func (s *Server) commitValues(r *http.Request, t *Tenant, series string, iter in
 
 	resp := CommitResponse{Tenant: t.Name(), Variable: series, Iteration: iter, Kind: kind, Points: n}
 	var raw []byte
+	// vals and seg are, after a full, the pushed values and an empty
+	// segment; after a delta, the state it was encoded against and the
+	// segment that state came from.
+	var vals []float64
+	var seg []checkpoint.ChainEntry
 	if kind == "full" {
 		release, err := s.admit(r, 2*size+64)
 		if err != nil {
 			return CommitResponse{}, 0, err
 		}
 		defer release()
-		vals, err := rawio.ReadFile(spoolPath)
-		if err != nil {
+		if vals, err = rawio.ReadFile(spoolPath); err != nil {
 			return CommitResponse{}, 0, err
 		}
 		if raw, err = checkpoint.MarshalFull(series, iter, vals); err != nil {
@@ -265,49 +279,52 @@ func (s *Server) commitValues(r *http.Request, t *Tenant, series string, iter in
 			return CommitResponse{}, 0, err
 		}
 		defer release()
-		res, buf, err := encodeDelta(t, series, iter, n, s.plan.Config, spoolPath)
-		if err != nil {
+		var res *chunk.Result
+		if res, raw, vals, seg, err = encodeDelta(t, series, iter, n, s.plan.Config, spoolPath); err != nil {
 			return CommitResponse{}, 0, err
 		}
-		raw = buf
 		resp.Chunks, resp.ChunkPoints, resp.Workers, resp.ExactValues = res.ChunkCount, res.ChunkPoints, res.Workers, res.ExactCount
 	}
-	_, replay, err := commit(t, series, iter, raw, payloadCRC)
+	ce, replay, err := commit(t, series, iter, raw, payloadCRC)
 	if err != nil {
 		return CommitResponse{}, 0, err
 	}
-	if replay != nil {
-		return replayed(t, series, iter, replay)
+	if replay {
+		return replayed(t, series, iter, ce)
 	}
 	if kind == "full" {
+		t.setHead(series, &seriesHead{iter: iter, vals: vals, seg: []checkpoint.ChainEntry{committedEntry(series, iter, ce)}})
 		// A delta's bytes were counted as the encode wrote them: the v2
 		// writer reports into the same tenant recorder.
 		t.rec.Add(obs.CounterBytesWritten, int64(len(raw)))
+	} else {
+		t.advanceHead(series, iter, vals, seg, raw, ce)
 	}
 	resp.FileBytes = int64(len(raw))
 	return resp, http.StatusCreated, nil
 }
 
 // encodeDelta runs the streaming delta encode of the spooled n-point
-// body against the chain's reconstruction of iter-1 (through the
-// lock-free read view), with the options the tenant's store was
-// created with, and returns the v2 file bytes. The tenant's recorder
-// instruments the whole run.
-func encodeDelta(t *Tenant, series string, iter, n int, cfg chunk.Config, spoolPath string) (*chunk.Result, []byte, error) {
+// body against iteration iter-1's state — the series head, or the
+// chain's reconstruction through the lock-free read view
+// (Tenant.prevState) — with the options the tenant's store was created
+// with. It returns the v2 file bytes, and the state and chain segment
+// they were encoded against. The tenant's recorder instruments the
+// whole run.
+func encodeDelta(t *Tenant, series string, iter, n int, cfg chunk.Config, spoolPath string) (res *chunk.Result, raw []byte, prev []float64, seg []checkpoint.ChainEntry, err error) {
 	view, err := t.View()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, nil, err
 	}
-	prevVals, err := view.Restart(series, iter-1)
-	if err != nil {
-		return nil, nil, err
+	if prev, seg, err = t.prevState(view, series, iter); err != nil {
+		return nil, nil, nil, nil, err
 	}
-	if len(prevVals) != n {
-		return nil, nil, fmt.Errorf("%w: iteration %d has %d points, body has %d", checkpoint.ErrChain, iter-1, len(prevVals), n)
+	if len(prev) != n {
+		return nil, nil, nil, nil, fmt.Errorf("%w: iteration %d has %d points, body has %d", checkpoint.ErrChain, iter-1, len(prev), n)
 	}
 	cur, err := rawio.OpenFile(spoolPath)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	//lint:ignore errcheck read-only spool source; a close error cannot lose data
 	defer cur.Close()
@@ -315,11 +332,10 @@ func encodeDelta(t *Tenant, series string, iter, n int, cfg chunk.Config, spoolP
 	opt.Obs = t.rec
 	cfg.Obs = t.rec
 	var buf bytes.Buffer
-	res, err := chunk.EncodeDeltaV2(&buf, series, iter, chunk.SliceSource(prevVals), cur, opt, cfg)
-	if err != nil {
-		return nil, nil, err
+	if res, err = chunk.EncodeDeltaV2(&buf, series, iter, chunk.SliceSource(prev), cur, opt, cfg); err != nil {
+		return nil, nil, nil, nil, err
 	}
-	return res, buf.Bytes(), nil
+	return res, buf.Bytes(), prev, seg, nil
 }
 
 // handleGetCheckpoint serves one iteration back. The default response

@@ -8,11 +8,16 @@
 // Three subsystems carry the design:
 //
 //   - The tenant Registry opens each tenant's store lazily under one
-//     root and holds the single-writer lock only while a write is in
-//     flight; reads are served from cached lock-free ReadViews.
+//     root and holds the single-writer lock only while the tenant has
+//     writes in flight, keeping the store open across back-to-back
+//     commits; each series' head (the state its last commit left) spares
+//     the next push a chain replay. Reads are served from cached
+//     lock-free ReadViews.
 //   - The memory Governor admission-controls concurrent pipelines by
 //     their resolved footprint (chunk.ResolveConfig), queueing FIFO
-//     and answering 429 + Retry-After instead of OOMing.
+//     and answering 429 + Retry-After instead of OOMing. Series heads
+//     are charged to it too, and give way to any request that needs
+//     their room.
 //   - Graceful drain: StartDrain flips /readyz and refuses new work
 //     with 503 while in-flight commits finish and release their
 //     locks; the daemon binary pairs it with http.Server.Shutdown on
@@ -33,7 +38,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"numarck/internal/chunk"
@@ -78,10 +82,8 @@ type Server struct {
 	// every delta encode.
 	plan     chunk.Resolved
 	reg      *Registry
-	gov      *Governor
 	spoolDir string
 	start    time.Time
-	draining atomic.Bool
 
 	// uploads serializes and caches resumable upload sessions; their
 	// state lives under spoolDir/uploads.
@@ -118,6 +120,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg.gov = NewGovernor(cfg.CapacityBytes)
 	spool := filepath.Join(cfg.Root, spoolDirName)
 	if err := os.MkdirAll(spool, 0o755); err != nil {
 		return nil, fmt.Errorf("server: create spool dir: %w", err)
@@ -130,7 +133,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		plan:     plan,
 		reg:      reg,
-		gov:      NewGovernor(cfg.CapacityBytes),
 		spoolDir: spool,
 		start:    time.Now(),
 		uploads:  newUploadTable(uploadDir),
@@ -170,16 +172,18 @@ func (s *Server) Registry() *Registry { return s.reg }
 
 // Governor returns the server's admission controller (tests use it to
 // occupy capacity deterministically).
-func (s *Server) Governor() *Governor { return s.gov }
+func (s *Server) Governor() *Governor { return s.reg.gov }
 
 // StartDrain flips the server into draining mode: /readyz turns 503
 // and new API requests are refused with 503 + Retry-After, while
 // requests already in flight run to completion (the caller pairs this
-// with http.Server.Shutdown, which waits for them). Idempotent.
-func (s *Server) StartDrain() { s.draining.Store(true) }
+// with http.Server.Shutdown, which waits for them). From then on no
+// write leaves its tenant's store open for the next, so the last
+// in-flight write of each tenant closes it. Idempotent.
+func (s *Server) StartDrain() { s.reg.draining.Store(true) }
 
 // Draining reports whether drain has started.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool { return s.reg.draining.Load() }
 
 // Handler builds the daemon's route table.
 //
@@ -201,7 +205,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		if s.draining.Load() {
+		if s.Draining() {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 			return
 		}
@@ -228,7 +232,7 @@ func (s *Server) Handler() http.Handler {
 // run, new requests get 503 before touching any store.
 func (s *Server) gated(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
+		if s.Draining() {
 			writeError(w, ErrDraining)
 			return
 		}
@@ -250,8 +254,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, MetricsResponse{
 		UptimeNs: time.Since(s.start).Nanoseconds(),
-		Draining: s.draining.Load(),
-		Governor: s.gov.Stats(),
+		Draining: s.Draining(),
+		Governor: s.reg.gov.Stats(),
 		Tenants:  byName,
 		Process:  obs.MergeSnapshots(snaps...),
 		Janitor:  s.jrec.Snapshot(),
