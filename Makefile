@@ -45,7 +45,9 @@ race:
 # (internal/kmeans) and the crash-injection store are where
 # interleavings actually vary between runs — at more than one
 # GOMAXPROCS, since the ring's worker/emitter handshake only runs truly
-# concurrently from 2 up. The daemon rides along with the tests of what
+# concurrently from 2 up. internal/chunk's TestPooledEncodeConcurrent
+# runs here too: encodes of every shape at once, sharing core's pool
+# of run scratch. The daemon rides along with the tests of what
 # it shares between requests — series heads, the writer lease, the
 # governor's holds — and the chaos matrix: about 45 s more on a 2-vCPU
 # host (Go 1.24); the whole target takes about 7 min there.
@@ -70,13 +72,16 @@ crash-test:
 # the smoke stays fast. Targets: bit-level pack/unpack round-trips, the
 # word-at-a-time kernels and the flag bit-range copy against the
 # per-field and per-bit reference loops, the nearest-centroid index's
-# resolved grid against the candidate grid it caches, the checkpoint
-# parsers on corrupt input, and the degraded-mode decode.
+# resolved grid against the candidate grid it caches, the clustering
+# fit's multiply-with-fallback seed cell against the division it
+# replaces, the checkpoint parsers on corrupt input, and the
+# degraded-mode decode.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRoundTrip$$ -fuzztime=$(FUZZTIME) ./internal/bitpack
 	$(GO) test -run=NONE -fuzz=FuzzUnpackMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/bitpack
 	$(GO) test -run=NONE -fuzz=FuzzCopyBitsMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/bitpack
 	$(GO) test -run=NONE -fuzz=FuzzIndexNearestMatchesGrid$$ -fuzztime=$(FUZZTIME) ./internal/kmeans
+	$(GO) test -run=NONE -fuzz=FuzzSeedCellMatchesDivision$$ -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalDelta$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalDeltaV2$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalFull$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
@@ -120,12 +125,14 @@ bench:
 # fpc compress and decompress at both restart shapes, a cold read-only
 # open of a 2 000-entry chain, and a depth-32 restart with its phases —
 # at GOMAXPROCS 1 and 2, so the apply phase's fan-out shows as a win at
-# 2 and no loss at 1. Two encode kernels ride along: the
-# nearest-centroid lookup against a learned table, with and without its
-# resolved grid, and the clustering fit on a codec_large-sized table
-# input. Allocations are reported next to each.
-KERNEL_BENCH = Pack|Unpack|FirstAbove|Reconstruct|Compress|Decompress|OpenReadOnly|RestartDepth32|RestartPhases|IndexNearest|FitClustering
-KERNEL_PKGS = ./internal/bitpack ./internal/core ./internal/kmeans ./internal/lossless/fpc ./internal/checkpoint
+# 2 and no loss at 1. The encode rides along: the nearest-centroid
+# lookup against a learned table, with and without its resolved grid,
+# the clustering fit on a codec_large-sized table input, and the whole
+# delta-file encode (root package, both entry points, up to
+# codec_large's 524 288 points), whose B/op is what a warm encode
+# allocates per call. Allocations are reported next to each.
+KERNEL_BENCH = Pack|Unpack|FirstAbove|Reconstruct|Compress|Decompress|OpenReadOnly|RestartDepth32|RestartPhases|IndexNearest|FitClustering|EncodeDeltaFile
+KERNEL_PKGS = ./internal/bitpack ./internal/core ./internal/kmeans ./internal/lossless/fpc ./internal/checkpoint .
 bench-kernel:
 	$(GO) test -run=NONE -bench='$(KERNEL_BENCH)' -benchmem -cpu 1,2 $(KERNEL_PKGS)
 

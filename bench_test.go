@@ -276,18 +276,20 @@ func BenchmarkStreamEncodeClustering64K(b *testing.B) {
 }
 
 // BenchmarkEncodeDeltaFile pairs the two drivers that write a delta
-// file, at the sizes the daemon and the CMIP5 grid send (12 960 points)
-// and at one default chunk (65 536): core.Encode + checkpoint.MarshalDelta
-// (what Writer.Append runs) against chunk.EncodeDeltaV2 with the
-// default Config (what the daemon and `numarck compress` run). Both
-// write the same bytes; stream/inmem of one size and strategy is the
-// ratio ROADMAP item 5(b) and PERF.md discuss.
+// file, at the sizes the daemon and the CMIP5 grid send (12 960 points),
+// at 65 536 points and at codec_large's 524 288 (two default chunks):
+// core.Encode + checkpoint.MarshalDelta (what Writer.Append runs)
+// against chunk.EncodeDeltaV2 with the default Config (what the daemon
+// and `numarck compress` run). Both write the same bytes; stream/inmem
+// of one size and strategy is the ratio PERF.md §5 discusses, and
+// B/op is what a warm encode allocates per call.
 func BenchmarkEncodeDeltaFile(b *testing.B) {
-	for _, n := range []int{12960, 1 << 16} {
+	for _, n := range []int{12960, 1 << 16, 1 << 19} {
 		prev, cur := benchData(n)
 		for _, s := range []numarck.Strategy{numarck.EqualWidth, numarck.LogScale, numarck.Clustering} {
 			opt := numarck.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: s}
 			b.Run(fmt.Sprintf("n=%d/%s/inmem", n, s), func(b *testing.B) {
+				b.ReportAllocs()
 				b.SetBytes(int64(8 * n))
 				for i := 0; i < b.N; i++ {
 					enc, err := numarck.Encode(prev, cur, opt)
@@ -302,6 +304,7 @@ func BenchmarkEncodeDeltaFile(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/%s/stream", n, s), func(b *testing.B) {
 				enc := numarck.StreamEncoder{Opt: opt}
 				var buf bytes.Buffer
+				b.ReportAllocs()
 				b.SetBytes(int64(8 * n))
 				for i := 0; i < b.N; i++ {
 					buf.Reset()

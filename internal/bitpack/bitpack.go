@@ -52,9 +52,9 @@ func Pack(vals []uint32, width int) ([]byte, error) {
 // contents cannot leak into the stream; the returned slice is exactly
 // PackedLen(len(vals), width) long.
 //
-// Fields are shifted into a 64-bit accumulator and leave it four bytes
-// at a time: one store per 32 bits of stream instead of one
-// read-modify-write per byte a field touches.
+// B = 8 and B = 16 store each field as a byte or a little-endian
+// uint16, mirroring UnpackRange; every other width goes through
+// packBits.
 func PackInto(vals []uint32, width int, buf []byte) ([]byte, error) {
 	if width < 1 || width > MaxWidth {
 		return nil, ErrWidth
@@ -66,11 +66,47 @@ func PackInto(vals []uint32, width int, buf []byte) ([]byte, error) {
 	} else {
 		out = make([]byte, need)
 	}
-	var acc, seen uint64
+	var seen uint32
+	switch width {
+	case 8:
+		out = out[:len(vals)]
+		for i, v := range vals {
+			seen |= v
+			out[i] = byte(v)
+		}
+	case 16:
+		out = out[:2*len(vals)]
+		for i, v := range vals {
+			seen |= v
+			binary.LittleEndian.PutUint16(out[2*i:], uint16(v))
+		}
+	default:
+		seen = packBits(vals, width, out)
+	}
+	// One OR of every value is a cheaper loop than a compare per value;
+	// the position of the first offender is found only on failure.
+	if limit := limitFor(width); uint64(seen) > limit {
+		for i, v := range vals {
+			if uint64(v) > limit {
+				return nil, fmt.Errorf("%w: value %d at position %d exceeds %d bits", ErrRange, v, i, width)
+			}
+		}
+	}
+	return out, nil
+}
+
+// packBits packs vals at any width into out, which must be exactly
+// PackedLen(len(vals), width) long, and returns the OR of every value.
+// Fields are shifted into a 64-bit accumulator and leave it four bytes
+// at a time: one store per 32 bits of stream instead of one
+// read-modify-write per byte a field touches. A value wider than width
+// spills into its neighbours; the caller rejects the stream then.
+func packBits(vals []uint32, width int, out []byte) (seen uint32) {
+	var acc uint64
 	nb, p, w := uint(0), 0, uint(width)
 	for _, v := range vals {
-		seen |= uint64(v)
-		acc |= uint64(v) << nb // nb < 32 and width <= 32: no bit is shifted out
+		seen |= v
+		acc |= uint64(v) << nb // nb < 32 and v < 2^32: no bit is shifted out
 		nb += w
 		if nb >= 32 {
 			// the low 32 accumulated bits are exactly the next four stream bytes
@@ -80,21 +116,12 @@ func PackInto(vals []uint32, width int, buf []byte) ([]byte, error) {
 			p += 4
 		}
 	}
-	// One OR of every value is a cheaper loop than a compare per value;
-	// the position of the first offender is found only on failure.
-	if limit := limitFor(width); seen > limit {
-		for i, v := range vals {
-			if uint64(v) > limit {
-				return nil, fmt.Errorf("%w: value %d at position %d exceeds %d bits", ErrRange, v, i, width)
-			}
-		}
-	}
-	for ; p < need; p++ {
+	for ; p < len(out); p++ {
 		// the stream's last bytes, least significant first
 		out[p] = byte(acc)
 		acc >>= 8
 	}
-	return out, nil
+	return seen
 }
 
 // Unpack decodes n fields of the given width from data. It returns

@@ -2,7 +2,10 @@ package bitpack
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -166,6 +169,47 @@ func TestKernelsMatchReference(t *testing.T) {
 				packed := refPack(vals, width)
 				if pos, err := FirstAbove(packed, n, width, limit); err != nil || pos != at {
 					t.Fatalf("width %d n %d: offender at %d reported at %d (%v)", width, n, at, pos, err)
+				}
+			}
+		}
+	}
+}
+
+// TestBytePackMatchesBitLoop checks PackInto's byte-wide paths (B = 8
+// and B = 16) against packBits, the accumulator loop every other width
+// takes: the same bytes for in-range streams at every boundary size,
+// and, for a stream with an offender planted first, in the middle or
+// last and a second one after it, an ErrRange naming the first.
+func TestBytePackMatchesBitLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, width := range []int{8, 16} {
+		top := uint32(limitFor(width))
+		for _, n := range kernelSizes {
+			vals := make([]uint32, n)
+			for i := range vals {
+				vals[i] = rng.Uint32() & top
+			}
+			want := make([]byte, PackedLen(n, width))
+			if seen := packBits(vals, width, want); seen > top {
+				t.Fatalf("width %d n %d: in-range stream ORs to %d", width, n, seen)
+			}
+			got, err := PackInto(vals, width, bytes.Repeat([]byte{0xFF}, len(want)))
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("width %d n %d: byte-wide pack differs from the bit loop (%v)", width, n, err)
+			}
+			if n == 0 {
+				continue
+			}
+			for _, at := range []int{0, n / 2, n - 1} {
+				bad := append([]uint32(nil), vals...)
+				bad[at] = top + 1 + rng.Uint32()%5
+				if at+1 < n {
+					bad[n-1] = top + 1
+				}
+				_, err := PackInto(bad, width, nil)
+				msg := fmt.Sprintf("value %d at position %d exceeds %d bits", bad[at], at, width)
+				if !errors.Is(err, ErrRange) || !strings.HasSuffix(err.Error(), msg) {
+					t.Fatalf("width %d n %d: offender at %d: error %v, want ErrRange ending %q", width, n, at, err, msg)
 				}
 			}
 		}

@@ -142,8 +142,10 @@ type DeltaV2Writer struct {
 	finished    bool
 	rec         *obs.Recorder
 
-	packBuf []byte // reused by bitpack.PackInto
-	section []byte // reused section assembly buffer
+	// buf holds the pack and section buffers every AppendChunk reuses:
+	// the writer's own, or an encode run's pooled ones (Borrow).
+	buf *core.SinkScratch
+	own core.SinkScratch
 }
 
 // NewDeltaV2Writer writes the v2 header and bin table and returns a
@@ -187,7 +189,7 @@ func NewDeltaV2Writer(w io.Writer, variable string, iteration, n int, opt core.O
 		return nil, err
 	}
 	rec.Add(obs.CounterBytesWritten, cw.n)
-	return &DeltaV2Writer{
+	dw := &DeltaV2Writer{
 		w:           w,
 		off:         cw.n,
 		n:           n,
@@ -196,7 +198,25 @@ func NewDeltaV2Writer(w io.Writer, variable string, iteration, n int, opt core.O
 		binCount:    len(binRatios),
 		dir:         make([]dirEntry, 0, hdr.ChunkCount),
 		rec:         rec,
-	}, nil
+	}
+	dw.buf = &dw.own
+	return dw, nil
+}
+
+// Borrow makes the writer pack and assemble its sections in s, an
+// encode run's pooled scratch, instead of its own buffers, first
+// dropping a buffer of s larger than this file's chunks need. The
+// writer must not append after the run takes s back; Finish does not
+// touch it.
+func (w *DeltaV2Writer) Borrow(s *core.SinkScratch) {
+	cp := min(w.chunkPoints, w.n)
+	if cap(s.Pack) > bitpack.PackedLen(cp, w.indexBits) {
+		s.Pack = nil
+	}
+	if cap(s.Section) > sectionSize(cp, cp, w.indexBits) {
+		s.Section = nil
+	}
+	w.buf = s
 }
 
 // countingWriter tracks bytes written through it.
@@ -232,23 +252,23 @@ func (w *DeltaV2Writer) AppendChunk(indices []uint32, flags []byte, exact []floa
 	}
 	flags = flags[:(np+7)/8]
 	t := w.rec.Start()
-	packed, err := bitpack.PackInto(indices, w.indexBits, w.packBuf)
+	packed, err := bitpack.PackInto(indices, w.indexBits, w.buf.Pack)
 	if err == nil {
-		w.packBuf = packed
+		w.buf.Pack = packed
 		err = checkSectionShape(packed, flags, np, w.indexBits, w.binCount, len(exact))
 	}
 	t.Stop(obs.StageBitpack)
 	if err != nil {
 		return fmt.Errorf("checkpoint: chunk %d: %w", len(w.dir), err)
 	}
-	if need := sectionSize(np, len(exact), w.indexBits); cap(w.section) < need {
-		w.section = make([]byte, 0, need)
+	if need := sectionSize(np, len(exact), w.indexBits); cap(w.buf.Section) < need {
+		w.buf.Section = make([]byte, 0, need)
 	}
-	section := w.section[:0]
+	section := w.buf.Section[:0]
 	section = append(section, packed...)
 	section = append(section, flags...)
 	section = appendFloats(section, exact)
-	w.section = section[:0]
+	w.buf.Section = section[:0]
 	if len(section) > math.MaxUint32 {
 		return fmt.Errorf("checkpoint: chunk section of %d bytes exceeds format limit", len(section))
 	}

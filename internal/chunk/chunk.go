@@ -71,7 +71,10 @@ type Config struct {
 	// each — is gathered whole, as the in-memory encode does, and is not
 	// part of the budget; nor is the fit's scratch, which is O(Workers):
 	// the clustering fit keeps one histogram sketch per worker and one
-	// it merges them into, whatever the input size.
+	// it merges them into, whatever the input size. A run's buffers come
+	// from a pool shared with earlier runs, but a run drops every pooled
+	// buffer larger than its own plan allocates, so the cap holds for a
+	// warm run as for a cold one.
 	BudgetBytes int64
 
 	// Obs, when non-nil, receives the pipeline's per-chunk stage

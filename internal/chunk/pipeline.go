@@ -20,10 +20,14 @@ type v2Sink struct {
 	reps                  []float64
 }
 
-// Table writes the header, which carries the table.
-func (s *v2Sink) Table(reps []float64) (err error) {
+// Table writes the header, which carries the table, and lends the
+// writer the run's byte scratch.
+func (s *v2Sink) Table(reps []float64, scratch *core.SinkScratch) (err error) {
 	s.reps = reps
 	s.dw, err = checkpoint.NewDeltaV2Writer(s.w, s.variable, s.iteration, s.n, s.opt, reps, s.chunkPt)
+	if err == nil {
+		s.dw.Borrow(scratch)
+	}
 	return err
 }
 

@@ -24,9 +24,10 @@ type Binner interface {
 }
 
 // fitBinner learns a partition of data (the table input, see
-// Ratios.tableInput) using the configured strategy. data must be
-// non-empty; opt must be validated.
-func fitBinner(data []float64, opt Options) (Binner, error) {
+// computeRatios) using the configured strategy, the clustering fit
+// taking its scratch from fs. data must be non-empty; opt must be
+// validated.
+func fitBinner(data []float64, opt Options, fs *fitScratch) (Binner, error) {
 	k := opt.NumBins()
 	switch opt.Strategy {
 	case EqualWidth:
@@ -34,7 +35,7 @@ func fitBinner(data []float64, opt Options) (Binner, error) {
 	case LogScale:
 		return fitLogScale(data, k, opt.Workers), nil
 	case Clustering:
-		return fitClustering(data, k, opt)
+		return fs.clustering(data, k, opt)
 	case EqualFrequency:
 		return fitEqualFrequency(data, k), nil
 	default:
@@ -356,7 +357,14 @@ type clusterBinner struct {
 	ix    *kmeans.Index
 }
 
+// fitClustering is the clustering fit on fresh scratch.
 func fitClustering(data []float64, k int, opt Options) (*clusterBinner, error) {
+	return new(fitScratch).clustering(data, k, opt)
+}
+
+// clustering learns the clustering table of data, its sketch path
+// refilling fs's sketches and seed counts.
+func (fs *fitScratch) clustering(data []float64, k int, opt Options) (*clusterBinner, error) {
 	if k > len(data) {
 		k = len(data) // never more clusters than points
 	}
@@ -365,7 +373,7 @@ func fitClustering(data []float64, k int, opt Options) (*clusterBinner, error) {
 		// merge (parfit.go). Lloyd then iterates over at most
 		// sketchBins(k) weighted micro-centroids instead of len(data)
 		// points, which is where the clustering table stage's time goes.
-		b, err := fitClusteringSketch(data, k, opt)
+		b, err := fs.sketchFit(data, k, opt)
 		if err != nil {
 			return nil, fmt.Errorf("core: clustering strategy: %w", err)
 		}

@@ -269,7 +269,7 @@ func TestClusteringKCappedByPointCount(t *testing.T) {
 }
 
 func TestFitBinnerUnknownStrategy(t *testing.T) {
-	_, err := fitBinner([]float64{1}, Options{ErrorBound: 0.001, IndexBits: 4, Strategy: Strategy(9)})
+	_, err := fitBinner([]float64{1}, Options{ErrorBound: 0.001, IndexBits: 4, Strategy: Strategy(9)}, nil)
 	if err == nil {
 		t.Error("unknown strategy accepted")
 	}
@@ -288,7 +288,7 @@ func TestBinnersCoverAllInputs(t *testing.T) {
 	}
 	probes := append(append([]float64{}, data...), -1e6, 1e6, 0)
 	for _, s := range Strategies {
-		b, err := fitBinner(data, Options{ErrorBound: 0.001, IndexBits: 6, Strategy: s, KMeansMaxIter: 20})
+		b, err := fitBinner(data, Options{ErrorBound: 0.001, IndexBits: 6, Strategy: s, KMeansMaxIter: 20}, new(fitScratch))
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}

@@ -422,7 +422,7 @@ func TestComputeRatios(t *testing.T) {
 	prev := []float64{10, 0, 4}
 	cur := []float64{11, 5, 2}
 	var r Ratios
-	if err := computeRatios(prev, cur, 0, 2, &r); err != nil {
+	if _, err := computeRatios(prev, cur, 0, 2, Options{ErrorBound: 0.2}, &r, nil); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(r.Delta[0]-0.1) > 1e-15 || r.Kind[0] != RatioOK {

@@ -204,11 +204,24 @@ type Plan struct {
 type Sink interface {
 	// Table receives the table's representatives once, after the fit
 	// and before any chunk; nil when no point had a table-input ratio.
-	Table(reps []float64) error
+	// scratch is byte scratch the run lends the sink from its pooled
+	// memory (see SinkScratch).
+	Table(reps []float64, scratch *SinkScratch) error
 	// Chunk receives each chunk's results, in chunk order. The run
-	// reuses c and its slices for a later chunk once Chunk returns,
-	// except a cached chunk's ratios.
+	// reuses c and its slices for a later chunk once Chunk returns, and
+	// pools them for a later run once the run ends — except core's own
+	// Encoded sink, whose one chunk's slices the run leaves to it.
 	Chunk(c *Chunk) error
+}
+
+// SinkScratch is byte scratch a run lends its sink: the v2 writer packs
+// indices into Pack and assembles sections in Section, growing them in
+// place. It goes back to the pool with the rest of the run's scratch
+// when the run ends, so the sink must not touch it, or keep anything in
+// it, after its last Chunk call. The sink also drops a buffer larger
+// than its own chunks would allocate, as the run does with its own.
+type SinkScratch struct {
+	Pack, Section []byte
 }
 
 // Chunk is one chunk's encode results, in point order.
@@ -240,9 +253,107 @@ func EncodeChunks(prev, cur Source, opt Options, plan Plan, sink Sink) (tableInp
 type encodeSlot struct {
 	pbuf, cbuf []float64 // read scratch; unused for a SliceSource
 	ratios     Ratios
-	r          *Ratios // the chunk's ratios: &ratios or its cache entry
-	ti         []float64
+	r          *Ratios   // the chunk's ratios: &ratios or its cache entry
+	ti         []float64 // the chunk's table input
 	Chunk
+}
+
+// fitTo drops every buffer of a pooled slot that is larger than a run
+// of cp-point chunks allocates.
+func (s *encodeSlot) fitTo(cp int) {
+	s.pbuf, s.cbuf, s.ti = within(s.pbuf, cp), within(s.cbuf, cp), within(s.ti, cp)
+	s.ratios.fitTo(cp)
+	s.Indices, s.Flags, s.Exact = within(s.Indices, cp), within(s.Flags, (cp+7)/8), within(s.Exact, cp)
+}
+
+// fitTo drops r's buffers if they hold more than cp points.
+func (r *Ratios) fitTo(cp int) {
+	r.Delta, r.Kind = within(r.Delta, cp), within(r.Kind, cp)
+}
+
+// runScratch is one encode run's reusable memory: the ring slots, the
+// pass-1 ratio cache, the gathered table input, the clustering fit's
+// per-worker sketches and seed counts, and the byte scratch lent to the
+// sink. A run takes one from scratchPool and puts it back when it ends,
+// so a warm encode allocates little beyond what its sink keeps. Two
+// rules hold. The pool never holds a slice a sink kept: an Encoded's
+// ratios, indices and exact values leave the set before it goes back.
+// And a run never holds a pooled buffer larger than its own plan would
+// allocate: fitTo drops those, so Plan — and Config.BudgetBytes, and
+// the governor's PeakBufferBytes above it — still bound a running
+// encode.
+type runScratch struct {
+	slots []encodeSlot
+	cache []Ratios
+	ti    []float64
+	fit   fitScratch
+	sink  SinkScratch
+}
+
+// scratchPool holds runScratch sets between runs.
+var scratchPool sync.Pool
+
+// takeScratch returns a pooled (or new) run scratch fitted to a run of
+// n points in count chunks of cp points on a ring of `ring` slots,
+// with a ratio cache when cache is set.
+func takeScratch(n, cp, count, ring int, cache bool) *runScratch {
+	rs, _ := scratchPool.Get().(*runScratch)
+	if rs == nil {
+		rs = new(runScratch)
+	}
+	rs.slots = resize(rs.slots, ring)
+	for i := range rs.slots {
+		rs.slots[i].fitTo(cp)
+	}
+	if cache {
+		rs.cache = resize(rs.cache, count)
+	} else {
+		rs.cache = nil
+	}
+	for i := range rs.cache {
+		rs.cache[i].fitTo(cp)
+	}
+	rs.ti = within(rs.ti, n)
+	return rs
+}
+
+// release puts rs back in the pool. kept says the sink kept its
+// chunks' ratios, indices and exact values, as an Encoded does; those
+// leave the set first.
+func (rs *runScratch) release(kept bool) {
+	for i := range rs.slots {
+		s := &rs.slots[i]
+		s.r, s.Delta = nil, nil // the last chunk's aliases
+		if kept {
+			s.ratios.Delta, s.Indices, s.Exact = nil, nil, nil
+		}
+	}
+	if kept {
+		for i := range rs.cache {
+			rs.cache[i].Delta = nil
+		}
+	}
+	scratchPool.Put(rs)
+}
+
+// within returns s, or nil when its capacity exceeds max: a pooled
+// buffer larger than the run would allocate is dropped, not held.
+func within[T any](s []T, max int) []T {
+	if cap(s) > max {
+		return nil
+	}
+	return s
+}
+
+// resize returns s with length n, keeping its first n elements and
+// zeroing the rest of its backing array, so nothing past n stays
+// reachable from a pooled set.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	clear(s[n:cap(s)])
+	return s[:n]
 }
 
 // encodeChunks is EncodeChunks with an optional fixed table: when
@@ -262,15 +373,15 @@ func encodeChunks(prev, cur Source, opt Options, plan Plan, table []float64, sin
 	if count < ring {
 		ring, split = 1, plan.Workers
 	}
-	var cache []Ratios
-	if plan.CacheRatios {
-		cache = make([]Ratios, count)
-	}
-	slots := make([]encodeSlot, ring)
+	rs := takeScratch(n, cp, count, ring, plan.CacheRatios)
+	_, kept := sink.(*encodedSink)
+	defer rs.release(kept)
+	slots, cache := rs.slots, rs.cache
 
 	// load reads chunk i into its slot and, if withRatios, computes the
-	// chunk's ratios. It returns the slot and cur's window.
-	load := func(i, slot int, withRatios bool) (*encodeSlot, []float64, error) {
+	// chunk's ratios, selecting its table input too if withTable. It
+	// returns the slot and cur's window.
+	load := func(i, slot int, withRatios, withTable bool) (*encodeSlot, []float64, error) {
 		s := &slots[slot]
 		lo, np := i*cp, min(cp, n-i*cp)
 		s.r = &s.ratios
@@ -295,32 +406,43 @@ func encodeChunks(prev, cur Source, opt Options, plan Plan, table []float64, sin
 			return s, c, nil
 		}
 		rec.Add(obs.CounterBytesRead, 16*int64(np))
+		var ti []float64
+		if withTable {
+			ti = grow(s.ti, np)
+		}
 		t = rec.Start()
-		err = computeRatios(p, c, lo, split, s.r)
+		sel, err := computeRatios(p, c, lo, split, opt, s.r, ti)
 		t.Stop(obs.StageRatio)
+		if withTable {
+			s.ti = ti[:sel]
+		}
 		return s, c, err
 	}
 
-	// Pass 1: ratios, gathering the table input in point order. A lone
-	// chunk's slot is never reused, so its table input is the run's.
-	var ti []float64
+	// Pass 1: ratios and each chunk's table input, gathered in point
+	// order. A lone chunk's slot is never reused, so its table input is
+	// the run's.
+	ti := rs.ti[:0]
 	err := OrderedChunks(count, ring, "encode-pass1", rec,
 		func(i, slot int) ([]float64, error) {
-			s, _, err := load(i, slot, true)
+			s, _, err := load(i, slot, true, true)
 			if err != nil {
 				return nil, err
 			}
-			t := rec.Start()
-			s.ti = s.r.tableInput(opt, s.ti)
-			t.Stop(obs.StageTable)
 			return s.ti, nil
 		},
 		func(_ int, v []float64) error {
 			if count == 1 {
 				ti = v
-			} else {
-				ti = append(ti, v...)
+				return nil
 			}
+			if need := len(ti) + len(v); need > cap(ti) {
+				// Doubling, but never past the run's n points, so the
+				// pooled buffer stays within what this run allocates.
+				ti = append(make([]float64, 0, min(n, max(need, 2*cap(ti)))), ti...)
+				rs.ti = ti
+			}
+			ti = append(ti, v...)
 			return nil
 		})
 	if err != nil {
@@ -328,14 +450,14 @@ func encodeChunks(prev, cur Source, opt Options, plan Plan, table []float64, sin
 	}
 
 	t := rec.Start()
-	bins, reps, err := fit(ti, table, opt)
+	bins, reps, err := fit(ti, table, opt, &rs.fit)
 	t.Stop(obs.StageTable)
 	if err != nil {
 		return 0, 0, err
 	}
 	rec.Add(obs.CounterTableInput, int64(len(ti)))
 	rec.SetMax(obs.GaugeBinCount, int64(len(reps)))
-	if err := sink.Table(reps); err != nil {
+	if err := sink.Table(reps, &rs.sink); err != nil {
 		return 0, 0, err
 	}
 
@@ -344,7 +466,7 @@ func encodeChunks(prev, cur Source, opt Options, plan Plan, table []float64, sin
 	exact := 0
 	err = OrderedChunks(count, ring, "encode-pass2", rec,
 		func(i, slot int) (*encodeSlot, error) {
-			s, c, err := load(i, slot, cache == nil)
+			s, c, err := load(i, slot, cache == nil, false)
 			if err != nil {
 				return nil, err
 			}
@@ -359,7 +481,8 @@ func encodeChunks(prev, cur Source, opt Options, plan Plan, table []float64, sin
 			} else {
 				assignRange(s.r, bins, reps, opt, 0, len(c), s.Indices, s.Flags)
 			}
-			s.Exact = s.Exact[:0]
+			// Sized to the flag count, so the appends never regrow it.
+			s.Exact = grow(s.Exact, bitpack.CountFirst(s.Flags, len(c)))[:0]
 			for b, f := range s.Flags {
 				for ; f != 0; f &= f - 1 {
 					s.Exact = append(s.Exact, c[b<<3|bits.TrailingZeros8(f)])
@@ -370,15 +493,7 @@ func encodeChunks(prev, cur Source, opt Options, plan Plan, table []float64, sin
 		},
 		func(i int, s *encodeSlot) error {
 			exact += len(s.Exact)
-			if err := sink.Chunk(&s.Chunk); err != nil {
-				return err
-			}
-			if cache != nil {
-				// Release the chunk's cached ratios as the pass moves
-				// past it instead of holding the whole array to the end.
-				cache[i] = Ratios{}
-			}
-			return nil
+			return sink.Chunk(&s.Chunk)
 		})
 	if err != nil {
 		return 0, 0, err
@@ -391,13 +506,13 @@ func encodeChunks(prev, cur Source, opt Options, plan Plan, table []float64, sin
 
 // fit learns the bin table from the table input ti, or serves the fixed
 // table when one is given. bins and reps are nil when ti is empty.
-func fit(ti, table []float64, opt Options) (bins Binner, reps []float64, err error) {
+func fit(ti, table []float64, opt Options, fs *fitScratch) (bins Binner, reps []float64, err error) {
 	if len(ti) == 0 {
 		return nil, nil, nil
 	}
 	if table != nil {
 		bins = newTableBinner(table, len(ti))
-	} else if bins, err = fitBinner(ti, opt); err != nil {
+	} else if bins, err = fitBinner(ti, opt, fs); err != nil {
 		return nil, nil, err
 	}
 	reps = bins.Representatives()
@@ -447,7 +562,7 @@ func assignRange(ratios *Ratios, bins Binner, reps []float64, opt Options, lo, h
 type encodedSink Encoded
 
 // Table stores the representatives.
-func (e *encodedSink) Table(reps []float64) error {
+func (e *encodedSink) Table(reps []float64, _ *SinkScratch) error {
 	e.BinRatios = reps
 	return nil
 }

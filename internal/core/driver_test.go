@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -198,5 +199,66 @@ func TestOrderedChunks(t *testing.T) {
 			t.Fatalf("W=%d: emit error at chunk %d, but %d chunks emitted", w, k, p.emitted)
 		}
 		waitGoroutines(t, base, "emit error")
+	}
+}
+
+// TestPoolKeepsNoEncodedSlice pins the pool's first rule: an Encoded
+// keeps its ratios, indices and exact values, so they must not go back
+// to the pool with the run's scratch. A second encode of the same
+// shape, which would take that scratch, must leave the first result as
+// it was.
+func TestPoolKeepsNoEncodedSlice(t *testing.T) {
+	prevA, curA := fitPair(20000, 11, false)
+	prevB, curB := fitPair(20000, 12, false)
+	curA[7], curB[7] = 1e9, 1e9 // one exact value each
+	opt := defaultOpts(Clustering)
+	first, err := Encode(prevA, curA, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratios := append([]float64(nil), first.TrueRatios...)
+	indices := append([]uint32(nil), first.Indices...)
+	exact := append([]float64(nil), first.Exact...)
+	for i := 0; i < 3; i++ {
+		if _, err := Encode(prevB, curB, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(first.TrueRatios, ratios) || !slices.Equal(first.Indices, indices) || !slices.Equal(first.Exact, exact) {
+		t.Fatal("a later encode overwrote an earlier Encoded's slices: the pool held them")
+	}
+}
+
+// TestScratchFitsPlan pins the pool's second rule: a run never holds a
+// pooled buffer larger than its own plan allocates, so a small budgeted
+// run that follows a large one stays within its budget.
+func TestScratchFitsPlan(t *testing.T) {
+	big := takeScratch(1<<16, 1<<15, 2, 2, true)
+	for i := range big.slots {
+		s := &big.slots[i]
+		s.pbuf, s.cbuf, s.ti = make([]float64, 1<<15), make([]float64, 1<<15), make([]float64, 1<<15)
+		s.ratios = Ratios{make([]float64, 1<<15), make([]RatioKind, 1<<15)}
+		s.Indices, s.Flags, s.Exact = make([]uint32, 1<<15), make([]byte, 1<<12), make([]float64, 1<<15)
+	}
+	for i := range big.cache {
+		big.cache[i] = Ratios{make([]float64, 1<<15), make([]RatioKind, 1<<15)}
+	}
+	big.ti = make([]float64, 1<<16)
+	big.release(false)
+
+	const n, cp = 4096, 1024
+	rs := takeScratch(n, cp, n/cp, 1, false)
+	defer rs.release(false)
+	if len(rs.slots) != 1 || rs.cache != nil || cap(rs.ti) > n {
+		t.Fatalf("small run holds %d slots, a cache of %d, a table input of %d", len(rs.slots), len(rs.cache), cap(rs.ti))
+	}
+	s := &rs.slots[0]
+	for _, c := range []int{cap(s.pbuf), cap(s.cbuf), cap(s.ti), cap(s.ratios.Delta), cap(s.ratios.Kind), cap(s.Indices), cap(s.Exact)} {
+		if c > cp {
+			t.Fatalf("a %d-point-chunk run holds a pooled %d-point buffer", cp, c)
+		}
+	}
+	if cap(s.Flags) > cp/8 {
+		t.Fatalf("a %d-point-chunk run holds %d pooled flag bytes", cp, cap(s.Flags))
 	}
 }

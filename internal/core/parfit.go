@@ -167,25 +167,40 @@ func sketchBins(k int) int {
 	return bins
 }
 
-// fitClusteringSketch is the parallel table-learning path of the
-// clustering strategy: per-range histogram sketches (value sum + count
-// per cell) are built concurrently, merged in range order into one
-// global sketch, and the occupied cells become weighted micro-centroids
-// for a sequential weighted k-means — the "weighted centroid merge" of
-// the paper authors' parallel follow-up. Seeds reproduce the serial
-// path's histogram seeding exactly: the coarse seed histogram is
-// gathered in the same pass and fed to kmeans.SeedFromCounts. The
-// result is deterministic for a given input sequence regardless of the
-// worker count.
+// fitScratch is the clustering fit's reusable memory, part of a run's
+// pooled scratch: one sketch and one coarse seed histogram per worker,
+// and the sketch they merge into.
+type fitScratch struct {
+	workers []fitSlot
+	merged  *kmeans.Sketch
+}
+
+// fitSlot is one fit worker's sketch and seed histogram.
+type fitSlot struct {
+	sk     *kmeans.Sketch
+	counts []int
+}
+
+// sketchFit is the parallel table-learning path of the clustering
+// strategy: per-range histogram sketches (value sum + count per cell)
+// are built concurrently, merged in range order into one global
+// sketch, and the occupied cells become weighted micro-centroids for a
+// sequential weighted k-means — the "weighted centroid merge" of the
+// paper authors' parallel follow-up. Seeds reproduce the serial path's
+// histogram seeding exactly: the coarse seed histogram is gathered in
+// the same pass and fed to kmeans.SeedFromCounts. The result is
+// deterministic for a given input sequence regardless of the worker
+// count.
 //
 // The ranges run on OrderedChunks, so each worker refills one slot
 // sketch per range and the emitter merges it into the global sketch in
 // range order; a slot is refilled only after its last range has been
 // merged. Merges and resets cost the cells a range touched, and the
 // scratch is one sketch per worker plus the global one, whatever the
-// input size. Seed counts are integers and merge in any order, so each
-// worker keeps one coarse histogram for all of its ranges.
-func fitClusteringSketch(data []float64, k int, opt Options) (*clusterBinner, error) {
+// input size, taken from fs. Seed counts are integers and merge in any
+// order, so each worker keeps one coarse histogram for all of its
+// ranges.
+func (fs *fitScratch) sketchFit(data []float64, k int, opt Options) (*clusterBinner, error) {
 	lo, hi := parMinMax(data, opt.Workers)
 	if fputil.Eq(lo, hi) {
 		// Single distinct value: every centroid is that value. The
@@ -198,18 +213,18 @@ func fitClusteringSketch(data []float64, k int, opt Options) (*clusterBinner, er
 
 	bins := sketchBins(k)
 	coarse := kmeans.SeedHistogramBins(k)
-	seedW := (hi - lo) / float64(coarse)
+	grid := newSeedGrid(lo, hi, coarse)
 	ranges := (len(data) + statRangePoints - 1) / statRangePoints
 	workers := min(max(opt.Workers, 1), ranges)
-	type slot struct {
-		sk     *kmeans.Sketch
-		counts []int
+	fs.workers = resize(fs.workers, workers)
+	for w := range fs.workers {
+		s := &fs.workers[w]
+		s.sk = regrid(s.sk, lo, hi, bins)
+		s.counts = grow(within(s.counts, coarse), coarse)
+		clear(s.counts)
 	}
-	slots := make([]slot, workers)
-	for w := range slots {
-		slots[w] = slot{kmeans.NewSketch(lo, hi, bins), make([]int, coarse)}
-	}
-	sk := kmeans.NewSketch(lo, hi, bins)
+	fs.merged = regrid(fs.merged, lo, hi, bins)
+	sk, slots := fs.merged, fs.workers
 	// The table stage's timer already spans the fit; a nil recorder keeps
 	// its slot waits out of the chunk ring's queue-wait figure.
 	err := OrderedChunks(ranges, workers, "encode-fit", nil,
@@ -219,13 +234,7 @@ func fitClusteringSketch(data []float64, k int, opt Options) (*clusterBinner, er
 			s.sk.Reset()
 			s.sk.Add(data[a:b])
 			for _, x := range data[a:b] {
-				// Same cell formula as kmeans.SeedFromHistogram, so the
-				// merged counts reproduce its histogram bit-for-bit.
-				i := int((x - lo) / seedW)
-				if i >= coarse {
-					i = coarse - 1
-				}
-				s.counts[i]++
+				s.counts[grid.cell(x)]++
 			}
 			return s.sk, nil
 		},
@@ -256,6 +265,51 @@ func fitClusteringSketch(data []float64, k int, opt Options) (*clusterBinner, er
 		return nil, err
 	}
 	return &clusterBinner{cents: res.Centroids, ix: kmeans.NewIndexFor(res.Centroids, len(data))}, nil
+}
+
+// regrid returns s emptied onto `bins` cells over [lo, hi], or a new
+// sketch when s is nil or holds more cells than the fit allocates.
+func regrid(s *kmeans.Sketch, lo, hi float64, bins int) *kmeans.Sketch {
+	if s == nil || cap(s.Count) > bins {
+		return kmeans.NewSketch(lo, hi, bins)
+	}
+	s.Regrid(lo, hi, bins)
+	return s
+}
+
+// seedGrid is kmeans.SeedFromHistogram's coarse grid over [lo, hi]:
+// cells equal cells of width w, value x in cell int((x-lo)/w), the last
+// cell closed. cell reaches that cell with one multiply by inv = 1/w
+// instead of a divide. Where inv is a normal float, the product and
+// the quotient both lie within 1.5e-8 of the exact (x-lo)/w — a
+// relative error of 2.3e-16 on a value of at most 4·2^24 — so their
+// integer parts agree unless the product is within 1e-6 of a cell
+// edge, and there cell divides as SeedFromHistogram does. A range
+// whose 1/w is not a normal float — w denormal enough for 1/w to
+// overflow, or infinite because hi-lo overflowed — always divides: inv
+// is 0 then.
+type seedGrid struct {
+	lo, w, inv float64
+	cells      int
+}
+
+func newSeedGrid(lo, hi float64, cells int) seedGrid {
+	g := seedGrid{lo: lo, w: (hi - lo) / float64(cells), cells: cells}
+	if inv := 1 / g.w; inv >= 0x1p-1022 && inv <= math.MaxFloat64 {
+		g.inv = inv
+	}
+	return g
+}
+
+// cell returns x's cell, int((x-lo)/w) clamped below cells; x must be
+// in [lo, hi].
+func (g seedGrid) cell(x float64) int {
+	f := (x - g.lo) * g.inv
+	i := int(f)
+	if r := f - float64(i); !(r >= 1e-6 && r <= 1-1e-6) {
+		i = int((x - g.lo) / g.w) // near an edge, or inv is 0
+	}
+	return min(i, g.cells-1)
 }
 
 // uniformSeeds reproduces kmeans.SeedUniform from a precomputed data

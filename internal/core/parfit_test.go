@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"numarck/internal/kmeans"
 )
 
 // fitPair builds a transition of n points whose table input holds every
@@ -141,4 +143,55 @@ func BenchmarkFitClustering(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(ti)), "ns/pt")
+}
+
+// FuzzSeedCellMatchesDivision checks the clustering fit's coarse seed
+// cell against the division kmeans.SeedFromHistogram makes: for a fuzzed
+// range [lo, hi] — tiny, huge, denormal-wide or overflowing — and a
+// table of k clusters, every x within 4 ulps of a cell edge (every edge
+// for up to 4 096 cells, an even sample of them above), and lo and hi
+// themselves, seedGrid.cell must return int((x-lo)/w) clamped to the
+// last cell.
+func FuzzSeedCellMatchesDivision(f *testing.F) {
+	f.Add(0.0, 1.0, uint32(255))
+	f.Add(-1.0, 1e-10, uint32(7))
+	f.Add(1e-300, 2e-300, uint32(4095))
+	f.Add(5e-324, 1e-320, uint32(1))
+	f.Add(-1e308, 1e308, uint32(255))
+	f.Add(1e15, 1e15+1024, uint32(1<<24-1))
+	f.Add(-3.5e-3, 0.25, uint32(63))
+	f.Fuzz(func(t *testing.T, lo, hi float64, k uint32) {
+		if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) || !(lo < hi) {
+			return
+		}
+		k = 1 + k%(1<<MaxIndexBits-1)
+		cells := kmeans.SeedHistogramBins(int(k))
+		g := newSeedGrid(lo, hi, cells)
+		w := (hi - lo) / float64(cells)
+		check := func(x float64) {
+			if x < lo || x > hi {
+				return
+			}
+			want := int((x - lo) / w)
+			if want >= cells {
+				want = cells - 1
+			}
+			if got := g.cell(x); got != want {
+				t.Fatalf("[%v, %v] in %d cells: x = %v lands in cell %d, the division says %d", lo, hi, cells, x, got, want)
+			}
+		}
+		check(lo)
+		check(hi)
+		step := max(1, cells/4096)
+		for e := 0; e <= cells; e += step {
+			x := lo + float64(e)*w
+			down, up := x, x
+			check(x)
+			for u := 0; u < 4; u++ {
+				down, up = math.Nextafter(down, math.Inf(-1)), math.Nextafter(up, math.Inf(1))
+				check(down)
+				check(up)
+			}
+		}
+	})
 }

@@ -48,12 +48,26 @@ type Sketch struct {
 // NewSketch returns an empty sketch of `bins` cells over [lo, hi].
 // bins must be >= 1 and lo <= hi.
 func NewSketch(lo, hi float64, bins int) *Sketch {
-	s := &Sketch{Lo: lo, Hi: hi, Count: make([]int64, bins), Sum: make([]float64, bins),
-		touched: make([]int32, 0, bins)}
+	s := new(Sketch)
+	s.Regrid(lo, hi, bins)
+	return s
+}
+
+// Regrid empties the sketch and moves it onto `bins` cells over
+// [lo, hi], as NewSketch(lo, hi, bins) would return it, reusing its
+// arrays when they have room for that many cells: a pooled sketch
+// serves fits of any range. Reset zeroes every cell Add or Merge set,
+// so the cells a shorter grid leaves out of Count are zero when a
+// longer one takes them back.
+func (s *Sketch) Regrid(lo, hi float64, bins int) {
+	s.Reset()
+	if cap(s.Count) < bins {
+		s.Count, s.Sum, s.touched = make([]int64, bins), make([]float64, bins), make([]int32, 0, bins)
+	}
+	s.Lo, s.Hi, s.Count, s.Sum, s.inv = lo, hi, s.Count[:bins], s.Sum[:bins], 0
 	if hi > lo {
 		s.inv = float64(bins) / (hi - lo)
 	}
-	return s
 }
 
 // Add folds xs into the sketch. Values outside [Lo, Hi] land in the

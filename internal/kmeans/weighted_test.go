@@ -163,8 +163,8 @@ func TestSketchMergeAssociative(t *testing.T) {
 	}
 }
 
-// A sketch refilled after Reset must hold exactly what a fresh one
-// holds, and merging refilled sketches, which walks only the cells each
+// A sketch refilled after Reset or Regrid must hold exactly what a
+// fresh one holds, and merging refilled sketches, which walks only the cells each
 // touched, must give the bits of a merge over every cell — −0 values
 // included, whose cells sum to +0.
 func TestSketchResetMatchesFresh(t *testing.T) {
@@ -206,6 +206,18 @@ func TestSketchResetMatchesFresh(t *testing.T) {
 	}
 	if !reflect.DeepEqual(merged.Count, fullCount) || !sameBits(merged.Sum, fullSum) {
 		t.Error("merging touched cells differs from merging every cell")
+	}
+	// Regrid moves a used sketch onto another grid, shorter or longer
+	// than its last, as NewSketch would make it.
+	for p, xs := range parts {
+		bins, lo, hi := []int{64, 512, 300, 1024, 16}[p], -1-float64(p), 1+float64(p)
+		slot.Regrid(lo, hi, bins)
+		slot.Add(xs)
+		fresh := NewSketch(lo, hi, bins)
+		fresh.Add(xs)
+		if !reflect.DeepEqual(slot.Count, fresh.Count) || !sameBits(slot.Sum, fresh.Sum) || math.Float64bits(slot.inv) != math.Float64bits(fresh.inv) {
+			t.Fatalf("part %d: sketch regridded to %d cells over [%v, %v] differs from a fresh one", p, bins, lo, hi)
+		}
 	}
 }
 
