@@ -53,7 +53,7 @@ race:
 # host (Go 1.24); the whole target takes about 7 min there.
 RACE_SERVER = TestHeadIsRestart|TestNoLockAtRest|TestStorectlDuringLease|TestLeaseChecksLock|TestHeadsYieldToRequests|TestGovernorHolds|TestChaosMatrix
 race-pipeline:
-	$(GO) test -race -count=3 -cpu 1,2,4 ./internal/core ./internal/kmeans ./internal/chunk ./internal/checkpoint
+	$(GO) test -race -count=3 -cpu 1,2,4 ./internal/core ./internal/kmeans ./internal/chunk ./internal/checkpoint ./internal/dist
 	$(GO) test -race -count=3 -cpu 1,2,4 -run '$(RACE_SERVER)' ./internal/server
 
 # The seeded crash-consistency matrix: fault-injection unit tests plus

@@ -30,10 +30,8 @@ type Binner interface {
 func fitBinner(data []float64, opt Options, fs *fitScratch) (Binner, error) {
 	k := opt.NumBins()
 	switch opt.Strategy {
-	case EqualWidth:
-		return fitEqualWidth(data, k, opt.Workers), nil
-	case LogScale:
-		return fitLogScale(data, k, opt.Workers), nil
+	case EqualWidth, LogScale:
+		return ScanFitStats(data, opt).Binner(opt)
 	case Clustering:
 		return fs.clustering(data, k, opt)
 	case EqualFrequency:
@@ -86,8 +84,26 @@ type equalWidthBinner struct {
 	reps      []float64
 }
 
-func fitEqualWidth(data []float64, k, workers int) *equalWidthBinner {
-	lo, hi := parMinMax(data, workers)
+// Binner builds opt's equal-width or log-scale binner from s, the
+// stats of a non-empty table input scanned for that strategy
+// (ScanFitStats): the binner the strategy's fit learns from that input.
+// The other strategies are not built from stats.
+func (s FitStats) Binner(opt Options) (Binner, error) {
+	if s.N == 0 {
+		return nil, fmt.Errorf("%w: fit stats summarise no table input", ErrBadOptions)
+	}
+	switch opt.Strategy {
+	case EqualWidth:
+		return s.equalWidth(opt.NumBins()), nil
+	case LogScale:
+		return s.logScale(opt.NumBins()), nil
+	default:
+		return nil, fmt.Errorf("%w: the %v table is not built from fit stats", ErrBadOptions, opt.Strategy)
+	}
+}
+
+func (s FitStats) equalWidth(k int) *equalWidthBinner {
+	lo, hi := s.Lo, s.Hi
 	if fputil.Eq(lo, hi) {
 		return &equalWidthBinner{lo: lo, width: 0, reps: []float64{lo}}
 	}
@@ -141,17 +157,16 @@ type logSide struct {
 	base       int // offset of this side's first rep in reps
 	logLo, spn float64
 
-	loBits, hiBits uint64 // Float64bits of minAbs / maxAbs
-	shift          uint   // bits per LUT cell
+	loBits, hiBits uint64  // Float64bits of minAbs / maxAbs
+	shift          uint    // bits per LUT cell
 	lut            []int32 // per-cell bin, -1 = take the slow path
 }
 
-func fitLogScale(data []float64, k, workers int) *logScaleBinner {
-	// The per-sign magnitude statistics come from fixed-range parallel
-	// scans (parfit.go): count/min/max merge exactly, so the learned
-	// table is the same for any worker count. Zero-magnitude ratios are
-	// skipped; they hit the nearest-rep fallback in Lookup.
-	neg, pos := parSignStats(data, workers)
+// logScale builds the log-scale binner from the per-sign magnitude
+// statistics. Zero-magnitude ratios are not in them; they hit the
+// nearest-rep fallback in Lookup.
+func (s FitStats) logScale(k int) *logScaleBinner {
+	neg, pos := s.neg, s.pos
 	b := &logScaleBinner{}
 	kNeg, kPos := splitBins(k, neg.n, pos.n)
 	if kNeg > 0 {
@@ -419,50 +434,6 @@ func (b *tableBinner) Representatives() []float64 { return b.reps }
 
 func (b *tableBinner) Lookup(d float64) int {
 	return b.ix.Nearest(d)
-}
-
-// EqualWidthTable returns the representative table the equal-width
-// strategy would learn for ratios spanning [lo, hi]: the centers of k
-// uniform bins. Exported for global (cross-rank) table construction.
-func EqualWidthTable(lo, hi float64, k int) []float64 {
-	if k < 1 {
-		return nil
-	}
-	if fputil.Eq(lo, hi) {
-		return []float64{lo}
-	}
-	w := (hi - lo) / float64(k)
-	reps := make([]float64, k)
-	for i := range reps {
-		reps[i] = lo + (float64(i)+0.5)*w
-	}
-	return reps
-}
-
-// LogScaleTable returns the representative table the log-scale strategy
-// would learn for ratios whose negative side spans magnitudes
-// [negMin, negMax] with nNeg points and positive side [posMin, posMax]
-// with nPos points. Sides with zero points get no bins. Exported for
-// global (cross-rank) table construction.
-func LogScaleTable(negMin, negMax float64, nNeg int, posMin, posMax float64, nPos int, k int) []float64 {
-	kNeg, kPos := splitBins(k, nNeg, nPos)
-	reps := make([]float64, 0, kNeg+kPos)
-	if kNeg > 0 {
-		side := makeLogSide(kNeg, 0, negMin, negMax)
-		for i := 0; i < kNeg; i++ {
-			reps = append(reps, -math.Exp(side.logLo+(float64(i)+0.5)*side.spn/float64(side.k)))
-		}
-	}
-	if kPos > 0 {
-		side := makeLogSide(kPos, kNeg, posMin, posMax)
-		for i := 0; i < kPos; i++ {
-			reps = append(reps, math.Exp(side.logLo+(float64(i)+0.5)*side.spn/float64(side.k)))
-		}
-	}
-	if len(reps) == 0 {
-		reps = []float64{0}
-	}
-	return reps
 }
 
 func minMax(xs []float64) (lo, hi float64) {

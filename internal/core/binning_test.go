@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// fitEqualWidth is the equal-width fit of data on `workers` goroutines:
+// ScanFitStats, then the build step.
+func fitEqualWidth(data []float64, k, workers int) *equalWidthBinner {
+	return ScanFitStats(data, Options{Strategy: EqualWidth, Workers: workers}).equalWidth(k)
+}
+
+// fitLogScale is the log-scale fit of data on `workers` goroutines.
+func fitLogScale(data []float64, k, workers int) *logScaleBinner {
+	return ScanFitStats(data, Options{Strategy: LogScale, Workers: workers}).logScale(k)
+}
+
 func TestEqualWidthBinnerCenters(t *testing.T) {
 	data := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	b := fitEqualWidth(data, 5, 1)

@@ -1,12 +1,12 @@
 package core
 
-// The one encode driver. Encode, EncodeWithTable and the streaming
-// encoder (internal/chunk) all run encodeChunks: an ordered ring of
-// chunks, ratio → table input, one fit, ratio-cached assignment, and
-// the exact values gathered in point order. Encode runs its two slices
-// as one chunk; the streaming encoder runs fixed-size windows of
-// re-readable sources. Only the Sink differs, so their outputs agree
-// by construction.
+// The one encode driver. Encode, EncodeWithTable, EncodeWithStats and
+// the streaming encoder (internal/chunk) all run encodeChunks: an
+// ordered ring of chunks, ratio → table input, one fit, ratio-cached
+// assignment, and the exact values gathered in point order. Encode runs
+// its two slices as one chunk; the streaming encoder runs fixed-size
+// windows of re-readable sources. Only the Sink differs, so their
+// outputs agree by construction.
 
 import (
 	"context"
@@ -356,10 +356,10 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// encodeChunks is EncodeChunks with an optional fixed table: when
-// table is non-nil, the run assigns against it instead of learning one
-// (EncodeWithTable).
-func encodeChunks(prev, cur Source, opt Options, plan Plan, table []float64, sink Sink) (int, int, error) {
+// encodeChunks is EncodeChunks with an optional fixed binner: when
+// fixed is non-nil, the run assigns against it instead of learning one
+// (EncodeWithTable, EncodeWithStats).
+func encodeChunks(prev, cur Source, opt Options, plan Plan, fixed Binner, sink Sink) (int, int, error) {
 	if prev.Len() != cur.Len() {
 		return 0, 0, fmt.Errorf("%w: %d vs %d", ErrLength, prev.Len(), cur.Len())
 	}
@@ -450,7 +450,7 @@ func encodeChunks(prev, cur Source, opt Options, plan Plan, table []float64, sin
 	}
 
 	t := rec.Start()
-	bins, reps, err := fit(ti, table, opt, &rs.fit)
+	bins, reps, err := fit(ti, fixed, opt, &rs.fit)
 	t.Stop(obs.StageTable)
 	if err != nil {
 		return 0, 0, err
@@ -504,16 +504,17 @@ func encodeChunks(prev, cur Source, opt Options, plan Plan, table []float64, sin
 	return len(ti), exact, nil
 }
 
-// fit learns the bin table from the table input ti, or serves the fixed
-// table when one is given. bins and reps are nil when ti is empty.
-func fit(ti, table []float64, opt Options, fs *fitScratch) (bins Binner, reps []float64, err error) {
+// fit learns the binner from the table input ti, or serves the fixed
+// one when it is given. bins and reps are nil when ti is empty.
+func fit(ti []float64, fixed Binner, opt Options, fs *fitScratch) (bins Binner, reps []float64, err error) {
 	if len(ti) == 0 {
 		return nil, nil, nil
 	}
-	if table != nil {
-		bins = newTableBinner(table, len(ti))
-	} else if bins, err = fitBinner(ti, opt, fs); err != nil {
-		return nil, nil, err
+	bins = fixed
+	if bins == nil {
+		if bins, err = fitBinner(ti, opt, fs); err != nil {
+			return nil, nil, err
+		}
 	}
 	reps = bins.Representatives()
 	if len(reps) > opt.NumBins() {

@@ -56,11 +56,11 @@ func Encode(prev, cur []float64, opt Options) (*Encoded, error) {
 // representative ratios instead of learning one from this data. Each
 // large ratio is assigned to the nearest table entry; the error bound
 // is enforced exactly as in Encode, through the same driver. This is
-// how distributed encoding shares one globally learned table across
-// ranks (internal/dist), and how a table learned on iteration i can be
-// reused for iteration i+1. len(table) must be in (0, 2^B-1]; entries
-// must be finite. When no point has a table-input ratio, the result
-// carries no table, as Encode's would.
+// how a table learned on iteration i is reused for iteration i+1, and
+// how distributed encoding (internal/dist) shares the one clustering
+// table its ranks learn together. len(table) must be in (0, 2^B-1];
+// entries must be finite. When no point has a table-input ratio, the
+// result carries no table, as Encode's would.
 func EncodeWithTable(prev, cur []float64, table []float64, opt Options) (*Encoded, error) {
 	opt, err := opt.Validate()
 	if err != nil {
@@ -77,12 +77,32 @@ func EncodeWithTable(prev, cur []float64, table []float64, opt Options) (*Encode
 			return nil, fmt.Errorf("%w: non-finite table entry %v at %d", ErrBadOptions, r, i)
 		}
 	}
-	return encodeSlices(prev, cur, opt, table)
+	return encodeSlices(prev, cur, opt, newTableBinner(table, len(cur)))
+}
+
+// EncodeWithStats compresses prev → cur against the equal-width or
+// log-scale binner built from st, with that strategy's own Lookup. When
+// st merges this transition's ScanFitStats with those of the rest of a
+// larger transition, each part's bytes are the bytes Encode gives that
+// part of the whole: this is how distributed encoding (internal/dist)
+// encodes each rank's shard against one global table. st must summarise
+// at least one ratio. When no point of this part has a table-input
+// ratio, the result carries no table, as Encode's would.
+func EncodeWithStats(prev, cur []float64, st FitStats, opt Options) (*Encoded, error) {
+	opt, err := opt.Validate()
+	if err != nil {
+		return nil, err
+	}
+	bins, err := st.Binner(opt)
+	if err != nil {
+		return nil, err
+	}
+	return encodeSlices(prev, cur, opt, bins)
 }
 
 // encodeSlices runs the driver over prev → cur as one chunk, learning
-// the table unless one is given. opt must be validated.
-func encodeSlices(prev, cur []float64, opt Options, table []float64) (*Encoded, error) {
+// the binner unless one is given. opt must be validated.
+func encodeSlices(prev, cur []float64, opt Options, fixed Binner) (*Encoded, error) {
 	n := len(cur)
 	// The one chunk's flags replace the empty bitmap; n = 0 has no chunk.
 	e := &Encoded{Opt: opt, N: n, Incompressible: bitpack.NewBitmap(0)}
@@ -90,7 +110,7 @@ func encodeSlices(prev, cur []float64, opt Options, table []float64) (*Encoded, 
 	if plan.Workers == 0 {
 		plan.Workers = runtime.GOMAXPROCS(0)
 	}
-	if _, _, err := encodeChunks(SliceSource(prev), SliceSource(cur), opt, plan, table, (*encodedSink)(e)); err != nil {
+	if _, _, err := encodeChunks(SliceSource(prev), SliceSource(cur), opt, plan, fixed, (*encodedSink)(e)); err != nil {
 		return nil, err
 	}
 	return e, nil

@@ -11,6 +11,7 @@ package core
 // per-partition summaries merge into one global table.
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -63,29 +64,95 @@ func forEachRange(n, size, workers int, fn func(r, lo, hi int)) int {
 	return ranges
 }
 
-// parMinMax returns the minimum and maximum of xs, scanning fixed
-// ranges in parallel. Identical to a serial scan (min/max merge is
-// exact) for any worker count. xs must be non-empty.
-func parMinMax(xs []float64, workers int) (lo, hi float64) {
-	if len(xs) < 2*statRangePoints || workers == 1 {
-		return minMax(xs)
+// FitStats is the mergeable summary of a table input that the
+// equal-width and log-scale tables are built from, and that bounds the
+// clustering fit: the input's size and range, and each sign's
+// population and magnitude range. Every field merges exactly (integer
+// counts, minima and maxima), so stats scanned per range, per chunk or
+// per rank and merged in input order are the whole input's, bit for
+// bit, and the table built from them is the whole input's table.
+// ScanFitStats(nil, opt) is the empty summary; the zero FitStats is not.
+type FitStats struct {
+	// N is the number of table-input ratios.
+	N int
+	// Lo and Hi are their minimum and maximum: +Inf and -Inf when N is
+	// 0, or when the strategy needs no range (log-scale).
+	Lo, Hi   float64
+	neg, pos signStats // per-sign |d| statistics, log-scale only
+}
+
+// noSign is a sign's statistics over no ratio.
+var noSign = signStats{min: math.Inf(1), max: math.Inf(-1)}
+
+// ScanFitStats summarises the table input ti for opt's strategy: the
+// per-sign statistics for log-scale, the range for every other, in one
+// pass. Fixed statRangePoints ranges are scanned on opt.Workers
+// goroutines and merged in range order.
+func ScanFitStats(ti []float64, opt Options) FitStats {
+	logScale := opt.Strategy == LogScale
+	if len(ti) < 2*statRangePoints || opt.Workers == 1 {
+		return scanStats(ti, logScale)
 	}
-	type mm struct{ lo, hi float64 }
-	slots := make([]mm, (len(xs)+statRangePoints-1)/statRangePoints)
-	forEachRange(len(xs), statRangePoints, workers, func(r, a, b int) {
-		l, h := minMax(xs[a:b])
-		slots[r] = mm{l, h}
+	slots := make([]FitStats, (len(ti)+statRangePoints-1)/statRangePoints)
+	forEachRange(len(ti), statRangePoints, opt.Workers, func(r, a, b int) {
+		slots[r] = scanStats(ti[a:b], logScale)
 	})
-	lo, hi = slots[0].lo, slots[0].hi
-	for _, s := range slots[1:] {
-		if s.lo < lo {
-			lo = s.lo
-		}
-		if s.hi > hi {
-			hi = s.hi
-		}
+	s := slots[0]
+	for _, o := range slots[1:] {
+		s.Merge(o)
 	}
-	return lo, hi
+	return s
+}
+
+// scanStats is ScanFitStats over one range.
+func scanStats(xs []float64, logScale bool) FitStats {
+	s := FitStats{N: len(xs), Lo: math.Inf(1), Hi: math.Inf(-1), neg: noSign, pos: noSign}
+	if logScale {
+		s.neg, s.pos = scanSignStats(xs)
+	} else if len(xs) > 0 {
+		s.Lo, s.Hi = minMax(xs)
+	}
+	return s
+}
+
+// Merge folds o, the stats of the table input that follows s's in the
+// same strategy's encode, into s. A tie keeps s's value, as a serial
+// scan keeps the first (0 before -0, say), so merging in input order
+// gives the serial scan's bits.
+func (s *FitStats) Merge(o FitStats) {
+	s.N += o.N
+	if o.Lo < s.Lo {
+		s.Lo = o.Lo
+	}
+	if o.Hi > s.Hi {
+		s.Hi = o.Hi
+	}
+	s.neg.merge(o.neg)
+	s.pos.merge(o.pos)
+}
+
+// Wire is s as two fixed-length vectors for a collective reduction:
+// mins holds the minima and the negated maxima, to be reduced by
+// element-wise minimum; sums holds the counts, to be reduced by sum.
+// FitStatsFromWire reads the reduced pair back.
+func (s FitStats) Wire() (mins, sums []float64) {
+	mins = []float64{s.Lo, -s.Hi, s.neg.min, -s.neg.max, s.pos.min, -s.pos.max}
+	sums = []float64{float64(s.N), float64(s.neg.n), float64(s.pos.n)}
+	return mins, sums
+}
+
+// FitStatsFromWire is the merged stats whose Wire vectors, reduced, are
+// mins and sums. Counts up to 2^53 add exactly as float64s.
+func FitStatsFromWire(mins, sums []float64) (FitStats, error) {
+	if len(mins) != 6 || len(sums) != 3 {
+		return FitStats{}, fmt.Errorf("%w: fit stats wire of %d+%d values, want 6+3", ErrBadOptions, len(mins), len(sums))
+	}
+	return FitStats{
+		N:  int(sums[0]),
+		Lo: mins[0], Hi: -mins[1],
+		neg: signStats{n: int(sums[1]), min: mins[2], max: -mins[3]},
+		pos: signStats{n: int(sums[2]), min: mins[4], max: -mins[5]},
+	}, nil
 }
 
 // signStats are one sign's magnitude statistics for the log-scale fit:
@@ -106,12 +173,11 @@ func (s *signStats) merge(o signStats) {
 	}
 }
 
-// scanSignStats gathers both signs' magnitude statistics over xs[a:b].
-// Zero-magnitude ratios are skipped, matching fitLogScale's contract
-// (they fall to the nearest-rep fallback in Lookup).
+// scanSignStats gathers both signs' magnitude statistics over xs.
+// Zero-magnitude ratios are skipped: the log-scale Lookup sends them to
+// its nearest-rep fallback.
 func scanSignStats(xs []float64) (neg, pos signStats) {
-	neg = signStats{min: math.Inf(1), max: math.Inf(-1)}
-	pos = signStats{min: math.Inf(1), max: math.Inf(-1)}
+	neg, pos = noSign, noSign
 	for _, d := range xs {
 		a := math.Abs(d)
 		if fputil.IsZero(a) {
@@ -128,26 +194,6 @@ func scanSignStats(xs []float64) (neg, pos signStats) {
 		if a > s.max {
 			s.max = a
 		}
-	}
-	return neg, pos
-}
-
-// parSignStats runs scanSignStats over fixed ranges in parallel and
-// merges in range order. Exact, so identical for any worker count.
-func parSignStats(xs []float64, workers int) (neg, pos signStats) {
-	if len(xs) < 2*statRangePoints || workers == 1 {
-		return scanSignStats(xs)
-	}
-	type pair struct{ neg, pos signStats }
-	slots := make([]pair, (len(xs)+statRangePoints-1)/statRangePoints)
-	forEachRange(len(xs), statRangePoints, workers, func(r, a, b int) {
-		n, p := scanSignStats(xs[a:b])
-		slots[r] = pair{n, p}
-	})
-	neg, pos = slots[0].neg, slots[0].pos
-	for _, s := range slots[1:] {
-		neg.merge(s.neg)
-		pos.merge(s.pos)
 	}
 	return neg, pos
 }
@@ -201,7 +247,8 @@ type fitSlot struct {
 // order, so each worker keeps one coarse histogram for all of its
 // ranges.
 func (fs *fitScratch) sketchFit(data []float64, k int, opt Options) (*clusterBinner, error) {
-	lo, hi := parMinMax(data, opt.Workers)
+	st := ScanFitStats(data, opt)
+	lo, hi := st.Lo, st.Hi
 	if fputil.Eq(lo, hi) {
 		// Single distinct value: every centroid is that value. The
 		// exact path reaches the same fixpoint in one O(n) iteration;
@@ -256,7 +303,7 @@ func (fs *fitScratch) sketchFit(data []float64, k int, opt Options) (*clusterBin
 		// and seed from the micro-centroids themselves.
 		cfg.K = len(points)
 	} else if opt.UniformSeeding {
-		cfg.Seeds = uniformSeeds(lo, hi, k)
+		cfg.Seeds = kmeans.UniformSeeds(lo, hi, k)
 	} else {
 		cfg.Seeds = kmeans.SeedFromCounts(lo, hi, counts, k)
 	}
@@ -310,18 +357,4 @@ func (g seedGrid) cell(x float64) int {
 		i = int((x - g.lo) / g.w) // near an edge, or inv is 0
 	}
 	return min(i, g.cells-1)
-}
-
-// uniformSeeds reproduces kmeans.SeedUniform from a precomputed data
-// range instead of rescanning the data.
-func uniformSeeds(lo, hi float64, k int) []float64 {
-	seeds := make([]float64, k)
-	if k == 1 {
-		seeds[0] = (lo + hi) / 2
-		return seeds
-	}
-	for i := range seeds {
-		seeds[i] = lo + (hi-lo)*float64(i)/float64(k-1)
-	}
-	return seeds
 }

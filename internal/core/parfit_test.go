@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -78,6 +79,85 @@ func TestFitWorkerIndependence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFitStatsMergeMatchesWholeScan pins the exact merge the
+// distributed encoder relies on: a table input cut into parts, each
+// part scanned alone and the parts merged in order — by Merge, or by
+// reducing their Wire vectors as a collective would — gives the whole
+// input's stats bit for bit, and so its table. The input straddles the
+// parallel scan's threshold; a tie between 0 and −0 must keep the first,
+// as the serial scan does.
+func TestFitStatsMergeMatchesWholeScan(t *testing.T) {
+	prev, cur := fitPair(3*statRangePoints, 7, true)
+	for _, s := range []Strategy{EqualWidth, LogScale} {
+		opt := defaultOpts(s)
+		opt.DisableZeroIndex = true
+		ti, err := TableInput(prev, cur, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole := ScanFitStats(ti, opt)
+		for _, cuts := range [][]int{{0, len(ti)}, {0, 0, 7, len(ti)}, {0, 1, 2*statRangePoints + 3, len(ti) - 1, len(ti)}} {
+			merged := ScanFitStats(ti[:0], opt)
+			var mins, sums []float64
+			for p := 1; p < len(cuts); p++ {
+				part := ScanFitStats(ti[cuts[p-1]:cuts[p]], opt)
+				merged.Merge(part)
+				m, c := part.Wire()
+				if mins == nil {
+					mins, sums = m, c
+					continue
+				}
+				for i := range m {
+					if m[i] < mins[i] {
+						mins[i] = m[i]
+					}
+				}
+				for i := range c {
+					sums[i] += c[i]
+				}
+			}
+			reduced, err := FitStatsFromWire(mins, sums)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range []FitStats{merged, reduced} {
+				if !bitsEqual(statsBits(got), statsBits(whole)) {
+					t.Fatalf("%v cut at %v: merged stats %+v, whole scan %+v", s, cuts, got, whole)
+				}
+			}
+		}
+		b, err := whole.Binner(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := Encode(prev, cur, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqual(b.Representatives(), e.BinRatios) {
+			t.Errorf("%v: the binner built from the stats is not Encode's", s)
+		}
+	}
+	ew := defaultOpts(EqualWidth)
+	zeros := []float64{0, math.Copysign(0, -1)}
+	first := ScanFitStats(zeros[:1], ew)
+	first.Merge(ScanFitStats(zeros[1:], ew))
+	if whole := ScanFitStats(zeros, ew); !bitsEqual(statsBits(first), statsBits(whole)) {
+		t.Errorf("0 merged with −0: %+v, whole scan %+v", first, whole)
+	}
+	if _, err := ScanFitStats(nil, ew).Binner(ew); !errors.Is(err, ErrBadOptions) {
+		t.Errorf("stats of no input built a binner: %v", err)
+	}
+	if _, err := ScanFitStats([]float64{1}, defaultOpts(Clustering)).Binner(defaultOpts(Clustering)); !errors.Is(err, ErrBadOptions) {
+		t.Errorf("stats built a clustering binner: %v", err)
+	}
+}
+
+// statsBits lists every field of s as a float64, for a bitwise compare.
+func statsBits(s FitStats) []float64 {
+	return []float64{float64(s.N), s.Lo, s.Hi, float64(s.neg.n), s.neg.min, s.neg.max, float64(s.pos.n), s.pos.min, s.pos.max}
 }
 
 // fitAllocs is the average allocation count of one clustering fit of

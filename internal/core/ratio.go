@@ -142,8 +142,9 @@ func grow[T any](s []T, n int) []T {
 
 // TableInput returns the change ratios of prev → cur that table
 // learning sees under opt, in point order — the selection every encode
-// fits its table to. Distributed encoding (internal/dist) learns one
-// table from all ranks' inputs and encodes each rank against it.
+// fits its table to. Distributed encoding (internal/dist) summarises
+// each rank's with ScanFitStats and, for clustering, runs its Lloyd
+// loop over it.
 func TableInput(prev, cur []float64, opt Options) ([]float64, error) {
 	if len(prev) != len(cur) {
 		return nil, fmt.Errorf("%w: %d vs %d", ErrLength, len(prev), len(cur))

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -220,25 +221,154 @@ func TestGlobalTableIdenticalAcrossRanks(t *testing.T) {
 func TestGlobalKMeansMatchesSingleRankQuality(t *testing.T) {
 	// The parallel k-means reduces partial sums in a different
 	// floating-point order than the serial implementation, so tables
-	// are not bit-identical; the learned quality must match closely.
+	// are not bit-identical; the learned quality must match closely,
+	// under either seeding. Uniform seeding must be honoured across
+	// ranks, not fall back to the histogram's seeds.
 	prev, cur := genData(8000, 4)
-	resDist, err := Encode(prev, cur, Config{Ranks: 1, Mode: GlobalTable, Opt: opts(core.Clustering)})
-	if err != nil {
-		t.Fatal(err)
+	uniform := opts(core.Clustering)
+	uniform.UniformSeeding = true
+	for _, ranks := range []int{1, 4} {
+		hist, err := Encode(prev, cur, Config{Ranks: ranks, Mode: GlobalTable, Opt: opts(core.Clustering)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opt := range []core.Options{opts(core.Clustering), uniform} {
+			resDist, err := Encode(prev, cur, Config{Ranks: ranks, Mode: GlobalTable, Opt: opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, err := core.Encode(prev, cur, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("R=%d uniform=%v", ranks, opt.UniformSeeding)
+			a, b := resDist.Shards[0].BinRatios, single.BinRatios
+			if len(a) != len(b) {
+				t.Fatalf("%s: table sizes %d vs %d", name, len(a), len(b))
+			}
+			if g1, g2 := resDist.Gamma(), single.Gamma(); math.Abs(g1-g2) > 0.005 {
+				t.Errorf("%s: gamma %v vs %v", name, g1, g2)
+			}
+			if e1, e2 := resDist.MeanErrorRate(), single.MeanErrorRate(); math.Abs(e1-e2) > 1e-4 {
+				t.Errorf("%s: mean err %v vs %v", name, e1, e2)
+			}
+			if opt.UniformSeeding && sameBits(a, hist.Shards[0].BinRatios) {
+				t.Errorf("%s: the uniform-seeded table is the histogram-seeded one", name)
+			}
+		}
 	}
-	single, err := core.Encode(prev, cur, opts(core.Clustering))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := resDist.Shards[0].BinRatios, single.BinRatios
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {
-		t.Fatalf("table sizes %d vs %d", len(a), len(b))
+		return false
 	}
-	if g1, g2 := resDist.Gamma(), single.Gamma(); math.Abs(g1-g2) > 0.005 {
-		t.Errorf("gamma %v vs %v", g1, g2)
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
 	}
-	if e1, e2 := resDist.MeanErrorRate(), single.MeanErrorRate(); math.Abs(e1-e2) > 1e-4 {
-		t.Errorf("mean err %v vs %v", e1, e2)
+	return true
+}
+
+// quietPrefix returns genData(n, seed) with its first half unchanged,
+// so the ranks covering it have no table input.
+func quietPrefix(n int, seed int64) (prev, cur []float64) {
+	prev, cur = genData(n, seed)
+	copy(cur[:n/2], prev[:n/2])
+	return prev, cur
+}
+
+// TestGlobalMatchesCore pins that a global-table encode under the
+// equal-width and log-scale strategies is core.Encode's, cut at the
+// shard boundaries: the ranks reduce core's own fit statistics, which
+// merge exactly, and encode against the binner core builds from them.
+// The sizes straddle 2·8192 points, where core's fit scans go parallel;
+// in the quiet cases the first half of the points is unchanged, so at
+// least one rank has no table input and carries no table.
+func TestGlobalMatchesCore(t *testing.T) {
+	for _, n := range []int{5000, 40000} {
+		for _, quiet := range []bool{false, true} {
+			prev, cur := genData(n, int64(n))
+			if quiet {
+				prev, cur = quietPrefix(n, int64(n))
+			}
+			for _, s := range []core.Strategy{core.EqualWidth, core.LogScale} {
+				want, err := core.Encode(prev, cur, opts(s))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ranks := range []int{1, 2, 3, 4, 16} {
+					name := fmt.Sprintf("%v n=%d quiet=%v R=%d", s, n, quiet, ranks)
+					res, err := Encode(prev, cur, Config{Ranks: ranks, Mode: GlobalTable, Opt: opts(s)})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					var exact []float64
+					tables, j := 0, 0
+					for r, sh := range res.Shards {
+						exact = append(exact, sh.Exact...)
+						for i := 0; i < sh.N; i, j = i+1, j+1 {
+							if sh.Indices[i] != want.Indices[j] || sh.Incompressible.Get(i) != want.Incompressible.Get(j) {
+								t.Fatalf("%s: point %d (rank %d) has index %d flag %v, core.Encode %d %v", name, j,
+									r, sh.Indices[i], sh.Incompressible.Get(i), want.Indices[j], want.Incompressible.Get(j))
+							}
+						}
+						if len(sh.BinRatios) == 0 {
+							continue
+						}
+						tables++
+						if !sameBits(sh.BinRatios, want.BinRatios) {
+							t.Fatalf("%s: rank %d's table differs from core.Encode's", name, r)
+						}
+					}
+					if j != n || !sameBits(exact, want.Exact) {
+						t.Fatalf("%s: shards cover %d points and %d exact values, core.Encode %d and %d", name, j, len(exact), n, len(want.Exact))
+					}
+					if tables == 0 || (quiet && ranks > 1 && tables == ranks) {
+						t.Fatalf("%s: %d of %d shards carry a table", name, tables, ranks)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGlobalTableEntriesCountsSharedTable pins that a global encode
+// charges its one table once even when rank 0's shard, having no table
+// input, carries none.
+func TestGlobalTableEntriesCountsSharedTable(t *testing.T) {
+	prev, cur := quietPrefix(20000, 10)
+	for _, s := range core.Strategies {
+		res, err := Encode(prev, cur, Config{Ranks: 2, Mode: GlobalTable, Opt: opts(s)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := core.Encode(prev, cur, opts(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Shards[0].BinRatios) != 0 {
+			t.Fatalf("%v: rank 0 has no table input but carries a table", s)
+		}
+		if res.TableEntries != len(single.BinRatios) {
+			t.Errorf("%v: TableEntries = %d, core.Encode's table has %d entries", s, res.TableEntries, len(single.BinRatios))
+		}
+	}
+}
+
+// TestEncodeRankFailureDoesNotHang pins that a rank whose shard cannot
+// be encoded fails the global encode with its own error, while the
+// other ranks leave the collectives instead of waiting for it.
+func TestEncodeRankFailureDoesNotHang(t *testing.T) {
+	prev, cur := genData(4000, 11)
+	cur[2500] = math.NaN() // rank 2 of 4
+	for _, s := range core.Strategies {
+		_, err := Encode(prev, cur, Config{Ranks: 4, Mode: GlobalTable, Opt: opts(s)})
+		if !errors.Is(err, core.ErrNonFinite) {
+			t.Errorf("%v: err = %v, want ErrNonFinite", s, err)
+		}
 	}
 }
 
@@ -284,6 +414,29 @@ func TestEncodeDeterministicAcrossRuns(t *testing.T) {
 	}
 	if a.Gamma() != b.Gamma() || a.BytesMoved != b.BytesMoved {
 		t.Errorf("non-deterministic: gamma %v/%v bytes %d/%d", a.Gamma(), b.Gamma(), a.BytesMoved, b.BytesMoved)
+	}
+
+	// The fabric folds every collective in rank order, so the global
+	// clustering table's bits do not depend on the order the ranks'
+	// goroutines arrive in.
+	prev, cur = genData(1<<14, 6)
+	for _, ranks := range []int{3, 4, 8} {
+		cfg := Config{Ranks: ranks, Mode: GlobalTable, Opt: opts(core.Clustering)}
+		ref, err := Encode(prev, cur, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 20; run++ {
+			got, err := Encode(prev, cur, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, sh := range got.Shards {
+				if !sameBits(sh.BinRatios, ref.Shards[r].BinRatios) {
+					t.Fatalf("R=%d run %d: rank %d learned a different table from the first run's", ranks, run, r)
+				}
+			}
+		}
 	}
 }
 

@@ -21,11 +21,13 @@ const (
 	// for R tables. This is the paper's "minimal data movement,
 	// mostly in place" extreme.
 	LocalTables TableMode = iota
-	// GlobalTable learns one table over all ranks' ratios: min/max
-	// reductions for the binning strategies, an MPI-style parallel
-	// k-means (partial-sum allreduce per Lloyd iteration) for
-	// clustering. Storage pays for one table; communication pays for
-	// the reductions.
+	// GlobalTable learns one table over all ranks' ratios: one
+	// reduction of core's fit stats, from which equal-width and
+	// log-scale build core.Encode's own table, and for clustering an
+	// MPI-style parallel k-means (partial-sum allreduce per Lloyd
+	// iteration) seeded from them. Equal-frequency has no global form.
+	// Storage pays for one table; communication pays for the
+	// reductions.
 	GlobalTable
 )
 
@@ -69,6 +71,10 @@ type Result struct {
 
 // ErrConfig reports an invalid distributed-encode configuration.
 var ErrConfig = errors.New("dist: invalid config")
+
+// errPeer is a rank's error when another rank's shard failed: Encode
+// reports that rank's error instead.
+var errPeer = errors.New("dist: another rank failed")
 
 // Decode reconstructs the full checkpoint by decoding every shard
 // against its slice of prev.
@@ -212,17 +218,19 @@ func Encode(prev, cur []float64, cfg Config) (*Result, error) {
 	}
 	wg.Wait()
 	for _, err := range errs {
-		if err != nil {
+		if err != nil && !errors.Is(err, errPeer) {
 			return nil, err
 		}
 	}
 	res.BytesMoved = fabric.BytesSent()
 	for _, sh := range res.Shards {
-		res.TableEntries += len(sh.BinRatios)
-	}
-	if cfg.Mode == GlobalTable && cfg.Ranks > 1 {
-		// All ranks share one table; count it once.
-		res.TableEntries = len(res.Shards[0].BinRatios)
+		if cfg.Mode == GlobalTable {
+			// Every shard with a table input carries the one global
+			// table, and a shard without one carries none: count it once.
+			res.TableEntries = max(res.TableEntries, len(sh.BinRatios))
+		} else {
+			res.TableEntries += len(sh.BinRatios)
+		}
 	}
 	return res, nil
 }
@@ -230,188 +238,90 @@ func Encode(prev, cur []float64, cfg Config) (*Result, error) {
 // encodeRank runs one rank's part of the encode.
 func encodeRank(f *Fabric, rank int, prev, cur []float64, mode TableMode, opt core.Options) (*core.Encoded, error) {
 	if mode == LocalTables || f.Ranks() == 1 {
-		// Every rank still participates in a zero-length barrier so
-		// single-mode runs have identical structure (and the fabric
-		// records zero traffic for them only if ranks == 1).
 		return core.Encode(prev, cur, opt)
 	}
 
-	// Global mode: compute local ratios, learn the shared table, then
-	// encode the shard against it.
-	large, err := core.TableInput(prev, cur, opt)
-	if err != nil {
+	// Global mode: summarise the shard's table input, reduce the
+	// summaries to the whole input's, then encode the shard against the
+	// table they determine.
+	ti, tiErr := core.TableInput(prev, cur, opt)
+	st, err := reduceStats(f, rank, core.ScanFitStats(ti, opt), tiErr != nil)
+	switch {
+	case tiErr != nil:
+		return nil, tiErr
+	case err != nil:
 		return nil, err
-	}
-	table, err := learnGlobalTable(f, rank, large, opt)
-	if err != nil {
-		return nil, err
-	}
-	if len(table) == 0 {
-		// No rank had large ratios: plain encode degenerates to the
-		// zero-index-only case.
+	case st.N == 0:
+		// No rank has a table input: no table, as core.Encode gives.
 		return core.Encode(prev, cur, opt)
+	case opt.Strategy != core.Clustering:
+		return core.EncodeWithStats(prev, cur, st, opt)
+	}
+	table, err := globalKMeans(f, rank, ti, st, opt)
+	if err != nil {
+		return nil, err
 	}
 	return core.EncodeWithTable(prev, cur, table, opt)
 }
 
-// learnGlobalTable learns one representative table over all ranks'
-// large ratios. Every rank returns the identical table. An empty table
-// means no rank had large ratios.
-func learnGlobalTable(f *Fabric, rank int, large []float64, opt core.Options) ([]float64, error) {
-	k := opt.NumBins()
-	switch opt.Strategy {
-	case core.EqualWidth:
-		lo, hi, n, err := globalRange(f, rank, large)
-		if err != nil || n == 0 {
-			return nil, err
-		}
-		return core.EqualWidthTable(lo, hi, k), nil
+// reduceStats merges every rank's fit stats into the whole input's: one
+// min-reduction and one sum-reduction of their wire form. The sums
+// carry one more count, of the ranks that failed to compute their
+// table input, so that every rank leaves the collectives together
+// instead of waiting for one that already left.
+func reduceStats(f *Fabric, rank int, st core.FitStats, failed bool) (core.FitStats, error) {
+	mins, sums := st.Wire()
+	last := len(sums)
+	if sums = append(sums, 0); failed {
+		sums[last] = 1
+	}
+	mins, err := f.AllReduce(rank, mins, OpMin)
+	if err != nil {
+		return core.FitStats{}, err
+	}
+	if sums, err = f.AllReduce(rank, sums, OpSum); err != nil {
+		return core.FitStats{}, err
+	}
+	if sums[last] > 0 {
+		return core.FitStats{}, errPeer
+	}
+	return core.FitStatsFromWire(mins, sums[:last])
+}
 
-	case core.LogScale:
-		stats := logSideStats(large)
-		red, err := f.AllReduce(rank, []float64{
-			stats.negMin, -stats.negMax,
-			stats.posMin, -stats.posMax,
-		}, OpMin)
+// globalKMeans is the distributed form of the clustering fit's
+// full-data path (kmeans.Run) over all ranks' table inputs, whose merged
+// stats are st. The seeds come from st's range: the centers of a merged
+// equal-width histogram's fullest bins (one count all-reduce), or evenly
+// spaced under Options.UniformSeeding. Each Lloyd iteration then
+// all-reduces per-centroid partial sums and counts. The fabric folds
+// them in rank order, so every rank computes the same centroids, run
+// after run.
+func globalKMeans(f *Fabric, rank int, ti []float64, st core.FitStats, opt core.Options) ([]float64, error) {
+	k := min(opt.NumBins(), st.N)
+	// Over a one-value range the uniform seeds are the histogram's too.
+	cents := kmeans.UniformSeeds(st.Lo, st.Hi, k)
+	if !opt.UniformSeeding && st.Hi > st.Lo {
+		counts := kmeans.SeedCounts(ti, st.Lo, st.Hi, k)
+		wire := make([]float64, len(counts))
+		for i, c := range counts {
+			wire[i] = float64(c)
+		}
+		merged, err := f.AllReduce(rank, wire, OpSum)
 		if err != nil {
 			return nil, err
 		}
-		cnt, err := f.AllReduce(rank, []float64{stats.nNeg, stats.nPos}, OpSum)
-		if err != nil {
-			return nil, err
+		for i, c := range merged {
+			counts[i] = int(c)
 		}
-		nNeg, nPos := int(cnt[0]+0.5), int(cnt[1]+0.5)
-		if nNeg+nPos == 0 {
-			return nil, nil
-		}
-		return core.LogScaleTable(red[0], -red[1], nNeg, red[2], -red[3], nPos, k), nil
-
-	case core.Clustering:
-		return globalKMeans(f, rank, large, k, opt)
-
-	default:
-		return nil, fmt.Errorf("%w: strategy %v", ErrConfig, opt.Strategy)
-	}
-}
-
-// globalRange min/max-reduces the local ratio range. n is the global
-// count of large ratios.
-func globalRange(f *Fabric, rank int, large []float64) (lo, hi float64, n int, err error) {
-	lo, hi = posInf, negInf
-	for _, v := range large {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	// Two collectives: [min, -max] under OpMin, count under OpSum.
-	red, err := f.AllReduce(rank, []float64{lo, -hi}, OpMin)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	total, err := f.AllReduceScalar(rank, float64(len(large)), OpSum)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return red[0], -red[1], int(total + 0.5), nil
-}
-
-type sideStats struct {
-	negMin, negMax float64 // magnitudes
-	posMin, posMax float64
-	nNeg, nPos     float64
-}
-
-// logSideStats summarizes a shard for the log-scale table: per-sign
-// magnitude ranges and counts. Ranges merge under OpMin (maxes are
-// negated by the caller); counts merge under OpSum.
-func logSideStats(large []float64) sideStats {
-	s := sideStats{negMin: posInf, negMax: negInf, posMin: posInf, posMax: negInf}
-	for _, d := range large {
-		a := math.Abs(d)
-		if fputil.IsZero(a) {
-			continue
-		}
-		if d < 0 {
-			s.nNeg++
-			if a < s.negMin {
-				s.negMin = a
-			}
-			if a > s.negMax {
-				s.negMax = a
-			}
-		} else {
-			s.nPos++
-			if a < s.posMin {
-				s.posMin = a
-			}
-			if a > s.posMax {
-				s.posMax = a
-			}
-		}
-	}
-	return s
-}
-
-// globalKMeans is the paper's MPI-parallel k-means over all ranks'
-// ratios: seeds come from a merged equal-width histogram, then each
-// Lloyd iteration allreduces per-centroid partial sums and counts.
-// Every rank deterministically computes identical centroids.
-func globalKMeans(f *Fabric, rank int, large []float64, k int, opt core.Options) ([]float64, error) {
-	lo, hi, n, err := globalRange(f, rank, large)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if k > n {
-		k = n
+		cents = kmeans.SeedFromCounts(st.Lo, st.Hi, counts, k)
 	}
 
-	// Merged histogram seeding: local counts, one sum-allreduce.
-	bins := kmeans.SeedHistogramBins(k)
-	counts := make([]float64, bins)
-	if hi > lo {
-		w := (hi - lo) / float64(bins)
-		for _, x := range large {
-			i := int((x - lo) / w)
-			if i >= bins {
-				i = bins - 1
-			}
-			if i < 0 {
-				i = 0
-			}
-			counts[i]++
-		}
-	}
-	merged, err := f.AllReduce(rank, counts, OpSum)
-	if err != nil {
-		return nil, err
-	}
-	intCounts := make([]int, bins)
-	for i, c := range merged {
-		intCounts[i] = int(c + 0.5)
-	}
-	cents := kmeans.SeedFromCounts(lo, hi, intCounts, k)
-	if cents == nil {
-		return nil, nil
-	}
-
-	maxIter := opt.KMeansMaxIter
-	if maxIter <= 0 {
-		maxIter = 12
-	}
 	// Lloyd iterations: partial [sum_0..sum_k-1, count_0..count_k-1]
 	// reduced across ranks each round.
 	partial := make([]float64, 2*k)
-	for iter := 0; iter < maxIter; iter++ {
-		for i := range partial {
-			partial[i] = 0
-		}
-		for _, x := range large {
+	for iter := 0; iter < opt.KMeansMaxIter; iter++ {
+		clear(partial)
+		for _, x := range ti {
 			c := kmeans.Nearest(cents, x)
 			partial[c] += x
 			partial[k+c]++

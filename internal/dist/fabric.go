@@ -3,8 +3,15 @@
 // partitioned across ranks, each rank computes its change ratios
 // locally, and the distribution of changes is learned either per rank
 // (zero communication, R bin tables) or globally (one shared table,
-// learned with an MPI-style parallel k-means whose reductions are the
-// only inter-rank traffic).
+// whose reductions are the only inter-rank traffic).
+//
+// A global table is core's own fit, reduced: each rank summarises its
+// table input with core.ScanFitStats and one min- and one
+// sum-reduction merge the summaries exactly. Equal-width and log-scale
+// ranks then encode against the binner core builds from the merged
+// stats, so their shards are core.Encode's bytes at every rank count.
+// Clustering seeds from the merged range and runs an MPI-style
+// parallel k-means, one partial-sum reduction per Lloyd iteration.
 //
 // The paper's exascale motivation is minimizing data movement ("more
 // computations locally for learning patterns of change", §I), so the
@@ -14,12 +21,12 @@
 // Ranks are goroutines and the fabric is built on shared-memory
 // synchronization — the in-process equivalent of MPI processes with
 // the same communication pattern and the classic recursive-doubling
-// cost model for accounting.
+// cost model for accounting. Collectives fold in rank order, so every
+// result is the same bits whatever the scheduling.
 package dist
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -67,10 +74,10 @@ type Fabric struct {
 	cond    *sync.Cond
 	genNum  int
 	arrived int
-	op      Op
-	acc     []float64
-	out     []float64
-	failed  error
+	vecs    [][]float64 // vecs[r] is rank r's contribution to the open collective
+	ops     []Op
+	out     []float64 // the last finished collective's result
+	failed  error     // and its error
 }
 
 // NewFabric creates a fabric for the given number of ranks (>= 1).
@@ -78,7 +85,7 @@ func NewFabric(ranks int) (*Fabric, error) {
 	if ranks < 1 {
 		return nil, fmt.Errorf("dist: need >= 1 rank, got %d", ranks)
 	}
-	f := &Fabric{ranks: ranks}
+	f := &Fabric{ranks: ranks, vecs: make([][]float64, ranks), ops: make([]Op, ranks)}
 	f.cond = sync.NewCond(&f.mu)
 	return f, nil
 }
@@ -93,7 +100,9 @@ func (f *Fabric) BytesSent() int64 { return f.bytesSent.Load() }
 // AllReduce combines vec element-wise across all ranks with op and
 // returns the result to every caller. Every rank must call with the
 // same vector length and operator; the call blocks until all ranks
-// contribute. The byte meter charges each rank ceil(log2 R) vector
+// contribute. The last rank to arrive folds the contributions in rank
+// order, so the result's bits do not depend on the order the ranks
+// arrive in. The byte meter charges each rank ceil(log2 R) vector
 // sends, the recursive-doubling cost.
 func (f *Fabric) AllReduce(rank int, vec []float64, op Op) ([]float64, error) {
 	if rank < 0 || rank >= f.ranks {
@@ -106,26 +115,12 @@ func (f *Fabric) AllReduce(rank int, vec []float64, op Op) ([]float64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 
-	if f.arrived == 0 {
-		f.acc = append([]float64(nil), vec...)
-		f.op = op
-		f.failed = nil
-	} else {
-		if len(vec) != len(f.acc) || op != f.op {
-			// Caller bug: poison the collective so every rank fails
-			// loudly instead of deadlocking.
-			f.failed = fmt.Errorf("dist: rank %d joined collective with len %d/op %d, leader used len %d/op %d",
-				rank, len(vec), op, len(f.acc), f.op)
-		} else {
-			f.op.apply(f.acc, vec)
-		}
-	}
+	// vec stays unread by its caller, blocked here, until the fold.
+	f.vecs[rank], f.ops[rank] = vec, op
 	f.arrived++
 	gen := f.genNum
-
 	if f.arrived == f.ranks {
-		f.out = f.acc
-		f.acc = nil
+		f.out, f.failed = f.fold()
 		f.arrived = 0
 		f.genNum++
 		f.cond.Broadcast()
@@ -139,6 +134,22 @@ func (f *Fabric) AllReduce(rank int, vec []float64, op Op) ([]float64, error) {
 	}
 	f.bytesSent.Add(int64(8 * len(vec) * log2ceil(f.ranks)))
 	return append([]float64(nil), f.out...), nil
+}
+
+// fold reduces the open collective's contributions in rank order and
+// releases them. A rank whose length or operator differs from rank 0's
+// fails the collective for every rank, instead of deadlocking it.
+func (f *Fabric) fold() ([]float64, error) {
+	defer clear(f.vecs)
+	acc := append([]float64(nil), f.vecs[0]...)
+	for r, v := range f.vecs[1:] {
+		if len(v) != len(acc) || f.ops[r+1] != f.ops[0] {
+			return nil, fmt.Errorf("dist: rank %d joined collective with len %d/op %d, rank 0 used len %d/op %d",
+				r+1, len(v), f.ops[r+1], len(acc), f.ops[0])
+		}
+		f.ops[0].apply(acc, v)
+	}
+	return acc, nil
 }
 
 // AllReduceScalar reduces a single value.
@@ -160,10 +171,3 @@ func log2ceil(n int) int {
 	}
 	return b
 }
-
-// negInf and posInf are reduction identities for min/max collectives
-// over possibly-empty local sets.
-var (
-	negInf = math.Inf(-1)
-	posInf = math.Inf(1)
-)

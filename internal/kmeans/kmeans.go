@@ -511,23 +511,26 @@ func SeedFromHistogram(data []float64, k int) []float64 {
 		}
 		return seeds
 	}
+	return SeedFromCounts(lo, hi, SeedCounts(data, lo, hi, k), k)
+}
+
+// SeedCounts is the histogram SeedFromHistogram seeds k clusters from:
+// data counted into SeedHistogramBins(k) equal-width bins over [lo, hi],
+// x in bin int((x-lo)/w), the last bin closed. Every x must lie in
+// [lo, hi], and lo < hi. Counts of parts of the data add up to the
+// counts of the whole, which is how ranks holding parts seed together.
+func SeedCounts(data []float64, lo, hi float64, k int) []int {
 	bins := SeedHistogramBins(k)
 	counts := make([]int, bins)
 	w := (hi - lo) / float64(bins)
 	for _, x := range data {
-		i := int((x - lo) / w)
-		if i >= bins {
-			i = bins - 1
-		}
-		counts[i]++
+		counts[min(int((x-lo)/w), bins-1)]++
 	}
-	return SeedFromCounts(lo, hi, counts, k)
+	return counts
 }
 
 // SeedHistogramBins returns the number of equal-width histogram bins
-// the seeding procedure uses for k clusters. Exported so distributed
-// callers can build the same histogram across ranks and merge counts
-// before seeding.
+// the seeding procedure uses for k clusters.
 func SeedHistogramBins(k int) int {
 	bins := 4 * k
 	if bins < 64 {
@@ -600,6 +603,11 @@ func SeedUniform(data []float64, k int) []float64 {
 			hi = x
 		}
 	}
+	return UniformSeeds(lo, hi, k)
+}
+
+// UniformSeeds is SeedUniform of data whose range is [lo, hi].
+func UniformSeeds(lo, hi float64, k int) []float64 {
 	seeds := make([]float64, k)
 	if k == 1 {
 		seeds[0] = (lo + hi) / 2
