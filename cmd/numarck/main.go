@@ -22,11 +22,13 @@
 // -recover turns on degraded-mode decode: chunks of a chunked (v2)
 // delta whose CRC fails are quarantined, every healthy chunk decodes,
 // and the exact lost point ranges (which keep the previous iteration's
-// values in the output) are reported on stderr. A read-only v1 delta is
-// one chunk under one CRC, so there -recover changes nothing: healthy it
-// decodes, corrupt it fails. Without -recover, any corruption fails the
-// command — fail-closed is the default. `storectl verify` prints a
-// store's health report.
+// values in the output) are reported on stderr. It decodes on one
+// goroutine, through the same one-file step restart replays, so
+// -workers does not apply. A read-only v1 delta is one chunk under one
+// CRC, so there -recover changes nothing: healthy it decodes, corrupt it
+// fails. Without -recover, any corruption fails the command —
+// fail-closed is the default. `storectl verify` prints a store's health
+// report.
 //
 // compress writes the chunked v2 format, the one every writer emits.
 // From -prev/-cur files it runs the out-of-core pipeline: the inputs are
@@ -40,7 +42,6 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -154,8 +155,9 @@ pipeline; it refuses -e, -b, -strategy, -chunk, -workers and -budget.
 
 -recover salvages chunk-local corruption in chunked (v2) deltas:
 healthy chunks decode, lost point ranges keep the previous iteration's
-values and are reported; without it (and for read-only v1 deltas, which
-are one chunk under one CRC) any corruption fails the command.
+values and are reported, decoded on one goroutine (-workers does not
+apply); without it (and for read-only v1 deltas, which are one chunk
+under one CRC) any corruption fails the command.
 storectl verify prints a checkpoint store's health report.
 
 compress/decompress also take -metrics and -metrics-json path
@@ -311,7 +313,7 @@ func cmdDecompress(args []string) error {
 	prevPath := fs.String("prev", "", "previous iteration values (.f64)")
 	inPath := fs.String("in", "", "checkpoint file")
 	outPath := fs.String("out", "", "output values (.f64)")
-	workers := fs.Int("workers", 0, "concurrent chunks (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "concurrent chunks (0 = GOMAXPROCS; not with -recover)")
 	salvage := fs.Bool("recover", false, "salvage healthy chunks past corruption (chunked v2 input)")
 	addr := fs.String("addr", "", "numarckd base URL: fetch a reconstruction from a running daemon")
 	tenant := fs.String("tenant", "default", "daemon mode: tenant to read from")
@@ -339,11 +341,12 @@ func cmdDecompress(args []string) error {
 		return err
 	}
 	obsRec := metrics.recorder()
-	decompress := streamDecompress
 	if *salvage {
-		decompress = salvageDecompress
+		err = salvageDecompress(raw, d.Meta(), *prevPath, *outPath, obsRec)
+	} else {
+		err = streamDecompress(d, *prevPath, *outPath, *workers, obsRec)
 	}
-	if err := decompress(d, *prevPath, *outPath, *workers, obsRec); err != nil {
+	if err != nil {
 		return err
 	}
 	return metrics.emit(obsRec)
@@ -378,25 +381,25 @@ func streamDecompress(d *checkpoint.DeltaReader, prevPath, outPath string, worke
 	return nil
 }
 
-// salvageDecompress is streamDecompress in degraded mode: corrupt
-// chunks are quarantined, healthy ones decoded, and the lost point
-// ranges (which keep prev's values in the output) reported on stderr.
-// A v1 file has nothing chunk-local to salvage: healthy it decodes,
-// corrupt it already failed, at the open, on its one CRC.
-func salvageDecompress(d *checkpoint.DeltaReader, prevPath, outPath string, workers int, rec *obs.Recorder) error {
-	prev, err := rawio.ReadFile(prevPath)
+// salvageDecompress is streamDecompress in degraded mode: raw, the
+// file meta describes, is replayed onto prev's values in place through
+// checkpoint.ReplayDelta, restart's own one-file step. Corrupt chunks
+// are quarantined, healthy ones decoded, and the lost point ranges
+// (which keep prev's values in the output) reported on stderr. A v1
+// file has nothing chunk-local to salvage: healthy it decodes, corrupt
+// it already failed, at the open, on its one CRC.
+func salvageDecompress(raw []byte, meta checkpoint.DeltaMeta, prevPath, outPath string, rec *obs.Recorder) error {
+	out, err := rawio.ReadFile(prevPath)
 	if err != nil {
 		return err
 	}
-	out, err := d.DecodeRecover(prev, workers, checkpoint.RecoverOptions{Salvage: true, Obs: rec})
-	var pde *checkpoint.PartialDataError
-	if err != nil && !errors.As(err, &pde) {
+	pde, err := checkpoint.ReplayDelta(raw, meta.Variable, meta.Iteration, out, &checkpoint.ChunkDecoder{}, checkpoint.RecoverOptions{Salvage: true, Obs: rec})
+	if err != nil {
 		return err
 	}
 	if err := rawio.WriteFile(outPath, out); err != nil {
 		return err
 	}
-	meta := d.Meta()
 	if pde == nil {
 		fmt.Printf("decoded %s@%d: %d points (no corruption found)\n", meta.Variable, meta.Iteration, len(out))
 		return nil

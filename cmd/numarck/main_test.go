@@ -119,11 +119,11 @@ func TestRestartCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, prev, cur := writeSeries(t, dir)
-	if err := st.WriteFull("v", 0, prev); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.WriteDelta("v", 1, prev, cur); err != nil {
-		t.Fatal(err)
+	w := checkpoint.NewWriter(st, 0)
+	for i, x := range [][]float64{prev, cur} {
+		if _, err := w.Append(i, map[string][]float64{"v": x}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out := filepath.Join(dir, "rec.f64")
 	if err := cmdRestart([]string{"-dir", storeDir, "-var", "v", "-iter", "1", "-out", out}); err != nil {

@@ -337,19 +337,6 @@ func checkIdentity(sentinel error, v string, it int, variable string, iteration 
 	return nil
 }
 
-// readFullFile loads and parses a full checkpoint.
-func readFullFile(fsys faultfs.FS, dir, variable string, iteration int) ([]float64, error) {
-	raw, err := readCheckpointFile(fsys, dir, variable, "full", iteration, -1)
-	if err != nil {
-		return nil, err
-	}
-	v, it, data, err := UnmarshalFull(raw)
-	if err != nil {
-		return nil, pathErr("parse", filepath.Join(dir, fileName(variable, "full", iteration)), err)
-	}
-	return data, checkIdentity(ErrCorrupt, v, it, variable, iteration)
-}
-
 // Restart replays in two phases over a window of the chain. The load
 // phase reads the window's files — every filesystem call on the caller's
 // goroutine, in chain order, one sized read per file — while workers

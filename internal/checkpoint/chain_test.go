@@ -61,9 +61,6 @@ func TestWriteRejectsHostileVariable(t *testing.T) {
 		if err := st.WriteFull(hostile, 0, series[0]); !errors.Is(err, ErrBadVariable) {
 			t.Errorf("WriteFull(%q) = %v, want ErrBadVariable", hostile, err)
 		}
-		if _, err := st.WriteDelta(hostile, 1, series[0], series[1]); !errors.Is(err, ErrBadVariable) {
-			t.Errorf("WriteDelta(%q) = %v, want ErrBadVariable", hostile, err)
-		}
 		if err := st.WriteEncodedDelta(hostile, 1, enc); !errors.Is(err, ErrBadVariable) {
 			t.Errorf("WriteEncodedDelta(%q) = %v, want ErrBadVariable", hostile, err)
 		}

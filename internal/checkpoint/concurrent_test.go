@@ -30,7 +30,8 @@ func TestConcurrentReadersNeverBlockWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.WriteFull("dens", 0, series[0]); err != nil {
+	w := NewWriter(st, 0)
+	if _, err := w.Append(0, map[string][]float64{"dens": series[0]}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -48,8 +49,13 @@ func TestConcurrentReadersNeverBlockWriter(t *testing.T) {
 		}
 	}
 
+	// restarts[r] holds, per iteration, the first Restart reader r saw;
+	// every later one must match it bit for bit, and after the writer
+	// finishes it must match a serial Restart of the same iteration.
+	restarts := make([]map[int][]float64, readers)
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
+		restarts[r] = map[int][]float64{}
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
@@ -99,8 +105,15 @@ func TestConcurrentReadersNeverBlockWriter(t *testing.T) {
 				}
 				// Restart is the expensive read; do it on a stride.
 				if i%7 == 0 {
-					if data, err := rv.Restart("dens", latest); err != nil || len(data) != points {
+					data, err := rv.Restart("dens", latest)
+					if err != nil || len(data) != points {
 						fail("reader %d: Restart(%d) = %d points, %v", r, latest, len(data), err)
+						return
+					}
+					if first, ok := restarts[r][latest]; !ok {
+						restarts[r][latest] = data
+					} else if !bitsEqual(data, first) {
+						fail("reader %d: two Restart(%d) calls differ", r, latest)
 						return
 					}
 				}
@@ -109,16 +122,8 @@ func TestConcurrentReadersNeverBlockWriter(t *testing.T) {
 	}
 
 	// The writer: commit the remaining chain while the readers run.
-	prev := series[0]
 	for i := 1; i <= iters; i++ {
-		if _, err := st.WriteDelta("dens", i, prev, series[i]); err != nil {
-			t.Fatal(err)
-		}
-		enc, err := st.ReadDelta("dens", i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prev, err = enc.Decode(prev); err != nil {
+		if _, err := w.Append(i, map[string][]float64{"dens": series[i]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,6 +140,20 @@ func TestConcurrentReadersNeverBlockWriter(t *testing.T) {
 	latest, err := rv.LatestRestorable("dens")
 	if err != nil || latest != iters {
 		t.Fatalf("final LatestRestorable = %d, %v, want %d", latest, err, iters)
+	}
+
+	// Every concurrent Restart returned the committed values, not just
+	// the committed shape.
+	for r, seen := range restarts {
+		for i, data := range seen {
+			want, err := st.Restart("dens", i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitsEqual(data, want) {
+				t.Fatalf("reader %d: concurrent Restart(%d) differs from the serial one", r, i)
+			}
+		}
 	}
 }
 
@@ -186,7 +205,8 @@ func TestTornIndexReadRereads(t *testing.T) {
 	// token, so the reader's cached snapshot misses and it enters the
 	// index-reread loop; the hook then republishes delta@3 in the window
 	// between the reader's token sample and its index read.
-	if _, err := st.WriteDelta("dens", 2, prev, series[1]); err != nil {
+	w := NewWriterAt(st, 0, 1, map[string][]float64{"dens": prev})
+	if _, err := w.Append(2, map[string][]float64{"dens": series[1]}); err != nil {
 		t.Fatal(err)
 	}
 	fired := false
@@ -195,12 +215,7 @@ func TestTornIndexReadRereads(t *testing.T) {
 			return
 		}
 		fired = true
-		prev2, err := st.Restart("dens", 2)
-		if err != nil {
-			t.Errorf("mid-read restart: %v", err)
-			return
-		}
-		if _, err := st.WriteDelta("dens", 3, prev2, series[1]); err != nil {
+		if _, err := w.Append(3, map[string][]float64{"dens": series[1]}); err != nil {
 			t.Errorf("mid-read commit: %v", err)
 		}
 	}

@@ -89,13 +89,10 @@ func seedStore(t *testing.T, dir string, format int) [][]float64 {
 		if err := writeDeltaAs(st, format, 512, "dens", i, prev, series[i]); err != nil {
 			t.Fatal(err)
 		}
-		// Replay so the next delta encodes against the decoded values,
+		// Restart so the next delta encodes against the decoded values,
 		// like the Writer does.
-		enc, err := st.ReadDelta("dens", i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prev, err = enc.Decode(prev); err != nil {
+		var err error
+		if prev, err = st.Restart("dens", i); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,8 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"runtime"
-	"sync"
 
 	"numarck/internal/bitpack"
 	"numarck/internal/core"
@@ -166,6 +164,9 @@ func NewDeltaV2Writer(w io.Writer, variable string, iteration, n int, opt core.O
 	if len(binRatios) > vopt.NumBins() {
 		return nil, fmt.Errorf("checkpoint: %d bin ratios exceed 2^%d-1", len(binRatios), vopt.IndexBits)
 	}
+	if err := checkBinTable(binRatios); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
 	table := appendFloats(nil, binRatios)
 	hdr := fileHeader{
 		Variable:    variable,
@@ -269,7 +270,7 @@ func (w *DeltaV2Writer) AppendChunk(indices []uint32, flags []byte, exact []floa
 	section = append(section, flags...)
 	section = appendFloats(section, exact)
 	w.buf.Section = section[:0]
-	if len(section) > math.MaxUint32 {
+	if uint64(len(section)) > math.MaxUint32 {
 		return fmt.Errorf("checkpoint: chunk section of %d bytes exceeds format limit", len(section))
 	}
 	t = w.rec.Start()
@@ -463,10 +464,8 @@ func openDelta(r io.ReaderAt, mem []byte, size int64) (*DeltaReader, error) {
 		return nil, fmt.Errorf("%w: bin table CRC %08x, header says %08x", ErrCorrupt, crc, hdr.CRC)
 	}
 	d.meta.BinRatios = readFloatsInto(table, hdr.BinCount, nil)
-	for i, b := range d.meta.BinRatios {
-		if math.IsNaN(b) || math.IsInf(b, 0) {
-			return nil, fmt.Errorf("%w: non-finite bin ratio at %d", ErrCorrupt, i)
-		}
+	if err := checkBinTable(d.meta.BinRatios); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	d.table = core.RatioTable(d.meta.BinRatios)
 	sectionsOff := tableOff + tableLen
@@ -653,6 +652,18 @@ func (d *DeltaReader) checkSection(i int, section []byte) error {
 	return nil
 }
 
+// checkBinTable is FORMAT.md's bin-table check, the one function a
+// reader runs on a file's table and the writer runs before it writes a
+// byte: every representative ratio is finite.
+func checkBinTable(binRatios []float64) error {
+	for i, b := range binRatios {
+		if math.IsNaN(b) || math.IsInf(b, 0) {
+			return fmt.Errorf("non-finite bin ratio at %d", i)
+		}
+	}
+	return nil
+}
+
 // checkSectionShape is the structural half of the section checks, the
 // one function a reader runs before it uses a section and the writer
 // runs before it writes one: the flags among the first np number
@@ -778,70 +789,13 @@ func (c *ChunkDecoder) apply(d *DeltaReader, i int, section []byte, lo, hi int, 
 	return nil
 }
 
-// decodeInto reconstructs every chunk of the file from prev into dst —
-// the same slice when chain replay updates a state in place — under
-// ropt's degraded-mode contract, on up to `workers` goroutines (<= 0
-// means GOMAXPROCS; never more than there are chunks). Worker w takes
-// chunks w, w+workers, … through one ChunkDecoder of its own, so
-// goroutines and scratch are bounded by the worker count however many
-// chunks the file claims; a lone worker — always the case for a
-// one-chunk file, so for every v1 file — runs on the caller's
-// goroutine through dec. Chunks decode fully independently off the
-// directory and write disjoint ranges of dst, so completion order does
-// not matter and the WaitGroup is the only synchronization.
-func (d *DeltaReader) decodeInto(dec *ChunkDecoder, prev, dst []float64, workers int, ropt RecoverOptions) (*PartialDataError, error) {
-	if len(prev) != d.meta.N || len(dst) != d.meta.N {
-		return nil, fmt.Errorf("%w: prev has %d points, encoded has %d", core.ErrLength, len(prev), d.meta.N)
-	}
-	m := len(d.dir)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(min(workers, m), 1)
-	errs := make([]error, m)
-	run := func(dec *ChunkDecoder, w int) {
-		for i := w; i < m; i += workers {
-			start, np := d.ChunkSpan(i)
-			errs[i] = dec.DecodeChunkInto(i, prev[start:start+np], dst[start:start+np])
-		}
-	}
-	if workers == 1 {
-		dec.d = d
-		run(dec, 0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run(d.NewChunkDecoder(), w)
-			}()
-		}
-		wg.Wait()
-	}
-
-	partial, err := d.settle(errs, ropt, workers)
-	if err != nil {
-		return nil, err
-	}
-	if partial != nil {
-		// A quarantined chunk's range carries the previous iteration's
-		// values, nothing from the bad section.
-		for _, r := range partial.Lost {
-			copy(dst[r.Lo:r.Hi], prev[r.Lo:r.Hi])
-		}
-	}
-	return partial, nil
-}
-
-// settle turns the per-chunk outcomes of decoding or validating the
-// file (errs, by chunk index; nil when every chunk passed) into the
-// decode's answer under ropt. Only chunk-local damage is salvageable,
-// and only when asked: anything else (an fs-level read failure, a caller
-// bug) fails the whole decode, as does the first bad chunk when
-// fail-closed. Otherwise the decode counts — into ropt.Obs, else the
-// reader's recorder — and the bad chunks, if any, come back as the
-// report of what was quarantined.
+// settle turns the per-chunk outcomes of validating the file (errs,
+// by chunk index; nil when every chunk passed) into the decode's answer
+// under ropt. Only chunk-local damage is salvageable, and only when
+// asked: anything else fails the whole decode, as does the first bad
+// chunk when fail-closed. Otherwise the decode counts — into ropt.Obs,
+// else the reader's recorder — and the bad chunks, if any, come back as
+// the report of what was quarantined.
 func (d *DeltaReader) settle(errs []error, ropt RecoverOptions, workers int) (*PartialDataError, error) {
 	var lost []Range
 	for i, err := range errs {
@@ -872,32 +826,6 @@ func (d *DeltaReader) settle(errs []error, ropt RecoverOptions, workers int) (*P
 		statuses[i] = ChunkStatus{Chunk: i, Start: start, Points: np, Err: err}
 	}
 	return &PartialDataError{Variable: d.meta.Variable, Iteration: d.meta.Iteration, Chunks: statuses, Lost: mergeRanges(lost)}, nil
-}
-
-// Decode reconstructs all points from prev, fanning chunks out over up
-// to `workers` goroutines (<= 0 means GOMAXPROCS). The first bad chunk,
-// in chunk order, fails the whole decode.
-func (d *DeltaReader) Decode(prev []float64, workers int) ([]float64, error) {
-	return d.DecodeRecover(prev, workers, RecoverOptions{})
-}
-
-// DecodeRecover is Decode under ropt's degraded-mode contract: with
-// Salvage set, a chunk whose section fails its CRC or structure check
-// is quarantined — its point range keeps prev's values, nothing from
-// the bad section is used — while every healthy chunk decodes normally,
-// and the damage comes back as a *PartialDataError alongside the
-// salvaged data. Non-chunk-local failures (wrong prev length) fail
-// closed either way.
-func (d *DeltaReader) DecodeRecover(prev []float64, workers int, ropt RecoverOptions) ([]float64, error) {
-	out := make([]float64, len(prev))
-	partial, err := d.decodeInto(d.NewChunkDecoder(), prev, out, workers, ropt)
-	if err != nil {
-		return nil, err
-	}
-	if partial != nil {
-		return out, partial
-	}
-	return out, nil
 }
 
 // Encoded assembles the whole file back into an in-memory core.Encoded

@@ -70,17 +70,29 @@ func TestMarshalDeltaV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3, 8} {
-		out, err := d.Decode(prev, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range want {
-			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("workers=%d: point %d differs", workers, i)
-			}
+	out, err := decodeChunks(d, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("point %d differs", i)
 		}
 	}
+}
+
+// decodeChunks reconstructs every chunk of d from prev, which holds
+// d's point count, through one ChunkDecoder, in chunk order.
+func decodeChunks(d *DeltaReader, prev []float64) ([]float64, error) {
+	out := make([]float64, len(prev))
+	dec := d.NewChunkDecoder()
+	for i := range d.dir {
+		start, np := d.ChunkSpan(i)
+		if err := dec.DecodeChunkInto(i, prev[start:start+np], out[start:start+np]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func TestDeltaV2EmptyAndSingleChunk(t *testing.T) {
@@ -111,7 +123,7 @@ func TestDeltaV2EmptyAndSingleChunk(t *testing.T) {
 	if d.Meta().ChunkCount != 1 {
 		t.Fatalf("chunk count = %d", d.Meta().ChunkCount)
 	}
-	out, err := d.Decode(prev, 4)
+	out, err := decodeChunks(d, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,9 +519,9 @@ func TestDeltaFormatEquivalence(t *testing.T) {
 						t.Fatalf("%v B=%d chunk=%d: index %d differs", strategy, bits, cp, j)
 					}
 				}
-				out, err := d.Decode(prev, 3)
+				out, err := decodeChunks(d, prev)
 				if err != nil || !bitsEqual(out, want) {
-					t.Fatalf("%v B=%d chunk=%d: Decode differs (%v)", strategy, bits, cp, err)
+					t.Fatalf("%v B=%d chunk=%d: DecodeChunkInto differs (%v)", strategy, bits, cp, err)
 				}
 				for _, salvage := range []bool{false, true} {
 					state := append([]float64(nil), prev...)

@@ -90,7 +90,7 @@ func writeFile(w io.Writer, magic []byte, hdr fileHeader, payload []byte) error 
 	if _, err := w.Write(magic); err != nil {
 		return err
 	}
-	if len(hj) > math.MaxUint32 {
+	if uint64(len(hj)) > math.MaxUint32 {
 		return fmt.Errorf("checkpoint: header too large: %d bytes", len(hj))
 	}
 	var lenBuf [4]byte

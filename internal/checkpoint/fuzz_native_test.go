@@ -3,7 +3,6 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"math"
 	"testing"
 
@@ -93,8 +92,8 @@ func FuzzUnmarshalDeltaV2(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reopen of accepted file failed: %v", err)
 		}
-		if _, err := d.Decode(prev, 2); err != nil {
-			t.Errorf("parallel decode of accepted file failed: %v", err)
+		if _, err := decodeChunks(d, prev); err != nil {
+			t.Errorf("chunk decode of accepted file failed: %v", err)
 		}
 	})
 }
@@ -183,7 +182,7 @@ func FuzzParseChainIndex(f *testing.F) {
 }
 
 // FuzzRecoverDeltaV2 exercises the degraded-mode decode against
-// mutated v2 bytes: DecodeRecover must never panic, every point it
+// mutated v2 bytes: ReplayDelta must never panic, every point it
 // reports lost must hold prev's value exactly (data from a failed-CRC
 // chunk must never leak into the output), and every point it does not
 // report lost must be a real decode.
@@ -204,16 +203,10 @@ func FuzzRecoverDeltaV2(f *testing.F) {
 		for i := range prev {
 			prev[i] = 100 + float64(i)
 		}
-		out, err := d.DecodeRecover(prev, 2, RecoverOptions{Salvage: true})
-		if err == nil {
-			return // fully healthy mutant
-		}
-		var pde *PartialDataError
-		if !errors.As(err, &pde) {
-			return // non-chunk-local failure: fail-closed, nothing to check
-		}
-		if out == nil {
-			t.Fatal("PartialDataError without salvaged data")
+		out := append([]float64(nil), prev...)
+		pde, err := ReplayDelta(raw, meta.Variable, meta.Iteration, out, &ChunkDecoder{}, RecoverOptions{Salvage: true})
+		if err != nil || pde == nil {
+			return // fully healthy mutant, or a non-chunk-local failure: fail-closed, nothing to check
 		}
 		inLost := func(i int) bool {
 			for _, r := range pde.Lost {

@@ -91,7 +91,7 @@ func TestVerifyDetectsOrphanDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	series := genSeries(100, 2, 22)
-	if _, err := st.WriteDelta("v", 1, series[0], series[1]); err != nil {
+	if err := writeDelta(st, "v", 1, series[0], series[1]); err != nil {
 		t.Fatal(err)
 	}
 	issues, err := st.Verify()

@@ -218,7 +218,7 @@ func TestReadViewVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < 3; i++ {
-		if _, err := st.WriteDelta("dens", i, series[i-1], series[i]); err != nil {
+		if err := writeDelta(st, "dens", i, series[i-1], series[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

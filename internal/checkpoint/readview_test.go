@@ -90,19 +90,9 @@ func buildChain(t *testing.T, dir string, deltas int) [][]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteFull("dens", 0, series[0]); err != nil {
-		t.Fatal(err)
-	}
-	prev := series[0]
-	for i := 1; i <= deltas; i++ {
-		if _, err := st.WriteDelta("dens", i, prev, series[i]); err != nil {
-			t.Fatal(err)
-		}
-		enc, err := st.ReadDelta("dens", i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prev, err = enc.Decode(prev); err != nil {
+	w := NewWriter(st, 0)
+	for i := 0; i <= deltas; i++ {
+		if _, err := w.Append(i, map[string][]float64{"dens": series[i]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,7 +280,7 @@ func TestReadViewSeesWriterCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.WriteDelta("dens", 2, prev, series[1]); err != nil {
+	if _, err := NewWriterAt(st, 0, 1, map[string][]float64{"dens": prev}).Append(2, map[string][]float64{"dens": series[1]}); err != nil {
 		t.Fatal(err)
 	}
 	if latest, err := rv.LatestRestorable("dens"); err != nil || latest != 2 {

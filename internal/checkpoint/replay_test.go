@@ -220,9 +220,9 @@ func TestDecodeKernelMatchesReference(t *testing.T) {
 					for i := range d.dir {
 						refDecodeChunk(t, d, i, want)
 					}
-					got, err := d.Decode(prev, 2)
+					got, err := decodeChunks(d, prev)
 					if err != nil || !bitsEqual(got, want) {
-						t.Fatalf("%s: Decode differs from the reference (%v)", name, err)
+						t.Fatalf("%s: DecodeChunkInto differs from the reference (%v)", name, err)
 					}
 					state := append([]float64(nil), prev...)
 					if lost, err := ReplayDelta(raw, "v", 1, state, &ChunkDecoder{}, RecoverOptions{}); err != nil || lost != nil || !bitsEqual(state, want) {
@@ -758,7 +758,7 @@ func TestChainViewSharedAndFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.WriteDelta("dens", 3, prev, series[3]); err != nil {
+	if _, err := NewWriterAt(st, 0, 2, map[string][]float64{"dens": prev}).Append(3, map[string][]float64{"dens": series[3]}); err != nil {
 		t.Fatal(err)
 	}
 	if v2 := st.chainView(); v2 == v1 || len(v2.files["dens"]) != 4 {

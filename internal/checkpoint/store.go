@@ -458,25 +458,6 @@ func fullItem(variable string, iteration int, data []float64) (commitItem, error
 	return commitItem{name: fileName(variable, "full", iteration), raw: raw}, err
 }
 
-// WriteDelta encodes the transition prev → cur with the store's options
-// and writes the delta checkpoint. prev is the prediction reference:
-// Restart replays the delta onto its own reconstruction of iteration-1,
-// so the result is within E·|prev| of cur only if prev is that
-// reconstruction. The Writer passes it; a caller that passes the true
-// previous state instead (the paper's in-situ layout) lets the error
-// compound along the chain. WriteDelta returns the encoding so callers
-// can record its metrics (γ, error rates, compression ratio).
-func (st *Store) WriteDelta(variable string, iteration int, prev, cur []float64) (*core.Encoded, error) {
-	enc, err := core.Encode(prev, cur, st.opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.WriteEncodedDelta(variable, iteration, enc); err != nil {
-		return nil, err
-	}
-	return enc, nil
-}
-
 // WriteEncodedDelta writes an already-encoded delta checkpoint as
 // MarshalDelta bytes: the file a daemon's streaming encode of the same
 // transition commits. Used by callers that inspect the encoding before
@@ -584,24 +565,6 @@ func parseName(name string) (Entry, bool) {
 		return Entry{}, false
 	}
 	return Entry{Variable: base[:kindDot], Kind: kind, Iteration: iter}, true
-}
-
-// ReadFull loads a full checkpoint.
-func (st *Store) ReadFull(variable string, iteration int) ([]float64, error) {
-	return readFullFile(st.fs, st.dir, variable, iteration)
-}
-
-// ReadDelta loads a delta checkpoint's encoding, from either format.
-func (st *Store) ReadDelta(variable string, iteration int) (*core.Encoded, error) {
-	raw, err := readCheckpointFile(st.fs, st.dir, variable, "delta", iteration, -1)
-	if err != nil {
-		return nil, err
-	}
-	v, it, enc, err := UnmarshalDelta(raw)
-	if err != nil {
-		return nil, pathErr("parse", st.path(variable, "delta", iteration), err)
-	}
-	return enc, checkIdentity(ErrCorrupt, v, it, variable, iteration)
 }
 
 // Restart reconstructs a variable at the requested iteration: it loads

@@ -328,7 +328,7 @@ func TestLatestConsistentErrors(t *testing.T) {
 	if got, err := st.LatestConsistent(); err != nil || got != 0 {
 		t.Errorf("one full: %d, %v; want 0", got, err)
 	}
-	if _, err := st.WriteDelta("orphan", 1, series[0], series[1]); err != nil {
+	if err := writeDelta(st, "orphan", 1, series[0], series[1]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.LatestConsistent(); err == nil || !strings.Contains(err.Error(), "orphan") {
@@ -372,6 +372,57 @@ func TestWriterReferenceIsRestart(t *testing.T) {
 		if w.depth["v"] != i%5 {
 			t.Errorf("iteration %d: depth %d, want %d", i, w.depth["v"], i%5)
 		}
+	}
+}
+
+// TestWriterRefusesNonFiniteTable is a finite input whose ratio range
+// overflows: prev 1 everywhere, cur alternating ±1e308 with every third
+// point 1.5. Under equal-width the table's width, and so every
+// representative, is non-finite, a table restart would refuse as
+// corrupt. The Writer must refuse the iteration before committing a
+// byte of it — not as the caller's fault, and not as corruption — and
+// stay where it was, so that a finite iteration 1 follows and restarts.
+func TestWriterRefusesNonFiniteTable(t *testing.T) {
+	const n = 40000
+	st, err := Create(filepath.Join(t.TempDir(), "ck"), core.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: core.EqualWidth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	prev, overflow, finite := make([]float64, n), make([]float64, n), make([]float64, n)
+	for j := range prev {
+		prev[j], finite[j] = 1, 1+0.0005*float64(j%7)
+		switch {
+		case j%3 == 0:
+			overflow[j] = 1.5
+		case j%2 == 0:
+			overflow[j] = 1e308
+		default:
+			overflow[j] = -1e308
+		}
+	}
+	w := NewWriter(st, 0)
+	if _, err := w.Append(0, map[string][]float64{"v": prev}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = w.Append(1, map[string][]float64{"v": overflow})
+	if err == nil {
+		t.Fatal("Append committed a delta with a non-finite bin table")
+	}
+	if errors.Is(err, ErrBadVariable) || errors.Is(err, ErrCorrupt) {
+		t.Errorf("refusal = %v: neither the caller's fault nor corruption", err)
+	}
+	if entries, _ := st.List("v"); len(entries) != 1 {
+		t.Fatalf("after the refusal the chain is %v, want full@0 alone", entries)
+	}
+	if _, err := w.Append(1, map[string][]float64{"v": finite}); err != nil {
+		t.Fatalf("finite iteration 1 after the refusal: %v", err)
+	}
+	if _, err := st.Restart("v", 1); err != nil {
+		t.Fatalf("restart of iteration 1: %v", err)
+	}
+	if issues, err := st.Verify(); err != nil || len(issues) != 0 {
+		t.Fatalf("Verify = %v, %v; want clean", issues, err)
 	}
 }
 

@@ -143,8 +143,10 @@ func runFig8Strategy(cfg Fig8Config, golden []*flash.Snapshot, strat core.Strate
 	// delta encoded against the TRUE previous checkpoint — the paper's
 	// in-situ layout, kept on purpose so that Fig. 8's "farther restart,
 	// higher error" is reproduced. This is the only open-loop writer in
-	// the repo; checkpoint.Writer predicts from its own reconstruction
-	// and its restart error does not grow with distance.
+	// the repo, and no store method writes one: it encodes and marshals
+	// its own deltas and commits them as bytes. checkpoint.Writer
+	// predicts from its own reconstruction and its restart error does
+	// not grow with distance.
 	maxDist := 0
 	for _, d := range cfg.Distances {
 		if d > maxDist {
@@ -156,7 +158,7 @@ func runFig8Strategy(cfg Fig8Config, golden []*flash.Snapshot, strat core.Strate
 			if i == 0 {
 				err = st.WriteFull(v, i, data)
 			} else {
-				_, err = st.WriteDelta(v, i, golden[i-1].Vars[v], data)
+				err = writeOpenLoop(st, v, i, golden[i-1].Vars[v], data)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("write checkpoint %d of %s: %w", i, v, err)
@@ -173,6 +175,21 @@ func runFig8Strategy(cfg Fig8Config, golden []*flash.Snapshot, strat core.Strate
 		fs.Runs = append(fs.Runs, *run)
 	}
 	return fs, nil
+}
+
+// writeOpenLoop commits variable v's delta at iteration i, encoded with
+// the store's options against prev as given.
+func writeOpenLoop(st *checkpoint.Store, v string, i int, prev, cur []float64) error {
+	enc, err := core.Encode(prev, cur, st.Options())
+	if err != nil {
+		return err
+	}
+	raw, err := checkpoint.MarshalDelta(v, i, enc)
+	if err != nil {
+		return err
+	}
+	_, err = st.WriteRaw(v, i, raw, 0)
+	return err
 }
 
 func runFig8Restart(cfg Fig8Config, golden []*flash.Snapshot, st *checkpoint.Store, dist int) (*RestartRun, error) {

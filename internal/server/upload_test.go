@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 )
@@ -112,9 +113,20 @@ func (h *uploadHarness) decodeErr(resp *http.Response, status int, class string)
 	}
 }
 
+// received reads the session's progress twice, through the raw GET and
+// through Client.UploadStatus, and requires the two to agree.
 func (h *uploadHarness) received() int64 {
 	h.t.Helper()
-	return h.decode(h.do("GET", h.base+"/v1/uploads/"+h.id+"/status", nil, nil), http.StatusOK).Received
+	raw := h.decode(h.do("GET", h.base+"/v1/uploads/"+h.id+"/status", nil, nil), http.StatusOK)
+	c := &Client{Base: h.base, Tenant: "t0", HTTP: h.http}
+	us, err := c.UploadStatus(h.id)
+	if err != nil {
+		h.t.Fatalf("Client.UploadStatus: %v", err)
+	}
+	if !reflect.DeepEqual(*us, raw) {
+		h.t.Fatalf("Client.UploadStatus = %+v, the raw GET says %+v", *us, raw)
+	}
+	return raw.Received
 }
 
 // TestUploadRangeProtocol walks the per-range rules: duplicates are

@@ -166,11 +166,11 @@ func TestRecoveryCountersZeroOnCleanRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev, cur := observeDataset(3000)
-	if err := st.WriteFull("obs", 0, prev); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.WriteDelta("obs", 1, prev, cur); err != nil {
-		t.Fatal(err)
+	w := numarck.NewWriter(st, 0)
+	for i, x := range [][]float64{prev, cur} {
+		if _, err := w.Append(i, map[string][]float64{"obs": x}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
