@@ -6,12 +6,17 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet vet-386 lint test test-cpu race race-pipeline crash-test fuzz-smoke serve-smoke chaos-smoke verify bench bench-kernel bench-smoke loc
+.PHONY: all build fmt-check vet vet-386 lint test test-cpu race race-pipeline crash-test fuzz-smoke serve-smoke chaos-smoke verify bench bench-kernel bench-smoke loc
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+# gofmt is the one layout: a file it would rewrite fails the gate, so a
+# formatting drift is fixed where it is made, not in a later change.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # The corpus generator builds only under -tags corpusgen, which
 # `go vet ./...` skips; vet it by name so it cannot rot unseen.
@@ -119,7 +124,7 @@ serve-smoke:
 chaos-smoke:
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestChaos' ./internal/server
 
-verify: build vet vet-386 lint test test-cpu race crash-test fuzz-smoke serve-smoke chaos-smoke
+verify: build fmt-check vet vet-386 lint test test-cpu race crash-test fuzz-smoke serve-smoke chaos-smoke
 
 # The repo's benchmark is `go run ./bench` (BENCHMARK.json): four seeded
 # workloads, end-to-end metrics on stdout; add `-trace 1` for the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -265,30 +266,53 @@ func (v *chainView) stats() []VariableStats {
 	return out
 }
 
-// latestRestorable walks a variable's files and returns the highest
-// iteration reachable through an unbroken delta chain rooted at a full
-// checkpoint; ErrNotFound means no full checkpoint exists.
-func (v *chainView) latestRestorable(variable string) (int, error) {
-	restorable := -1
-	chainNext := -1
-	for _, e := range v.files[variable] {
-		switch {
-		case e.Kind == "full":
-			if e.Iteration > restorable {
-				restorable = e.Iteration
-			}
-			chainNext = e.Iteration + 1
-		case e.Kind == "delta" && e.Iteration == chainNext:
-			restorable = e.Iteration
-			chainNext++
-		default:
-			chainNext = -1 // chain broken until the next full
+// Segment returns the files a restart of iteration k reads, given one
+// variable's chain sorted as ReadView.Chain lists it: the latest full
+// checkpoint at or before k, then every delta after it through k, as a
+// subslice of files. It is ErrNotFound, with no files, when no full
+// checkpoint qualifies, and ErrChain when the deltas break off before
+// k: the files before the break come back with the error, since a
+// restart still replays them before it fails (§II-D). This is the one
+// statement of which files a restart reads; restart itself, the
+// Writer's depth, latest-restorable, GC and the daemon's series heads
+// all take it from here.
+func Segment(files []ChainEntry, k int) ([]ChainEntry, error) {
+	end := len(files)
+	for end > 0 && files[end-1].Iteration > k {
+		end--
+	}
+	full := end - 1
+	for full >= 0 && files[full].Kind != "full" {
+		full--
+	}
+	if full < 0 {
+		if len(files) == 0 {
+			return nil, fmt.Errorf("%w: no full checkpoint at or before iteration %d", ErrNotFound, k)
+		}
+		return nil, fmt.Errorf("%w: no full checkpoint at or before iteration %d for %s", ErrNotFound, k, files[0].Variable)
+	}
+	seg := files[full:end]
+	first := seg[0].Iteration
+	for i, e := range seg[1:] {
+		if want := first + 1 + i; e.Iteration != want {
+			return seg[:1+i], fmt.Errorf("%w: expected delta %d for %s, found %d", ErrChain, want, e.Variable, e.Iteration)
 		}
 	}
-	if restorable < 0 {
+	if last := seg[len(seg)-1]; last.Iteration != k {
+		return seg, fmt.Errorf("%w: chain for %s ends at %d, wanted %d", ErrChain, last.Variable, last.Iteration, k)
+	}
+	return seg, nil
+}
+
+// latestRestorable returns the highest iteration of a variable a
+// restart reaches: the end of the segment that reaches for its last
+// file. ErrNotFound means no full checkpoint exists.
+func (v *chainView) latestRestorable(variable string) (int, error) {
+	seg, _ := Segment(v.files[variable], math.MaxInt)
+	if len(seg) == 0 {
 		return 0, fmt.Errorf("%w: variable %s has no full checkpoint", ErrNotFound, variable)
 	}
-	return restorable, nil
+	return seg[len(seg)-1].Iteration, nil
 }
 
 // readCheckpointFile loads one checkpoint file's bytes, mapping absence
@@ -538,38 +562,13 @@ func restartWithin(lim replayLimits, fsys faultfs.FS, dir string, files []ChainE
 	if len(files) == 0 {
 		return nil, nil, fmt.Errorf("%w: variable %s", ErrNotFound, variable)
 	}
-	// Latest full checkpoint at or before the target.
-	full := -1
-	for i, e := range files {
-		if e.Kind == "full" && e.Iteration <= iteration {
-			full = i
-		}
+	// On a gap, seg holds the files before it: they replay before
+	// chainErr fails the restart, as replaying them one by one would.
+	seg, chainErr := Segment(files, iteration)
+	if len(seg) == 0 {
+		return nil, nil, chainErr
 	}
-	if full < 0 {
-		return nil, nil, fmt.Errorf("%w: no full checkpoint at or before iteration %d for %s", ErrNotFound, iteration, variable)
-	}
-	// The deltas (full, iteration] must chain from the full checkpoint
-	// without gaps. A gap fails the restart only after the files before
-	// it have had their say, as it would replaying them one by one.
-	deltas := make([]ChainEntry, 0, len(files)-full-1)
-	var chainErr error
-	expected := files[full].Iteration + 1
-	for _, e := range files[full+1:] {
-		if e.Kind != "delta" || e.Iteration > iteration {
-			continue
-		}
-		if e.Iteration != expected {
-			chainErr = fmt.Errorf("%w: expected delta %d for %s, found %d", ErrChain, expected, variable, e.Iteration)
-			break
-		}
-		deltas = append(deltas, e)
-		expected++
-	}
-	if chainErr == nil && expected != iteration+1 {
-		chainErr = fmt.Errorf("%w: chain for %s ends at %d, wanted %d", ErrChain, variable, expected-1, iteration)
-	}
-
-	fe := files[full]
+	fe, deltas := seg[0], seg[1:]
 	raw, err := readCheckpointFile(fsys, dir, variable, "full", fe.Iteration, fe.Len)
 	if err != nil {
 		return nil, nil, err

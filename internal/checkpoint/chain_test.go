@@ -317,3 +317,125 @@ func TestChainViewOrder(t *testing.T) {
 		t.Errorf("view of out-of-range iterations = %v, want %v", got, want)
 	}
 }
+
+// TestSegmentIsWhatRestartReads pins Segment as the one statement of a
+// restart's files. Over seeded chains of 0 to 3 fulls, with gaps and
+// with a delta and a full at one iteration, each committed through
+// WriteRaw, every k from -1 to one past the last file: Restart succeeds
+// exactly when Segment does, opens exactly Segment's files in order —
+// on failure too, the files before a gap — and fails with Segment's
+// sentinel; Segment is a full checkpoint then consecutive deltas, ending
+// at k when it succeeds; LatestRestorable is the largest k Segment
+// accepts.
+func TestSegmentIsWhatRestartReads(t *testing.T) {
+	const n = 64
+	opt := core.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: core.EqualWidth, Workers: 1}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rfs := &recordingFS{FS: faultfs.OS(), gids: map[uint64]bool{}}
+		st, err := CreateFS(filepath.Join(t.TempDir(), "ck"), opt, rfs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := make([]float64, n)
+		for j := range prev {
+			prev[j] = 1 + rng.Float64()
+		}
+		commit := func(i int, full bool) {
+			cur := slices.Clone(prev)
+			for j := range cur {
+				cur[j] *= 1 + rng.NormFloat64()*0.01
+			}
+			var raw []byte
+			var err error
+			if full {
+				raw, err = MarshalFull("v", i, cur)
+			} else {
+				var enc *core.Encoded
+				if enc, err = core.Encode(prev, cur, opt); err == nil {
+					raw, err = MarshalDelta("v", i, enc)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.WriteRaw("v", i, raw, 0); err != nil {
+				t.Fatal(err)
+			}
+			prev = cur
+		}
+		// Fulls land at random, the first one drawn beside a delta of its
+		// own iteration, so a chain without a full at 0 starts rootless;
+		// an iteration is skipped about once in eight.
+		last, both := 4+rng.Intn(12), -1
+		fullAt := map[int]bool{}
+		for f := rng.Intn(4); f > 0; f-- {
+			i := rng.Intn(last + 1)
+			fullAt[i] = true
+			if both < 0 {
+				both = i
+			}
+		}
+		for i := 0; i <= last; i++ {
+			if rng.Intn(8) == 0 && i != last {
+				continue
+			}
+			if !fullAt[i] || i == both {
+				commit(i, false)
+			}
+			if fullAt[i] {
+				commit(i, true)
+			}
+		}
+
+		files := st.chainView().files["v"]
+		wantLatest := -2
+		for k := -1; k <= last+1; k++ {
+			seg, segErr := Segment(files, k)
+			rfs.calls = rfs.calls[:0]
+			_, err := st.Restart("v", k)
+			if (err == nil) != (segErr == nil) {
+				t.Fatalf("seed %d k %d: Restart err %v, Segment err %v", seed, k, err, segErr)
+			}
+			for _, sentinel := range []error{ErrNotFound, ErrChain, ErrCorrupt} {
+				if errors.Is(err, sentinel) != errors.Is(segErr, sentinel) {
+					t.Fatalf("seed %d k %d: Restart err %v, Segment err %v", seed, k, err, segErr)
+				}
+			}
+			for i, ce := range seg {
+				if (i == 0) != (ce.Kind == "full") || ce.Iteration != seg[0].Iteration+i || ce.Iteration > k {
+					t.Fatalf("seed %d k %d: Segment = %v, not a full then consecutive deltas through k", seed, k, seg)
+				}
+			}
+			if segErr == nil && (len(seg) == 0 || seg[len(seg)-1].Iteration != k) {
+				t.Fatalf("seed %d k %d: Segment = %v with no error, not ending at k", seed, k, seg)
+			}
+			var opened, want []string
+			for _, c := range rfs.calls {
+				if name, ok := strings.CutPrefix(c, "open "); ok && strings.HasSuffix(name, ".nmk") {
+					opened = append(opened, name)
+				}
+			}
+			for _, ce := range seg {
+				want = append(want, ce.Name)
+			}
+			if !slices.Equal(opened, want) {
+				t.Fatalf("seed %d k %d: Restart opened %v, Segment lists %v", seed, k, opened, want)
+			}
+			if segErr == nil {
+				wantLatest = k
+			}
+		}
+		latest, err := st.LatestRestorable("v")
+		if wantLatest < 0 {
+			if !errors.Is(err, ErrNotFound) {
+				t.Fatalf("seed %d: LatestRestorable = %d, %v on a chain nothing restarts", seed, latest, err)
+			}
+		} else if err != nil || latest != wantLatest {
+			t.Fatalf("seed %d: LatestRestorable = %d, %v, want %d", seed, latest, err, wantLatest)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -280,15 +280,11 @@ func (st *Store) GC(keepFrom int) (removed int, err error) {
 	view := st.chainView()
 	for _, v := range view.vars {
 		entries := view.files[v]
-		baseFull := -1
-		for _, e := range entries {
-			if e.Kind == "full" && e.Iteration <= keepFrom {
-				baseFull = e.Iteration
-			}
-		}
-		if baseFull < 0 {
+		seg, _ := Segment(entries, keepFrom)
+		if len(seg) == 0 {
 			return removed, fmt.Errorf("%w: variable %s has no full checkpoint at or before %d", ErrNothingToGC, v, keepFrom)
 		}
+		baseFull := seg[0].Iteration
 		for _, e := range entries {
 			if e.Iteration < baseFull {
 				name := fileName(v, e.Kind, e.Iteration)

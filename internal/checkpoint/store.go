@@ -409,12 +409,9 @@ func (st *Store) chainView() *chainView {
 // CRC matches PayloadCRC (or, for commits whose payload is the file
 // itself, CRC) is a replay, not a new write.
 type CommittedEntry struct {
-	// Name is the committed file's name; Kind is "full" or "delta".
-	Name string
-	Kind string
-	// Len and CRC are the journaled file length and checksum.
-	Len int64
-	CRC uint32
+	// ChainEntry is the commit as the chain lists it: identity, file
+	// name, journaled length and CRC.
+	ChainEntry
 	// PayloadCRC is the journaled pre-encode payload checksum (0 =
 	// unknown: library writes, adopted files, pre-upgrade records).
 	PayloadCRC uint32
@@ -426,7 +423,8 @@ func (st *Store) Committed(variable string, iteration int) (CommittedEntry, bool
 	for _, kind := range []string{"full", "delta"} {
 		name := fileName(variable, kind, iteration)
 		if je, ok := st.chain[name]; ok {
-			return CommittedEntry{Name: name, Kind: kind, Len: je.Len, CRC: je.CRC, PayloadCRC: je.PayloadCRC}, true
+			e := Entry{Variable: variable, Kind: kind, Iteration: iteration}
+			return CommittedEntry{ChainEntry{Entry: e, Name: name, Len: je.Len, CRC: je.CRC}, je.PayloadCRC}, true
 		}
 	}
 	return CommittedEntry{}, false

@@ -73,18 +73,8 @@ func Scheduled(w *Writer, s Schedule) *Writer {
 // chainDepth returns how many deltas a restart of variable at iteration
 // replays on top of its full checkpoint.
 func (st *Store) chainDepth(variable string, iteration int) int {
-	files := st.chainView().files[variable]
-	depth := 0
-	for i := len(files) - 1; i >= 0; i-- {
-		switch e := files[i]; {
-		case e.Iteration > iteration:
-		case e.Kind == "delta" && e.Iteration == iteration-depth:
-			depth++
-		default:
-			return depth
-		}
-	}
-	return depth
+	seg, _ := Segment(st.chainView().files[variable], iteration)
+	return max(len(seg)-1, 0)
 }
 
 // Append writes iteration data for every variable in vars and returns

@@ -375,13 +375,13 @@ func TestWriterReferenceIsRestart(t *testing.T) {
 	}
 }
 
-// TestWriterRefusesNonFiniteTable is a finite input whose ratio range
-// overflows: prev 1 everywhere, cur alternating ±1e308 with every third
-// point 1.5. Under equal-width the table's width, and so every
-// representative, is non-finite, a table restart would refuse as
-// corrupt. The Writer must refuse the iteration before committing a
-// byte of it — not as the caller's fault, and not as corruption — and
-// stay where it was, so that a finite iteration 1 follows and restarts.
+// TestWriterRefusesNonFiniteTable pins that no writer commits a table
+// a reader refuses: a delta whose bin table holds +Inf reaches the
+// Writer's delta step (Store.WriteEncodedDelta, what Append commits) and
+// is refused before a byte of it is committed — not as the caller's
+// fault, and not as corruption — so that a finite iteration 1 follows
+// and restarts. Finite input no longer makes such a table
+// (TestWriterCommitsOverflowingRange); the table is doctored here.
 func TestWriterRefusesNonFiniteTable(t *testing.T) {
 	const n = 40000
 	st, err := Create(filepath.Join(t.TempDir(), "ck"), core.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: core.EqualWidth})
@@ -389,25 +389,22 @@ func TestWriterRefusesNonFiniteTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	prev, overflow, finite := make([]float64, n), make([]float64, n), make([]float64, n)
+	prev, finite := make([]float64, n), make([]float64, n)
 	for j := range prev {
 		prev[j], finite[j] = 1, 1+0.0005*float64(j%7)
-		switch {
-		case j%3 == 0:
-			overflow[j] = 1.5
-		case j%2 == 0:
-			overflow[j] = 1e308
-		default:
-			overflow[j] = -1e308
-		}
 	}
 	w := NewWriter(st, 0)
 	if _, err := w.Append(0, map[string][]float64{"v": prev}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = w.Append(1, map[string][]float64{"v": overflow})
+	enc, err := core.Encode(prev, finite, st.opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc.BinRatios[0] = math.Inf(1)
+	err = st.WriteEncodedDelta("v", 1, enc)
 	if err == nil {
-		t.Fatal("Append committed a delta with a non-finite bin table")
+		t.Fatal("the Writer's delta step committed a non-finite bin table")
 	}
 	if errors.Is(err, ErrBadVariable) || errors.Is(err, ErrCorrupt) {
 		t.Errorf("refusal = %v: neither the caller's fault nor corruption", err)
@@ -423,6 +420,56 @@ func TestWriterRefusesNonFiniteTable(t *testing.T) {
 	}
 	if issues, err := st.Verify(); err != nil || len(issues) != 0 {
 		t.Fatalf("Verify = %v, %v; want clean", issues, err)
+	}
+}
+
+// TestWriterCommitsOverflowingRange is a finite input whose ratio range
+// overflows: prev 1 everywhere, cur alternating ±1e308 with every third
+// point 1.5. Every strategy learns a finite table from it, so
+// Writer.Append commits the iteration, and it restarts within E·|prev|
+// of what was appended.
+func TestWriterCommitsOverflowingRange(t *testing.T) {
+	const n = 40000
+	prev, overflow := make([]float64, n), make([]float64, n)
+	for j := range prev {
+		prev[j] = 1
+		switch {
+		case j%3 == 0:
+			overflow[j] = 1.5
+		case j%2 == 0:
+			overflow[j] = 1e308
+		default:
+			overflow[j] = -1e308
+		}
+	}
+	for _, s := range []core.Strategy{core.EqualWidth, core.LogScale, core.Clustering, core.EqualFrequency} {
+		opt := core.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: s}
+		st, err := Create(filepath.Join(t.TempDir(), "ck"), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewWriter(st, 0)
+		if _, err := w.Append(0, map[string][]float64{"v": prev}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Append(1, map[string][]float64{"v": overflow}); err != nil {
+			t.Fatalf("%v: Append of the overflowing range: %v", s, err)
+		}
+		got, err := st.Restart("v", 1)
+		if err != nil {
+			t.Fatalf("%v: restart of iteration 1: %v", s, err)
+		}
+		for j := range got {
+			if !(math.Abs(got[j]-overflow[j]) <= opt.ErrorBound*math.Abs(prev[j])) {
+				t.Fatalf("%v: point %d restarts to %v, appended %v", s, j, got[j], overflow[j])
+			}
+		}
+		if issues, err := st.Verify(); err != nil || len(issues) != 0 {
+			t.Fatalf("%v: Verify = %v, %v; want clean", s, issues, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -62,7 +62,15 @@ func fitEqualFrequency(data []float64, k int) *tableBinner {
 		for _, v := range sorted[lo:hi] {
 			sum += v
 		}
-		reps = append(reps, sum/float64(hi-lo))
+		mean := sum / float64(hi-lo)
+		if math.IsInf(sum, 0) {
+			// The group's sum overflowed: its mean without forming it.
+			mean = 0
+			for _, v := range sorted[lo:hi] {
+				mean += v / float64(hi-lo)
+			}
+		}
+		reps = append(reps, mean)
 	}
 	// Means of sorted, disjoint groups are non-decreasing; dedupe so
 	// the nearest-rep index sees strictly ordered values.
@@ -108,8 +116,16 @@ func (s FitStats) equalWidth(k int) *equalWidthBinner {
 		return &equalWidthBinner{lo: lo, width: 0, reps: []float64{lo}}
 	}
 	b := &equalWidthBinner{lo: lo, width: (hi - lo) / float64(k), reps: make([]float64, k)}
+	if math.IsInf(b.width, 0) {
+		// hi-lo overflowed, which takes lo < 0 < hi: the same width, and
+		// below the same bin centers, without forming hi-lo.
+		b.width = hi/float64(k) - lo/float64(k)
+	}
 	for i := range b.reps {
-		b.reps[i] = lo + (float64(i)+0.5)*b.width
+		if b.reps[i] = lo + (float64(i)+0.5)*b.width; math.IsInf(b.reps[i], 0) {
+			t := (float64(i) + 0.5) / float64(k)
+			b.reps[i] = lo*(1-t) + hi*t
+		}
 	}
 	return b
 }
@@ -120,14 +136,17 @@ func (b *equalWidthBinner) Lookup(d float64) int {
 	if fputil.IsZero(b.width) {
 		return 0
 	}
-	i := int((d - b.lo) / b.width)
-	if i < 0 {
-		i = 0
+	// Compare before converting, as logSide.slowIndex does: int of a
+	// quotient outside the int range (d far past the fitted range, or
+	// d-lo overflowing) is implementation-defined.
+	f := (d - b.lo) / b.width
+	if f >= float64(len(b.reps)-1) {
+		return len(b.reps) - 1
 	}
-	if i >= len(b.reps) {
-		i = len(b.reps) - 1
+	if f > 0 {
+		return int(f)
 	}
-	return i
+	return 0
 }
 
 // logScaleBinner assigns ratios to bins by the e-based logarithm of

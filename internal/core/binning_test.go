@@ -311,3 +311,50 @@ func TestBinnersCoverAllInputs(t *testing.T) {
 		}
 	}
 }
+
+// TestOverflowingRangeGivesFiniteTable pins that finite input gives a
+// finite table: with prev = 1 and cur alternating +1e308 and -1e308,
+// every third point 1.5, the ratio range's width hi-lo overflows. Every
+// strategy, at every worker count and on both the small and the
+// sketched clustering path, must encode without a panic, learn only
+// finite representatives, and decode every point within E·|prev|.
+func TestOverflowingRangeGivesFiniteTable(t *testing.T) {
+	for _, n := range []int{300, 40_000} {
+		prev := make([]float64, n)
+		cur := make([]float64, n)
+		for j := range cur {
+			prev[j] = 1
+			switch {
+			case j%3 == 2:
+				cur[j] = 1.5
+			case j%2 == 0:
+				cur[j] = 1e308
+			default:
+				cur[j] = -1e308
+			}
+		}
+		for _, s := range []Strategy{EqualWidth, LogScale, Clustering, EqualFrequency} {
+			for _, workers := range []int{1, 2, 16} {
+				opt := Options{ErrorBound: 0.001, IndexBits: 8, Strategy: s, Workers: workers}
+				enc, err := Encode(prev, cur, opt)
+				if err != nil {
+					t.Fatalf("n %d %v workers %d: %v", n, s, workers, err)
+				}
+				for g, r := range enc.BinRatios {
+					if math.IsNaN(r) || math.IsInf(r, 0) {
+						t.Fatalf("n %d %v workers %d: representative %d of %d is %v", n, s, workers, g, len(enc.BinRatios), r)
+					}
+				}
+				got, err := enc.Decode(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range got {
+					if !(math.Abs(got[j]-cur[j]) <= opt.ErrorBound*math.Abs(prev[j])) {
+						t.Fatalf("n %d %v workers %d: point %d decodes to %v, encoded %v", n, s, workers, j, got[j], cur[j])
+					}
+				}
+			}
+		}
+	}
+}

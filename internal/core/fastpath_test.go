@@ -20,15 +20,15 @@ import (
 // logFitCase builds one adversarial log-scale table input.
 func logFitCases(rng *rand.Rand) [][]float64 {
 	cases := [][]float64{
-		{0.001, 0.5},                  // two points
-		{0.25},                        // single point, single bin
-		{1e-300, 1e300},               // extreme dynamic range (huge bits span)
-		{5e-324, 1e-320, 2e-320},      // denormals
-		{-0.3, -0.3, -0.3},            // duplicate magnitude, negative side
-		{-1, -0.5, 0.5, 1},            // symmetric two-sided
-		{0.1, 0.1000000000000001},     // adjacent floats: near-degenerate span
-		{-1e-9, 2e9},                  // wildly unbalanced sides
-		{0, 0.7, -0.2},                // zero ratio present (ablation shape)
+		{0.001, 0.5},              // two points
+		{0.25},                    // single point, single bin
+		{1e-300, 1e300},           // extreme dynamic range (huge bits span)
+		{5e-324, 1e-320, 2e-320},  // denormals
+		{-0.3, -0.3, -0.3},        // duplicate magnitude, negative side
+		{-1, -0.5, 0.5, 1},        // symmetric two-sided
+		{0.1, 0.1000000000000001}, // adjacent floats: near-degenerate span
+		{-1e-9, 2e9},              // wildly unbalanced sides
+		{0, 0.7, -0.2},            // zero ratio present (ablation shape)
 	}
 	// Random log-uniform two-sided sets.
 	for c := 0; c < 6; c++ {
@@ -98,11 +98,11 @@ func TestLogLookupFastMatchesSlow(t *testing.T) {
 func TestTableLookupMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	tables := [][]float64{
-		{0.5},                      // single bin
-		{0.1, 0.1, 0.1},            // all duplicates
-		{-1, -1, 0, 2, 2},          // duplicate runs
-		{-0.001, 0.001},            // tight symmetric
-		{1, 1 + 1e-15, 1 + 2e-15},  // adjacent floats
+		{0.5},                     // single bin
+		{0.1, 0.1, 0.1},           // all duplicates
+		{-1, -1, 0, 2, 2},         // duplicate runs
+		{-0.001, 0.001},           // tight symmetric
+		{1, 1 + 1e-15, 1 + 2e-15}, // adjacent floats
 	}
 	for c := 0; c < 5; c++ {
 		n := 1 + rng.Intn(512)

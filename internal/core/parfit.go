@@ -326,15 +326,15 @@ func regrid(s *kmeans.Sketch, lo, hi float64, bins int) *kmeans.Sketch {
 
 // seedGrid is kmeans.SeedFromHistogram's coarse grid over [lo, hi]:
 // cells equal cells of width w, value x in cell int((x-lo)/w), the last
-// cell closed. cell reaches that cell with one multiply by inv = 1/w
-// instead of a divide. Where inv is a normal float, the product and
-// the quotient both lie within 1.5e-8 of the exact (x-lo)/w — a
-// relative error of 2.3e-16 on a value of at most 4·2^24 — so their
-// integer parts agree unless the product is within 1e-6 of a cell
-// edge, and there cell divides as SeedFromHistogram does. A range
-// whose 1/w is not a normal float — w denormal enough for 1/w to
-// overflow, or infinite because hi-lo overflowed — always divides: inv
-// is 0 then.
+// cell closed — kmeans.SeedCounts' cells, w taken without forming hi-lo
+// where that overflows, as SeedCounts takes it. cell reaches that cell
+// with one multiply by inv = 1/w instead of a divide. Where inv is a
+// normal float, the product and the quotient both lie within 1.5e-8 of
+// the exact (x-lo)/w — a relative error of 2.3e-16 on a value of at
+// most 4·2^24 — so their integer parts agree unless the product is
+// within 1e-6 of a cell edge, and there cell divides as SeedCounts
+// does. A range whose 1/w is not a normal float — w denormal enough for
+// 1/w to overflow — always divides: inv is 0 then.
 type seedGrid struct {
 	lo, w, inv float64
 	cells      int
@@ -342,6 +342,9 @@ type seedGrid struct {
 
 func newSeedGrid(lo, hi float64, cells int) seedGrid {
 	g := seedGrid{lo: lo, w: (hi - lo) / float64(cells), cells: cells}
+	if math.IsInf(g.w, 0) {
+		g.w = hi/float64(cells) - lo/float64(cells)
+	}
 	if inv := 1 / g.w; inv >= 0x1p-1022 && inv <= math.MaxFloat64 {
 		g.inv = inv
 	}
@@ -349,12 +352,18 @@ func newSeedGrid(lo, hi float64, cells int) seedGrid {
 }
 
 // cell returns x's cell, int((x-lo)/w) clamped below cells; x must be
-// in [lo, hi].
+// in [lo, hi]. Like SeedCounts it compares before it converts: x-lo
+// can overflow to +Inf, where int is implementation-defined.
 func (g seedGrid) cell(x float64) int {
-	f := (x - g.lo) * g.inv
-	i := int(f)
-	if r := f - float64(i); !(r >= 1e-6 && r <= 1-1e-6) {
-		i = int((x - g.lo) / g.w) // near an edge, or inv is 0
+	if f := (x - g.lo) * g.inv; f < float64(g.cells) {
+		i := int(f)
+		if r := f - float64(i); r >= 1e-6 && r <= 1-1e-6 {
+			return i
+		}
 	}
-	return min(i, g.cells-1)
+	// Near an edge, past the last cell, or inv is 0.
+	if f := (x - g.lo) / g.w; f < float64(g.cells-1) {
+		return int(f)
+	}
+	return g.cells - 1
 }

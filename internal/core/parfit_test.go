@@ -231,13 +231,17 @@ func BenchmarkFitClustering(b *testing.B) {
 // table of k clusters, every x within 4 ulps of a cell edge (every edge
 // for up to 4 096 cells, an even sample of them above), and lo and hi
 // themselves, seedGrid.cell must return int((x-lo)/w) clamped to the
-// last cell.
+// last cell — w as SeedCounts takes it, hi/cells - lo/cells where hi-lo
+// overflows, and the clamp compared before the conversion — and never a
+// negative cell.
 func FuzzSeedCellMatchesDivision(f *testing.F) {
 	f.Add(0.0, 1.0, uint32(255))
 	f.Add(-1.0, 1e-10, uint32(7))
 	f.Add(1e-300, 2e-300, uint32(4095))
 	f.Add(5e-324, 1e-320, uint32(1))
 	f.Add(-1e308, 1e308, uint32(255))
+	f.Add(-math.MaxFloat64, math.MaxFloat64, uint32(1<<24-1))
+	f.Add(-1.5e308, 0.5e308, uint32(7))
 	f.Add(1e15, 1e15+1024, uint32(1<<24-1))
 	f.Add(-3.5e-3, 0.25, uint32(63))
 	f.Fuzz(func(t *testing.T, lo, hi float64, k uint32) {
@@ -248,15 +252,18 @@ func FuzzSeedCellMatchesDivision(f *testing.F) {
 		cells := kmeans.SeedHistogramBins(int(k))
 		g := newSeedGrid(lo, hi, cells)
 		w := (hi - lo) / float64(cells)
+		if math.IsInf(w, 0) {
+			w = hi/float64(cells) - lo/float64(cells)
+		}
 		check := func(x float64) {
 			if x < lo || x > hi {
 				return
 			}
-			want := int((x - lo) / w)
-			if want >= cells {
-				want = cells - 1
+			want := cells - 1
+			if f := (x - lo) / w; f < float64(cells-1) {
+				want = int(f)
 			}
-			if got := g.cell(x); got != want {
+			if got := g.cell(x); got != want || got < 0 {
 				t.Fatalf("[%v, %v] in %d cells: x = %v lands in cell %d, the division says %d", lo, hi, cells, x, got, want)
 			}
 		}

@@ -24,10 +24,11 @@ import (
 func adversarialCentroidSets(rng *rand.Rand) [][]float64 {
 	sets := [][]float64{
 		{0},
-		{1, 1, 1, 1},                   // all duplicates
-		{-2, -2, 0, 0, 3},              // duplicate runs
-		{1, 1 + 1e-15, 1 + 2e-15},      // adjacent floats
-		{-1e300, 0, 1e300},             // extreme span
+		{1, 1, 1, 1},                        // all duplicates
+		{-2, -2, 0, 0, 3},                   // duplicate runs
+		{1, 1 + 1e-15, 1 + 2e-15},           // adjacent floats
+		{-1e300, 0, 1e300},                  // extreme span
+		{-1e308, -1e308, 0.5, 1e308, 1e308}, // span past MaxFloat64: no grid
 		{-0.001, 0.001},
 	}
 	for c := 0; c < 6; c++ {

@@ -140,6 +140,9 @@ func Run(data []float64, cfg Config) (*Result, error) {
 				continue // empty cluster keeps its centroid
 			}
 			next := sums[c] / float64(count)
+			if math.IsInf(next, 0) {
+				next = meanOf(data, nil, res.Assign, c, float64(count))
+			}
 			if d := math.Abs(next - res.Centroids[c]); d > moved {
 				moved = d
 			}
@@ -224,8 +227,9 @@ func (ix *Index) reset(cents []float64) {
 	ix.rinv, ix.rcells, ix.res = 0, 0, ix.res[:0]
 	lo, hi := cents[0], cents[k-1]
 	ix.lo = lo
-	if hi <= lo {
-		// All centroids equal: a single cell answers everything.
+	if hi <= lo || math.IsInf(hi-lo, 0) {
+		// All centroids equal, or spanning more than MaxFloat64: no
+		// grid (inv 0), and scan searches the centroids themselves.
 		ix.inv = 0
 		ix.lastCell = 0
 		ix.loCand = append(ix.loCand[:0], 0)
@@ -292,27 +296,30 @@ func (ix *Index) Nearest(x float64) int {
 	return ix.scan(x)
 }
 
-// cell returns x's candidate-grid cell.
+// cell returns x's candidate-grid cell; ix must have a grid (inv > 0).
 func (ix *Index) cell(x float64) int {
-	cell := 0
-	if !fputil.IsZero(ix.inv) {
-		// Compare before converting: for far-out-of-range x the scaled
-		// offset can exceed the int range (even overflow to +Inf), where
-		// int(f) is implementation-defined and may come out negative.
-		f := (x - ix.lo) * ix.inv
-		if f >= float64(ix.lastCell) {
-			cell = ix.lastCell
-		} else if f > 0 {
-			cell = int(f)
-		}
+	// Compare before converting: for far-out-of-range x the scaled
+	// offset can exceed the int range (even overflow to +Inf), where
+	// int(f) is implementation-defined and may come out negative.
+	f := (x - ix.lo) * ix.inv
+	if f >= float64(ix.lastCell) {
+		return ix.lastCell
 	}
-	return cell
+	if f > 0 {
+		return int(f)
+	}
+	return 0
 }
 
 // scan answers x from its candidate-grid cell: the lowest-index
 // centroid at the least distance among the cell's candidates. It
-// defines Nearest; the resolved grid only caches its answers.
+// defines Nearest; the resolved grid only caches its answers. Without
+// a grid it gives the same answer by binary search: Nearest's value,
+// at the lowest index that holds it.
 func (ix *Index) scan(x float64) int {
+	if fputil.IsZero(ix.inv) {
+		return sort.SearchFloat64s(ix.cents, ix.cents[Nearest(ix.cents, x)])
+	}
 	cell := ix.cell(x)
 	best := int(ix.loCand[cell])
 	hiC := int(ix.hiCand[cell])
@@ -522,11 +529,63 @@ func SeedFromHistogram(data []float64, k int) []float64 {
 func SeedCounts(data []float64, lo, hi float64, k int) []int {
 	bins := SeedHistogramBins(k)
 	counts := make([]int, bins)
-	w := (hi - lo) / float64(bins)
+	w := cellWidth(lo, hi, bins)
 	for _, x := range data {
-		counts[min(int((x-lo)/w), bins-1)]++
+		// Compare before converting: x-lo can overflow to +Inf, where
+		// int is implementation-defined.
+		i := bins - 1
+		if f := (x - lo) / w; f < float64(bins-1) {
+			i = int(f)
+		}
+		counts[i]++
 	}
 	return counts
+}
+
+// cellWidth is the width of one of `cells` equal cells over [lo, hi],
+// (hi-lo)/cells, taken without forming hi-lo when that overflows: the
+// cells of a finite range are finite.
+func cellWidth(lo, hi float64, cells int) float64 {
+	if w := (hi - lo) / float64(cells); !math.IsInf(w, 0) {
+		return w
+	}
+	return hi/float64(cells) - lo/float64(cells)
+}
+
+// cellCenter is the center of cell i of `cells` equal cells over
+// [lo, hi], lo + (i+0.5)·cellWidth, or lo·(1-t) + hi·t, t = (i+0.5)/cells,
+// where that sum overflows.
+func cellCenter(lo, hi float64, i, cells int) float64 {
+	t := (float64(i) + 0.5) / float64(cells)
+	return finiteAt(lo+(float64(i)+0.5)*cellWidth(lo, hi, cells), lo, hi, t)
+}
+
+// finiteAt returns x, a point the caller computed a fraction t into
+// [lo, hi] as lo plus a multiple of the width, unless that came out
+// non-finite because hi-lo overflowed: then lo·(1-t) + hi·t, which
+// cannot.
+func finiteAt(x, lo, hi, t float64) float64 {
+	if !math.IsInf(x, 0) && !math.IsNaN(x) {
+		return x
+	}
+	return lo*(1-t) + hi*t
+}
+
+// meanOf is the mean of the points assigned to cluster c, weighted by
+// weights (nil: 1 each) that add up to total, summed as Σ x·(w/total):
+// the mean of finite points whose sum overflows.
+func meanOf(points, weights []float64, assign []int, c int, total float64) float64 {
+	mean := 0.0
+	for i, a := range assign {
+		if a == c {
+			w := 1.0
+			if weights != nil {
+				w = weights[i]
+			}
+			mean += points[i] * (w / total)
+		}
+	}
+	return mean
 }
 
 // SeedHistogramBins returns the number of equal-width histogram bins
@@ -556,7 +615,6 @@ func SeedFromCounts(lo, hi float64, counts []int, k int) []float64 {
 		}
 		return seeds
 	}
-	w := (hi - lo) / float64(len(counts))
 	type bin struct {
 		idx, count int
 	}
@@ -577,12 +635,13 @@ func SeedFromCounts(lo, hi float64, counts []int, k int) []float64 {
 	}
 	seeds := make([]float64, 0, k)
 	for _, b := range occupied {
-		seeds = append(seeds, lo+(float64(b.idx)+0.5)*w)
+		seeds = append(seeds, cellCenter(lo, hi, b.idx, len(counts)))
 	}
 	// Pad with evenly spaced centers when the data occupies fewer than
 	// k histogram bins.
 	for i := 0; len(seeds) < k; i++ {
-		seeds = append(seeds, lo+(hi-lo)*float64(i%k)/float64(k))
+		t := float64(i%k) / float64(k)
+		seeds = append(seeds, finiteAt(lo+(hi-lo)*float64(i%k)/float64(k), lo, hi, t))
 	}
 	sort.Float64s(seeds)
 	return seeds

@@ -67,6 +67,10 @@ func (s *Sketch) Regrid(lo, hi float64, bins int) {
 	s.Lo, s.Hi, s.Count, s.Sum, s.inv = lo, hi, s.Count[:bins], s.Sum[:bins], 0
 	if hi > lo {
 		s.inv = float64(bins) / (hi - lo)
+		if fputil.IsZero(s.inv) {
+			// hi-lo overflowed.
+			s.inv = 1 / cellWidth(lo, hi, bins)
+		}
 	}
 }
 
@@ -131,7 +135,13 @@ func (s *Sketch) Points() (centers, weights []float64) {
 		if c == 0 {
 			continue
 		}
-		centers = append(centers, s.Sum[i]/float64(c))
+		mean := s.Sum[i] / float64(c)
+		if math.IsInf(mean, 0) {
+			// The cell's sum overflowed; its values are gone, but its
+			// mean lies in the cell.
+			mean = cellCenter(s.Lo, s.Hi, i, len(s.Count))
+		}
+		centers = append(centers, mean)
 		weights = append(weights, float64(c))
 	}
 	sort.Sort(&pairSort{centers, weights})
@@ -224,6 +234,9 @@ func RunWeighted(points, weights []float64, cfg Config) (*Result, error) {
 				continue // empty cluster keeps its centroid
 			}
 			next := sum[c] / wsum[c]
+			if math.IsInf(next, 0) {
+				next = meanOf(points, weights, res.Assign, c, wsum[c])
+			}
 			if d := math.Abs(next - res.Centroids[c]); d > moved {
 				moved = d
 			}

@@ -554,7 +554,8 @@ func (c *Client) Fetch(series string, iter int, w io.Writer, salvage bool) (poin
 }
 
 // FetchRaw returns the committed file's exact bytes for one iteration
-// (?raw=1) plus its kind ("full" or "delta").
+// (?raw=1) plus its kind ("full" or "delta"). A body whose length or
+// CRC-32 is not the one its headers announce is a torn response.
 func (c *Client) FetchRaw(series string, iter int) (raw []byte, kind string, err error) {
 	q := url.Values{}
 	q.Set("raw", "1")
@@ -567,6 +568,11 @@ func (c *Client) FetchRaw(series string, iter int) (raw []byte, kind string, err
 		if cl := resp.Header.Get("Content-Length"); cl != "" {
 			if want, perr := strconv.Atoi(cl); perr == nil && want != len(b) {
 				return fmt.Errorf("server: torn response: %d of %d bytes", len(b), want)
+			}
+		}
+		if h := resp.Header.Get("X-Numarck-CRC32"); h != "" {
+			if want, perr := strconv.ParseUint(h, 16, 32); perr == nil && uint32(want) != crc32.ChecksumIEEE(b) {
+				return fmt.Errorf("server: torn response: crc %08x, header says %08x", crc32.ChecksumIEEE(b), want)
 			}
 		}
 		raw, kind = b, resp.Header.Get("X-Numarck-Kind")

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/url"
 	"os"
@@ -293,7 +294,7 @@ func (s *Server) commitValues(r *http.Request, t *Tenant, series string, iter in
 		return replayed(t, series, iter, ce)
 	}
 	if kind == "full" {
-		t.setHead(series, &seriesHead{iter: iter, vals: vals, seg: []checkpoint.ChainEntry{committedEntry(series, iter, ce)}})
+		t.setHead(series, &seriesHead{iter: iter, vals: vals, seg: []checkpoint.ChainEntry{ce.ChainEntry}})
 		// A delta's bytes were counted as the encode wrote them: the v2
 		// writer reports into the same tenant recorder.
 		t.rec.Add(obs.CounterBytesWritten, int64(len(raw)))
@@ -376,12 +377,12 @@ func (s *Server) handleGetCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var weight int64
-	for _, ce := range entries {
-		if ce.Kind == "full" && ce.Iteration <= iter {
-			weight = 2 * ce.Len
-		} else if ce.Kind == "delta" && ce.Iteration <= iter && weight > 0 {
-			weight += ce.Len
-		}
+	seg, _ := checkpoint.Segment(entries, iter)
+	if len(seg) > 0 {
+		weight = seg[0].Len
+	}
+	for _, ce := range seg {
+		weight += ce.Len
 	}
 	release, err := s.admit(r, weight)
 	if err != nil {
@@ -424,7 +425,9 @@ func (s *Server) handleGetCheckpoint(w http.ResponseWriter, r *http.Request) {
 	_ = rawio.NewWriter(w).WriteFloats(vals)
 }
 
-// serveRaw streams the committed file's exact bytes for one iteration.
+// serveRaw sends the committed file's exact bytes for one iteration,
+// and only those: a file whose length or CRC differs from its journal
+// record is ErrCorrupt before a byte goes out.
 func (s *Server) serveRaw(w http.ResponseWriter, t *Tenant, view *checkpoint.ReadView, series string, iter int) {
 	entries, err := view.Chain(series)
 	if err != nil {
@@ -436,6 +439,10 @@ func (s *Server) serveRaw(w http.ResponseWriter, t *Tenant, view *checkpoint.Rea
 			continue
 		}
 		raw, err := os.ReadFile(t.dir + string(os.PathSeparator) + ce.Name)
+		if crc := crc32.ChecksumIEEE(raw); err == nil && (int64(len(raw)) != ce.Len || crc != ce.CRC) {
+			err = fmt.Errorf("%w: %s is %d bytes with crc %08x, journal recorded %d with crc %08x",
+				checkpoint.ErrCorrupt, ce.Name, len(raw), crc, ce.Len, ce.CRC)
+		}
 		if err != nil {
 			writeError(w, err)
 			return

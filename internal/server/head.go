@@ -18,28 +18,11 @@ import (
 type seriesHead struct {
 	iter int
 	vals []float64
-	// seg is the chain from the latest full checkpoint at or before
-	// iter through iter, entry for entry as ReadView.Chain lists it.
+	// seg is the files Restart(series, iter) reads, entry for entry as
+	// checkpoint.Segment picks them from ReadView.Chain.
 	seg []checkpoint.ChainEntry
 	// hold is the head's governor charge; nil when ungoverned.
 	hold *govHold
-}
-
-// segmentTo returns the part of a series' sorted chain that Restart
-// reads for iteration k: the latest full checkpoint at or before k and
-// every file after it up to k. It is nil when no full checkpoint
-// qualifies.
-func segmentTo(chain []checkpoint.ChainEntry, k int) []checkpoint.ChainEntry {
-	end := 0
-	for end < len(chain) && chain[end].Iteration <= k {
-		end++
-	}
-	for i := end - 1; i >= 0; i-- {
-		if chain[i].Kind == "full" {
-			return chain[i:end]
-		}
-	}
-	return nil
 }
 
 // prevState returns the state a delta push of iter encodes against —
@@ -55,7 +38,7 @@ func (t *Tenant) prevState(view *checkpoint.ReadView, series string, iter int) (
 	if err != nil {
 		return nil, nil, err
 	}
-	seg := segmentTo(chain, iter-1)
+	seg, _ := checkpoint.Segment(chain, iter-1)
 	t.headMu.Lock()
 	h := t.heads[series]
 	t.headMu.Unlock()
@@ -72,15 +55,6 @@ func (t *Tenant) prevState(view *checkpoint.ReadView, series string, iter int) (
 	return vals, seg, nil
 }
 
-// committedEntry is the chain entry of a commit just made, as the read
-// view will list it.
-func committedEntry(series string, iter int, ce checkpoint.CommittedEntry) checkpoint.ChainEntry {
-	return checkpoint.ChainEntry{
-		Entry: checkpoint.Entry{Variable: series, Kind: ce.Kind, Iteration: iter},
-		Name:  ce.Name, Len: ce.Len, CRC: ce.CRC,
-	}
-}
-
 // advanceHead publishes the head a delta commit leaves: prev, the state
 // the delta was encoded against, with the committed file replayed onto
 // a copy of it by restart's own one-file step. A replay that fails
@@ -91,7 +65,7 @@ func (t *Tenant) advanceHead(series string, iter int, prev []float64, prevSeg []
 		t.setHead(series, nil)
 		return
 	}
-	seg := append(slices.Clone(prevSeg), committedEntry(series, iter, ce))
+	seg := append(slices.Clone(prevSeg), ce.ChainEntry)
 	t.setHead(series, &seriesHead{iter: iter, vals: vals, seg: seg})
 }
 

@@ -33,6 +33,14 @@ func headOf(tn *Tenant, series string) (h seriesHead, ok bool) {
 	return *p, true
 }
 
+// segment is the chain segment Restart reads for iteration k, as
+// checkpoint.Segment picks it; a broken chain's leading part when k is
+// not restorable.
+func segment(chain []checkpoint.ChainEntry, k int) []checkpoint.ChainEntry {
+	seg, _ := checkpoint.Segment(chain, k)
+	return seg
+}
+
 // wantDelta encodes cur against the view's own reconstruction of
 // iter-1, exactly as the daemon encodes a delta push: the bytes a push
 // must commit if it encoded against Restart.
@@ -141,7 +149,7 @@ func TestHeadIsRestart(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if h, ok := headOf(tn, series); ok && h.iter == iter-1 && slices.Equal(h.seg, segmentTo(chain, iter-1)) {
+				if h, ok := headOf(tn, series); ok && h.iter == iter-1 && slices.Equal(h.seg, segment(chain, iter-1)) {
 					hits++
 				} else {
 					misses++
@@ -177,8 +185,8 @@ func TestHeadIsRestart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(h.seg, segmentTo(chain, iter)) {
-				t.Fatalf("seed %d: head segment at %d = %v, view lists %v", seed, iter, h.seg, segmentTo(chain, iter))
+			if !slices.Equal(h.seg, segment(chain, iter)) {
+				t.Fatalf("seed %d: head segment at %d = %v, view lists %v", seed, iter, h.seg, segment(chain, iter))
 			}
 
 			// A retried delta replays and a conflicting one is refused;

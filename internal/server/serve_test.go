@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
@@ -529,6 +530,60 @@ func TestRawCommitRejectsMalformed(t *testing.T) {
 		if sleeps != 0 {
 			t.Errorf("%s: client retried %d times, want one attempt", name, sleeps)
 		}
+	}
+}
+
+// TestRawFetchServesOnlyCommittedBytes pins that ?raw=1 sends only the
+// bytes the journal committed: a delta with one byte flipped on disk is
+// 500 corrupt_store, not a 200 carrying the flipped bytes, while an
+// intact file still comes back byte-identical. The client holds the
+// server to the same rule: a body that does not match its
+// X-Numarck-CRC32 header is an error.
+func TestRawFetchServesOnlyCommittedBytes(t *testing.T) {
+	s, ts := newTestServer(t, 0, 0)
+	c := &Client{Base: ts.URL, Tenant: "sim0"}
+	for i := 0; i < 3; i++ {
+		if _, err := c.Push("v", i, bytes.NewReader(floatBytes(seriesValues(i, 2048))), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := filepath.Join(s.cfg.Root, "sim0")
+	sc, err := c.SeriesChain("v", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, sc.Entries[2].Name)
+	raw, err := os.ReadFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x08
+	if err := os.WriteFile(bad, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var apiErr *APIError
+	if got, _, err := c.FetchRaw("v", 2); !errors.As(err, &apiErr) || apiErr.Status != 500 || apiErr.Class != "corrupt_store" {
+		t.Fatalf("raw fetch of a flipped delta = %d bytes, %v; want 500 corrupt_store", len(got), err)
+	}
+	for i := 0; i < 2; i++ {
+		want, err := os.ReadFile(filepath.Join(dir, sc.Entries[i].Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _, err := c.FetchRaw("v", i); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("raw fetch of intact %s: %v, byte-identical %v", sc.Entries[i].Name, err, bytes.Equal(got, want))
+		}
+	}
+
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("X-Numarck-CRC32", "deadbeef")
+		//lint:ignore errcheck the test's own response; the client's check is the subject
+		w.Write(raw)
+	}))
+	defer liar.Close()
+	if _, _, err := (&Client{Base: liar.URL, Tenant: "sim0"}).FetchRaw("v", 2); err == nil || !strings.Contains(err.Error(), "torn response") {
+		t.Fatalf("raw fetch whose body does not match its CRC header = %v, want a torn response", err)
 	}
 }
 

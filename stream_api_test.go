@@ -1,12 +1,17 @@
 package numarck_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"numarck"
+	"numarck/internal/checkpoint"
 	"numarck/internal/rawio"
 )
 
@@ -66,5 +71,76 @@ func TestStreamFilesRoundTrip(t *testing.T) {
 		if math.Abs(recRatio-trueRatio) > 0.001+1e-12 {
 			t.Fatalf("point %d violates the bound", i)
 		}
+	}
+}
+
+// TestStreamDecodeRecover drives the façade's streaming salvage over a
+// chunked file with one byte of one chunk's section flipped: that
+// chunk's range comes out as prev's values and is the one lost range of
+// a *PartialDataError that wraps ErrStoreCorrupt, every other point is
+// Decode's, and restart's own one-file salvage step
+// (checkpoint.ReplayDelta) agrees on the values and the ranges. A clean
+// file salvages to Decode's output with no error.
+func TestStreamDecodeRecover(t *testing.T) {
+	const n, chunkPoints = 5000, 1024
+	rng := rand.New(rand.NewSource(23))
+	prev := make([]float64, n)
+	cur := make([]float64, n)
+	for i := range prev {
+		prev[i] = 1 + rng.Float64()
+		cur[i] = prev[i] * (1 + 0.02*rng.NormFloat64())
+	}
+	var buf bytes.Buffer
+	enc := numarck.StreamEncoder{
+		Opt:    numarck.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: numarck.EqualWidth},
+		Config: numarck.StreamConfig{ChunkPoints: chunkPoints, Workers: 2},
+	}
+	if _, err := enc.Encode(&buf, "v", 1, numarck.SliceSource(prev), numarck.SliceSource(cur)); err != nil {
+		t.Fatal(err)
+	}
+	clean := buf.Bytes()
+	decode := func(raw []byte, salvage bool) ([]float64, *numarck.PartialDataError, error) {
+		var out []float64
+		emit := func(vals []float64) error { out = append(out, vals...); return nil }
+		r, size, src := bytes.NewReader(raw), int64(len(raw)), numarck.SliceSource(prev)
+		if !salvage {
+			return out, nil, numarck.StreamDecoder{}.Decode(r, size, src, emit)
+		}
+		pde, err := numarck.StreamDecoder{}.DecodeRecover(r, size, src, emit)
+		return out, pde, err
+	}
+	same := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	want, _, err := decode(clean, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, pde, err := decode(clean, true); err != nil || pde != nil || !same(got, want) {
+		t.Fatalf("salvage of a clean file: %v, %v, same values %v", pde, err, same(got, want))
+	}
+
+	// Flip a byte in the middle of chunk 1's section, located through
+	// the footer and the directory (FORMAT.md, NMRKD2).
+	dirOff := binary.LittleEndian.Uint64(clean[len(clean)-20:])
+	ent := clean[dirOff+20 : dirOff+40]
+	off, length := binary.LittleEndian.Uint64(ent), binary.LittleEndian.Uint32(ent[8:])
+	bad := slices.Clone(clean)
+	bad[off+uint64(length)/2] ^= 0x20
+	lost := numarck.Range{Lo: chunkPoints, Hi: 2 * chunkPoints}
+
+	got, pde, err := decode(bad, true)
+	if err != nil || pde == nil || !slices.Equal(pde.Lost, []numarck.Range{lost}) || !errors.Is(pde, numarck.ErrStoreCorrupt) {
+		t.Fatalf("salvage of chunk 1's flipped byte = %v, %v; want one lost range %v wrapping ErrStoreCorrupt", pde, err, lost)
+	}
+	if len(got) != n || !same(got[lost.Lo:lost.Hi], prev[lost.Lo:lost.Hi]) ||
+		!same(got[:lost.Lo], want[:lost.Lo]) || !same(got[lost.Hi:], want[lost.Hi:]) {
+		t.Fatal("salvage emitted other values than prev's in the lost range and Decode's elsewhere")
+	}
+
+	state := slices.Clone(prev)
+	rp, err := checkpoint.ReplayDelta(bad, "v", 1, state, &checkpoint.ChunkDecoder{}, checkpoint.RecoverOptions{Salvage: true})
+	if err != nil || rp == nil || !slices.Equal(rp.Lost, pde.Lost) || !same(state, got) {
+		t.Fatalf("ReplayDelta's salvage of the same bytes = %v, %v; same values %v", rp, err, same(state, got))
 	}
 }
