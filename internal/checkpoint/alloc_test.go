@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"numarck/internal/core"
@@ -158,5 +161,66 @@ func TestOpenReadOnlyAllocs(t *testing.T) {
 	t.Logf("OpenReadOnly allocates %.0f times at %d entries, %.0f at %d: %.3f per entry", a, short, b, long, slope)
 	if slope > perEntryLimit {
 		t.Errorf("OpenReadOnly allocates %.2f times per chain entry, want <= %.1f", slope, perEntryLimit)
+	}
+}
+
+// TestWarmRestartBytes pins what a warm restart allocates: the state it
+// returns (8·N bytes) and a few KiB of reader per file — at B = 8 most
+// of it the parsed bin table and its ratio table, 2 KiB each — and no copy of
+// any file's bytes — the full and every delta are read into pooled
+// buffers, and the workers' decoders are pooled too. Measured on one
+// goroutine and fanned out, at two sizes; every file of the chain is
+// larger than the per-file allowance, so a single copy of one fails it.
+func TestWarmRestartBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	const perFile, fixed = 6 << 10, 16 << 10
+	const depth = 12
+	for _, n := range []int{1 << 15, 1 << 17} {
+		dir := filepath.Join(t.TempDir(), fmt.Sprint(n))
+		benchChain(t, dir, n, depth, n/2)
+		rv, err := OpenReadOnly(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain, err := rv.Chain("v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		smallest := chain[0].Len
+		for _, ce := range chain {
+			smallest = min(smallest, ce.Len)
+		}
+		if smallest <= perFile+fixed {
+			t.Fatalf("n=%d: the smallest file is %d bytes, too small to tell a copy from the allowance", n, smallest)
+		}
+		budget := uint64(8*n + perFile*len(chain) + fixed)
+		for _, lim := range []replayLimits{{replayWindowBytes, math.MaxInt}, {replayWindowBytes, 0}} {
+			restart := func() {
+				if _, _, err := restartWithin(lim, rv.fs, dir, chain, "v", depth, RecoverOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			restart() // warm the pools
+			least := func() uint64 {
+				// A collection empties the pools; keep it out of the
+				// measured restarts.
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				least := uint64(math.MaxUint64)
+				for range 5 {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					restart()
+					runtime.ReadMemStats(&after)
+					least = min(least, after.TotalAlloc-before.TotalAlloc)
+				}
+				return least
+			}()
+			t.Logf("n=%d, fan-out at %d point-files: a warm restart of %d files allocates %d bytes, budget %d", n, lim.fanOutWork, len(chain), least, budget)
+			if least > budget {
+				t.Errorf("n=%d, fan-out at %d point-files: a warm restart allocates %d bytes, want <= %d (8·N + %d per file + %d)", n, lim.fanOutWork, least, budget, perFile, fixed)
+			}
+		}
 	}
 }

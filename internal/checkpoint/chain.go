@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io/fs"
 	"math"
+	"math/bits"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -14,6 +15,7 @@ import (
 
 	"numarck/internal/core"
 	"numarck/internal/faultfs"
+	"numarck/internal/panics"
 )
 
 // This file is the layer both writer stores and read views are built
@@ -321,8 +323,10 @@ func (v *chainView) latestRestorable(variable string) (int, error) {
 // message. size is the file's journaled length when the caller has its
 // chain entry (negative otherwise): the read is then sized from it, and
 // a file that is longer or shorter than its journal record is ErrCorrupt
-// — the store never hands back a file it did not commit.
-func readCheckpointFile(fsys faultfs.FS, dir, variable, kind string, iteration int, size int64) ([]byte, error) {
+// — the store never hands back a file it did not commit. A sized read
+// goes into buf's backing array when it is large enough (see
+// faultfs.ReadFileInto).
+func readCheckpointFile(fsys faultfs.FS, dir, variable, kind string, iteration int, size int64, buf []byte) ([]byte, error) {
 	if err := validateIdentity(variable, iteration); err != nil {
 		return nil, err
 	}
@@ -332,7 +336,7 @@ func readCheckpointFile(fsys faultfs.FS, dir, variable, kind string, iteration i
 	if size < 0 {
 		raw, err = faultfs.ReadFile(fsys, path)
 	} else {
-		raw, err = faultfs.ReadFileSized(fsys, path, size)
+		raw, err = faultfs.ReadFileInto(fsys, path, size, buf)
 	}
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("%w: %s checkpoint %s@%d", ErrNotFound, kind, variable, iteration)
@@ -507,7 +511,7 @@ func replayWindow(state []float64, files []*replayFile, decs []*ChunkDecoder, ro
 		return nil
 	}
 	if workers == 1 {
-		if err := run(0); err != nil {
+		if err := panics.Catch(func() error { return run(0) }); err != nil {
 			return nil, err
 		}
 	} else {
@@ -519,7 +523,7 @@ func replayWindow(state []float64, files []*replayFile, decs []*ChunkDecoder, ro
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				errs[w] = run(w)
+				errs[w] = panics.Catch(func() error { return run(w) })
 			}()
 		}
 		wg.Wait()
@@ -557,8 +561,46 @@ func restartEntries(fsys faultfs.FS, dir string, files []ChainEntry, variable st
 	return restartWithin(replayLimits{replayWindowBytes, replayFanOutWork}, fsys, dir, files, variable, iteration, ropt)
 }
 
-// restartWithin is restartEntries under explicit limits.
+// restartWithin is restartEntries under explicit limits. The files'
+// bytes and the workers' decoders come from the package's pools and go
+// back to them, unless the restart panicked: a panic may have left them
+// half written, so they are dropped. Only the state is the caller's.
 func restartWithin(lim replayLimits, fsys faultfs.FS, dir string, files []ChainEntry, variable string, iteration int, ropt RecoverOptions) ([]float64, *PartialDataError, error) {
+	var rs restartScratch
+	state, partial, err := rs.restart(lim, fsys, dir, files, variable, iteration, ropt)
+	if !panics.Raised(err) {
+		rs.release()
+	}
+	return state, partial, err
+}
+
+// restartScratch is what one restart holds of the pools: its workers'
+// decoders and the buffers of the delta files it has read and not yet
+// replayed.
+type restartScratch struct {
+	decs []*ChunkDecoder
+	bufs []*[]byte
+}
+
+// release puts every decoder and buffer rs holds back in its pool.
+func (rs *restartScratch) release() {
+	for _, dec := range rs.decs {
+		decoderPool.Put(dec)
+	}
+	rs.releaseFiles()
+}
+
+// releaseFiles puts the file buffers back, once nothing reads them.
+func (rs *restartScratch) releaseFiles() {
+	for _, b := range rs.bufs {
+		putFileBuf(b)
+	}
+	clear(rs.bufs)
+	rs.bufs = rs.bufs[:0]
+}
+
+// restart is the body of restartWithin.
+func (rs *restartScratch) restart(lim replayLimits, fsys faultfs.FS, dir string, files []ChainEntry, variable string, iteration int, ropt RecoverOptions) ([]float64, *PartialDataError, error) {
 	if len(files) == 0 {
 		return nil, nil, fmt.Errorf("%w: variable %s", ErrNotFound, variable)
 	}
@@ -569,13 +611,19 @@ func restartWithin(lim replayLimits, fsys faultfs.FS, dir string, files []ChainE
 		return nil, nil, chainErr
 	}
 	fe, deltas := seg[0], seg[1:]
-	raw, err := readCheckpointFile(fsys, dir, variable, "full", fe.Iteration, fe.Len)
+	// The full's buffer goes back as soon as it is decompressed, by the
+	// load task that decompresses it; until then, only a failure here
+	// hands it to rs.
+	fullBuf := takeFileBuf(fe.Len)
+	raw, err := readCheckpointFile(fsys, dir, variable, "full", fe.Iteration, fe.Len, *fullBuf)
 	if err != nil {
+		rs.bufs = append(rs.bufs, fullBuf)
 		return nil, nil, err
 	}
 	fullPath := filepath.Join(dir, fe.Name)
 	hdr, payload, err := readFile(raw, magicFull)
 	if err != nil {
+		rs.bufs = append(rs.bufs, fullBuf)
 		return nil, nil, pathErr("parse", fullPath, err)
 	}
 	// The header says how many points there are before anything is
@@ -585,9 +633,12 @@ func restartWithin(lim replayLimits, fsys faultfs.FS, dir string, files []ChainE
 	if p := runtime.GOMAXPROCS(0); p > 1 && len(deltas) > 0 && hdr.N >= lim.fanOutWork/len(deltas) {
 		workers = p
 	}
-	decs := make([]*ChunkDecoder, workers)
-	for w := range decs {
-		decs[w] = &ChunkDecoder{}
+	for range workers {
+		dec, _ := decoderPool.Get().(*ChunkDecoder)
+		if dec == nil {
+			dec = &ChunkDecoder{}
+		}
+		rs.decs = append(rs.decs, dec)
 	}
 
 	// The first window's load phase also decompresses the full
@@ -596,7 +647,9 @@ func restartWithin(lim replayLimits, fsys faultfs.FS, dir string, files []ChainE
 	var state []float64
 	var fullErr error
 	first := func() {
-		if state, fullErr = decompressFull(hdr, payload); fullErr != nil {
+		state, fullErr = decompressFull(hdr, payload)
+		putFileBuf(fullBuf)
+		if fullErr != nil {
 			fullErr = pathErr("parse", fullPath, fullErr)
 		} else {
 			fullErr = checkIdentity(ErrCorrupt, hdr.Variable, hdr.Iteration, variable, fe.Iteration)
@@ -615,21 +668,26 @@ func restartWithin(lim replayLimits, fsys faultfs.FS, dir string, files []ChainE
 		for budget := lim.windowBytes; len(deltas) > 0 && readErr == nil && (len(window) == 0 || deltas[0].Len <= budget); deltas = deltas[1:] {
 			e := deltas[0]
 			budget -= e.Len
+			buf := takeFileBuf(e.Len)
+			rs.bufs = append(rs.bufs, buf)
 			var raw []byte
-			if raw, readErr = readCheckpointFile(fsys, dir, variable, "delta", e.Iteration, e.Len); readErr == nil {
+			if raw, readErr = readCheckpointFile(fsys, dir, variable, "delta", e.Iteration, e.Len, *buf); readErr == nil {
 				f := &replayFile{path: filepath.Join(dir, e.Name)}
 				window = append(window, f)
 				pool.do(func() { f.prepare(raw, variable, e.Iteration, hdr.N) })
 			}
 		}
-		pool.wait()
+		if err := pool.wait(); err != nil {
+			return nil, nil, err
+		}
 		if fullErr != nil {
 			return nil, nil, fullErr
 		}
-		lost, err := replayWindow(state, window, decs, ropt)
+		lost, err := replayWindow(state, window, rs.decs, ropt)
 		if err != nil {
 			return nil, nil, err
 		}
+		rs.releaseFiles()
 		if lost != nil {
 			partial = mergePartial(partial, lost)
 		}
@@ -643,51 +701,102 @@ func restartWithin(lim replayLimits, fsys faultfs.FS, dir string, files []ChainE
 	return state, partial, nil
 }
 
+// decoderPool holds the decoders restarts replay through; a restart's
+// files are in memory, so only their fixed block scratch is reused.
+var decoderPool sync.Pool
+
+// fileBufs holds the buffers restarts read files into, by size class:
+// class c holds buffers of capacity 1<<c, each the home of any file of
+// 1<<(c-1) to 1<<c - 1 bytes (a read to EOF needs one byte more than
+// the file). A file too large for the last class is read into a buffer
+// of its own size, as a read without a pool would.
+var fileBufs [37]sync.Pool
+
+// takeFileBuf returns a pooled, or new, empty buffer that holds a file
+// of size bytes and the read past its end.
+func takeFileBuf(size int64) *[]byte {
+	c := bits.Len64(uint64(max(size, 0)))
+	if c >= len(fileBufs) {
+		return new([]byte)
+	}
+	if b, ok := fileBufs[c].Get().(*[]byte); ok {
+		return b
+	}
+	b := make([]byte, 0, 1<<c)
+	return &b
+}
+
+// putFileBuf puts a buffer takeFileBuf made back in its class.
+func putFileBuf(b *[]byte) {
+	if c := bits.Len(uint(cap(*b))) - 1; c >= 0 && c < len(fileBufs) && cap(*b) == 1<<c {
+		*b = (*b)[:0]
+		fileBufs[c].Put(b)
+	}
+}
+
 // loadPool runs the load phase's CPU work — decompressing, opening,
 // validating — beside the caller's reads: workers-1 goroutines take
 // tasks as the caller hands them over, and the caller joins them once
-// its reads are done. A nil pool, the one-worker case, runs each task
-// where it is handed over.
+// its reads are done. A one-worker pool runs each task where it is
+// handed over. A task that panics fails the restart: wait returns the
+// first such panic as an error.
 type loadPool struct {
 	tasks chan func()
 	wg    sync.WaitGroup
+	mu    sync.Mutex
+	err   error
 }
 
 // newLoadPool starts a pool that will be handed at most `sends` tasks:
 // the channel holds them all, so handing one over never blocks a read.
 func newLoadPool(workers, sends int) *loadPool {
+	p := &loadPool{}
 	if workers <= 1 {
-		return nil
+		return p
 	}
-	p := &loadPool{tasks: make(chan func(), sends)}
+	p.tasks = make(chan func(), sends)
 	for w := 1; w < workers; w++ {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
 			for t := range p.tasks {
-				t()
+				p.run(t)
 			}
 		}()
 	}
 	return p
 }
 
-func (p *loadPool) do(task func()) {
-	if p == nil {
+// run runs task and keeps the panic it raises, if it is the first.
+func (p *loadPool) run(task func()) {
+	err := panics.Catch(func() error {
 		task()
+		return nil
+	})
+	if err != nil {
+		p.mu.Lock()
+		p.err = cmp.Or(p.err, err)
+		p.mu.Unlock()
+	}
+}
+
+func (p *loadPool) do(task func()) {
+	if p.tasks == nil {
+		p.run(task)
 		return
 	}
 	p.tasks <- task
 }
 
-// wait returns once every task handed over has run.
-func (p *loadPool) wait() {
-	if p == nil {
-		return
+// wait returns once every task handed over has run, with the first
+// panic one of them raised.
+func (p *loadPool) wait() error {
+	if p.tasks != nil {
+		close(p.tasks)
+		for t := range p.tasks {
+			p.run(t)
+		}
+		p.wg.Wait()
 	}
-	close(p.tasks)
-	for t := range p.tasks {
-		t()
-	}
-	p.wg.Wait()
+	return p.err
 }

@@ -613,6 +613,27 @@ func (d *DeltaReader) NewChunkDecoder() *ChunkDecoder {
 	return &ChunkDecoder{d: d}
 }
 
+// Reset points c at d's chunks and keeps its scratch, so that a pooled
+// decoder decodes another file without growing its buffers again. It
+// drops a section buffer larger than every section of d, as a decoder
+// of d alone would never have grown it, and any section buffer when d
+// is held in memory, since its sections are then never copied. Reset(nil)
+// lets go of the reader and keeps the scratch, for a decoder put back in
+// a pool.
+func (c *ChunkDecoder) Reset(d *DeltaReader) {
+	c.d = d
+	if d == nil {
+		return
+	}
+	longest := int64(0)
+	for _, ent := range d.dir {
+		longest = max(longest, ent.length)
+	}
+	if d.r == nil || int64(cap(c.section)) > longest {
+		c.section = nil
+	}
+}
+
 // sectionParts cuts chunk i's section, whose length the directory check
 // at open tied to the chunk's point and exact counts, into its packed
 // indices, flag bytes and exact values.

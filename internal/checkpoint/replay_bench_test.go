@@ -142,7 +142,7 @@ func BenchmarkRestartPhases(b *testing.B) {
 		read := func() [][]byte {
 			raws := make([][]byte, len(chain))
 			for i, ce := range chain {
-				if raws[i], err = readCheckpointFile(rv.fs, dir, "v", ce.Kind, ce.Iteration, ce.Len); err != nil {
+				if raws[i], err = readCheckpointFile(rv.fs, dir, "v", ce.Kind, ce.Iteration, ce.Len, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

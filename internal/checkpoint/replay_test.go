@@ -17,6 +17,7 @@ import (
 	"numarck/internal/bitpack"
 	"numarck/internal/core"
 	"numarck/internal/faultfs"
+	"numarck/internal/panics"
 )
 
 // ---- the file-serial reference ---------------------------------------
@@ -772,5 +773,31 @@ func TestChainViewSharedAndFresh(t *testing.T) {
 	}
 	if n, err := st.GC(4); err != nil || n != 4 || len(st.chainView().files["dens"]) != 1 {
 		t.Fatalf("GC(4) removed %d (%v), view has %d files", n, err, len(st.chainView().files["dens"]))
+	}
+}
+
+// TestLoadPoolPanicIsAnError pins the restart load phase's answer to a
+// task that panics: every other task still runs, and wait returns the
+// panic as a *panics.Error, on one goroutine and on several.
+func TestLoadPoolPanicIsAnError(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		var ran [4]bool
+		p := newLoadPool(workers, len(ran))
+		for i := range ran {
+			p.do(func() {
+				ran[i] = true
+				if i == 1 {
+					panic("task 1")
+				}
+			})
+		}
+		err := p.wait()
+		var pe *panics.Error
+		if !errors.As(err, &pe) || pe.Value != "task 1" {
+			t.Errorf("%d workers: wait = %v, want the panic of task 1", workers, err)
+		}
+		if ran != [4]bool{true, true, true, true} {
+			t.Errorf("%d workers: tasks run %v, want all", workers, ran)
+		}
 	}
 }

@@ -3,6 +3,9 @@ package chunk
 import (
 	"bytes"
 	"io"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"numarck/internal/checkpoint"
@@ -92,6 +95,67 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 		perChunk := (large - small) / 64
 		if perChunk >= 1 {
 			t.Errorf("%d workers: streaming decode allocates %.2f times per chunk in steady state (8 chunks: %.0f allocs, 72 chunks: %.0f); decoder scratch is not being reused", workers, perChunk, small, large)
+		}
+	}
+}
+
+// copySource is a Source that is not a SliceSource, so the decode reads
+// prev's windows into its slots' buffers.
+type copySource struct{ SliceSource }
+
+// TestWarmDecodeBytesIndependentOfN pins what a warm decode allocates:
+// its slots — decoders with their section scratch, prev windows and
+// output buffers — come from a pool, so the bytes one DecodeDeltaV2
+// allocates are the same for 64 Ki points as for 512 Ki, four chunks
+// each, inline and on the ring, with prev a slice or read through
+// ReadFloats. The reader is opened outside the measurement.
+func TestWarmDecodeBytesIndependentOfN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	const slack = 4 << 10
+	opt := core.Options{ErrorBound: 0.001, IndexBits: 8, Strategy: core.EqualWidth}
+	measure := func(n, workers int, copying bool) uint64 {
+		prev, cur := genPair(n, 9)
+		var buf bytes.Buffer
+		if _, err := EncodeDeltaV2(&buf, "v", 1, SliceSource(prev), SliceSource(cur), opt, Config{ChunkPoints: n / 4}); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		var src Source = SliceSource(prev)
+		if copying {
+			src = copySource{SliceSource(prev)}
+		}
+		d, err := checkpoint.OpenDelta(bytes.NewReader(raw), int64(len(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := func() {
+			if err := DecodeDeltaV2(d, src, Config{Workers: workers}, func([]float64) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decode() // warm the pool
+		// A collection empties the pool; keep it out of the measured
+		// decodes.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			decode()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	for _, workers := range []int{1, 3} {
+		for _, copying := range []bool{false, true} {
+			small, large := measure(64<<10, workers, copying), measure(512<<10, workers, copying)
+			t.Logf("%d workers, copying prev %v: a warm decode allocates %d bytes at 64 Ki points, %d at 512 Ki", workers, copying, small, large)
+			if large > small+slack {
+				t.Errorf("%d workers, copying prev %v: a warm decode allocates %d bytes at 64 Ki points and %d at 512 Ki; want the same within %d", workers, copying, small, large, slack)
+			}
 		}
 	}
 }

@@ -3,10 +3,12 @@ package chunk
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"numarck/internal/checkpoint"
 	"numarck/internal/core"
 	"numarck/internal/obs"
+	"numarck/internal/panics"
 )
 
 // v2Sink writes an encode run into the chunked v2 delta format: the
@@ -102,13 +104,60 @@ type decodeSlot struct {
 	dst  []float64
 }
 
+// decodeScratch is one decode run's slots. A run takes a set from
+// decodePool and puts it back when it ends, so a warm decode allocates
+// nothing per point; the emit contract — copy what you keep — is what
+// makes a slot's output buffer safe to hand to a later run. The encode
+// side's two rules (core's run scratch) hold here too: a run drops every
+// pooled buffer larger than its own chunks allocate, and a run that
+// panicked drops the whole set.
+type decodeScratch struct {
+	slots []decodeSlot
+}
+
+// decodePool holds decodeScratch sets between runs.
+var decodePool sync.Pool
+
+// takeDecodeScratch returns a pooled (or new) set of `ring` slots whose
+// decoders read d's chunks of at most cp points.
+func takeDecodeScratch(d *checkpoint.DeltaReader, ring, cp int) *decodeScratch {
+	ds, _ := decodePool.Get().(*decodeScratch)
+	if ds == nil {
+		ds = new(decodeScratch)
+	}
+	if cap(ds.slots) < ring {
+		ds.slots = append(ds.slots[:cap(ds.slots)], make([]decodeSlot, ring-cap(ds.slots))...)
+	}
+	clear(ds.slots[ring:cap(ds.slots)])
+	ds.slots = ds.slots[:ring]
+	for i := range ds.slots {
+		s := &ds.slots[i]
+		if s.dec == nil {
+			s.dec = d.NewChunkDecoder()
+		} else {
+			s.dec.Reset(d)
+		}
+		s.pbuf, s.dst = within(s.pbuf, cp), within(s.dst, cp)
+	}
+	return ds
+}
+
+// within returns s, or nil when its capacity exceeds max.
+func within(s []float64, max int) []float64 {
+	if cap(s) > max {
+		return nil
+	}
+	return s
+}
+
 // DecodeDeltaV2 streams the reconstruction of an opened delta of either
 // format (a v1 file is one chunk): chunks are decoded concurrently off
 // the chunk directory (each worker reads, unpacks, and reconstructs its
 // chunk fully independently), and emit receives the reconstructed
 // values in chunk order. The emit callback must copy anything it wants
-// to keep — the slice is a per-slot buffer reused for a later chunk.
-// cfg.Workers bounds the concurrency; ChunkPoints is fixed by the file.
+// to keep — the slice is a pooled buffer reused for a later chunk or a
+// later decode. cfg.Workers bounds the concurrency; ChunkPoints is
+// fixed by the file.
 func DecodeDeltaV2(d *checkpoint.DeltaReader, prev Source, cfg Config, emit func(vals []float64) error) error {
 	meta := d.Meta()
 	if prev.Len() != meta.N {
@@ -123,14 +172,11 @@ func DecodeDeltaV2(d *checkpoint.DeltaReader, prev Source, cfg Config, emit func
 		d.SetRecorder(rec)
 		rec.SetMax(obs.GaugeWorkers, int64(cfg.Workers))
 	}
-	slots := make([]decodeSlot, cfg.Workers)
-	for s := range slots {
-		slots[s].dec = d.NewChunkDecoder()
-	}
+	ds := takeDecodeScratch(d, min(cfg.Workers, meta.ChunkCount), meta.ChunkPoints)
 	err = core.OrderedChunks(meta.ChunkCount, cfg.Workers, "decode", rec,
 		func(i, slot int) ([]float64, error) {
 			lo, np := d.ChunkSpan(i)
-			s := &slots[slot]
+			s := &ds.slots[slot]
 			t := rec.Start()
 			pbuf, pscratch, rerr := core.ReadWindow(prev, lo, np, s.pbuf)
 			s.pbuf = pscratch
@@ -151,6 +197,13 @@ func DecodeDeltaV2(d *checkpoint.DeltaReader, prev Source, cfg Config, emit func
 		func(_ int, vals []float64) error {
 			return emit(vals)
 		})
+	// A panic may have left the slots half written: drop them.
+	if !panics.Raised(err) {
+		for i := range ds.slots {
+			ds.slots[i].dec.Reset(nil)
+		}
+		decodePool.Put(ds)
+	}
 	if err != nil {
 		return err
 	}

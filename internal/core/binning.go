@@ -198,10 +198,10 @@ func (s FitStats) logScale(k int) *logScaleBinner {
 	}
 	b.reps = make([]float64, 0, kNeg+kPos)
 	for i := 0; i < kNeg; i++ {
-		b.reps = append(b.reps, -math.Exp(b.neg.logLo+(float64(i)+0.5)*b.neg.spn/float64(b.neg.k)))
+		b.reps = append(b.reps, -exp(b.neg.logLo+(float64(i)+0.5)*b.neg.spn/float64(b.neg.k)))
 	}
 	for i := 0; i < kPos; i++ {
-		b.reps = append(b.reps, math.Exp(b.pos.logLo+(float64(i)+0.5)*b.pos.spn/float64(b.pos.k)))
+		b.reps = append(b.reps, exp(b.pos.logLo+(float64(i)+0.5)*b.pos.spn/float64(b.pos.k)))
 	}
 	if len(b.reps) == 0 {
 		// Degenerate input (all zeros); one zero representative.

@@ -18,6 +18,7 @@ import (
 
 	"numarck/internal/bitpack"
 	"numarck/internal/obs"
+	"numarck/internal/panics"
 )
 
 // Source is a re-readable float64 array. The encoder reads every window
@@ -78,7 +79,10 @@ func ReadWindow(src Source, lo, np int, buf []float64) (win, scratch []float64, 
 // reusable buffer set: the slot's previous occupant has been fully
 // consumed by emit before process sees the slot again. The first
 // process or emit error cancels the run; a process error names its
-// chunk unless the run has only one.
+// chunk unless the run has only one. A panic in process is caught on
+// whichever goroutine runs it and fails the run as a *panics.Error, at
+// every worker count; a panic in emit, which runs on the caller's
+// goroutine, is the caller's.
 //
 // A run of at most one chunk or one worker is served inline on the
 // caller's goroutine, so small inputs pay for no goroutine or channel.
@@ -97,9 +101,16 @@ func OrderedChunks[T any](count, workers int, label string, rec *obs.Recorder, p
 	if workers > count {
 		workers = count
 	}
+	call := func(i, slot int) (v T, err error) {
+		err = panics.Catch(func() (err error) {
+			v, err = process(i, slot)
+			return err
+		})
+		return v, err
+	}
 	if workers <= 1 {
 		for i := 0; i < count; i++ {
-			v, err := process(i, 0)
+			v, err := call(i, 0)
 			if err != nil {
 				if count > 1 {
 					err = fmt.Errorf("chunk %d: %w", i, err)
@@ -144,7 +155,7 @@ func OrderedChunks[T any](count, workers int, label string, rec *obs.Recorder, p
 					case <-done:
 						return
 					}
-					v, err := process(i, w)
+					v, err := call(i, w)
 					// Never blocks: holding the token means the slot's
 					// ready channel is empty.
 					ready[w] <- result{v: v, err: err}
@@ -363,7 +374,7 @@ func encodeChunks(prev, cur Source, opt Options, plan Plan, fixed Binner, sink S
 	if prev.Len() != cur.Len() {
 		return 0, 0, fmt.Errorf("%w: %d vs %d", ErrLength, prev.Len(), cur.Len())
 	}
-	n, cp, rec := cur.Len(), plan.ChunkPoints, opt.Obs
+	n, cp := cur.Len(), plan.ChunkPoints
 	if opt.Workers == 0 {
 		// Table learning runs on the run's workers.
 		opt.Workers = plan.Workers
@@ -374,8 +385,22 @@ func encodeChunks(prev, cur Source, opt Options, plan Plan, fixed Binner, sink S
 		ring, split = 1, plan.Workers
 	}
 	rs := takeScratch(n, cp, count, ring, plan.CacheRatios)
-	_, kept := sink.(*encodedSink)
-	defer rs.release(kept)
+	tableInput, exact, err := rs.encode(prev, cur, opt, cp, split, fixed, sink)
+	// A panic may have left the scratch half written, so a run that
+	// panicked drops it; one that panicked on this goroutine never gets
+	// here.
+	if !panics.Raised(err) {
+		_, kept := sink.(*encodedSink)
+		rs.release(kept)
+	}
+	return tableInput, exact, err
+}
+
+// encode is the body of encodeChunks: a run of cp-point chunks on the
+// ring of rs's slots, each chunk's stages split over split workers.
+func (rs *runScratch) encode(prev, cur Source, opt Options, cp, split int, fixed Binner, sink Sink) (int, int, error) {
+	n, rec := cur.Len(), opt.Obs
+	count, ring := (n+cp-1)/cp, len(rs.slots)
 	slots, cache := rs.slots, rs.cache
 
 	// load reads chunk i into its slot and, if withRatios, computes the

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"numarck/internal/panics"
 )
 
 // ringProbe checks the OrderedChunks contract from inside the process
@@ -260,5 +262,41 @@ func TestScratchFitsPlan(t *testing.T) {
 	}
 	if cap(s.Flags) > cp/8 {
 		t.Fatalf("a %d-point-chunk run holds %d pooled flag bytes", cp, cap(s.Flags))
+	}
+}
+
+// TestWorkerPanicIsAnError pins where a panic in the encode's workers
+// goes: a panic in a process call fails OrderedChunks with a
+// *panics.Error at every worker count, and one in a forEachRange worker
+// is raised again on the caller's goroutine, where a serial run would
+// raise it — inside OrderedChunks' process, that is the run's error.
+func TestWorkerPanicIsAnError(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		err := OrderedChunks(8, workers, "test", nil,
+			func(i, _ int) (int, error) {
+				if i == 3 {
+					panic("chunk 3")
+				}
+				return i, nil
+			},
+			func(int, int) error { return nil })
+		var pe *panics.Error
+		if !errors.As(err, &pe) || pe.Value != "chunk 3" || !strings.Contains(err.Error(), "chunk 3") {
+			t.Errorf("%d workers: OrderedChunks = %v, want the panic of chunk 3", workers, err)
+		}
+
+		err = OrderedChunks(1, 1, "test", nil,
+			func(int, int) (int, error) {
+				forEachRange(8*splitPoints, splitPoints, workers, func(r, _, _ int) {
+					if r == 5 {
+						panic("range 5")
+					}
+				})
+				return 0, nil
+			},
+			func(int, int) error { return nil })
+		if !errors.As(err, &pe) || pe.Value != "range 5" {
+			t.Errorf("%d workers: a forEachRange panic came back as %v, want the panic of range 5", workers, err)
+		}
 	}
 }

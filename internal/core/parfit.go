@@ -17,6 +17,7 @@ import (
 
 	"numarck/internal/fputil"
 	"numarck/internal/kmeans"
+	"numarck/internal/panics"
 )
 
 // statRangePoints is the fixed range length of all parallel fit scans.
@@ -46,21 +47,33 @@ func forEachRange(n, size, workers int, fn func(r, lo, hi int)) int {
 		return ranges
 	}
 	var wg sync.WaitGroup
+	errs := make([]error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for r := w; r < ranges; r += workers {
-				lo := r * size
-				hi := lo + size
-				if hi > n {
-					hi = n
+			errs[w] = panics.Catch(func() error {
+				for r := w; r < ranges; r += workers {
+					lo := r * size
+					hi := lo + size
+					if hi > n {
+						hi = n
+					}
+					fn(r, lo, hi)
 				}
-				fn(r, lo, hi)
-			}
+				return nil
+			})
 		}(w)
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			// fn returns nothing, so its panic is raised again where a
+			// serial run would raise it: on the caller's goroutine,
+			// which OrderedChunks turns into the run's error.
+			panic(err)
+		}
+	}
 	return ranges
 }
 

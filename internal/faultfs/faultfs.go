@@ -108,24 +108,29 @@ func (osFS) SyncDir(name string) error {
 // ReadFile reads a whole file through fsys, into a buffer sized from
 // the open file's Stat.
 func ReadFile(fsys FS, name string) ([]byte, error) {
-	return readFile(fsys, name, -1)
+	return readFile(fsys, name, -1, nil)
 }
 
-// ReadFileSized is ReadFile for a caller that already knows how long
-// the file should be (a journal recorded it): the buffer is sized from
-// size and the file is not stat'ed. The file is still read to its end,
-// so a result whose length is not size means the file is not the one
-// that was recorded — the caller's to report, never a silent short read.
-func ReadFileSized(fsys FS, name string, size int64) ([]byte, error) {
-	return readFile(fsys, name, max(size, 0))
+// ReadFileInto is ReadFile for a caller that already knows how long
+// the file should be (a journal recorded it), reading into buf's
+// backing array when it holds size+1 bytes: the file is not stat'ed,
+// and a caller that keeps its buffers reads without allocating. The
+// file is still read to its end, so a result whose length is not size
+// means the file is not the one that was recorded — the caller's to
+// report, never a silent short read. The result aliases buf unless buf
+// was too small or the file turned out longer. A nil buf is a fresh one
+// sized from size.
+func ReadFileInto(fsys FS, name string, size int64, buf []byte) ([]byte, error) {
+	return readFile(fsys, name, max(size, 0), buf)
 }
 
-// readFile reads name to EOF. The buffer starts one byte longer than
-// the expected size (the open file's, when size is negative), so the
-// common case is one read that fills it short of that byte and one that
-// reports EOF — no doubling from a small buffer, no copy; it still
-// grows if the file turns out longer.
-func readFile(fsys FS, name string, size int64) ([]byte, error) {
+// readFile reads name to EOF into buf[:0], or, when buf cannot hold one
+// byte more than the expected size (the open file's, when size is
+// negative), into a new buffer of that capacity — so the common case is
+// one read that fills it short of that byte and one that reports EOF:
+// no doubling from a small buffer, no copy. It still grows if the file
+// turns out longer.
+func readFile(fsys FS, name string, size int64, buf []byte) ([]byte, error) {
 	f, err := fsys.Open(name)
 	if err != nil {
 		return nil, err
@@ -136,7 +141,10 @@ func readFile(fsys FS, name string, size int64) ([]byte, error) {
 			size = info.Size() // a failed Stat only costs the sizing
 		}
 	}
-	data := make([]byte, 0, max(size+1, 512))
+	data := buf[:0]
+	if int64(cap(buf)) <= size {
+		data = make([]byte, 0, max(size+1, 512))
+	}
 	for err == nil {
 		if len(data) == cap(data) {
 			data = append(data, 0)[:len(data)]

@@ -219,3 +219,48 @@ func TestInjectorCrashTornWriteDeterministic(t *testing.T) {
 		t.Fatalf("crash write let the full buffer through (%d bytes)", len(a))
 	}
 }
+
+// TestReadFileInto pins the sized read: it reads into the caller's
+// buffer when that holds one byte more than the recorded size, into a
+// fresh one when not, and always to EOF, so a file longer or shorter
+// than the size it was read under comes back at its true length.
+func TestReadFileInto(t *testing.T) {
+	fsys := OS()
+	path := filepath.Join(t.TempDir(), "f.bin")
+	data := bytes.Repeat([]byte("0123456789"), 100)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		size    int64
+		bufCap  int
+		aliases bool
+	}{
+		{"exact size, roomy buffer", 1000, 1024, true},
+		{"exact size, buffer one byte over", 1000, 1001, true},
+		{"exact size, buffer of the size alone", 1000, 1000, false},
+		{"nil buffer", 1000, 0, false},
+		{"file longer than recorded, in the buffer", 900, 1024, true},
+		{"file longer than the buffer", 900, 901, false},
+		{"file shorter than recorded", 1010, 1024, true},
+	} {
+		buf := make([]byte, 7, max(c.bufCap, 7)) // stale bytes the read must not keep
+		if c.bufCap == 0 {
+			buf = nil
+		}
+		got, err := ReadFileInto(fsys, path, c.size, buf)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Errorf("%s: read %d bytes, want the file's %d", c.name, len(got), len(data))
+		}
+		if aliases := buf != nil && cap(got) > 0 && &got[:1][0] == &buf[:1][0]; aliases != c.aliases {
+			t.Errorf("%s: result in the caller's buffer %v, want %v", c.name, aliases, c.aliases)
+		}
+	}
+	if _, err := ReadFileInto(fsys, filepath.Join(t.TempDir(), "none"), 10, nil); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing file: err = %v, want ErrNotExist", err)
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"numarck/internal/fputil"
+	"numarck/internal/panics"
 )
 
 // Config controls a clustering run.
@@ -104,6 +105,7 @@ func Run(data []float64, cfg Config) (*Result, error) {
 
 	sums := make([]float64, cfg.K)
 	chunk := (len(data) + cfg.Workers - 1) / cfg.Workers
+	errs := make([]error, cfg.Workers) // a panic on an assignment worker
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		res.Iterations = iter + 1
 		// Assignment step, parallel over point ranges, accelerated by
@@ -119,12 +121,18 @@ func Run(data []float64, cfg Config) (*Result, error) {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					res.Assign[i] = ix.Nearest(data[i])
-				}
+				errs[w] = panics.Catch(func() error {
+					for i := lo; i < hi; i++ {
+						res.Assign[i] = ix.Nearest(data[i])
+					}
+					return nil
+				})
 			}(lo, hi)
 		}
 		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			return nil, err
+		}
 
 		// Update step: sum each cluster in point order, so the
 		// centroids are the same bits whatever the worker count.
