@@ -24,13 +24,14 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -tags corpusgen ./internal/checkpoint
 
-# The codec, store and daemon packages and the root façade, vetted for
-# a 32-bit target: vet type-checks each package with its tests, so a
-# constant or a comparison that a 32-bit int cannot hold fails here.
-# numarcklint's analyzers do not build for 32-bit and need not run
-# there.
-VET386_PKGS = ./internal/bitpack ./internal/core ./internal/kmeans ./internal/chunk ./internal/checkpoint ./internal/lossless/fpc ./internal/server .
+# The whole repo builds for a 32-bit target, and the codec, store and
+# daemon packages, the netCDF reader and the root façade are vetted
+# there: vet type-checks each package with its tests, so a constant or a
+# comparison that a 32-bit int cannot hold fails here. numarcklint's
+# analyzers build for 32-bit but need not run there.
+VET386_PKGS = ./internal/bitpack ./internal/core ./internal/kmeans ./internal/chunk ./internal/checkpoint ./internal/lossless/fpc ./internal/ncdf ./internal/server .
 vet-386:
+	GOARCH=386 $(GO) build ./...
 	GOARCH=386 $(GO) vet $(VET386_PKGS)
 
 # The same packages' tests run as a 32-bit program (natively on amd64

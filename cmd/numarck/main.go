@@ -22,18 +22,19 @@
 // -recover turns on degraded-mode decode: chunks of a chunked (v2)
 // delta whose CRC fails are quarantined, every healthy chunk decodes,
 // and the exact lost point ranges (which keep the previous iteration's
-// values in the output) are reported on stderr. It decodes on one
-// goroutine, through the same one-file step restart replays, so
-// -workers does not apply. A read-only v1 delta is one chunk under one
-// CRC, so there -recover changes nothing: healthy it decodes, corrupt it
-// fails. Without -recover, any corruption fails the command —
-// fail-closed is the default. `storectl verify` prints a store's health
-// report.
+// values in the output) are reported on stderr, merged as a salvage
+// restart merges them. Both modes stream: -workers goroutines read the
+// delta and -prev in chunk windows. A read-only v1 delta is one chunk
+// under one CRC, so there -recover changes nothing: healthy it decodes,
+// corrupt it fails. Without -recover, any corruption fails the command
+// — fail-closed is the default. `storectl verify` prints a store's
+// health report.
 //
 // compress writes the chunked v2 format, the one every writer emits.
-// From -prev/-cur files it runs the out-of-core pipeline: the inputs are
-// read in -chunk windows by -workers under the -budget memory cap. A
-// netCDF slab pair is encoded in memory.
+// From -prev/-cur files it runs the out-of-core pipeline of
+// numarck.StreamEncoder: the inputs are read in -chunk windows by
+// -workers under the -budget memory cap. A netCDF slab pair is encoded
+// in memory.
 //
 // compress and decompress accept -metrics (per-stage timing and
 // counter table on stderr) and -metrics-json path (the same snapshot
@@ -47,6 +48,7 @@ import (
 	"os"
 	"strings"
 
+	"numarck"
 	"numarck/internal/checkpoint"
 	"numarck/internal/chunk"
 	"numarck/internal/core"
@@ -154,10 +156,11 @@ compress -addr encodes with the tenant store's options and the daemon's
 pipeline; it refuses -e, -b, -strategy, -chunk, -workers and -budget.
 
 -recover salvages chunk-local corruption in chunked (v2) deltas:
-healthy chunks decode, lost point ranges keep the previous iteration's
-values and are reported, decoded on one goroutine (-workers does not
-apply); without it (and for read-only v1 deltas, which are one chunk
-under one CRC) any corruption fails the command.
+healthy chunks decode on -workers goroutines, lost point ranges keep the
+previous iteration's values and are reported; without it (and for
+read-only v1 deltas, which are one chunk under one CRC) any corruption
+fails the command. decompress streams in either mode: it holds no more
+than the in-flight chunks.
 storectl verify prints a checkpoint store's health report.
 
 compress/decompress also take -metrics and -metrics-json path
@@ -226,9 +229,16 @@ func cmdCompress(args []string) error {
 			return fmt.Errorf("compress requires either -prev and -cur, or -nc with -from/-to")
 		}
 		cfg := chunk.Config{ChunkPoints: *chunkPoints, Workers: *workers, BudgetBytes: *budget}
-		if err := streamCompress(*outPath, *variable, *iter, *prevPath, *curPath, opt, cfg); err != nil {
+		res, err := numarck.StreamEncoder{Opt: opt, Config: cfg}.EncodeFiles(*outPath, *variable, *iter, *prevPath, *curPath)
+		if err != nil {
 			return err
 		}
+		info, err := os.Stat(*outPath)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("compressed %d points in %d chunks of %d (%d workers, peak buffers %d bytes): incompressible %d, file %d bytes\n",
+			res.N, res.ChunkCount, res.ChunkPoints, res.Workers, res.PeakBufferBytes, res.ExactCount, info.Size())
 		return metrics.emit(rec)
 	}
 	if *from < 0 || *to < 0 {
@@ -273,47 +283,12 @@ func cmdCompress(args []string) error {
 	return metrics.emit(rec)
 }
 
-// streamCompress runs the out-of-core encode of two files: chunked
-// pipeline, v2 output.
-func streamCompress(outPath, variable string, iter int, prevPath, curPath string, opt core.Options, cfg chunk.Config) error {
-	prev, err := rawio.OpenFile(prevPath)
-	if err != nil {
-		return err
-	}
-	//lint:ignore errcheck read-only source; a close error cannot lose data
-	defer prev.Close()
-	cur, err := rawio.OpenFile(curPath)
-	if err != nil {
-		return err
-	}
-	//lint:ignore errcheck read-only source; a close error cannot lose data
-	defer cur.Close()
-	out, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	res, err := chunk.EncodeDeltaV2(out, variable, iter, prev, cur, opt, cfg)
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	info, err := os.Stat(outPath)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("compressed %d points in %d chunks of %d (%d workers, peak buffers %d bytes): incompressible %d, file %d bytes\n",
-		res.N, res.ChunkCount, res.ChunkPoints, res.Workers, res.PeakBufferBytes, res.ExactCount, info.Size())
-	return nil
-}
-
 func cmdDecompress(args []string) error {
 	fs := flag.NewFlagSet("decompress", flag.ExitOnError)
 	prevPath := fs.String("prev", "", "previous iteration values (.f64)")
 	inPath := fs.String("in", "", "checkpoint file")
 	outPath := fs.String("out", "", "output values (.f64)")
-	workers := fs.Int("workers", 0, "concurrent chunks (0 = GOMAXPROCS; not with -recover)")
+	workers := fs.Int("workers", 0, "concurrent chunks, with or without -recover (0 = GOMAXPROCS)")
 	salvage := fs.Bool("recover", false, "salvage healthy chunks past corruption (chunked v2 input)")
 	addr := fs.String("addr", "", "numarckd base URL: fetch a reconstruction from a running daemon")
 	tenant := fs.String("tenant", "default", "daemon mode: tenant to read from")
@@ -332,30 +307,32 @@ func cmdDecompress(args []string) error {
 	if *prevPath == "" || *inPath == "" || *outPath == "" {
 		return fmt.Errorf("decompress requires -prev, -in, and -out")
 	}
-	raw, err := os.ReadFile(*inPath)
-	if err != nil {
+	rec := metrics.recorder()
+	if err := decompressFile(*inPath, *prevPath, *outPath, chunk.Config{Workers: *workers, Obs: rec}, *salvage); err != nil {
 		return err
 	}
-	d, err := checkpoint.OpenDelta(bytes.NewReader(raw), int64(len(raw)))
-	if err != nil {
-		return err
-	}
-	obsRec := metrics.recorder()
-	if *salvage {
-		err = salvageDecompress(raw, d.Meta(), *prevPath, *outPath, obsRec)
-	} else {
-		err = streamDecompress(d, *prevPath, *outPath, *workers, obsRec)
-	}
-	if err != nil {
-		return err
-	}
-	return metrics.emit(obsRec)
+	return metrics.emit(rec)
 }
 
-// streamDecompress reconstructs a delta of either format with the
-// streaming parallel decoder, never holding more than the in-flight
-// chunks (a v1 file is one chunk).
-func streamDecompress(d *checkpoint.DeltaReader, prevPath, outPath string, workers int, rec *obs.Recorder) error {
+// decompressFile streams the reconstruction of the delta at inPath on
+// top of the raw float64 file at prevPath into outPath, holding no more
+// than the in-flight chunks. With salvage, corrupt v2 chunks keep prev's
+// values and the lost ranges are reported on stderr.
+func decompressFile(inPath, prevPath, outPath string, cfg chunk.Config, salvage bool) error {
+	in, err := os.Open(inPath)
+	if err != nil {
+		return err
+	}
+	//lint:ignore errcheck read-only source; a close error cannot lose data
+	defer in.Close()
+	info, err := in.Stat()
+	if err != nil {
+		return err
+	}
+	d, err := checkpoint.OpenDelta(in, info.Size())
+	if err != nil {
+		return err
+	}
 	prev, err := rawio.OpenFile(prevPath)
 	if err != nil {
 		return err
@@ -367,9 +344,13 @@ func streamDecompress(d *checkpoint.DeltaReader, prevPath, outPath string, worke
 		return err
 	}
 	w := rawio.NewWriter(out)
-	err = chunk.DecodeDeltaV2(d, prev, chunk.Config{Workers: workers, Obs: rec}, func(vals []float64) error {
-		return w.WriteFloats(vals)
-	})
+	emit := func(vals []float64) error { return w.WriteFloats(vals) }
+	var pde *checkpoint.PartialDataError
+	if salvage {
+		pde, err = chunk.DecodeRecover(d, prev, cfg, emit)
+	} else {
+		err = chunk.DecodeDeltaV2(d, prev, cfg, emit)
+	}
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}
@@ -377,36 +358,13 @@ func streamDecompress(d *checkpoint.DeltaReader, prevPath, outPath string, worke
 		return err
 	}
 	meta := d.Meta()
-	fmt.Printf("decoded %s@%d: %d points from %d chunks\n", meta.Variable, meta.Iteration, w.Count(), meta.ChunkCount)
-	return nil
-}
-
-// salvageDecompress is streamDecompress in degraded mode: raw, the
-// file meta describes, is replayed onto prev's values in place through
-// checkpoint.ReplayDelta, restart's own one-file step. Corrupt chunks
-// are quarantined, healthy ones decoded, and the lost point ranges
-// (which keep prev's values in the output) reported on stderr. A v1
-// file has nothing chunk-local to salvage: healthy it decodes, corrupt
-// it already failed, at the open, on its one CRC.
-func salvageDecompress(raw []byte, meta checkpoint.DeltaMeta, prevPath, outPath string, rec *obs.Recorder) error {
-	out, err := rawio.ReadFile(prevPath)
-	if err != nil {
-		return err
-	}
-	pde, err := checkpoint.ReplayDelta(raw, meta.Variable, meta.Iteration, out, &checkpoint.ChunkDecoder{}, checkpoint.RecoverOptions{Salvage: true, Obs: rec})
-	if err != nil {
-		return err
-	}
-	if err := rawio.WriteFile(outPath, out); err != nil {
-		return err
-	}
-	if pde == nil {
-		fmt.Printf("decoded %s@%d: %d points (no corruption found)\n", meta.Variable, meta.Iteration, len(out))
+	if pde != nil {
+		fmt.Fprintf(os.Stderr, "numarck: %v\n", pde)
+		fmt.Printf("salvaged %s@%d: %d of %d points (%d lost, holding previous-iteration values)\n",
+			meta.Variable, meta.Iteration, w.Count()-pde.LostPoints(), w.Count(), pde.LostPoints())
 		return nil
 	}
-	fmt.Fprintf(os.Stderr, "numarck: %v\n", pde)
-	fmt.Printf("salvaged %s@%d: %d of %d points (%d lost, holding previous-iteration values)\n",
-		meta.Variable, meta.Iteration, len(out)-pde.LostPoints(), len(out), pde.LostPoints())
+	fmt.Printf("decoded %s@%d: %d points from %d chunks\n", meta.Variable, meta.Iteration, w.Count(), meta.ChunkCount)
 	return nil
 }
 

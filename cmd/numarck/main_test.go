@@ -1,10 +1,13 @@
 package main
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"numarck/internal/checkpoint"
@@ -219,6 +222,69 @@ func TestDecompressRecoverSalvagesCorruptV2(t *testing.T) {
 	if len(rec) != len(prev) {
 		t.Fatalf("salvaged output has %d points, want %d", len(rec), len(prev))
 	}
+
+	// Two adjacent corrupt chunks, 2 and 3: at one worker and at four,
+	// the output is ReplayDelta's salvage of the same bytes, and stderr
+	// reports the one merged lost range.
+	if err := cmdCompress([]string{"-prev", prevPath, "-cur", curPath, "-out", ckPath, "-chunk", "256"}); err != nil {
+		t.Fatalf("compress: %v", err)
+	}
+	raw, err := os.ReadFile(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirOff := binary.LittleEndian.Uint64(raw[len(raw)-20:])
+	for _, c := range []uint64{2, 3} {
+		ent := raw[dirOff+20*c : dirOff+20*(c+1)]
+		raw[binary.LittleEndian.Uint64(ent)+uint64(binary.LittleEndian.Uint32(ent[8:]))/2] ^= 0x20
+	}
+	if err := os.WriteFile(ckPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(prev)
+	rp, err := checkpoint.ReplayDelta(raw, "data", 1, want, &checkpoint.ChunkDecoder{}, checkpoint.RecoverOptions{Salvage: true})
+	if err != nil || rp == nil || len(rp.Lost) != 1 || rp.Lost[0] != (checkpoint.Range{Lo: 512, Hi: 1024}) {
+		t.Fatalf("ReplayDelta's salvage of chunks 2 and 3 = %v, %v", rp, err)
+	}
+	for _, workers := range []string{"1", "4"} {
+		stderr := captureStderr(t, func() {
+			err = cmdDecompress([]string{"-prev", prevPath, "-in", ckPath, "-out", recPath, "-recover", "-workers", workers})
+		})
+		if err != nil {
+			t.Fatalf("decompress -recover -workers %s: %v", workers, err)
+		}
+		if !strings.Contains(stderr, "lost points [512,1024)\n") {
+			t.Fatalf("decompress -recover -workers %s reported %q, want the one lost range [512,1024)", workers, stderr)
+		}
+		got, err := rawio.ReadFile(recPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("decompress -recover -workers %s wrote other values than ReplayDelta's salvage", workers)
+		}
+	}
+}
+
+// captureStderr returns what fn writes to os.Stderr.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = f
+	fn()
+	os.Stderr = saved
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 // writeDeltaV2 commits prev → cur to st as a chunked v2 delta, the way

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"math"
 	"sort"
 
 	"numarck/internal/analysis"
@@ -280,7 +281,7 @@ func checkTimers(p *analysis.Pass, fd funcDecl) []analysis.Diagnostic {
 			if e.kind != 0 {
 				continue
 			}
-			intervalEnd := token.Pos(1 << 40)
+			intervalEnd := token.Pos(math.MaxInt)
 			for _, later := range evs[i+1:] {
 				if later.kind == 0 {
 					intervalEnd = later.pos

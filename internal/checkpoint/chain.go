@@ -489,7 +489,7 @@ func replayWindow(state []float64, files []*replayFile, decs []*ChunkDecoder, ro
 		if f.err != nil {
 			return nil, f.wrap(f.err)
 		}
-		lost, err := f.d.settle(f.bad, ropt, workers)
+		lost, err := f.d.Settle(f.bad, ropt, workers)
 		if err != nil {
 			return nil, f.wrap(err)
 		}

@@ -810,14 +810,15 @@ func (c *ChunkDecoder) apply(d *DeltaReader, i int, section []byte, lo, hi int, 
 	return nil
 }
 
-// settle turns the per-chunk outcomes of validating the file (errs,
-// by chunk index; nil when every chunk passed) into the decode's answer
-// under ropt. Only chunk-local damage is salvageable, and only when
-// asked: anything else fails the whole decode, as does the first bad
-// chunk when fail-closed. Otherwise the decode counts — into ropt.Obs,
-// else the reader's recorder — and the bad chunks, if any, come back as
-// the report of what was quarantined.
-func (d *DeltaReader) settle(errs []error, ropt RecoverOptions, workers int) (*PartialDataError, error) {
+// Settle turns the per-chunk outcomes of decoding the file (errs, by
+// chunk index; nil when every chunk passed) into the answer of every
+// decode, restart's replay and chunk's streaming decode alike, under
+// ropt. Only chunk-local damage is salvageable, and only when asked:
+// anything else fails the whole decode, as does the first bad chunk when
+// fail-closed. Otherwise the decode counts — into ropt.Obs, else the
+// reader's recorder — and the bad chunks, if any, come back as the
+// report of what was quarantined.
+func (d *DeltaReader) Settle(errs []error, ropt RecoverOptions, workers int) (*PartialDataError, error) {
 	var lost []Range
 	for i, err := range errs {
 		if err == nil {

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -157,20 +158,39 @@ func within(s []float64, max int) []float64 {
 // values in chunk order. The emit callback must copy anything it wants
 // to keep — the slice is a pooled buffer reused for a later chunk or a
 // later decode. cfg.Workers bounds the concurrency; ChunkPoints is
-// fixed by the file.
+// fixed by the file. Any corruption fails the decode.
 func DecodeDeltaV2(d *checkpoint.DeltaReader, prev Source, cfg Config, emit func(vals []float64) error) error {
+	_, err := decode(d, prev, cfg, false, emit)
+	return err
+}
+
+// DecodeRecover is DecodeDeltaV2 in salvage mode: a chunk that fails
+// with a *checkpoint.ChunkError is quarantined — emit receives prev's
+// values for its range — while every healthy chunk decodes on the same
+// workers. The report is (*checkpoint.DeltaReader).Settle's, as in a
+// salvage restart; a failure that is not chunk-local fails the decode.
+func DecodeRecover(d *checkpoint.DeltaReader, prev Source, cfg Config, emit func(vals []float64) error) (*checkpoint.PartialDataError, error) {
+	return decode(d, prev, cfg, true, emit)
+}
+
+// decode is DecodeDeltaV2 and DecodeRecover, by salvage.
+func decode(d *checkpoint.DeltaReader, prev Source, cfg Config, salvage bool, emit func(vals []float64) error) (*checkpoint.PartialDataError, error) {
 	meta := d.Meta()
 	if prev.Len() != meta.N {
-		return fmt.Errorf("%w: prev has %d points, checkpoint has %d", core.ErrLength, prev.Len(), meta.N)
+		return nil, fmt.Errorf("%w: prev has %d points, checkpoint has %d", core.ErrLength, prev.Len(), meta.N)
 	}
 	cfg, err := cfg.resolve()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rec := cfg.Obs
 	if rec != nil {
 		d.SetRecorder(rec)
 		rec.SetMax(obs.GaugeWorkers, int64(cfg.Workers))
+	}
+	var errs []error // chunk i's quarantine, written by its worker only
+	if salvage {
+		errs = make([]error, meta.ChunkCount)
 	}
 	ds := takeDecodeScratch(d, min(cfg.Workers, meta.ChunkCount), meta.ChunkPoints)
 	err = core.OrderedChunks(meta.ChunkCount, cfg.Workers, "decode", rec,
@@ -190,7 +210,12 @@ func DecodeDeltaV2(d *checkpoint.DeltaReader, prev Source, cfg Config, emit func
 			}
 			s.dst = s.dst[:np]
 			if err := s.dec.DecodeChunkInto(i, pbuf, s.dst); err != nil {
-				return nil, err
+				var ce *checkpoint.ChunkError
+				if !salvage || !errors.As(err, &ce) {
+					return nil, err
+				}
+				errs[i] = err
+				copy(s.dst, pbuf)
 			}
 			return s.dst, nil
 		},
@@ -205,9 +230,7 @@ func DecodeDeltaV2(d *checkpoint.DeltaReader, prev Source, cfg Config, emit func
 		decodePool.Put(ds)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rec.Add(obs.CounterDecodes, 1)
-	rec.Add(obs.CounterPointsDecoded, int64(meta.N))
-	return nil
+	return d.Settle(errs, checkpoint.RecoverOptions{Salvage: salvage, Obs: rec}, cfg.Workers)
 }

@@ -1,14 +1,12 @@
 package numarck
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
 
 	"numarck/internal/checkpoint"
 	"numarck/internal/chunk"
-	"numarck/internal/obs"
 	"numarck/internal/rawio"
 )
 
@@ -53,11 +51,15 @@ type StreamEncoder struct {
 // Encode streams the encode of prev → cur as a chunked v2 delta file
 // to w.
 func (e StreamEncoder) Encode(w io.Writer, variable string, iteration int, prev, cur Source) (*StreamResult, error) {
-	cfg := e.Config
-	if e.Recorder != nil {
-		cfg.Obs = e.Recorder
+	return chunk.EncodeDeltaV2(w, variable, iteration, prev, cur, e.Opt, withRecorder(e.Config, e.Recorder))
+}
+
+// withRecorder is cfg with rec, when set, as its recorder.
+func withRecorder(cfg StreamConfig, rec *Recorder) StreamConfig {
+	if rec != nil {
+		cfg.Obs = rec
 	}
-	return chunk.EncodeDeltaV2(w, variable, iteration, prev, cur, e.Opt, cfg)
+	return cfg
 }
 
 // EncodeFiles streams the encode of the transition between two raw
@@ -111,73 +113,26 @@ func (d StreamDecoder) Decode(r io.ReaderAt, size int64, prev Source, emit func(
 	if err != nil {
 		return err
 	}
-	cfg := d.Config
-	if d.Recorder != nil {
-		cfg.Obs = d.Recorder
-	}
-	return chunk.DecodeDeltaV2(dr, prev, cfg, emit)
+	return chunk.DecodeDeltaV2(dr, prev, withRecorder(d.Config, d.Recorder), emit)
 }
 
 // DecodeRecover is Decode in degraded mode: a chunk whose section
 // fails its CRC or structure check is quarantined — its point range is
 // emitted with prev's values instead of decoded ones, nothing from the
 // bad section is used — while every healthy chunk decodes normally.
-// Chunks are processed sequentially in point order. The returned
-// *PartialDataError is nil when the file was fully healthy; otherwise
-// it carries per-chunk statuses and the exact lost index ranges.
-// Failures that are not chunk-local (an unreadable header, a length
-// mismatch with prev) fail the whole decode as in Decode.
+// Chunks decode concurrently under Config.Workers, as in Decode, and
+// are delivered in point order. The returned *PartialDataError is nil
+// when the file was fully healthy; otherwise it carries per-chunk
+// statuses and the lost index ranges, adjacent ones merged as a
+// salvage restart merges them. Failures that are not chunk-local (an
+// unreadable header, a length mismatch with prev) fail the whole
+// decode as in Decode.
 func (d StreamDecoder) DecodeRecover(r io.ReaderAt, size int64, prev Source, emit func(vals []float64) error) (*PartialDataError, error) {
 	dr, err := checkpoint.OpenDelta(r, size)
 	if err != nil {
 		return nil, err
 	}
-	if d.Recorder != nil {
-		dr.SetRecorder(d.Recorder)
-	}
-	meta := dr.Meta()
-	if prev.Len() != meta.N {
-		return nil, fmt.Errorf("numarck: prev has %d points, checkpoint has %d", prev.Len(), meta.N)
-	}
-	var (
-		statuses []ChunkStatus
-		lost     []Range
-		dec      = dr.NewChunkDecoder()
-		pbuf     = make([]float64, min(meta.ChunkPoints, meta.N))
-		dbuf     = make([]float64, min(meta.ChunkPoints, meta.N))
-	)
-	for i := 0; i < meta.ChunkCount; i++ {
-		start, np := dr.ChunkSpan(i)
-		pw, dw := pbuf[:np], dbuf[:np]
-		if err := prev.ReadFloats(pw, start); err != nil {
-			return nil, err
-		}
-		cerr := dec.DecodeChunkInto(i, pw, dw)
-		if cerr != nil {
-			var ce *checkpoint.ChunkError
-			if !errors.As(cerr, &ce) {
-				return nil, cerr
-			}
-			copy(dw, pw)
-			lost = append(lost, Range{Lo: start, Hi: start + np})
-		}
-		statuses = append(statuses, ChunkStatus{Chunk: i, Start: start, Points: np, Err: cerr})
-		if err := emit(dw); err != nil {
-			return nil, err
-		}
-	}
-	if len(lost) == 0 {
-		return nil, nil
-	}
-	if d.Recorder != nil {
-		d.Recorder.Add(obs.CounterChunksQuarantined, int64(len(lost)))
-	}
-	return &PartialDataError{
-		Variable:  meta.Variable,
-		Iteration: meta.Iteration,
-		Chunks:    statuses,
-		Lost:      lost,
-	}, nil
+	return chunk.DecodeRecover(dr, prev, withRecorder(d.Config, d.Recorder), emit)
 }
 
 // DecodeFiles reconstructs deltaPath on top of the raw float64 file at

@@ -80,7 +80,8 @@ func TestStreamFilesRoundTrip(t *testing.T) {
 // a *PartialDataError that wraps ErrStoreCorrupt, every other point is
 // Decode's, and restart's own one-file salvage step
 // (checkpoint.ReplayDelta) agrees on the values and the ranges. A clean
-// file salvages to Decode's output with no error.
+// file salvages to Decode's output with no error. Two adjacent corrupt
+// chunks are one merged lost range, at one worker and at four.
 func TestStreamDecodeRecover(t *testing.T) {
 	const n, chunkPoints = 5000, 1024
 	rng := rand.New(rand.NewSource(23))
@@ -142,5 +143,39 @@ func TestStreamDecodeRecover(t *testing.T) {
 	rp, err := checkpoint.ReplayDelta(bad, "v", 1, state, &checkpoint.ChunkDecoder{}, checkpoint.RecoverOptions{Salvage: true})
 	if err != nil || rp == nil || !slices.Equal(rp.Lost, pde.Lost) || !same(state, got) {
 		t.Fatalf("ReplayDelta's salvage of the same bytes = %v, %v; same values %v", rp, err, same(state, got))
+	}
+
+	// Two adjacent bad chunks, 2 and 3, are one lost range, as a salvage
+	// restart reports them, at every worker count; the recorder counts
+	// both quarantined chunks.
+	bad2 := slices.Clone(clean)
+	for _, c := range []int{2, 3} {
+		ent := clean[int(dirOff)+20*c : int(dirOff)+20*(c+1)]
+		off, length := binary.LittleEndian.Uint64(ent), binary.LittleEndian.Uint32(ent[8:])
+		bad2[off+uint64(length)/2] ^= 0x20
+	}
+	lost2 := []numarck.Range{{Lo: 2 * chunkPoints, Hi: 4 * chunkPoints}}
+	state = slices.Clone(prev)
+	rp, err = checkpoint.ReplayDelta(bad2, "v", 1, state, &checkpoint.ChunkDecoder{}, checkpoint.RecoverOptions{Salvage: true})
+	if err != nil || rp == nil || !slices.Equal(rp.Lost, lost2) {
+		t.Fatalf("ReplayDelta's salvage of chunks 2 and 3 = %v, %v; want lost %v", rp, err, lost2)
+	}
+	for _, workers := range []int{1, 4} {
+		rec := numarck.NewRecorder()
+		var out []float64
+		dec := numarck.StreamDecoder{Config: numarck.StreamConfig{Workers: workers}, Recorder: rec}
+		pde, err := dec.DecodeRecover(bytes.NewReader(bad2), int64(len(bad2)), numarck.SliceSource(prev), func(vals []float64) error {
+			out = append(out, vals...)
+			return nil
+		})
+		if err != nil || pde == nil || !slices.Equal(pde.Lost, lost2) {
+			t.Fatalf("workers %d: salvage of chunks 2 and 3 = %v, %v; want one lost range %v", workers, pde, err, lost2)
+		}
+		if !same(out, state) {
+			t.Fatalf("workers %d: salvage emitted other values than ReplayDelta's", workers)
+		}
+		if q := rec.Snapshot().Counters["chunks_quarantined"]; q != 2 {
+			t.Fatalf("workers %d: %d chunks quarantined, want 2", workers, q)
+		}
 	}
 }
