@@ -24,12 +24,12 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -tags corpusgen ./internal/checkpoint
 
-# The whole repo builds for a 32-bit target, and the codec, store and
-# daemon packages, the netCDF reader and the root façade are vetted
-# there: vet type-checks each package with its tests, so a constant or a
+# The whole repo builds for a 32-bit target, and the codec, the
+# distributed fit, the store and daemon packages, the netCDF reader and
+# the root façade are vetted there: vet type-checks each package with its tests, so a constant or a
 # comparison that a 32-bit int cannot hold fails here. numarcklint's
 # analyzers build for 32-bit but need not run there.
-VET386_PKGS = ./internal/bitpack ./internal/core ./internal/kmeans ./internal/chunk ./internal/checkpoint ./internal/lossless/fpc ./internal/ncdf ./internal/server .
+VET386_PKGS = ./internal/bitpack ./internal/core ./internal/kmeans ./internal/dist ./internal/chunk ./internal/checkpoint ./internal/lossless/fpc ./internal/ncdf ./internal/server .
 vet-386:
 	GOARCH=386 $(GO) build ./...
 	GOARCH=386 $(GO) vet $(VET386_PKGS)

@@ -45,13 +45,16 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"numarck"
 	"numarck/internal/checkpoint"
 	"numarck/internal/chunk"
 	"numarck/internal/core"
+	"numarck/internal/faultfs"
 	"numarck/internal/ncdf"
 	"numarck/internal/obs"
 	"numarck/internal/rawio"
@@ -339,21 +342,18 @@ func decompressFile(inPath, prevPath, outPath string, cfg chunk.Config, salvage 
 	}
 	//lint:ignore errcheck read-only source; a close error cannot lose data
 	defer prev.Close()
-	out, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	w := rawio.NewWriter(out)
-	emit := func(vals []float64) error { return w.WriteFloats(vals) }
+	var w *rawio.Writer
 	var pde *checkpoint.PartialDataError
-	if salvage {
-		pde, err = chunk.DecodeRecover(d, prev, cfg, emit)
-	} else {
-		err = chunk.DecodeDeltaV2(d, prev, cfg, emit)
-	}
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
+	err = writeOut(outPath, func(out io.Writer) error {
+		w = rawio.NewWriter(out)
+		emit := func(vals []float64) error { return w.WriteFloats(vals) }
+		if salvage {
+			var err error
+			pde, err = chunk.DecodeRecover(d, prev, cfg, emit)
+			return err
+		}
+		return chunk.DecodeDeltaV2(d, prev, cfg, emit)
+	})
 	if err != nil {
 		return err
 	}
@@ -366,6 +366,33 @@ func decompressFile(inPath, prevPath, outPath string, cfg chunk.Config, salvage 
 	}
 	fmt.Printf("decoded %s@%d: %d points from %d chunks\n", meta.Variable, meta.Iteration, w.Count(), meta.ChunkCount)
 	return nil
+}
+
+// writeOut streams write's output into outPath all or nothing: into
+// outPath+".tmp", which is fsynced and renamed over outPath only when
+// write succeeds, so a failed decode leaves no truncated output and an
+// existing outPath as it was (the rawio.WriteFile pattern).
+func writeOut(outPath string, write func(io.Writer) error) error {
+	tmp := outPath + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, outPath)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort: the write's error is the one to report
+		return err
+	}
+	return faultfs.OS().SyncDir(filepath.Dir(outPath))
 }
 
 func cmdInspect(args []string) error {

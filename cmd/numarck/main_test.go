@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -263,6 +264,56 @@ func TestDecompressRecoverSalvagesCorruptV2(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("decompress -recover -workers %s wrote other values than ReplayDelta's salvage", workers)
 		}
+	}
+}
+
+// TestDecompressFailureKeepsExistingOut pins that a fail-closed
+// decompress writes nothing: with chunk 7 of a 16-chunk delta corrupt,
+// an -out that existed before is byte-identical after the error and no
+// temporary file is left beside it, while -recover still writes its
+// salvage there.
+func TestDecompressFailureKeepsExistingOut(t *testing.T) {
+	dir := t.TempDir()
+	prevPath, curPath, prev, _ := writeSeries(t, dir)
+	ckPath := filepath.Join(dir, "ck.nmk")
+	recPath := filepath.Join(dir, "rec.f64")
+	if err := cmdCompress([]string{"-prev", prevPath, "-cur", curPath, "-out", ckPath, "-chunk", "128"}); err != nil {
+		t.Fatalf("compress: %v", err)
+	}
+	raw, err := os.ReadFile(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirOff := binary.LittleEndian.Uint64(raw[len(raw)-20:])
+	if chunks := (uint64(len(raw)) - 20 - dirOff) / 20; chunks != 16 {
+		t.Fatalf("delta has %d chunks, want 16", chunks)
+	}
+	ent := raw[dirOff+20*7 : dirOff+20*8]
+	raw[binary.LittleEndian.Uint64(ent)+uint64(binary.LittleEndian.Uint32(ent[8:]))/2] ^= 0x20
+	if err := os.WriteFile(ckPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := []byte("the previous reconstruction")
+	if err := os.WriteFile(recPath, before, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []string{"1", "4"} {
+		if err := cmdDecompress([]string{"-prev", prevPath, "-in", ckPath, "-out", recPath, "-workers", workers}); err == nil {
+			t.Fatalf("-workers %s: decompress of a corrupt delta succeeded", workers)
+		}
+		after, err := os.ReadFile(recPath)
+		if err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("-workers %s: -out holds %d bytes after a failed decompress (%v), want the %d it held before", workers, len(after), err, len(before))
+		}
+		if _, err := os.Stat(recPath + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("-workers %s: a failed decompress left its temporary file: %v", workers, err)
+		}
+	}
+	if err := cmdDecompress([]string{"-prev", prevPath, "-in", ckPath, "-out", recPath, "-recover"}); err != nil {
+		t.Fatalf("decompress -recover: %v", err)
+	}
+	if rec, err := rawio.ReadFile(recPath); err != nil || len(rec) != len(prev) {
+		t.Fatalf("salvaged output has %d points (%v), want %d", len(rec), err, len(prev))
 	}
 }
 

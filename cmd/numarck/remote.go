@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"numarck/internal/server"
@@ -42,14 +43,12 @@ func remoteCompress(addr, tenant, variable string, iter int, curPath string) err
 // chunk-local corruption and the lost ranges are reported on stderr.
 func remoteDecompress(addr, tenant, variable string, iter int, outPath string, salvage bool) error {
 	c := remoteClient(addr, tenant)
-	f, err := os.Create(outPath)
-	if err != nil {
+	var points int
+	var partial *server.PartialInfo
+	err := writeOut(outPath, func(out io.Writer) (err error) {
+		points, partial, err = c.Fetch(variable, iter, out, salvage)
 		return err
-	}
-	points, partial, err := c.Fetch(variable, iter, f, salvage)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	})
 	if err != nil {
 		return err
 	}

@@ -98,6 +98,11 @@ func (e *ChunkError) Error() string {
 // errors.Is and errors.As.
 func (e *ChunkError) Unwrap() error { return e.Err }
 
+// ChunkIndex is the index of the chunk that failed. It marks the error
+// as naming its chunk, so pipelines that name a failing chunk leave it
+// as it is.
+func (e *ChunkError) ChunkIndex() int { return e.Chunk }
+
 func chunkErr(i int, off int64, format string, args ...any) error {
 	return &ChunkError{Chunk: i, Offset: off, Err: fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)}
 }

@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -245,6 +246,34 @@ func TestStreamingDecode(t *testing.T) {
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("point %d differs", i)
+		}
+	}
+}
+
+// TestDecodeErrorNamesChunkOnce pins that a corrupt chunk's decode
+// error is the *checkpoint.ChunkError that names it, not wrapped in a
+// second "chunk 7: " by the pipeline, at one worker and on the ring.
+func TestDecodeErrorNamesChunkOnce(t *testing.T) {
+	const chunks, cp = 16, 128
+	prev, cur := genPair(chunks*cp, 12)
+	var buf bytes.Buffer
+	opt := core.Options{ErrorBound: 0.001, IndexBits: 8}
+	if _, err := EncodeDeltaV2(&buf, "v", 1, SliceSource(prev), SliceSource(cur), opt, Config{ChunkPoints: cp}); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	dirOff := binary.LittleEndian.Uint64(raw[len(raw)-20:])
+	ent := raw[dirOff+20*7 : dirOff+20*8]
+	raw[binary.LittleEndian.Uint64(ent)+uint64(binary.LittleEndian.Uint32(ent[8:]))/2] ^= 0x20
+	for _, workers := range []int{1, 4} {
+		d, err := checkpoint.OpenDeltaV2(bytes.NewReader(raw), int64(len(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = DecodeDeltaV2(d, SliceSource(prev), Config{Workers: workers}, func([]float64) error { return nil })
+		var ce *checkpoint.ChunkError
+		if !errors.As(err, &ce) || ce.Chunk != 7 || strings.Count(err.Error(), "chunk") != 1 {
+			t.Errorf("%d workers: err = %v, want chunk 7's ChunkError, naming a chunk once", workers, err)
 		}
 	}
 }

@@ -396,32 +396,26 @@ func fitClustering(data []float64, k int, opt Options) (*clusterBinner, error) {
 	return new(fitScratch).clustering(data, k, opt)
 }
 
-// clustering learns the clustering table of data, its sketch path
-// refilling fs's sketches and seed counts.
+// clustering learns the clustering table of data by kmeans' Lloyd
+// loop: over data itself on opt.Workers, or, for a large input, over
+// the weighted micro-centroids of its sketch (parfit.go) on one worker.
+// Lloyd then iterates over at most sketchBins(k) points instead of
+// len(data), which is where the clustering table stage's time goes.
+// The sketch path refills fs's sketches and seed counts.
 func (fs *fitScratch) clustering(data []float64, k int, opt Options) (*clusterBinner, error) {
-	if k > len(data) {
-		k = len(data) // never more clusters than points
-	}
+	k = min(k, len(data)) // never more clusters than points
+	cfg := kmeans.Config{K: k, MaxIter: opt.KMeansMaxIter, Workers: opt.Workers}
+	points, weights := data, []float64(nil)
 	if len(data) > 2*sketchBins(k) {
-		// Large input: learn over per-range sketches concurrently and
-		// merge (parfit.go). Lloyd then iterates over at most
-		// sketchBins(k) weighted micro-centroids instead of len(data)
-		// points, which is where the clustering table stage's time goes.
-		b, err := fs.sketchFit(data, k, opt)
-		if err != nil {
+		var err error
+		if points, weights, cfg.Seeds, err = fs.sketchFit(data, k, opt); err != nil {
 			return nil, fmt.Errorf("core: clustering strategy: %w", err)
 		}
-		return b, nil
-	}
-	cfg := kmeans.Config{
-		K:       k,
-		MaxIter: opt.KMeansMaxIter,
-		Workers: opt.Workers,
-	}
-	if opt.UniformSeeding {
+		cfg.Workers = 1
+	} else if opt.UniformSeeding {
 		cfg.Seeds = kmeans.SeedUniform(data, k)
 	}
-	res, err := kmeans.Run(data, cfg)
+	res, err := kmeans.RunWeighted(points, weights, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: clustering strategy: %w", err)
 	}

@@ -358,3 +358,35 @@ func TestOverflowingRangeGivesFiniteTable(t *testing.T) {
 		}
 	}
 }
+
+// TestOverflowingRangeUniformSeedsFinite is
+// TestOverflowingRangeGivesFiniteTable's input under uniform seeding:
+// evenly spaced seeds over a range whose width overflows must be
+// finite, or a seed no ratio reaches stays ±Inf in the table.
+func TestOverflowingRangeUniformSeedsFinite(t *testing.T) {
+	for _, n := range []int{300, 40_000} {
+		prev := make([]float64, n)
+		cur := make([]float64, n)
+		for j := range cur {
+			prev[j], cur[j] = 1, 1.5
+			if j%3 != 2 {
+				cur[j] = math.Copysign(1e308, 0.5-float64(j%2))
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			opt := Options{ErrorBound: 0.001, IndexBits: 8, Strategy: Clustering, UniformSeeding: true, Workers: workers}
+			enc, err := Encode(prev, cur, opt)
+			if err != nil {
+				t.Fatalf("n %d workers %d: %v", n, workers, err)
+			}
+			for g, r := range enc.BinRatios {
+				if math.IsNaN(r) || math.IsInf(r, 0) {
+					t.Fatalf("n %d workers %d: representative %d of %d is %v", n, workers, g, len(enc.BinRatios), r)
+				}
+			}
+			if g := enc.Gamma(); g > 0.7 {
+				t.Errorf("n %d workers %d: γ %v, want the 1.5 points compressed", n, workers, g)
+			}
+		}
+	}
+}

@@ -10,6 +10,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -113,7 +114,7 @@ func OrderedChunks[T any](count, workers int, label string, rec *obs.Recorder, p
 			v, err := call(i, 0)
 			if err != nil {
 				if count > 1 {
-					err = fmt.Errorf("chunk %d: %w", i, err)
+					err = nameChunk(i, err)
 				}
 				return err
 			}
@@ -171,7 +172,7 @@ func OrderedChunks[T any](count, workers int, label string, rec *obs.Recorder, p
 	for i := 0; i < count; i++ {
 		r := <-ready[i%workers]
 		if r.err != nil {
-			firstErr = fmt.Errorf("chunk %d: %w", i, r.err)
+			firstErr = nameChunk(i, r.err)
 			break
 		}
 		if err := emit(i, r.v); err != nil {
@@ -183,6 +184,15 @@ func OrderedChunks[T any](count, workers int, label string, rec *obs.Recorder, p
 	close(done)
 	wg.Wait()
 	return firstErr
+}
+
+// nameChunk prefixes err with chunk i, unless err already names its
+// chunk, as a checkpoint.ChunkError does.
+func nameChunk(i int, err error) error {
+	if named := interface{ ChunkIndex() int }(nil); errors.As(err, &named) {
+		return err
+	}
+	return fmt.Errorf("chunk %d: %w", i, err)
 }
 
 // splitPoints is the range length a chunk's ratio and assign stages

@@ -243,13 +243,15 @@ type fitSlot struct {
 // sketchFit is the parallel table-learning path of the clustering
 // strategy: per-range histogram sketches (value sum + count per cell)
 // are built concurrently, merged in range order into one global
-// sketch, and the occupied cells become weighted micro-centroids for a
-// sequential weighted k-means — the "weighted centroid merge" of the
-// paper authors' parallel follow-up. Seeds reproduce the serial path's
-// histogram seeding exactly: the coarse seed histogram is gathered in
-// the same pass and fed to kmeans.SeedFromCounts. The result is
-// deterministic for a given input sequence regardless of the worker
-// count.
+// sketch, and the occupied cells become the weighted micro-centroids
+// (points, weights) the Lloyd loop clusters — the "weighted centroid
+// merge" of the paper authors' parallel follow-up. The seeds reproduce
+// the serial path's histogram seeding exactly: the coarse seed
+// histogram is gathered in the same pass and fed to
+// kmeans.SeedFromCounts. They are nil when fewer cells are occupied
+// than there are clusters: the loop then clamps K and seeds from the
+// micro-centroids themselves. The result is deterministic for a given
+// input sequence regardless of the worker count.
 //
 // The ranges run on OrderedChunks, so each worker refills one slot
 // sketch per range and the emitter merges it into the global sketch in
@@ -259,16 +261,13 @@ type fitSlot struct {
 // input size, taken from fs. Seed counts are integers and merge in any
 // order, so each worker keeps one coarse histogram for all of its
 // ranges.
-func (fs *fitScratch) sketchFit(data []float64, k int, opt Options) (*clusterBinner, error) {
+func (fs *fitScratch) sketchFit(data []float64, k int, opt Options) (points, weights, seeds []float64, err error) {
 	st := ScanFitStats(data, opt)
 	lo, hi := st.Lo, st.Hi
 	if fputil.Eq(lo, hi) {
-		// Single distinct value: every centroid is that value. The
-		// exact path reaches the same fixpoint in one O(n) iteration;
-		// short-circuit it.
-		cents := make([]float64, 1)
-		cents[0] = lo
-		return &clusterBinner{cents: cents, ix: kmeans.NewIndex(cents)}, nil
+		// Single distinct value: every centroid is that value, which a
+		// cell mean of its copies need not be.
+		return []float64{lo}, nil, nil, nil
 	}
 
 	bins := sketchBins(k)
@@ -287,7 +286,7 @@ func (fs *fitScratch) sketchFit(data []float64, k int, opt Options) (*clusterBin
 	sk, slots := fs.merged, fs.workers
 	// The table stage's timer already spans the fit; a nil recorder keeps
 	// its slot waits out of the chunk ring's queue-wait figure.
-	err := OrderedChunks(ranges, workers, "encode-fit", nil,
+	err = OrderedChunks(ranges, workers, "encode-fit", nil,
 		func(r, w int) (*kmeans.Sketch, error) {
 			a, b := r*statRangePoints, min((r+1)*statRangePoints, len(data))
 			s := &slots[w]
@@ -300,7 +299,7 @@ func (fs *fitScratch) sketchFit(data []float64, k int, opt Options) (*clusterBin
 		},
 		func(_ int, rs *kmeans.Sketch) error { return sk.Merge(rs) })
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	counts := slots[0].counts
 	for _, s := range slots[1:] {
@@ -309,22 +308,15 @@ func (fs *fitScratch) sketchFit(data []float64, k int, opt Options) (*clusterBin
 		}
 	}
 
-	points, weights := sk.Points()
-	cfg := kmeans.Config{K: k, MaxIter: opt.KMeansMaxIter}
-	if len(points) < k {
-		// Fewer occupied cells than clusters: let RunWeighted clamp K
-		// and seed from the micro-centroids themselves.
-		cfg.K = len(points)
-	} else if opt.UniformSeeding {
-		cfg.Seeds = kmeans.UniformSeeds(lo, hi, k)
-	} else {
-		cfg.Seeds = kmeans.SeedFromCounts(lo, hi, counts, k)
+	points, weights = sk.Points()
+	switch {
+	case len(points) < k: // nil seeds, as documented above
+	case opt.UniformSeeding:
+		seeds = kmeans.UniformSeeds(lo, hi, k)
+	default:
+		seeds = kmeans.SeedFromCounts(lo, hi, counts, k)
 	}
-	res, err := kmeans.RunWeighted(points, weights, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &clusterBinner{cents: res.Centroids, ix: kmeans.NewIndexFor(res.Centroids, len(data))}, nil
+	return points, weights, seeds, nil
 }
 
 // regrid returns s emptied onto `bins` cells over [lo, hi], or a new

@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"sync"
@@ -72,18 +74,18 @@ func TestFabricAllReduceMinMax(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			mn, err := f.AllReduceScalar(r, float64(r)-1, OpMin)
+			mn, err := f.AllReduce(r, []float64{float64(r) - 1}, OpMin)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			mins[r] = mn
-			mx, err := f.AllReduceScalar(r, float64(r)-1, OpMax)
+			mins[r] = mn[0]
+			mx, err := f.AllReduce(r, []float64{float64(r) - 1}, OpMax)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			maxs[r] = mx
+			maxs[r] = mx[0]
 		}(r)
 	}
 	wg.Wait()
@@ -528,6 +530,108 @@ func TestGlobalTableHelpsSkewedShards(t *testing.T) {
 	// shipping the 160 KB of raw data per rank.
 	if res.BytesMoved > int64(8*n) {
 		t.Errorf("global table moved %d bytes, more than half the raw data", res.BytesMoved)
+	}
+}
+
+// TestGlobalClusteringTablePinned pins the bits of the global
+// clustering table: a CRC-32 of rank 0's representatives, little-endian,
+// recorded before the distributed fit moved onto kmeans' shared Lloyd
+// loop. A change to the seeding, the assignment, the reduction's layout
+// or order, or the update step that moves one bit of any table fails
+// here.
+func TestGlobalClusteringTablePinned(t *testing.T) {
+	pins := []struct {
+		n       int
+		uniform bool
+		ranks   int
+		crc     uint32
+	}{
+		{8000, false, 2, 0x27efd1f0},
+		{8000, false, 3, 0xcdd6ef91},
+		{8000, false, 4, 0x67100d9c},
+		{8000, false, 16, 0xd9067107},
+		{8000, true, 2, 0x0d0ba73e},
+		{8000, true, 3, 0xf5643e40},
+		{8000, true, 4, 0x2e28a90a},
+		{8000, true, 16, 0x8303f4cf},
+		{40000, false, 2, 0xd7903bed},
+		{40000, false, 3, 0x97e4f8ca},
+		{40000, false, 4, 0x67fc813c},
+		{40000, false, 16, 0x2945b76f},
+		{40000, true, 2, 0xee8d2b63},
+		{40000, true, 3, 0x7045ac35},
+		{40000, true, 4, 0x817e763a},
+		{40000, true, 16, 0xb67eb87f},
+	}
+	for _, p := range pins {
+		name := fmt.Sprintf("n=%d uniform=%v R=%d", p.n, p.uniform, p.ranks)
+		prev, cur := genData(p.n, int64(p.n))
+		opt := opts(core.Clustering)
+		opt.UniformSeeding = p.uniform
+		res, err := Encode(prev, cur, Config{Ranks: p.ranks, Mode: GlobalTable, Opt: opt})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		table := res.Shards[0].BinRatios
+		b := make([]byte, 0, 8*len(table))
+		for _, r := range table {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r))
+		}
+		if got := crc32.ChecksumIEEE(b); got != p.crc || len(table) != 255 {
+			t.Errorf("%s: table of %d entries has CRC-32 %#08x, want 255 entries and %#08x", name, len(table), got, p.crc)
+		}
+	}
+}
+
+// TestGlobalOverflowingRangeGivesFiniteTable is core's
+// TestOverflowingRangeGivesFiniteTable for the global clustering table:
+// prev = 1 and cur alternating ±1e308, every third point 1.5, so a
+// cluster's ratio sum overflows. The distributed fit must fall back to
+// the overflow-safe mean as core's fit does, at every rank count and
+// under either seeding: only finite representatives, and every point
+// decodes within E·|prev|.
+func TestGlobalOverflowingRangeGivesFiniteTable(t *testing.T) {
+	for _, n := range []int{300, 40_000} {
+		prev := make([]float64, n)
+		cur := make([]float64, n)
+		for j := range cur {
+			prev[j] = 1
+			switch {
+			case j%3 == 2:
+				cur[j] = 1.5
+			case j%2 == 0:
+				cur[j] = 1e308
+			default:
+				cur[j] = -1e308
+			}
+		}
+		for _, uniform := range []bool{false, true} {
+			opt := opts(core.Clustering)
+			opt.UniformSeeding = uniform
+			for _, ranks := range []int{2, 4} {
+				name := fmt.Sprintf("n=%d uniform=%v R=%d", n, uniform, ranks)
+				res, err := Encode(prev, cur, Config{Ranks: ranks, Mode: GlobalTable, Opt: opt})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for r, sh := range res.Shards {
+					for g, v := range sh.BinRatios {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							t.Fatalf("%s: rank %d's representative %d is %v", name, r, g, v)
+						}
+					}
+				}
+				got, err := res.Decode(prev)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for j := range got {
+					if !(math.Abs(got[j]-cur[j]) <= opt.ErrorBound*math.Abs(prev[j])) {
+						t.Fatalf("%s: point %d decodes to %v, encoded %v", name, j, got[j], cur[j])
+					}
+				}
+			}
+		}
 	}
 }
 

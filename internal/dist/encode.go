@@ -3,11 +3,9 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"numarck/internal/core"
-	"numarck/internal/fputil"
 	"numarck/internal/kmeans"
 )
 
@@ -24,8 +22,9 @@ const (
 	// GlobalTable learns one table over all ranks' ratios: one
 	// reduction of core's fit stats, from which equal-width and
 	// log-scale build core.Encode's own table, and for clustering an
-	// MPI-style parallel k-means (partial-sum allreduce per Lloyd
-	// iteration) seeded from them. Equal-frequency has no global form.
+	// MPI-style parallel k-means seeded from them: kmeans' Lloyd loop
+	// over each rank's ratios, its partial sums all-reduced every
+	// iteration. Equal-frequency has no global form.
 	// Storage pays for one table; communication pays for the
 	// reductions.
 	GlobalTable
@@ -289,13 +288,14 @@ func reduceStats(f *Fabric, rank int, st core.FitStats, failed bool) (core.FitSt
 }
 
 // globalKMeans is the distributed form of the clustering fit's
-// full-data path (kmeans.Run) over all ranks' table inputs, whose merged
-// stats are st. The seeds come from st's range: the centers of a merged
+// full-data path over all ranks' table inputs, whose merged stats are
+// st. The seeds come from st's range: the centers of a merged
 // equal-width histogram's fullest bins (one count all-reduce), or evenly
-// spaced under Options.UniformSeeding. Each Lloyd iteration then
-// all-reduces per-centroid partial sums and counts. The fabric folds
-// them in rank order, so every rank computes the same centroids, run
-// after run.
+// spaced under Options.UniformSeeding. The Lloyd iterations are
+// kmeans.RunWeighted's over this rank's part, with the per-centroid
+// partial sums and counts all-reduced each iteration (a second
+// reduction when a sum overflows). The fabric folds them in rank order,
+// so every rank computes the same centroids, run after run.
 func globalKMeans(f *Fabric, rank int, ti []float64, st core.FitStats, opt core.Options) ([]float64, error) {
 	k := min(opt.NumBins(), st.N)
 	// Over a one-value range the uniform seeds are the histogram's too.
@@ -315,36 +315,12 @@ func globalKMeans(f *Fabric, rank int, ti []float64, st core.FitStats, opt core.
 		}
 		cents = kmeans.SeedFromCounts(st.Lo, st.Hi, counts, k)
 	}
-
-	// Lloyd iterations: partial [sum_0..sum_k-1, count_0..count_k-1]
-	// reduced across ranks each round.
-	partial := make([]float64, 2*k)
-	for iter := 0; iter < opt.KMeansMaxIter; iter++ {
-		clear(partial)
-		for _, x := range ti {
-			c := kmeans.Nearest(cents, x)
-			partial[c] += x
-			partial[k+c]++
-		}
-		red, err := f.AllReduce(rank, partial, OpSum)
-		if err != nil {
-			return nil, err
-		}
-		moved := 0.0
-		for c := 0; c < k; c++ {
-			cnt := red[k+c]
-			if fputil.IsZero(cnt) {
-				continue
-			}
-			next := red[c] / cnt
-			if d := math.Abs(next - cents[c]); d > moved {
-				moved = d
-			}
-			cents[c] = next
-		}
-		if moved < 1e-12 {
-			break
-		}
+	res, err := kmeans.RunWeighted(ti, nil, kmeans.Config{
+		K: k, MaxIter: opt.KMeansMaxIter, Workers: 1, Seeds: cents,
+		Reduce: func(vec []float64) ([]float64, error) { return f.AllReduce(rank, vec, OpSum) },
+	})
+	if err != nil {
+		return nil, err
 	}
-	return cents, nil
+	return res.Centroids, nil
 }

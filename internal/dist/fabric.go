@@ -11,7 +11,8 @@
 // ranks then encode against the binner core builds from the merged
 // stats, so their shards are core.Encode's bytes at every rank count.
 // Clustering seeds from the merged range and runs an MPI-style
-// parallel k-means, one partial-sum reduction per Lloyd iteration.
+// parallel k-means: kmeans' one Lloyd loop on every rank, with one
+// partial-sum reduction per iteration (two when a sum overflows).
 //
 // The paper's exascale motivation is minimizing data movement ("more
 // computations locally for learning patterns of change", §I), so the
@@ -150,15 +151,6 @@ func (f *Fabric) fold() ([]float64, error) {
 		f.ops[0].apply(acc, v)
 	}
 	return acc, nil
-}
-
-// AllReduceScalar reduces a single value.
-func (f *Fabric) AllReduceScalar(rank int, v float64, op Op) (float64, error) {
-	out, err := f.AllReduce(rank, []float64{v}, op)
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
 }
 
 func log2ceil(n int) int {

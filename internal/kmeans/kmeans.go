@@ -4,7 +4,9 @@
 // package; this is the shared-memory equivalent: the assignment step is
 // decomposed over points across workers, and the update step sums each
 // cluster in point order, so the result does not depend on the worker
-// count.
+// count. RunWeighted is the one Lloyd loop: core's full-data and sketch
+// fits and each rank of dist's global fit (through Config.Reduce) run
+// it.
 //
 // To overcome k-means' sensitivity to the initial centroids the paper
 // seeds them "with prior-knowledge from the equal-width histogram";
@@ -38,8 +40,17 @@ type Config struct {
 	// Defaults to GOMAXPROCS.
 	Workers int
 	// Seeds optionally fixes the initial centroids; len must equal K.
-	// When nil, SeedFromHistogram(data, K) is used.
+	// When nil, SeedFromHistogram(points, K) is used.
 	Seeds []float64
+	// Reduce, when set, makes the points one part of a set that several
+	// fits hold between them, as ranks do (package dist). Each update
+	// step hands it this part's vector of per-cluster sums and weights,
+	// and it must return that vector summed over every part, the same
+	// bits to every fit. Seeds are then required, K is not clamped to
+	// this part's point count, and a part with no points still makes
+	// every reduction. A part whose points fail the input checks makes
+	// none, so every part must hand in finite points.
+	Reduce func([]float64) ([]float64, error)
 }
 
 // Result is the outcome of a clustering run.
@@ -48,8 +59,6 @@ type Result struct {
 	Centroids []float64
 	// Assign[i] is the index into Centroids of point i's cluster.
 	Assign []int
-	// Sizes[c] is the number of points assigned to centroid c.
-	Sizes []int
 	// Iterations is the number of Lloyd iterations performed.
 	Iterations int
 	// Converged reports whether the run stopped by Tol rather than
@@ -60,19 +69,42 @@ type Result struct {
 // ErrNoData reports an empty input.
 var ErrNoData = errors.New("kmeans: no data points")
 
-// Run clusters data into cfg.K groups and returns the result. data is
-// not modified. All points must be finite.
+// Run clusters data into cfg.K groups: RunWeighted with every point
+// weighing 1.
 func Run(data []float64, cfg Config) (*Result, error) {
-	if len(data) == 0 {
+	return RunWeighted(data, nil, cfg)
+}
+
+// RunWeighted clusters weighted points into cfg.K groups by Lloyd
+// iterations in which each point pulls its centroid with its weight;
+// nil weights count 1 each. It is every clustering fit: core's over
+// the table input (Run) and over a sketch's micro-centroids
+// (Sketch.Points), and with cfg.Reduce each rank's part of dist's
+// global fit. The assignment step runs on cfg.Workers goroutines; the
+// update step sums each cluster in point order, so the result is the
+// same bits whatever the worker count. K is clamped to the number of
+// points, every point must be finite, and len(weights) must equal
+// len(points) with every weight finite and > 0. points is not modified.
+func RunWeighted(points, weights []float64, cfg Config) (*Result, error) {
+	if len(points) == 0 && cfg.Reduce == nil {
 		return nil, ErrNoData
+	}
+	if weights != nil && len(weights) != len(points) {
+		return nil, fmt.Errorf("kmeans: %d weights for %d points", len(weights), len(points))
 	}
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("kmeans: K must be >= 1, got %d", cfg.K)
 	}
-	for i, x := range data {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, fmt.Errorf("kmeans: non-finite value %v at index %d", x, i)
+	for i, x := range points {
+		if !finite(x) {
+			return nil, fmt.Errorf("kmeans: non-finite point %v at index %d", x, i)
 		}
+		if weights != nil && !(weights[i] > 0 && finite(weights[i])) {
+			return nil, fmt.Errorf("kmeans: weight %v at index %d (want finite > 0)", weights[i], i)
+		}
+	}
+	if cfg.K > len(points) && cfg.Reduce == nil {
+		cfg.K = len(points)
 	}
 	if cfg.MaxIter <= 0 {
 		cfg.MaxIter = 100
@@ -83,13 +115,17 @@ func Run(data []float64, cfg Config) (*Result, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Workers > len(data) {
-		cfg.Workers = len(data)
-	}
+	workers := max(min(cfg.Workers, len(points)), 1)
 
 	cents := cfg.Seeds
-	if cents == nil {
-		cents = SeedFromHistogram(data, cfg.K)
+	if cfg.Reduce == nil {
+		// One part: the sums are the whole set's.
+		cfg.Reduce = func(vec []float64) ([]float64, error) { return vec, nil }
+		if cents == nil {
+			cents = SeedFromHistogram(points, cfg.K)
+		}
+	} else if cents == nil {
+		return nil, errors.New("kmeans: a reduced run needs seeds")
 	}
 	if len(cents) != cfg.K {
 		return nil, fmt.Errorf("kmeans: %d seeds for K=%d", len(cents), cfg.K)
@@ -97,59 +133,63 @@ func Run(data []float64, cfg Config) (*Result, error) {
 	cents = append([]float64(nil), cents...)
 	sort.Float64s(cents)
 
-	res := &Result{
-		Centroids: cents,
-		Assign:    make([]int, len(data)),
-		Sizes:     make([]int, cfg.K),
-	}
-
-	sums := make([]float64, cfg.K)
-	chunk := (len(data) + cfg.Workers - 1) / cfg.Workers
-	errs := make([]error, cfg.Workers) // a panic on an assignment worker
+	k := cfg.K
+	res := &Result{Centroids: cents, Assign: make([]int, len(points))}
+	// sums holds each cluster's weighted sum, then each cluster's
+	// weight: the vector Reduce sums.
+	sums := make([]float64, 2*k)
+	ix := &Index{}
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		res.Iterations = iter + 1
-		// Assignment step, parallel over point ranges, accelerated by
-		// a per-iteration uniform-grid index over the sorted centroids.
-		ix := NewIndex(res.Centroids)
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			lo := w * chunk
-			hi := min(lo+chunk, len(data))
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				errs[w] = panics.Catch(func() error {
-					for i := lo; i < hi; i++ {
-						res.Assign[i] = ix.Nearest(data[i])
-					}
-					return nil
-				})
-			}(lo, hi)
-		}
-		wg.Wait()
-		if err := errors.Join(errs...); err != nil {
+		ix.reset(res.Centroids)
+		if err := assign(ix, points, res.Assign, workers); err != nil {
 			return nil, err
 		}
 
-		// Update step: sum each cluster in point order, so the
-		// centroids are the same bits whatever the worker count.
+		// Update step: sum each cluster in point order.
 		clear(sums)
-		clear(res.Sizes)
 		for i, c := range res.Assign {
-			sums[c] += data[i]
-			res.Sizes[c]++
+			w := 1.0
+			if weights != nil {
+				w = weights[i]
+			}
+			sums[c] += points[i] * w
+			sums[k+c] += w
+		}
+		red, err := cfg.Reduce(sums)
+		if err != nil {
+			return nil, err
+		}
+		// When a cluster's sum overflowed, every cluster's mean is also
+		// summed as Σ x·(w/total), which stays finite. Every part sees
+		// the same reduced sums, so every part makes this second
+		// reduction or none does.
+		var means []float64
+		for c := 0; c < k && means == nil; c++ {
+			if !fputil.IsZero(red[k+c]) && !finite(red[c]/red[k+c]) {
+				means = make([]float64, k)
+			}
+		}
+		if means != nil {
+			for i, c := range res.Assign {
+				w := 1.0
+				if weights != nil {
+					w = weights[i]
+				}
+				means[c] += points[i] * (w / red[k+c])
+			}
+			if means, err = cfg.Reduce(means); err != nil {
+				return nil, err
+			}
 		}
 		moved := 0.0
-		for c, count := range res.Sizes {
-			if count == 0 {
+		for c := 0; c < k; c++ {
+			if fputil.IsZero(red[k+c]) {
 				continue // empty cluster keeps its centroid
 			}
-			next := sums[c] / float64(count)
-			if math.IsInf(next, 0) {
-				next = meanOf(data, nil, res.Assign, c, float64(count))
+			next := red[c] / red[k+c]
+			if !finite(next) {
+				next = means[c]
 			}
 			if d := math.Abs(next - res.Centroids[c]); d > moved {
 				moved = d
@@ -164,6 +204,44 @@ func Run(data []float64, cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// finite reports whether x is neither ±Inf nor NaN. Parts whose sums
+// overflowed to opposite infinities reduce to NaN.
+func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
+
+// assign sets out[i] to the index of the centroid of ix nearest to
+// points[i], over `workers` contiguous point ranges in parallel, or
+// inline on one.
+func assign(ix *Index, points []float64, out []int, workers int) error {
+	if workers == 1 {
+		for i, x := range points {
+			out[i] = ix.Nearest(x)
+		}
+		return nil
+	}
+	chunk := (len(points) + workers - 1) / workers
+	errs := make([]error, workers) // a panic on an assignment worker
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo := w * chunk
+		hi := min(lo+chunk, len(points))
+		if lo >= hi {
+			continue
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			errs[w] = panics.Catch(func() error {
+				for i := lo; i < hi; i++ {
+					out[i] = ix.Nearest(points[i])
+				}
+				return nil
+			})
+		}(lo, hi)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // Nearest returns the index of the centroid closest to x. cents must be
@@ -227,7 +305,7 @@ func NewIndex(cents []float64) *Index {
 }
 
 // reset rebuilds the candidate grid over cents in place, reusing its
-// arrays, and drops any resolved grid. The Lloyd loops rebuild one
+// arrays, and drops any resolved grid. The Lloyd loop rebuilds one
 // index per iteration this way.
 func (ix *Index) reset(cents []float64) {
 	k := len(cents)
@@ -510,7 +588,13 @@ func SeedFromHistogram(data []float64, k int) []float64 {
 	if k <= 0 || len(data) == 0 {
 		return nil
 	}
-	lo, hi := data[0], data[0]
+	lo, hi := span(data)
+	return SeedFromCounts(lo, hi, SeedCounts(data, lo, hi, k), k)
+}
+
+// span returns the least and the greatest of data (non-empty).
+func span(data []float64) (lo, hi float64) {
+	lo, hi = data[0], data[0]
 	for _, x := range data[1:] {
 		if x < lo {
 			lo = x
@@ -519,21 +603,15 @@ func SeedFromHistogram(data []float64, k int) []float64 {
 			hi = x
 		}
 	}
-	if fputil.Eq(lo, hi) {
-		seeds := make([]float64, k)
-		for i := range seeds {
-			seeds[i] = lo
-		}
-		return seeds
-	}
-	return SeedFromCounts(lo, hi, SeedCounts(data, lo, hi, k), k)
+	return lo, hi
 }
 
 // SeedCounts is the histogram SeedFromHistogram seeds k clusters from:
 // data counted into SeedHistogramBins(k) equal-width bins over [lo, hi],
 // x in bin int((x-lo)/w), the last bin closed. Every x must lie in
-// [lo, hi], and lo < hi. Counts of parts of the data add up to the
-// counts of the whole, which is how ranks holding parts seed together.
+// [lo, hi]; over a one-value range every x counts in the last bin.
+// Counts of parts of the data add up to the counts of the whole, which
+// is how ranks holding parts seed together.
 func SeedCounts(data []float64, lo, hi float64, k int) []int {
 	bins := SeedHistogramBins(k)
 	counts := make([]int, bins)
@@ -579,31 +657,10 @@ func finiteAt(x, lo, hi, t float64) float64 {
 	return lo*(1-t) + hi*t
 }
 
-// meanOf is the mean of the points assigned to cluster c, weighted by
-// weights (nil: 1 each) that add up to total, summed as Σ x·(w/total):
-// the mean of finite points whose sum overflows.
-func meanOf(points, weights []float64, assign []int, c int, total float64) float64 {
-	mean := 0.0
-	for i, a := range assign {
-		if a == c {
-			w := 1.0
-			if weights != nil {
-				w = weights[i]
-			}
-			mean += points[i] * (w / total)
-		}
-	}
-	return mean
-}
-
 // SeedHistogramBins returns the number of equal-width histogram bins
 // the seeding procedure uses for k clusters.
 func SeedHistogramBins(k int) int {
-	bins := 4 * k
-	if bins < 64 {
-		bins = 64
-	}
-	return bins
+	return max(4*k, 64)
 }
 
 // SeedFromCounts derives k seeds from an equal-width histogram over
@@ -661,34 +718,28 @@ func SeedUniform(data []float64, k int) []float64 {
 	if k <= 0 || len(data) == 0 {
 		return nil
 	}
-	lo, hi := data[0], data[0]
-	for _, x := range data[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
+	lo, hi := span(data)
 	return UniformSeeds(lo, hi, k)
 }
 
-// UniformSeeds is SeedUniform of data whose range is [lo, hi].
+// UniformSeeds is SeedUniform of data whose range is [lo, hi]. The
+// seeds of a finite range are finite, even where hi-lo overflows.
 func UniformSeeds(lo, hi float64, k int) []float64 {
 	seeds := make([]float64, k)
 	if k == 1 {
-		seeds[0] = (lo + hi) / 2
+		seeds[0] = finiteAt((lo+hi)/2, lo, hi, 0.5)
 		return seeds
 	}
 	for i := range seeds {
-		seeds[i] = lo + (hi-lo)*float64(i)/float64(k-1)
+		t := float64(i) / float64(k-1)
+		seeds[i] = finiteAt(lo+(hi-lo)*float64(i)/float64(k-1), lo, hi, t)
 	}
 	return seeds
 }
 
 // WithinClusterSS returns the total within-cluster sum of squared
 // distances for a result over data — the k-means objective. Used in
-// tests and the seeding ablation.
+// tests.
 func WithinClusterSS(data []float64, res *Result) float64 {
 	var ss float64
 	for i, x := range data {

@@ -28,12 +28,16 @@ func TestRunThreeSeparatedClusters(t *testing.T) {
 	if !sort.Float64sAreSorted(res.Centroids) {
 		t.Errorf("centroids not sorted: %v", res.Centroids)
 	}
+	sizes := make([]int, 3)
+	for _, c := range res.Assign {
+		sizes[c]++
+	}
 	for i, m := range means {
 		if math.Abs(res.Centroids[i]-m) > 0.05 {
 			t.Errorf("centroid %d = %v, want ~%v", i, res.Centroids[i], m)
 		}
-		if res.Sizes[i] != 300 {
-			t.Errorf("cluster %d size = %d, want 300", i, res.Sizes[i])
+		if sizes[i] != 300 {
+			t.Errorf("cluster %d size = %d, want 300", i, sizes[i])
 		}
 	}
 }

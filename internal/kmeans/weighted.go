@@ -1,9 +1,9 @@
-// Weighted k-means and the mergeable histogram sketch behind the
-// parallel table-learning path. The NUMARCK authors' follow-up paper
-// parallelizes exactly this step: each data partition is summarized
-// independently and the summaries are merged into one weighted
-// clustering problem whose solution stands in for k-means over the
-// union of the data. Here the per-partition summary is a fixed-grid
+// The mergeable histogram sketch behind the parallel table-learning
+// path. The NUMARCK authors' follow-up paper parallelizes exactly this
+// step: each data partition is summarized independently and the
+// summaries are merged into one weighted clustering problem
+// (RunWeighted) whose solution stands in for k-means over the union of
+// the data. Here the per-partition summary is a fixed-grid
 // histogram Sketch that keeps each cell's population and value sum, so
 // a merged cell reduces to a weighted micro-centroid (the exact mean of
 // the values that fell in it) and the merge is a pure element-wise sum
@@ -156,96 +156,4 @@ func (p *pairSort) Less(i, j int) bool { return p.c[i] < p.c[j] }
 func (p *pairSort) Swap(i, j int) {
 	p.c[i], p.c[j] = p.c[j], p.c[i]
 	p.w[i], p.w[j] = p.w[j], p.w[i]
-}
-
-// RunWeighted clusters weighted points into cfg.K groups: Lloyd
-// iterations where each point contributes weight w to its centroid's
-// mean. It is the merge step of the parallel table-learning path — the
-// points are micro-centroids from Sketch.Points, so the weighted
-// objective approximates plain k-means over the summarized data. The
-// run is sequential and deterministic: the point sets it sees are small
-// (one per occupied sketch cell), so a goroutine fan-out would cost
-// more in merge nondeterminism than it buys. cfg.Workers is ignored.
-// len(weights) must equal len(points) and every weight must be > 0.
-func RunWeighted(points, weights []float64, cfg Config) (*Result, error) {
-	if len(points) == 0 {
-		return nil, ErrNoData
-	}
-	if len(weights) != len(points) {
-		return nil, fmt.Errorf("kmeans: %d weights for %d points", len(weights), len(points))
-	}
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("kmeans: K must be >= 1, got %d", cfg.K)
-	}
-	for i, x := range points {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, fmt.Errorf("kmeans: non-finite point %v at index %d", x, i)
-		}
-		if !(weights[i] > 0) || math.IsInf(weights[i], 0) {
-			return nil, fmt.Errorf("kmeans: weight %v at index %d (want finite > 0)", weights[i], i)
-		}
-	}
-	if cfg.K > len(points) {
-		cfg.K = len(points)
-	}
-	if cfg.MaxIter <= 0 {
-		cfg.MaxIter = 100
-	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-12
-	}
-
-	cents := cfg.Seeds
-	if cents == nil {
-		cents = SeedFromHistogram(points, cfg.K)
-	}
-	if len(cents) != cfg.K {
-		return nil, fmt.Errorf("kmeans: %d seeds for K=%d", len(cents), cfg.K)
-	}
-	cents = append([]float64(nil), cents...)
-	sort.Float64s(cents)
-
-	res := &Result{
-		Centroids: cents,
-		Assign:    make([]int, len(points)),
-		Sizes:     make([]int, cfg.K),
-	}
-	sum := make([]float64, cfg.K)
-	wsum := make([]float64, cfg.K)
-	count := make([]int, cfg.K)
-	ix := &Index{}
-	for iter := 0; iter < cfg.MaxIter; iter++ {
-		res.Iterations = iter + 1
-		ix.reset(res.Centroids)
-		for c := 0; c < cfg.K; c++ {
-			sum[c], wsum[c], count[c] = 0, 0, 0
-		}
-		for i, x := range points {
-			c := ix.Nearest(x)
-			res.Assign[i] = c
-			sum[c] += x * weights[i]
-			wsum[c] += weights[i]
-			count[c]++
-		}
-		moved := 0.0
-		for c := 0; c < cfg.K; c++ {
-			res.Sizes[c] = count[c]
-			if count[c] == 0 {
-				continue // empty cluster keeps its centroid
-			}
-			next := sum[c] / wsum[c]
-			if math.IsInf(next, 0) {
-				next = meanOf(points, weights, res.Assign, c, wsum[c])
-			}
-			if d := math.Abs(next - res.Centroids[c]); d > moved {
-				moved = d
-			}
-			res.Centroids[c] = next
-		}
-		if moved < cfg.Tol {
-			res.Converged = true
-			break
-		}
-	}
-	return res, nil
 }
