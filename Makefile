@@ -75,10 +75,11 @@ race:
 # concurrently from 2 up. internal/chunk's TestPooledEncodeConcurrent
 # runs here too: encodes of every shape at once, sharing core's pool
 # of run scratch. The daemon rides along with the tests of what
-# it shares between requests — series heads, the writer lease, the
-# governor's holds — and the chaos matrix: about 45 s more on a 2-vCPU
-# host (Go 1.24); the whole target takes about 7 min there.
-RACE_SERVER = TestHeadIsRestart|TestNoLockAtRest|TestStorectlDuringLease|TestLeaseChecksLock|TestHeadsYieldToRequests|TestGovernorHolds|TestChaosMatrix
+# it shares between requests — series heads, a fetch racing the push
+# that replaces the head it reads, the writer lease, the governor's
+# holds — and the chaos matrix: about 45 s more on a 2-vCPU host
+# (Go 1.24); the whole target takes about 7 min there.
+RACE_SERVER = TestHeadIsRestart|TestHeadFetchRacesPush|TestNoLockAtRest|TestStorectlDuringLease|TestLeaseChecksLock|TestHeadsYieldToRequests|TestGovernorHolds|TestChaosMatrix
 race-pipeline:
 	$(GO) test -race -count=3 -cpu 1,2,4 ./internal/core ./internal/kmeans ./internal/chunk ./internal/checkpoint ./internal/dist
 	$(GO) test -race -count=3 -cpu 1,2,4 -run '$(RACE_SERVER)' ./internal/server
@@ -118,11 +119,12 @@ fuzz-smoke:
 # The checkpoint service end-to-end smoke, under the race detector: a
 # 3-delta chain round-trips through the HTTP API byte-identical to the
 # library path, /metrics reconciles bytes_written against the on-disk
-# store, ?recover=1 salvages injected corruption, and over-capacity
-# requests get 429 — plus the daemon's SIGTERM drain leaving a clean
-# store.
+# store, ?recover=1 salvages injected corruption, a flipped byte in any
+# file of the series head's segment still reaches a head fetch as
+# corrupt_store, and over-capacity requests get 429 — plus the daemon's
+# SIGTERM drain leaving a clean store.
 serve-smoke:
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestServeSmoke|TestServeAdmission|TestServeLocked|TestServeDrain' ./internal/server
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestServeSmoke|TestHeadFetchChecksBytes|TestServeAdmission|TestServeLocked|TestServeDrain' ./internal/server
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestDaemonGracefulDrain' ./cmd/numarckd
 
 # The chaos matrix under the race detector: a fault-free baseline

@@ -3,7 +3,10 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"io/fs"
+	"path/filepath"
 	"slices"
 	"sync/atomic"
 
@@ -253,4 +256,63 @@ func (rv *ReadView) restart(variable string, iteration int, ropt RecoverOptions)
 		return nil, nil, err
 	}
 	return restartEntries(rv.fs, rv.dir, s2.chain.files[variable], variable, iteration, ropt)
+}
+
+// copyBufSize is the one buffer CopyFile streams a file through: a head
+// fetch checks a whole segment without holding any of its files.
+const copyBufSize = 32 << 10
+
+// CopyFile streams the committed file ce through the view's filesystem
+// into w, in one fixed-size buffer, and fails with ErrCorrupt unless it
+// is exactly ce.Len bytes with whole-file CRC-32 ce.CRC — the journal's
+// record of what was committed. w sees the bytes before that verdict: a
+// caller that must pass on only committed bytes buffers them. A missing
+// or unreadable file is the filesystem's error (fs.ErrNotExist for a
+// missing one), never ErrNotFound: the chain names the file.
+func (rv *ReadView) CopyFile(w io.Writer, ce ChainEntry) error {
+	path := filepath.Join(rv.dir, ce.Name)
+	f, err := rv.fs.Open(path)
+	if err != nil {
+		return pathErr("open", path, err)
+	}
+	//lint:ignore errcheck read-only handle; a close error cannot lose data
+	defer f.Close()
+	// takeFileBuf sizes for a file and the read past its end: one byte
+	// less than copyBufSize gets a buffer of exactly copyBufSize.
+	b := takeFileBuf(copyBufSize - 1)
+	defer putFileBuf(b)
+	buf := (*b)[:cap(*b)]
+	var n int64
+	var crc uint32
+	for {
+		m, rerr := f.Read(buf)
+		crc = crc32.Update(crc, crc32.IEEETable, buf[:m])
+		n += int64(m)
+		if _, err := w.Write(buf[:m]); err != nil {
+			return err
+		}
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			return pathErr("read", path, rerr)
+		}
+	}
+	if n != ce.Len || crc != ce.CRC {
+		return fmt.Errorf("%w: %s is %d bytes with crc %08x, journal recorded %d with crc %08x",
+			ErrCorrupt, ce.Name, n, crc, ce.Len, ce.CRC)
+	}
+	return nil
+}
+
+// CheckFiles is CopyFile of each of files with the bytes dropped: nil
+// means every file on disk is, byte for byte, what the journal recorded
+// committing under its name. The first file that is not fails it.
+func (rv *ReadView) CheckFiles(files []ChainEntry) error {
+	for _, ce := range files {
+		if err := rv.CopyFile(io.Discard, ce); err != nil {
+			return err
+		}
+	}
+	return nil
 }

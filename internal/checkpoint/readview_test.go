@@ -1,11 +1,13 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -334,5 +336,87 @@ func TestReadViewLegacyStoreRefused(t *testing.T) {
 func TestReadViewMissingStore(t *testing.T) {
 	if _, err := OpenReadOnly(filepath.Join(t.TempDir(), "nope")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("OpenReadOnly of missing store = %v, want ErrNotFound", err)
+	}
+}
+
+// TestCopyFileChecksJournal pins ReadView.CopyFile, the one comparison
+// of stored bytes with the journal: a committed file larger than its
+// buffer streams out whole, through the view's filesystem, and
+// CheckFiles passes its chain; a flipped byte, one byte appended and a
+// removed file each fail it — the first two as ErrCorrupt, the last as
+// the filesystem's fs.ErrNotExist, never ErrNotFound.
+func TestCopyFileChecksJournal(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ck")
+	series := genSeries(20000, 3, 5)
+	st, err := Create(dir, opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(st, 0)
+	for i, vals := range series {
+		if _, err := w.Append(i, map[string][]float64{"dens": vals}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfs := newCountingFS(faultfs.OS())
+	rv, err := OpenReadOnlyFS(dir, cfs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := rv.Chain("dens")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := chain[0]
+	if full.Len <= copyBufSize {
+		t.Fatalf("the full is %d bytes, not larger than one %d-byte buffer", full.Len, copyBufSize)
+	}
+	var got bytes.Buffer
+	if err := rv.CopyFile(&got, full); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, full.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) || cfs.counter(full.Name).Load() != full.Len {
+		t.Fatalf("CopyFile gave %d bytes (equal %v), %d read through the view's filesystem; want the file's %d",
+			got.Len(), bytes.Equal(got.Bytes(), want), cfs.counter(full.Name).Load(), full.Len)
+	}
+	if err := rv.CheckFiles(chain); err != nil {
+		t.Fatalf("CheckFiles on an intact chain: %v", err)
+	}
+
+	last := chain[len(chain)-1]
+	path := filepath.Join(dir, last.Name)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := slices.Clone(raw)
+	flipped[len(flipped)/2] ^= 1
+	for _, c := range []struct {
+		name  string
+		bytes []byte
+		want  error
+	}{
+		{"flipped", flipped, ErrCorrupt},
+		{"appended", append(slices.Clone(raw), 0), ErrCorrupt},
+		{"removed", nil, fs.ErrNotExist},
+	} {
+		if c.bytes == nil {
+			err = os.Remove(path)
+		} else {
+			err = os.WriteFile(path, c.bytes, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rv.CheckFiles(chain); !errors.Is(err, c.want) || errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: CheckFiles = %v, want %v", c.name, err, c.want)
+		}
 	}
 }

@@ -687,11 +687,18 @@ func TestRestartAllocs(t *testing.T) {
 		for _, ce := range chain {
 			budget += uint64(ce.Len) + 4<<10
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		restart()
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		// TotalAlloc counts every goroutine's allocations, so a stray
+		// burst elsewhere can only add to one measurement; a real
+		// per-point allocation shows in every one. Take the least of three.
+		got := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			restart()
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		if got > budget {
 			t.Errorf("n=%d depth=%d: a restart allocates %d bytes, want <= %d (state + files + 4 KiB per file + fpc tables)", n, depth, got, budget)
 		}
 		return allocs

@@ -156,6 +156,16 @@ const (
 	// store a previous write of the tenant left open (the writer lease)
 	// instead of opening and lock-claiming it again.
 	CounterLeaseReuses
+	// CounterFetchHeadHits counts daemon fetches (not ?raw=1) served
+	// from the series head: it was at the fetched iteration, the read
+	// view still lists its chain segment, and every file of that
+	// segment matched its journaled length and CRC-32 when read.
+	CounterFetchHeadHits
+	// CounterFetchHeadMisses counts daemon fetches (not ?raw=1) that
+	// replayed the chain instead: no head at that iteration (any other
+	// iteration is always a miss), a segment that moved, or a file
+	// that was missing, unreadable or not its journaled bytes.
+	CounterFetchHeadMisses
 
 	numCounters
 )
@@ -172,6 +182,7 @@ var counterNames = [numCounters]string{
 	"commit_replays", "retries",
 	"spools_reaped", "sessions_reaped",
 	"head_hits", "head_misses", "lease_reuses",
+	"fetch_head_hits", "fetch_head_misses",
 }
 
 // String returns the counter's snapshot name.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"net/http"
 	"net/url"
 	"os"
@@ -340,13 +339,15 @@ func encodeDelta(t *Tenant, series string, iter, n int, cfg chunk.Config, spoolP
 }
 
 // handleGetCheckpoint serves one iteration back. The default response
-// body is the reconstructed state as raw little-endian float64 — the
-// chain walk (latest full plus delta replay) happens server-side
-// through the lock-free read view. ?recover=1 turns chunk-local
-// corruption into a partial result: healthy chunks decode, lost ranges
-// keep the previous iteration's values, and the exact losses ride in
-// the X-Numarck-Partial header. ?raw=1 serves the committed file's
-// exact bytes instead (NMRKF1/NMRKD1/NMRKD2, no framing).
+// body is the reconstructed state as raw little-endian float64: the
+// series head when it is at that iteration and every byte of its chain
+// segment checks against the journal, otherwise the chain walk (latest
+// full plus delta replay) server-side through the lock-free read view.
+// ?recover=1 turns chunk-local corruption into a partial result:
+// healthy chunks decode, lost ranges keep the previous iteration's
+// values, and the exact losses ride in the X-Numarck-Partial header.
+// ?raw=1 serves the committed file's exact bytes instead
+// (NMRKF1/NMRKD1/NMRKD2, no framing).
 func (s *Server) handleGetCheckpoint(w http.ResponseWriter, r *http.Request) {
 	t, series, err := s.tenantSeries(r)
 	if err != nil {
@@ -364,13 +365,14 @@ func (s *Server) handleGetCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("raw") == "1" {
-		s.serveRaw(w, t, view, series, iter)
+		s.serveRaw(w, view, series, iter)
 		return
 	}
 
 	// Weight the decode by the chain segment it must materialize: the
 	// reconstructed state is ~the full file's size, held about twice
 	// (accumulator plus response buffers), plus the compressed deltas.
+	// A fetch the head serves is charged the same, and holds less.
 	entries, err := view.Chain(series)
 	if err != nil {
 		writeError(w, err)
@@ -391,11 +393,13 @@ func (s *Server) handleGetCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	var vals []float64
+	vals, fromHead := t.headValues(view, series, iter, seg)
 	var pde *checkpoint.PartialDataError
-	if r.URL.Query().Get("recover") == "1" {
+	switch {
+	case fromHead:
+	case r.URL.Query().Get("recover") == "1":
 		vals, pde, err = view.RestartSalvage(series, iter)
-	} else {
+	default:
 		vals, err = view.Restart(series, iter)
 	}
 	if err != nil {
@@ -427,8 +431,9 @@ func (s *Server) handleGetCheckpoint(w http.ResponseWriter, r *http.Request) {
 
 // serveRaw sends the committed file's exact bytes for one iteration,
 // and only those: a file whose length or CRC differs from its journal
-// record is ErrCorrupt before a byte goes out.
-func (s *Server) serveRaw(w http.ResponseWriter, t *Tenant, view *checkpoint.ReadView, series string, iter int) {
+// record is ErrCorrupt (ReadView.CopyFile's check) before a byte goes
+// out.
+func (s *Server) serveRaw(w http.ResponseWriter, view *checkpoint.ReadView, series string, iter int) {
 	entries, err := view.Chain(series)
 	if err != nil {
 		writeError(w, err)
@@ -438,25 +443,21 @@ func (s *Server) serveRaw(w http.ResponseWriter, t *Tenant, view *checkpoint.Rea
 		if ce.Iteration != iter {
 			continue
 		}
-		raw, err := os.ReadFile(t.dir + string(os.PathSeparator) + ce.Name)
-		if crc := crc32.ChecksumIEEE(raw); err == nil && (int64(len(raw)) != ce.Len || crc != ce.CRC) {
-			err = fmt.Errorf("%w: %s is %d bytes with crc %08x, journal recorded %d with crc %08x",
-				checkpoint.ErrCorrupt, ce.Name, len(raw), crc, ce.Len, ce.CRC)
-		}
-		if err != nil {
+		var raw bytes.Buffer
+		if err := view.CopyFile(&raw, ce); err != nil {
 			writeError(w, err)
 			return
 		}
 		h := w.Header()
 		h.Set("Content-Type", "application/octet-stream")
-		h.Set("Content-Length", strconv.Itoa(len(raw)))
+		h.Set("Content-Length", strconv.Itoa(raw.Len()))
 		h.Set("X-Numarck-Variable", series)
 		h.Set("X-Numarck-Iteration", strconv.Itoa(iter))
 		h.Set("X-Numarck-Kind", ce.Kind)
 		h.Set("X-Numarck-CRC32", strconv.FormatUint(uint64(ce.CRC), 16))
 		w.WriteHeader(http.StatusOK)
 		//lint:ignore errcheck response write failures mean the client is gone; nothing to recover
-		w.Write(raw)
+		w.Write(raw.Bytes())
 		return
 	}
 	writeError(w, fmt.Errorf("%w: %s@%d", checkpoint.ErrNotFound, series, iter))

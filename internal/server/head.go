@@ -10,9 +10,10 @@ import (
 // seriesHead is what a series' last commit through this daemon left
 // behind: the state Restart(series, iter) returns, and the chain
 // segment it came from. A push of iter+1 encodes against vals instead
-// of replaying the chain, but only while the read view still lists seg
-// as the segment ending at iter: any other writer's commit, rewrite or
-// GC that touches those files changes a name, a length or a CRC there.
+// of replaying the chain, and a fetch of iter is served from it, but
+// only while the read view still lists seg as the segment ending at
+// iter: any other writer's commit, rewrite or GC that touches those
+// files changes a name, a length or a CRC there.
 // A published head is never written to; the next commit publishes a
 // new one.
 type seriesHead struct {
@@ -53,6 +54,28 @@ func (t *Tenant) prevState(view *checkpoint.ReadView, series string, iter int) (
 		return nil, nil, err
 	}
 	return vals, seg, nil
+}
+
+// headValues returns the series head's values when they are what a
+// fetch of iter serves: the head is at iter, its segment is seg — the
+// view's segment ending at iter, the comparison prevState makes — and
+// every file of seg is still, byte for byte, what the journal recorded
+// (ReadView.CheckFiles). A segment's metadata cannot see a flipped byte
+// on disk; the replay would, so the check must too. Otherwise ok is
+// false and the fetch replays the chain, whose answer, an error
+// included, is then exactly a fetch's without a head. The returned
+// values are shared and must not be written to.
+func (t *Tenant) headValues(view *checkpoint.ReadView, series string, iter int, seg []checkpoint.ChainEntry) (vals []float64, ok bool) {
+	t.headMu.Lock()
+	h := t.heads[series]
+	t.headMu.Unlock()
+	if h == nil || h.iter != iter || !slices.Equal(h.seg, seg) || view.CheckFiles(seg) != nil {
+		t.rec.Add(obs.CounterFetchHeadMisses, 1)
+		return nil, false
+	}
+	t.rg.gov.touch(h.hold)
+	t.rec.Add(obs.CounterFetchHeadHits, 1)
+	return h.vals, true
 }
 
 // advanceHead publishes the head a delta commit leaves: prev, the state

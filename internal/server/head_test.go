@@ -66,7 +66,8 @@ func wantDelta(t *testing.T, s *Server, view *checkpoint.ReadView, series string
 // once with a delta of other bytes under the same name, once with a
 // full of other values. The head is used exactly when nothing moved
 // the chain under it, which the head_hits and head_misses counters
-// show.
+// show. A fetch of every head's iteration is Restart's bytes, served
+// from the head: fetch_head_hits counts each one.
 func TestHeadIsRestart(t *testing.T) {
 	for _, seed := range []int64{41, 42, 43} {
 		s, ts := newTestServer(t, 0, 0)
@@ -178,8 +179,13 @@ func TestHeadIsRestart(t *testing.T) {
 			if !ok || h.iter != iter {
 				t.Fatalf("seed %d: after push %d the head is %+v, %v; want one at %d", seed, iter, h.iter, ok, iter)
 			}
-			if got, err := view.Restart(series, iter); err != nil || !bitsEqual(h.vals, got) {
+			restarted, err := view.Restart(series, iter)
+			if err != nil || !bitsEqual(h.vals, restarted) {
 				t.Fatalf("seed %d: head at %d differs from Restart (err %v)", seed, iter, err)
+			}
+			var fetched bytes.Buffer
+			if _, _, err := c.Fetch(series, iter, &fetched, false); err != nil || !bytes.Equal(fetched.Bytes(), floatBytes(restarted)) {
+				t.Fatalf("seed %d: fetch of head %d is not Restart's bytes (err %v)", seed, iter, err)
 			}
 			chain, err := view.Chain(series)
 			if err != nil {
@@ -221,10 +227,210 @@ func TestHeadIsRestart(t *testing.T) {
 		if got := snap.Counters[obs.CounterHeadMisses.String()]; got != misses {
 			t.Errorf("seed %d: head_misses = %d, want %d", seed, got, misses)
 		}
+		if got := snap.Counters[obs.CounterFetchHeadHits.String()]; got != iters {
+			t.Errorf("seed %d: fetch_head_hits = %d, want %d", seed, got, iters)
+		}
+		if got := snap.Counters[obs.CounterFetchHeadMisses.String()]; got != 0 {
+			t.Errorf("seed %d: fetch_head_misses = %d, want 0", seed, got)
+		}
 		// Each rewrite costs exactly the one push after it a replay.
 		if hits == 0 || misses < 2 {
 			t.Errorf("seed %d: %d hits, %d misses: the sequence did not exercise both paths", seed, hits, misses)
 		}
+	}
+}
+
+// TestHeadFetchChecksBytes pins the byte check in front of a head
+// fetch. One byte of one file of the head's segment is flipped on disk
+// — the full, the first delta, the last delta — which no journal record
+// and no head sees. A fetch of the head's iteration then answers
+// corrupt_store, as a replay does, and ?recover=1 answers exactly what
+// RestartSalvage does: its values and its lost ranges. The head is not
+// written to, and fetch_head_hits and fetch_head_misses count one hit
+// before the flip and one miss for each fetch after it.
+func TestHeadFetchChecksBytes(t *testing.T) {
+	const n, head = 4096, 3
+	for _, victim := range []int{0, 1, head} {
+		s, ts := newTestServer(t, 0, 0)
+		c := &Client{Base: ts.URL, Tenant: "hf"}
+		tn, err := s.Registry().Tenant("hf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for iter := 0; iter <= head; iter++ {
+			if _, err := c.Push("v", iter, bytes.NewReader(floatBytes(seriesValues(iter, n))), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h, ok := headOf(tn, "v")
+		if !ok || h.iter != head || len(h.seg) != head+1 {
+			t.Fatalf("victim %d: head %d over %d files, %v; want one at %d over %d", victim, h.iter, len(h.seg), ok, head, head+1)
+		}
+		kept := slices.Clone(h.vals)
+		var intact bytes.Buffer
+		if _, _, err := c.Fetch("v", head, &intact, false); err != nil || !bytes.Equal(intact.Bytes(), floatBytes(kept)) {
+			t.Fatalf("victim %d: fetch of the intact head: %v", victim, err)
+		}
+
+		path := filepath.Join(tn.Dir(), h.seg[victim].Name)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)*3/5] ^= 0x10
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		var apiErr *APIError
+		if _, _, err := c.Fetch("v", head, &bytes.Buffer{}, false); !errors.As(err, &apiErr) || apiErr.Class != "corrupt_store" {
+			t.Fatalf("victim %d (%s): fetch over a flipped byte = %v, want corrupt_store", victim, h.seg[victim].Name, err)
+		}
+		view, err := tn.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantVals, wantPartial, wantErr := view.RestartSalvage("v", head)
+		var salvaged bytes.Buffer
+		_, partial, err := c.Fetch("v", head, &salvaged, true)
+		switch {
+		case wantErr != nil:
+			if !errors.As(err, &apiErr) || apiErr.Class != "corrupt_store" {
+				t.Fatalf("victim %d: salvage fetch = %v; RestartSalvage failed with %v", victim, err, wantErr)
+			}
+		case err != nil:
+			t.Fatalf("victim %d: salvage fetch: %v; RestartSalvage succeeded", victim, err)
+		case !bytes.Equal(salvaged.Bytes(), floatBytes(wantVals)):
+			t.Fatalf("victim %d: salvage fetch is not RestartSalvage's values", victim)
+		case (partial == nil) != (wantPartial == nil):
+			t.Fatalf("victim %d: salvage fetch reports %+v, RestartSalvage %v", victim, partial, wantPartial)
+		case partial != nil:
+			want := PartialInfo{LostPoints: wantPartial.LostPoints()}
+			for _, lr := range wantPartial.Lost {
+				want.Lost = append(want.Lost, RangeJSON{Lo: lr.Lo, Hi: lr.Hi})
+			}
+			if partial.LostPoints != want.LostPoints || !slices.Equal(partial.Lost, want.Lost) {
+				t.Fatalf("victim %d: salvage fetch lost %+v, RestartSalvage %+v", victim, *partial, want)
+			}
+		}
+		if victim == head && partial == nil {
+			t.Errorf("victim %d: a flipped byte in the last delta salvaged without a loss", victim)
+		}
+
+		if h2, ok := headOf(tn, "v"); !ok || &h2.vals[0] != &h.vals[0] || !bitsEqual(h2.vals, kept) {
+			t.Fatalf("victim %d: a fetch moved or wrote to the head", victim)
+		}
+		snap := tn.Recorder().Snapshot()
+		if hits, misses := snap.Counters[obs.CounterFetchHeadHits.String()], snap.Counters[obs.CounterFetchHeadMisses.String()]; hits != 1 || misses != 2 {
+			t.Errorf("victim %d: fetch_head_hits %d, fetch_head_misses %d; want 1 and 2", victim, hits, misses)
+		}
+	}
+}
+
+// TestHeadFetchRacesPush races fetches of iteration iter against the
+// push of iter+1, which replaces the head they may be served from.
+// Whichever of the head or a replay serves it, each fetch returns
+// iter's committed values, bit-identical to a serial Restart after the
+// push. A serial fetch of the new head after each race is a head hit,
+// and every fetch counts once, as a fetch_head_hit or a miss.
+func TestHeadFetchRacesPush(t *testing.T) {
+	const n, iters, fetchers = 2048, 12, 2
+	s, ts := newTestServer(t, 0, 0)
+	c := &Client{Base: ts.URL, Tenant: "hr"}
+	tn, err := s.Registry().Tenant("hr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Push("v", 0, bytes.NewReader(floatBytes(seriesValues(0, n))), nil); err != nil {
+		t.Fatal(err)
+	}
+	var fetches, serial int64
+	for iter := 0; iter+1 < iters; iter++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		got := make([][]byte, fetchers)
+		errs := make([]error, fetchers+1)
+		for k := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				var b bytes.Buffer
+				_, _, errs[k] = c.Fetch("v", iter, &b, false)
+				got[k] = b.Bytes()
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, errs[fetchers] = c.Push("v", iter+1, bytes.NewReader(floatBytes(seriesValues(iter+1, n))), nil)
+		}()
+		close(start)
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("race at %d: %v", iter, err)
+		}
+		fetches += fetchers
+
+		view, err := tn.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := view.Restart("v", iter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, b := range got {
+			if !bytes.Equal(b, floatBytes(want)) {
+				t.Fatalf("race at %d: fetcher %d got %d bytes that are not Restart(%d)'s", iter, k, len(b), iter)
+			}
+		}
+		next, err := view.Restart("v", iter+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if _, _, err := c.Fetch("v", iter+1, &b, false); err != nil || !bytes.Equal(b.Bytes(), floatBytes(next)) {
+			t.Fatalf("serial fetch of head %d: %v", iter+1, err)
+		}
+		fetches++
+		serial++
+	}
+	snap := tn.Recorder().Snapshot()
+	hits, misses := snap.Counters[obs.CounterFetchHeadHits.String()], snap.Counters[obs.CounterFetchHeadMisses.String()]
+	if hits+misses != fetches || hits < serial {
+		t.Errorf("fetch_head_hits %d + fetch_head_misses %d; want %d fetches, at least %d of them hits", hits, misses, fetches, serial)
+	}
+}
+
+// BenchmarkFetch times one fetch over HTTP of a 32 768-point series
+// eight deltas past its full — service_mixed's state size. "head"
+// fetches the iteration the daemon holds as the series head, "cold" the
+// one before it, which replays the chain.
+func BenchmarkFetch(b *testing.B) {
+	const n, deltas = 32768, 8
+	_, ts := newTestServer(b, 0, 0)
+	c := &Client{Base: ts.URL, Tenant: "bf"}
+	for iter := 0; iter <= deltas; iter++ {
+		if _, err := c.Push("v", iter, bytes.NewReader(floatBytes(seriesValues(iter, n))), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		iter int
+	}{{"head", deltas}, {"cold", deltas - 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(8 * n)
+			var buf bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if _, _, err := c.Fetch("v", bc.iter, &buf, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

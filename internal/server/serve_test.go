@@ -23,7 +23,7 @@ import (
 // testOptions are the daemon defaults every serve test runs with;
 // the byte-identity checks re-run the library pipeline with exactly
 // these.
-func testOptions(t *testing.T) core.Options {
+func testOptions(t testing.TB) core.Options {
 	t.Helper()
 	strategy, err := core.ParseStrategy("clustering")
 	if err != nil {
@@ -40,7 +40,7 @@ func testChunkConfig() chunk.Config {
 
 // newTestServer builds a Server over a temp root and mounts it on an
 // httptest listener.
-func newTestServer(t *testing.T, capacity int64, admitWait time.Duration) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, capacity int64, admitWait time.Duration) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(Config{
 		Root:          t.TempDir(),
