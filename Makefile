@@ -52,16 +52,19 @@ lint:
 test:
 	$(GO) test ./...
 
-# The scheduler as a tested axis: the goroutine-parallel packages and
-# everything that drives them (encode driver, pipeline, store, daemon,
-# benchmark, root façade) at GOMAXPROCS 1, 2 and 4. A property that
-# holds only at the host's default GOMAXPROCS is not a property.
-# -count defeats the test cache, so a green from an earlier lucky run
-# can never stand in for this one. It takes 3.1–3.6 min of wall time
-# on a 2-vCPU host (Go 1.24), internal/server the longest package at
-# about 3 min; its limit is 5 min, so that it stays in `make verify`.
+# The scheduler as a tested axis: the goroutine-parallel packages (the
+# panics.Each fan-out, the k-means, the rank-parallel encode, the FLASH
+# simulator) and everything that drives them (encode driver, pipeline,
+# store, daemon, benchmark, root façade) at GOMAXPROCS 1, 2 and 4. A
+# property that holds only at the host's default GOMAXPROCS is not a
+# property. -count defeats the test cache, so a green from an earlier
+# lucky run can never stand in for this one. Wall time depends on the
+# host: 3 min 16 s on a 2-vCPU Linux host (Go 1.24.0), internal/server
+# and internal/checkpoint the longest at about 2 min each. A slower
+# 2-vCPU VM took 6.4 min before panics, dist and sim/flash joined,
+# with internal/server and internal/checkpoint at 4.5 min each.
 test-cpu:
-	$(GO) test -count=5 -cpu 1,2,4 ./internal/core ./internal/kmeans ./internal/chunk ./internal/checkpoint ./internal/server ./cmd/numarckd ./bench .
+	$(GO) test -count=5 -cpu 1,2,4 ./internal/panics ./internal/core ./internal/kmeans ./internal/dist ./internal/sim/flash ./internal/chunk ./internal/checkpoint ./internal/server ./cmd/numarckd ./bench .
 
 race:
 	$(GO) test -race ./...

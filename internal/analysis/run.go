@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
+
+	"numarck/internal/panics"
 )
 
 // Result is the outcome of running a set of analyzers over packages.
@@ -25,16 +27,6 @@ type Result struct {
 // unused suppressions, and returns the sorted findings. Analyzer Run
 // methods must be concurrency-safe.
 func Run(mod *Module, pkgs []*Package, analyzers []Analyzer) *Result {
-	passFor := func(p *Package) *Pass {
-		return &Pass{
-			Fset:    mod.Fset,
-			Pkg:     p.Types,
-			PkgPath: p.Path,
-			Files:   p.Files,
-			Info:    p.Info,
-		}
-	}
-
 	type unit struct {
 		pkg *Package
 		an  Analyzer
@@ -47,33 +39,18 @@ func Run(mod *Module, pkgs []*Package, analyzers []Analyzer) *Result {
 	}
 
 	results := make([][]Diagnostic, len(units))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(units) {
-		workers = len(units)
+	// Units differ in cost, so workers claim them one at a time.
+	var next atomic.Int64
+	err := panics.Each(min(runtime.GOMAXPROCS(0), len(units)), func(int) error {
+		for i := int(next.Add(1)) - 1; i < len(units); i = int(next.Add(1)) - 1 {
+			p := units[i].pkg
+			results[i] = units[i].an.Run(&Pass{Fset: mod.Fset, Pkg: p.Types, PkgPath: p.Path, Files: p.Files, Info: p.Info})
+		}
+		return nil
+	})
+	if err != nil {
+		panic(err) // an analyzer bug, raised again on the caller's goroutine
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(units) {
-					return
-				}
-				results[i] = units[i].an.Run(passFor(units[i].pkg))
-			}
-		}()
-	}
-	wg.Wait()
 
 	// The analyzer name set decides which suppressions are fully
 	// checkable for the unused-suppression report: a directive naming

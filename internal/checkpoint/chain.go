@@ -498,7 +498,9 @@ func replayWindow(state []float64, files []*replayFile, decs []*ChunkDecoder, ro
 		}
 	}
 	curs := make([]exactCursor, workers*len(files))
-	run := func(w int) error {
+	// Blocks are disjoint ranges of state and the files are read-only
+	// by now, so Each's wait is the only synchronization.
+	err := panics.Each(workers, func(w int) error {
 		cur := curs[w*len(files):]
 		for lo := w * replayBlockPoints; lo < len(state); lo += workers * replayBlockPoints {
 			hi := min(lo+replayBlockPoints, len(state))
@@ -509,29 +511,9 @@ func replayWindow(state []float64, files []*replayFile, decs []*ChunkDecoder, ro
 			}
 		}
 		return nil
-	}
-	if workers == 1 {
-		if err := panics.Catch(func() error { return run(0) }); err != nil {
-			return nil, err
-		}
-	} else {
-		// Blocks are disjoint ranges of state and the files are read-only
-		// by now, so the WaitGroup is the only synchronization.
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := range errs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[w] = panics.Catch(func() error { return run(w) })
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return partial, nil
 }
@@ -739,7 +721,9 @@ func putFileBuf(b *[]byte) {
 // tasks as the caller hands them over, and the caller joins them once
 // its reads are done. A one-worker pool runs each task where it is
 // handed over. A task that panics fails the restart: wait returns the
-// first such panic as an error.
+// first such panic as an error. It is a queue, not a panics.Each: the
+// caller reads while the workers run, so every filesystem call stays on
+// its goroutine, in chain order, as the crash matrix requires.
 type loadPool struct {
 	tasks chan func()
 	wg    sync.WaitGroup

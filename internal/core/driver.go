@@ -141,6 +141,8 @@ func OrderedChunks[T any](count, workers int, label string, rec *obs.Recorder, p
 		ready[w] = make(chan result, 1)
 	}
 	done := make(chan struct{})
+	// Not panics.Each: the emitter runs on this goroutine while the
+	// workers do, and each worker waits for its slot's token.
 	var wg sync.WaitGroup
 	labels := pprof.Labels("numarck_pipeline", label)
 	for w := 0; w < workers; w++ {

@@ -13,7 +13,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"numarck/internal/fputil"
 	"numarck/internal/kmeans"
@@ -32,47 +31,18 @@ const statRangePoints = 8192
 // count. Returns the number of ranges.
 func forEachRange(n, size, workers int, fn func(r, lo, hi int)) int {
 	ranges := (n + size - 1) / size
-	if workers > ranges {
-		workers = ranges
-	}
-	if workers <= 1 || ranges <= 1 {
-		for r := 0; r < ranges; r++ {
-			lo := r * size
-			hi := lo + size
-			if hi > n {
-				hi = n
-			}
-			fn(r, lo, hi)
+	workers = max(min(workers, ranges), 1)
+	err := panics.Each(workers, func(w int) error {
+		for r := w; r < ranges; r += workers {
+			fn(r, r*size, min(r*size+size, n))
 		}
-		return ranges
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = panics.Catch(func() error {
-				for r := w; r < ranges; r += workers {
-					lo := r * size
-					hi := lo + size
-					if hi > n {
-						hi = n
-					}
-					fn(r, lo, hi)
-				}
-				return nil
-			})
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			// fn returns nothing, so its panic is raised again where a
-			// serial run would raise it: on the caller's goroutine,
-			// which OrderedChunks turns into the run's error.
-			panic(err)
-		}
+		return nil
+	})
+	if err != nil {
+		// fn returns nothing, so its panic is raised again where a
+		// serial run would raise it: on the caller's goroutine,
+		// which OrderedChunks turns into the run's error.
+		panic(err)
 	}
 	return ranges
 }

@@ -198,6 +198,9 @@ func Encode(prev, cur []float64, cfg Config) (*Result, error) {
 	errs := make([]error, cfg.Ranks)
 
 	chunk := (len(prev) + cfg.Ranks - 1) / cfg.Ranks
+	// Not panics.Each: every rank must stay live for each AllReduce, so
+	// a rank whose panic were caught would leave its peers blocked in
+	// the collective forever. A panic here ends the process instead.
 	var wg sync.WaitGroup
 	for r := 0; r < cfg.Ranks; r++ {
 		lo := r * chunk

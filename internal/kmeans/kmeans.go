@@ -21,7 +21,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 
 	"numarck/internal/fputil"
 	"numarck/internal/panics"
@@ -214,34 +213,15 @@ func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
 // points[i], over `workers` contiguous point ranges in parallel, or
 // inline on one.
 func assign(ix *Index, points []float64, out []int, workers int) error {
-	if workers == 1 {
-		for i, x := range points {
-			out[i] = ix.Nearest(x)
-		}
-		return nil
-	}
 	chunk := (len(points) + workers - 1) / workers
-	errs := make([]error, workers) // a panic on an assignment worker
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	return panics.Each(workers, func(w int) error {
 		lo := w * chunk
 		hi := min(lo+chunk, len(points))
-		if lo >= hi {
-			continue
+		for i := lo; i < hi; i++ {
+			out[i] = ix.Nearest(points[i])
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			errs[w] = panics.Catch(func() error {
-				for i := lo; i < hi; i++ {
-					out[i] = ix.Nearest(points[i])
-				}
-				return nil
-			})
-		}(lo, hi)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+		return nil
+	})
 }
 
 // Nearest returns the index of the centroid closest to x. cents must be

@@ -4,12 +4,22 @@
 // started ends the process, whatever the caller does about it; every
 // worker the codec and the store start runs its work through Catch
 // instead, and the call returns the panic as its error.
+//
+// Each is the one fan-out: every worker loop starts through it. Two
+// schedulers that are more than a fan-out keep their own goroutines:
+// core.OrderedChunks, an ordered ring of slot tokens, and checkpoint's
+// loadPool, a task queue beside the caller's reads. dist.Encode catches
+// nothing: its ranks meet in collectives, so a caught panic would leave
+// its peers blocked in the next AllReduce forever, where an uncaught
+// one ends the process.
 package panics
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sync"
 )
 
 // Error is a recovered panic: the value it was raised with and the
@@ -53,4 +63,26 @@ func Catch(fn func() error) (err error) {
 func Raised(err error) bool {
 	var e *Error
 	return errors.As(err, &e)
+}
+
+// Each runs fn(w) for every w in [0, workers), each under Catch, and
+// returns the error of the lowest-numbered worker that failed. At one
+// worker or fewer it runs fn(0) on the caller's goroutine; otherwise it
+// starts one goroutine per worker and returns once all of them have.
+// How work is split among the workers is fn's to decide.
+func Each(workers int, fn func(w int) error) error {
+	if workers <= 1 {
+		return Catch(func() error { return fn(0) })
+	}
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = Catch(func() error { return fn(w) })
+		}()
+	}
+	wg.Wait()
+	return cmp.Or(errs...)
 }

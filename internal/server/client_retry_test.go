@@ -148,9 +148,10 @@ func TestRetryOnFlaky503(t *testing.T) {
 // one attempt, no sleeps, no RetryExhaustedError wrapper.
 func TestNonRetryableStatus(t *testing.T) {
 	var hits int32
+	s, _ := newTestServer(t, 0, 0)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		atomic.AddInt32(&hits, 1)
-		writeError(w, errBadRequest)
+		s.writeError(w, errBadRequest)
 	}))
 	t.Cleanup(ts.Close)
 	c := &Client{Base: ts.URL, Tenant: "t0", Retry: RetryPolicy{

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"time"
 
 	"numarck/internal/checkpoint"
@@ -147,10 +149,14 @@ func classify(err error) *APIError {
 }
 
 // writeError renders err as its mapped status plus JSON body, setting
-// Retry-After when the class carries a hint. It must be called before
-// any body bytes have been written.
-func writeError(w http.ResponseWriter, err error) {
+// Retry-After when the class carries a hint. Paths in the detail are
+// rendered relative to the registry root, which holds the tenants'
+// stores and the spool directory: a client learns which file failed,
+// not where the daemon keeps its data. It must be called before any
+// body bytes have been written.
+func (s *Server) writeError(w http.ResponseWriter, err error) {
 	ae := classify(err)
+	ae.Detail = strings.ReplaceAll(ae.Detail, filepath.Clean(s.reg.Root())+string(filepath.Separator), "")
 	if ae.RetryAfterSec > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(ae.RetryAfterSec))
 	}

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,8 +81,9 @@ func TestClassifyLockHolder(t *testing.T) {
 // TestWriteErrorHeaders checks the rendered response: mapped status,
 // JSON body, and a Retry-After header whenever the class hints one.
 func TestWriteErrorHeaders(t *testing.T) {
+	s, _ := newTestServer(t, 0, 0)
 	rr := httptest.NewRecorder()
-	writeError(rr, ErrOverCapacity)
+	s.writeError(rr, ErrOverCapacity)
 	if rr.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d", rr.Code)
 	}
@@ -90,11 +95,41 @@ func TestWriteErrorHeaders(t *testing.T) {
 	}
 
 	rr = httptest.NewRecorder()
-	writeError(rr, checkpoint.ErrNotFound)
+	s.writeError(rr, checkpoint.ErrNotFound)
 	if rr.Code != http.StatusNotFound {
 		t.Fatalf("status = %d", rr.Code)
 	}
 	if rr.Header().Get("Retry-After") != "" {
 		t.Error("404 should not hint a retry")
+	}
+}
+
+// TestErrorDetailHidesRoot pins that an error body names the file that
+// failed but not the daemon's filesystem layout: a fetch over a flipped
+// byte of the series' full checkpoint answers corrupt_store with a
+// detail relative to the registry root.
+func TestErrorDetailHidesRoot(t *testing.T) {
+	s, ts := newTestServer(t, 0, 0)
+	c := &Client{Base: ts.URL, Tenant: "hf"}
+	for iter := 0; iter <= 1; iter++ {
+		if _, err := c.Push("v", iter, bytes.NewReader(floatBytes(seriesValues(iter, 4096))), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(s.Registry().Root(), "hf", "v.full.000000.nmk")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)*3/5] ^= 0x10
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var apiErr *APIError
+	if _, _, err := c.Fetch("v", 1, &bytes.Buffer{}, false); !errors.As(err, &apiErr) || apiErr.Class != "corrupt_store" {
+		t.Fatalf("fetch over a flipped byte = %v, want corrupt_store", err)
+	}
+	if !strings.Contains(apiErr.Detail, "v.full.000000.nmk") || strings.Contains(apiErr.Detail, s.Registry().Root()) || strings.Contains(apiErr.Detail, string(filepath.Separator)+"hf") {
+		t.Errorf("detail %q: want the file's name without the daemon's path to it", apiErr.Detail)
 	}
 }

@@ -144,35 +144,35 @@ func replayed(t *Tenant, series string, iter int, ce checkpoint.CommittedEntry) 
 func (s *Server) handlePostCheckpoint(w http.ResponseWriter, r *http.Request) {
 	t, series, err := s.tenantSeries(r)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	q := r.URL.Query()
 	if err := onlyParams(q, "iter", "kind", "raw"); err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	iter, err := strconv.Atoi(q.Get("iter"))
 	if err != nil {
-		writeError(w, fmt.Errorf("%w: iter=%q", errBadRequest, q.Get("iter")))
+		s.writeError(w, fmt.Errorf("%w: iter=%q", errBadRequest, q.Get("iter")))
 		return
 	}
 	spoolPath, size, payloadCRC, err := s.spool(r.Body)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	defer s.releaseSpool(spoolPath)
 	// A leftover spool file is inert scratch; cleanup is best-effort.
 	defer os.Remove(spoolPath)
 	if err := declaredCRC(r, payloadCRC); err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 
 	resp, status, err := s.commitSpooled(r, t, series, iter, q, spoolPath, size, payloadCRC)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, status, resp)
@@ -351,17 +351,17 @@ func encodeDelta(t *Tenant, series string, iter, n int, cfg chunk.Config, spoolP
 func (s *Server) handleGetCheckpoint(w http.ResponseWriter, r *http.Request) {
 	t, series, err := s.tenantSeries(r)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	iter, err := strconv.Atoi(r.PathValue("iter"))
 	if err != nil {
-		writeError(w, fmt.Errorf("%w: iteration %q", errBadRequest, r.PathValue("iter")))
+		s.writeError(w, fmt.Errorf("%w: iteration %q", errBadRequest, r.PathValue("iter")))
 		return
 	}
 	view, err := t.View()
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	if r.URL.Query().Get("raw") == "1" {
@@ -375,7 +375,7 @@ func (s *Server) handleGetCheckpoint(w http.ResponseWriter, r *http.Request) {
 	// A fetch the head serves is charged the same, and holds less.
 	entries, err := view.Chain(series)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	var weight int64
@@ -388,7 +388,7 @@ func (s *Server) handleGetCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	release, err := s.admit(r, weight)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	defer release()
@@ -403,7 +403,7 @@ func (s *Server) handleGetCheckpoint(w http.ResponseWriter, r *http.Request) {
 		vals, err = view.Restart(series, iter)
 	}
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	h := w.Header()
@@ -419,7 +419,7 @@ func (s *Server) handleGetCheckpoint(w http.ResponseWriter, r *http.Request) {
 		}
 		pj, err := json.Marshal(info)
 		if err != nil {
-			writeError(w, err)
+			s.writeError(w, err)
 			return
 		}
 		h.Set("X-Numarck-Partial", string(pj))
@@ -436,7 +436,7 @@ func (s *Server) handleGetCheckpoint(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveRaw(w http.ResponseWriter, view *checkpoint.ReadView, series string, iter int) {
 	entries, err := view.Chain(series)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	for _, ce := range entries {
@@ -445,7 +445,7 @@ func (s *Server) serveRaw(w http.ResponseWriter, view *checkpoint.ReadView, seri
 		}
 		var raw bytes.Buffer
 		if err := view.CopyFile(&raw, ce); err != nil {
-			writeError(w, err)
+			s.writeError(w, err)
 			return
 		}
 		h := w.Header()
@@ -460,7 +460,7 @@ func (s *Server) serveRaw(w http.ResponseWriter, view *checkpoint.ReadView, seri
 		w.Write(raw.Bytes())
 		return
 	}
-	writeError(w, fmt.Errorf("%w: %s@%d", checkpoint.ErrNotFound, series, iter))
+	s.writeError(w, fmt.Errorf("%w: %s@%d", checkpoint.ErrNotFound, series, iter))
 }
 
 // handleSeriesChain reports one series' chain: every committed file
@@ -471,17 +471,17 @@ func (s *Server) serveRaw(w http.ResponseWriter, view *checkpoint.ReadView, seri
 func (s *Server) handleSeriesChain(w http.ResponseWriter, r *http.Request) {
 	t, series, err := s.tenantSeries(r)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	view, err := t.View()
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	entries, err := view.Chain(series)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	resp := SeriesChainResponse{
@@ -500,7 +500,7 @@ func (s *Server) handleSeriesChain(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("verify") == "1" {
 		issues, err := view.Verify()
 		if err != nil {
-			writeError(w, err)
+			s.writeError(w, err)
 			return
 		}
 		resp.Verified = true
@@ -519,22 +519,22 @@ func (s *Server) handleSeriesChain(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTenantChain(w http.ResponseWriter, r *http.Request) {
 	t, err := s.reg.Tenant(r.PathValue("tenant"))
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	view, err := t.View()
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	vars, err := view.Variables()
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	stats, err := view.Stats()
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	resp := TenantChainResponse{
@@ -549,7 +549,7 @@ func (s *Server) handleTenantChain(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("verify") == "1" {
 		issues, err := view.Verify()
 		if err != nil {
-			writeError(w, err)
+			s.writeError(w, err)
 			return
 		}
 		resp.Verified = true
@@ -566,17 +566,17 @@ func (s *Server) handleTenantChain(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRestart(w http.ResponseWriter, r *http.Request) {
 	t, series, err := s.tenantSeries(r)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	view, err := t.View()
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	latest, err := view.LatestRestorable(series)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, RestartResponse{Tenant: t.Name(), Variable: series, Iteration: latest})

@@ -233,7 +233,7 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) gated(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.Draining() {
-			writeError(w, ErrDraining)
+			s.writeError(w, ErrDraining)
 			return
 		}
 		h(w, r)

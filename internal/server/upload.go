@@ -245,22 +245,22 @@ func (ut *uploadTable) remove(id string) {
 func (s *Server) handleCreateUpload(w http.ResponseWriter, r *http.Request) {
 	t, series, err := s.tenantSeries(r)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	q := r.URL.Query()
 	if err := onlyParams(q, "iter", "kind", "raw", "size"); err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	iter, err := strconv.Atoi(q.Get("iter"))
 	if err != nil {
-		writeError(w, fmt.Errorf("%w: iter=%q", errBadRequest, q.Get("iter")))
+		s.writeError(w, fmt.Errorf("%w: iter=%q", errBadRequest, q.Get("iter")))
 		return
 	}
 	size, err := strconv.ParseInt(q.Get("size"), 10, 64)
 	if err != nil || size <= 0 {
-		writeError(w, fmt.Errorf("%w: size=%q (want the total payload size in bytes)", errBadRequest, q.Get("size")))
+		s.writeError(w, fmt.Errorf("%w: size=%q (want the total payload size in bytes)", errBadRequest, q.Get("size")))
 		return
 	}
 	q.Del("iter")
@@ -270,7 +270,7 @@ func (s *Server) handleCreateUpload(w http.ResponseWriter, r *http.Request) {
 		Size: size, State: uploadStateOpen, Query: q.Encode(),
 	})
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	u.mu.Lock()
@@ -289,12 +289,12 @@ func (s *Server) handleCreateUpload(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePutUploadRange(w http.ResponseWriter, r *http.Request) {
 	u, err := s.uploads.get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	offset, err := strconv.ParseInt(r.Header.Get(UploadOffsetHeader), 10, 64)
 	if err != nil || offset < 0 {
-		writeError(w, fmt.Errorf("%w: %s=%q", errBadRequest, UploadOffsetHeader, r.Header.Get(UploadOffsetHeader)))
+		s.writeError(w, fmt.Errorf("%w: %s=%q", errBadRequest, UploadOffsetHeader, r.Header.Get(UploadOffsetHeader)))
 		return
 	}
 	u.mu.Lock()
@@ -305,13 +305,13 @@ func (s *Server) handlePutUploadRange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if offset > u.meta.Received {
-		writeError(w, fmt.Errorf("%w: range at offset %d, received prefix is %d", ErrUploadGap, offset, u.meta.Received))
+		s.writeError(w, fmt.Errorf("%w: range at offset %d, received prefix is %d", ErrUploadGap, offset, u.meta.Received))
 		return
 	}
 
 	tmp, err := os.CreateTemp(u.dir, "range-*")
 	if err != nil {
-		writeError(w, fmt.Errorf("server: upload range: %w", err))
+		s.writeError(w, fmt.Errorf("server: upload range: %w", err))
 		return
 	}
 	// The scratch range file never outlives the handler.
@@ -324,23 +324,23 @@ func (s *Server) handlePutUploadRange(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Torn body: the range never happened. The connection is
 		// usually dead too; the client re-sends from Received.
-		writeError(w, fmt.Errorf("%w: range body: %v", errBadRequest, err))
+		s.writeError(w, fmt.Errorf("%w: range body: %v", errBadRequest, err))
 		return
 	}
 	if v := r.Header.Get(RangeCRCHeader); v != "" {
 		want, perr := strconv.ParseUint(v, 10, 32)
 		if perr != nil {
-			writeError(w, fmt.Errorf("%w: %s=%q", errBadRequest, RangeCRCHeader, v))
+			s.writeError(w, fmt.Errorf("%w: %s=%q", errBadRequest, RangeCRCHeader, v))
 			return
 		}
 		// ParseUint's bitSize 32 already bounds want
 		if uint32(want) != h.Sum32() {
-			writeError(w, fmt.Errorf("%w: range CRC %08x does not match received bytes (%08x)", errBadRequest, want, h.Sum32()))
+			s.writeError(w, fmt.Errorf("%w: range CRC %08x does not match received bytes (%08x)", errBadRequest, want, h.Sum32()))
 			return
 		}
 	}
 	if offset+n > u.meta.Size {
-		writeError(w, fmt.Errorf("%w: range [%d,%d) exceeds declared size %d", errBadRequest, offset, offset+n, u.meta.Size))
+		s.writeError(w, fmt.Errorf("%w: range [%d,%d) exceeds declared size %d", errBadRequest, offset, offset+n, u.meta.Size))
 		return
 	}
 	if offset+n <= u.meta.Received {
@@ -351,20 +351,20 @@ func (s *Server) handlePutUploadRange(w http.ResponseWriter, r *http.Request) {
 
 	rf, err := os.Open(tmp.Name())
 	if err != nil {
-		writeError(w, fmt.Errorf("server: upload range: %w", err))
+		s.writeError(w, fmt.Errorf("server: upload range: %w", err))
 		return
 	}
 	//lint:ignore errcheck read-only scratch file; a close error cannot lose data
 	defer rf.Close()
 	if skip := u.meta.Received - offset; skip > 0 {
 		if _, err := rf.Seek(skip, io.SeekStart); err != nil {
-			writeError(w, fmt.Errorf("server: upload range: %w", err))
+			s.writeError(w, fmt.Errorf("server: upload range: %w", err))
 			return
 		}
 	}
 	df, err := os.OpenFile(u.dataPath(), os.O_WRONLY, 0o644)
 	if err != nil {
-		writeError(w, fmt.Errorf("server: upload range: %w", err))
+		s.writeError(w, fmt.Errorf("server: upload range: %w", err))
 		return
 	}
 	// Write at the durable prefix's end, never at the file's end: the
@@ -381,13 +381,13 @@ func (s *Server) handlePutUploadRange(w http.ResponseWriter, r *http.Request) {
 		// attempt's offset writer overwrites whatever this one left
 		// beyond the prefix. Ranges never write past Size, so leftovers
 		// can never outlive the finished payload either.
-		writeError(w, fmt.Errorf("server: upload range: %w", err))
+		s.writeError(w, fmt.Errorf("server: upload range: %w", err))
 		return
 	}
 	u.meta.CRC = crc
 	u.meta.Received += written
 	if err := u.saveLocked(); err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, u.responseLocked())
@@ -407,7 +407,7 @@ func (c crcUpdater) Write(p []byte) (int, error) {
 func (s *Server) handleUploadStatus(w http.ResponseWriter, r *http.Request) {
 	u, err := s.uploads.get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	u.mu.Lock()
@@ -424,7 +424,7 @@ func (s *Server) handleUploadStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFinalizeUpload(w http.ResponseWriter, r *http.Request) {
 	u, err := s.uploads.get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	u.mu.Lock()
@@ -434,23 +434,23 @@ func (s *Server) handleFinalizeUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if u.meta.Received != u.meta.Size {
-		writeError(w, fmt.Errorf("%w: finalize with %d of %d bytes received", ErrUploadGap, u.meta.Received, u.meta.Size))
+		s.writeError(w, fmt.Errorf("%w: finalize with %d of %d bytes received", ErrUploadGap, u.meta.Received, u.meta.Size))
 		return
 	}
 	// The finalize request may declare the whole payload's CRC; check
 	// it against the running CRC before committing.
 	if err := declaredCRC(r, u.meta.CRC); err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	t, err := s.reg.Tenant(u.meta.Tenant)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	q, err := url.ParseQuery(u.meta.Query)
 	if err != nil {
-		writeError(w, fmt.Errorf("%w: upload session query: %v", checkpoint.ErrCorrupt, err))
+		s.writeError(w, fmt.Errorf("%w: upload session query: %v", checkpoint.ErrCorrupt, err))
 		return
 	}
 	cr, status, err := s.commitSpooled(r, t, u.meta.Series, u.meta.Iteration, q, u.dataPath(), u.meta.Size, u.meta.CRC)
@@ -459,7 +459,7 @@ func (s *Server) handleFinalizeUpload(w http.ResponseWriter, r *http.Request) {
 		// one-shot POST would render it (status, Retry-After, JSON body)
 		// and the session stays open — a 429/503 finalize is retryable
 		// as-is.
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	u.meta.State = uploadStateDone
@@ -467,7 +467,7 @@ func (s *Server) handleFinalizeUpload(w http.ResponseWriter, r *http.Request) {
 	if err := u.saveLocked(); err != nil {
 		// The commit landed; a retried finalize will hit the commit
 		// replay path and converge.
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	// The payload is committed; the session keeps only meta for replay.

@@ -13,8 +13,8 @@
 // of a checkpoint, and a uniform block mesh produces those with the
 // same temporal smoothness properties (see DESIGN.md, substitutions).
 //
-// Block updates run in parallel across goroutines, one block per task,
-// mirroring FLASH's per-process block distribution.
+// Block updates run in parallel across workers, each taking a fixed
+// share of the blocks, mirroring FLASH's per-process block distribution.
 package flash
 
 import (
@@ -22,7 +22,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
+
+	"numarck/internal/panics"
 )
 
 // Mesh geometry constants, matching the paper's setup (§III-A: 16×16
@@ -438,35 +439,21 @@ func (s *Sim) exchangeGuards() {
 	})
 }
 
-// parallelBlocks runs fn(blockIndex) for every block across the
-// configured worker pool.
+// parallelBlocks runs fn(blockIndex) for every block on the configured
+// workers, worker w taking every Workers-th block from w: blocks are
+// equal work and fn writes only its own block's cells. A panic in fn is
+// raised again on the caller's goroutine as a *panics.Error.
 func (s *Sim) parallelBlocks(fn func(int)) {
-	workers := s.cfg.Workers
-	if workers > len(s.blocks) {
-		workers = len(s.blocks)
-	}
-	if workers <= 1 {
-		for i := range s.blocks {
+	workers := min(s.cfg.Workers, len(s.blocks))
+	err := panics.Each(workers, func(w int) error {
+		for i := w; i < len(s.blocks); i += workers {
 			fn(i)
 		}
-		return
+		return nil
+	})
+	if err != nil {
+		panic(err)
 	}
-	var wg sync.WaitGroup
-	ch := make(chan int, len(s.blocks))
-	for i := range s.blocks {
-		ch <- i
-	}
-	close(ch)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Snapshot is one checkpoint: the 10 FLASH variables over all interior

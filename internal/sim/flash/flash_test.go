@@ -3,6 +3,8 @@ package flash
 import (
 	"math"
 	"testing"
+
+	"numarck/internal/panics"
 )
 
 func newSmall(t *testing.T) *Sim {
@@ -334,5 +336,30 @@ func BenchmarkCheckpoint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Checkpoint()
+	}
+}
+
+// TestBlockPanicReachesCaller pins that a panic in one block's update
+// comes back on the caller's goroutine as a recoverable *panics.Error,
+// serial or parallel.
+func TestBlockPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		s, err := New(Config{BlocksX: 3, BlocksY: 3, Seed: 1, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				e, ok := recover().(*panics.Error)
+				if !ok || e.Value != "block 3" {
+					t.Errorf("%d workers: recovered %v, want the *panics.Error of block 3", workers, e)
+				}
+			}()
+			s.parallelBlocks(func(bi int) {
+				if bi == 3 {
+					panic("block 3")
+				}
+			})
+		}()
 	}
 }
